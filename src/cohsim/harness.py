@@ -178,12 +178,16 @@ class Monitor:
 
 
 def _states_by_block(system: System):
-    """{block addr: [(lce, state)]} over every valid line in every cache."""
+    """{block addr: [(lce, state)]} over every valid line in every cache,
+    in cache, set, way order."""
     out = {}
     for i, lce in enumerate(system.lces):
-        for (set_idx, way), (tag, state, _) in lce.snapshot().items():
-            addr = (tag * lce.cfg.sets + set_idx) * lce.cfg.block_bytes
-            out.setdefault(addr, []).append((i, state))
+        sets, block = lce.cfg.sets, lce.cfg.block_bytes
+        for set_idx, lines in enumerate(lce.sets):
+            for line in lines:
+                if line.state is not CoherenceState.I:
+                    addr = (line.tag * sets + set_idx) * block
+                    out.setdefault(addr, []).append((i, line.state))
     return out
 
 
@@ -287,13 +291,15 @@ def run_trace(system: System, ops, monitors=(), check_interval: int = 64,
         return ("u", blk)
 
     queues = [[] for _ in system.lces]
-    domain_order = {}        # domain -> trace indices, oldest first
+    domains = [None] * len(ops)   # trace index -> serialization domain
+    domain_order = {}             # domain -> trace indices, oldest first
     for idx, op in enumerate(ops):
         if not 0 <= op.lce < len(system.lces):
             raise TraceError(f"op {idx}: no such cache {op.lce}")
         queues[op.lce].append((idx, op))
         if op.op != "FENCE":
-            domain_order.setdefault(domain(op), []).append(idx)
+            d = domains[idx] = domain(op)
+            domain_order.setdefault(d, []).append(idx)
     for q in queues:
         q.reverse()  # pop() from the tail
     heads = {d: 0 for d in domain_order}   # index into each order list
@@ -332,9 +338,8 @@ def run_trace(system: System, ops, monitors=(), check_interval: int = 64,
                 q.pop()
                 outstanding[i] = "fence"
                 continue
-            d = domain(op)
-            order = domain_order[d]
-            if order[heads[d]] != idx:
+            d = domains[idx]
+            if domain_order[d][heads[d]] != idx:
                 continue   # an earlier trace op on this set must finish first
             q.pop()
             data = (op.data.to_bytes(8, "little")

@@ -19,6 +19,10 @@ class Backpressure(Exception):
     pass
 
 
+class CreditError(RuntimeError):
+    """A memory credit was released with none outstanding."""
+
+
 @dataclass(frozen=True)
 class NetConfig:
     latency: int = 1
@@ -33,6 +37,11 @@ class Network:
         self.cfg = cfg
         self.channels = {}       # (src, dst, net) -> deque of (ready_time, msg)
         self.channel_free = {}   # (src, dst, net) -> next cycle the link is free
+        # dst -> its channels in creation order, and how many messages they
+        # hold; a cycle then costs only the destinations with traffic.
+        self._dst_channels = {}
+        self._dst_queued = {}
+        self._queued = 0
         self.mem_credits_avail = cfg.mem_credits
         self.sent = 0
         self.delivered = 0
@@ -48,8 +57,9 @@ class Network:
         return self.mem_credits_avail > 0
 
     def release_mem_credit(self):
+        if self.mem_credits_avail >= self.cfg.mem_credits:
+            raise CreditError("memory credit released with none outstanding")
         self.mem_credits_avail += 1
-        assert self.mem_credits_avail <= self.cfg.mem_credits
 
     def send(self, msg: NetMessage, now: int):
         """Enqueue; raises Backpressure when out of memory credits."""
@@ -58,7 +68,10 @@ class Network:
                 raise Backpressure("memory command credits exhausted")
             self.mem_credits_avail -= 1
         key = (msg.src, msg.dst, msg.net)
-        chan = self.channels.setdefault(key, deque())
+        chan = self.channels.get(key)
+        if chan is None:
+            chan = self.channels[key] = deque()
+            self._dst_channels.setdefault(msg.dst, []).append(chan)
         # Header occupies one channel cycle, plus one per additional beat.
         serialization = 1 + max(0, msg.beats - 1)
         start = max(now, self.channel_free.get(key, 0))
@@ -67,12 +80,20 @@ class Network:
         msg.seq = self._seq
         self._seq += 1
         chan.append((ready, msg))
+        self._dst_queued[msg.dst] = self._dst_queued.get(msg.dst, 0) + 1
+        self._queued += 1
         self.sent += 1
 
     def next_event(self):
         """Earliest pending delivery time, or None when idle."""
-        times = [chan[0][0] for chan in self.channels.values() if chan]
-        return min(times) if times else None
+        if not self._queued:
+            return None
+        return min(chan[0][0] for chan in self.channels.values() if chan)
+
+    def any_ready(self, now: int) -> bool:
+        """True when some message can be delivered at `now`."""
+        return self._queued > 0 and any(
+            chan and chan[0][0] <= now for chan in self.channels.values())
 
     def deliver(self, now: int, dst: str):
         """Pop every message for `dst` ready at `now`, priority-sorted.
@@ -81,36 +102,21 @@ class Network:
         random ordering mode the ready set is permuted across channels
         before the priority sort (head-of-line FIFO order still holds).
         """
+        if not self._dst_queued.get(dst):
+            return []
         ready = []
-        for (src, d, net), chan in self.channels.items():
-            if d != dst:
-                continue
+        for chan in self._dst_channels[dst]:
             while chan and chan[0][0] <= now:
                 ready.append(chan.popleft()[1])
+        self._dst_queued[dst] -= len(ready)
+        self._queued -= len(ready)
         if self.cfg.ordering == "random":
             self._rng.shuffle(ready)
-        ready.sort(key=lambda m: (NET_PRIORITY[m.net],)
-                   if self.cfg.ordering == "random"
-                   else (NET_PRIORITY[m.net], m.seq))
+            ready.sort(key=lambda m: NET_PRIORITY[m.net])
+        else:
+            ready.sort(key=lambda m: (NET_PRIORITY[m.net], m.seq))
         self.delivered += len(ready)
         return ready
 
-    def peek(self, dst: str, now: int, net: NetKind):
-        """Ready messages for dst on one network, without consuming them."""
-        out = []
-        for (src, d, n), chan in self.channels.items():
-            if d == dst and n is net and chan and chan[0][0] <= now:
-                out.append(chan[0][1])
-        out.sort(key=lambda m: m.seq)
-        return out
-
-    def pop_message(self, msg: NetMessage):
-        """Consume one previously peeked head-of-channel message."""
-        key = (msg.src, msg.dst, msg.net)
-        chan = self.channels[key]
-        assert chan[0][1] is msg
-        chan.popleft()
-        self.delivered += 1
-
     def idle(self) -> bool:
-        return all(not chan for chan in self.channels.values())
+        return not self._queued

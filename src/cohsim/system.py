@@ -42,6 +42,7 @@ class System:
         self.lces = [Lce(LceConfig(lce_id=i, sets=cfg.sets, assoc=cfg.assoc,
                                    block_bytes=cfg.block_bytes), self.tables)
                      for i in range(cfg.cores)]
+        self.lce_endpoints = [f"lce{i}" for i in range(cfg.cores)]
         seg = SegmentConfig(num_caches=cfg.cores, assoc=cfg.assoc,
                             sets_per_cache=cfg.sets,
                             block_bytes=cfg.block_bytes)
@@ -100,7 +101,8 @@ class System:
         if isinstance(result, MissIssued):
             cce = self.home_cce(addr)
             self.net.send(NetMessage(net=NetKind.Request,
-                                     src=f"lce{lce_id}", dst=cce.endpoint,
+                                     src=self.lce_endpoints[lce_id],
+                                     dst=cce.endpoint,
                                      payload=result.request,
                                      beats=self.net.beats_of(
                                          result.request.data)),
@@ -111,8 +113,8 @@ class System:
 
     def step(self):
         now = self.now
-        for i, lce in enumerate(self.lces):
-            for msg in self.net.deliver(now, f"lce{i}"):
+        for lce, endpoint in zip(self.lces, self.lce_endpoints):
+            for msg in self.net.deliver(now, endpoint):
                 cce_ep = self.home_cce(msg.payload.addr).endpoint
                 if msg.net is NetKind.Command:
                     lce.handle_command(msg.payload, cce_ep,
@@ -120,10 +122,11 @@ class System:
                 elif msg.net is NetKind.Fill:
                     lce.handle_fill_net(msg.payload, cce_ep)
                 else:
-                    raise AssertionError(f"unexpected {msg.net} at lce{i}")
-            for out in lce.outbox:
-                self.net.send(out, now)
-            lce.outbox.clear()
+                    raise AssertionError(f"unexpected {msg.net} at {endpoint}")
+            if lce.outbox:
+                for out in lce.outbox:
+                    self.net.send(out, now)
+                lce.outbox.clear()
         for cce in self.cces:
             for msg in self.net.deliver(now, cce.endpoint):
                 cce.accept(msg)
@@ -140,9 +143,8 @@ class System:
         """True when this cycle can only produce wait/idle everywhere."""
         if any(lce.outbox for lce in self.lces):
             return False
-        for chan in self.net.channels.values():
-            if chan and chan[0][0] <= self.now:
-                return False
+        if self.net.any_ready(self.now):
+            return False
         if self.mem.inflight and self.mem.inflight[0][0] <= self.now:
             return False
         return all(cce.quiet() for cce in self.cces)

@@ -1,5 +1,7 @@
 """Trace tooling, invariant monitors, engine comparison, overhead math."""
 
+import hashlib
+
 import pytest
 
 from cohsim import harness
@@ -152,3 +154,42 @@ class TestOverhead:
             overhead_calc("dup", 1)
         with pytest.raises(ValueError):
             overhead_calc("banana", 4)
+
+
+DIGEST = "a2965c438effa0948ef04b882b6ce0caf21a25d453ca24f6b75b4a0bb70513d2"
+
+
+def _final_state_digest(system):
+    """sha256 over the final memory, cache and directory images."""
+    images = (sorted(harness._memory_image(system).items()),
+              [sorted(lce.snapshot().items()) for lce in system.lces],
+              sorted(harness._dir_image(system).items()))
+    return hashlib.sha256(repr(images).encode()).hexdigest()
+
+
+class TestBitIdentity:
+    """Simulated results pinned to recorded values, so a change meant only
+    to speed up the simulator cannot move cycles or final state.  The
+    trace's 64-block footprint fits the 16-set x 8-way caches, so no line
+    is ever replaced."""
+
+    # (engine, ordering) -> (cycles, final-state digest, next network draw)
+    GOLDEN = {
+        ("fsm", "fifo"): (3805, DIGEST, 0.46300735781502145),
+        ("fsm", "random"): (3805, DIGEST, 0.12133562466993963),
+        ("ucode", "fifo"): (7149, DIGEST, 0.46300735781502145),
+        ("ucode", "random"): (7149, DIGEST, 0.21003061087556407),
+    }
+
+    @pytest.mark.parametrize("engine,ordering", sorted(GOLDEN))
+    def test_cycles_and_final_state(self, engine, ordering):
+        ops = random_workload(5, lces=8, ops=300, footprint_blocks=64)
+        system = System(SystemConfig(cores=8, sets=16, engine=engine,
+                                     ordering=ordering, seed=9))
+        report = run_trace(system, ops, monitors=default_monitors())
+        assert report.clean
+        assert report.completed == len(ops)
+        # The next network draw shows that delivery consumed the same
+        # random stream.
+        assert (report.cycles, _final_state_digest(system),
+                system.net._rng.random()) == self.GOLDEN[engine, ordering]

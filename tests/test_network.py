@@ -4,7 +4,7 @@ import pytest
 
 from cohsim.messages import (CohRequest, LceResponse, NET_PRIORITY, NetKind,
                              NetMessage)
-from cohsim.network import Backpressure, NetConfig, Network
+from cohsim.network import Backpressure, CreditError, NetConfig, Network
 
 
 def msg(net, src="a", dst="b", beats=0, payload=None):
@@ -68,16 +68,13 @@ class TestTransport:
         net.release_mem_credit()
         net.send(msg(NetKind.MemCmd), now=1)
 
-    def test_peek_then_pop(self):
-        net = Network(NetConfig())
-        m = msg(NetKind.Response)
-        net.send(m, now=0)
-        assert net.peek("b", 0, NetKind.Response) == []
-        heads = net.peek("b", 5, NetKind.Response)
-        assert heads == [m]
-        net.pop_message(m)
-        assert net.peek("b", 5, NetKind.Response) == []
-        assert net.idle()
+    def test_over_release_of_mem_credit_raises(self):
+        net = Network(NetConfig(mem_credits=2))
+        net.send(msg(NetKind.MemCmd), now=0)
+        net.release_mem_credit()
+        with pytest.raises(CreditError):
+            net.release_mem_credit()
+        assert net.mem_credits_avail == 2
 
     def test_random_ordering_is_seeded_and_keeps_priority(self):
         def run(seed):
@@ -95,3 +92,76 @@ class TestTransport:
             net.send(m, now=0)
         out = net.deliver(10, "b")
         assert out[0] is resp            # priority survives the shuffle
+
+
+def labels(msgs):
+    return [m.payload for m in msgs]
+
+
+def fan_in(net):
+    """Three sources and three networks into "d", plus one message for
+    another destination; sent at cycle 0 with latency 1."""
+    for label, src, dst, kind, beats in (
+            ("a", "s0", "d", NetKind.Request, 0),    # ready 1
+            ("b", "s1", "d", NetKind.Request, 0),    # ready 1
+            ("c", "s0", "d", NetKind.Response, 8),   # ready 8
+            ("d", "s2", "d", NetKind.Command, 0),    # ready 1
+            ("e", "s0", "d", NetKind.Request, 0),    # ready 2, behind a
+            ("f", "s1", "x", NetKind.Request, 0),    # ready 1, elsewhere
+            ("g", "s2", "d", NetKind.Response, 0),   # ready 1
+            ("h", "s0", "d", NetKind.Response, 0)):  # ready 9, behind c
+        net.send(msg(kind, src=src, dst=dst, beats=beats, payload=label),
+                 now=0)
+
+
+class TestDeliveryOrder:
+    def test_fan_in_orders_by_priority_then_seq(self):
+        net = Network(NetConfig(latency=1))
+        fan_in(net)
+        assert net.deliver(0, "d") == []
+        assert labels(net.deliver(1, "d")) == ["g", "d", "a", "b"]
+        assert labels(net.deliver(1, "d")) == []
+        assert labels(net.deliver(2, "d")) == ["e"]
+        assert labels(net.deliver(10, "d")) == ["c", "h"]
+        assert labels(net.deliver(10, "x")) == ["f"]
+        assert net.idle()
+
+    def test_idle_and_next_event_after_partial_delivery(self):
+        net = Network(NetConfig(latency=1))
+        assert net.idle() and net.next_event() is None
+        fan_in(net)
+        assert not net.idle()
+        assert net.next_event() == 1
+        net.deliver(5, "d")                  # leaves c, h and f
+        assert not net.idle()
+        assert net.next_event() == 1         # f still waits at "x"
+        net.deliver(5, "x")
+        assert not net.idle()
+        assert net.next_event() == 8
+        assert not net.any_ready(7)
+        assert net.any_ready(8)
+        assert labels(net.deliver(8, "d")) == ["c"]
+        assert net.next_event() == 9
+        assert labels(net.deliver(9, "d")) == ["h"]
+        assert net.idle() and net.next_event() is None
+        assert not net.any_ready(100)
+
+    def test_random_ordering_golden_sequence(self):
+        # Recorded from the channel-scanning implementation: the same seed
+        # must give the same permutations, draw for draw.
+        net = Network(NetConfig(ordering="random", seed=5))
+        for i in range(6):
+            net.send(msg(NetKind.Request, src=f"s{i}", payload=f"r{i}"),
+                     now=0)
+            net.send(msg(NetKind.Command, src=f"s{i}", payload=f"c{i}"),
+                     now=i % 3)
+        net.send(msg(NetKind.Request, src="s0", dst="x", payload="x0"),
+                 now=0)
+        got = [labels(net.deliver(t, "b")) for t in range(5)]
+        assert got == GOLDEN_RANDOM
+        assert net._rng.random() == GOLDEN_RANDOM_NEXT
+
+
+GOLDEN_RANDOM = [[], ["c0", "c3", "r4", "r2", "r0", "r5", "r1", "r3"],
+                 ["c4", "c1"], ["c5", "c2"], []]
+GOLDEN_RANDOM_NEXT = 0.11320596465314436
