@@ -279,9 +279,7 @@ class Model:
             targets = [t for t in sharers if t != i]
             if owner is not None and owner != i:
                 targets.append(owner)
-        elif invalidate is InvalidateSet.AllSharers:
-            targets = [t for t in sharers if t != i]
-        else:   # OtherSharers
+        else:   # AllSharers, OtherSharers: every sharer but the requester
             targets = [t for t in sharers if t != i]
 
         new_rec = list(dir_rec)

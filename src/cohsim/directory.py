@@ -29,6 +29,10 @@ class Underflow(Exception):
     pass
 
 
+class Overflow(Exception):
+    pass
+
+
 class DoubleSpeculation(Exception):
     pass
 
@@ -220,7 +224,8 @@ class PendingBits:
         value = self.counters[wg] + delta
         if value < 0:
             raise Underflow(f"pending counter for way group {wg}")
-        assert value <= PENDING_COUNTER_MAX, "pending counter overflow"
+        if value > PENDING_COUNTER_MAX:
+            raise Overflow(f"pending counter for way group {wg}")
         self.counters[wg] = value
 
     def clear(self, wg: int):
@@ -288,10 +293,6 @@ class GadResult:
     upgrade: bool = False
     owner: Optional[tuple] = None  # (cache, way, state)
     req_way_hit: Optional[int] = None
-
-    def cached_flag(self, state: CoherenceState) -> bool:
-        return {S: self.cached_s, E: self.cached_e, M: self.cached_m,
-                O: self.cached_o, F: self.cached_f}[state]
 
 
 def gad(sv: SharersVectors, lru: LruEntry, req: GadRequest) -> GadResult:

@@ -1,9 +1,12 @@
 """Fixed-function coherence engine.
 
-Request processing is written as a generator: every yield is one engine
-cycle, tagged busy (occupies the engine) or wait (blocked on the network,
-excluded from occupancy).  The per-state cycle placement is pinned so the
-closed-form occupancy of each request class holds exactly:
+The request flow is a generator running on the shared engine core
+(`cce.CceCore`): every yield is one sequencer cycle, tagged BUSY (the flow
+did work) or WAIT (blocked on the network).  The core classifies every
+cycle under its one accounting rule, the same for both engines: busy;
+wait inside a transaction; stall or idle outside one.  The per-state
+cycle placement is pinned so the closed-form occupancy of each request
+class holds exactly:
 
   base (Ready .. Write Next State)         7 + rows_per_set   cycles
   resolve speculation (memory-sourced)     +1
@@ -13,276 +16,102 @@ closed-form occupancy of each request class holds exactly:
   replacement (ST-WB send + WB consume)    +2 clean / +1+N dirty
   invalidations (1 send + 1 ack per cycle) +2 per invalidation
 
-The memory-response machine runs concurrently and its cycles never count
-toward request occupancy.
+The core's memory-response machine runs concurrently and its cycles never
+count toward request occupancy.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from . import protocol
-from .directory import (DirectorySegment, GadRequest, PendingBits,
-                        SegmentConfig, SpecBits, gad, way_group_home,
-                        way_group_index)
-from .messages import (CceCommand, CohRequest, Emission, LceResponse, MemCmd,
-                       MemResp, NetKind, NetMessage)
-from .network import Network
+from .cce import BUSY, WAIT, CceCore, EngineFault
+from .directory import GadRequest, gad
+from .messages import CceCommand, CohRequest, Emission, LceResponse, MemCmd
 from .protocol import (AddressClass, CoherenceState, CommandKind,
-                       DirRequestKind, I, S, E, M, O, F, InvalidateSet,
-                       RequesterGrant, classify_request)
+                       DirRequestKind, I, S, E, F, InvalidateSet,
+                       OWNER_STATES, RequesterGrant)
 
-BUSY = "busy"
-WAIT = "wait"
-
-
-class SpecStateMissing(Exception):
-    pass
+WRITEBACKS = (Emission.NullWB, Emission.DirtyWB)
+INV_ACK = (Emission.InvAck,)
 
 
 @dataclass
 class Mshr:
-    """Working record of the in-flight coherence transaction (Table-4 flags)."""
+    """What the directory lookup found for the in-flight transaction."""
 
-    paddr: int = 0
-    req_lce: int = 0
     req_way: int = 0
     lru_way: int = 0
     lru_tag: int = 0
     lru_state: CoherenceState = I
     owner: Optional[tuple] = None
-    next_state: Optional[CoherenceState] = None
-    # Control flags.
-    write_not_read: bool = False
-    uncached: bool = False
-    non_exclusive: bool = False
-    atomic: bool = False
-    atomic_no_return: bool = False
-    cacheable_address: bool = False
-    pending: bool = False
-    cached_shared: bool = False
-    cached_exclusive: bool = False
-    cached_modified: bool = False
-    cached_owned: bool = False
-    cached_forward: bool = False
     replacement: bool = False
-    upgrade: bool = False
 
 
-@dataclass
-class TransactionRecord:
-    req_kind: str
-    lce_state: CoherenceState
-    dir_state: CoherenceState
-    busy_cycles: int
-    wait_cycles: int
-    sharers: int
-    invalidations: int
-    replacement: Optional[str]  # None | "clean" | "dirty"
+class FsmCce(CceCore):
+    """One directory-side coherence engine instance with a hardwired
+    request flow."""
 
-
-@dataclass
-class EngineStats:
-    transactions: list = field(default_factory=list)
-    stall_cycles: int = 0
-    busy_cycles: int = 0
-    wait_cycles: int = 0
-    idle_cycles: int = 0
-    mem_resp_forwards: int = 0
-    mem_resp_sunk: int = 0
-    mem_resp_squashed: int = 0
-
-
-class FsmCce:
-    """One directory-side coherence engine instance."""
-
-    def __init__(self, cce_id: int, seg_cfg: SegmentConfig, net: Network,
-                 num_cces: int = 1,
-                 tables: protocol.ProtocolTables = protocol.MOESIF,
-                 region_map: protocol.RegionMap = protocol.DEFAULT_REGION_MAP):
-        self.cce_id = cce_id
-        self.endpoint = f"cce{cce_id}"
-        self.cfg = seg_cfg
-        self.net = net
-        self.num_cces = num_cces
-        self.tables = tables
-        self.region_map = region_map
-        self.directory = DirectorySegment(seg_cfg, cce_id, num_cces)
-        num_wgs = -(-seg_cfg.sets_per_cache // num_cces)
-        self.pending = PendingBits(num_wgs)
-        self.spec = SpecBits(num_wgs)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.mshr = Mshr()
-        self.req_qs = {c: deque() for c in range(seg_cfg.num_caches)}
-        self._rr = 0
-        self.resp_q = deque()
-        self.memresp_q = deque()
         self._flow = None
-        self.stats = EngineStats()
-        self._txn = None
-        self.now = 0
-        self.last_tag = None
 
-    # -- helpers -------------------------------------------------------------
+    # -- sequencer -------------------------------------------------------------
 
-    def local_wg(self, addr: int) -> int:
-        set_idx = way_group_index(addr, self.cfg)
-        home, local = way_group_home(set_idx, self.num_cces)
-        assert home == self.cce_id, "request routed to wrong CCE"
-        return local
+    def _active(self) -> bool:
+        return self._flow is not None
 
-    def _send(self, net_kind: NetKind, dst: str, payload, data=None):
-        self.net.send(NetMessage(net=net_kind, src=self.endpoint, dst=dst,
-                                 payload=payload,
-                                 beats=self.net.beats_of(data)), self.now)
-
-    def _send_cmd(self, lce: int, cmd: CceCommand):
-        self._send(NetKind.Command, f"lce{lce}", cmd, data=cmd.data)
-
-    def _send_mem(self, cmd: MemCmd):
-        # Backpressure would be a bug here; flows wait for a credit first.
-        self._send(NetKind.MemCmd, "mem", cmd, data=cmd.data)
-
-    def accept(self, msg: NetMessage):
-        """Inbound message from the network delivery for this endpoint."""
-        if msg.net is NetKind.Request:
-            self.req_qs[msg.payload.lce].append(msg.payload)
-        elif msg.net is NetKind.Response:
-            self.resp_q.append(msg.payload)
-        elif msg.net is NetKind.MemResp:
-            self.memresp_q.append(msg.payload)
-        else:
-            raise AssertionError(f"unexpected {msg.net} at {self.endpoint}")
-
-    def has_pending_input(self) -> bool:
-        return (any(self.req_qs[c] for c in self.req_qs)
-                or bool(self.resp_q) or bool(self.memresp_q)
-                or self._flow is not None)
-
-    def quiet(self) -> bool:
-        """True when ticking without new deliveries can only produce waits."""
-        if self.memresp_q or self.resp_q:
-            return False
+    def _seq_quiet(self) -> bool:
         if self._flow is not None:
             return self.last_tag is WAIT
-        return not any(self.req_qs[c] for c in self.req_qs)
+        return not any(self.req_qs)
 
-    def note_skipped(self, cycles: int):
-        """Account for wait cycles elided by the system's fast-forward."""
-        if self._flow is not None:
-            self.stats.wait_cycles += cycles
-            if self._txn:
-                self._txn["wait"] += cycles
-
-    # -- cycle step ----------------------------------------------------------
-
-    def tick(self, now: int):
-        self.now = now
-        self._drain_cohacks()
-        self._mem_resp_tick()
-        self._request_tick()
-
-    def _drain_cohacks(self):
-        """Coherence acks complete transactions without occupying the FSM."""
-        kept = deque()
-        for resp in self.resp_q:
-            if resp.kind is Emission.CohAck:
-                self.pending.adjust(self.local_wg(resp.addr), -1)
-            else:
-                kept.append(resp)
-        self.resp_q = kept
-
-    def _request_tick(self):
-        if self._flow is None:
-            req = self._arbitrate()
-            if req is None:
-                self.stats.idle_cycles += 1
-                self.last_tag = None
-                return
-            self._flow = self._run_request(req)
-        try:
-            tag = next(self._flow)
-        except StopIteration:
-            # The finished flow consumed no cycle here; start the next
-            # request in this same cycle.
-            self._flow = None
-            self._request_tick()
-            return
-        self.last_tag = tag
-        if tag is BUSY:
-            self.stats.busy_cycles += 1
-            if self._txn:
-                self._txn["busy"] += 1
-        else:
-            self.stats.wait_cycles += 1
-            if self._txn:
-                self._txn["wait"] += 1
-
-    def _arbitrate(self) -> Optional[CohRequest]:
-        """Round-robin over per-LCE request FIFOs, skipping pending way
-        groups; skipped heads cost stall cycles, not occupancy."""
-        n = len(self.req_qs)
-        stalled = False
-        for off in range(n):
-            c = (self._rr + off) % n
-            q = self.req_qs[c]
-            if not q:
-                continue
-            head = q[0]
-            if (not head.uncached or self.region_map.is_cacheable(head.addr)):
-                if self.pending.read(self.local_wg(head.addr)):
-                    stalled = True
-                    continue
-            self._rr = (c + 1) % n
-            return q.popleft()
-        if stalled:
-            self.stats.stall_cycles += 1
-        return None
+    def _step(self) -> str:
+        while True:
+            if self._flow is None:
+                req = self._arbitrate()
+                if req is None:
+                    return WAIT
+                addr_class = self._open_txn(req)
+                if addr_class is AddressClass.CacheableCoherent:
+                    self._flow = self._coherent_flow(req)
+                else:
+                    self._flow = self._uncached_flow(req, addr_class)
+            try:
+                return next(self._flow)
+            except StopIteration:
+                # The finished flow consumed no cycle here; start the next
+                # request in this same cycle.
+                self._flow = None
+                self._close_txn()
 
     # -- request processing flow ----------------------------------------------
 
-    def _run_request(self, req: CohRequest):
-        self._txn = {"busy": 0, "wait": 0}
-        addr_class = classify_request(req.addr, req.uncached, self.region_map)
-        if addr_class is AddressClass.CacheableCoherent:
-            yield from self._coherent_flow(req)
-        else:
-            yield from self._uncached_flow(req, addr_class)
-        self._txn = None
+    def _await_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
+        while True:
+            resp = self._take_resp(addr, kinds, lce)
+            if resp is not None:
+                return resp
+            yield WAIT
 
-    def _classify_kind(self, req: CohRequest, req_state: CoherenceState):
-        if not req.write:
-            return (DirRequestKind.ReqRdNE if req.non_exclusive
-                    else DirRequestKind.ReqRd)
-        if req_state is I:
-            return DirRequestKind.ReqWrFromI
-        if req_state is S:
-            return DirRequestKind.ReqWrFromS
-        if req_state in (O, F):
-            return DirRequestKind.ReqWrFromOF
-        raise protocol.ImpossibleTransition(
-            f"write request from cache holding {req_state}")
-
-    @staticmethod
-    def _summary_state(sv) -> CoherenceState:
-        for c, hit in enumerate(sv.hits):
-            if hit and sv.states[c] in protocol.OWNER_STATES:
-                return sv.states[c]
-        return S if any(sv.hits) else I
+    def _forward_dirty_wb(self, resp: LceResponse, wg: int):
+        """Write a dirty writeback's block to memory, one busy cycle per
+        data beat."""
+        while not self.net.has_mem_credit():
+            yield WAIT
+        self.pending.adjust(wg, +1)
+        self._send_mem(MemCmd(addr=resp.addr - resp.addr % self.cfg.block_bytes,
+                              write=True, data=resp.data))
+        for _ in range(max(1, self.net.beats_of(resp.data))):
+            yield BUSY
 
     def _coherent_flow(self, req: CohRequest):
-        mshr = self.mshr = Mshr(paddr=req.addr, req_lce=req.lce,
-                                lru_way=req.lru_way,
-                                write_not_read=req.write,
-                                non_exclusive=req.non_exclusive,
-                                atomic=req.atomic is not None,
-                                atomic_no_return=req.atomic_no_return,
-                                cacheable_address=True)
+        mshr = self.mshr = Mshr(lru_way=req.lru_way)
         wg = self.local_wg(req.addr)
         yield BUSY                       # Ready: dequeue and classify
-        mshr.pending = self.pending.read(wg)
-        assert not mshr.pending, "arbitration admitted a pending way group"
+        if self.pending.read(wg):
+            raise EngineFault("arbitration admitted a pending way group")
         yield BUSY                       # pending check
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
@@ -301,33 +130,23 @@ class FsmCce:
         info = gad(sv, lru, GadRequest(lce=req.lce, write=req.write,
                                        non_exclusive=req.non_exclusive,
                                        atomic=req.atomic is not None))
-        mshr.cached_shared = info.cached_s
-        mshr.cached_exclusive = info.cached_e
-        mshr.cached_modified = info.cached_m
-        mshr.cached_owned = info.cached_o
-        mshr.cached_forward = info.cached_f
         mshr.replacement = info.replacement
-        mshr.upgrade = info.upgrade
         mshr.owner = info.owner
         mshr.req_way = (info.req_way_hit if info.req_way_hit is not None
                         else req.lru_way)
         mshr.lru_tag, mshr.lru_state = lru.lru_tag, lru.lru_state
         yield BUSY                       # GAD
 
-        req_state = sv.states[req.lce] if sv.hits[req.lce] else I
-        kind = self._classify_kind(req, req_state)
-        dir_state = self._summary_state(sv)
-        plan = self.tables.dir_request_plan(dir_state, kind)
-        mshr.next_state = plan.grant_state
+        kind = self._note_lookup(sv)
+        plan = self.tables.dir_request_plan(self._txn.dir_state, kind)
         self.directory.write_entry(req.addr, req.lce, mshr.req_way,
                                    state=plan.grant_state)
         yield BUSY                       # write next state
 
-        repl_kind = None
         if mshr.replacement:
-            repl_kind = yield from self._replacement_subflow(req, wg)
+            yield from self._replacement_subflow(req, wg)
 
-        n_inv = yield from self._invalidations(req, sv, plan)
+        yield from self._invalidations(req, sv, plan)
 
         if plan.requester_grant is RequesterGrant.DataFromMemory:
             if plan.grant_state is E:
@@ -343,14 +162,10 @@ class FsmCce:
                 state=plan.grant_state))
             yield BUSY                   # upgrade command send
         else:
-            assert plan.owner_command is not None
+            if plan.owner_command is None:
+                raise EngineFault(f"{self.tables.name}: plan for {kind.value} "
+                                  "grants nothing and commands no owner")
             yield from self._transfer(req, plan, mshr, wg)
-
-        self.stats.transactions.append(TransactionRecord(
-            req_kind=kind.value, lce_state=req_state, dir_state=dir_state,
-            busy_cycles=self._txn["busy"], wait_cycles=self._txn["wait"],
-            sharers=sum(1 for c, h in enumerate(sv.hits) if h and sv.states[c] is S),
-            invalidations=n_inv, replacement=repl_kind))
 
     def _replacement_subflow(self, req: CohRequest, wg: int):
         """Evict the requester's LRU block: 2 cycles clean, 1+N dirty."""
@@ -363,62 +178,34 @@ class FsmCce:
             kind=plan.owner_command.command, addr=victim, way=mshr.lru_way,
             state=plan.owner_command.set_owner_state))
         yield BUSY                       # ST-WB send
-        resp = yield from self._await_wb(victim, req.lce)
+        resp = yield from self._await_resp(victim, WRITEBACKS, req.lce)
+        self._note_victim_wb(resp)
         if resp.kind is Emission.NullWB:
             yield BUSY                   # consume clean writeback header
-            return "clean"
-        beats = max(1, self.net.beats_of(resp.data))
-        while not self.net.has_mem_credit():
-            yield WAIT
-        self.pending.adjust(wg, +1)
-        self._send_mem(MemCmd(addr=victim, write=True, data=resp.data))
-        for _ in range(beats):
-            yield BUSY                   # forward dirty data to memory
-        return "dirty"
+        else:
+            yield from self._forward_dirty_wb(resp, wg)
 
-    def _await_wb(self, addr: int, lce: int):
-        while True:
-            for i, resp in enumerate(self.resp_q):
-                if (resp.addr == addr and resp.lce == lce
-                        and resp.kind in (Emission.NullWB, Emission.DirtyWB)):
-                    del self.resp_q[i]
-                    return resp
-            yield WAIT
-
-    def _invalidations(self, req: CohRequest, sv, plan) -> int:
-        targets = []
+    def _invalidations(self, req: CohRequest, sv, plan):
         if plan.invalidate_set is InvalidateSet.Nothing:
-            return 0
-        for c, hit in enumerate(sv.hits):
-            if not hit or c == req.lce:
-                continue
-            if sv.states[c] is S:
-                targets.append(c)
-            elif (plan.invalidate_set is InvalidateSet.OtherSharersAndOwner
-                  and sv.states[c] in protocol.OWNER_STATES):
-                targets.append(c)
+            return
+        with_owner = plan.invalidate_set is InvalidateSet.OtherSharersAndOwner
+        targets = [c for c, hit in enumerate(sv.hits)
+                   if hit and c != req.lce
+                   and (sv.states[c] is S
+                        or (with_owner and sv.states[c] in OWNER_STATES))]
         for c in targets:
             self.directory.write_state(req.addr, c, sv.ways[c], I)
             self._send_cmd(c, CceCommand(kind=CommandKind.Inv, addr=req.addr,
                                          way=sv.ways[c]))
             yield BUSY                   # one invalidation per cycle
-        acks = 0
-        while acks < len(targets):
-            got = None
-            for i, resp in enumerate(self.resp_q):
-                if resp.kind is Emission.InvAck and resp.addr == req.addr:
-                    got = i
-                    break
-            if got is None:
-                yield WAIT
-                continue
-            del self.resp_q[got]
-            acks += 1
+        for _ in targets:
+            yield from self._await_resp(req.addr, INV_ACK)
             yield BUSY                   # one ack consumed per cycle
-        return len(targets)
 
     def _transfer(self, req: CohRequest, plan, mshr: Mshr, wg: int):
-        """Source the block from its current owner instead of memory."""
+        """Source the block from its current owner instead of memory.
+        A clean writeback is absorbed for free; dirty data occupies one
+        cycle per beat while forwarded to memory."""
         cmd_kind = plan.owner_command.command
         owner_lce, owner_way, _ = mshr.owner
         self.spec.squash(wg)
@@ -433,21 +220,9 @@ class FsmCce:
             target_lce=req.lce, target_way=mshr.req_way))
         yield BUSY                       # owner command send
         if cmd_kind is CommandKind.StTrWb:
-            resp = yield from self._await_wb(req.addr, owner_lce)
-            yield from self._consume_transfer_wb(resp, wg)
-
-    def _consume_transfer_wb(self, resp: LceResponse, wg: int):
-        """Clean writebacks are absorbed for free during a transfer; dirty
-        data occupies one cycle per beat while forwarded to memory."""
-        if resp.kind is Emission.NullWB:
-            return
-        beats = max(1, self.net.beats_of(resp.data))
-        while not self.net.has_mem_credit():
-            yield WAIT
-        self.pending.adjust(wg, +1)
-        self._send_mem(MemCmd(addr=resp.addr, write=True, data=resp.data))
-        for _ in range(beats):
-            yield BUSY
+            resp = yield from self._await_resp(req.addr, WRITEBACKS, owner_lce)
+            if resp.kind is Emission.DirtyWB:
+                yield from self._forward_dirty_wb(resp, wg)
 
     # -- uncached flows --------------------------------------------------------
 
@@ -459,8 +234,7 @@ class FsmCce:
             self._send_mem(MemCmd(addr=req.addr, write=req.write,
                                   uncached=True, size=req.size,
                                   data=req.data, lce=req.lce))
-            beats = max(1, self.net.beats_of(req.data))
-            for _ in range(beats):
+            for _ in range(max(1, self.net.beats_of(req.data))):
                 yield BUSY               # header + data beats
             return
 
@@ -472,6 +246,7 @@ class FsmCce:
         sv, lru, latency = self.directory.read_way_group(req.addr, req.lce, 0)
         for _ in range(latency):
             yield BUSY
+        self._note_lookup(sv)
         yield BUSY                       # GAD
         for c, hit in enumerate(sv.hits):
             if not hit:
@@ -482,23 +257,16 @@ class FsmCce:
                 self._send_cmd(c, CceCommand(kind=CommandKind.Inv,
                                              addr=req.addr, way=sv.ways[c]))
                 yield BUSY
-                yield from self._await_invack(req.addr)
+                yield from self._await_resp(req.addr, INV_ACK)
                 yield BUSY
             else:
                 self._send_cmd(c, CceCommand(kind=CommandKind.StWb,
                                              addr=req.addr, way=sv.ways[c],
                                              state=I))
                 yield BUSY
-                resp = yield from self._await_wb(req.addr, c)
+                resp = yield from self._await_resp(req.addr, WRITEBACKS, c)
                 if resp.kind is Emission.DirtyWB:
-                    while not self.net.has_mem_credit():
-                        yield WAIT
-                    self.pending.adjust(wg, +1)
-                    self._send_mem(MemCmd(addr=req.addr
-                                          - req.addr % self.cfg.block_bytes,
-                                          write=True, data=resp.data))
-                    for _ in range(max(1, self.net.beats_of(resp.data))):
-                        yield BUSY
+                    yield from self._forward_dirty_wb(resp, wg)
                 else:
                     yield BUSY
         while not self.net.has_mem_credit():
@@ -511,62 +279,3 @@ class FsmCce:
             yield BUSY
         self.pending.adjust(wg, -1)
         yield BUSY                       # close transaction
-
-    def _await_invack(self, addr: int):
-        while True:
-            for i, resp in enumerate(self.resp_q):
-                if resp.kind is Emission.InvAck and resp.addr == addr:
-                    del self.resp_q[i]
-                    return
-            yield WAIT
-
-    # -- memory response machine ------------------------------------------------
-
-    def _mem_resp_tick(self):
-        """Concurrent three-outcome machine: squash, rewrite-and-forward,
-        or forward unchanged; write acks are sunk."""
-        if not self.memresp_q:
-            return
-        resp: MemResp = self.memresp_q[0]
-        if resp.uncached:
-            self.memresp_q.popleft()
-            self.net.release_mem_credit()
-            if not resp.write:
-                self._send_cmd(resp.lce, CceCommand(
-                    kind=CommandKind.Data, addr=resp.addr, data=resp.data,
-                    uncached=True, size=resp.size, state=None))
-                self.stats.mem_resp_forwards += 1
-            else:
-                self.stats.mem_resp_sunk += 1
-            if resp.wp:
-                self.pending.adjust(self.local_wg(resp.addr), -1)
-            return
-        if resp.write:
-            self.memresp_q.popleft()
-            self.net.release_mem_credit()
-            self.pending.adjust(self.local_wg(resp.addr), -1)
-            self.stats.mem_resp_sunk += 1
-            return
-        wg = self.local_wg(resp.addr)
-        state = resp.state
-        if resp.spec:
-            rec = self.spec.read(wg)
-            if rec.spec:
-                return                   # unresolved: hold the response
-            if rec.squash:
-                self.memresp_q.popleft()
-                self.net.release_mem_credit()
-                self.spec.unset(wg)
-                self.pending.adjust(wg, -1)
-                self.stats.mem_resp_squashed += 1
-                return
-            if rec.fwd_mod:
-                state = rec.state
-            self.spec.unset(wg)
-        self.memresp_q.popleft()
-        self.net.release_mem_credit()
-        self.pending.adjust(wg, -1)
-        self._send_cmd(resp.lce, CceCommand(
-            kind=CommandKind.Data, addr=resp.addr, way=resp.way,
-            target_way=resp.way, state=state, data=resp.data))
-        self.stats.mem_resp_forwards += 1

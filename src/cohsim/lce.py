@@ -91,8 +91,6 @@ class Lce:
         self.reservation: Optional[int] = None
         self.outbox = []       # NetMessages produced by the coherence port
         self.completed = None  # (op-result bytes or None) set when a miss ends
-        self.stats_fills = 0
-        self.stats_acks = 0
         # Monitor hooks, set by the harness.
         self.on_load = None
         self.on_store = None
@@ -333,7 +331,6 @@ class Lce:
         line.state = state
         line.data[:] = data
         self._touch(line)
-        self.stats_fills += 1
         if miss.write:
             self.completed = self._apply_write_op(line, miss.addr, miss.size,
                                                   miss.data, miss.atomic)
@@ -343,7 +340,6 @@ class Lce:
                 self.on_load(self.cfg.lce_id, miss.addr, miss.size, value)
             self.completed = value
         self._respond(Emission.CohAck, addr, cce)
-        self.stats_acks += 1
         self.miss = None
 
     def handle_fill_net(self, fill: FillData, cce: str):

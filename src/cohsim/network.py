@@ -43,8 +43,6 @@ class Network:
         self._dst_queued = {}
         self._queued = 0
         self.mem_credits_avail = cfg.mem_credits
-        self.sent = 0
-        self.delivered = 0
         self._seq = 0
         self._rng = random.Random(cfg.seed)
 
@@ -82,7 +80,6 @@ class Network:
         chan.append((ready, msg))
         self._dst_queued[msg.dst] = self._dst_queued.get(msg.dst, 0) + 1
         self._queued += 1
-        self.sent += 1
 
     def next_event(self):
         """Earliest pending delivery time, or None when idle."""
@@ -115,7 +112,6 @@ class Network:
             ready.sort(key=lambda m: NET_PRIORITY[m.net])
         else:
             ready.sort(key=lambda m: (NET_PRIORITY[m.net], m.seq))
-        self.delivered += len(ready)
         return ready
 
     def idle(self) -> bool:

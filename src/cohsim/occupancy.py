@@ -62,11 +62,6 @@ SCENARIOS = {
     ]
 }
 
-# MESI systems support the subset without O/F.
-MESI_SCENARIOS = [n for n in SCENARIOS
-                  if not any(x in n for x in ("io", "if", "so", "sf",
-                                              "oo", "ff"))]
-
 
 def dir_read_rows(cores: int, tag_sets_per_row: int = 2) -> int:
     return math.ceil(cores / tag_sets_per_row)
@@ -216,8 +211,10 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
         system.submit(0, addr, write=sc.write, size=8,
                       data=b"\xa5" * 8 if sc.write else None)
     system.run(limit=100_000)
-    assert system.idle(), "scenario did not settle"
-    cce = system.home_cce(addr)
-    records = cce.stats.transactions
-    assert len(records) == 1, f"expected one transaction, saw {len(records)}"
+    if not system.idle():
+        raise RuntimeError(f"scenario {name} did not settle")
+    records = system.home_cce(addr).stats.transactions
+    if len(records) != 1:
+        raise RuntimeError(f"scenario {name}: expected one transaction, "
+                           f"saw {len(records)}")
     return records[0].busy_cycles

@@ -37,14 +37,6 @@ WRITABLE_STATES = frozenset({E, M})
 VALID_STATES = frozenset({S, E, M, O, F})
 
 
-def is_owner(state: CoherenceState) -> bool:
-    return state in OWNER_STATES
-
-
-def is_valid(state: CoherenceState) -> bool:
-    return state is not I
-
-
 def state_permissions(state: CoherenceState) -> dict:
     """Read/write permission of a block held in `state`.
 
@@ -363,14 +355,6 @@ MOESIF = _build("MOESIF", LCE_TABLE_TEXT_MOESIF, DIR_TABLE_TEXT_MOESIF,
 MESI = _build("MESI", LCE_TABLE_TEXT_MESI, DIR_TABLE_TEXT_MESI, (I, S, E, M))
 
 PROTOCOLS = {"moesif": MOESIF, "mesi": MESI}
-
-
-def lce_event_action(state: CoherenceState, event: LceEvent) -> LceAction:
-    return MOESIF.lce_event_action(state, event)
-
-
-def dir_request_plan(dir_state: CoherenceState, req: DirRequestKind) -> DirectivePlan:
-    return MOESIF.dir_request_plan(dir_state, req)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from . import protocol
 from .directory import SegmentConfig, way_group_home
-from .fsm_cce import FsmCce, WAIT
+from .cce import CceCore
+from .fsm_cce import FsmCce
 from .lce import Lce, LceConfig, MissIssued
 from .memory import BackingStore, MemoryConfig, MemoryModel
 from .messages import NetKind, NetMessage
@@ -88,7 +89,7 @@ class System:
 
     # -- request routing -----------------------------------------------------
 
-    def home_cce(self, addr: int) -> "FsmCce":
+    def home_cce(self, addr: int) -> CceCore:
         set_idx = (addr // self.cfg.block_bytes) % self.cfg.sets
         home, _ = way_group_home(set_idx, self.cfg.num_cces)
         return self.cces[home]
@@ -174,11 +175,4 @@ class System:
                     self.now = t
                     continue
             self.step()
-        return self.now - start
-
-    def run_until(self, done, limit: int = 1_000_000) -> int:
-        start = self.now
-        while self.now - start < limit and not done():
-            self.step()
-        assert done(), "cycle limit reached"
         return self.now - start

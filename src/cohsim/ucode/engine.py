@@ -1,18 +1,23 @@
 """Microcoded coherence engine.
 
-A two-stage (fetch, execute) pipeline over a 256-entry instruction memory.
-Branches are statically predicted not-taken unless annotated `[pt]`;
-unconditional jumps redirect at predecode.  A mispredicted branch costs one
-bubble cycle.  Multi-beat pushes, the way-group read, and the hardware
+A two-stage (fetch, execute) pipeline over a 256-entry instruction memory,
+running on the shared engine core (`cce.CceCore`).  Branches are
+statically predicted not-taken unless annotated `[pt]`; unconditional
+jumps redirect at predecode.  A mispredicted branch costs one bubble
+cycle.  Multi-beat pushes, the way-group read, and the hardware
 invalidation sequencer occupy the execute stage for their full duration.
 
-Busy/wait accounting matches the fixed-function engine: cycles blocked on
-empty queues or exhausted memory credits (and every `wfq` cycle) are waits;
-everything else the execute stage does is busy time.
+Each cycle the execute stage does work (bubbles included) is busy; a cycle
+blocked on an empty queue or an exhausted memory credit, and every `wfq`
+cycle, is not.  The core classifies the latter under its one accounting
+rule, the same for both engines: wait inside a transaction, stall or idle
+outside one.  A transaction opens at `popq req` and closes at the next
+`wfq req` or `popq req`.
 
-A message unit runs alongside the pipeline: it silently consumes coherence
-acks, auto-forwards memory responses under the speculative-read bits, and
-runs the invalidation sequence one command or ack per cycle.
+The core's message unit runs alongside the pipeline: it silently consumes
+coherence acks and auto-forwards memory responses under the
+speculative-read bits.  The invalidation sequencer runs one command or
+ack per cycle.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .. import protocol
-from ..directory import GadRequest, SegmentConfig, gad
-from ..fsm_cce import BUSY, WAIT, EngineStats, FsmCce
-from ..messages import CceCommand, CohRequest, Emission, MemCmd, NetKind
-from ..network import Network
+from ..cce import BUSY, WAIT, CceCore
+from ..directory import GadRequest, gad
+from ..messages import CceCommand, CohRequest, Emission, MemCmd
 from ..protocol import CoherenceState, CommandKind, I, S, E
 from . import asm, isa
 from .isa import (AddrSel, CmdTarget, Flag, Instr, MemPushKind, Op, PushDest,
@@ -39,14 +42,6 @@ FREE = "free"   # zero-cost completion (fused with the next instruction)
 
 class MicrocodeFault(Exception):
     pass
-
-
-@dataclass
-class UcodeTransaction:
-    addr: int
-    write: bool
-    busy_cycles: int
-    wait_cycles: int
 
 
 @dataclass
@@ -71,18 +66,14 @@ def default_program(protocol_name: str) -> str:
     return ref.read_text()
 
 
-class UcodeCce(FsmCce):
-    """Drop-in replacement for the fixed-function engine, driven by a
-    microcode program instead of a hardwired request flow."""
+class UcodeCce(CceCore):
+    """Coherence engine driven by a microcode program instead of a
+    hardwired request flow."""
 
-    def __init__(self, cce_id: int, seg_cfg: SegmentConfig, net: Network,
-                 num_cces: int = 1,
-                 tables: protocol.ProtocolTables = protocol.MOESIF,
-                 region_map: protocol.RegionMap = protocol.DEFAULT_REGION_MAP,
-                 program: Optional[str] = None):
-        super().__init__(cce_id, seg_cfg, net, num_cces, tables, region_map)
+    def __init__(self, *args, program: Optional[str] = None, **kwargs):
+        super().__init__(*args, **kwargs)
         if program is None:
-            source = default_program(tables.name)
+            source = default_program(self.tables.name)
         else:
             with open(program) as f:
                 source = f.read()
@@ -92,7 +83,6 @@ class UcodeCce(FsmCce):
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
         self.umshr = UMshr()
-        self.auto_fwd = True
         self.last_resp = None
         self._sv = None
         self._lru = None
@@ -100,29 +90,14 @@ class UcodeCce(FsmCce):
         self.mispredicts = 0
         self._multi = 0
         self._inv_job = None
-        self._flow = None  # never used; the pipeline replaces it
 
-    # -- external interface ----------------------------------------------------
-
-    def tick(self, now: int):
-        self.now = now
-        self._drain_cohacks()
-        if self.auto_fwd:
-            self._mem_resp_tick()
-        self._pipeline_tick()
-
-    def has_pending_input(self) -> bool:
-        return (any(self.req_qs[c] for c in self.req_qs)
-                or bool(self.resp_q) or bool(self.memresp_q)
-                or self._active())
+    # -- sequencer -------------------------------------------------------------
 
     def _active(self) -> bool:
         return (self._txn is not None or self._bubbles > 0
                 or self._multi > 0 or self._inv_job is not None)
 
-    def quiet(self) -> bool:
-        if self.memresp_q or self.resp_q:
-            return False
+    def _seq_quiet(self) -> bool:
         if self._bubbles or self._multi or self._inv_job:
             return False
         if self.last_tag is not WAIT and self._txn is not None:
@@ -132,65 +107,25 @@ class UcodeCce(FsmCce):
         wants_req = (instr.op is Op.WFQ and instr["qmask"] & 1) or (
             instr.op in (Op.POPQ, Op.POPH) and instr["queue"] == int(Queue.Req))
         if wants_req or self._txn is None:
-            return not self._has_admissible_request()
-        return self.last_tag is WAIT
+            return self._admissible() is None
+        return True
 
-    def note_skipped(self, cycles: int):
-        if self._txn is not None:
-            self.stats.wait_cycles += cycles
-            self._txn["wait"] += cycles
-
-    # -- pipeline --------------------------------------------------------------
-
-    def _count(self, tag: str):
-        self.last_tag = tag
-        if tag is BUSY:
-            self.stats.busy_cycles += 1
-        else:
-            self.stats.wait_cycles += 1
-        if self._txn is not None:
-            self._txn["busy" if tag is BUSY else "wait"] += 1
-
-    def _pipeline_tick(self):
+    def _step(self) -> str:
         if self._bubbles:
             self._bubbles -= 1
-            self._count(BUSY)
-            return
+            return BUSY
         if self._multi:
             self._multi -= 1
-            self._count(BUSY)
-            return
+            return BUSY
         if self._inv_job is not None:
-            self._count(self._inv_step())
-            return
+            return self._inv_step()
         # Zero-cost completions (an inv with no targets) fuse with the next
         # instruction; bound the fusion chain defensively.
         for _ in range(8):
             outcome = self._execute(self.imem[self.pc])
             if outcome is not FREE:
-                self._count(outcome)
-                return
+                return outcome
         raise MicrocodeFault("zero-cost instruction chain too long")
-
-    def _close_txn(self):
-        if self._txn is not None:
-            self.stats.transactions.append(UcodeTransaction(
-                addr=self.umshr.addr,
-                write=bool(self.flags & (1 << Flag.WriteNotRead)),
-                busy_cycles=self._txn["busy"],
-                wait_cycles=self._txn["wait"]))
-            self._txn = None
-
-    def _has_admissible_request(self) -> bool:
-        for c, q in self.req_qs.items():
-            if not q:
-                continue
-            head = q[0]
-            if head.uncached and not self.region_map.is_cacheable(head.addr):
-                return True
-            if not self.pending.read(self.local_wg(head.addr)):
-                return True
-        return False
 
     def _branch(self, instr: Instr, taken: bool) -> str:
         if taken:
@@ -354,7 +289,7 @@ class UcodeCce(FsmCce):
             if qmask & (1 << Queue.Req):
                 self._close_txn()
             ready = ((qmask & (1 << Queue.Req)
-                      and self._has_admissible_request())
+                      and self._admissible() is not None)
                      or (qmask & (1 << Queue.Resp) and self.resp_q)
                      or (qmask & (1 << Queue.MemResp) and self.memresp_q))
             if ready:
@@ -420,6 +355,8 @@ class UcodeCce(FsmCce):
         m.req_way = (info.req_way_hit if info.req_way_hit is not None
                      else m.lru_way)
         m.req_state = (self._sv.states[m.lce] if self._sv.hits[m.lce] else I)
+        if self._txn is not None:
+            self._note_lookup(self._sv)
 
     @staticmethod
     def _resp_code(resp) -> int:
@@ -434,8 +371,8 @@ class UcodeCce(FsmCce):
             req = self._arbitrate()
             if req is None:
                 return WAIT
+            self._open_txn(req)
             self._load_request(req)
-            self._txn = {"busy": 0, "wait": 0}
             self.pc += 1
             return BUSY
         q = self.resp_q if queue is Queue.Resp else self.memresp_q
@@ -443,6 +380,10 @@ class UcodeCce(FsmCce):
             return WAIT
         resp = q.popleft()
         self.last_resp = resp
+        if (queue is Queue.Resp and self._txn is not None
+                and self._flag(Flag.Replacement)
+                and resp.addr == self._victim_addr()):
+            self._note_victim_wb(resp)
         self.regs[instr["rd"]] = self._resp_code(resp)
         if instr["wp"]:
             self.pending.adjust(self._wg(), -1)
@@ -550,12 +491,10 @@ class UcodeCce(FsmCce):
             self._send_cmd(c, CceCommand(kind=CommandKind.Inv, addr=m.addr,
                                          way=way))
             return BUSY
-        for i, resp in enumerate(self.resp_q):
-            if resp.kind is Emission.InvAck and resp.addr == m.addr:
-                del self.resp_q[i]
-                job["acks"] -= 1
-                if job["acks"] == 0:
-                    self._inv_job = None
-                    self.pc += 1
-                return BUSY
-        return WAIT
+        if self._take_resp(m.addr, (Emission.InvAck,)) is None:
+            return WAIT
+        job["acks"] -= 1
+        if job["acks"] == 0:
+            self._inv_job = None
+            self.pc += 1
+        return BUSY

@@ -1,7 +1,18 @@
-"""Fixed-function coherence engine: cycle accounting and bookkeeping."""
+"""Fixed-function coherence engine occupancy, and the cycle accounting and
+bookkeeping of the engine core that both engines share."""
+
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
+import cohsim
+from cohsim import harness
+from cohsim.harness import TraceOp, random_workload, run_trace
+from cohsim.messages import NetKind
 from cohsim.occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                               replacement_extra, sharer_range)
 from cohsim.protocol import CoherenceState
@@ -9,6 +20,51 @@ from cohsim.system import System, SystemConfig
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
+ENGINES = ("fsm", "ucode")
+
+# One cached read on an idle system, and an 8-core trace that fits the
+# 16-set x 8-way caches and carries uncached (LDU/STU) and atomic ops.
+ACCOUNTING_WORKLOADS = {
+    "one-read": (SystemConfig(cores=2, sets=8), [TraceOp(0, "LD", BASE)]),
+    "8-core": (SystemConfig(cores=8, sets=16),
+               random_workload(5, lces=8, ops=600, footprint_blocks=64)),
+}
+
+
+def _count_calls(cce):
+    """Count the engine's tick calls and the requests it accepts."""
+    counts = {"ticks": 0, "requests": 0}
+    tick, accept = cce.tick, cce.accept
+
+    def counted_tick(now):
+        counts["ticks"] += 1
+        tick(now)
+
+    def counted_accept(msg):
+        counts["requests"] += msg.net is NetKind.Request
+        accept(msg)
+
+    cce.tick, cce.accept = counted_tick, counted_accept
+    return counts
+
+
+def _run_in_batches(system, ops) -> int:
+    """Issue the trace a batch at a time, at most one op per cache, and let
+    System.run (fast-forward on) drain each batch; returns elapsed cycles."""
+    elapsed, batch = 0, {}
+    for op in [op for op in ops if op.op != "FENCE"] + [None]:
+        if op is None or op.lce in batch:
+            for o in batch.values():
+                system.submit(o.lce, o.addr, write=o.op in ("ST", "STU"),
+                              data=(o.data.to_bytes(8, "little")
+                                    if o.data is not None else None),
+                              atomic=harness._ATOMIC_BY_OP.get(o.op),
+                              uncached=o.op in ("LDU", "STU"))
+            elapsed += system.run()
+            batch = {}
+        if op is not None:
+            batch[op.lce] = op
+    return elapsed
 
 
 class TestSpotOccupancy:
@@ -53,8 +109,9 @@ class TestModelSweep:
 
 
 class TestBookkeeping:
-    def test_transaction_record_fields(self):
-        cfg = SystemConfig(cores=4, sets=8)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_transaction_record_fields(self, engine):
+        cfg = SystemConfig(cores=4, sets=8, engine=engine)
         system = System(cfg)
         system.preload_line(1, BASE, S)
         system.preload_line(2, BASE, S)
@@ -114,11 +171,77 @@ class TestBookkeeping:
         assert system.lces[1]._lookup(BASE) == (None, None)
         assert system.store.read(BASE, 8) == b"\x99" * 8
 
-    def test_busy_cycles_match_transaction_record(self):
-        system = System(SystemConfig(cores=2, sets=8))
-        system.submit(0, BASE, write=False)
-        elapsed = system.run()
-        st = system.cces[0].stats
-        assert st.busy_cycles == st.transactions[0].busy_cycles
+    @pytest.mark.parametrize("driver", ["trace", "run"])
+    @pytest.mark.parametrize("workload", sorted(ACCOUNTING_WORKLOADS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_busy_cycles_match_transaction_record(self, engine, workload,
+                                                  driver):
+        cfg, ops = ACCOUNTING_WORKLOADS[workload]
+        system = System(replace(cfg, engine=engine))
+        cce = system.cces[0]
+        counts = _count_calls(cce)
+        if driver == "trace":   # run_trace steps every cycle
+            run_trace(system, ops)
+            elapsed = counts["ticks"]
+        else:
+            elapsed = _run_in_batches(system, ops)
+        st = cce.stats
+        # Every cycle lands in exactly one class, skipped ones included.
         assert (st.busy_cycles + st.wait_cycles + st.idle_cycles
-                + st.stall_cycles) <= elapsed
+                + st.stall_cycles) == elapsed
+        assert st.busy_cycles == sum(r.busy_cycles for r in st.transactions)
+        assert st.wait_cycles == sum(r.wait_cycles for r in st.transactions)
+        # Every request, uncached ones included, closes one record.
+        assert len(st.transactions) == counts["requests"] > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5])
+    def test_engines_keep_the_same_records_per_block(self, seed):
+        # The footprint fits the caches, so no line is ever replaced.
+        ops = random_workload(seed, lces=8, ops=1500, footprint_blocks=64)
+        per_block = {}
+        for engine in ENGINES:
+            system = System(SystemConfig(cores=8, sets=16, engine=engine))
+            run_trace(system, ops)
+            seqs = per_block[engine] = defaultdict(list)
+            for r in system.cces[0].stats.transactions:
+                seqs[r.addr // 64].append(
+                    (r.lce, r.req_kind, r.lce_state, r.dir_state, r.sharers,
+                     r.invalidations, r.replacement))
+        assert per_block["fsm"] == per_block["ucode"]
+
+
+def test_checks_survive_optimized_python():
+    """The engine's guards are exceptions, not asserts that -O strips."""
+    script = """
+from cohsim.cce import EngineFault
+from cohsim.directory import Overflow, PendingBits
+from cohsim.messages import CohRequest, NetKind, NetMessage
+from cohsim.system import System, SystemConfig
+
+assert False  # stripped under -O
+pend = PendingBits(1)
+for _ in range(15):
+    pend.adjust(0, +1)
+try:
+    pend.adjust(0, +1)
+    raise SystemExit("pending-counter overflow went unnoticed")
+except Overflow:
+    pass
+system = System(SystemConfig(cores=2, sets=8, num_cces=2))
+wrong = system.cces[1]   # set 0 belongs to CCE 0
+wrong.accept(NetMessage(net=NetKind.Request, src="lce0", dst=wrong.endpoint,
+                        payload=CohRequest(lce=0, addr=0x8000_0000,
+                                           write=False, lru_way=0)))
+try:
+    wrong.tick(0)
+    raise SystemExit("mis-routed request went unnoticed")
+except EngineFault:
+    pass
+print("ok")
+"""
+    src = os.path.dirname(os.path.dirname(cohsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
