@@ -328,7 +328,8 @@ class Model:
         if remove is not None:
             msgs = _with_msg(msgs, remove=remove)
         r, acks, wb, grant, gst, coh, cmd = new_txn
-        assert acks >= 0 and wb >= 0
+        if acks < 0 or wb < 0:
+            raise ModelError(f"cache {r} got more responses than it awaited")
         if acks == 0 and cmd:
             msgs = _with_msg(msgs, cmd)
             cmd = ()

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a violation/mismatch/diagnostic was found,
-2 usage error (argparse's convention).
+2 usage or config-file error (argparse's convention).
 
 Config files are flat ``key = value`` text with ``#`` comments; keys are
 the SystemConfig fields (cores, sets, assoc, block_bytes, beat_bytes,
@@ -18,6 +18,12 @@ from . import harness
 from .system import System, SystemConfig
 
 
+def _config_error(msg: str) -> SystemExit:
+    """Print a one-line config error; the caller raises the result."""
+    print(f"cohsim: error: {msg}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def load_config(path: str, **overrides) -> SystemConfig:
     fields = SystemConfig.__dataclass_fields__
     kwargs = {}
@@ -29,11 +35,20 @@ def load_config(path: str, **overrides) -> SystemConfig:
             key, sep, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if not sep or key not in fields:
-                raise SystemExit(f"{path}:{line_no}: bad config line {raw!r}")
-            default = fields[key].default
-            kwargs[key] = int(value, 0) if isinstance(default, int) else value
+                raise _config_error(
+                    f"{path}:{line_no}: bad config line {raw!r}")
+            if isinstance(fields[key].default, int):
+                try:
+                    value = int(value, 0)
+                except ValueError:
+                    raise _config_error(f"{path}:{line_no}: {key} needs an "
+                                        f"integer, got {value!r}") from None
+            kwargs[key] = value
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return SystemConfig(**kwargs)
+    try:
+        return SystemConfig(**kwargs)
+    except ValueError as exc:
+        raise _config_error(f"{path}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

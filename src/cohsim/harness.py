@@ -162,55 +162,50 @@ class Violation:
 
 
 class Monitor:
-    name = "monitor"
+    """Watches a System through the LCE hooks that `attach` installs and
+    records each breach of its invariant in `violations`."""
 
     def __init__(self):
         self.violations = []
+        self._system = None
 
     def attach(self, system: System):
-        pass
+        self._system = system
 
-    def check(self, system: System):
-        pass
+    def check(self, addr: int):
+        """Check one block after a cache changed its line state."""
 
-    def _flag(self, cycle: int, detail: str):
-        self.violations.append(Violation(self.name, cycle, detail))
-
-
-def _states_by_block(system: System):
-    """{block addr: [(lce, state)]} over every valid line in every cache,
-    in cache, set, way order."""
-    out = {}
-    for i, lce in enumerate(system.lces):
-        sets, block = lce.cfg.sets, lce.cfg.block_bytes
-        for set_idx, lines in enumerate(lce.sets):
-            for line in lines:
-                if line.state is not CoherenceState.I:
-                    addr = (line.tag * sets + set_idx) * block
-                    out.setdefault(addr, []).append((i, line.state))
-    return out
+    def _flag(self, monitor: str, detail: str):
+        self.violations.append(Violation(monitor, self._system.now, detail))
 
 
-class SwmrMonitor(Monitor):
-    """Single-Writer/Multiple-Reader: a block writable in one cache is not
-    simultaneously valid anywhere else."""
-    name = "swmr"
+class CoherenceMonitor(Monitor):
+    """SWMR and single owner, checked for a block each time a cache writes
+    that block's line state (install, downgrade, invalidation, silent E to
+    M), so a breach is flagged in the cycle it appears.
 
-    def check(self, system: System):
-        for addr, holders in _states_by_block(system).items():
-            if len(holders) > 1 and any(s in EXCLUSIVE for _, s in holders):
-                self._flag(system.now, f"block {addr:#x} held as {holders}")
+    Single-Writer/Multiple-Reader (`swmr`): a block writable in one cache is
+    not valid anywhere else.  Single owner (`single-owner`): at most one
+    cache holds the block in an owner-class state."""
 
+    def attach(self, system: System):
+        super().attach(system)
+        for lce in system.lces:
+            lce.on_state = self.check
 
-class SingleOwnerMonitor(Monitor):
-    """At most one cache holds a block in an owner-class state."""
-    name = "single-owner"
-
-    def check(self, system: System):
-        for addr, holders in _states_by_block(system).items():
-            owners = [(l, s) for l, s in holders if s in OWNERLIKE]
-            if len(owners) > 1:
-                self._flag(system.now, f"block {addr:#x} owned by {owners}")
+    def check(self, addr: int):
+        holders = []
+        for i, lce in enumerate(self._system.lces):
+            _, line = lce._lookup(addr)
+            if line is not None:
+                holders.append((i, line.state))
+        if len(holders) < 2:
+            return
+        if any(s in EXCLUSIVE for _, s in holders):
+            self._flag("swmr", f"block {addr:#x} held as {holders}")
+        owners = [(l, s) for l, s in holders if s in OWNERLIKE]
+        if len(owners) > 1:
+            self._flag("single-owner", f"block {addr:#x} owned by {owners}")
 
 
 class DataValueMonitor(Monitor):
@@ -220,15 +215,13 @@ class DataValueMonitor(Monitor):
     protocol serializes conflicting accesses, so at each load hook the
     shadow holds the latest value.  Only the cacheable-coherent region is
     tracked (posted uncached stores commit asynchronously)."""
-    name = "data-value"
 
     def __init__(self):
         super().__init__()
         self.shadow = {}
-        self._system = None
 
     def attach(self, system: System):
-        self._system = system
+        super().attach(system)
         for lce in system.lces:
             lce.on_load = self._on_load
             lce.on_store = self._on_store
@@ -242,13 +235,13 @@ class DataValueMonitor(Monitor):
             return
         expect = bytes(self.shadow.get(addr + i, 0) for i in range(size))
         if bytes(value) != expect:
-            self._flag(self._system.now,
+            self._flag("data-value",
                        f"lce{lce_id} load {addr:#x}/{size} saw "
                        f"{bytes(value).hex()} want {expect.hex()}")
 
 
 def default_monitors():
-    return [SwmrMonitor(), SingleOwnerMonitor(), DataValueMonitor()]
+    return [CoherenceMonitor(), DataValueMonitor()]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ class RunReport:
         return not self.violations
 
 
-def run_trace(system: System, ops, monitors=(), check_interval: int = 64,
+def run_trace(system: System, ops, monitors=(),
               limit: int = 50_000_000) -> RunReport:
     """Drive a trace to completion, serializing cache-set conflicts.
 
@@ -358,14 +351,10 @@ def run_trace(system: System, ops, monitors=(), check_interval: int = 64,
                 and system.idle()):
             break
         system.step()
-        if monitors and system.now % check_interval == 0:
-            for m in monitors:
-                m.check(system)
     else:
         raise TraceError(f"trace did not complete within {limit} cycles")
     system.run(limit=limit)  # drain posted traffic
     for m in monitors:
-        m.check(system)
         report.violations.extend(m.violations)
     report.cycles = system.now - start
     return report

@@ -29,6 +29,15 @@ class LceKind(Enum):
     Instruction = "instruction"
 
 
+def check_geometry(cfg):
+    """Raise ValueError unless `cfg`'s sets, assoc and block_bytes are
+    powers of two."""
+    for name in ("sets", "assoc", "block_bytes"):
+        v = getattr(cfg, name)
+        if v < 1 or v & (v - 1):
+            raise ValueError(f"{name} must be a power of two, got {v}")
+
+
 @dataclass(frozen=True)
 class LceConfig:
     lce_id: int
@@ -38,8 +47,7 @@ class LceConfig:
     kind: LceKind = LceKind.Data
 
     def __post_init__(self):
-        for v in (self.sets, self.assoc, self.block_bytes):
-            assert v & (v - 1) == 0, "geometry must be powers of two"
+        check_geometry(self)
 
     def set_index(self, addr: int) -> int:
         return (addr // self.block_bytes) % self.sets
@@ -94,6 +102,7 @@ class Lce:
         # Monitor hooks, set by the harness.
         self.on_load = None
         self.on_store = None
+        self.on_state = None   # on_state(block addr) after a state write
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -103,6 +112,13 @@ class Lce:
             if line.state is not I and line.tag == tag:
                 return way, line
         return None, None
+
+    def set_state(self, line: CacheLine, state: CoherenceState, addr: int):
+        """The one writer of a line's coherence state; reports the block
+        to the `on_state` hook."""
+        line.state = state
+        if self.on_state:
+            self.on_state(self._block_base(addr))
 
     def _touch(self, line: CacheLine):
         line.lru_rank = self._lru_clock
@@ -154,14 +170,17 @@ class Lce:
                 return Hit(value=value)
             if wants_write and perms["write"]:
                 if line.state is E:
-                    line.state = M  # silent upgrade
+                    self.set_state(line, M, addr)  # silent upgrade
                 self._touch(line)
                 return Hit(value=self._apply_write_op(line, addr, size, data, atomic))
 
         # Miss (or write upgrade): consult the Load/Store column and issue.
         event = LceEvent(LceEventKind.Store if wants_write else LceEventKind.Load)
-        action = self.tables.lce_event_action(line.state if line else I, event)
-        assert action.is_miss
+        state = line.state if line else I
+        if not self.tables.lce_event_action(state, event).is_miss:
+            raise ImpossibleTransition(
+                f"{self.tables.name}: ({state.value}, {event.kind.value}) "
+                f"is neither a hit nor a miss")
         set_idx = self.cfg.set_index(addr)
         lru = self.lru_way(set_idx)
         non_excl = (not wants_write) and self.cfg.kind is LceKind.Instruction
@@ -182,7 +201,7 @@ class Lce:
         if not ok:
             return Hit(value=(1).to_bytes(size, "little"))
         if line.state is E:
-            line.state = M
+            self.set_state(line, M, addr)
         self._touch(line)
         self._write_bytes(line, addr, data)
         if self.on_store:
@@ -205,7 +224,8 @@ class Lce:
     def _apply_write_op(self, line: CacheLine, addr: int, size: int,
                         data: Optional[bytes], atomic: Optional[AtomicOp]):
         """Perform the (possibly atomic) write on a writable line."""
-        assert line.state in WRITABLE_STATES
+        if line.state not in WRITABLE_STATES:
+            raise ImpossibleTransition(f"write to a line in {line.state.value}")
         if atomic is None:
             self._write_bytes(line, addr, data)
             if self.on_store:
@@ -287,7 +307,7 @@ class Lce:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
 
         if action.next_state is not None and line is not None:
-            line.state = action.next_state
+            self.set_state(line, action.next_state, cmd.addr)
         if (self.reservation is not None
                 and self._block_base(self.reservation) == self._block_base(cmd.addr)
                 and (line is None or line.state not in WRITABLE_STATES)):
@@ -328,8 +348,8 @@ class Lce:
                 and self.cfg.set_index(self.reservation) == self.cfg.set_index(addr)):
             self.reservation = None  # victim overwritten
         line.tag = self.cfg.tag_of(addr)
-        line.state = state
         line.data[:] = data
+        self.set_state(line, state, addr)
         self._touch(line)
         if miss.write:
             self.completed = self._apply_write_op(line, miss.addr, miss.size,

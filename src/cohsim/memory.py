@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .messages import MemCmd, MemResp, NetKind, NetMessage
 from .network import Network
 
-SUPPORTED_SIZES = (1, 2, 4, 8, 64)
+SUPPORTED_SIZES = (1, 2, 4, 8)   # word accesses; a whole block is allowed too
 
 
 class BackingStore:
@@ -30,30 +30,24 @@ class BackingStore:
             self.blocks[blk] = bytearray(self.block_bytes)
         return self.blocks[blk]
 
+    def _check(self, addr: int, size: int):
+        if size > self.block_bytes or (size not in SUPPORTED_SIZES
+                                       and size != self.block_bytes):
+            raise ValueError(f"unsupported access size {size}")
+        if addr % size:
+            raise ValueError(f"{size}-byte access at {addr:#x} is misaligned")
+
     def read(self, addr: int, size: int) -> bytes:
-        assert size in SUPPORTED_SIZES and addr % size == 0
+        self._check(addr, size)
         block = self._block(addr)
         off = addr % self.block_bytes
         return bytes(block[off:off + size])
 
     def write(self, addr: int, data: bytes):
-        assert len(data) in SUPPORTED_SIZES and addr % len(data) == 0
+        self._check(addr, len(data))
         block = self._block(addr)
         off = addr % self.block_bytes
         block[off:off + len(data)] = data
-
-    def load_image(self, records):
-        """Preload from (address, payload bytes) records."""
-        for addr, payload in records:
-            for i in range(0, len(payload), self.block_bytes):
-                chunk = payload[i:i + self.block_bytes]
-                block = self._block(addr + i)
-                off = (addr + i) % self.block_bytes
-                block[off:off + len(chunk)] = chunk
-
-    def snapshot(self):
-        return {blk: bytes(data) for blk, data in self.blocks.items()
-                if any(data)}
 
 
 @dataclass
@@ -90,7 +84,8 @@ class MemoryModel:
 
     def tick(self, now: int, net: Network):
         for msg in net.deliver(now, self.endpoint):
-            assert msg.net is NetKind.MemCmd
+            if msg.net is not NetKind.MemCmd:
+                raise AssertionError(f"unexpected {msg.net} at {self.endpoint}")
             resp = self.handle_mem_cmd(msg.payload)
             self.inflight.append((now + self.cfg.latency, msg.src, resp))
         while self.inflight and self.inflight[0][0] <= now:

@@ -23,12 +23,15 @@ class CreditError(RuntimeError):
     """A memory credit was released with none outstanding."""
 
 
+ORDERINGS = ("fifo", "random")
+
+
 @dataclass(frozen=True)
 class NetConfig:
     latency: int = 1
     beat_bytes: int = 8
     mem_credits: int = 8
-    ordering: str = "fifo"  # or "random"
+    ordering: str = "fifo"  # one of ORDERINGS
     seed: int = 0
 
 

@@ -267,16 +267,16 @@ def _parse_dir_cell(text: str):
             else:
                 names.append(piece)
         kind = CommandKind("-".join(names))
+        if target != ("Req" if kind in (CommandKind.StW, CommandKind.StWb)
+                      else "Owner"):
+            raise ValueError(f"{kind.value} cannot go to {target!r}")
         if kind is CommandKind.StW:
-            assert target == "Req"
             grant = RequesterGrant.UpgradeStW
             grant_state = set_state
         elif kind is CommandKind.StWb:
             # Replacement column: ST-WB addressed to the requester's block.
-            assert target == "Req"
             owner_cmd = OwnerDirective(kind, set_owner_state=set_state)
         else:
-            assert target == "Owner"
             owner_cmd = OwnerDirective(kind, set_owner_state=set_state,
                                        transfer_state=transfer_state)
             if transfer_state is not None:
@@ -394,23 +394,28 @@ def classify_request(addr: int, uncached_flag: bool,
 # ---------------------------------------------------------------------------
 
 def _validate_tables(tables: ProtocolTables):
+    def require(ok, where):
+        if not ok:
+            raise ValueError(f"{tables.name}: malformed cell {where}")
+
     for (state, kind), cell in tables.lce.items():
         if cell is None:
             continue
         sends, nxt = cell
-        assert nxt == X_STATE or nxt is None or isinstance(nxt, CoherenceState)
-        assert all(isinstance(e, Emission) for e in sends)
+        require(nxt == X_STATE or nxt is None
+                or isinstance(nxt, CoherenceState), (state, kind))
+        require(all(isinstance(e, Emission) for e in sends), (state, kind))
     for (state, req), plan in tables.directory.items():
         if plan is None:
             continue
         # No transient state is ever handed to a cache controller.
         for s in (plan.grant_state, plan.next_dir_state):
-            assert s is None or s in tables.states
+            require(s is None or s in tables.states, (state, req))
         if plan.grant_state in (E, M):
             # SWMR: an exclusive grant must leave no other valid copy.
             if state is not I and plan.requester_grant is not RequesterGrant.Nothing:
-                assert (plan.invalidate_set is not InvalidateSet.Nothing
-                        or plan.owner_command is not None), (state, req)
+                require(plan.invalidate_set is not InvalidateSet.Nothing
+                        or plan.owner_command is not None, (state, req))
 
 
 _validate_tables(MOESIF)

@@ -10,10 +10,12 @@ from . import protocol
 from .directory import SegmentConfig, way_group_home
 from .cce import CceCore
 from .fsm_cce import FsmCce
-from .lce import Lce, LceConfig, MissIssued
+from .lce import Lce, LceConfig, MissIssued, check_geometry
 from .memory import BackingStore, MemoryConfig, MemoryModel
 from .messages import NetKind, NetMessage
-from .network import NetConfig, Network
+from .network import ORDERINGS, NetConfig, Network
+
+ENGINES = ("fsm", "ucode")
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,23 @@ class SystemConfig:
     net_latency: int = 1
     ordering: str = "fifo"
     seed: int = 0
+
+    def __post_init__(self):
+        check_geometry(self)
+        if self.block_bytes < 8:
+            raise ValueError(f"block_bytes must hold an 8-byte word, "
+                             f"got {self.block_bytes}")
+        if self.cores < 1:
+            raise ValueError(f"cores must be at least 1, got {self.cores}")
+        if not 1 <= self.num_cces <= self.sets:
+            raise ValueError(f"num_cces must be between 1 and sets "
+                             f"({self.sets}), got {self.num_cces}")
+        for name, allowed in (("engine", ENGINES),
+                              ("protocol", tuple(protocol.PROTOCOLS)),
+                              ("ordering", ORDERINGS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}"
+                                 f", got {getattr(self, name)!r}")
 
 
 class System:
@@ -59,11 +78,9 @@ class System:
         if self.cfg.engine == "fsm":
             return FsmCce(cce_id, seg, self.net, self.cfg.num_cces,
                           self.tables)
-        if self.cfg.engine == "ucode":
-            from .ucode.engine import UcodeCce
-            return UcodeCce(cce_id, seg, self.net, self.cfg.num_cces,
-                            self.tables, program=self.cfg.ucode_program)
-        raise ValueError(f"unknown engine {self.cfg.engine!r}")
+        from .ucode.engine import UcodeCce
+        return UcodeCce(cce_id, seg, self.net, self.cfg.num_cces,
+                        self.tables, program=self.cfg.ucode_program)
 
     # -- back-door state injection -------------------------------------------
 
@@ -77,9 +94,9 @@ class System:
         lce = self.lces[lce_id]
         line = lce.sets[lce.cfg.set_index(addr)][way]
         line.tag = lce.cfg.tag_of(addr)
-        line.state = cache_state
         payload = data if data is not None else bytes(self.cfg.block_bytes)
         line.data[:] = payload
+        lce.set_state(line, cache_state, addr)
         lce._touch(line)
         cce = self.home_cce(addr)
         cce.directory.write_entry(addr, lce_id, way,

@@ -428,11 +428,12 @@ class UcodeCce(CceCore):
                 self.pc += 1
                 return BUSY
             if kind is MemPushKind.Writeback:
-                data = self.last_resp.data
+                addr, data = self.last_resp.addr, self.last_resp.data
                 if wp:
                     self.pending.adjust(self._wg(), +1)
-                self._send_mem(MemCmd(addr=self.last_resp.addr, write=True,
-                                      data=data))
+                # An uncached request's command carries a sub-block address.
+                self._send_mem(MemCmd(addr=addr - addr % self.cfg.block_bytes,
+                                      write=True, data=data))
                 self._multi = max(1, self.net.beats_of(data)) - 1
                 self.pc += 1
                 return BUSY

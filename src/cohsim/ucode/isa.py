@@ -296,19 +296,8 @@ def decode(word: int) -> Instr:
     return Instr(op, tuple(sorted(fields.items())))
 
 
-def is_branch(instr: Instr) -> bool:
-    return instr.op in BRANCH_OPS
-
-
 def predicted_taken(instr: Instr) -> bool:
     """Static prediction: unconditional jumps and [pt] branches."""
     if instr.op in JUMP_OPS:
         return True
-    return is_branch(instr) and bool(instr.get("pt"))
-
-
-def mask_of(flags) -> int:
-    out = 0
-    for f in flags:
-        out |= 1 << int(f)
-    return out
+    return instr.op in BRANCH_OPS and bool(instr.get("pt"))

@@ -23,11 +23,32 @@ class TestConfig:
         cfg = load_config(str(path))
         assert (cfg.cores, cfg.sets, cfg.engine) == (4, 16, "ucode")
 
-    def test_bad_key_rejected(self, tmp_path):
+    def test_bad_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "sys.cfg"
         path.write_text("flux_capacitors = 3\n")
-        with pytest.raises(SystemExit, match="bad config line"):
+        with pytest.raises(SystemExit) as exc:
             load_config(str(path))
+        assert exc.value.code == 2
+        assert "bad config line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("cores = two\n", "cores needs an integer, got 'two'"),
+        ("sets = 3\n", "sets must be a power of two, got 3"),
+        ("sets = 8\nnum_cces = 16\n", "num_cces must be between 1 and sets"),
+        ("ordering = rnd\n", "ordering must be one of fifo, random"),
+        ("protocol = msi\n", "protocol must be one of moesif, mesi"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, text,
+                                             message):
+        path = tmp_path / "sys.cfg"
+        path.write_text(text)
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 LD 0x80000000\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--trace", str(trace)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
 
 class TestSimulate:

@@ -215,6 +215,8 @@ def test_checks_survive_optimized_python():
     script = """
 from cohsim.cce import EngineFault
 from cohsim.directory import Overflow, PendingBits
+from cohsim.lce import LceConfig
+from cohsim.memory import BackingStore
 from cohsim.messages import CohRequest, NetKind, NetMessage
 from cohsim.system import System, SystemConfig
 
@@ -236,6 +238,16 @@ try:
     wrong.tick(0)
     raise SystemExit("mis-routed request went unnoticed")
 except EngineFault:
+    pass
+try:
+    BackingStore().write(4, bytes(8))
+    raise SystemExit("misaligned store went unnoticed")
+except ValueError:
+    pass
+try:
+    LceConfig(lce_id=0, sets=3)
+    raise SystemExit("non-power-of-two geometry went unnoticed")
+except ValueError:
     pass
 print("ok")
 """

@@ -1,15 +1,16 @@
 """Trace tooling, invariant monitors, engine comparison, overhead math."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from cohsim import harness
-from cohsim.harness import (SwmrMonitor, SingleOwnerMonitor, DataValueMonitor,
-                            TraceError, TraceOp, compare_engines,
-                            default_monitors, format_trace, overhead_calc,
-                            parse_trace, random_workload, run_trace)
-from cohsim.protocol import CoherenceState
+from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
+                            TraceOp, compare_engines, default_monitors,
+                            format_trace, overhead_calc, parse_trace,
+                            random_workload, run_trace)
+from cohsim.protocol import MOESIF, CoherenceState, LceEventKind
 from cohsim.system import System, SystemConfig
 
 I, S, E, M, O, F = CoherenceState
@@ -83,23 +84,25 @@ class TestMonitors:
 
     def test_swmr_monitor_flags_two_writers(self):
         system = System(SystemConfig(cores=2, sets=8))
-        system.preload_line(0, BASE, M)
-        system.lces[1].sets[0][0].tag = system.lces[1].cfg.tag_of(BASE)
-        system.lces[1].sets[0][0].state = M
-        mon = SwmrMonitor()
+        mon = CoherenceMonitor()
         mon.attach(system)
-        mon.check(system)
-        assert mon.violations
+        system.preload_line(0, BASE, M)
+        assert not mon.violations
+        system.preload_line(1, BASE, M)   # through the state hook
+        # Two M copies are also two owners.
+        assert [(v.monitor, v.cycle) for v in mon.violations] == [
+            ("swmr", 0), ("single-owner", 0)]
+        assert f"block {BASE:#x} held as" in mon.violations[0].detail
 
     def test_single_owner_monitor_flags_two_owners(self):
         system = System(SystemConfig(cores=2, sets=8))
-        system.preload_line(0, BASE, O)
-        system.lces[1].sets[0][0].tag = system.lces[1].cfg.tag_of(BASE)
-        system.lces[1].sets[0][0].state = F
-        mon = SingleOwnerMonitor()
+        mon = CoherenceMonitor()
         mon.attach(system)
-        mon.check(system)
-        assert mon.violations
+        system.preload_line(0, BASE, O)
+        system.preload_line(1, BASE, F)   # through the state hook
+        assert [(v.monitor, v.cycle) for v in mon.violations] == [
+            ("single-owner", 0)]
+        assert f"block {BASE:#x} owned by" in mon.violations[0].detail
 
     def test_data_value_monitor_sees_corruption(self):
         system = System(SystemConfig(cores=2, sets=8))
@@ -112,8 +115,59 @@ class TestMonitors:
         line.data[0] ^= 0xFF
         system.submit(0, BASE, write=False)
         system.run()
-        mon.check(system)
-        assert mon.violations
+        assert [v.monitor for v in mon.violations] == ["data-value"]
+
+    # Cycle in which lce0's line turns M, recorded when the test was written.
+    UPGRADE_CYCLE = {"fsm": 14, "ucode": 25}
+
+    @pytest.mark.parametrize("engine", sorted(UPGRADE_CYCLE))
+    def test_swmr_flagged_in_the_cycle_it_appears(self, engine):
+        """A cache whose (S, Inv) cell keeps the line S lets a writer
+        coexist with a reader; the violation carries the upgrade's cycle."""
+        sends, _ = MOESIF.lce[(S, LceEventKind.Inv)]
+        broken = dataclasses.replace(
+            MOESIF, lce={**MOESIF.lce, (S, LceEventKind.Inv): (sends, S)})
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        for lce in system.lces:
+            lce.tables = broken
+        mon = CoherenceMonitor()
+        mon.attach(system)
+        system.preload_line(0, BASE, S)
+        system.preload_line(1, BASE, S)
+        system.submit(0, BASE, write=True, data=b"\x22" * 8)
+        line = system.lces[0]._lookup(BASE)[1]
+        while line.state is not M:
+            upgrade_cycle = system.now
+            system.step()
+        system.run()
+        assert upgrade_cycle == self.UPGRADE_CYCLE[engine]
+        assert [(v.monitor, v.cycle) for v in mon.violations] == [
+            ("swmr", upgrade_cycle)]
+        assert system.lces[1]._lookup(BASE)[1].state is S
+
+
+class TestSystemConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sets": 3}, "sets must be a power of two"),
+        ({"assoc": 6}, "assoc must be a power of two"),
+        ({"block_bytes": 4}, "block_bytes must hold an 8-byte word"),
+        ({"cores": 0}, "cores must be at least 1"),
+        ({"sets": 8, "num_cces": 9}, "num_cces must be between 1 and sets"),
+        ({"num_cces": 0}, "num_cces must be between 1 and sets"),
+        ({"engine": "rtl"}, "engine must be one of fsm, ucode"),
+        ({"protocol": "msi"}, "protocol must be one of moesif, mesi"),
+        ({"ordering": "rnd"}, "ordering must be one of fifo, random"),
+    ])
+    def test_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**kwargs)
+
+    def test_other_block_sizes_run(self):
+        ops = random_workload(1, lces=2, ops=120, footprint_blocks=8,
+                              block_bytes=32)
+        report = compare_engines(ops, SystemConfig(cores=2, sets=16,
+                                                   block_bytes=32))
+        assert report.equivalent and not report.violations
 
 
 class TestCompareEngines:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohsim import harness
 from cohsim.directory import SegmentConfig
 from cohsim.messages import Emission, LceResponse
 from cohsim.network import NetConfig, Network
@@ -108,6 +109,33 @@ class TestFastPath:
 
 
 _ALU_OPS = ["add", "sub", "and", "or", "xor", "sll", "srl"]
+
+
+class TestUncachedToCacheable:
+    """An uncached access from cache 0 to a cacheable block that cache 0
+    itself (holder 0) or another cache (holder 1) holds: the engines take
+    the block back, then go to memory."""
+
+    @staticmethod
+    def run(engine, holder, state, op):
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        system.preload_line(holder, BASE, state, data=bytes(range(64)))
+        system.submit(0, BASE + 8, write=op == "STU", uncached=True,
+                      data=b"\x5a" * 8 if op == "STU" else None)
+        system.run()
+        assert system.idle() and system.lces[0].miss is None
+        return (harness._memory_image(system),
+                [lce.snapshot() for lce in system.lces],
+                harness._dir_image(system), system.lces[0].completed)
+
+    @pytest.mark.parametrize("op", ["LDU", "STU"])
+    @pytest.mark.parametrize("state", [S, E, M, O, F])
+    @pytest.mark.parametrize("holder", [0, 1])
+    def test_engines_agree(self, holder, state, op):
+        fsm = self.run("fsm", holder, state, op)
+        assert fsm == self.run("ucode", holder, state, op)
+        if op == "LDU":
+            assert fsm[3] == bytes(range(8, 16))
 
 
 def reference_run(lines):
