@@ -161,8 +161,10 @@ class CceCore:
 
     def tick(self, now: int):
         self.now = now
-        self._drain_cohacks()
-        self._mem_resp_tick()
+        if self.resp_q:
+            self._drain_cohacks()
+        if self.memresp_q:
+            self._mem_resp_tick()
         self.last_tag = self._step()
         self._count(self.last_tag)
 
@@ -297,8 +299,6 @@ class CceCore:
     def _mem_resp_tick(self):
         """Concurrent three-outcome machine: squash, rewrite-and-forward,
         or forward unchanged; write acks are sunk."""
-        if not self.memresp_q:
-            return
         resp: MemResp = self.memresp_q[0]
         if resp.uncached:
             self.memresp_q.popleft()

@@ -8,7 +8,7 @@ independently testable while the engines do the scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .protocol import CoherenceState, I, S, E, M, O, F, OWNER_STATES

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .lce import Hit, MissIssued
+from .lce import Hit
 from .messages import AtomicOp
 from .protocol import DEFAULT_REGION_MAP, CoherenceState
 from .system import System, SystemConfig
@@ -296,59 +296,60 @@ def run_trace(system: System, ops, monitors=(),
     for q in queues:
         q.reverse()  # pop() from the tail
     heads = {d: 0 for d in domain_order}   # index into each order list
-    outstanding = [None] * len(system.lces)   # (domain,) or "fence"
+    outstanding = {}   # cache -> domain of its outstanding op, or "fence"
     report = RunReport()
     start = system.now
     deadline = start + limit
+    # Only a finish or a retire can make a queue head eligible, so the
+    # issue pass runs only in a cycle that follows one.
+    changed = True
 
     def finish(d):
+        nonlocal changed
         heads[d] += 1
         report.completed += 1
-
-    def retire(lce_id):
-        d = outstanding[lce_id]
-        outstanding[lce_id] = None
-        if d != "fence":
-            finish(d)
+        changed = True
 
     while system.now < deadline:
         # Retire finished operations.
-        for i, lce in enumerate(system.lces):
-            if outstanding[i] is None:
-                continue
-            if outstanding[i] == "fence":
+        for i, d in list(outstanding.items()):
+            if d == "fence":
                 if system.idle():
-                    retire(i)
+                    del outstanding[i]
                     report.completed += 1
-            elif lce.miss is None:
-                retire(i)
+                    changed = True
+            elif system.lces[i].miss is None:
+                del outstanding[i]
+                finish(d)
         # Issue new ones.
-        for i, q in enumerate(queues):
-            if not q or outstanding[i] is not None:
-                continue
-            idx, op = q[-1]
-            if op.op == "FENCE":
+        if changed:
+            changed = False
+            for i, q in enumerate(queues):
+                if not q or i in outstanding:
+                    continue
+                idx, op = q[-1]
+                if op.op == "FENCE":
+                    q.pop()
+                    outstanding[i] = "fence"
+                    continue
+                d = domains[idx]
+                if domain_order[d][heads[d]] != idx:
+                    continue   # an earlier trace op on this set must finish
                 q.pop()
-                outstanding[i] = "fence"
-                continue
-            d = domains[idx]
-            if domain_order[d][heads[d]] != idx:
-                continue   # an earlier trace op on this set must finish first
-            q.pop()
-            data = (op.data.to_bytes(8, "little")
-                    if op.data is not None else None)
-            result = system.submit(
-                i, op.addr, write=op.op in ("ST", "STU"),
-                data=data, atomic=_ATOMIC_BY_OP.get(op.op),
-                uncached=op.op in ("LDU", "STU"))
-            report.stores += op.op in ("ST", "STU", "AMOADD", "AMOSWAP", "SC")
-            report.loads += op.op in ("LD", "LDU", "LR")
-            if isinstance(result, Hit) or system.lces[i].miss is None:
-                finish(d)   # hit, SC, or posted uncached store
-            else:
-                outstanding[i] = d
-        if (not any(queues) and all(o is None for o in outstanding)
-                and system.idle()):
+                data = (op.data.to_bytes(8, "little")
+                        if op.data is not None else None)
+                result = system.submit(
+                    i, op.addr, write=op.op in ("ST", "STU"),
+                    data=data, atomic=_ATOMIC_BY_OP.get(op.op),
+                    uncached=op.op in ("LDU", "STU"))
+                report.stores += op.op in ("ST", "STU", "AMOADD", "AMOSWAP",
+                                           "SC")
+                report.loads += op.op in ("LD", "LDU", "LR")
+                if isinstance(result, Hit) or system.lces[i].miss is None:
+                    finish(d)   # hit, SC, or posted uncached store
+                else:
+                    outstanding[i] = d
+        if report.completed == len(ops) and system.idle():
             break
         system.step()
     else:

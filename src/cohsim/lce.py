@@ -11,7 +11,7 @@ from typing import Optional
 from . import protocol
 from .messages import (AtomicOp, CceCommand, CohRequest, Emission, FillData,
                        LceResponse, NetKind, NetMessage)
-from .protocol import (CoherenceState, CommandKind, I, S, E, M, O, F,
+from .protocol import (CoherenceState, CommandKind, I, E, M,
                        ImpossibleTransition, LceEvent, LceEventKind,
                        WRITABLE_STATES, state_permissions)
 

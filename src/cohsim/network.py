@@ -40,11 +40,12 @@ class Network:
         self.cfg = cfg
         self.channels = {}       # (src, dst, net) -> deque of (ready_time, msg)
         self.channel_free = {}   # (src, dst, net) -> next cycle the link is free
-        # dst -> its channels in creation order, and how many messages they
-        # hold; a cycle then costs only the destinations with traffic.
+        # dst -> its channels in creation order.
         self._dst_channels = {}
-        self._dst_queued = {}
-        self._queued = 0
+        # dst -> earliest ready time of its queued messages; a destination
+        # with nothing queued has no entry.  Callers may read it, so that a
+        # cycle costs only the destinations whose time has come.
+        self.next_ready = {}
         self.mem_credits_avail = cfg.mem_credits
         self._seq = 0
         self._rng = random.Random(cfg.seed)
@@ -81,19 +82,16 @@ class Network:
         msg.seq = self._seq
         self._seq += 1
         chan.append((ready, msg))
-        self._dst_queued[msg.dst] = self._dst_queued.get(msg.dst, 0) + 1
-        self._queued += 1
+        if ready < self.next_ready.get(msg.dst, ready + 1):
+            self.next_ready[msg.dst] = ready
 
     def next_event(self):
         """Earliest pending delivery time, or None when idle."""
-        if not self._queued:
-            return None
-        return min(chan[0][0] for chan in self.channels.values() if chan)
+        return min(self.next_ready.values(), default=None)
 
     def any_ready(self, now: int) -> bool:
         """True when some message can be delivered at `now`."""
-        return self._queued > 0 and any(
-            chan and chan[0][0] <= now for chan in self.channels.values())
+        return any(t <= now for t in self.next_ready.values())
 
     def deliver(self, now: int, dst: str):
         """Pop every message for `dst` ready at `now`, priority-sorted.
@@ -102,14 +100,21 @@ class Network:
         random ordering mode the ready set is permuted across channels
         before the priority sort (head-of-line FIFO order still holds).
         """
-        if not self._dst_queued.get(dst):
+        if self.next_ready.get(dst, now + 1) > now:
             return []
         ready = []
+        # Ready times rise along a channel, so the heads left queued hold
+        # the destination's next ready time.
+        later = []
         for chan in self._dst_channels[dst]:
             while chan and chan[0][0] <= now:
                 ready.append(chan.popleft()[1])
-        self._dst_queued[dst] -= len(ready)
-        self._queued -= len(ready)
+            if chan:
+                later.append(chan[0][0])
+        if later:
+            self.next_ready[dst] = min(later)
+        else:
+            del self.next_ready[dst]
         if self.cfg.ordering == "random":
             self._rng.shuffle(ready)
             ready.sort(key=lambda m: NET_PRIORITY[m.net])
@@ -118,4 +123,4 @@ class Network:
         return ready
 
     def idle(self) -> bool:
-        return not self._queued
+        return not self.next_ready

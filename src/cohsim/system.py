@@ -39,6 +39,15 @@ class SystemConfig:
         if self.block_bytes < 8:
             raise ValueError(f"block_bytes must hold an 8-byte word, "
                              f"got {self.block_bytes}")
+        v = self.beat_bytes
+        if v < 1 or v & (v - 1) or v > self.block_bytes:
+            raise ValueError(f"beat_bytes must be a power of two no larger "
+                             f"than block_bytes ({self.block_bytes}), "
+                             f"got {v}")
+        for name in ("net_latency", "mem_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, "
+                                 f"got {getattr(self, name)}")
         if self.cores < 1:
             raise ValueError(f"cores must be at least 1, got {self.cores}")
         if not 1 <= self.num_cces <= self.sets:
@@ -130,26 +139,39 @@ class System:
     # -- clocking ------------------------------------------------------------
 
     def step(self):
+        """Advance one cycle.  Endpoints are visited in a fixed order (LCEs
+        by index, then CCEs, then memory), each reading the network's
+        ready times when its turn comes, so with zero latency a message
+        sent earlier in the cycle is delivered in it.  An endpoint with
+        nothing due is not delivered to, and memory is ticked only when a
+        command is due or a response is ready; every CCE ticks."""
         now = self.now
+        net = self.net
+        due = net.next_ready   # read live: sends earlier in the cycle count
+        never = now + 1        # stands in for "nothing queued"
         for lce, endpoint in zip(self.lces, self.lce_endpoints):
-            for msg in self.net.deliver(now, endpoint):
-                cce_ep = self.home_cce(msg.payload.addr).endpoint
-                if msg.net is NetKind.Command:
-                    lce.handle_command(msg.payload, cce_ep,
-                                       beats_of=self.net.beats_of)
-                elif msg.net is NetKind.Fill:
-                    lce.handle_fill_net(msg.payload, cce_ep)
-                else:
-                    raise AssertionError(f"unexpected {msg.net} at {endpoint}")
+            if due.get(endpoint, never) <= now:
+                for msg in net.deliver(now, endpoint):
+                    cce_ep = self.home_cce(msg.payload.addr).endpoint
+                    if msg.net is NetKind.Command:
+                        lce.handle_command(msg.payload, cce_ep,
+                                           beats_of=net.beats_of)
+                    elif msg.net is NetKind.Fill:
+                        lce.handle_fill_net(msg.payload, cce_ep)
+                    else:
+                        raise AssertionError(
+                            f"unexpected {msg.net} at {endpoint}")
             if lce.outbox:
                 for out in lce.outbox:
-                    self.net.send(out, now)
+                    net.send(out, now)
                 lce.outbox.clear()
         for cce in self.cces:
-            for msg in self.net.deliver(now, cce.endpoint):
-                cce.accept(msg)
+            if due.get(cce.endpoint, never) <= now:
+                for msg in net.deliver(now, cce.endpoint):
+                    cce.accept(msg)
             cce.tick(now)
-        self.mem.tick(now, self.net)
+        if self.mem.has_work(now, net):
+            self.mem.tick(now, net)
         self.now = now + 1
 
     def idle(self) -> bool:
@@ -161,9 +183,8 @@ class System:
         """True when this cycle can only produce wait/idle everywhere."""
         if any(lce.outbox for lce in self.lces):
             return False
-        if self.net.any_ready(self.now):
-            return False
-        if self.mem.inflight and self.mem.inflight[0][0] <= self.now:
+        if (self.net.any_ready(self.now)
+                or self.mem.has_work(self.now, self.net)):
             return False
         return all(cce.quiet() for cce in self.cces)
 

@@ -1,7 +1,9 @@
 """Microcoded coherence engine.
 
 A two-stage (fetch, execute) pipeline over a 256-entry instruction memory,
-running on the shared engine core (`cce.CceCore`).  Branches are
+running on the shared engine core (`cce.CceCore`).  Each instruction
+word is decoded once, when the engine is built, into a `Uop` that carries
+its handler, so executing an instruction is one call.  Branches are
 statically predicted not-taken unless annotated `[pt]`; unconditional
 jumps redirect at predecode.  A mispredicted branch costs one bubble
 cycle.  Multi-beat pushes, the way-group read, and the hardware
@@ -22,6 +24,7 @@ ack per cycle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -66,6 +69,21 @@ def default_program(protocol_name: str) -> str:
     return ref.read_text()
 
 
+class Uop:
+    """One instruction-memory word, decoded once when the engine is built:
+    its opcode, its fields as attributes (`u.rd`, `u.target`, ...), the
+    handler that executes it (`run`), the comparison or ALU function its
+    handler applies (`fn`, where the opcode has one) and its static
+    prediction (`predict`)."""
+
+    def __init__(self, instr: Instr):
+        self.__dict__.update(instr.fields)
+        self.op = instr.op
+        self.run = _HANDLERS[instr.op]
+        self.fn = _FNS.get(instr.op)
+        self.predict = isa.predicted_taken(instr)
+
+
 class UcodeCce(CceCore):
     """Coherence engine driven by a microcode program instead of a
     hardwired request flow."""
@@ -77,8 +95,7 @@ class UcodeCce(CceCore):
         else:
             with open(program) as f:
                 source = f.read()
-        self.imem_words = asm.assemble_words(source)
-        self.imem = [isa.decode(w) for w in self.imem_words]
+        self.imem = [Uop(isa.decode(w)) for w in asm.assemble_words(source)]
         self.pc = 0
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
@@ -103,9 +120,9 @@ class UcodeCce(CceCore):
         if self.last_tag is not WAIT and self._txn is not None:
             return False
         # Blocked at wfq/popq: quiet unless an admissible request waits.
-        instr = self.imem[self.pc]
-        wants_req = (instr.op is Op.WFQ and instr["qmask"] & 1) or (
-            instr.op in (Op.POPQ, Op.POPH) and instr["queue"] == int(Queue.Req))
+        u = self.imem[self.pc]
+        wants_req = (u.op is Op.WFQ and u.qmask & (1 << Queue.Req)) or (
+            u.op in (Op.POPQ, Op.POPH) and u.queue == Queue.Req)
         if wants_req or self._txn is None:
             return self._admissible() is None
         return True
@@ -122,17 +139,18 @@ class UcodeCce(CceCore):
         # Zero-cost completions (an inv with no targets) fuse with the next
         # instruction; bound the fusion chain defensively.
         for _ in range(8):
-            outcome = self._execute(self.imem[self.pc])
+            u = self.imem[self.pc]
+            outcome = u.run(self, u)
             if outcome is not FREE:
                 return outcome
         raise MicrocodeFault("zero-cost instruction chain too long")
 
-    def _branch(self, instr: Instr, taken: bool) -> str:
+    def _branch(self, u: Uop, taken: bool) -> str:
         if taken:
-            self.pc = instr["target"]
+            self.pc = u.target
         else:
             self.pc += 1
-        if taken != isa.predicted_taken(instr):
+        if taken != u.predict:
             self._bubbles += 1
             self.mispredicts += 1
         return BUSY
@@ -155,165 +173,156 @@ class UcodeCce(CceCore):
             self.flags &= ~(1 << flag)
 
     # -- instruction semantics ---------------------------------------------------
+    # One handler per opcode (see `_HANDLERS`), called as
+    # `handler(self, uop)`; each returns BUSY, WAIT or FREE.
 
-    def _execute(self, instr: Instr) -> str:
-        op = instr.op
+    def _nop(self, u) -> str:
+        self.pc += 1
+        return BUSY
+
+    def _alu(self, u) -> str:
+        regs = self.regs
+        regs[u.rd] = u.fn(regs[u.rs1], regs[u.rs2]) & MASK64
+        self.pc += 1
+        return BUSY
+
+    def _mov(self, u) -> str:
+        self.regs[u.rd] = self.regs[u.rs1]
+        self.pc += 1
+        return BUSY
+
+    def _movi(self, u) -> str:
+        self.regs[u.rd] = u.imm & MASK64
+        self.pc += 1
+        return BUSY
+
+    def _movs(self, u) -> str:
+        self.regs[u.rd] = self._read_special(Special(u.special))
+        self.pc += 1
+        return BUSY
+
+    def _br(self, u) -> str:
+        return self._branch(u, u.fn(self.regs[u.rs1], self.regs[u.rs2]))
+
+    def _bri(self, u) -> str:
+        return self._branch(u, u.fn(self.regs[u.rs1], u.imm))
+
+    def _bi(self, u) -> str:
+        self.pc = u.target
+        return BUSY
+
+    def _sf(self, u) -> str:
+        self.flags |= u.mask
+        self.pc += 1
+        return BUSY
+
+    def _sfz(self, u) -> str:
+        self.flags &= ~u.mask
+        self.pc += 1
+        return BUSY
+
+    def _flagop(self, u) -> str:
+        self.regs[u.rd] = int(u.fn(self.flags & u.mask, u.mask))
+        self.pc += 1
+        return BUSY
+
+    def _flagbr(self, u) -> str:
+        return self._branch(u, u.fn(self.flags & u.mask, u.mask))
+
+    def _rdp(self, u) -> str:
+        self._set_flag(Flag.Pending, self.pending.read(self._wg()))
+        self.pc += 1
+        return BUSY
+
+    def _rdw(self, u) -> str:
         m = self.umshr
+        sv, lru, latency = self.directory.read_way_group(
+            m.addr, m.lce, m.lru_way)
+        self._sv, self._lru = sv, lru
+        m.lru_tag, m.lru_state = lru.lru_tag, lru.lru_state
+        self._multi = latency - 1
+        self.pc += 1
+        return BUSY
 
-        if op is Op.NOP:
-            self.pc += 1
-            return BUSY
+    def _rde(self, u) -> str:
+        m = self.umshr
+        lce, way = ((m.owner_lce, m.owner_way) if u.cmd_target
+                    else (m.lce, m.req_way))
+        _, latency = self.directory.read_entry(m.addr, lce, way)
+        self._multi = latency - 1
+        self.pc += 1
+        return BUSY
 
-        if op.fmt == "alu":
-            a = self.regs[instr["rs1"]]
-            b = self.regs[instr["rs2"]]
-            fn = {Op.ADD: lambda: a + b, Op.SUB: lambda: a - b,
-                  Op.AND: lambda: a & b, Op.OR: lambda: a | b,
-                  Op.XOR: lambda: a ^ b, Op.SLL: lambda: a << (b & 63),
-                  Op.SRL: lambda: a >> (b & 63)}[op]
-            self.regs[instr["rd"]] = fn() & MASK64
-            self.pc += 1
-            return BUSY
-        if op is Op.MOV:
-            self.regs[instr["rd"]] = self.regs[instr["rs1"]]
-            self.pc += 1
-            return BUSY
-        if op is Op.MOVI:
-            self.regs[instr["rd"]] = instr["imm"] & MASK64
-            self.pc += 1
-            return BUSY
-        if op is Op.MOVS:
-            self.regs[instr["rd"]] = self._read_special(
-                Special(instr["special"]))
-            self.pc += 1
-            return BUSY
+    def _wdp(self, u) -> str:
+        self.pending.adjust(self._wg(), +1 if u.inc else -1)
+        self.pc += 1
+        return BUSY
 
-        if op in (Op.BEQ, Op.BNE):
-            eq = self.regs[instr["rs1"]] == self.regs[instr["rs2"]]
-            return self._branch(instr, eq if op is Op.BEQ else not eq)
-        if op in (Op.BEQI, Op.BNEI):
-            eq = self.regs[instr["rs1"]] == instr["imm"]
-            return self._branch(instr, eq if op is Op.BEQI else not eq)
-        if op is Op.BI:
-            self.pc = instr["target"]
-            return BUSY
+    def _clp(self, u) -> str:
+        self.pending.clear(self._wg())
+        self.pc += 1
+        return BUSY
 
-        if op is Op.SF:
-            self.flags |= instr["mask"]
-            self.pc += 1
-            return BUSY
-        if op is Op.SFZ:
-            self.flags &= ~instr["mask"]
-            self.pc += 1
-            return BUSY
-        if op.fmt == "flagop":
-            mask = instr["mask"]
-            hit = self.flags & mask
-            value = {Op.ANDF: hit == mask, Op.ORF: hit != 0,
-                     Op.NANDF: hit != mask, Op.NOTF: hit == 0}[op]
-            self.regs[instr["rd"]] = int(value)
-            self.pc += 1
-            return BUSY
-        if op.fmt == "flagbr":
-            mask = instr["mask"]
-            hit = self.flags & mask
-            taken = {Op.BF: hit == mask, Op.BFNOT: hit != mask,
-                     Op.BFZ: hit == 0, Op.BFNZ: hit != 0}[op]
-            return self._branch(instr, taken)
+    def _clr(self, u) -> str:
+        m = self.umshr
+        self.directory.clear_row(m.addr, m.lce)
+        self.pc += 1
+        return BUSY
 
-        if op is Op.RDP:
-            self._set_flag(Flag.Pending, self.pending.read(self._wg()))
-            self.pc += 1
-            return BUSY
-        if op is Op.RDW:
-            sv, lru, latency = self.directory.read_way_group(
-                m.addr, m.lce, m.lru_way)
-            self._sv, self._lru = sv, lru
-            m.lru_tag, m.lru_state = lru.lru_tag, lru.lru_state
-            self._multi = latency - 1
-            self.pc += 1
-            return BUSY
-        if op is Op.RDE:
-            lce, way = ((m.owner_lce, m.owner_way) if instr["cmd_target"]
-                        else (m.lce, m.req_way))
-            _, latency = self.directory.read_entry(m.addr, lce, way)
-            self._multi = latency - 1
-            self.pc += 1
-            return BUSY
-        if op is Op.WDP:
-            self.pending.adjust(self._wg(), +1 if instr["inc"] else -1)
-            self.pc += 1
-            return BUSY
-        if op is Op.CLP:
-            self.pending.clear(self._wg())
-            self.pc += 1
-            return BUSY
-        if op is Op.CLR:
-            self.directory.clear_row(m.addr, m.lce)
-            self.pc += 1
-            return BUSY
-        if op is Op.WDE:
-            self.directory.write_entry(m.addr, m.lce, m.req_way,
-                                       state=STATE_BY_CODE[instr["state"]])
-            self.pc += 1
-            return BUSY
-        if op is Op.WDS:
-            state = STATE_BY_CODE[instr["state"]]
-            if instr["cmd_target"]:
-                self.directory.write_state(m.addr, m.owner_lce, m.owner_way,
-                                           state)
-            else:
-                self.directory.write_state(m.addr, m.lce, m.req_way, state)
-            self.pc += 1
-            return BUSY
-        if op is Op.GAD:
-            self._gad()
-            self.pc += 1
-            return BUSY
-        if op is Op.SPECQ:
-            cmd = SpecCmd(instr["spec_cmd"])
-            wg = self._wg()
-            if cmd is SpecCmd.Set:
-                self.spec.set(wg)
-            elif cmd is SpecCmd.Unset:
-                self.spec.unset(wg)
-            elif cmd is SpecCmd.Squash:
-                self.spec.squash(wg)
-            else:
-                self.spec.fwd_mod(wg, STATE_BY_CODE[instr["state"]])
-            self.pc += 1
-            return BUSY
+    def _wde(self, u) -> str:
+        m = self.umshr
+        self.directory.write_entry(m.addr, m.lce, m.req_way,
+                                   state=STATE_BY_CODE[u.state])
+        self.pc += 1
+        return BUSY
 
-        if op is Op.WFQ:
-            qmask = instr["qmask"]
-            if qmask & (1 << Queue.Req):
-                self._close_txn()
-            ready = ((qmask & (1 << Queue.Req)
-                      and self._admissible() is not None)
-                     or (qmask & (1 << Queue.Resp) and self.resp_q)
-                     or (qmask & (1 << Queue.MemResp) and self.memresp_q))
-            if ready:
-                self.pc += 1
+    def _wds(self, u) -> str:
+        m = self.umshr
+        state = STATE_BY_CODE[u.state]
+        if u.cmd_target:
+            self.directory.write_state(m.addr, m.owner_lce, m.owner_way,
+                                       state)
+        else:
+            self.directory.write_state(m.addr, m.lce, m.req_way, state)
+        self.pc += 1
+        return BUSY
+
+    def _specq(self, u) -> str:
+        cmd = SpecCmd(u.spec_cmd)
+        wg = self._wg()
+        if cmd is SpecCmd.Set:
+            self.spec.set(wg)
+        elif cmd is SpecCmd.Unset:
+            self.spec.unset(wg)
+        elif cmd is SpecCmd.Squash:
+            self.spec.squash(wg)
+        else:
+            self.spec.fwd_mod(wg, STATE_BY_CODE[u.state])
+        self.pc += 1
+        return BUSY
+
+    def _wfq(self, u) -> str:
+        qmask = u.qmask
+        if qmask & (1 << Queue.Req):
+            self._close_txn()
+        ready = ((qmask & (1 << Queue.Req)
+                  and self._admissible() is not None)
+                 or (qmask & (1 << Queue.Resp) and self.resp_q)
+                 or (qmask & (1 << Queue.MemResp) and self.memresp_q))
+        if ready:
+            self.pc += 1
+        return WAIT
+
+    def _poph(self, u) -> str:
+        queue = Queue(u.queue)
+        if queue is Queue.Req:
+            raise MicrocodeFault("poph req is not supported")
+        q = self.resp_q if queue is Queue.Resp else self.memresp_q
+        if not q:
             return WAIT
-        if op is Op.POPQ:
-            return self._popq(instr)
-        if op is Op.POPH:
-            queue = Queue(instr["queue"])
-            q = {Queue.Req: None, Queue.Resp: self.resp_q,
-                 Queue.MemResp: self.memresp_q}[queue]
-            if queue is Queue.Req:
-                raise MicrocodeFault("poph req is not supported")
-            if not q:
-                return WAIT
-            self.regs[instr["rd"]] = self._resp_code(q[0])
-            self.pc += 1
-            return BUSY
-        if op is Op.PUSHQ:
-            return self._pushq(instr)
-        if op is Op.INV:
-            return self._inv_start()
-
-        raise MicrocodeFault(f"unimplemented op {op.name}")
+        self.regs[u.rd] = self._resp_code(q[0])
+        self.pc += 1
+        return BUSY
 
     def _read_special(self, sp: Special) -> int:
         m = self.umshr
@@ -333,7 +342,7 @@ class UcodeCce(CceCore):
             Special.ReqSize: m.size,
         }[sp]
 
-    def _gad(self):
+    def _gad(self, u) -> str:
         if self._sv is None:
             raise MicrocodeFault("gad before rdw")
         m = self.umshr
@@ -357,6 +366,8 @@ class UcodeCce(CceCore):
         m.req_state = (self._sv.states[m.lce] if self._sv.hits[m.lce] else I)
         if self._txn is not None:
             self._note_lookup(self._sv)
+        self.pc += 1
+        return BUSY
 
     @staticmethod
     def _resp_code(resp) -> int:
@@ -364,8 +375,8 @@ class UcodeCce(CceCore):
             return 4 if resp.write else 5
         return RESP_KIND_CODE[resp.kind.value]
 
-    def _popq(self, instr: Instr) -> str:
-        queue = Queue(instr["queue"])
+    def _popq(self, u) -> str:
+        queue = Queue(u.queue)
         if queue is Queue.Req:
             self._close_txn()
             req = self._arbitrate()
@@ -384,8 +395,8 @@ class UcodeCce(CceCore):
                 and self._flag(Flag.Replacement)
                 and resp.addr == self._victim_addr()):
             self._note_victim_wb(resp)
-        self.regs[instr["rd"]] = self._resp_code(resp)
-        if instr["wp"]:
+        self.regs[u.rd] = self._resp_code(resp)
+        if u.wp:
             self.pending.adjust(self._wg(), -1)
         if queue is Queue.MemResp:
             self.net.release_mem_credit()
@@ -411,13 +422,13 @@ class UcodeCce(CceCore):
         self._set_flag(Flag.CacheableAddress,
                        self.region_map.is_cacheable(req.addr))
 
-    def _pushq(self, instr: Instr) -> str:
+    def _pushq(self, u) -> str:
         m = self.umshr
-        if instr["dest"] == int(PushDest.MemCmd):
+        if u.dest == PushDest.MemCmd:
             if not self.net.has_mem_credit():
                 return WAIT
-            kind = MemPushKind(instr["kind"])
-            wp = bool(instr["wp"])
+            kind = MemPushKind(u.kind)
+            wp = bool(u.wp)
             if kind is MemPushKind.SpecRead:
                 # The spec annotation latches the speculative bits with it.
                 self.spec.set(self._wg())
@@ -449,16 +460,16 @@ class UcodeCce(CceCore):
             self.pc += 1
             return BUSY
 
-        kind = isa.COMMAND_BY_CODE[instr["kind"]]
-        to_owner = instr["cmd_target"] == int(CmdTarget.Owner)
-        victim = instr["addr_sel"] == int(AddrSel.Victim)
+        kind = isa.COMMAND_BY_CODE[u.kind]
+        to_owner = u.cmd_target == CmdTarget.Owner
+        victim = u.addr_sel == AddrSel.Victim
         addr = self._victim_addr() if victim else m.addr
         if to_owner:
             lce, way = m.owner_lce, m.owner_way
         else:
             lce, way = m.lce, (m.lru_way if victim else m.req_way)
-        state = STATE_BY_CODE[instr["state"]]
-        tr_state = STATE_BY_CODE[instr["tr_state"]]
+        state = STATE_BY_CODE[u.state]
+        tr_state = STATE_BY_CODE[u.tr_state]
         cmd = CceCommand(kind=kind, addr=addr, way=way, state=state,
                          transfer_state=tr_state)
         if kind in (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb):
@@ -470,7 +481,7 @@ class UcodeCce(CceCore):
 
     # -- hardware invalidation sequencer -----------------------------------------
 
-    def _inv_start(self) -> str:
+    def _inv_start(self, u) -> str:
         if self._sv is None:
             raise MicrocodeFault("inv before rdw")
         m = self.umshr
@@ -499,3 +510,54 @@ class UcodeCce(CceCore):
             self._inv_job = None
             self.pc += 1
         return BUSY
+
+
+def _flags_all(hit, mask):
+    return hit == mask
+
+
+def _flags_not_all(hit, mask):
+    return hit != mask
+
+
+def _flags_any(hit, mask):
+    return hit != 0
+
+
+def _flags_none(hit, mask):
+    return hit == 0
+
+
+# Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
+# register branches to their two operands, flag ops and flag branches to
+# (flags & mask, mask).
+_FNS = {
+    Op.ADD: operator.add, Op.SUB: operator.sub, Op.AND: operator.and_,
+    Op.OR: operator.or_, Op.XOR: operator.xor,
+    Op.SLL: lambda a, b: a << (b & 63), Op.SRL: lambda a, b: a >> (b & 63),
+    Op.BEQ: operator.eq, Op.BNE: operator.ne,
+    Op.BEQI: operator.eq, Op.BNEI: operator.ne,
+    Op.ANDF: _flags_all, Op.BF: _flags_all,
+    Op.NANDF: _flags_not_all, Op.BFNOT: _flags_not_all,
+    Op.ORF: _flags_any, Op.BFNZ: _flags_any,
+    Op.NOTF: _flags_none, Op.BFZ: _flags_none,
+}
+
+# Opcode -> handler, called as handler(engine, uop).
+_HANDLERS = {
+    Op.NOP: UcodeCce._nop,
+    **dict.fromkeys((Op.ADD, Op.SUB, Op.AND, Op.OR, Op.XOR, Op.SLL, Op.SRL),
+                    UcodeCce._alu),
+    Op.MOV: UcodeCce._mov, Op.MOVI: UcodeCce._movi, Op.MOVS: UcodeCce._movs,
+    Op.BEQ: UcodeCce._br, Op.BNE: UcodeCce._br,
+    Op.BEQI: UcodeCce._bri, Op.BNEI: UcodeCce._bri, Op.BI: UcodeCce._bi,
+    Op.SF: UcodeCce._sf, Op.SFZ: UcodeCce._sfz,
+    **dict.fromkeys((Op.ANDF, Op.ORF, Op.NANDF, Op.NOTF), UcodeCce._flagop),
+    **dict.fromkeys((Op.BF, Op.BFNOT, Op.BFZ, Op.BFNZ), UcodeCce._flagbr),
+    Op.RDP: UcodeCce._rdp, Op.RDW: UcodeCce._rdw, Op.RDE: UcodeCce._rde,
+    Op.WDP: UcodeCce._wdp, Op.CLP: UcodeCce._clp, Op.CLR: UcodeCce._clr,
+    Op.WDE: UcodeCce._wde, Op.WDS: UcodeCce._wds, Op.GAD: UcodeCce._gad,
+    Op.WFQ: UcodeCce._wfq, Op.PUSHQ: UcodeCce._pushq,
+    Op.POPQ: UcodeCce._popq, Op.POPH: UcodeCce._poph,
+    Op.SPECQ: UcodeCce._specq, Op.INV: UcodeCce._inv_start,
+}

@@ -10,10 +10,10 @@ masks are allowed everywhere a mask appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-from ..protocol import CoherenceState, I, S, E, M, O, F
+from ..protocol import I, S, E, M, O, F
 from ..messages import CommandKind
 
 IMEM_SIZE = 256

@@ -37,6 +37,8 @@ class TestConfig:
         ("sets = 8\nnum_cces = 16\n", "num_cces must be between 1 and sets"),
         ("ordering = rnd\n", "ordering must be one of fifo, random"),
         ("protocol = msi\n", "protocol must be one of moesif, mesi"),
+        ("beat_bytes = 0\n", "beat_bytes must be a power of two no larger "
+                             "than block_bytes (64), got 0"),
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, text,
                                              message):

@@ -157,10 +157,21 @@ class TestSystemConfig:
         ({"engine": "rtl"}, "engine must be one of fsm, ucode"),
         ({"protocol": "msi"}, "protocol must be one of moesif, mesi"),
         ({"ordering": "rnd"}, "ordering must be one of fifo, random"),
+        ({"beat_bytes": 0}, "beat_bytes must be a power of two"),
+        ({"beat_bytes": 12}, "beat_bytes must be a power of two"),
+        ({"beat_bytes": 128}, r"no larger than block_bytes \(64\)"),
+        ({"net_latency": -1}, "net_latency must not be negative, got -1"),
+        ({"mem_latency": -5}, "mem_latency must not be negative, got -5"),
     ])
     def test_rejected_when_built(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"net_latency": 0}, {"mem_latency": 0}, {"beat_bytes": 64},
+        {"beat_bytes": 1}])
+    def test_edge_timings_accepted(self, kwargs):
+        SystemConfig(**kwargs)
 
     def test_other_block_sizes_run(self):
         ops = random_workload(1, lces=2, ops=120, footprint_blocks=8,
@@ -247,3 +258,61 @@ class TestBitIdentity:
         # random stream.
         assert (report.cycles, _final_state_digest(system),
                 system.net._rng.random()) == self.GOLDEN[engine, ordering]
+
+    # name -> (SystemConfig arguments, random_workload arguments)
+    SHAPES = {
+        "evict-2c": (dict(cores=2, sets=16, assoc=2),
+                     dict(lces=2, footprint_blocks=256, write_ratio=0.5)),
+        "8c-2cce": (dict(cores=8, sets=16, num_cces=2),
+                    dict(lces=8, footprint_blocks=64)),
+        "4c-lat0": (dict(cores=4, sets=16, net_latency=0),
+                    dict(lces=4, footprint_blocks=64)),
+    }
+    # (shape, engine) -> (cycles, final-state digest, (busy, wait, stall,
+    # idle) cycles summed over the CCEs, ucode mispredicts)
+    SHAPE_GOLDEN = {
+        ("evict-2c", "fsm"): (
+            7789, "a7d2e2c6a3d20cb16715f5aa2ac99b88"
+                  "dc628abcc48d0da97bb47d7bb56ef427", (3567, 966, 16, 3240), 0),
+        ("evict-2c", "ucode"): (
+            10683, "a6cddd480cb22b979ae9ec1c5fbb6e2e"
+                   "4e35ae03cd3e446c2f65a37a7243a864", (8048, 934, 7, 1694),
+            591),
+        ("8c-2cce", "fsm"): (
+            3309, "d586bf2eb2ae9a94278b84193b3c14f7"
+                  "8f9bb259a5ab8f62ae6ac7b2e724f37b", (3154, 23, 146, 3295), 0),
+        ("8c-2cce", "ucode"): (
+            5101, "d586bf2eb2ae9a94278b84193b3c14f7"
+                  "8f9bb259a5ab8f62ae6ac7b2e724f37b", (6697, 26, 2, 3477),
+            428),
+        ("4c-lat0", "fsm"): (
+            3444, "c7acfe51ac9fac22dcb7b97f1d5f9836"
+                  "c17d1e9dea662f50cccf2cc13092c0ee", (2259, 7, 69, 1109), 0),
+        ("4c-lat0", "ucode"): (
+            5717, "c7acfe51ac9fac22dcb7b97f1d5f9836"
+                  "c17d1e9dea662f50cccf2cc13092c0ee", (5146, 12, 2, 557), 347),
+    }
+
+    @pytest.mark.parametrize("shape,engine", sorted(SHAPE_GOLDEN))
+    def test_cycles_state_and_counters(self, shape, engine):
+        """300-op traces in three more shapes: 2 caches of 16 sets x 2
+        ways under a 256-block footprint, so lines are replaced and dirty
+        victims written back; 8 caches homed on 2 CCEs; and zero network
+        latency, where a message can be delivered in the cycle it is sent.
+
+        In the eviction shape the two engines end in different states:
+        where `fsm` grants E to a read that replaces a line, `ucode`
+        grants S (ROADMAP item 1).  Its `ucode` golden therefore moves, by
+        design, when that item is fixed; the others must not."""
+        system_args, trace_args = self.SHAPES[shape]
+        ops = random_workload(5, ops=300, **trace_args)
+        system = System(SystemConfig(engine=engine, **system_args))
+        report = run_trace(system, ops, monitors=default_monitors())
+        assert report.clean
+        assert report.completed == len(ops)
+        counters = tuple(sum(getattr(c.stats, k) for c in system.cces)
+                         for k in ("busy_cycles", "wait_cycles",
+                                   "stall_cycles", "idle_cycles"))
+        mispredicts = sum(getattr(c, "mispredicts", 0) for c in system.cces)
+        assert (report.cycles, _final_state_digest(system), counters,
+                mispredicts) == self.SHAPE_GOLDEN[shape, engine]

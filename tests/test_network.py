@@ -1,5 +1,7 @@
 """Message transport: FIFO channels, serialization, priority, credits."""
 
+import random
+
 import pytest
 
 from cohsim.messages import (CohRequest, LceResponse, NET_PRIORITY, NetKind,
@@ -160,6 +162,46 @@ class TestDeliveryOrder:
         got = [labels(net.deliver(t, "b")) for t in range(5)]
         assert got == GOLDEN_RANDOM
         assert net._rng.random() == GOLDEN_RANDOM_NEXT
+
+
+def scanned_ready(net):
+    """dst -> earliest ready time, by a scan of every channel."""
+    out = {}
+    for (_, dst, _), chan in net.channels.items():
+        if chan:
+            out[dst] = min(out.get(dst, chan[0][0]), chan[0][0])
+    return out
+
+
+class TestReadyIndex:
+    @pytest.mark.parametrize("latency", [0, 1, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_scan_of_every_channel(self, latency, seed):
+        """After each send and each partial delivery, `next_ready`,
+        `any_ready`, `next_event` and `idle` agree with a full scan."""
+        rng = random.Random(seed)
+        net = Network(NetConfig(latency=latency))
+        dsts = ["d0", "d1", "d2", "mem"]
+        now = 0
+        for _ in range(400):
+            if rng.random() < 0.55:
+                kind = rng.choice([NetKind.Request, NetKind.Command,
+                                   NetKind.Fill, NetKind.Response])
+                net.send(msg(kind, src=rng.choice(["s0", "s1", "s2"]),
+                             dst=rng.choice(dsts),
+                             beats=rng.choice([0, 1, 8])), now)
+            else:
+                dst = rng.choice(dsts)
+                due = scanned_ready(net).get(dst)
+                out = net.deliver(now, dst)
+                assert bool(out) == (due is not None and due <= now)
+            now += rng.choice([0, 0, 1, 2])
+            scan = scanned_ready(net)
+            assert net.next_ready == scan
+            assert net.next_event() == min(scan.values(), default=None)
+            for t in (now - 1, now, now + 1, now + 5):
+                assert net.any_ready(t) == any(v <= t for v in scan.values())
+            assert net.idle() == (not scan)
 
 
 GOLDEN_RANDOM = [[], ["c0", "c3", "r4", "r2", "r0", "r5", "r1", "r3"],

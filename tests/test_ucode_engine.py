@@ -10,8 +10,9 @@ from cohsim.network import NetConfig, Network
 from cohsim.occupancy import measure_occupancy
 from cohsim.protocol import CoherenceState
 from cohsim.system import System, SystemConfig
+from cohsim.ucode import engine as ucode_engine
 from cohsim.ucode.engine import UcodeCce
-from cohsim.ucode.isa import NUM_GPRS
+from cohsim.ucode.isa import NUM_GPRS, Op
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -61,6 +62,25 @@ class TestBranchCost:
         eng = make_engine(tmp_path, src)
         assert busy_after(eng) == 1
         assert eng.mispredicts == 0
+
+
+class TestPredecode:
+    def test_every_opcode_has_a_handler(self):
+        assert set(ucode_engine._HANDLERS) == set(Op)
+
+    def test_flag_tests(self, tmp_path):
+        eng = make_engine(tmp_path, (
+            "  sf wnr|af\n"
+            "  andf r1, wnr|af\n"      # all set
+            "  andf r2, wnr|ucf\n"
+            "  orf r3, wnr|ucf\n"      # any set
+            "  nandf r4, wnr|ucf\n"    # not all set
+            "  nandf r5, wnr\n"
+            "  notf r6, ucf|nex\n"     # none set
+            "  notf r7, af\n"
+            "  wfq resp\n"))
+        busy_after(eng, ticks=20)
+        assert eng.regs[1:] == [1, 0, 1, 1, 0, 1, 0]
 
 
 class TestMultiCycleUnits:
