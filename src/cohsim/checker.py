@@ -16,8 +16,10 @@ bend one rule each to demonstrate the checker catches real bugs.
 
 from __future__ import annotations
 
-from collections import deque
+import gc
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .protocol import (CommandKind, CoherenceState, DirRequestKind, Emission,
@@ -92,7 +94,19 @@ class CheckResult:
 #   grant_code: 0 none, 1 data-from-mem, 2 STW.  deferred_cmd is an
 #   owner command held back until every InvAck is collected, matching
 #   the engines' invalidate-then-transfer ordering.
-#   msgs: sorted tuple of message tuples
+#   msgs: sorted tuple of message tuples (a multiset)
+#
+# `check` stores each reached state once, as the key of `parents`, whose
+# value is the state it was first reached from (None for the initial
+# state) and nothing else.  The caches, dir_rec, txn and msgs tuples of
+# every stored state are interned in one pool per search, so states that
+# agree in a part share one object.  Transition labels are not stored:
+# a counterexample's labels are re-derived by expanding each state on its
+# path again.
+
+_LETTER = [s.value for s in CoherenceState]
+_EMO_NUMS = frozenset(_NUM[s] for s in (E, M, O))
+_M_NUM = _NUM[M]
 
 
 def initial_state(caches: int):
@@ -100,21 +114,60 @@ def initial_state(caches: int):
             tuple(0 for _ in range(caches)), 1, (), ())
 
 
-def _with_msg(msgs, *add, remove=None):
-    pool = list(msgs)
-    if remove is not None:
-        pool.remove(remove)
-    pool.extend(add)
-    return tuple(sorted(pool))
+def _with(msgs, adds):
+    """The sorted message tuple `msgs` with the messages `adds` added."""
+    if not adds:
+        return msgs
+    if len(adds) == 1:
+        k = bisect_right(msgs, adds[0])
+        return msgs[:k] + adds + msgs[k:]
+    return tuple(sorted(msgs + adds))
 
 
-def _stale_others(caches, mem_latest, msgs, writer):
-    """A committed store makes every other copy stale."""
-    new_caches = tuple(c if i == writer else (c[0], 0, c[2])
+def _put(caches, i, entry):
+    """`caches` with cache i's entry replaced."""
+    new = list(caches)
+    new[i] = entry
+    return tuple(new)
+
+
+def _stale_others(caches, msgs, writer):
+    """A committed store by `writer` makes every other cached copy and
+    every data message stale (the caller makes memory stale)."""
+    new_caches = tuple(c if i == writer or not c[1] else (c[0], 0, c[2])
                        for i, c in enumerate(caches))
-    new_msgs = tuple(sorted(m[:-1] + (0,) if m[0] in ("fill", "wb") else m
+    if any(m[-1] and m[0] in ("fill", "wb") for m in msgs):
+        msgs = tuple(sorted(m[:-1] + (0,) if m[0] in ("fill", "wb") else m
                             for m in msgs))
-    return new_caches, 0, new_msgs
+    return new_caches, msgs
+
+
+@lru_cache(maxsize=None)
+def _grant_msg(grant, r, gst, mem_latest):
+    """The requester's grant as a 1-tuple of messages; one object per
+    value, so the many stored states holding a grant share it."""
+    return (("fill", r, gst, mem_latest) if grant == 1 else ("stw", r, gst),)
+
+
+def _txn_progress(caches, dir_rec, mem_latest, msgs,
+                  r, acks, wb, grant, gst, coh, cmd):
+    """The state with transaction (r, acks, ..., cmd) installed, firing the
+    deferred owner command and the grant, or closing the transaction, once
+    collection is complete."""
+    if acks < 0 or wb < 0:
+        raise ModelError(f"cache {r} got more responses than it awaited")
+    if acks == 0:
+        if cmd:
+            msgs = _with(msgs, (cmd,))
+            cmd = ()
+        if wb == 0:
+            if grant:
+                msgs = _with(msgs, _grant_msg(grant, r, gst, mem_latest))
+                grant = 0
+            if coh == 0:
+                return (caches, dir_rec, mem_latest, (), msgs)
+    return (caches, dir_rec, mem_latest, (r, acks, wb, grant, gst, coh, cmd),
+            msgs)
 
 
 def check_invariants(state) -> Optional[str]:
@@ -146,86 +199,51 @@ class Model:
         self.n = cfg.caches
 
     # -- table consultation (single source of truth) -------------------------
+    #
+    # Each rule below is derived from the tables the first time a search
+    # meets its inputs and kept on this model, keyed by plain tuples, so a
+    # successor costs no table lookup.
 
-    def _lce_action(self, st_num: int, kind: LceEventKind, attached=None):
-        return self.tables.lce_event_action(
-            _STATE[st_num], LceEvent(kind, attached))
+    @cached_property
+    def _local_rules(self) -> list:
+        """Per cache: entry -> `_local_rule`."""
+        return [{} for _ in range(self.n)]
 
-    # -- successor generation -------------------------------------------------
+    @cached_property
+    def _dir_rules(self) -> dict:
+        """(dir_rec, request message) -> `_dir_rule`."""
+        return {}
 
-    def successors(self, state):
-        """Yield (label, next_state) for every enabled transition."""
-        caches, dir_rec, mem_latest, txn, msgs = state
-        mut = self.cfg.mutation
+    @cached_property
+    def _cmd_rules(self) -> dict:
+        """(cache entry, command message) -> `_cmd_rule`."""
+        return {}
 
-        # Cache-initiated operations.
-        for i, (st, latest, pend) in enumerate(caches):
-            if pend != IDLE:
-                continue
-            if st in WRITABLE_NUMS:
-                # Store hit; E upgrades silently to M.
-                nc = list(caches)
-                nc[i] = (_NUM[M], 1, IDLE)
-                c2, m2, g2 = _stale_others(tuple(nc), mem_latest, msgs, i)
-                yield (f"cache {i}: store hit in {_STATE[st].value}",
-                       (c2, dir_rec, m2, txn, g2))
-            else:
-                # Store miss or upgrade request.
-                act = self._lce_action(st, LceEventKind.Store)
-                if act.is_miss:
-                    nc = list(caches)
-                    nc[i] = (st, latest, WR)
-                    yield (f"cache {i}: write request from {_STATE[st].value}",
-                           (tuple(nc), dir_rec, mem_latest, txn,
-                            _with_msg(msgs, ("req", i, WR))))
-            if st == 0:
-                kinds = (RD, RD_NE) if self.cfg.include_ne else (RD,)
-                for kind in kinds:
-                    nc = list(caches)
-                    nc[i] = (st, latest, kind)
-                    yield (f"cache {i}: {_REQ_NAMES[kind]} request",
-                           (tuple(nc), dir_rec, mem_latest, txn,
-                            _with_msg(msgs, ("req", i, kind))))
-            if self.cfg.include_repl and _STATE[st] in (E, M, O):
-                nc = list(caches)
-                nc[i] = (st, latest, REPL)
-                yield (f"cache {i}: evict {_STATE[st].value} block",
-                       (tuple(nc), dir_rec, mem_latest, txn,
-                        _with_msg(msgs, ("req", i, REPL))))
-
-        # Message deliveries (nondeterministic multiset removal).
-        for msg in set(msgs):
-            if msg[0] == "req":
-                if txn == ():
-                    yield from self._start_txn(state, msg)
-            elif msg[0] == "invack":
-                r, acks, wb, grant, gst, coh, cmd = txn
-                yield (f"directory: collect InvAck from cache {msg[1]}",
-                       self._txn_progress(state, (r, acks - 1, wb, grant,
-                                                  gst, coh, cmd), remove=msg))
-            elif msg[0] == "wb":
-                _, src, dirty, lat = msg
-                r, acks, wb, grant, gst, coh, cmd = txn
-                new_mem = lat if dirty else mem_latest
-                yield (f"directory: consume "
-                       f"{'dirty' if dirty else 'null'} writeback from "
-                       f"cache {src}",
-                       self._txn_progress(
-                           (caches, dir_rec, new_mem, txn, msgs),
-                           (r, acks, 0, grant, gst, coh, cmd), remove=msg))
-            elif msg[0] == "cohack":
-                r, acks, wb, grant, gst, coh, cmd = txn
-                yield ("directory: transaction done (CohAck)",
-                       self._txn_progress(state, (r, acks, wb, grant,
-                                                  gst, 0, cmd), remove=msg))
-            elif msg[0] in ("inv", "cmd"):
-                yield from self._deliver_cmd(state, msg)
-            elif msg[0] in ("fill", "stw"):
-                yield from self._deliver_grant(state, msg)
-            else:
-                raise AssertionError(msg)
-
-    # -- directory ------------------------------------------------------------
+    def _local_rule(self, i, entry):
+        """The operations cache i can start in `entry`: ((new entry,
+        request sent as a 1-tuple or None for a store hit, label text),
+        ...)."""
+        st, latest, pend = entry
+        if pend != IDLE:
+            return ()
+        ops = []
+        if st in WRITABLE_NUMS:
+            # Store hit; E upgrades silently to M.
+            ops.append(((_M_NUM, 1, IDLE), None,
+                        f"store hit in {_LETTER[st]}"))
+        elif self.tables.lce_event_action(
+                _STATE[st], LceEvent(LceEventKind.Store)).is_miss:
+            # Store miss or upgrade request.
+            ops.append(((st, latest, WR), (("req", i, WR),),
+                        f"write request from {_LETTER[st]}"))
+        if st == 0:
+            for kind in ((RD, RD_NE) if self.cfg.include_ne else (RD,)):
+                ops.append(((st, latest, kind), (("req", i, kind),),
+                            f"{_REQ_NAMES[kind]} request"))
+        elif st in _EMO_NUMS and self.cfg.include_repl:
+            ops.append(((st, latest, REPL), (("req", i, REPL),),
+                        f"evict {_LETTER[st]} block"))
+        return tuple(ops)
 
     def _dir_view(self, dir_rec):
         owner = next((j for j in range(self.n) if dir_rec[j] in OWNER_NUMS),
@@ -235,21 +253,12 @@ class Model:
                      else S if sharers else I)
         return owner, sharers, dir_state
 
-    def _start_txn(self, state, msg):
-        caches, dir_rec, mem_latest, txn, msgs = state
+    def _dir_rule(self, dir_rec, msg):
+        """The directory's acceptance of request `msg`: (new dir_rec,
+        messages sent, new txn, dir state letter)."""
         _, i, pend = msg
         mut = self.cfg.mutation
         owner, sharers, dir_state = self._dir_view(dir_rec)
-        if pend == REPL and _STATE[dir_rec[i]] not in (E, M, O):
-            # The would-be victim lost its copy (or only held it shared)
-            # before the replacement was processed: nothing to write back.
-            nc = list(caches)
-            st, lat, _ = caches[i]
-            nc[i] = (st, lat, IDLE)
-            yield (f"directory: drop stale replacement from cache {i}",
-                   (tuple(nc), dir_rec, mem_latest, txn,
-                    _with_msg(msgs, remove=msg)))
-            return
         if pend == RD:
             kind = DirRequestKind.ReqRd
         elif pend == RD_NE:
@@ -283,7 +292,7 @@ class Model:
             targets = [t for t in sharers if t != i]
 
         new_rec = list(dir_rec)
-        adds = [("inv", t) for t in targets]
+        adds = tuple(sorted(("inv", t) for t in targets))
         for t in targets:
             new_rec[t] = 0
         wb = 0
@@ -315,48 +324,21 @@ class Model:
         new_txn = (i, len(targets), wb, grant,
                    -1 if grant_state is None else _NUM[grant_state],
                    need_cohack, deferred)
-        nxt = self._txn_progress(
-            (caches, tuple(new_rec), mem_latest, txn,
-             _with_msg(msgs, *adds, remove=msg)), new_txn)
-        yield (f"directory: accept {_REQ_NAMES[pend]} from cache {i} "
-               f"(dir state {dir_state.value})", nxt)
+        return tuple(new_rec), adds, new_txn, dir_state.value
 
-    def _txn_progress(self, state, new_txn, remove=None):
-        """Install an updated transaction record, firing the deferred
-        grant or closing the transaction once collection is complete."""
-        caches, dir_rec, mem_latest, _, msgs = state
-        if remove is not None:
-            msgs = _with_msg(msgs, remove=remove)
-        r, acks, wb, grant, gst, coh, cmd = new_txn
-        if acks < 0 or wb < 0:
-            raise ModelError(f"cache {r} got more responses than it awaited")
-        if acks == 0 and cmd:
-            msgs = _with_msg(msgs, cmd)
-            cmd = ()
-        if acks == 0 and wb == 0 and not cmd and grant:
-            if grant == 1:
-                msgs = _with_msg(msgs, ("fill", r, gst, mem_latest))
-            else:
-                msgs = _with_msg(msgs, ("stw", r, gst))
-            grant = 0
-        if acks == 0 and wb == 0 and grant == 0 and coh == 0 and not cmd:
-            return (caches, dir_rec, mem_latest, (), msgs)
-        return (caches, dir_rec, mem_latest,
-                (r, acks, wb, grant, gst, coh, cmd), msgs)
-
-    # -- cache message handling ------------------------------------------------
-
-    def _deliver_cmd(self, state, msg):
-        caches, dir_rec, mem_latest, txn, msgs = state
+    def _cmd_rule(self, entry, msg):
+        """Cache `msg[1]` in `entry` handling command `msg`: (cache index,
+        new entry, messages sent, label text)."""
         if msg[0] == "inv":
             i, ck, set_st, tr_st, target = msg[1], _CK_NUM[CommandKind.Inv], -1, -1, -1
         else:
             _, i, ck, set_st, tr_st, target = msg
-        st, latest, pend = caches[i]
+        st, latest, pend = entry
         kind = _CK_EVENT[_CK[ck]]
         attached = _STATE[set_st] if set_st >= 0 else None
         try:
-            act = self._lce_action(st, kind, attached)
+            act = self.tables.lce_event_action(_STATE[st],
+                                               LceEvent(kind, attached))
         except (ImpossibleTransition, ValueError) as exc:
             raise ModelError(
                 f"cache {i} in {_STATE[st].value} got {kind.value}: {exc}"
@@ -380,80 +362,218 @@ class Model:
         nxt_st = st if act.next_state is None else _NUM[act.next_state]
         if pend == REPL and kind is LceEventKind.StWb:
             pend = IDLE   # the eviction's writeback completes it
-        nc = list(caches)
-        nc[i] = (nxt_st, latest, pend)
-        yield (f"cache {i}: {kind.value} -> "
-               f"{_STATE[nxt_st].value}",
-               (tuple(nc), dir_rec, mem_latest, txn,
-                _with_msg(msgs, *adds, remove=msg)))
+        return (i, (nxt_st, latest, pend), tuple(sorted(adds)),
+                f"{kind.value} -> {_LETTER[nxt_st]}")
 
-    def _deliver_grant(self, state, msg):
+    # -- successor generation -------------------------------------------------
+
+    def successors(self, state) -> list:
+        """Every state one enabled transition leads to, one entry per
+        transition, in a fixed order."""
+        return self._expand(state, None)
+
+    def labelled_successors(self, state) -> list:
+        """[(label, next state)] in the order `successors` gives them."""
+        labels = []
+        succs = self._expand(state, labels)
+        return list(zip(labels, succs))
+
+    def _expand(self, state, labels):
+        """The successors of `state`; with a `labels` list, also append
+        each transition's label to it."""
         caches, dir_rec, mem_latest, txn, msgs = state
-        if msg[0] == "fill":
-            _, i, gst, lat = msg
-        else:
-            _, i, gst = msg
-            lat = caches[i][1]
-        st, latest, pend = caches[i]
-        nc = list(caches)
-        write = pend == WR
-        nc[i] = (gst, 1 if write else lat, IDLE)
-        new_msgs = _with_msg(msgs, ("cohack", i), remove=msg)
-        nstate = (tuple(nc), dir_rec, mem_latest, txn, new_msgs)
-        if write:
-            c2, m2, g2 = _stale_others(nstate[0], mem_latest, new_msgs, i)
-            nstate = (c2, dir_rec, m2, txn, g2)
-        verb = "install fill" if msg[0] == "fill" else "upgrade (STW)"
-        yield (f"cache {i}: {verb} -> {_STATE[gst].value}", nstate)
+        dir_rules = self._dir_rules
+        cmd_rules = self._cmd_rules
+        out = []
+
+        # Cache-initiated operations.
+        local_rules = self._local_rules
+        for i, entry in enumerate(caches):
+            ops = local_rules[i].get(entry)
+            if ops is None:
+                ops = local_rules[i][entry] = self._local_rule(i, entry)
+            for new_entry, req, text in ops:
+                nc = _put(caches, i, new_entry)
+                if req is None:
+                    nc, ms = _stale_others(nc, msgs, i)
+                    out.append((nc, dir_rec, 0, txn, ms))
+                else:
+                    out.append((nc, dir_rec, mem_latest, txn,
+                                _with(msgs, req)))
+                if labels is not None:
+                    labels.append(f"cache {i}: {text}")
+
+        # Message deliveries (nondeterministic multiset removal), each
+        # distinct message once, in the tuple's sorted order.
+        prev = None
+        for k, msg in enumerate(msgs):
+            if msg == prev:
+                continue
+            prev = msg
+            tag = msg[0]
+            if tag == "req":
+                if txn:
+                    continue
+                rest = msgs[:k] + msgs[k + 1:]
+                i, pend = msg[1], msg[2]
+                if pend == REPL and dir_rec[i] not in _EMO_NUMS:
+                    # The would-be victim lost its copy (or only held it
+                    # shared) before the replacement was processed: nothing
+                    # to write back.
+                    st, lat, _ = caches[i]
+                    out.append((_put(caches, i, (st, lat, IDLE)), dir_rec,
+                                mem_latest, txn, rest))
+                    if labels is not None:
+                        labels.append(
+                            f"directory: drop stale replacement from cache {i}")
+                    continue
+                key = (dir_rec, msg)
+                rule = dir_rules.get(key)
+                if rule is None:
+                    rule = dir_rules[key] = self._dir_rule(dir_rec, msg)
+                new_rec, adds, new_txn, letter = rule
+                out.append(_txn_progress(caches, new_rec, mem_latest,
+                                         _with(rest, adds), *new_txn))
+                if labels is not None:
+                    labels.append(f"directory: accept {_REQ_NAMES[pend]} "
+                                  f"from cache {i} (dir state {letter})")
+            elif tag == "invack":
+                r, acks, wb, grant, gst, coh, cmd = txn
+                out.append(_txn_progress(caches, dir_rec, mem_latest,
+                                         msgs[:k] + msgs[k + 1:],
+                                         r, acks - 1, wb, grant, gst, coh,
+                                         cmd))
+                if labels is not None:
+                    labels.append(
+                        f"directory: collect InvAck from cache {msg[1]}")
+            elif tag == "wb":
+                _, src, dirty, lat = msg
+                r, acks, wb, grant, gst, coh, cmd = txn
+                out.append(_txn_progress(caches, dir_rec,
+                                         lat if dirty else mem_latest,
+                                         msgs[:k] + msgs[k + 1:],
+                                         r, acks, 0, grant, gst, coh, cmd))
+                if labels is not None:
+                    labels.append(f"directory: consume "
+                                  f"{'dirty' if dirty else 'null'} writeback "
+                                  f"from cache {src}")
+            elif tag == "cohack":
+                r, acks, wb, grant, gst, coh, cmd = txn
+                out.append(_txn_progress(caches, dir_rec, mem_latest,
+                                         msgs[:k] + msgs[k + 1:],
+                                         r, acks, wb, grant, gst, 0, cmd))
+                if labels is not None:
+                    labels.append("directory: transaction done (CohAck)")
+            elif tag == "inv" or tag == "cmd":
+                key = (caches[msg[1]], msg)
+                rule = cmd_rules.get(key)
+                if rule is None:
+                    rule = cmd_rules[key] = self._cmd_rule(*key)
+                i, entry, adds, text = rule
+                out.append((_put(caches, i, entry), dir_rec, mem_latest, txn,
+                            _with(msgs[:k] + msgs[k + 1:], adds)))
+                if labels is not None:
+                    labels.append(f"cache {i}: {text}")
+            elif tag == "fill" or tag == "stw":
+                i, gst = msg[1], msg[2]
+                st, latest, pend = caches[i]
+                write = pend == WR
+                lat = 1 if write else msg[3] if tag == "fill" else latest
+                nc = _put(caches, i, (gst, lat, IDLE))
+                ms = _with(msgs[:k] + msgs[k + 1:], (("cohack", i),))
+                if write:
+                    nc, ms = _stale_others(nc, ms, i)
+                    out.append((nc, dir_rec, 0, txn, ms))
+                else:
+                    out.append((nc, dir_rec, mem_latest, txn, ms))
+                if labels is not None:
+                    verb = "install fill" if tag == "fill" else "upgrade (STW)"
+                    labels.append(f"cache {i}: {verb} -> {_LETTER[gst]}")
+            else:
+                raise AssertionError(msg)
+        return out
+
+
+def _trace(model: Model, parents: dict, state) -> list:
+    """The labels of the transitions from the initial state to `state`
+    along `parents`: each is the first transition, in expansion order,
+    from the predecessor to the next state on the path."""
+    path = [state]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return [next(label for label, s in model.labelled_successors(prev)
+                 if s == nxt)
+            for prev, nxt in zip(path, path[1:])]
 
 
 def check(cfg: CheckConfig) -> CheckResult:
     """Breadth-first exploration; deterministic, first counterexample."""
     model = Model(cfg)
+    # The search makes no reference cycles, so the cyclic garbage collector
+    # would only rescan the ever-growing set of stored states (about 5% of
+    # the time of an exhaustive 4-cache search).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(model, cfg)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _search(model: Model, cfg: CheckConfig) -> CheckResult:
+    successors = model.successors
     init = initial_state(cfg.caches)
-    parents = {init: None}
-    frontier = deque([(init, 0)])
-    states = 1
-    depth = 0
-    capped = False
-
-    def trace_to(state):
-        steps = []
-        cur = parents[state]
-        while cur is not None:
-            prev, lab = cur
-            steps.append(lab)
-            cur = parents[prev]
-        return list(reversed(steps))
-
     bad = check_invariants(init)
     if bad:
-        return CheckResult(False, False, states, 0, bad, [])
-    while frontier:
-        state, d = frontier.popleft()
-        depth = max(depth, d)
-        if cfg.max_depth is not None and d >= cfg.max_depth:
-            capped = True
-            continue
-        try:
-            succs = sorted(model.successors(state),
-                           key=lambda t: (t[0], t[1]))
-        except ModelError as exc:
-            return CheckResult(False, False, states, d,
-                               f"impossible transition: {exc}",
-                               trace_to(state))
-        for label, nxt in succs:
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, label)
-            states += 1
-            bad = check_invariants(nxt)
-            if bad:
-                return CheckResult(False, False, states, d + 1, bad,
-                                   trace_to(nxt))
-            if cfg.max_states is not None and states >= cfg.max_states:
-                capped = True
-                frontier.clear()
-                break
-            frontier.append((nxt, d + 1))
-    return CheckResult(True, not capped, states, depth)
+        return CheckResult(False, False, 1, 0, bad, [])
+    parents = {init: None}
+    # Interned caches tuples, all of which satisfy the invariants (those
+    # read only the caches), and interned other parts of stored states.
+    checked = {init[0]: init[0]}
+    intern = {}.setdefault
+    level = [init]
+    depth = 0
+    while True:
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            return CheckResult(True, False, len(parents), depth)
+        next_level = []
+        for state in level:
+            try:
+                succs = successors(state)
+            except ModelError as exc:
+                return CheckResult(False, False, len(parents), depth,
+                                   f"impossible transition: {exc}",
+                                   _trace(model, parents, state))
+            for nxt in succs:
+                if nxt in parents:
+                    continue
+                caches, dir_rec, mem_latest, txn, msgs = nxt
+                if caches is not state[0]:
+                    canon = checked.get(caches)
+                    if canon is None:
+                        bad = check_invariants(nxt)
+                        if bad:
+                            parents[nxt] = state
+                            return CheckResult(False, False, len(parents),
+                                               depth + 1, bad,
+                                               _trace(model, parents, nxt))
+                        canon = checked[caches] = caches
+                    caches = canon
+                if dir_rec is not state[1]:
+                    dir_rec = intern(dir_rec, dir_rec)
+                if txn is not state[3]:
+                    txn = intern(txn, txn)
+                if msgs is not state[4]:
+                    msgs = intern(msgs, msgs)
+                nxt = (caches, dir_rec, mem_latest, txn, msgs)
+                parents[nxt] = state
+                if cfg.max_states is not None \
+                        and len(parents) >= cfg.max_states:
+                    return CheckResult(True, False, len(parents), depth)
+                next_level.append(nxt)
+        if not next_level:
+            return CheckResult(True, True, len(parents), depth)
+        level = next_level
+        depth += 1

@@ -83,11 +83,13 @@ class MemoryModel:
                        lce=cmd.lce, way=cmd.way, state=cmd.state)
 
     def tick(self, now: int, net: Network):
-        for msg in net.deliver(now, self.endpoint):
-            if msg.net is not NetKind.MemCmd:
-                raise AssertionError(f"unexpected {msg.net} at {self.endpoint}")
-            resp = self.handle_mem_cmd(msg.payload)
-            self.inflight.append((now + self.cfg.latency, msg.src, resp))
+        if net.next_ready.get(self.endpoint, now + 1) <= now:
+            for msg in net.deliver(now, self.endpoint):
+                if msg.net is not NetKind.MemCmd:
+                    raise AssertionError(
+                        f"unexpected {msg.net} at {self.endpoint}")
+                resp = self.handle_mem_cmd(msg.payload)
+                self.inflight.append((now + self.cfg.latency, msg.src, resp))
         while self.inflight and self.inflight[0][0] <= now:
             _, dst, resp = self.inflight.popleft()
             beats = net.beats_of(resp.data)

@@ -26,6 +26,8 @@ from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
 
 CORES_SWEEP = (2, 4, 8, 16)
+# (states, depth) of the exhaustive 4-cache searches.
+EXHAUSTIVE_4 = {"mesi": (196_640, 37), "moesif": (309_060, 37)}
 BEATS_SWEEP = (1, 8)
 
 
@@ -107,11 +109,17 @@ def test_criterion_4_model_checking():
                 result = check(CheckConfig(protocol=protocol, caches=caches))
                 assert result.verified and result.exhaustive, \
                     (protocol, caches, result.violation)
+                if caches == 4:
+                    assert (result.states, result.depth) == \
+                        EXHAUSTIVE_4[protocol], (protocol, result.summary())
         cap = min(int(os.environ.get("COHSIM_CHECK_MAX_STATES", "200000")),
                   10_000_000)
         bounded = check(CheckConfig(protocol="mesi", caches=8,
                                     max_states=cap))
         assert bounded.verified, bounded.violation
+        if cap == 200_000:
+            assert (bounded.states, bounded.depth) == (200_000, 6), \
+                bounded.summary()
         for protocol in ("mesi", "moesif"):
             for mutation in MUTATIONS:
                 result = check(CheckConfig(protocol=protocol, caches=3,

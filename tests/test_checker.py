@@ -1,8 +1,23 @@
 """Explicit-state model checker for the protocol tables."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from cohsim.checker import CheckConfig, CheckResult, MUTATIONS, check
+from cohsim.checker import (CheckConfig, CheckResult, MUTATIONS, Model,
+                            check, check_invariants, initial_state)
+
+# (states, depth) of exhaustive searches, and the depth at which each
+# seeded mutation is caught with 3 caches (the same for both protocols).
+# Breadth-first search fixes these whatever order it expands a level in.
+EXHAUSTIVE = {("mesi", 2): (776, 22), ("moesif", 2): (942, 22),
+              ("mesi", 3): (12_574, 28), ("moesif", 3): (17_680, 29)}
+MUTANT_DEPTH = {"drop-invalidations": 7, "grant-e-with-sharers": 7,
+                "skip-writeback": 11, "wrong-transfer-state": 8}
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestVerification:
@@ -12,10 +27,17 @@ class TestVerification:
         assert result.verified and result.exhaustive
         assert result.violation is None
         assert "verified" in result.summary().lower()
+        assert (result.states, result.depth) == EXHAUSTIVE[protocol, 2]
 
     def test_three_caches_mesi(self):
         result = check(CheckConfig(protocol="mesi", caches=3))
         assert result.verified and result.exhaustive
+        assert (result.states, result.depth) == EXHAUSTIVE["mesi", 3]
+
+    def test_three_caches_moesif(self):
+        result = check(CheckConfig(protocol="moesif", caches=3))
+        assert result.verified and result.exhaustive
+        assert (result.states, result.depth) == EXHAUSTIVE["moesif", 3]
 
     def test_deterministic(self):
         a = check(CheckConfig(protocol="mesi", caches=2))
@@ -40,8 +62,29 @@ class TestMutations:
         assert result.violation is not None
         assert result.trace, "counterexample trace missing"
         assert result.depth <= 12
-        # Every trace step is a human-readable transition label.
+        assert result.depth == len(result.trace) == MUTANT_DEPTH[mutation]
+        # Every trace step is a human-readable transition label, and the
+        # labels, re-derived after the search, name a path of transitions
+        # from the initial state to the first violating state.
         assert all(isinstance(step, str) and step for step in result.trace)
+        model = Model(CheckConfig(protocol=protocol, caches=3,
+                                  mutation=mutation))
+        state = initial_state(3)
+        for label in result.trace:
+            assert check_invariants(state) is None
+            state = next(nxt for lab, nxt in model.labelled_successors(state)
+                         if lab == label)
+        assert check_invariants(state) == result.violation
+
+    def test_labels_match_successors(self):
+        model = Model(CheckConfig(protocol="moesif", caches=3))
+        frontier = [initial_state(3)]
+        for _ in range(6):
+            state = frontier.pop()
+            labelled = model.labelled_successors(state)
+            assert [nxt for _, nxt in labelled] == model.successors(state)
+            assert len({lab for lab, _ in labelled}) == len(labelled)
+            frontier += [nxt for _, nxt in labelled]
 
     def test_mutations_deterministic(self):
         a = check(CheckConfig(protocol="moesif", caches=2,
@@ -53,3 +96,30 @@ class TestMutations:
     def test_unknown_mutation_rejected(self):
         with pytest.raises((ValueError, KeyError)):
             check(CheckConfig(protocol="mesi", caches=2, mutation="nonsense"))
+
+
+_RESULTS_SCRIPT = """
+from cohsim.checker import CheckConfig, check
+print(repr(check(CheckConfig(protocol="moesif", caches=3,
+                             mutation="wrong-transfer-state"))))
+print(repr(check(CheckConfig(protocol="mesi", caches=3))))
+"""
+
+
+def test_results_independent_of_hash_seed():
+    """Exploration order, and so every result and trace, must not depend
+    on string hashing."""
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _RESULTS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "CheckResult(verified=False" in outs[0]
+    assert "CheckResult(verified=True, exhaustive=True, states=12574" \
+        in outs[0]

@@ -1,10 +1,30 @@
 """Command-line interface: every subcommand, exit codes, stable output."""
 
+import re
+
 import pytest
 
 from cohsim import harness
 from cohsim.cli import load_config, main
 from cohsim.ucode.engine import default_program
+
+
+_ST = "[ISEMOF]"
+# Every transition label the model checker prints in a counterexample.
+CHECK_LABELS = (
+    rf"cache \d+: store hit in {_ST}",
+    rf"cache \d+: write request from {_ST}",
+    r"cache \d+: (read|read-ne) request",
+    rf"cache \d+: evict {_ST} block",
+    rf"cache \d+: (Inv|DATA|STW|WB|ST-WB|TR|ST-TR|ST-TR-WB) -> {_ST}",
+    rf"cache \d+: (install fill|upgrade \(STW\)) -> {_ST}",
+    r"directory: collect InvAck from cache \d+",
+    r"directory: consume (dirty|null) writeback from cache \d+",
+    r"directory: transaction done \(CohAck\)",
+    r"directory: drop stale replacement from cache \d+",
+    rf"directory: accept (read|read-ne|write|replace) from cache \d+ "
+    rf"\(dir state {_ST}\)",
+)
 
 
 @pytest.fixture
@@ -101,6 +121,23 @@ class TestCheck:
         rc = main(["check", "--protocol", "moesif", "--caches", "2",
                    "--mutation", "drop-invalidations"])
         assert rc == 1
+
+    def test_counterexample_steps(self, capsys):
+        rc = main(["check", "--protocol", "mesi", "--caches", "3",
+                   "--mutation", "drop-invalidations"])
+        assert rc == 1
+        head, *steps = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"VIOLATION at depth 7 \(\d+ states explored\): "
+                            r"SWMR: .*", head)
+        assert len(steps) == 7
+        for n, line in enumerate(steps, 1):
+            number, label = line.split(". ", 1)
+            assert number == f"  {n}"
+            assert any(re.fullmatch(p, label) for p in CHECK_LABELS), label
+        labels = "\n".join(steps)
+        assert re.search(r"cache \d: (read|read-ne|write) request", labels)
+        assert re.search(r"directory: accept \S+ from cache \d "
+                         r"\(dir state [IS]\)", labels)
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -80,3 +80,31 @@ class TestMemoryModel:
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=False))
         mem.tick(1, net)
         assert mem.next_event() == 8
+
+    def test_deliver_only_when_a_command_is_due(self):
+        """A tick for a ready response alone leaves the network's deliver
+        alone; the responses are the same either way."""
+        net = Network(NetConfig(latency=1))
+        mem = MemoryModel(MemoryConfig(latency=3))
+        _send_cmd(net, MemCmd(addr=0x8000_0000, write=True,
+                              data=b"\x33" * 64))
+        _send_cmd(net, MemCmd(addr=0x8000_0040, write=False))
+        calls, due, ticked = [], [], []
+        real_deliver = net.deliver
+
+        def deliver(now, dst):
+            calls.append(now)
+            return real_deliver(now, dst)
+
+        net.deliver = deliver
+        for t in range(1, 40):
+            if mem.has_work(t, net):
+                ticked.append(t)
+                if net.next_ready.get("mem", t + 1) <= t:
+                    due.append(t)
+                mem.tick(t, net)
+        assert calls == due
+        assert set(ticked) - set(due), "no tick for a response alone"
+        out = real_deliver(60, "cce0")
+        assert [(m.payload.addr, m.payload.write) for m in out] == \
+            [(0x8000_0000, True), (0x8000_0040, False)]
