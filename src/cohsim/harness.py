@@ -297,11 +297,13 @@ def run_trace(system: System, ops, monitors=(),
         q.reverse()  # pop() from the tail
     heads = {d: 0 for d in domain_order}   # index into each order list
     outstanding = {}   # cache -> domain of its outstanding op, or "fence"
+    fenced = []        # caches whose outstanding op is a fence
     report = RunReport()
     start = system.now
     deadline = start + limit
+    retired = ()
     # Only a finish or a retire can make a queue head eligible, so the
-    # issue pass runs only in a cycle that follows one.
+    # issue pass runs only after one.
     changed = True
 
     def finish(d):
@@ -311,16 +313,15 @@ def run_trace(system: System, ops, monitors=(),
         changed = True
 
     while system.now < deadline:
-        # Retire finished operations.
-        for i, d in list(outstanding.items()):
-            if d == "fence":
-                if system.idle():
-                    del outstanding[i]
-                    report.completed += 1
-                    changed = True
-            elif system.lces[i].miss is None:
+        # Retire the misses that ended, and the fences once all is idle.
+        for i in retired:
+            finish(outstanding.pop(i))
+        if fenced and system.idle():
+            for i in fenced:
                 del outstanding[i]
-                finish(d)
+            report.completed += len(fenced)
+            fenced.clear()
+            changed = True
         # Issue new ones.
         if changed:
             changed = False
@@ -331,6 +332,7 @@ def run_trace(system: System, ops, monitors=(),
                 if op.op == "FENCE":
                     q.pop()
                     outstanding[i] = "fence"
+                    fenced.append(i)
                     continue
                 d = domains[idx]
                 if domain_order[d][heads[d]] != idx:
@@ -351,7 +353,10 @@ def run_trace(system: System, ops, monitors=(),
                     outstanding[i] = d
         if report.completed == len(ops) and system.idle():
             break
-        system.step()
+        # An op that finished at issue may free the next one, so the issue
+        # pass runs again after one cycle; otherwise nothing changes until
+        # a miss ends or the system goes idle.
+        retired = system.advance(system.now + 1 if changed else deadline)
     else:
         raise TraceError(f"trace did not complete within {limit} cycles")
     system.run(limit=limit)  # drain posted traffic

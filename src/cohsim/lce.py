@@ -12,8 +12,8 @@ from . import protocol
 from .messages import (AtomicOp, CceCommand, CohRequest, Emission, FillData,
                        LceResponse, NetKind, NetMessage)
 from .protocol import (CoherenceState, CommandKind, I, E, M,
-                       ImpossibleTransition, LceEvent, LceEventKind,
-                       WRITABLE_STATES, state_permissions)
+                       ImpossibleTransition, LceAction, LceEvent,
+                       LceEventKind, WRITABLE_STATES, state_permissions)
 
 
 class Busy(Exception):
@@ -103,15 +103,38 @@ class Lce:
         self.on_load = None
         self.on_store = None
         self.on_state = None   # on_state(block addr) after a state write
+        # Table lookups memoised on plain values, so that resolving one
+        # hashes no enum member: state value -> `state_permissions`, and
+        # (tables, state value, event kind value, attached state value)
+        # -> `lce_event_action`.
+        self._perms = {s.value: state_permissions(s) for s in CoherenceState}
+        self._actions = {}
 
     # -- lookup helpers ----------------------------------------------------
 
     def _lookup(self, addr: int):
-        tag = self.cfg.tag_of(addr)
-        for way, line in enumerate(self.sets[self.cfg.set_index(addr)]):
+        cfg = self.cfg
+        blk = addr // cfg.block_bytes
+        tag = blk // cfg.sets
+        for way, line in enumerate(self.sets[blk % cfg.sets]):
             if line.state is not I and line.tag == tag:
                 return way, line
         return None, None
+
+    def _action(self, state: CoherenceState, kind,
+                attached: Optional[CoherenceState] = None) -> LceAction:
+        """The table's action for event `kind` with `attached` state in
+        `state`.  `kind` is an LceEventKind, or a CommandKind, which
+        names the event column of the same name."""
+        key = (self.tables, state._value_, kind._value_,
+               attached and attached._value_)
+        action = self._actions.get(key)
+        if action is None:
+            event = LceEvent(LceEventKind(kind._value_),
+                             attached_state=attached)
+            action = self._actions[key] = self.tables.lce_event_action(
+                state, event)
+        return action
 
     def set_state(self, line: CacheLine, state: CoherenceState, addr: int):
         """The one writer of a line's coherence state; reports the block
@@ -161,7 +184,7 @@ class Lce:
         way, line = self._lookup(addr)
         wants_write = write or atomic is not None
         if line is not None:
-            perms = state_permissions(line.state)
+            perms = self._perms[line.state._value_]
             if not wants_write and perms["read"]:
                 self._touch(line)
                 value = self._read_bytes(line, addr, size)
@@ -175,11 +198,11 @@ class Lce:
                 return Hit(value=self._apply_write_op(line, addr, size, data, atomic))
 
         # Miss (or write upgrade): consult the Load/Store column and issue.
-        event = LceEvent(LceEventKind.Store if wants_write else LceEventKind.Load)
+        kind = LceEventKind.Store if wants_write else LceEventKind.Load
         state = line.state if line else I
-        if not self.tables.lce_event_action(state, event).is_miss:
+        if not self._action(state, kind).is_miss:
             raise ImpossibleTransition(
-                f"{self.tables.name}: ({state.value}, {event.kind.value}) "
+                f"{self.tables.name}: ({state.value}, {kind.value}) "
                 f"is neither a hit nor a miss")
         set_idx = self.cfg.set_index(addr)
         lru = self.lru_way(set_idx)
@@ -255,16 +278,6 @@ class Lce:
 
     # -- coherence port ----------------------------------------------------
 
-    _EVENT_BY_COMMAND = {
-        CommandKind.Inv: LceEventKind.Inv,
-        CommandKind.StW: LceEventKind.StW,
-        CommandKind.Wb: LceEventKind.Wb,
-        CommandKind.StWb: LceEventKind.StWb,
-        CommandKind.Tr: LceEventKind.Tr,
-        CommandKind.StTr: LceEventKind.StTr,
-        CommandKind.StTrWb: LceEventKind.StTrWb,
-    }
-
     def _respond(self, kind: Emission, addr: int, cce: str,
                  data: Optional[bytes] = None, beats: int = 0):
         resp = LceResponse(kind=kind, lce=self.cfg.lce_id, addr=addr, data=data)
@@ -280,9 +293,7 @@ class Lce:
             return
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
-        event = LceEvent(self._EVENT_BY_COMMAND[cmd.kind],
-                         attached_state=cmd.state)
-        action = self.tables.lce_event_action(state, event)
+        action = self._action(state, cmd.kind, cmd.state)
         block = bytes(line.data) if line else bytes(self.cfg.block_bytes)
 
         for emission in action.sends:

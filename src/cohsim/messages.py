@@ -10,23 +10,22 @@ from .protocol import CoherenceState, CommandKind, Emission
 
 
 class NetKind(Enum):
-    Request = "req"
-    Command = "cmd"
-    Fill = "fill"
-    Response = "resp"
-    MemCmd = "memCmd"
-    MemResp = "memResp"
+    """A logical network.  `priority` is its endpoint arbitration rank:
+    messages due at one endpoint are delivered lowest rank first.  It is a
+    plain attribute, so sorting by it hashes no enum member."""
 
+    Request = "req", 3
+    Command = "cmd", 2
+    Fill = "fill", 1
+    Response = "resp", 0
+    MemCmd = "memCmd", 4
+    MemResp = "memResp", 5
 
-# Endpoint arbitration priority, highest first.
-NET_PRIORITY = {
-    NetKind.Response: 0,
-    NetKind.Fill: 1,
-    NetKind.Command: 2,
-    NetKind.Request: 3,
-    NetKind.MemCmd: 4,
-    NetKind.MemResp: 5,
-}
+    def __new__(cls, value: str, priority: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.priority = priority
+        return member
 
 
 class AtomicOp(Enum):

@@ -9,10 +9,12 @@ flow control for memory commands.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .messages import NET_PRIORITY, NetKind, NetMessage
+from .messages import NetKind, NetMessage
 
 
 class Backpressure(Exception):
@@ -24,6 +26,8 @@ class CreditError(RuntimeError):
 
 
 ORDERINGS = ("fifo", "random")
+INF = float("inf")
+_rank = attrgetter("rank")
 
 
 @dataclass(frozen=True)
@@ -35,17 +39,30 @@ class NetConfig:
     seed: int = 0
 
 
+class _Channel(deque):
+    """One (src, dst, net) FIFO of (ready_time, msg), with its creation
+    rank and the next cycle its link is free."""
+
+    __slots__ = ("rank", "free")
+
+    def __init__(self, rank: int):
+        super().__init__()
+        self.rank = rank
+        self.free = 0
+
+
 class Network:
     def __init__(self, cfg: NetConfig = NetConfig()):
         self.cfg = cfg
-        self.channels = {}       # (src, dst, net) -> deque of (ready_time, msg)
-        self.channel_free = {}   # (src, dst, net) -> next cycle the link is free
-        # dst -> its channels in creation order.
-        self._dst_channels = {}
+        self.channels = {}       # (src, dst, net) -> _Channel
+        # dst -> its channels that hold messages, in creation order.
+        self._busy = {}
         # dst -> earliest ready time of its queued messages; a destination
         # with nothing queued has no entry.  Callers may read it, so that a
         # cycle costs only the destinations whose time has come.
         self.next_ready = {}
+        # The least of `next_ready`, or infinity when nothing is queued.
+        self.earliest = INF
         self.mem_credits_avail = cfg.mem_credits
         self._seq = 0
         self._rng = random.Random(cfg.seed)
@@ -69,58 +86,83 @@ class Network:
             if not self.has_mem_credit():
                 raise Backpressure("memory command credits exhausted")
             self.mem_credits_avail -= 1
-        key = (msg.src, msg.dst, msg.net)
+        dst = msg.dst
+        key = (msg.src, dst, msg.net)
         chan = self.channels.get(key)
         if chan is None:
-            chan = self.channels[key] = deque()
-            self._dst_channels.setdefault(msg.dst, []).append(chan)
+            # Ranks follow global creation order, so they also order each
+            # destination's channels by creation.
+            chan = self.channels[key] = _Channel(len(self.channels))
+            self._busy.setdefault(dst, [])
         # Header occupies one channel cycle, plus one per additional beat.
-        serialization = 1 + max(0, msg.beats - 1)
-        start = max(now, self.channel_free.get(key, 0))
+        serialization = max(1, msg.beats)
+        start = max(now, chan.free)
         ready = start + self.cfg.latency + (serialization - 1)
-        self.channel_free[key] = start + serialization
+        chan.free = start + serialization
         msg.seq = self._seq
         self._seq += 1
+        if not chan:
+            busy = self._busy[dst]
+            if busy and busy[-1].rank > chan.rank:
+                insort(busy, chan, key=_rank)
+            else:
+                busy.append(chan)
         chan.append((ready, msg))
-        if ready < self.next_ready.get(msg.dst, ready + 1):
-            self.next_ready[msg.dst] = ready
+        if ready < self.next_ready.get(dst, ready + 1):
+            self.next_ready[dst] = ready
+            if ready < self.earliest:
+                self.earliest = ready
 
     def next_event(self):
         """Earliest pending delivery time, or None when idle."""
-        return min(self.next_ready.values(), default=None)
+        return None if self.earliest == INF else self.earliest
 
     def any_ready(self, now: int) -> bool:
         """True when some message can be delivered at `now`."""
-        return any(t <= now for t in self.next_ready.values())
+        return self.earliest <= now
 
     def deliver(self, now: int, dst: str):
         """Pop every message for `dst` ready at `now`, priority-sorted.
 
         FIFO order is preserved within each (src, dst, net) channel; in
-        random ordering mode the ready set is permuted across channels
-        before the priority sort (head-of-line FIFO order still holds).
+        random ordering mode the ready set, gathered channel by channel in
+        creation order, is permuted before the priority sort (head-of-line
+        FIFO order still holds).
         """
-        if self.next_ready.get(dst, now + 1) > now:
+        next_ready = self.next_ready
+        due = next_ready.get(dst, INF)
+        if due > now:
             return []
+        busy = self._busy[dst]
         ready = []
         # Ready times rise along a channel, so the heads left queued hold
         # the destination's next ready time.
-        later = []
-        for chan in self._dst_channels[dst]:
+        later = INF
+        emptied = False
+        for chan in busy:
             while chan and chan[0][0] <= now:
                 ready.append(chan.popleft()[1])
-            if chan:
-                later.append(chan[0][0])
-        if later:
-            self.next_ready[dst] = min(later)
+            if not chan:
+                emptied = True
+            elif chan[0][0] < later:
+                later = chan[0][0]
+        if later == INF:
+            busy.clear()
+            del next_ready[dst]
         else:
-            del self.next_ready[dst]
-        if self.cfg.ordering == "random":
-            self._rng.shuffle(ready)
-            ready.sort(key=lambda m: NET_PRIORITY[m.net])
-        else:
-            ready.sort(key=lambda m: (NET_PRIORITY[m.net], m.seq))
+            if emptied:
+                busy[:] = [chan for chan in busy if chan]
+            next_ready[dst] = later
+        if due == self.earliest:
+            # This destination held the earliest time.
+            self.earliest = min(next_ready.values()) if next_ready else INF
+        if len(ready) > 1:
+            if self.cfg.ordering == "random":
+                self._rng.shuffle(ready)
+                ready.sort(key=lambda m: m.net.priority)
+            else:
+                ready.sort(key=lambda m: (m.net.priority, m.seq))
         return ready
 
     def idle(self) -> bool:
-        return not self.next_ready
+        return self.earliest == INF

@@ -298,9 +298,11 @@ def _parse_table(text: str, key_enum, cell_parser):
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolTables:
-    """One protocol variant: parsed cache-controller and directory tables."""
+    """One protocol variant: parsed cache-controller and directory tables.
+
+    Compared and hashed by identity, so a table object can key a dict."""
 
     name: str
     states: tuple

@@ -1,6 +1,7 @@
 """Full-system assembly: caches, coherence engines, network, and memory
-advanced in lockstep, one cycle per step, with optional fast-forward over
-provably idle stretches."""
+advanced in lockstep, one cycle per step.  `advance` steps until the next
+event `harness.run_trace` acts on; `run` drains, with optional fast-forward
+over provably idle stretches."""
 
 from __future__ import annotations
 
@@ -82,6 +83,7 @@ class System:
                                store)
         self.store = store
         self.now = 0
+        self.retired = set()   # see `step` and `advance`
 
     def _make_cce(self, cce_id: int, seg: SegmentConfig):
         if self.cfg.engine == "fsm":
@@ -143,14 +145,19 @@ class System:
         by index, then CCEs, then memory), each reading the network's
         ready times when its turn comes, so with zero latency a message
         sent earlier in the cycle is delivered in it.  An endpoint with
-        nothing due is not delivered to, and memory is ticked only when a
-        command is due or a response is ready; every CCE ticks."""
+        nothing due is not delivered to, the LCEs are visited only when
+        some message is due, and memory is ticked only when a command is
+        due or a response is ready; every CCE ticks.  A cache whose
+        outstanding miss ends in the cycle is added to `retired`."""
         now = self.now
         net = self.net
         due = net.next_ready   # read live: sends earlier in the cycle count
         never = now + 1        # stands in for "nothing queued"
-        for lce, endpoint in zip(self.lces, self.lce_endpoints):
-            if due.get(endpoint, never) <= now:
+        if net.earliest <= now:
+            for lce, endpoint in zip(self.lces, self.lce_endpoints):
+                if due.get(endpoint, never) > now:
+                    continue
+                miss = lce.miss
                 for msg in net.deliver(now, endpoint):
                     cce_ep = self.home_cce(msg.payload.addr).endpoint
                     if msg.net is NetKind.Command:
@@ -161,28 +168,41 @@ class System:
                     else:
                         raise AssertionError(
                             f"unexpected {msg.net} at {endpoint}")
-            if lce.outbox:
-                for out in lce.outbox:
-                    net.send(out, now)
-                lce.outbox.clear()
+                # Only a delivery fills an outbox or ends a miss.
+                if lce.outbox:
+                    for out in lce.outbox:
+                        net.send(out, now)
+                    lce.outbox.clear()
+                if miss is not None and lce.miss is None:
+                    self.retired.add(lce.cfg.lce_id)
         for cce in self.cces:
             if due.get(cce.endpoint, never) <= now:
                 for msg in net.deliver(now, cce.endpoint):
                     cce.accept(msg)
             cce.tick(now)
-        if self.mem.has_work(now, net):
-            self.mem.tick(now, net)
+        mem = self.mem
+        # Memory has work only with a command due or a response in flight.
+        if (mem.inflight or net.earliest <= now) and mem.has_work(now, net):
+            mem.tick(now, net)
         self.now = now + 1
+
+    def advance(self, deadline: int) -> set:
+        """Step at least once, then on until a cache's outstanding miss
+        ends, the system is idle, or `now` reaches `deadline`.  Returns
+        `retired`: the ids of the caches whose miss ended."""
+        retired = self.retired
+        retired.clear()
+        while True:
+            self.step()
+            if retired or self.now >= deadline or self.idle():
+                return retired
 
     def idle(self) -> bool:
         return (self.net.idle() and not self.mem.inflight
-                and not any(lce.outbox for lce in self.lces)
                 and not any(cce.has_pending_input() for cce in self.cces))
 
     def _quiet_now(self) -> bool:
         """True when this cycle can only produce wait/idle everywhere."""
-        if any(lce.outbox for lce in self.lces):
-            return False
         if (self.net.any_ready(self.now)
                 or self.mem.has_work(self.now, self.net)):
             return False
@@ -201,12 +221,14 @@ class System:
     def run(self, limit: int = 1_000_000, fast_forward: bool = True) -> int:
         """Advance until idle (returns cycles elapsed) or the cycle limit."""
         start = self.now
-        while self.now - start < limit:
+        end = start + limit
+        while self.now < end:
             if self.idle():
                 break
             if fast_forward and self._quiet_now():
                 t = self._next_event()
                 if t is not None and t > self.now:
+                    t = min(t, end)   # a skip stops at the limit too
                     skipped = t - self.now
                     for cce in self.cces:
                         cce.note_skipped(skipped)

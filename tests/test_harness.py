@@ -146,6 +146,77 @@ class TestMonitors:
         assert system.lces[1]._lookup(BASE)[1].state is S
 
 
+ENGINES = ["fsm", "ucode"]
+
+
+class TestAdvance:
+    def test_steps_once_on_an_idle_system(self):
+        system = System(SystemConfig(cores=2, sets=8))
+        assert system.advance(100) == set()
+        assert system.now == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_stops_in_the_cycle_a_miss_ends(self, engine):
+        def started():
+            system = System(SystemConfig(cores=2, sets=8, engine=engine))
+            system.submit(1, BASE, write=False)
+            return system
+
+        stepped = started()
+        while stepped.lces[1].miss is not None:
+            stepped.step()
+        system = started()
+        assert system.advance(1000) == {1}
+        assert system.now == stepped.now
+        # The fill's CohAck is still on its way, so the next call goes on
+        # until the system is idle.
+        assert system.advance(1000) == set()
+        assert system.idle()
+
+    def test_stops_at_the_deadline(self):
+        system = System(SystemConfig(cores=2, sets=8))
+        system.submit(0, BASE, write=False)
+        assert system.advance(3) == set()
+        assert system.now == 3 and system.lces[0].miss is not None
+
+
+class TestLimits:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_trace_deadline_raises(self, engine):
+        ops = random_workload(5, lces=2, ops=40, footprint_blocks=16)
+        system = System(SystemConfig(cores=2, sets=16, engine=engine))
+        with pytest.raises(TraceError, match="within 25 cycles"):
+            run_trace(system, ops, limit=25)
+        assert system.now == 25
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_stops_at_its_limit(self, engine):
+        """`run(limit=n)` on a busy system advances exactly n cycles, also
+        when a fast-forward would jump past the limit, and runs cut short
+        end where one whole run does, with the same cycle accounting."""
+        def busy():
+            system = System(SystemConfig(cores=2, sets=8, engine=engine))
+            system.submit(0, BASE, write=True, data=b"\x11" * 8)
+            return system
+
+        def counters(system):
+            return [(c.stats.busy_cycles, c.stats.wait_cycles,
+                     c.stats.stall_cycles, c.stats.idle_cycles)
+                    for c in system.cces]
+
+        whole = busy()
+        total = whole.run()
+        for n in range(1, total):
+            system = busy()
+            assert system.run(limit=n) == n
+            assert system.now == n and not system.idle()
+        pieces = busy()
+        while not pieces.idle():
+            pieces.run(limit=3)
+        assert pieces.now == whole.now == total
+        assert counters(pieces) == counters(whole)
+
+
 class TestSystemConfig:
     @pytest.mark.parametrize("kwargs,message", [
         ({"sets": 3}, "sets must be a power of two"),
@@ -267,6 +338,15 @@ class TestBitIdentity:
                     dict(lces=8, footprint_blocks=64)),
         "4c-lat0": (dict(cores=4, sets=16, net_latency=0),
                     dict(lces=4, footprint_blocks=64)),
+        "4c-fence": (dict(cores=4, sets=16),
+                     dict(lces=4, footprint_blocks=64, fence_ratio=0.2)),
+    }
+    # Ops appended to a shape's trace.  A fence retires only when the whole
+    # system is idle, so the fence that cache 0 issues after its own last
+    # one finds the system idle and still costs one cycle.
+    TAILS = {
+        "4c-fence": [TraceOp(c, "FENCE") for c in range(4)]
+                    + [TraceOp(0, "FENCE")],
     }
     # (shape, engine) -> (cycles, final-state digest, (busy, wait, stall,
     # idle) cycles summed over the CCEs, ucode mispredicts)
@@ -291,21 +371,30 @@ class TestBitIdentity:
         ("4c-lat0", "ucode"): (
             5717, "c7acfe51ac9fac22dcb7b97f1d5f9836"
                   "c17d1e9dea662f50cccf2cc13092c0ee", (5146, 12, 2, 557), 347),
+        ("4c-fence", "fsm"): (
+            4126, "c822a0a29cb71189f60cc3c49986d3c1"
+                  "b213fc8e87f9f4abba726a1be4f43a94", (1851, 19, 49, 2207), 0),
+        ("4c-fence", "ucode"): (
+            5651, "c822a0a29cb71189f60cc3c49986d3c1"
+                  "b213fc8e87f9f4abba726a1be4f43a94", (4276, 21, 0, 1354),
+            294),
     }
 
     @pytest.mark.parametrize("shape,engine", sorted(SHAPE_GOLDEN))
     def test_cycles_state_and_counters(self, shape, engine):
-        """300-op traces in three more shapes: 2 caches of 16 sets x 2
+        """300-op traces in four more shapes: 2 caches of 16 sets x 2
         ways under a 256-block footprint, so lines are replaced and dirty
-        victims written back; 8 caches homed on 2 CCEs; and zero network
-        latency, where a message can be delivered in the cycle it is sent.
+        victims written back; 8 caches homed on 2 CCEs; zero network
+        latency, where a message can be delivered in the cycle it is sent;
+        and 4 caches with one op in five a fence, ending in fences.
 
         In the eviction shape the two engines end in different states:
         where `fsm` grants E to a read that replaces a line, `ucode`
         grants S (ROADMAP item 1).  Its `ucode` golden therefore moves, by
         design, when that item is fixed; the others must not."""
         system_args, trace_args = self.SHAPES[shape]
-        ops = random_workload(5, ops=300, **trace_args)
+        ops = (random_workload(5, ops=300, **trace_args)
+               + self.TAILS.get(shape, []))
         system = System(SystemConfig(engine=engine, **system_args))
         report = run_trace(system, ops, monitors=default_monitors())
         assert report.clean

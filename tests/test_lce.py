@@ -1,12 +1,15 @@
 """Cache controller: hits, misses, atomics, LRU, reservations, commands."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohsim.lce import (Busy, Hit, Lce, LceConfig, LceKind, MissIssued,
                         UnexpectedFill)
 from cohsim.messages import AtomicOp, CceCommand, Emission
-from cohsim.protocol import CoherenceState, CommandKind
+from cohsim.protocol import (MOESIF, CoherenceState, CommandKind,
+                             ImpossibleTransition, LceEventKind)
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -197,3 +200,24 @@ class TestCoherencePort:
         assert lce.miss is None
         assert lce.sets[0][way].state is M
         assert lce.access(BASE, write=False).value == b"\x5a" * 8
+
+    def test_table_lookups_follow_a_replaced_table(self):
+        """Resolved cells are remembered per table, so replacing an LCE's
+        tables after use takes effect at once."""
+        lce = make_lce()
+        way = fill(lce, BASE, S)
+        lce.handle_command(CceCommand(kind=CommandKind.Inv, addr=BASE), "cce0")
+        assert lce.sets[0][way].state is I
+        sends, _ = MOESIF.lce[(S, LceEventKind.Inv)]
+        lce.tables = dataclasses.replace(
+            MOESIF, lce={**MOESIF.lce, (S, LceEventKind.Inv): (sends, S)})
+        way = fill(lce, BASE, S)
+        lce.handle_command(CceCommand(kind=CommandKind.Inv, addr=BASE), "cce0")
+        assert lce.sets[0][way].state is S
+
+    def test_blank_cell_raises_every_time(self):
+        lce = make_lce()
+        for _ in range(2):
+            with pytest.raises(ImpossibleTransition):
+                lce.handle_command(
+                    CceCommand(kind=CommandKind.Inv, addr=BASE), "cce0")

@@ -4,6 +4,8 @@ The expected cells below are written out literally and independently of the
 table-text parser, so a parsing or transcription bug cannot hide.
 """
 
+import dataclasses
+
 import pytest
 
 from cohsim.protocol import (AddressClass, CoherenceState, DirRequestKind,
@@ -174,6 +176,16 @@ class TestDirTable:
             assert plan.owner_command.command.value == "ST-TR-WB"
             assert plan.owner_command.set_owner_state is S
             assert plan.grant_state is S
+
+
+def test_tables_hash_by_identity():
+    """A table object can key a dict: two tables, and a copy equal in
+    every field, are three keys."""
+    hash(MESI)
+    copy = dataclasses.replace(MESI)
+    memo = {MESI: "mesi", MOESIF: "moesif", copy: "copy"}
+    assert [memo[MESI], memo[MOESIF], memo[copy]] == ["mesi", "moesif", "copy"]
+    assert copy != MESI
 
 
 class TestPermissionsAndRegions:

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import cohsim
 
@@ -38,4 +39,24 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.relative_to(SRC)}:{line}: {name}"
                   for name, line in _unused_imports(tree).items()]
+    assert not found, found
+
+
+def test_stdlib_only_imports():
+    """The runtime uses only the standard library: every absolute import
+    names a standard-library module or `cohsim` itself."""
+    allowed = sys.stdlib_module_names | {"cohsim"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+                      for name in names
+                      if name.split(".")[0] not in allowed]
     assert not found, found
