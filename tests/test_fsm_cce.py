@@ -12,7 +12,7 @@ import pytest
 import cohsim
 from cohsim import harness
 from cohsim.harness import TraceOp, random_workload, run_trace
-from cohsim.messages import NetKind
+from cohsim.messages import Emission, NetKind
 from cohsim.occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                               replacement_extra, sharer_range)
 from cohsim.protocol import CoherenceState
@@ -208,6 +208,43 @@ class TestBookkeeping:
                     (r.lce, r.req_kind, r.lce_state, r.dir_state, r.sharers,
                      r.invalidations, r.replacement))
         assert per_block["fsm"] == per_block["ucode"]
+
+
+class TestArbitration:
+    # engine -> (cycle whose tick drains the CohAck that frees the way
+    # group, cycle whose tick takes the blocked request off its queue,
+    # cycles to idle)
+    GOLDEN = {"fsm": (42, 42, 75), "ucode": (45, 46, 81)}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_blocked_request_admitted_when_cohack_frees_way_group(
+            self, engine):
+        """Two caches' requests for one block reach the CCE together; the
+        second waits behind the first's pending way group and is admitted
+        in the cycle the first's CohAck brings that counter to zero.
+        `fsm` takes it off the queue in that tick; `ucode`'s `wfq req`
+        lets it through then and its `popq req` takes it in the next."""
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        cce = system.cces[0]
+        wg = cce.local_wg(BASE)
+        tick = cce.tick
+        freed, taken = [], []
+
+        def watched_tick(now):
+            acked = any(r.kind is Emission.CohAck for r in cce.resp_q)
+            queued = len(cce.req_qs[1])
+            tick(now)
+            if acked and cce.pending.counters[wg] == 0:
+                freed.append(now)
+            if queued and not cce.req_qs[1]:
+                taken.append(now)
+
+        cce.tick = watched_tick
+        system.submit(0, BASE, write=False)
+        system.submit(1, BASE, write=True, data=b"\x01" * 8)
+        while not system.idle():
+            system.advance(10_000)
+        assert (freed[0], taken[0], system.now) == self.GOLDEN[engine]
 
 
 def test_checks_survive_optimized_python():

@@ -340,6 +340,10 @@ class TestBitIdentity:
                     dict(lces=4, footprint_blocks=64)),
         "4c-fence": (dict(cores=4, sets=16),
                      dict(lces=4, footprint_blocks=64, fence_ratio=0.2)),
+        "4c-2cce-lat0-evict": (dict(cores=4, sets=16, assoc=2, num_cces=2,
+                                    net_latency=0),
+                               dict(lces=4, footprint_blocks=256,
+                                    write_ratio=0.5)),
     }
     # Ops appended to a shape's trace.  A fence retires only when the whole
     # system is idle, so the fence that cache 0 issues after its own last
@@ -378,17 +382,29 @@ class TestBitIdentity:
             5651, "c822a0a29cb71189f60cc3c49986d3c1"
                   "b213fc8e87f9f4abba726a1be4f43a94", (4276, 21, 0, 1354),
             294),
+        ("4c-2cce-lat0-evict", "fsm"): (
+            4745, "9affee317dcd226afbda1a656bda2f4d"
+                  "b3c5598e808afca64a56dbd72e456755", (3560, 518, 75, 5337),
+            0),
+        ("4c-2cce-lat0-evict", "ucode"): (
+            6703, "07cb02e0c1e1d5fbf7ecda4ed1f95ea2"
+                  "9d03ab4e8bfb2a0d51b512bc40c8d546", (7844, 523, 15, 5024),
+            555),
     }
 
     @pytest.mark.parametrize("shape,engine", sorted(SHAPE_GOLDEN))
     def test_cycles_state_and_counters(self, shape, engine):
-        """300-op traces in four more shapes: 2 caches of 16 sets x 2
+        """300-op traces in five more shapes: 2 caches of 16 sets x 2
         ways under a 256-block footprint, so lines are replaced and dirty
         victims written back; 8 caches homed on 2 CCEs; zero network
         latency, where a message can be delivered in the cycle it is sent;
-        and 4 caches with one op in five a fence, ending in fences.
+        4 caches with one op in five a fence, ending in fences; and 4
+        caches of 16 sets x 2 ways on 2 CCEs at zero latency under a
+        256-block footprint, where memory commands sent in cycles in which
+        only the CCEs act are delivered in that same cycle, two CCEs share
+        the memory credits, and lines are replaced.
 
-        In the eviction shape the two engines end in different states:
+        In the eviction shapes the two engines end in different states:
         where `fsm` grants E to a read that replaces a line, `ucode`
         grants S (ROADMAP item 1).  Its `ucode` golden therefore moves, by
         design, when that item is fixed; the others must not."""
