@@ -89,6 +89,7 @@ class CceCore:
         self.req_qs = [deque() for _ in range(seg_cfg.num_caches)]
         self._rr = 0
         self._stalled = False   # last arbitration scan found only blocked heads
+        self._none_admissible = False   # last scan found no admissible head
         self.resp_q = deque()
         self.memresp_q = deque()
         self.stats = EngineStats()
@@ -137,6 +138,7 @@ class CceCore:
         """Inbound message from the network delivery for this endpoint."""
         if msg.net is NetKind.Request:
             self.req_qs[msg.payload.lce].append(msg.payload)
+            self._none_admissible = False
         elif msg.net is NetKind.Response:
             self.resp_q.append(msg.payload)
         elif msg.net is NetKind.MemResp:
@@ -202,7 +204,7 @@ class CceCore:
         addr_class = classify_request(req.addr, req.uncached, self.region_map)
         self._req = req
         self._txn = TransactionRecord(addr=req.addr, lce=req.lce,
-                                      req_kind=addr_class.value)
+                                      req_kind=addr_class._value_)
         return addr_class
 
     def _close_txn(self):
@@ -223,7 +225,7 @@ class CceCore:
         if req.uncached:
             return None
         kind = self._classify_kind(req, req_state)
-        txn.req_kind = kind.value
+        txn.req_kind = kind._value_
         return kind
 
     def _note_victim_wb(self, resp):
@@ -255,7 +257,13 @@ class CceCore:
     def _admissible(self) -> Optional[int]:
         """The first LCE, round-robin from the last grant, whose queued
         request may start now, or None.  Records whether a head was
-        blocked by a pending way group with none admissible."""
+        blocked by a pending way group with none admissible.  A scan that
+        found none is not repeated until a request arrives or a pending
+        counter returns to zero: nothing else can admit a head."""
+        pending = self.pending
+        if self._none_admissible and not pending.freed:
+            return None
+        pending.freed = False
         qs = self.req_qs
         n = len(qs)
         stalled = False
@@ -266,12 +274,13 @@ class CceCore:
                 continue
             head = q[0]
             if ((not head.uncached or self.region_map.is_cacheable(head.addr))
-                    and self.pending.read(self.local_wg(head.addr))):
+                    and pending.read(self.local_wg(head.addr))):
                 stalled = True
                 continue
-            self._stalled = False
+            self._stalled = self._none_admissible = False
             return c
         self._stalled = stalled
+        self._none_admissible = True
         return None
 
     def _arbitrate(self) -> Optional[CohRequest]:

@@ -116,22 +116,28 @@ class DirectorySegment:
         self.cce_id = cce_id
         self.num_cces = num_cces
         self.num_rows = cfg.rows_per_set * cfg.sets_per_cache
+        self._read_latency = cfg.way_group_read_latency
         self.rows = [
             [[TagSetEntry() for _ in range(cfg.assoc)]
              for _ in range(cfg.tag_sets_per_row)]
             for _ in range(self.num_rows)
         ]
 
+    def _set_of(self, addr: int) -> int:
+        """The addressed set, once its way group is checked to be homed
+        here."""
+        set_idx = self.cfg.set_index(addr)
+        home, _ = way_group_home(set_idx, self.num_cces)
+        if home != self.cce_id:
+            raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
+        return set_idx
+
     def _coords(self, addr: int, lce: int) -> tuple:
         cfg = self.cfg
         if not (0 <= lce < cfg.num_caches):
             raise OutOfRange(f"cache id {lce}")
-        set_idx = cfg.set_index(addr)
-        home, _ = way_group_home(set_idx, self.num_cces)
-        if home != self.cce_id:
-            raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
-        row = (lce // cfg.tag_sets_per_row) * cfg.sets_per_cache + set_idx
-        return row, lce % cfg.tag_sets_per_row
+        row = (lce // cfg.tag_sets_per_row) * cfg.sets_per_cache
+        return row + self._set_of(addr), lce % cfg.tag_sets_per_row
 
     def _tag_set(self, addr: int, lce: int):
         row, col = self._coords(addr, lce)
@@ -144,24 +150,32 @@ class DirectorySegment:
         from the requesting cache's tag set at the request-supplied way.
         """
         cfg = self.cfg
-        tag = cfg.tag_of(addr)
-        hits, states, ways = [], [], []
-        for c in range(cfg.num_caches):
-            tag_set = self._tag_set(addr, c)
-            hit_way = None
-            for w, entry in enumerate(tag_set):
-                if entry.state is not I and entry.tag == tag:
-                    hit_way = w
-                    break
-            hits.append(hit_way is not None)
-            states.append(tag_set[hit_way].state if hit_way is not None else I)
-            ways.append(hit_way if hit_way is not None else 0)
+        if not (0 <= req_lce < cfg.num_caches):
+            raise OutOfRange(f"cache id {req_lce}")
         if not (0 <= lru_way < cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")
-        lru_ent = self._tag_set(addr, req_lce)[lru_way]
+        # Every cache's tag set for the set, in cache order: the set's row
+        # in each row block, left to right.
+        tag_sets = [tag_set
+                    for row in self.rows[self._set_of(addr)::cfg.sets_per_cache]
+                    for tag_set in row]
+        tag = cfg.tag_of(addr)
+        hits, states, ways = [], [], []
+        for tag_set in tag_sets[:cfg.num_caches]:
+            for w, entry in enumerate(tag_set):
+                if entry.state is not I and entry.tag == tag:
+                    hits.append(True)
+                    states.append(entry.state)
+                    ways.append(w)
+                    break
+            else:
+                hits.append(False)
+                states.append(I)
+                ways.append(0)
+        lru_ent = tag_sets[req_lce][lru_way]
         lru = LruEntry(lru_tag=lru_ent.tag, lru_state=lru_ent.state,
                        lru_way=lru_way)
-        return SharersVectors(hits, states, ways), lru, cfg.way_group_read_latency
+        return SharersVectors(hits, states, ways), lru, self._read_latency
 
     def read_entry(self, addr: int, lce: int, way: int):
         if not (0 <= way < self.cfg.assoc):
@@ -214,6 +228,9 @@ class PendingBits:
 
     def __init__(self, num_way_groups: int):
         self.counters = [0] * num_way_groups
+        # Set when a counter returns to zero, which may admit a request
+        # blocked behind it; the owning engine clears it when it rescans.
+        self.freed = False
 
     def read(self, wg: int) -> bool:
         return self.counters[wg] != 0
@@ -227,9 +244,12 @@ class PendingBits:
         if value > PENDING_COUNTER_MAX:
             raise Overflow(f"pending counter for way group {wg}")
         self.counters[wg] = value
+        if not value:
+            self.freed = True
 
     def clear(self, wg: int):
         self.counters[wg] = 0
+        self.freed = True
 
 
 @dataclass

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .lce import Hit
 from .messages import AtomicOp
-from .protocol import DEFAULT_REGION_MAP, CoherenceState
+from .protocol import DEFAULT_REGION_MAP, CoherenceState, I
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
@@ -146,9 +146,11 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
 # Invariant monitors
 # ---------------------------------------------------------------------------
 
-EXCLUSIVE = {CoherenceState.E, CoherenceState.M}
-OWNERLIKE = {CoherenceState.E, CoherenceState.M,
-             CoherenceState.O, CoherenceState.F}
+# Tuples, so that a membership test compares identities and hashes no
+# enum member.
+EXCLUSIVE = (CoherenceState.E, CoherenceState.M)
+OWNERLIKE = (CoherenceState.E, CoherenceState.M,
+             CoherenceState.O, CoherenceState.F)
 
 
 @dataclass
@@ -190,15 +192,26 @@ class CoherenceMonitor(Monitor):
 
     def attach(self, system: System):
         super().attach(system)
+        self._caches = [lce.sets for lce in system.lces]
         for lce in system.lces:
             lce.on_state = self.check
 
+    def holders(self, addr: int) -> list:
+        """(cache id, state) of every cache holding the block, found by
+        looking only at the block's set in each cache."""
+        cfg = self._system.cfg
+        blk = addr // cfg.block_bytes
+        set_idx, tag = blk % cfg.sets, blk // cfg.sets
+        found = []
+        for i, sets in enumerate(self._caches):
+            for line in sets[set_idx]:
+                if line.tag == tag and line.state is not I:
+                    found.append((i, line.state))
+                    break
+        return found
+
     def check(self, addr: int):
-        holders = []
-        for i, lce in enumerate(self._system.lces):
-            _, line = lce._lookup(addr)
-            if line is not None:
-                holders.append((i, line.state))
+        holders = self.holders(addr)
         if len(holders) < 2:
             return
         if any(s in EXCLUSIVE for _, s in holders):
@@ -211,29 +224,37 @@ class CoherenceMonitor(Monitor):
 class DataValueMonitor(Monitor):
     """Every load observes the most recent committed store to those bytes.
 
-    A shadow byte map is updated from each cache's store-commit hook; the
-    protocol serializes conflicting accesses, so at each load hook the
-    shadow holds the latest value.  Only the cacheable-coherent region is
-    tracked (posted uncached stores commit asynchronously)."""
+    A shadow copy of each stored-to block is updated from each cache's
+    store-commit hook; the protocol serializes conflicting accesses, so at
+    each load hook the shadow holds the latest value.  Accesses are
+    aligned, so none crosses a block.  Only the cacheable-coherent region
+    is tracked (posted uncached stores commit asynchronously)."""
 
     def __init__(self):
         super().__init__()
-        self.shadow = {}
+        self.shadow = {}   # block address -> bytearray of its bytes
 
     def attach(self, system: System):
         super().attach(system)
+        self._block_bytes = system.cfg.block_bytes
         for lce in system.lces:
             lce.on_load = self._on_load
             lce.on_store = self._on_store
 
     def _on_store(self, lce_id, addr, size, data):
-        for i in range(size):
-            self.shadow[addr + i] = data[i]
+        off = addr % self._block_bytes
+        block = self.shadow.get(addr - off)
+        if block is None:
+            block = self.shadow[addr - off] = bytearray(self._block_bytes)
+        block[off:off + size] = data[:size]
 
     def _on_load(self, lce_id, addr, size, value):
         if not DEFAULT_REGION_MAP.is_cacheable(addr):
             return
-        expect = bytes(self.shadow.get(addr + i, 0) for i in range(size))
+        off = addr % self._block_bytes
+        block = self.shadow.get(addr - off)
+        expect = (bytes(size) if block is None
+                  else bytes(block[off:off + size]))
         if bytes(value) != expect:
             self._flag("data-value",
                        f"lce{lce_id} load {addr:#x}/{size} saw "

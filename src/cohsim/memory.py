@@ -96,11 +96,5 @@ class MemoryModel:
             net.send(NetMessage(net=NetKind.MemResp, src=self.endpoint,
                                 dst=dst, payload=resp, beats=beats), now)
 
-    def has_work(self, now: int, net: Network) -> bool:
-        """True when `tick` at `now` would act: a command is due or a
-        response is ready to send."""
-        return (net.next_ready.get(self.endpoint, now + 1) <= now
-                or bool(self.inflight and self.inflight[0][0] <= now))
-
     def next_event(self):
         return self.inflight[0][0] if self.inflight else None

@@ -54,7 +54,9 @@ class _Channel(deque):
 class Network:
     def __init__(self, cfg: NetConfig = NetConfig()):
         self.cfg = cfg
-        self.channels = {}       # (src, dst, net) -> _Channel
+        # (src, dst, net value) -> _Channel.  The key holds the NetKind's
+        # value, not the member, so that a send hashes no enum member.
+        self.channels = {}
         # dst -> its channels that hold messages, in creation order.
         self._busy = {}
         # dst -> earliest ready time of its queued messages; a destination
@@ -87,7 +89,7 @@ class Network:
                 raise Backpressure("memory command credits exhausted")
             self.mem_credits_avail -= 1
         dst = msg.dst
-        key = (msg.src, dst, msg.net)
+        key = (msg.src, dst, msg.net._value_)
         chan = self.channels.get(key)
         if chan is None:
             # Ranks follow global creation order, so they also order each

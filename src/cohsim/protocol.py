@@ -376,7 +376,10 @@ class RegionMap:
     cacheable: tuple
 
     def is_cacheable(self, addr: int) -> bool:
-        return any(base <= addr < base + size for base, size in self.cacheable)
+        for base, size in self.cacheable:
+            if base <= addr < base + size:
+                return True
+        return False
 
 
 DEFAULT_REGION_MAP = RegionMap(cacheable=((0x8000_0000, 0x8000_0000),))

@@ -1,7 +1,8 @@
 """Full-system assembly: caches, coherence engines, network, and memory
-advanced in lockstep, one cycle per step.  `advance` steps until the next
-event `harness.run_trace` acts on; `run` drains, with optional fast-forward
-over provably idle stretches."""
+advanced in lockstep, one cycle per step.  `advance` runs until the next
+event `harness.run_trace` acts on, ticking the CCEs alone through cycles in
+which nothing else can act; `run` drains, with optional fast-forward over
+provably idle stretches."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .fsm_cce import FsmCce
 from .lce import Lce, LceConfig, MissIssued, check_geometry
 from .memory import BackingStore, MemoryConfig, MemoryModel
 from .messages import NetKind, NetMessage
-from .network import ORDERINGS, NetConfig, Network
+from .network import INF, ORDERINGS, NetConfig, Network
 
 ENGINES = ("fsm", "ucode")
 
@@ -181,21 +182,44 @@ class System:
                     cce.accept(msg)
             cce.tick(now)
         mem = self.mem
-        # Memory has work only with a command due or a response in flight.
-        if (mem.inflight or net.earliest <= now) and mem.has_work(now, net):
+        inflight = mem.inflight
+        # Memory has work only with a command due or a response ready.
+        if ((net.earliest <= now and due.get(mem.endpoint, never) <= now)
+                or inflight and inflight[0][0] <= now):
             mem.tick(now, net)
         self.now = now + 1
 
     def advance(self, deadline: int) -> set:
         """Step at least once, then on until a cache's outstanding miss
         ends, the system is idle, or `now` reaches `deadline`.  Returns
-        `retired`: the ids of the caches whose miss ended."""
+        `retired`: the ids of the caches whose miss ended.
+
+        In a cycle with no message due and no memory response ready only
+        the CCEs can act, so such cycles tick the CCEs alone rather than
+        step, until a message or response falls due.  A memory command a
+        CCE sends for delivery in that same cycle (zero latency) still gets
+        memory's turn after the CCEs, as in `step`."""
         retired = self.retired
         retired.clear()
+        net, mem = self.net, self.mem
         while True:
             self.step()
-            if retired or self.now >= deadline or self.idle():
+            now = self.now
+            if retired or now >= deadline or self.idle():
                 return retired
+            ready = mem.inflight[0][0] if mem.inflight else INF
+            while now < net.earliest and now < ready:
+                for cce in self.cces:
+                    cce.tick(now)
+                if (net.earliest <= now
+                        and net.next_ready.get(mem.endpoint, INF) <= now):
+                    mem.tick(now, net)
+                    ready = mem.inflight[0][0] if mem.inflight else INF
+                now += 1
+                self.now = now
+                if now >= deadline or (net.earliest == INF
+                                       and not mem.inflight and self.idle()):
+                    return retired
 
     def idle(self) -> bool:
         return (self.net.idle() and not self.mem.inflight
@@ -203,8 +227,9 @@ class System:
 
     def _quiet_now(self) -> bool:
         """True when this cycle can only produce wait/idle everywhere."""
-        if (self.net.any_ready(self.now)
-                or self.mem.has_work(self.now, self.net)):
+        ready = self.mem.next_event()
+        if self.net.any_ready(self.now) or (ready is not None
+                                            and ready <= self.now):
             return False
         return all(cce.quiet() for cce in self.cces)
 

@@ -74,10 +74,29 @@ class Uop:
     its opcode, its fields as attributes (`u.rd`, `u.target`, ...), the
     handler that executes it (`run`), the comparison or ALU function its
     handler applies (`fn`, where the opcode has one) and its static
-    prediction (`predict`)."""
+    prediction (`predict`).  Enum-coded fields hold their members (a
+    `pushq` kind its `MemPushKind` or `CommandKind`, a state field its
+    `CoherenceState` or None), a `wfq` queue mask its three bits as
+    `waits_req`, `waits_resp` and `waits_memresp`, and a `movs` source its
+    reader (`read`), so executing an instruction decodes nothing."""
 
     def __init__(self, instr: Instr):
-        self.__dict__.update(instr.fields)
+        fields = dict(instr.fields)
+        for name, decode in _FIELD_DECODERS.items():
+            if name in fields:
+                fields[name] = decode(fields[name])
+        if instr.op is Op.PUSHQ:
+            fields["kind"] = (MemPushKind(fields["kind"])
+                              if fields["dest"] is PushDest.MemCmd
+                              else isa.COMMAND_BY_CODE[fields["kind"]])
+        elif instr.op is Op.WFQ:
+            qmask = fields["qmask"]
+            self.waits_req = bool(qmask & 1 << Queue.Req)
+            self.waits_resp = bool(qmask & 1 << Queue.Resp)
+            self.waits_memresp = bool(qmask & 1 << Queue.MemResp)
+        elif instr.op is Op.MOVS:
+            self.read = _SPECIAL_READERS[fields["special"]]
+        self.__dict__.update(fields)
         self.op = instr.op
         self.run = _HANDLERS[instr.op]
         self.fn = _FNS.get(instr.op)
@@ -121,8 +140,8 @@ class UcodeCce(CceCore):
             return False
         # Blocked at wfq/popq: quiet unless an admissible request waits.
         u = self.imem[self.pc]
-        wants_req = (u.op is Op.WFQ and u.qmask & (1 << Queue.Req)) or (
-            u.op in (Op.POPQ, Op.POPH) and u.queue == Queue.Req)
+        wants_req = (u.op is Op.WFQ and u.waits_req) or (
+            u.op in (Op.POPQ, Op.POPH) and u.queue is Queue.Req)
         if wants_req or self._txn is None:
             return self._admissible() is None
         return True
@@ -197,7 +216,7 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _movs(self, u) -> str:
-        self.regs[u.rd] = self._read_special(Special(u.special))
+        self.regs[u.rd] = u.read(self)
         self.pc += 1
         return BUSY
 
@@ -246,7 +265,8 @@ class UcodeCce(CceCore):
 
     def _rde(self, u) -> str:
         m = self.umshr
-        lce, way = ((m.owner_lce, m.owner_way) if u.cmd_target
+        lce, way = ((m.owner_lce, m.owner_way)
+                    if u.cmd_target is CmdTarget.Owner
                     else (m.lce, m.req_way))
         _, latency = self.directory.read_entry(m.addr, lce, way)
         self._multi = latency - 1
@@ -271,24 +291,22 @@ class UcodeCce(CceCore):
 
     def _wde(self, u) -> str:
         m = self.umshr
-        self.directory.write_entry(m.addr, m.lce, m.req_way,
-                                   state=STATE_BY_CODE[u.state])
+        self.directory.write_entry(m.addr, m.lce, m.req_way, state=u.state)
         self.pc += 1
         return BUSY
 
     def _wds(self, u) -> str:
         m = self.umshr
-        state = STATE_BY_CODE[u.state]
-        if u.cmd_target:
+        if u.cmd_target is CmdTarget.Owner:
             self.directory.write_state(m.addr, m.owner_lce, m.owner_way,
-                                       state)
+                                       u.state)
         else:
-            self.directory.write_state(m.addr, m.lce, m.req_way, state)
+            self.directory.write_state(m.addr, m.lce, m.req_way, u.state)
         self.pc += 1
         return BUSY
 
     def _specq(self, u) -> str:
-        cmd = SpecCmd(u.spec_cmd)
+        cmd = u.spec_cmd
         wg = self._wg()
         if cmd is SpecCmd.Set:
             self.spec.set(wg)
@@ -297,24 +315,22 @@ class UcodeCce(CceCore):
         elif cmd is SpecCmd.Squash:
             self.spec.squash(wg)
         else:
-            self.spec.fwd_mod(wg, STATE_BY_CODE[u.state])
+            self.spec.fwd_mod(wg, u.state)
         self.pc += 1
         return BUSY
 
     def _wfq(self, u) -> str:
-        qmask = u.qmask
-        if qmask & (1 << Queue.Req):
+        if u.waits_req:
             self._close_txn()
-        ready = ((qmask & (1 << Queue.Req)
-                  and self._admissible() is not None)
-                 or (qmask & (1 << Queue.Resp) and self.resp_q)
-                 or (qmask & (1 << Queue.MemResp) and self.memresp_q))
+        ready = ((u.waits_req and self._admissible() is not None)
+                 or (u.waits_resp and self.resp_q)
+                 or (u.waits_memresp and self.memresp_q))
         if ready:
             self.pc += 1
         return WAIT
 
     def _poph(self, u) -> str:
-        queue = Queue(u.queue)
+        queue = u.queue
         if queue is Queue.Req:
             raise MicrocodeFault("poph req is not supported")
         q = self.resp_q if queue is Queue.Resp else self.memresp_q
@@ -323,24 +339,6 @@ class UcodeCce(CceCore):
         self.regs[u.rd] = self._resp_code(q[0])
         self.pc += 1
         return BUSY
-
-    def _read_special(self, sp: Special) -> int:
-        m = self.umshr
-        return {
-            Special.ReqAddr: m.addr,
-            Special.ReqLce: m.lce,
-            Special.ReqState: STATE_CODE[m.req_state],
-            Special.OwnerLce: m.owner_lce,
-            Special.OwnerState: STATE_CODE[m.owner_state],
-            Special.ReqWay: m.req_way,
-            Special.LruWay: m.lru_way,
-            Special.LruTag: m.lru_tag,
-            Special.SetIndex: self.cfg.set_index(m.addr),
-            Special.Sharers: (sum(
-                1 for c, h in enumerate(self._sv.hits)
-                if h and self._sv.states[c] is S) if self._sv else 0),
-            Special.ReqSize: m.size,
-        }[sp]
 
     def _gad(self, u) -> str:
         if self._sv is None:
@@ -373,10 +371,10 @@ class UcodeCce(CceCore):
     def _resp_code(resp) -> int:
         if isinstance(resp, (MemCmd,)) or hasattr(resp, "write"):
             return 4 if resp.write else 5
-        return RESP_KIND_CODE[resp.kind.value]
+        return RESP_KIND_CODE[resp.kind._value_]
 
     def _popq(self, u) -> str:
-        queue = Queue(u.queue)
+        queue = u.queue
         if queue is Queue.Req:
             self._close_txn()
             req = self._arbitrate()
@@ -424,10 +422,10 @@ class UcodeCce(CceCore):
 
     def _pushq(self, u) -> str:
         m = self.umshr
-        if u.dest == PushDest.MemCmd:
+        if u.dest is PushDest.MemCmd:
             if not self.net.has_mem_credit():
                 return WAIT
-            kind = MemPushKind(u.kind)
+            kind = u.kind
             wp = bool(u.wp)
             if kind is MemPushKind.SpecRead:
                 # The spec annotation latches the speculative bits with it.
@@ -460,18 +458,16 @@ class UcodeCce(CceCore):
             self.pc += 1
             return BUSY
 
-        kind = isa.COMMAND_BY_CODE[u.kind]
-        to_owner = u.cmd_target == CmdTarget.Owner
-        victim = u.addr_sel == AddrSel.Victim
+        kind = u.kind
+        to_owner = u.cmd_target is CmdTarget.Owner
+        victim = u.addr_sel is AddrSel.Victim
         addr = self._victim_addr() if victim else m.addr
         if to_owner:
             lce, way = m.owner_lce, m.owner_way
         else:
             lce, way = m.lce, (m.lru_way if victim else m.req_way)
-        state = STATE_BY_CODE[u.state]
-        tr_state = STATE_BY_CODE[u.tr_state]
-        cmd = CceCommand(kind=kind, addr=addr, way=way, state=state,
-                         transfer_state=tr_state)
+        cmd = CceCommand(kind=kind, addr=addr, way=way, state=u.state,
+                         transfer_state=u.tr_state)
         if kind in (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb):
             cmd.target_lce = m.lce
             cmd.target_way = m.req_way
@@ -527,6 +523,36 @@ def _flags_any(hit, mask):
 def _flags_none(hit, mask):
     return hit == 0
 
+
+def _sharers(cce) -> int:
+    sv = cce._sv
+    if sv is None:
+        return 0
+    return sum(1 for c, h in enumerate(sv.hits) if h and sv.states[c] is S)
+
+
+# `movs` source -> its reader, called as reader(engine).
+_SPECIAL_READERS = {
+    Special.ReqAddr: lambda cce: cce.umshr.addr,
+    Special.ReqLce: lambda cce: cce.umshr.lce,
+    Special.ReqState: lambda cce: STATE_CODE[cce.umshr.req_state],
+    Special.OwnerLce: lambda cce: cce.umshr.owner_lce,
+    Special.OwnerState: lambda cce: STATE_CODE[cce.umshr.owner_state],
+    Special.ReqWay: lambda cce: cce.umshr.req_way,
+    Special.LruWay: lambda cce: cce.umshr.lru_way,
+    Special.LruTag: lambda cce: cce.umshr.lru_tag,
+    Special.SetIndex: lambda cce: cce.cfg.set_index(cce.umshr.addr),
+    Special.Sharers: _sharers,
+    Special.ReqSize: lambda cce: cce.umshr.size,
+}
+
+# Enum-coded field name -> its decoder (`Uop` decodes `pushq`'s kind,
+# whose meaning depends on its destination, itself).
+_FIELD_DECODERS = {
+    "queue": Queue, "spec_cmd": SpecCmd, "special": Special,
+    "dest": PushDest, "cmd_target": CmdTarget, "addr_sel": AddrSel,
+    "state": STATE_BY_CODE.__getitem__, "tr_state": STATE_BY_CODE.__getitem__,
+}
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
 # register branches to their two operands, flag ops and flag branches to

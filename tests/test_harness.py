@@ -117,6 +117,27 @@ class TestMonitors:
         system.run()
         assert [v.monitor for v in mon.violations] == ["data-value"]
 
+    def test_holders_match_a_lookup_in_every_cache(self):
+        """At every line-state write of an 8-cache run whose 256-block
+        footprint overflows 16 sets x 2 ways, the holders the monitor
+        finds in the block's set equal an `Lce._lookup` in each cache."""
+        system = System(SystemConfig(cores=8, sets=16, assoc=2))
+        mon = CoherenceMonitor()
+        check, checked = mon.check, []
+
+        def checked_check(addr):
+            want = [(i, line.state) for i, lce in enumerate(system.lces)
+                    for _, line in [lce._lookup(addr)] if line is not None]
+            assert mon.holders(addr) == want
+            checked.append(addr)
+            check(addr)
+
+        mon.check = checked_check
+        ops = random_workload(3, lces=8, ops=400, footprint_blocks=256)
+        report = run_trace(system, ops, monitors=[mon])
+        assert report.clean
+        assert len(checked) > len(ops)
+
     # Cycle in which lce0's line turns M, recorded when the test was written.
     UPGRADE_CYCLE = {"fsm": 14, "ucode": 25}
 

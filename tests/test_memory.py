@@ -98,9 +98,11 @@ class TestMemoryModel:
 
         net.deliver = deliver
         for t in range(1, 40):
-            if mem.has_work(t, net):
+            # The system's test: a command is due or a response is ready.
+            command_due = net.next_ready.get("mem", t + 1) <= t
+            if command_due or (mem.inflight and mem.inflight[0][0] <= t):
                 ticked.append(t)
-                if net.next_ready.get("mem", t + 1) <= t:
+                if command_due:
                     due.append(t)
                 mem.tick(t, net)
         assert calls == due
