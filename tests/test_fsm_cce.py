@@ -214,7 +214,7 @@ class TestArbitration:
     # engine -> (cycle whose tick drains the CohAck that frees the way
     # group, cycle whose tick takes the blocked request off its queue,
     # cycles to idle)
-    GOLDEN = {"fsm": (42, 42, 75), "ucode": (45, 46, 81)}
+    GOLDEN = {"fsm": ([42], [42], 75), "ucode": ([45], [46], 81)}
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_blocked_request_admitted_when_cohack_frees_way_group(
@@ -242,9 +242,9 @@ class TestArbitration:
         cce.tick = watched_tick
         system.submit(0, BASE, write=False)
         system.submit(1, BASE, write=True, data=b"\x01" * 8)
-        while not system.idle():
-            system.advance(10_000)
-        assert (freed[0], taken[0], system.now) == self.GOLDEN[engine]
+        while not system.idle() and system.now < 200:
+            system.advance(200)
+        assert (freed[:1], taken[:1], system.now) == self.GOLDEN[engine]
 
 
 def test_checks_survive_optimized_python():
