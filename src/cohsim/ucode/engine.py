@@ -76,9 +76,9 @@ class Uop:
     handler applies (`fn`, where the opcode has one) and its static
     prediction (`predict`).  Enum-coded fields hold their members (a
     `pushq` kind its `MemPushKind` or `CommandKind`, a state field its
-    `CoherenceState` or None), a `wfq` queue mask its three bits as
-    `waits_req`, `waits_resp` and `waits_memresp`, and a `movs` source its
-    reader (`read`), so executing an instruction decodes nothing."""
+    `CoherenceState` or None) and a `wfq` queue mask its three bits as
+    `waits_req`, `waits_resp` and `waits_memresp`, so executing an
+    instruction decodes nothing."""
 
     def __init__(self, instr: Instr):
         fields = dict(instr.fields)
@@ -94,8 +94,6 @@ class Uop:
             self.waits_req = bool(qmask & 1 << Queue.Req)
             self.waits_resp = bool(qmask & 1 << Queue.Resp)
             self.waits_memresp = bool(qmask & 1 << Queue.MemResp)
-        elif instr.op is Op.MOVS:
-            self.read = _SPECIAL_READERS[fields["special"]]
         self.__dict__.update(fields)
         self.op = instr.op
         self.run = _HANDLERS[instr.op]
@@ -216,7 +214,7 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _movs(self, u) -> str:
-        self.regs[u.rd] = u.read(self)
+        self.regs[u.rd] = self._read_special(u.special)
         self.pc += 1
         return BUSY
 
@@ -339,6 +337,24 @@ class UcodeCce(CceCore):
         self.regs[u.rd] = self._resp_code(q[0])
         self.pc += 1
         return BUSY
+
+    def _read_special(self, sp: Special) -> int:
+        m = self.umshr
+        return {
+            Special.ReqAddr: m.addr,
+            Special.ReqLce: m.lce,
+            Special.ReqState: STATE_CODE[m.req_state],
+            Special.OwnerLce: m.owner_lce,
+            Special.OwnerState: STATE_CODE[m.owner_state],
+            Special.ReqWay: m.req_way,
+            Special.LruWay: m.lru_way,
+            Special.LruTag: m.lru_tag,
+            Special.SetIndex: self.cfg.set_index(m.addr),
+            Special.Sharers: (sum(
+                1 for c, h in enumerate(self._sv.hits)
+                if h and self._sv.states[c] is S) if self._sv else 0),
+            Special.ReqSize: m.size,
+        }[sp]
 
     def _gad(self, u) -> str:
         if self._sv is None:
@@ -523,28 +539,6 @@ def _flags_any(hit, mask):
 def _flags_none(hit, mask):
     return hit == 0
 
-
-def _sharers(cce) -> int:
-    sv = cce._sv
-    if sv is None:
-        return 0
-    return sum(1 for c, h in enumerate(sv.hits) if h and sv.states[c] is S)
-
-
-# `movs` source -> its reader, called as reader(engine).
-_SPECIAL_READERS = {
-    Special.ReqAddr: lambda cce: cce.umshr.addr,
-    Special.ReqLce: lambda cce: cce.umshr.lce,
-    Special.ReqState: lambda cce: STATE_CODE[cce.umshr.req_state],
-    Special.OwnerLce: lambda cce: cce.umshr.owner_lce,
-    Special.OwnerState: lambda cce: STATE_CODE[cce.umshr.owner_state],
-    Special.ReqWay: lambda cce: cce.umshr.req_way,
-    Special.LruWay: lambda cce: cce.umshr.lru_way,
-    Special.LruTag: lambda cce: cce.umshr.lru_tag,
-    Special.SetIndex: lambda cce: cce.cfg.set_index(cce.umshr.addr),
-    Special.Sharers: _sharers,
-    Special.ReqSize: lambda cce: cce.umshr.size,
-}
 
 # Enum-coded field name -> its decoder (`Uop` decodes `pushq`'s kind,
 # whose meaning depends on its destination, itself).
