@@ -185,7 +185,7 @@ class System:
         inflight = mem.inflight
         # Memory has work only with a command due or a response ready.
         if ((net.earliest <= now and due.get(mem.endpoint, never) <= now)
-                or inflight and inflight[0][0] <= now):
+                or (inflight and inflight[0][0] <= now)):
             mem.tick(now, net)
         self.now = now + 1
 
@@ -217,6 +217,8 @@ class System:
                     ready = mem.inflight[0][0] if mem.inflight else INF
                 now += 1
                 self.now = now
+                # Idle needs an empty network and memory: test those before
+                # the CCEs.
                 if now >= deadline or (net.earliest == INF
                                        and not mem.inflight and self.idle()):
                     return retired

@@ -81,14 +81,12 @@ class Uop:
     instruction decodes nothing."""
 
     def __init__(self, instr: Instr):
-        fields = dict(instr.fields)
-        for name, decode in _FIELD_DECODERS.items():
-            if name in fields:
-                fields[name] = decode(fields[name])
+        fields = {name: _DECODERS[name][value] if name in _DECODERS
+                  else value for name, value in instr.fields}
         if instr.op is Op.PUSHQ:
-            fields["kind"] = (MemPushKind(fields["kind"])
+            fields["kind"] = (_MEM_PUSH_KINDS
                               if fields["dest"] is PushDest.MemCmd
-                              else isa.COMMAND_BY_CODE[fields["kind"]])
+                              else isa.COMMAND_BY_CODE)[fields["kind"]]
         elif instr.op is Op.WFQ:
             qmask = fields["qmask"]
             self.waits_req = bool(qmask & 1 << Queue.Req)
@@ -540,13 +538,19 @@ def _flags_none(hit, mask):
     return hit == 0
 
 
-# Enum-coded field name -> its decoder (`Uop` decodes `pushq`'s kind,
-# whose meaning depends on its destination, itself).
-_FIELD_DECODERS = {
-    "queue": Queue, "spec_cmd": SpecCmd, "special": Special,
-    "dest": PushDest, "cmd_target": CmdTarget, "addr_sel": AddrSel,
-    "state": STATE_BY_CODE.__getitem__, "tr_state": STATE_BY_CODE.__getitem__,
+def _by_code(enum) -> dict:
+    return {member.value: member for member in enum}
+
+
+# Enum-coded field name -> {code: member}.  A `pushq` kind's meaning
+# depends on its destination, so `Uop` decodes it itself.
+_DECODERS = {
+    "queue": _by_code(Queue), "spec_cmd": _by_code(SpecCmd),
+    "special": _by_code(Special), "dest": _by_code(PushDest),
+    "cmd_target": _by_code(CmdTarget), "addr_sel": _by_code(AddrSel),
+    "state": STATE_BY_CODE, "tr_state": STATE_BY_CODE,
 }
+_MEM_PUSH_KINDS = _by_code(MemPushKind)
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
 # register branches to their two operands, flag ops and flag branches to
