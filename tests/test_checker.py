@@ -17,6 +17,18 @@ EXHAUSTIVE = {("mesi", 2): (776, 22), ("moesif", 2): (942, 22),
               ("mesi", 3): (12_574, 28), ("moesif", 3): (17_680, 29)}
 MUTANT_DEPTH = {"drop-invalidations": 7, "grant-e-with-sharers": 7,
                 "skip-writeback": 11, "wrong-transfer-state": 8}
+# The number of states first reached at each BFS depth, and the number of
+# successors generated over every reachable state.  Neither depends on
+# expansion order, and both pin the transition relation more tightly than
+# the totals do.
+LEVELS = {
+    "mesi": [1, 9, 36, 90, 156, 222, 345, 477, 612, 690, 594, 561, 553, 534,
+             675, 769, 846, 882, 735, 693, 645, 495, 513, 489, 376, 288, 159,
+             66, 63],
+    "moesif": [1, 9, 36, 90, 156, 222, 345, 489, 684, 846, 780, 771, 913,
+               1014, 1233, 1171, 999, 1026, 1035, 1110, 1116, 891, 822, 666,
+               427, 372, 249, 90, 93, 24]}
+GENERATED = {"mesi": 36_546, "moesif": 49_506}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -38,6 +50,26 @@ class TestVerification:
         result = check(CheckConfig(protocol="moesif", caches=3))
         assert result.verified and result.exhaustive
         assert (result.states, result.depth) == EXHAUSTIVE["moesif", 3]
+
+    @pytest.mark.parametrize("protocol", ["mesi", "moesif"])
+    def test_three_caches_level_sizes(self, protocol):
+        model = Model(CheckConfig(protocol=protocol, caches=3))
+        init = initial_state(3)
+        seen, level, sizes, generated = {init}, [init], [], 0
+        while level:
+            sizes.append(len(level))
+            nxt = []
+            for state in level:
+                succs = model.successors(state)
+                generated += len(succs)
+                for s in succs:
+                    if s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
+            level = nxt
+        assert sizes == LEVELS[protocol]
+        assert generated == GENERATED[protocol]
+        assert (len(seen), len(sizes) - 1) == EXHAUSTIVE[protocol, 3]
 
     def test_deterministic(self):
         a = check(CheckConfig(protocol="mesi", caches=2))

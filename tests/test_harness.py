@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -236,6 +237,52 @@ class TestLimits:
             pieces.run(limit=3)
         assert pieces.now == whole.now == total
         assert counters(pieces) == counters(whole)
+
+
+class TestFastForward:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("shape", [
+        dict(cores=4, sets=8, assoc=2),
+        dict(cores=4, sets=8, assoc=2, num_cces=2, net_latency=0),
+        dict(cores=2, sets=4, assoc=1, mem_latency=3),
+    ], ids=["1cce", "2cce-lat0", "2c-evict"])
+    def test_fast_forward_is_exact(self, engine, shape):
+        """`run` with fast-forward skips only cycles in which nothing could
+        happen: the same batched submissions give the same cycles, cycle
+        accounting, mispredicts and final images as stepping every
+        cycle."""
+        cfg = SystemConfig(engine=engine, **shape)
+        rng = random.Random(7)
+        blocks = [BASE + 64 * b for b in range(4 * cfg.sets * cfg.assoc)]
+        batches = [[(i, rng.choice(blocks), rng.random() < 0.5)
+                    for i in range(cfg.cores)] for _ in range(40)]
+
+        def run(fast_forward):
+            system = System(cfg)
+            skipped = []
+            for cce in system.cces:
+                note = cce.note_skipped
+                cce.note_skipped = (lambda n, note=note:
+                                    (skipped.append(n), note(n)))
+            elapsed = []
+            for n, batch in enumerate(batches):
+                for i, addr, write in batch:
+                    system.submit(i, addr, write=write,
+                                  data=bytes([n]) * 8 if write else None)
+                elapsed.append(system.run(fast_forward=fast_forward))
+                assert system.idle()
+            images = (harness._memory_image(system),
+                      harness._dir_image(system),
+                      [lce.snapshot() for lce in system.lces])
+            counters = [(c.stats.busy_cycles, c.stats.wait_cycles,
+                         c.stats.stall_cycles, c.stats.idle_cycles,
+                         getattr(c, "mispredicts", None))
+                        for c in system.cces]
+            return elapsed, counters, images, sum(skipped)
+
+        fast, slow = run(True), run(False)
+        assert fast[3] > 0 and slow[3] == 0   # the fast run did skip
+        assert fast[:3] == slow[:3]
 
 
 class TestSystemConfig:
