@@ -16,7 +16,7 @@ from .protocol import CoherenceState, I, S, E, M, O, F, OWNER_STATES
 # Victim states that require an explicit writeback flow.  S and F victims
 # are clean non-exclusive copies and are dropped silently when overwritten
 # (the controller tables define no ST-WB action for them).
-REPLACEMENT_STATES = frozenset({E, M, O})
+REPLACEMENT_STATES = (E, M, O)   # a tuple: see protocol.OWNER_STATES
 
 PENDING_COUNTER_MAX = 15  # 4-bit counters; overflow is a protocol bug
 

@@ -32,7 +32,9 @@ class CoherenceState(Enum):
 
 I, S, E, M, O, F = CoherenceState  # noqa: E741 - protocol letters
 
-OWNER_STATES = frozenset({E, M, O, F})
+# A tuple, so that a membership test compares identities and hashes no
+# enum member (`Enum.__hash__` is Python code).
+OWNER_STATES = (E, M, O, F)
 WRITABLE_STATES = frozenset({E, M})
 VALID_STATES = frozenset({S, E, M, O, F})
 
@@ -302,7 +304,9 @@ def _parse_table(text: str, key_enum, cell_parser):
 class ProtocolTables:
     """One protocol variant: parsed cache-controller and directory tables.
 
-    Compared and hashed by identity, so a table object can key a dict."""
+    Compared and hashed by identity, so a table object can key a dict.
+    `directory` is keyed by (state letter, request-kind value), so a plan
+    lookup hashes two strings and no enum member."""
 
     name: str
     states: tuple
@@ -333,7 +337,7 @@ class ProtocolTables:
     def dir_request_plan(self, dir_state: CoherenceState,
                          req: DirRequestKind) -> DirectivePlan:
         try:
-            plan = self.directory[(dir_state, req)]
+            plan = self.directory[dir_state._value_, req._value_]
         except KeyError:
             raise ImpossibleTransition(
                 f"{self.name}: no directory cell ({dir_state.value}, {req.value})")
@@ -348,7 +352,9 @@ def _build(name, lce_text, dir_text, states):
         name=name,
         states=tuple(states),
         lce=_parse_table(lce_text, LceEventKind, _parse_lce_cell),
-        directory=_parse_table(dir_text, DirRequestKind, _parse_dir_cell),
+        directory={(state._value_, req._value_): plan for (state, req), plan
+                   in _parse_table(dir_text, DirRequestKind,
+                                   _parse_dir_cell).items()},
     )
 
 
@@ -418,7 +424,7 @@ def _validate_tables(tables: ProtocolTables):
             require(s is None or s in tables.states, (state, req))
         if plan.grant_state in (E, M):
             # SWMR: an exclusive grant must leave no other valid copy.
-            if state is not I and plan.requester_grant is not RequesterGrant.Nothing:
+            if state != I.value and plan.requester_grant is not RequesterGrant.Nothing:
                 require(plan.invalidate_set is not InvalidateSet.Nothing
                         or plan.owner_command is not None, (state, req))
 
