@@ -16,10 +16,8 @@ bend one rule each to demonstrate the checker catches real bugs.
 
 from __future__ import annotations
 
-import gc
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .protocol import (CommandKind, CoherenceState, DirRequestKind, Emission,
@@ -85,107 +83,96 @@ class CheckResult:
         return "\n".join(lines)
 
 
-# State layout (all plain ints/tuples, fully hashable):
-#   caches:  ((state, latest, pend), ...) per cache
-#   dir_rec: (state, ...) per cache as recorded by the directory
-#   mem_latest: 0/1
-#   txn: () or (requester, acks_left, wb_left, grant_code, grant_state,
-#               need_cohack, deferred_cmd)
-#   grant_code: 0 none, 1 data-from-mem, 2 STW.  deferred_cmd is an
-#   owner command held back until every InvAck is collected, matching
-#   the engines' invalidate-then-transfer ordering.
-#   msgs: sorted tuple of message tuples (a multiset)
+# State layout.  A state is one int of fixed bit fields, from bit 0 up:
+#   the number of caches n                     _N_BITS
+#   per cache, an entry: coherence state (3 bits), is-latest (1),
+#     outstanding op (3)                       _ENTRY_BITS each
+#   per cache, the state the directory records _REC_BITS each
+#   mem_latest                                 1 bit
+#   the open transaction: 0 for none, else the number its Model interned
+#     the tuple (requester, acks_left, wb_left, grant_code, grant_state,
+#     need_cohack, deferred_cmd) under        _TXN_BITS
+#   per message, the number of copies in flight  _COUNT_BITS each
+# grant_code: 0 none, 1 data-from-mem, 2 STW.  deferred_cmd is an owner
+# command held back until every InvAck is collected, matching the engines'
+# invalidate-then-transfer ordering.  Messages are tuples such as
+# ("req", cache, op); a Model numbers each the first time it meets it, so
+# message k's count sits _COUNT_BITS * k bits above the transaction, and a
+# state means something only to the Model that built it.  The cache count
+# in the low bits lets `check_invariants` read a state alone.
+#
+# A transition is compiled once per Model, from the table-derived rules,
+# into an int added to the state, plus the message fields it sends to and
+# the writer whose store stales every other copy (see `_compile`).  The
+# compiled transitions are memoised on plain ints: a cache's own operations
+# on (cache, entry); a message's delivery on the entry of the cache it goes
+# to, on the directory records (for a request) or on the transaction (for
+# a response).
 #
 # `check` stores each reached state once, as the key of `parents`, whose
 # value is the state it was first reached from (None for the initial
-# state) and nothing else.  The caches, dir_rec, txn and msgs tuples of
-# every stored state are interned in one pool per search, so states that
-# agree in a part share one object.  Transition labels are not stored:
-# a counterexample's labels are re-derived by expanding each state on its
-# path again.
+# state), and evaluates the invariants once per distinct caches field.
+# Transition labels are not stored: a counterexample's labels are
+# re-derived by expanding each state on its path again.
+
+_N_BITS = 8
+_ENTRY_BITS = 7
+_ENTRY_MASK = (1 << _ENTRY_BITS) - 1
+_LATEST = 1 << 3             # the is-latest bit within an entry
+_PEND_SHIFT = 4              # the outstanding op within an entry
+_REC_BITS = 3
+_TXN_BITS = 16
+_COUNT_BITS = 2
+_COUNT_MAX = (1 << _COUNT_BITS) - 1
 
 _LETTER = [s.value for s in CoherenceState]
 _EMO_NUMS = frozenset(_NUM[s] for s in (E, M, O))
 _M_NUM = _NUM[M]
 
-
-def initial_state(caches: int):
-    return (tuple((0, 0, IDLE) for _ in range(caches)),
-            tuple(0 for _ in range(caches)), 1, (), ())
-
-
-def _with(msgs, adds):
-    """The sorted message tuple `msgs` with the messages `adds` added."""
-    if not adds:
-        return msgs
-    if len(adds) == 1:
-        k = bisect_right(msgs, adds[0])
-        return msgs[:k] + adds + msgs[k:]
-    return tuple(sorted(msgs + adds))
+# How a message's delivery is keyed (see `Model._expand`).
+_REQUEST, _RESPONSE, _TO_CACHE = range(3)
+_KIND = {"req": _REQUEST, "invack": _RESPONSE, "wb": _RESPONSE,
+         "cohack": _RESPONSE, "inv": _TO_CACHE, "cmd": _TO_CACHE,
+         "fill": _TO_CACHE, "stw": _TO_CACHE}
 
 
-def _put(caches, i, entry):
-    """`caches` with cache i's entry replaced."""
-    new = list(caches)
-    new[i] = entry
-    return tuple(new)
+def _entry(st, latest, pend):
+    return st | latest << 3 | pend << _PEND_SHIFT
 
 
-def _stale_others(caches, msgs, writer):
-    """A committed store by `writer` makes every other cached copy and
-    every data message stale (the caller makes memory stale)."""
-    new_caches = tuple(c if i == writer or not c[1] else (c[0], 0, c[2])
-                       for i, c in enumerate(caches))
-    if any(m[-1] and m[0] in ("fill", "wb") for m in msgs):
-        msgs = tuple(sorted(m[:-1] + (0,) if m[0] in ("fill", "wb") else m
-                            for m in msgs))
-    return new_caches, msgs
+def _entry_fields(entry):
+    return entry & 7, entry >> 3 & 1, entry >> _PEND_SHIFT
 
 
-@lru_cache(maxsize=None)
-def _grant_msg(grant, r, gst, mem_latest):
-    """The requester's grant as a 1-tuple of messages; one object per
-    value, so the many stored states holding a grant share it."""
-    return (("fill", r, gst, mem_latest) if grant == 1 else ("stw", r, gst),)
+def _caches_bits(n):
+    """The number of low bits that hold n and the n cache entries."""
+    return _N_BITS + _ENTRY_BITS * n
 
 
-def _txn_progress(caches, dir_rec, mem_latest, msgs,
-                  r, acks, wb, grant, gst, coh, cmd):
-    """The state with transaction (r, acks, ..., cmd) installed, firing the
-    deferred owner command and the grant, or closing the transaction, once
-    collection is complete."""
-    if acks < 0 or wb < 0:
-        raise ModelError(f"cache {r} got more responses than it awaited")
-    if acks == 0:
-        if cmd:
-            msgs = _with(msgs, (cmd,))
-            cmd = ()
-        if wb == 0:
-            if grant:
-                msgs = _with(msgs, _grant_msg(grant, r, gst, mem_latest))
-                grant = 0
-            if coh == 0:
-                return (caches, dir_rec, mem_latest, (), msgs)
-    return (caches, dir_rec, mem_latest, (r, acks, wb, grant, gst, coh, cmd),
-            msgs)
+def initial_state(caches: int) -> int:
+    """Every cache idle in I with no data, every record I, memory
+    latest, no transaction and no message."""
+    return caches | 1 << (_caches_bits(caches) + _REC_BITS * caches)
 
 
 def check_invariants(state) -> Optional[str]:
-    caches, dir_rec, mem_latest, txn, msgs = state
-    valid = [i for i, c in enumerate(caches) if c[0] in VALID_NUMS]
-    writers = [i for i in valid if caches[i][0] in WRITABLE_NUMS]
-    owners = [i for i in valid if caches[i][0] in OWNER_NUMS]
+    entries = [state >> (_N_BITS + _ENTRY_BITS * i) & _ENTRY_MASK
+               for i in range(state & (1 << _N_BITS) - 1)]
+    states = [e & 7 for e in entries]
+    valid = [i for i, st in enumerate(states) if st in VALID_NUMS]
+    writers = [i for i in valid if states[i] in WRITABLE_NUMS]
+    owners = [i for i in valid if states[i] in OWNER_NUMS]
     if writers and len(valid) > 1:
         return ("SWMR: cache %d writable (%s) while %s also valid"
-                % (writers[0], _STATE[caches[writers[0]][0]].value,
-                   [(i, _STATE[caches[i][0]].value) for i in valid]))
+                % (writers[0], _LETTER[states[writers[0]]],
+                   [(i, _LETTER[states[i]]) for i in valid]))
     if len(owners) > 1:
         return ("single-owner: %s"
-                % [(i, _STATE[caches[i][0]].value) for i in owners])
+                % [(i, _LETTER[states[i]]) for i in owners])
     for i in valid:
-        if not caches[i][1]:
+        if not entries[i] & _LATEST:
             return (f"data-value: cache {i} holds stale data in "
-                    f"{_STATE[caches[i][0]].value}")
+                    f"{_LETTER[states[i]]}")
     return None
 
 
@@ -194,30 +181,102 @@ class Model:
         if cfg.mutation is not None and cfg.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {cfg.mutation!r}; "
                              f"choose from {MUTATIONS}")
+        if not 0 <= cfg.caches < 1 << _N_BITS:
+            raise ValueError(f"caches must be from 0 to {(1 << _N_BITS) - 1}"
+                             f", got {cfg.caches}")
         self.cfg = cfg
         self.tables = PROTOCOLS[cfg.protocol]
         self.n = cfg.caches
 
-    # -- table consultation (single source of truth) -------------------------
+    # -- layout, message and transaction numbering -----------------------------
     #
-    # Each rule below is derived from the tables the first time a search
-    # meets its inputs and kept on this model, keyed by plain tuples, so a
-    # successor costs no table lookup.
+    # Built the first time a search needs them, so that constructing a
+    # Model costs no more than its configuration.
 
     @cached_property
-    def _local_rules(self) -> list:
-        """Per cache: entry -> `_local_rule`."""
-        return [{} for _ in range(self.n)]
+    def _layout(self) -> tuple:
+        """(per cache: (cache << _ENTRY_BITS, entry shift), shift of the
+        records, shift of mem_latest, shift of message 0)."""
+        n = self.n
+        rec = _caches_bits(n)
+        mem = rec + _REC_BITS * n
+        return (tuple((i << _ENTRY_BITS, _N_BITS + _ENTRY_BITS * i)
+                      for i in range(n)),
+                rec, mem, mem + 1 + _TXN_BITS)
 
     @cached_property
-    def _dir_rules(self) -> dict:
-        """(dir_rec, request message) -> `_dir_rule`."""
+    def _messages(self) -> list:
+        """Message number -> (delivery kind, cache it names, message,
+        {context: compiled delivery}, number of its stale copy or -1)."""
+        return []
+
+    @cached_property
+    def _message_numbers(self) -> dict:
         return {}
 
     @cached_property
-    def _cmd_rules(self) -> dict:
-        """(cache entry, command message) -> `_cmd_rule`."""
+    def _latest_data(self) -> int:
+        """The count fields of the numbered data messages that carry the
+        latest data, which a store stales."""
+        return 0
+
+    @cached_property
+    def _txns(self) -> list:
+        """Transaction number -> transaction tuple; 0 is no transaction."""
+        return [None]
+
+    @cached_property
+    def _txn_numbers(self) -> dict:
         return {}
+
+    @cached_property
+    def _local_ops(self) -> dict:
+        """cache << _ENTRY_BITS | entry -> the cache's compiled own
+        operations."""
+        return {}
+
+    @cached_property
+    def _stale_masks(self) -> list:
+        """Per writer: the state bits a store by it keeps (everything but
+        mem_latest and the other caches' is-latest bits)."""
+        slots, _, mem, _ = self._layout
+        latest = [_LATEST << shift for _, shift in slots]
+        return [~(sum(latest) - latest[w] + (1 << mem))
+                for w in range(self.n)]
+
+    def _number(self, msg) -> int:
+        """The number of message `msg`, given on first sight."""
+        num = self._message_numbers.get(msg)
+        if num is None:
+            num = self._message_numbers[msg] = len(self._messages)
+            self._messages.append((_KIND[msg[0]], msg[1], msg, {}, -1))
+            if msg[0] in ("fill", "wb") and msg[-1]:
+                self._latest_data |= _COUNT_MAX << self._shift(num)
+                self._messages[num] = self._messages[num][:4] + (
+                    self._number(msg[:-1] + (0,)),)
+        return num
+
+    def _shift(self, num) -> int:
+        return self._layout[3] + _COUNT_BITS * num
+
+    def _txn_number(self, txn) -> int:
+        num = self._txn_numbers.get(txn)
+        if num is None:
+            num = len(self._txns)
+            if num >> _TXN_BITS:
+                raise ModelError(f"more than {num - 1} distinct transactions")
+            self._txn_numbers[txn] = num
+            self._txns.append(txn)
+        return num
+
+    def _overflow(self, full) -> ModelError:
+        """The error for adding a message to the count field `full`."""
+        num = (full.bit_length() - _COUNT_BITS - self._layout[3]) \
+            // _COUNT_BITS
+        return ModelError(f"more than {_COUNT_MAX} copies of "
+                          f"{self._messages[num][2]} in flight")
+
+    # -- table consultation (single source of truth) -------------------------
 
     def _local_rule(self, i, entry):
         """The operations cache i can start in `entry`: ((new entry,
@@ -362,8 +421,151 @@ class Model:
         nxt_st = st if act.next_state is None else _NUM[act.next_state]
         if pend == REPL and kind is LceEventKind.StWb:
             pend = IDLE   # the eviction's writeback completes it
-        return (i, (nxt_st, latest, pend), tuple(sorted(adds)),
+        return (i, (nxt_st, latest, pend), tuple(adds),
                 f"{kind.value} -> {_LETTER[nxt_st]}")
+
+    def _txn_progress(self, txn, mem_latest):
+        """Transaction `txn` after an event: (its number, or 0 once it
+        closes; the messages it sends).  Once collection is complete it
+        fires the deferred owner command and then the grant."""
+        r, acks, wb, grant, gst, coh, cmd = txn
+        if acks < 0 or wb < 0:
+            raise ModelError(f"cache {r} got more responses than it awaited")
+        adds = ()
+        if acks == 0:
+            if cmd:
+                adds = (cmd,)
+                cmd = ()
+            if wb == 0:
+                if grant:
+                    adds += (("fill", r, gst, mem_latest) if grant == 1
+                             else ("stw", r, gst),)
+                    grant = 0
+                if coh == 0:
+                    return 0, adds
+        return self._txn_number((r, acks, wb, grant, gst, coh, cmd)), adds
+
+    # -- compiled transitions -------------------------------------------------
+
+    def _compile(self, delta, removed, adds, writer, label):
+        """A transition as (int to add to the state, ((count field, limit),
+        ...), writer or -1, label): the state gains `delta`, one copy of
+        message number `removed` (none if -1) is taken and every message
+        in `adds` is sent.  Sending to a field whose value exceeds its
+        limit would overflow it.  A writer's store then stales every
+        other copy (`_stale`)."""
+        counts = {}
+        for msg in adds:
+            shift = self._shift(self._number(msg))
+            counts[shift] = counts.get(shift, 0) + 1
+        if removed >= 0:
+            shift = self._shift(removed)
+            counts[shift] = counts.get(shift, 0) - 1
+        checks = []
+        for shift, count in counts.items():
+            delta += count << shift
+            if count > 0:
+                checks.append((_COUNT_MAX << shift,
+                               (_COUNT_MAX - count) << shift))
+        return delta, tuple(checks), writer, label
+
+    def _compile_local(self, i, entry):
+        shift = self._layout[0][i][1]
+        return tuple(
+            self._compile((_entry(*new_entry) - entry) << shift, -1,
+                          req or (), i if req is None else -1,
+                          f"cache {i}: {text}")
+            for new_entry, req, text in self._local_rule(
+                i, _entry_fields(entry)))
+
+    def _compile_delivery(self, num, context):
+        """The delivery of message `num` in `context` (see `_expand`)."""
+        slots, rec, mem, _ = self._layout
+        _, i, msg, _, _ = self._messages[num]
+        tag = msg[0]
+        if tag == "req":
+            entry = context & _ENTRY_MASK
+            records = context >> _ENTRY_BITS
+            dir_rec = tuple(records >> (_REC_BITS * j) & 7
+                            for j in range(self.n))
+            pend = msg[2]
+            if pend == REPL and dir_rec[i] not in _EMO_NUMS:
+                # The would-be victim lost its copy (or only held it
+                # shared) before the replacement was processed: nothing
+                # to write back.
+                st, latest, _ = _entry_fields(entry)
+                return self._compile(
+                    (_entry(st, latest, IDLE) - entry) << slots[i][1], num,
+                    (), -1, f"directory: drop stale replacement from cache {i}")
+            new_rec, adds, new_txn, letter = self._dir_rule(dir_rec, msg)
+            txn, sent = self._txn_progress(new_txn, records >> (_REC_BITS
+                                                                * self.n))
+            delta = sum((r - d) << (rec + _REC_BITS * j)
+                        for j, (r, d) in enumerate(zip(new_rec, dir_rec)))
+            return self._compile(
+                delta + (txn << (mem + 1)), num, adds + sent, -1,
+                f"directory: accept {_REQ_NAMES[pend]} from cache {i} "
+                f"(dir state {letter})")
+        if tag in ("invack", "wb", "cohack"):
+            txn, mem_latest = context >> 1, context & 1
+            if not txn:
+                raise ModelError(f"directory got {msg} with no transaction "
+                                 "open")
+            r, acks, wb, grant, gst, coh, cmd = self._txns[txn]
+            if tag == "invack":
+                acks -= 1
+                label = f"directory: collect InvAck from cache {i}"
+            elif tag == "wb":
+                _, _, dirty, latest = msg
+                if dirty:
+                    mem_latest = latest
+                wb = 0
+                label = (f"directory: consume "
+                         f"{'dirty' if dirty else 'null'} writeback "
+                         f"from cache {i}")
+            else:
+                coh = 0
+                label = "directory: transaction done (CohAck)"
+            txn, sent = self._txn_progress(
+                (r, acks, wb, grant, gst, coh, cmd), mem_latest)
+            return self._compile(((txn << 1 | mem_latest) - context) << mem,
+                                 num, sent, -1, label)
+        shift = slots[i][1]
+        if tag in ("inv", "cmd"):
+            i, new_entry, adds, text = self._cmd_rule(
+                _entry_fields(context), msg)
+            return self._compile((_entry(*new_entry) - context) << shift,
+                                 num, adds, -1, f"cache {i}: {text}")
+        # A grant: "fill" or "stw".
+        gst = msg[2]
+        _, latest, pend = _entry_fields(context)
+        write = pend == WR
+        latest = 1 if write else msg[3] if tag == "fill" else latest
+        verb = "install fill" if tag == "fill" else "upgrade (STW)"
+        return self._compile((_entry(gst, latest, IDLE) - context) << shift,
+                             num, (("cohack", i),), i if write else -1,
+                             f"cache {i}: {verb} -> {_LETTER[gst]}")
+
+    def _stale(self, state, writer):
+        """A committed store by `writer` makes every other cached copy,
+        memory and every data message stale."""
+        state &= self._stale_masks[writer]
+        data = state & self._latest_data
+        if data:
+            messages = self._messages
+            num = -1
+            data >>= self._layout[3]
+            while data:
+                skip = ((data & -data).bit_length() - 1) // _COUNT_BITS + 1
+                data >>= skip * _COUNT_BITS
+                num += skip
+                shift = self._shift(num)
+                count = state >> shift & _COUNT_MAX
+                to = self._shift(messages[num][4])
+                if (state >> to & _COUNT_MAX) + count > _COUNT_MAX:
+                    raise self._overflow(_COUNT_MAX << to)
+                state += (count << to) - (count << shift)
+        return state
 
     # -- successor generation -------------------------------------------------
 
@@ -379,118 +581,64 @@ class Model:
         return list(zip(labels, succs))
 
     def _expand(self, state, labels):
-        """The successors of `state`; with a `labels` list, also append
-        each transition's label to it."""
-        caches, dir_rec, mem_latest, txn, msgs = state
-        dir_rules = self._dir_rules
-        cmd_rules = self._cmd_rules
-        out = []
-
-        # Cache-initiated operations.
-        local_rules = self._local_rules
-        for i, entry in enumerate(caches):
-            ops = local_rules[i].get(entry)
+        """The successors of `state`: each cache's own operations, cache by
+        cache, then the delivery of each distinct in-flight message, by
+        message number.  With a `labels` list, also append each
+        transition's label to it."""
+        slots, rec, mem, base = self._layout
+        caches = state & (1 << rec) - 1
+        rules = []
+        local_ops = self._local_ops
+        for key, shift in slots:
+            key |= caches >> shift & _ENTRY_MASK
+            ops = local_ops.get(key)
             if ops is None:
-                ops = local_rules[i][entry] = self._local_rule(i, entry)
-            for new_entry, req, text in ops:
-                nc = _put(caches, i, new_entry)
-                if req is None:
-                    nc, ms = _stale_others(nc, msgs, i)
-                    out.append((nc, dir_rec, 0, txn, ms))
-                else:
-                    out.append((nc, dir_rec, mem_latest, txn,
-                                _with(msgs, req)))
-                if labels is not None:
-                    labels.append(f"cache {i}: {text}")
+                ops = local_ops[key] = self._compile_local(
+                    key >> _ENTRY_BITS, key & _ENTRY_MASK)
+            rules += ops
 
-        # Message deliveries (nondeterministic multiset removal), each
-        # distinct message once, in the tuple's sorted order.
-        prev = None
-        for k, msg in enumerate(msgs):
-            if msg == prev:
-                continue
-            prev = msg
-            tag = msg[0]
-            if tag == "req":
-                if txn:
-                    continue
-                rest = msgs[:k] + msgs[k + 1:]
-                i, pend = msg[1], msg[2]
-                if pend == REPL and dir_rec[i] not in _EMO_NUMS:
-                    # The would-be victim lost its copy (or only held it
-                    # shared) before the replacement was processed: nothing
-                    # to write back.
-                    st, lat, _ = caches[i]
-                    out.append((_put(caches, i, (st, lat, IDLE)), dir_rec,
-                                mem_latest, txn, rest))
-                    if labels is not None:
-                        labels.append(
-                            f"directory: drop stale replacement from cache {i}")
-                    continue
-                key = (dir_rec, msg)
-                rule = dir_rules.get(key)
-                if rule is None:
-                    rule = dir_rules[key] = self._dir_rule(dir_rec, msg)
-                new_rec, adds, new_txn, letter = rule
-                out.append(_txn_progress(caches, new_rec, mem_latest,
-                                         _with(rest, adds), *new_txn))
-                if labels is not None:
-                    labels.append(f"directory: accept {_REQ_NAMES[pend]} "
-                                  f"from cache {i} (dir state {letter})")
-            elif tag == "invack":
-                r, acks, wb, grant, gst, coh, cmd = txn
-                out.append(_txn_progress(caches, dir_rec, mem_latest,
-                                         msgs[:k] + msgs[k + 1:],
-                                         r, acks - 1, wb, grant, gst, coh,
-                                         cmd))
-                if labels is not None:
-                    labels.append(
-                        f"directory: collect InvAck from cache {msg[1]}")
-            elif tag == "wb":
-                _, src, dirty, lat = msg
-                r, acks, wb, grant, gst, coh, cmd = txn
-                out.append(_txn_progress(caches, dir_rec,
-                                         lat if dirty else mem_latest,
-                                         msgs[:k] + msgs[k + 1:],
-                                         r, acks, 0, grant, gst, coh, cmd))
-                if labels is not None:
-                    labels.append(f"directory: consume "
-                                  f"{'dirty' if dirty else 'null'} writeback "
-                                  f"from cache {src}")
-            elif tag == "cohack":
-                r, acks, wb, grant, gst, coh, cmd = txn
-                out.append(_txn_progress(caches, dir_rec, mem_latest,
-                                         msgs[:k] + msgs[k + 1:],
-                                         r, acks, wb, grant, gst, 0, cmd))
-                if labels is not None:
-                    labels.append("directory: transaction done (CohAck)")
-            elif tag == "inv" or tag == "cmd":
-                key = (caches[msg[1]], msg)
-                rule = cmd_rules.get(key)
-                if rule is None:
-                    rule = cmd_rules[key] = self._cmd_rule(*key)
-                i, entry, adds, text = rule
-                out.append((_put(caches, i, entry), dir_rec, mem_latest, txn,
-                            _with(msgs[:k] + msgs[k + 1:], adds)))
-                if labels is not None:
-                    labels.append(f"cache {i}: {text}")
-            elif tag == "fill" or tag == "stw":
-                i, gst = msg[1], msg[2]
-                st, latest, pend = caches[i]
-                write = pend == WR
-                lat = 1 if write else msg[3] if tag == "fill" else latest
-                nc = _put(caches, i, (gst, lat, IDLE))
-                ms = _with(msgs[:k] + msgs[k + 1:], (("cohack", i),))
-                if write:
-                    nc, ms = _stale_others(nc, ms, i)
-                    out.append((nc, dir_rec, 0, txn, ms))
+        # Message deliveries (nondeterministic multiset removal).  A
+        # request is keyed on the requester's entry, the records and
+        # mem_latest, a response to the directory on the transaction and
+        # mem_latest, anything else on its cache's entry.
+        msgs = state >> base
+        if msgs:
+            messages = self._messages
+            txn_mem = state >> mem & (1 << 1 + _TXN_BITS) - 1
+            num = -1
+            while msgs:
+                # Skip to the next non-zero count field.
+                skip = ((msgs & -msgs).bit_length() - 1) // _COUNT_BITS + 1
+                msgs >>= skip * _COUNT_BITS
+                num += skip
+                kind, i, _, memo, _ = messages[num]
+                if kind == _REQUEST:
+                    if txn_mem > 1:
+                        continue   # the directory serves one at a time
+                    context = ((state >> rec & (1 << mem + 1 - rec) - 1)
+                               << _ENTRY_BITS
+                               | caches >> slots[i][1] & _ENTRY_MASK)
+                elif kind == _RESPONSE:
+                    context = txn_mem
                 else:
-                    out.append((nc, dir_rec, mem_latest, txn, ms))
-                if labels is not None:
-                    verb = "install fill" if tag == "fill" else "upgrade (STW)"
-                    labels.append(f"cache {i}: {verb} -> {_LETTER[gst]}")
+                    context = caches >> slots[i][1] & _ENTRY_MASK
+                rule = memo.get(context)
+                if rule is None:
+                    rule = memo[context] = self._compile_delivery(num,
+                                                                  context)
+                rules.append(rule)
+
+        out = []
+        for delta, checks, writer, label in rules:
+            for full, limit in checks:
+                if state & full > limit:
+                    raise self._overflow(full)
+            if writer < 0:
+                out.append(state + delta)
             else:
-                raise AssertionError(msg)
+                out.append(self._stale(state + delta, writer))
+            if labels is not None:
+                labels.append(label)
         return out
 
 
@@ -509,17 +657,7 @@ def _trace(model: Model, parents: dict, state) -> list:
 
 def check(cfg: CheckConfig) -> CheckResult:
     """Breadth-first exploration; deterministic, first counterexample."""
-    model = Model(cfg)
-    # The search makes no reference cycles, so the cyclic garbage collector
-    # would only rescan the ever-growing set of stored states (about 5% of
-    # the time of an exhaustive 4-cache search).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _search(model, cfg)
-    finally:
-        if collecting:
-            gc.enable()
+    return _search(Model(cfg), cfg)
 
 
 def _search(model: Model, cfg: CheckConfig) -> CheckResult:
@@ -529,10 +667,9 @@ def _search(model: Model, cfg: CheckConfig) -> CheckResult:
     if bad:
         return CheckResult(False, False, 1, 0, bad, [])
     parents = {init: None}
-    # Interned caches tuples, all of which satisfy the invariants (those
-    # read only the caches), and interned other parts of stored states.
-    checked = {init[0]: init[0]}
-    intern = {}.setdefault
+    # The caches fields that satisfy the invariants (which read only them).
+    caches_mask = (1 << _caches_bits(cfg.caches)) - 1
+    checked = {init & caches_mask}
     level = [init]
     depth = 0
     while True:
@@ -546,28 +683,19 @@ def _search(model: Model, cfg: CheckConfig) -> CheckResult:
                 return CheckResult(False, False, len(parents), depth,
                                    f"impossible transition: {exc}",
                                    _trace(model, parents, state))
+            own = state & caches_mask
             for nxt in succs:
                 if nxt in parents:
                     continue
-                caches, dir_rec, mem_latest, txn, msgs = nxt
-                if caches is not state[0]:
-                    canon = checked.get(caches)
-                    if canon is None:
-                        bad = check_invariants(nxt)
-                        if bad:
-                            parents[nxt] = state
-                            return CheckResult(False, False, len(parents),
-                                               depth + 1, bad,
-                                               _trace(model, parents, nxt))
-                        canon = checked[caches] = caches
-                    caches = canon
-                if dir_rec is not state[1]:
-                    dir_rec = intern(dir_rec, dir_rec)
-                if txn is not state[3]:
-                    txn = intern(txn, txn)
-                if msgs is not state[4]:
-                    msgs = intern(msgs, msgs)
-                nxt = (caches, dir_rec, mem_latest, txn, msgs)
+                caches = nxt & caches_mask
+                if caches != own and caches not in checked:
+                    bad = check_invariants(nxt)
+                    if bad:
+                        parents[nxt] = state
+                        return CheckResult(False, False, len(parents),
+                                           depth + 1, bad,
+                                           _trace(model, parents, nxt))
+                    checked.add(caches)
                 parents[nxt] = state
                 if cfg.max_states is not None \
                         and len(parents) >= cfg.max_states:

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from cohsim import checker
 from cohsim.checker import (CheckConfig, CheckResult, MUTATIONS, Model,
-                            check, check_invariants, initial_state)
+                            ModelError, check, check_invariants,
+                            initial_state)
 
 # (states, depth) of exhaustive searches, and the depth at which each
 # seeded mutation is caught with 3 caches (the same for both protocols).
@@ -128,6 +130,43 @@ class TestMutations:
     def test_unknown_mutation_rejected(self):
         with pytest.raises((ValueError, KeyError)):
             check(CheckConfig(protocol="mesi", caches=2, mutation="nonsense"))
+
+
+class TestStateEncoding:
+    def test_message_count_overflow_raises(self):
+        """Sending a message whose count field is full raises ModelError
+        and never carries into the next field."""
+        model = Model(CheckConfig(protocol="mesi", caches=2))
+        # Cache 0's outstanding op, cleared to let it send the same
+        # request again while the earlier copies are still in flight.
+        pend = 7 << (checker._N_BITS + checker._PEND_SHIFT)
+        state = initial_state(2)
+        for _ in range(checker._COUNT_MAX):
+            (state,) = [nxt for label, nxt in model.labelled_successors(state)
+                        if label == "cache 0: read request"]
+            state &= ~pend
+        field = model._shift(model._number(("req", 0, checker.RD)))
+        assert state == initial_state(2) + (checker._COUNT_MAX << field)
+        with pytest.raises(ModelError, match=r"more than 3 copies of "
+                                             r"\('req', 0, 1\) in flight"):
+            model.successors(state)
+
+    def test_store_stales_data_in_flight(self):
+        """A store hit moves every copy of a latest-data message in flight
+        to its stale twin and makes memory stale.  No search reaches such
+        a state, so it is built by hand: cache 0 in M, two fills of the
+        latest data to cache 1 in flight."""
+        model = Model(CheckConfig(protocol="moesif", caches=2))
+
+        def fill(latest):
+            return model._shift(model._number(("fill", 1, 1, latest)))
+
+        owner = checker._entry(checker._M_NUM, 1, checker.IDLE) \
+            << checker._N_BITS
+        state = initial_state(2) + owner + (2 << fill(1))
+        (nxt,) = [nxt for label, nxt in model.labelled_successors(state)
+                  if label == "cache 0: store hit in M"]
+        assert nxt == 2 + owner + (2 << fill(0))
 
 
 _RESULTS_SCRIPT = """
