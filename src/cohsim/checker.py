@@ -152,6 +152,9 @@ def _caches_bits(n):
 def initial_state(caches: int) -> int:
     """Every cache idle in I with no data, every record I, memory
     latest, no transaction and no message."""
+    if not 0 <= caches < 1 << _N_BITS:
+        raise ValueError(f"caches must be from 0 to {(1 << _N_BITS) - 1}, "
+                         f"got {caches}")
     return caches | 1 << (_caches_bits(caches) + _REC_BITS * caches)
 
 
@@ -181,9 +184,6 @@ class Model:
         if cfg.mutation is not None and cfg.mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {cfg.mutation!r}; "
                              f"choose from {MUTATIONS}")
-        if not 0 <= cfg.caches < 1 << _N_BITS:
-            raise ValueError(f"caches must be from 0 to {(1 << _N_BITS) - 1}"
-                             f", got {cfg.caches}")
         self.cfg = cfg
         self.tables = PROTOCOLS[cfg.protocol]
         self.n = cfg.caches

@@ -151,6 +151,10 @@ class TestStateEncoding:
                                              r"\('req', 0, 1\) in flight"):
             model.successors(state)
 
+    def test_cache_count_must_fit_its_field(self):
+        with pytest.raises(ValueError, match="caches must be from 0 to 255"):
+            check(CheckConfig(protocol="mesi", caches=256))
+
     def test_store_stales_data_in_flight(self):
         """A store hit moves every copy of a latest-data message in flight
         to its stale twin and makes memory stale.  No search reaches such
