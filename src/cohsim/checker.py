@@ -105,9 +105,10 @@ class CheckResult:
 # into an int added to the state, plus the message fields it sends to and
 # the writer whose store stales every other copy (see `_compile`).  The
 # compiled transitions are memoised on plain ints: a cache's own operations
-# on (cache, entry); a message's delivery on the entry of the cache it goes
-# to, on the directory records (for a request) or on the transaction (for
-# a response).
+# on (cache, entry); a message's delivery, per message, on the requester's
+# entry, the records and mem_latest (a request), on the transaction and
+# mem_latest (a response to the directory) or on the receiving cache's
+# entry (anything else).
 #
 # `check` stores each reached state once, as the key of `parents`, whose
 # value is the state it was first reached from (None for the initial
@@ -159,8 +160,9 @@ def initial_state(caches: int) -> int:
 
 
 def check_invariants(state) -> Optional[str]:
-    entries = [state >> (_N_BITS + _ENTRY_BITS * i) & _ENTRY_MASK
-               for i in range(state & (1 << _N_BITS) - 1)]
+    n = state & (1 << _N_BITS) - 1
+    caches = state >> _N_BITS & (1 << _ENTRY_BITS * n) - 1
+    entries = [caches >> _ENTRY_BITS * i & _ENTRY_MASK for i in range(n)]
     states = [e & 7 for e in entries]
     valid = [i for i, st in enumerate(states) if st in VALID_NUMS]
     writers = [i for i in valid if states[i] in WRITABLE_NUMS]
@@ -479,7 +481,8 @@ class Model:
                 i, _entry_fields(entry)))
 
     def _compile_delivery(self, num, context):
-        """The delivery of message `num` in `context` (see `_expand`)."""
+        """The delivery of message `num` in `context` (see the layout
+        comment)."""
         slots, rec, mem, _ = self._layout
         _, i, msg, _, _ = self._messages[num]
         tag = msg[0]
@@ -597,10 +600,8 @@ class Model:
                     key >> _ENTRY_BITS, key & _ENTRY_MASK)
             rules += ops
 
-        # Message deliveries (nondeterministic multiset removal).  A
-        # request is keyed on the requester's entry, the records and
-        # mem_latest, a response to the directory on the transaction and
-        # mem_latest, anything else on its cache's entry.
+        # Message deliveries (nondeterministic multiset removal), each
+        # memoised on its context as the layout comment describes.
         msgs = state >> base
         if msgs:
             messages = self._messages
