@@ -190,7 +190,7 @@ class Model:
         self.tables = PROTOCOLS[cfg.protocol]
         self.n = cfg.caches
 
-    # -- layout, message and transaction numbering -----------------------------
+    # -- layout, message and transaction numbering ---------------------------
     #
     # Built the first time a search needs them, so that constructing a
     # Model costs no more than its configuration.
@@ -499,7 +499,8 @@ class Model:
                 st, latest, _ = _entry_fields(entry)
                 return self._compile(
                     (_entry(st, latest, IDLE) - entry) << slots[i][1], num,
-                    (), -1, f"directory: drop stale replacement from cache {i}")
+                    (), -1,
+                    f"directory: drop stale replacement from cache {i}")
             new_rec, adds, new_txn, letter = self._dir_rule(dir_rec, msg)
             txn, sent = self._txn_progress(new_txn, records >> (_REC_BITS
                                                                 * self.n))
