@@ -5,14 +5,14 @@ bits, one request queue per LCE, the response and memory-response queues,
 the CohAck drain and the memory-response machine.  The two engines,
 `fsm_cce.FsmCce` and `ucode.engine.UcodeCce`, differ only in how they
 sequence a request: each supplies `_step` (one sequencer cycle, tagged BUSY
-or WAIT), `_active` and `_seq_quiet`.
+or WAIT) and `_active`.
 
 Cycle accounting follows one rule for both engines, applied in `_count`.
 A cycle is busy when the sequencer did work.  Otherwise it is wait inside
 an open transaction; outside one it is stall when a queued request head is
 blocked by a pending bit and no head is admissible, and idle otherwise.
-Cycles skipped by the system's fast-forward are classified by the same
-rule.  Every request the engine takes, uncached ones included, opens one
+The engine ticks every cycle, so each cycle is classified as it happens.
+Every request the engine takes, uncached ones included, opens one
 `TransactionRecord` and closes it when the sequencer is done with it.
 """
 
@@ -64,7 +64,6 @@ class EngineStats:
     wait_cycles: int = 0
     idle_cycles: int = 0
     mem_resp_forwards: int = 0
-    mem_resp_sunk: int = 0
     mem_resp_squashed: int = 0
 
 
@@ -96,7 +95,6 @@ class CceCore:
         self._req: Optional[CohRequest] = None
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
-        self.last_tag = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -150,25 +148,13 @@ class CceCore:
         return (any(self.req_qs) or bool(self.resp_q)
                 or bool(self.memresp_q) or self._active())
 
-    def quiet(self) -> bool:
-        """True when ticking without new deliveries can only produce
-        non-busy cycles of the same class."""
-        if self.memresp_q or self.resp_q:
-            return False
-        return self._seq_quiet()
-
-    def note_skipped(self, cycles: int):
-        """Account for the cycles elided by the system's fast-forward."""
-        self._count(WAIT, cycles)
-
     def tick(self, now: int):
         self.now = now
         if self.resp_q:
             self._drain_cohacks()
         if self.memresp_q:
             self._mem_resp_tick()
-        self.last_tag = self._step()
-        self._count(self.last_tag)
+        self._count(self._step())
 
     # -- sequencer hooks -------------------------------------------------------
 
@@ -180,25 +166,21 @@ class CceCore:
         """True while the sequencer holds work that needs more cycles."""
         raise NotImplementedError
 
-    def _seq_quiet(self) -> bool:
-        """The sequencer's part of `quiet`."""
-        raise NotImplementedError
-
     # -- cycle accounting ------------------------------------------------------
 
-    def _count(self, tag: str, cycles: int = 1):
+    def _count(self, tag: str):
         stats, txn = self.stats, self._txn
         if tag is BUSY:
-            stats.busy_cycles += cycles
+            stats.busy_cycles += 1
             if txn is not None:
-                txn.busy_cycles += cycles
+                txn.busy_cycles += 1
         elif txn is not None:
-            stats.wait_cycles += cycles
-            txn.wait_cycles += cycles
+            stats.wait_cycles += 1
+            txn.wait_cycles += 1
         elif self._stalled:
-            stats.stall_cycles += cycles
+            stats.stall_cycles += 1
         else:
-            stats.idle_cycles += cycles
+            stats.idle_cycles += 1
 
     def _open_txn(self, req: CohRequest) -> AddressClass:
         addr_class = classify_request(req.addr, req.uncached, self.region_map)
@@ -317,8 +299,6 @@ class CceCore:
                     kind=CommandKind.Data, addr=resp.addr, data=resp.data,
                     uncached=True, size=resp.size, state=None))
                 self.stats.mem_resp_forwards += 1
-            else:
-                self.stats.mem_resp_sunk += 1
             if resp.wp:
                 self.pending.adjust(self.local_wg(resp.addr), -1)
             return
@@ -326,7 +306,6 @@ class CceCore:
             self.memresp_q.popleft()
             self.net.release_mem_credit()
             self.pending.adjust(self.local_wg(resp.addr), -1)
-            self.stats.mem_resp_sunk += 1
             return
         wg = self.local_wg(resp.addr)
         state = resp.state

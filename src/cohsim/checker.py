@@ -58,10 +58,19 @@ class CheckConfig:
     protocol: str = "mesi"
     caches: int = 2
     mutation: Optional[str] = None
-    include_ne: bool = True
-    include_repl: bool = True
     max_states: Optional[int] = None
     max_depth: Optional[int] = None
+
+    def __post_init__(self):
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of "
+                             f"{', '.join(PROTOCOLS)}, got {self.protocol!r}")
+        if self.mutation is not None and self.mutation not in MUTATIONS:
+            raise ValueError(f"mutation must be one of "
+                             f"{', '.join(MUTATIONS)}, got {self.mutation!r}")
+        if not 0 <= self.caches < 1 << _N_BITS:
+            raise ValueError(f"caches must be from 0 to "
+                             f"{(1 << _N_BITS) - 1}, got {self.caches}")
 
 
 @dataclass
@@ -152,10 +161,8 @@ def _caches_bits(n):
 
 def initial_state(caches: int) -> int:
     """Every cache idle in I with no data, every record I, memory
-    latest, no transaction and no message."""
-    if not 0 <= caches < 1 << _N_BITS:
-        raise ValueError(f"caches must be from 0 to {(1 << _N_BITS) - 1}, "
-                         f"got {caches}")
+    latest, no transaction and no message.  `CheckConfig` bounds the
+    cache count to what the count field holds."""
     return caches | 1 << (_caches_bits(caches) + _REC_BITS * caches)
 
 
@@ -183,9 +190,6 @@ def check_invariants(state) -> Optional[str]:
 
 class Model:
     def __init__(self, cfg: CheckConfig):
-        if cfg.mutation is not None and cfg.mutation not in MUTATIONS:
-            raise ValueError(f"unknown mutation {cfg.mutation!r}; "
-                             f"choose from {MUTATIONS}")
         self.cfg = cfg
         self.tables = PROTOCOLS[cfg.protocol]
         self.n = cfg.caches
@@ -298,10 +302,10 @@ class Model:
             ops.append(((st, latest, WR), (("req", i, WR),),
                         f"write request from {_LETTER[st]}"))
         if st == 0:
-            for kind in ((RD, RD_NE) if self.cfg.include_ne else (RD,)):
+            for kind in (RD, RD_NE):
                 ops.append(((st, latest, kind), (("req", i, kind),),
                             f"{_REQ_NAMES[kind]} request"))
-        elif st in _EMO_NUMS and self.cfg.include_repl:
+        elif st in _EMO_NUMS:
             ops.append(((st, latest, REPL), (("req", i, REPL),),
                         f"evict {_LETTER[st]} block"))
         return tuple(ops)

@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from . import harness
+from .checker import MUTATIONS, CheckConfig, check
 from .system import System, SystemConfig
 
 
@@ -104,19 +105,20 @@ def _cmd_disasm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checker import CheckConfig, check
-    result = check(CheckConfig(protocol=args.protocol, caches=args.caches,
-                               mutation=args.mutation,
-                               max_states=args.max_states,
-                               max_depth=args.max_depth))
+    try:
+        cfg = CheckConfig(protocol=args.protocol, caches=args.caches,
+                          mutation=args.mutation, max_states=args.max_states,
+                          max_depth=args.max_depth)
+    except ValueError as exc:
+        raise _config_error(str(exc)) from None
+    result = check(cfg)
     print(result.summary())
     return 0 if result.verified else 1
 
 
 def _cmd_occupancy(args) -> int:
     cores = (2, 4, 8, 16) if args.sweep else (args.cores,)
-    csv_text = harness.occupancy_csv(args.engine, cores_list=cores,
-                                     protocol=args.protocol)
+    csv_text = harness.occupancy_csv(args.engine, cores_list=cores)
     out = open(args.output, "w") if args.output else sys.stdout
     out.write(csv_text)
     if args.output:
@@ -137,15 +139,20 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    pct = harness.overhead_calc(args.scheme, args.caches,
-                                tag_bits=args.tag_bits,
-                                state_bits=args.state_bits,
-                                block_bits=args.block_bits)
+    try:
+        pct = harness.overhead_calc(args.scheme, args.caches,
+                                    tag_bits=args.tag_bits,
+                                    state_bits=args.state_bits,
+                                    block_bits=args.block_bits)
+    except ValueError as exc:
+        raise _config_error(str(exc)) from None
     print(f"{pct:.2f}%")
     return 0
 
 
 def _cmd_tracegen(args) -> int:
+    if args.lces < 1:
+        raise _config_error(f"lces must be at least 1, got {args.lces}")
     ops = harness.random_workload(
         seed=args.seed, lces=args.lces, ops=args.ops,
         footprint_blocks=args.footprint, write_ratio=args.write_ratio,
@@ -188,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check", help="model-check the protocol")
     s.add_argument("--protocol", choices=("mesi", "moesif"), default="mesi")
     s.add_argument("--caches", type=int, default=2)
-    s.add_argument("--mutation", help="seeded bug to inject")
+    s.add_argument("--mutation", choices=MUTATIONS,
+                   help="seeded bug to inject")
     s.add_argument("--max-states", type=int)
     s.add_argument("--max-depth", type=int)
     s.set_defaults(fn=_cmd_check)
@@ -198,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cores", type=int, default=8)
     s.add_argument("--sweep", action="store_true",
                    help="sweep cores over 2,4,8,16")
-    s.add_argument("--protocol", choices=("mesi", "moesif"),
-                   default="moesif")
     s.add_argument("-o", "--output")
     s.set_defaults(fn=_cmd_occupancy)
 

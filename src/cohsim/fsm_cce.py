@@ -62,11 +62,6 @@ class FsmCce(CceCore):
     def _active(self) -> bool:
         return self._flow is not None
 
-    def _seq_quiet(self) -> bool:
-        if self._flow is not None:
-            return self.last_tag is WAIT
-        return not any(self.req_qs)
-
     def _step(self) -> str:
         while True:
             if self._flow is None:

@@ -380,7 +380,6 @@ def run_trace(system: System, ops, monitors=(),
         retired = system.advance(system.now + 1 if changed else deadline)
     else:
         raise TraceError(f"trace did not complete within {limit} cycles")
-    system.run(limit=limit)  # drain posted traffic
     for m in monitors:
         report.violations.extend(m.violations)
     report.cycles = system.now - start
@@ -504,8 +503,8 @@ def overhead_calc(scheme: str, caches: int, tag_bits: int = 28,
 # Occupancy reporting
 # ---------------------------------------------------------------------------
 
-def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16), beats_list=(1, 8),
-                  protocol: str = "moesif") -> str:
+def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16),
+                  beats_list=(1, 8)) -> str:
     """CSV sweep of measured vs. modeled occupancy for every scenario."""
     from .occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                             sharer_range)
@@ -518,8 +517,7 @@ def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16), beats_list=(1, 8),
             for s in sharer_range(name, cores):
                 for beats in beats_list:
                     got = measure_occupancy(name, cores, sharers=s,
-                                            beats=beats, engine=engine,
-                                            protocol=protocol)
+                                            beats=beats, engine=engine)
                     want = occupancy_model(engine, name, cores=cores,
                                            sharers=s, beats=beats)
                     w.writerow([name, engine, cores, s, beats, got, want,

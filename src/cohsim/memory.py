@@ -95,6 +95,3 @@ class MemoryModel:
             beats = net.beats_of(resp.data)
             net.send(NetMessage(net=NetKind.MemResp, src=self.endpoint,
                                 dst=dst, payload=resp, beats=beats), now)
-
-    def next_event(self):
-        return self.inflight[0][0] if self.inflight else None

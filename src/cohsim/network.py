@@ -115,14 +115,6 @@ class Network:
             if ready < self.earliest:
                 self.earliest = ready
 
-    def next_event(self):
-        """Earliest pending delivery time, or None when idle."""
-        return None if self.earliest == INF else self.earliest
-
-    def any_ready(self, now: int) -> bool:
-        """True when some message can be delivered at `now`."""
-        return self.earliest <= now
-
     def deliver(self, now: int, dst: str):
         """Pop every message for `dst` ready at `now`, priority-sorted.
 

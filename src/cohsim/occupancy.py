@@ -4,6 +4,7 @@ Each scenario preloads cache and directory state through the system
 back door, issues exactly one request, and reports how many cycles the
 coherence engine was busy with it.  The model functions give the expected
 count as a function of cache count C, sharer count S, and data beats N.
+Scenarios and models are MOESIF's: some preload O or F.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ def sharer_range(name: str, cores: int):
 def measure_occupancy(name: str, cores: int, sharers: int = 0,
                       beats: int = 1, engine: str = "fsm",
                       victim: Optional[str] = None,
-                      protocol: str = "moesif",
                       ucode_program: str = None) -> int:
     """Run one scenario and return the engine's busy-cycle count for it."""
     sc = SCENARIOS[name]
@@ -174,8 +174,7 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
     cfg = SystemConfig(cores=cores, sets=8,
                        assoc=(1 if victim is not None else 2),
                        block_bytes=block, beat_bytes=block // beats,
-                       engine=engine, protocol=protocol,
-                       ucode_program=ucode_program)
+                       engine=engine, ucode_program=ucode_program)
     system = System(cfg)
     addr = 0x8000_0000
     data = bytes(range(block % 256)) or None

@@ -1,8 +1,9 @@
 """Full-system assembly: caches, coherence engines, network, and memory
 advanced in lockstep, one cycle per step.  `advance` runs until the next
 event `harness.run_trace` acts on, ticking the CCEs alone through cycles in
-which nothing else can act; `run` drains, with optional fast-forward over
-provably idle stretches."""
+which nothing else can act; `run` drains by calling `advance` until the
+system is idle or its limit is reached.  No cycle is skipped: every CCE
+ticks every cycle."""
 
 from __future__ import annotations
 
@@ -227,39 +228,10 @@ class System:
         return (self.net.idle() and not self.mem.inflight
                 and not any(cce.has_pending_input() for cce in self.cces))
 
-    def _quiet_now(self) -> bool:
-        """True when this cycle can only produce wait/idle everywhere."""
-        ready = self.mem.next_event()
-        if self.net.any_ready(self.now) or (ready is not None
-                                            and ready <= self.now):
-            return False
-        return all(cce.quiet() for cce in self.cces)
-
-    def _next_event(self):
-        times = []
-        t = self.net.next_event()
-        if t is not None:
-            times.append(t)
-        t = self.mem.next_event()
-        if t is not None:
-            times.append(t)
-        return min(times) if times else None
-
-    def run(self, limit: int = 1_000_000, fast_forward: bool = True) -> int:
+    def run(self, limit: int = 1_000_000) -> int:
         """Advance until idle (returns cycles elapsed) or the cycle limit."""
         start = self.now
         end = start + limit
-        while self.now < end:
-            if self.idle():
-                break
-            if fast_forward and self._quiet_now():
-                t = self._next_event()
-                if t is not None and t > self.now:
-                    t = min(t, end)   # a skip stops at the limit too
-                    skipped = t - self.now
-                    for cce in self.cces:
-                        cce.note_skipped(skipped)
-                    self.now = t
-                    continue
-            self.step()
+        while self.now < end and not self.idle():
+            self.advance(end)
         return self.now - start

@@ -129,19 +129,6 @@ class UcodeCce(CceCore):
         return (self._txn is not None or self._bubbles > 0
                 or self._multi > 0 or self._inv_job is not None)
 
-    def _seq_quiet(self) -> bool:
-        if self._bubbles or self._multi or self._inv_job:
-            return False
-        if self.last_tag is not WAIT and self._txn is not None:
-            return False
-        # Blocked at wfq/popq: quiet unless an admissible request waits.
-        u = self.imem[self.pc]
-        wants_req = (u.op is Op.WFQ and u.waits_req) or (
-            u.op in (Op.POPQ, Op.POPH) and u.queue is Queue.Req)
-        if wants_req or self._txn is None:
-            return self._admissible() is None
-        return True
-
     def _step(self) -> str:
         if self._bubbles:
             self._bubbles -= 1

@@ -18,7 +18,6 @@ from ..messages import CommandKind
 
 IMEM_SIZE = 256
 NUM_GPRS = 8
-WORD_BITS = 32
 
 
 class Flag(IntEnum):

@@ -131,6 +131,10 @@ class TestMutations:
         with pytest.raises((ValueError, KeyError)):
             check(CheckConfig(protocol="mesi", caches=2, mutation="nonsense"))
 
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValueError, match="protocol must be one of"):
+            CheckConfig(protocol="msi")
+
 
 class TestStateEncoding:
     def test_message_count_overflow_raises(self):

@@ -156,6 +156,14 @@ class TestOccupancy:
             "scenario,engine,cores,sharers,beats,measured,model,match"
         assert ",false" not in text
 
+    def test_protocol_flag_removed(self, capsys):
+        """The occupancy scenarios and models are MOESIF's only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["occupancy", "--engine", "fsm", "--protocol", "mesi"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --protocol mesi" in \
+            capsys.readouterr().err
+
 
 class TestCompare:
     def test_engines_agree(self, trace_file, capsys):
@@ -172,6 +180,33 @@ class TestOverhead:
         assert main(["overhead", "--scheme", "complete",
                      "--caches", "33"]) == 0
         assert capsys.readouterr().out == "12.50%\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--caches", "256"],
+     "cohsim: error: caches must be from 0 to 255, got 256"),
+    (["check", "--caches", "-1"],
+     "cohsim: error: caches must be from 0 to 255, got -1"),
+    (["check", "--mutation", "nonsense"],
+     "argument --mutation: invalid choice: 'nonsense'"),
+    (["overhead", "--scheme", "foo", "--caches", "4"],
+     "cohsim: error: unknown scheme 'foo'"),
+    (["overhead", "--scheme", "dup", "--caches", "1"],
+     "cohsim: error: need at least 2 caches"),
+    (["tracegen", "--seed", "1", "--lces", "0"],
+     "cohsim: error: lces must be at least 1, got 0"),
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
+    """Bad input is an error line and exit 2, not a traceback; argparse
+    puts its usage lines before its own."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if message.startswith("cohsim: error:"):
+        assert err == message + "\n"
+    else:
+        assert message in err.splitlines()[-1]
 
 
 class TestTracegen:

@@ -50,7 +50,7 @@ def _count_calls(cce):
 
 def _run_in_batches(system, ops) -> int:
     """Issue the trace a batch at a time, at most one op per cache, and let
-    System.run (fast-forward on) drain each batch; returns elapsed cycles."""
+    System.run drain each batch; returns elapsed cycles."""
     elapsed, batch = 0, {}
     for op in [op for op in ops if op.op != "FENCE"] + [None]:
         if op is None or op.lce in batch:

@@ -213,9 +213,9 @@ class TestLimits:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_run_stops_at_its_limit(self, engine):
-        """`run(limit=n)` on a busy system advances exactly n cycles, also
-        when a fast-forward would jump past the limit, and runs cut short
-        end where one whole run does, with the same cycle accounting."""
+        """`run(limit=n)` on a busy system advances exactly n cycles, and
+        runs cut short end where one whole run does, with the same cycle
+        accounting."""
         def busy():
             system = System(SystemConfig(cores=2, sets=8, engine=engine))
             system.submit(0, BASE, write=True, data=b"\x11" * 8)
@@ -239,37 +239,44 @@ class TestLimits:
         assert counters(pieces) == counters(whole)
 
 
-class TestFastForward:
+class TestRun:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("shape", [
         dict(cores=4, sets=8, assoc=2),
         dict(cores=4, sets=8, assoc=2, num_cces=2, net_latency=0),
         dict(cores=2, sets=4, assoc=1, mem_latency=3),
     ], ids=["1cce", "2cce-lat0", "2c-evict"])
-    def test_fast_forward_is_exact(self, engine, shape):
-        """`run` with fast-forward skips only cycles in which nothing could
-        happen: the same batched submissions give the same cycles, cycle
-        accounting, mispredicts and final images as stepping every
-        cycle."""
+    def test_run_matches_stepping(self, engine, shape):
+        """`run` drains through `advance`, which ticks the CCEs alone
+        through cycles in which nothing else can act: the same batched
+        submissions give the same cycles, cycle accounting, mispredicts
+        and final images as stepping every cycle."""
         cfg = SystemConfig(engine=engine, **shape)
         rng = random.Random(7)
         blocks = [BASE + 64 * b for b in range(4 * cfg.sets * cfg.assoc)]
         batches = [[(i, rng.choice(blocks), rng.random() < 0.5)
                     for i in range(cfg.cores)] for _ in range(40)]
 
-        def run(fast_forward):
+        def drain_by_run(system):
+            return system.run()
+
+        def drain_by_step(system):
+            start = system.now
+            while not system.idle():
+                system.step()
+            return system.now - start
+
+        def run(drain):
             system = System(cfg)
-            skipped = []
-            for cce in system.cces:
-                note = cce.note_skipped
-                cce.note_skipped = (lambda n, note=note:
-                                    (skipped.append(n), note(n)))
+            steps = []
+            step = system.step
+            system.step = lambda: (steps.append(None), step())
             elapsed = []
             for n, batch in enumerate(batches):
                 for i, addr, write in batch:
                     system.submit(i, addr, write=write,
                                   data=bytes([n]) * 8 if write else None)
-                elapsed.append(system.run(fast_forward=fast_forward))
+                elapsed.append(drain(system))
                 assert system.idle()
             images = (harness._memory_image(system),
                       harness._dir_image(system),
@@ -278,10 +285,11 @@ class TestFastForward:
                          c.stats.stall_cycles, c.stats.idle_cycles,
                          getattr(c, "mispredicts", None))
                         for c in system.cces]
-            return elapsed, counters, images, sum(skipped)
+            return elapsed, counters, images, len(steps)
 
-        fast, slow = run(True), run(False)
-        assert fast[3] > 0 and slow[3] == 0   # the fast run did skip
+        fast, slow = run(drain_by_run), run(drain_by_step)
+        # `run` ticked some cycles' CCEs alone; the reference stepped all.
+        assert fast[3] < sum(fast[0]) and slow[3] == sum(slow[0])
         assert fast[:3] == slow[:3]
 
 

@@ -74,12 +74,14 @@ class TestMemoryModel:
         assert (resp.wp, resp.lce, resp.spec) == (3, 1, True)
 
     def test_next_event(self):
+        """A response is ready `latency` cycles after its command is
+        delivered: the head of `inflight` holds that time."""
         net = Network(NetConfig(latency=1))
         mem = MemoryModel(MemoryConfig(latency=7))
-        assert mem.next_event() is None
+        assert not mem.inflight
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=False))
         mem.tick(1, net)
-        assert mem.next_event() == 8
+        assert mem.inflight[0][0] == 8
 
     def test_deliver_only_when_a_command_is_due(self):
         """A tick for a ready response alone leaves the network's deliver

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from cohsim.messages import CohRequest, LceResponse, NetKind, NetMessage
-from cohsim.network import Backpressure, CreditError, NetConfig, Network
+from cohsim.network import (INF, Backpressure, CreditError, NetConfig,
+                            Network)
 
 
 def msg(net, src="a", dst="b", beats=0, payload=None):
@@ -130,24 +131,22 @@ class TestDeliveryOrder:
         assert net.idle()
 
     def test_idle_and_next_event_after_partial_delivery(self):
+        """`earliest`, the next delivery time, follows each delivery."""
         net = Network(NetConfig(latency=1))
-        assert net.idle() and net.next_event() is None
+        assert net.idle() and net.earliest == INF
         fan_in(net)
         assert not net.idle()
-        assert net.next_event() == 1
+        assert net.earliest == 1
         net.deliver(5, "d")                  # leaves c, h and f
         assert not net.idle()
-        assert net.next_event() == 1         # f still waits at "x"
+        assert net.earliest == 1             # f still waits at "x"
         net.deliver(5, "x")
         assert not net.idle()
-        assert net.next_event() == 8
-        assert not net.any_ready(7)
-        assert net.any_ready(8)
+        assert net.earliest == 8
         assert labels(net.deliver(8, "d")) == ["c"]
-        assert net.next_event() == 9
+        assert net.earliest == 9
         assert labels(net.deliver(9, "d")) == ["h"]
-        assert net.idle() and net.next_event() is None
-        assert not net.any_ready(100)
+        assert net.idle() and net.earliest == INF
 
     def test_random_ordering_golden_sequence(self):
         # Recorded from the channel-scanning implementation: the same seed
@@ -179,7 +178,7 @@ class TestReadyIndex:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_a_scan_of_every_channel(self, latency, seed):
         """After each send and each partial delivery, `next_ready`,
-        `any_ready`, `next_event` and `idle` agree with a full scan."""
+        `earliest` and `idle` agree with a full scan."""
         rng = random.Random(seed)
         net = Network(NetConfig(latency=latency))
         dsts = ["d0", "d1", "d2", "mem"]
@@ -199,11 +198,8 @@ class TestReadyIndex:
             now += rng.choice([0, 0, 1, 2])
             scan = scanned_ready(net)
             assert net.next_ready == scan
-            assert net.next_event() == min(scan.values(), default=None)
-            for t in (now - 1, now, now + 1, now + 5):
-                assert net.any_ready(t) == any(v <= t for v in scan.values())
             assert net.idle() == (not scan)
-            assert net.earliest == min(scan.values(), default=float("inf"))
+            assert net.earliest == min(scan.values(), default=INF)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_ordering_gathers_in_channel_creation_order(self, seed):
