@@ -7,8 +7,8 @@ the CohAck drain and the memory-response machine.  The two engines,
 sequence a request: each supplies `_step` (one sequencer cycle, tagged BUSY
 or WAIT) and `_active`.
 
-Cycle accounting follows one rule for both engines, applied in `_count`.
-A cycle is busy when the sequencer did work.  Otherwise it is wait inside
+Cycle accounting follows one rule for both engines, applied at the end of
+`tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait inside
 an open transaction; outside one it is stall when a queued request head is
 blocked by a pending bit and no head is admissible, and idle otherwise.
 The engine ticks every cycle, so each cycle is classified as it happens.
@@ -40,7 +40,7 @@ class EngineFault(Exception):
     outcome."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionRecord:
     """One request as the engine processed it."""
 
@@ -56,7 +56,7 @@ class TransactionRecord:
     replacement: Optional[str] = None  # None | "clean" | "dirty"
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineStats:
     transactions: list = field(default_factory=list)
     stall_cycles: int = 0
@@ -107,9 +107,8 @@ class CceCore:
         return local
 
     def _send(self, net_kind: NetKind, dst: str, payload, data=None):
-        self.net.send(NetMessage(net=net_kind, src=self.endpoint, dst=dst,
-                                 payload=payload,
-                                 beats=self.net.beats_of(data)), self.now)
+        self.net.send(NetMessage(net_kind, self.endpoint, dst, payload,
+                                 self.net.beats_of(data)), self.now)
 
     def _send_cmd(self, lce: int, cmd: CceCommand):
         if cmd.kind is CommandKind.Inv and self._txn is not None:
@@ -154,7 +153,21 @@ class CceCore:
             self._drain_cohacks()
         if self.memresp_q:
             self._mem_resp_tick()
-        self._count(self._step())
+        # Classify the cycle (see the module docstring); `_step` may open
+        # or close the transaction it is charged to.
+        tag = self._step()
+        txn = self._txn
+        if tag is BUSY:
+            self.stats.busy_cycles += 1
+            if txn is not None:
+                txn.busy_cycles += 1
+        elif txn is not None:
+            self.stats.wait_cycles += 1
+            txn.wait_cycles += 1
+        elif self._stalled:
+            self.stats.stall_cycles += 1
+        else:
+            self.stats.idle_cycles += 1
 
     # -- sequencer hooks -------------------------------------------------------
 
@@ -166,21 +179,7 @@ class CceCore:
         """True while the sequencer holds work that needs more cycles."""
         raise NotImplementedError
 
-    # -- cycle accounting ------------------------------------------------------
-
-    def _count(self, tag: str):
-        stats, txn = self.stats, self._txn
-        if tag is BUSY:
-            stats.busy_cycles += 1
-            if txn is not None:
-                txn.busy_cycles += 1
-        elif txn is not None:
-            stats.wait_cycles += 1
-            txn.wait_cycles += 1
-        elif self._stalled:
-            stats.stall_cycles += 1
-        else:
-            stats.idle_cycles += 1
+    # -- transactions ----------------------------------------------------------
 
     def _open_txn(self, req: CohRequest) -> AddressClass:
         addr_class = classify_request(req.addr, req.uncached, self.region_map)

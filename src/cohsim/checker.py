@@ -71,6 +71,12 @@ class CheckConfig:
         if not 0 <= self.caches < 1 << _N_BITS:
             raise ValueError(f"caches must be from 0 to "
                              f"{(1 << _N_BITS) - 1}, got {self.caches}")
+        if self.max_states is not None and self.max_states < 1:
+            raise ValueError(f"max_states must be at least 1, "
+                             f"got {self.max_states}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must not be negative, "
+                             f"got {self.max_depth}")
 
 
 @dataclass
@@ -673,6 +679,9 @@ def _search(model: Model, cfg: CheckConfig) -> CheckResult:
     if bad:
         return CheckResult(False, False, 1, 0, bad, [])
     parents = {init: None}
+    # The cap is tested after each store, so a cap of one state stops here.
+    if cfg.max_states == 1:
+        return CheckResult(True, False, 1, 0)
     # The caches fields that satisfy the invariants (which read only them).
     caches_mask = (1 << _caches_bits(cfg.caches)) - 1
     checked = {init & caches_mask}

@@ -16,6 +16,7 @@ import sys
 
 from . import harness
 from .checker import MUTATIONS, CheckConfig, check
+from .occupancy import check_cores
 from .system import System, SystemConfig
 
 
@@ -117,7 +118,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_occupancy(args) -> int:
-    cores = (2, 4, 8, 16) if args.sweep else (args.cores,)
+    if args.sweep:
+        cores = (2, 4, 8, 16)
+    else:
+        try:
+            check_cores(args.cores)
+        except ValueError as exc:
+            raise _config_error(str(exc)) from None
+        cores = (args.cores,)
     csv_text = harness.occupancy_csv(args.engine, cores_list=cores)
     out = open(args.output, "w") if args.output else sys.stdout
     out.write(csv_text)

@@ -83,20 +83,20 @@ def way_group_home(set_idx: int, num_cces: int) -> tuple:
     return set_idx % num_cces, set_idx // num_cces
 
 
-@dataclass
+@dataclass(slots=True)
 class TagSetEntry:
     tag: int = 0
     state: CoherenceState = I
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SharersVectors:
     hits: list
     states: list
     ways: list
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LruEntry:
     lru_tag: int
     lru_state: CoherenceState
@@ -122,6 +122,13 @@ class DirectorySegment:
              for _ in range(cfg.tag_sets_per_row)]
             for _ in range(self.num_rows)
         ]
+        # Per set, every cache's tag set in cache order: the set's row in
+        # each row block, left to right.  The lists share the tag sets of
+        # `rows`, which are only ever updated in place.
+        self.way_groups = [
+            [tag_set for row in self.rows[s::cfg.sets_per_cache]
+             for tag_set in row][:cfg.num_caches]
+            for s in range(cfg.sets_per_cache)]
 
     def _set_of(self, addr: int) -> int:
         """The addressed set, once its way group is checked to be homed
@@ -154,14 +161,10 @@ class DirectorySegment:
             raise OutOfRange(f"cache id {req_lce}")
         if not (0 <= lru_way < cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")
-        # Every cache's tag set for the set, in cache order: the set's row
-        # in each row block, left to right.
-        tag_sets = [tag_set
-                    for row in self.rows[self._set_of(addr)::cfg.sets_per_cache]
-                    for tag_set in row]
+        tag_sets = self.way_groups[self._set_of(addr)]
         tag = cfg.tag_of(addr)
         hits, states, ways = [], [], []
-        for tag_set in tag_sets[:cfg.num_caches]:
+        for tag_set in tag_sets:
             for w, entry in enumerate(tag_set):
                 if entry.state is not I and entry.tag == tag:
                     hits.append(True)
@@ -252,7 +255,7 @@ class PendingBits:
         self.freed = True
 
 
-@dataclass
+@dataclass(slots=True)
 class SpecRecord:
     spec: bool = False
     squash: bool = False
@@ -292,7 +295,7 @@ class SpecBits:
         self.records[wg] = SpecRecord()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GadRequest:
     """The request summary the GAD unit needs."""
 
@@ -302,7 +305,7 @@ class GadRequest:
     atomic: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class GadResult:
     cached_s: bool = False
     cached_e: bool = False

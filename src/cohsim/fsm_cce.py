@@ -36,7 +36,7 @@ WRITEBACKS = (Emission.NullWB, Emission.DirtyWB)
 INV_ACK = (Emission.InvAck,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Mshr:
     """What the directory lookup found for the in-flight transaction."""
 

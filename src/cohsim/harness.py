@@ -192,7 +192,9 @@ class CoherenceMonitor(Monitor):
 
     def attach(self, system: System):
         super().attach(system)
-        self._caches = [lce.sets for lce in system.lces]
+        # Per set, each cache's lines of that set, in cache order.
+        self._sets = [[lce.sets[s] for lce in system.lces]
+                      for s in range(system.cfg.sets)]
         for lce in system.lces:
             lce.on_state = self.check
 
@@ -203,8 +205,8 @@ class CoherenceMonitor(Monitor):
         blk = addr // cfg.block_bytes
         set_idx, tag = blk % cfg.sets, blk // cfg.sets
         found = []
-        for i, sets in enumerate(self._caches):
-            for line in sets[set_idx]:
+        for i, lines in enumerate(self._sets[set_idx]):
+            for line in lines:
                 if line.tag == tag and line.state is not I:
                     found.append((i, line.state))
                     break
@@ -483,15 +485,23 @@ def overhead_calc(scheme: str, caches: int, tag_bits: int = 28,
     """
     if caches < 2:
         raise ValueError("need at least 2 caches")
+    for name, value in (("tag_bits", tag_bits), ("state_bits", state_bits)):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
+    for name, value in (("block_bits", block_bits), ("pad", pad)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     scheme = scheme.lower()
     if scheme in ("dup", "duplicatetag", "duplicate-tag"):
         bits, default_pad = tag_bits + state_bits, 32
     elif scheme == "complete":
         bits, default_pad = tag_bits + state_bits + caches, 1
-    elif scheme.startswith("coarse"):
-        _, _, arg = scheme.partition(":")
-        vec = int(arg) if arg else 8
-        bits, default_pad = tag_bits + state_bits + vec, 1
+    elif scheme == "coarse" or scheme.startswith("coarse:"):
+        arg = scheme[len("coarse:"):] or "8"
+        if not arg.isdecimal() or int(arg) < 1:
+            raise ValueError(f"coarse vector width must be a positive "
+                             f"integer, got {arg!r}")
+        bits, default_pad = tag_bits + state_bits + int(arg), 1
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     pad = default_pad if pad is None else pad

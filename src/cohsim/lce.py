@@ -56,7 +56,7 @@ class LceConfig:
         return (addr // self.block_bytes) // self.sets
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     tag: int = 0
     state: CoherenceState = I
@@ -64,7 +64,7 @@ class CacheLine:
     lru_rank: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class OutstandingMiss:
     addr: int
     write: bool
@@ -75,12 +75,12 @@ class OutstandingMiss:
     uncached: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Hit:
     value: Optional[bytes] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MissIssued:
     request: CohRequest
 
@@ -91,6 +91,7 @@ class Lce:
     def __init__(self, cfg: LceConfig, tables: protocol.ProtocolTables = protocol.MOESIF):
         self.cfg = cfg
         self.tables = tables
+        self.endpoint = f"lce{cfg.lce_id}"
         self.sets = [[CacheLine(data=bytearray(cfg.block_bytes))
                       for _ in range(cfg.assoc)] for _ in range(cfg.sets)]
         self.miss: Optional[OutstandingMiss] = None
@@ -280,10 +281,9 @@ class Lce:
 
     def _respond(self, kind: Emission, addr: int, cce: str,
                  data: Optional[bytes] = None, beats: int = 0):
-        resp = LceResponse(kind=kind, lce=self.cfg.lce_id, addr=addr, data=data)
-        self.outbox.append(NetMessage(net=NetKind.Response,
-                                      src=f"lce{self.cfg.lce_id}", dst=cce,
-                                      payload=resp, beats=beats))
+        resp = LceResponse(kind, self.cfg.lce_id, addr, data)
+        self.outbox.append(NetMessage(NetKind.Response, self.endpoint, cce,
+                                      resp, beats))
 
     def handle_command(self, cmd: CceCommand, cce: str, beats_of=len):
         """Apply a directory command; queue responses/fills on the outbox."""
@@ -311,9 +311,8 @@ class Lce:
                                 way=cmd.target_way, state=cmd.transfer_state,
                                 data=block)
                 self.outbox.append(NetMessage(
-                    net=NetKind.Fill, src=f"lce{self.cfg.lce_id}",
-                    dst=f"lce{cmd.target_lce}", payload=fill,
-                    beats=beats_of(block)))
+                    NetKind.Fill, self.endpoint, f"lce{cmd.target_lce}",
+                    fill, beats_of(block)))
             else:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
 

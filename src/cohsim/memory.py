@@ -50,7 +50,7 @@ class BackingStore:
         block[off:off + len(data)] = data
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryConfig:
     latency: int = 20
     block_bytes: int = 64
@@ -93,5 +93,5 @@ class MemoryModel:
         while self.inflight and self.inflight[0][0] <= now:
             _, dst, resp = self.inflight.popleft()
             beats = net.beats_of(resp.data)
-            net.send(NetMessage(net=NetKind.MemResp, src=self.endpoint,
-                                dst=dst, payload=resp, beats=beats), now)
+            net.send(NetMessage(NetKind.MemResp, self.endpoint, dst, resp,
+                                beats), now)

@@ -35,7 +35,7 @@ class AtomicOp(Enum):
     Sc = "sc"
 
 
-@dataclass
+@dataclass(slots=True)
 class CohRequest:
     """Cache controller -> directory, on the Request network."""
 
@@ -51,7 +51,7 @@ class CohRequest:
     data: Optional[bytes] = None  # uncached store payload
 
 
-@dataclass
+@dataclass(slots=True)
 class CceCommand:
     """Directory -> cache controller, on the Command network."""
 
@@ -67,7 +67,7 @@ class CceCommand:
     size: int = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class LceResponse:
     """Cache controller -> directory, on the Response network."""
 
@@ -77,7 +77,7 @@ class LceResponse:
     data: Optional[bytes] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FillData:
     """Cache-to-cache transfer on the Fill network."""
 
@@ -88,7 +88,7 @@ class FillData:
     data: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class MemCmd:
     addr: int
     write: bool
@@ -103,7 +103,7 @@ class MemCmd:
     state: Optional[CoherenceState] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MemResp:
     addr: int
     write: bool
@@ -117,7 +117,7 @@ class MemResp:
     state: Optional[CoherenceState] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NetMessage:
     net: NetKind
     src: str

@@ -164,11 +164,20 @@ def sharer_range(name: str, cores: int):
     return range(1, cores - used + 2)
 
 
+def check_cores(cores: int):
+    """Raise ValueError unless the scenarios fit on `cores` caches: each
+    needs the requester and at least one other cache."""
+    if cores < 2:
+        raise ValueError(f"occupancy scenarios need at least 2 cores, "
+                         f"got {cores}")
+
+
 def measure_occupancy(name: str, cores: int, sharers: int = 0,
                       beats: int = 1, engine: str = "fsm",
                       victim: Optional[str] = None,
                       ucode_program: str = None) -> int:
     """Run one scenario and return the engine's busy-cycle count for it."""
+    check_cores(cores)
     sc = SCENARIOS[name]
     block = 64
     cfg = SystemConfig(cores=cores, sets=8,

@@ -32,10 +32,10 @@ class CoherenceState(Enum):
 
 I, S, E, M, O, F = CoherenceState  # noqa: E741 - protocol letters
 
-# A tuple, so that a membership test compares identities and hashes no
+# Tuples, so that a membership test compares identities and hashes no
 # enum member (`Enum.__hash__` is Python code).
 OWNER_STATES = (E, M, O, F)
-WRITABLE_STATES = frozenset({E, M})
+WRITABLE_STATES = (E, M)
 VALID_STATES = frozenset({S, E, M, O, F})
 
 

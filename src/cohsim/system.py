@@ -74,7 +74,6 @@ class System:
         self.lces = [Lce(LceConfig(lce_id=i, sets=cfg.sets, assoc=cfg.assoc,
                                    block_bytes=cfg.block_bytes), self.tables)
                      for i in range(cfg.cores)]
-        self.lce_endpoints = [f"lce{i}" for i in range(cfg.cores)]
         seg = SegmentConfig(num_caches=cfg.cores, assoc=cfg.assoc,
                             sets_per_cache=cfg.sets,
                             block_bytes=cfg.block_bytes)
@@ -127,17 +126,14 @@ class System:
     def submit(self, lce_id: int, addr: int, write: bool, size: int = 8,
                data=None, atomic=None, uncached: bool = False):
         """Issue one processor operation; send its miss request if any."""
-        result = self.lces[lce_id].access(addr, write, size=size, data=data,
-                                          atomic=atomic, uncached=uncached)
+        lce = self.lces[lce_id]
+        result = lce.access(addr, write, size=size, data=data, atomic=atomic,
+                            uncached=uncached)
         if isinstance(result, MissIssued):
-            cce = self.home_cce(addr)
-            self.net.send(NetMessage(net=NetKind.Request,
-                                     src=self.lce_endpoints[lce_id],
-                                     dst=cce.endpoint,
-                                     payload=result.request,
-                                     beats=self.net.beats_of(
-                                         result.request.data)),
-                          self.now)
+            req = result.request
+            self.net.send(NetMessage(NetKind.Request, lce.endpoint,
+                                     self.home_cce(addr).endpoint, req,
+                                     self.net.beats_of(req.data)), self.now)
         return result
 
     # -- clocking ------------------------------------------------------------
@@ -156,7 +152,8 @@ class System:
         due = net.next_ready   # read live: sends earlier in the cycle count
         never = now + 1        # stands in for "nothing queued"
         if net.earliest <= now:
-            for lce, endpoint in zip(self.lces, self.lce_endpoints):
+            for lce in self.lces:
+                endpoint = lce.endpoint
                 if due.get(endpoint, never) > now:
                     continue
                 miss = lce.miss
@@ -206,7 +203,10 @@ class System:
         while True:
             self.step()
             now = self.now
-            if retired or now >= deadline or self.idle():
+            # Idle needs an empty network and memory: test those first.
+            if retired or now >= deadline or (net.earliest == INF
+                                              and not mem.inflight
+                                              and self.idle()):
                 return retired
             ready = mem.inflight[0][0] if mem.inflight else INF
             while now < net.earliest and now < ready:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from ..cce import BUSY, WAIT, CceCore
 from ..directory import GadRequest, gad
-from ..messages import CceCommand, CohRequest, Emission, MemCmd
+from ..messages import CceCommand, CohRequest, Emission, LceResponse, MemCmd
 from ..protocol import CoherenceState, CommandKind, I, S, E
 from . import asm, isa
 from .isa import (AddrSel, CmdTarget, Flag, Instr, MemPushKind, Op, PushDest,
@@ -42,12 +42,22 @@ MASK64 = (1 << 64) - 1
 
 FREE = "free"   # zero-cost completion (fused with the next instruction)
 
+# Flag bit positions as plain ints, named by their assembler mnemonics, so
+# that building a flags word looks up no enum attribute.
+WNR, UCF, NEX, AF, ANRF, CAF = (int(isa.FLAG_BY_NAME[n]) for n in
+                                ("wnr", "ucf", "nex", "af", "anrf", "caf"))
+CSF, CEF, CMF, COF, CFF, RF, UF = (int(isa.FLAG_BY_NAME[n]) for n in
+                                   ("csf", "cef", "cmf", "cof", "cff", "rf",
+                                    "uf"))
+# The flags other than those `gad` writes.
+GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
+
 
 class MicrocodeFault(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class UMshr:
     addr: int = 0
     lce: int = 0
@@ -138,9 +148,14 @@ class UcodeCce(CceCore):
             return BUSY
         if self._inv_job is not None:
             return self._inv_step()
+        u = self.imem[self.pc]
+        outcome = u.run(self, u)
+        if outcome is not FREE:
+            return outcome
         # Zero-cost completions (an inv with no targets) fuse with the next
-        # instruction; bound the fusion chain defensively.
-        for _ in range(8):
+        # instruction; bound the fusion chain, 8 instructions in all,
+        # defensively.
+        for _ in range(7):
             u = self.imem[self.pc]
             outcome = u.run(self, u)
             if outcome is not FREE:
@@ -349,13 +364,11 @@ class UcodeCce(CceCore):
             lce=m.lce, write=self._flag(Flag.WriteNotRead),
             non_exclusive=self._flag(Flag.NonExclusive),
             atomic=self._flag(Flag.Atomic)))
-        self._set_flag(Flag.CachedShared, info.cached_s)
-        self._set_flag(Flag.CachedExclusive, info.cached_e)
-        self._set_flag(Flag.CachedModified, info.cached_m)
-        self._set_flag(Flag.CachedOwned, info.cached_o)
-        self._set_flag(Flag.CachedForward, info.cached_f)
-        self._set_flag(Flag.Replacement, info.replacement)
-        self._set_flag(Flag.Upgrade, info.upgrade)
+        self.flags = (self.flags & GAD_KEEP
+                      | info.cached_s << CSF | info.cached_e << CEF
+                      | info.cached_m << CMF | info.cached_o << COF
+                      | info.cached_f << CFF | info.replacement << RF
+                      | info.upgrade << UF)
         if info.owner is not None:
             m.owner_lce, m.owner_way, m.owner_state = info.owner
         else:
@@ -370,9 +383,9 @@ class UcodeCce(CceCore):
 
     @staticmethod
     def _resp_code(resp) -> int:
-        if isinstance(resp, (MemCmd,)) or hasattr(resp, "write"):
-            return 4 if resp.write else 5
-        return RESP_KIND_CODE[resp.kind._value_]
+        if type(resp) is LceResponse:
+            return RESP_KIND_CODE[resp.kind._value_]
+        return 4 if resp.write else 5   # a memory response
 
     def _popq(self, u) -> str:
         queue = u.queue
@@ -412,14 +425,11 @@ class UcodeCce(CceCore):
         m.req_way = req.lru_way
         m.req_state = I
         self._sv = self._lru = None
-        self.flags = 0
-        self._set_flag(Flag.WriteNotRead, req.write)
-        self._set_flag(Flag.Uncached, req.uncached)
-        self._set_flag(Flag.NonExclusive, req.non_exclusive)
-        self._set_flag(Flag.Atomic, req.atomic is not None)
-        self._set_flag(Flag.AtomicNoReturn, req.atomic_no_return)
-        self._set_flag(Flag.CacheableAddress,
-                       self.region_map.is_cacheable(req.addr))
+        self.flags = (req.write << WNR | req.uncached << UCF
+                      | req.non_exclusive << NEX
+                      | (req.atomic is not None) << AF
+                      | req.atomic_no_return << ANRF
+                      | self.region_map.is_cacheable(req.addr) << CAF)
 
     def _pushq(self, u) -> str:
         m = self.umshr

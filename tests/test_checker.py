@@ -84,6 +84,20 @@ class TestVerification:
         assert result.verified and not result.exhaustive
         assert result.states <= 100
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_state_cap_is_never_exceeded(self, cap):
+        result = check(CheckConfig(protocol="mesi", caches=2,
+                                   max_states=cap))
+        assert result.verified and not result.exhaustive
+        assert result.states == cap
+
+    @pytest.mark.parametrize("field,value", [("max_states", 0),
+                                             ("max_states", -1),
+                                             ("max_depth", -1)])
+    def test_bad_bound_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            CheckConfig(**{field: value})
+
 
 class TestMutations:
     @pytest.mark.parametrize("mutation", MUTATIONS)

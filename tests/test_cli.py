@@ -193,6 +193,17 @@ class TestOverhead:
      "cohsim: error: unknown scheme 'foo'"),
     (["overhead", "--scheme", "dup", "--caches", "1"],
      "cohsim: error: need at least 2 caches"),
+    (["overhead", "--scheme", "dup", "--caches", "4", "--tag-bits", "-100"],
+     "cohsim: error: tag_bits must not be negative, got -100"),
+    (["overhead", "--scheme", "coarse:x", "--caches", "4"],
+     "cohsim: error: coarse vector width must be a positive integer, "
+     "got 'x'"),
+    (["check", "--max-states", "0"],
+     "cohsim: error: max_states must be at least 1, got 0"),
+    (["occupancy", "--engine", "fsm", "--cores", "1"],
+     "cohsim: error: occupancy scenarios need at least 2 cores, got 1"),
+    (["occupancy", "--engine", "ucode", "--cores", "0"],
+     "cohsim: error: occupancy scenarios need at least 2 cores, got 0"),
     (["tracegen", "--seed", "1", "--lces", "0"],
      "cohsim: error: lces must be at least 1, got 0"),
 ])

@@ -367,6 +367,23 @@ class TestOverhead:
         with pytest.raises(ValueError):
             overhead_calc("banana", 4)
 
+    @pytest.mark.parametrize("scheme,kwargs,message", [
+        ("dup", dict(tag_bits=-100), "tag_bits must not be negative"),
+        ("complete", dict(state_bits=-1), "state_bits must not be negative"),
+        ("dup", dict(block_bits=0), "block_bits must be positive"),
+        ("dup", dict(pad=0), "pad must be positive"),
+        ("coarse:x", {}, "coarse vector width must be a positive integer"),
+        ("coarse:-4", {}, "coarse vector width must be a positive integer"),
+        ("coarse:0", {}, "coarse vector width must be a positive integer"),
+        ("coarsely", {}, "unknown scheme"),
+    ])
+    def test_bad_widths_rejected(self, scheme, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            overhead_calc(scheme, 4, **kwargs)
+
+    def test_coarse_width_defaults_to_8(self):
+        assert overhead_calc("coarse", 64) == overhead_calc("coarse:8", 64)
+
 
 DIGEST = "a2965c438effa0948ef04b882b6ce0caf21a25d453ca24f6b75b4a0bb70513d2"
 
@@ -377,6 +394,14 @@ def _final_state_digest(system):
               [sorted(lce.snapshot().items()) for lce in system.lces],
               sorted(harness._dir_image(system).items()))
     return hashlib.sha256(repr(images).encode()).hexdigest()
+
+
+def _transactions_digest(system):
+    """sha256 over every field of every transaction record, CCE by CCE in
+    the order each closed them."""
+    records = [dataclasses.astuple(t) for cce in system.cces
+               for t in cce.stats.transactions]
+    return hashlib.sha256(repr(records).encode()).hexdigest()
 
 
 class TestBitIdentity:
@@ -468,6 +493,19 @@ class TestBitIdentity:
             555),
     }
 
+    # (shape, engine) -> _transactions_digest.  The counter sums above do
+    # not move when a cycle is charged to the wrong transaction; these do.
+    TXN_GOLDEN = {
+        ("evict-2c", "fsm"): "3ccb89d63d7267ab0f0d1f5b6aea7a67"
+                             "35ae11ad66f8c61e98b0dd8bdbd16c09",
+        ("evict-2c", "ucode"): "2ec4b358d63fb161d66e475321afa5bb"
+                               "4a5ca38300426d04f8a9c934443594db",
+        ("8c-2cce", "fsm"): "b4d687dbf5bdd4657373c86dd5aa5190"
+                            "a0e60c464bad97f0366629789686dcb1",
+        ("8c-2cce", "ucode"): "8a3730f3d00e1977fa76369bc2d68400"
+                              "f1b310aaaef051a6a85ef0f3d96d7c98",
+    }
+
     @pytest.mark.parametrize("shape,engine", sorted(SHAPE_GOLDEN))
     def test_cycles_state_and_counters(self, shape, engine):
         """300-op traces in five more shapes: 2 caches of 16 sets x 2
@@ -497,3 +535,6 @@ class TestBitIdentity:
         mispredicts = sum(getattr(c, "mispredicts", 0) for c in system.cces)
         assert (report.cycles, _final_state_digest(system), counters,
                 mispredicts) == self.SHAPE_GOLDEN[shape, engine]
+        if (shape, engine) in self.TXN_GOLDEN:
+            assert (_transactions_digest(system)
+                    == self.TXN_GOLDEN[shape, engine])
