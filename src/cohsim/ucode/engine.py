@@ -44,11 +44,10 @@ FREE = "free"   # zero-cost completion (fused with the next instruction)
 
 # Flag bit positions as plain ints, named by their assembler mnemonics, so
 # that building a flags word looks up no enum attribute.
-WNR, UCF, NEX, AF, ANRF, CAF = (int(isa.FLAG_BY_NAME[n]) for n in
-                                ("wnr", "ucf", "nex", "af", "anrf", "caf"))
-CSF, CEF, CMF, COF, CFF, RF, UF = (int(isa.FLAG_BY_NAME[n]) for n in
-                                   ("csf", "cef", "cmf", "cof", "cff", "rf",
-                                    "uf"))
+WNR, UCF, NEX, AF, ANRF, CAF, PF, CSF, CEF, CMF, COF, CFF, RF, UF = (
+    int(isa.FLAG_BY_NAME[n])
+    for n in ("wnr", "ucf", "nex", "af", "anrf", "caf", "pf", "csf", "cef",
+              "cmf", "cof", "cff", "rf", "uf"))
 # The flags other than those `gad` writes.
 GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
 
@@ -183,12 +182,6 @@ class UcodeCce(CceCore):
     def _flag(self, flag: Flag) -> bool:
         return bool(self.flags & (1 << flag))
 
-    def _set_flag(self, flag: Flag, value: bool):
-        if value:
-            self.flags |= 1 << flag
-        else:
-            self.flags &= ~(1 << flag)
-
     # -- instruction semantics ---------------------------------------------------
     # One handler per opcode (see `_HANDLERS`), called as
     # `handler(self, uop)`; each returns BUSY, WAIT or FREE.
@@ -247,7 +240,8 @@ class UcodeCce(CceCore):
         return self._branch(u, u.fn(self.flags & u.mask, u.mask))
 
     def _rdp(self, u) -> str:
-        self._set_flag(Flag.Pending, self.pending.read(self._wg()))
+        self.flags = (self.flags & ~(1 << PF)
+                      | self.pending.read(self._wg()) << PF)
         self.pc += 1
         return BUSY
 

@@ -84,7 +84,7 @@ class TestVerification:
         assert result.verified and not result.exhaustive
         assert result.states <= 100
 
-    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [1, 2])
     def test_state_cap_is_never_exceeded(self, cap):
         result = check(CheckConfig(protocol="mesi", caches=2,
                                    max_states=cap))
