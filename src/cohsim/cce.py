@@ -8,10 +8,11 @@ sequence a request: each supplies `_step` (one sequencer cycle, tagged BUSY
 or WAIT) and `_active`.
 
 Cycle accounting follows one rule for both engines, applied at the end of
-`tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait inside
-an open transaction; outside one it is stall when a queued request head is
-blocked by a pending bit and no head is admissible, and idle otherwise.
-The engine ticks every cycle, so each cycle is classified as it happens.
+`tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
+inside an open transaction; outside one it is stall when a queued request
+head is blocked by a pending bit and no head is admissible, and idle
+otherwise.  The engine ticks every cycle, so each cycle is classified as it
+happens.
 Every request the engine takes, uncached ones included, opens one
 `TransactionRecord` and closes it when the sequencer is done with it.
 """
