@@ -193,6 +193,8 @@ class TestOverhead:
      "cohsim: error: unknown scheme 'foo'"),
     (["overhead", "--scheme", "dup", "--caches", "1"],
      "cohsim: error: need at least 2 caches"),
+    (["tracegen", "--seed", "1", "--lces", "0"],
+     "cohsim: error: lces must be at least 1, got 0"),
     (["overhead", "--scheme", "dup", "--caches", "4", "--tag-bits", "-100"],
      "cohsim: error: tag_bits must not be negative, got -100"),
     (["overhead", "--scheme", "coarse:x", "--caches", "4"],
@@ -204,8 +206,6 @@ class TestOverhead:
      "cohsim: error: occupancy scenarios need at least 2 cores, got 1"),
     (["occupancy", "--engine", "ucode", "--cores", "0"],
      "cohsim: error: occupancy scenarios need at least 2 cores, got 0"),
-    (["tracegen", "--seed", "1", "--lces", "0"],
-     "cohsim: error: lces must be at least 1, got 0"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     """Bad input is an error line and exit 2, not a traceback; argparse
