@@ -25,8 +25,9 @@ from typing import Optional
 
 from . import protocol
 from .directory import (DirectorySegment, PendingBits, SegmentConfig,
-                        SpecBits, way_group_home, way_group_index)
-from .messages import (CceCommand, CohRequest, Emission, MemCmd, MemResp,
+                        SpecBits, way_group_home)
+from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
+                       CceCommand, CohRequest, Emission, MemCmd, MemResp,
                        NetKind, NetMessage)
 from .network import Network
 from .protocol import (AddressClass, CoherenceState, CommandKind,
@@ -34,6 +35,7 @@ from .protocol import (AddressClass, CoherenceState, CommandKind,
 
 BUSY = "busy"
 WAIT = "wait"
+COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
 
 
 class EngineFault(Exception):
@@ -83,6 +85,12 @@ class CceCore:
         self.tables = tables
         self.region_map = region_map
         self.directory = DirectorySegment(seg_cfg, cce_id, num_cces)
+        self._lce_endpoints = [f"lce{i}" for i in range(seg_cfg.num_caches)]
+        # Set index -> local way group, or None for a set homed elsewhere.
+        homes = [way_group_home(s, num_cces)
+                 for s in range(seg_cfg.sets_per_cache)]
+        self._local_wgs = [local if home == cce_id else None
+                           for home, local in homes]
         num_wgs = -(-seg_cfg.sets_per_cache // num_cces)
         self.pending = PendingBits(num_wgs)
         self.spec = SpecBits(num_wgs)
@@ -100,25 +108,28 @@ class CceCore:
     # -- helpers -------------------------------------------------------------
 
     def local_wg(self, addr: int) -> int:
-        home, local = way_group_home(way_group_index(addr, self.cfg),
-                                     self.num_cces)
-        if home != self.cce_id:
+        cfg = self.cfg
+        set_idx = (addr // cfg.block_bytes) % cfg.sets_per_cache
+        local = self._local_wgs[set_idx]
+        if local is None:
+            home, _ = way_group_home(set_idx, self.num_cces)
             raise EngineFault(f"address {addr:#x} routed to CCE "
                               f"{self.cce_id}; its home is CCE {home}")
         return local
 
     def _send(self, net_kind: NetKind, dst: str, payload, data=None):
+        beats = self.net.beats_of(data) if data else 0
         self.net.send(NetMessage(net_kind, self.endpoint, dst, payload,
-                                 self.net.beats_of(data)), self.now)
+                                 beats), self.now)
 
     def _send_cmd(self, lce: int, cmd: CceCommand):
-        if cmd.kind is CommandKind.Inv and self._txn is not None:
+        if cmd.kind is INV and self._txn is not None:
             self._txn.invalidations += 1
-        self._send(NetKind.Command, f"lce{lce}", cmd, data=cmd.data)
+        self._send(COMMAND, self._lce_endpoints[lce], cmd, data=cmd.data)
 
     def _send_mem(self, cmd: MemCmd):
         # Backpressure would be a bug here; sequencers wait for a credit.
-        self._send(NetKind.MemCmd, "mem", cmd, data=cmd.data)
+        self._send(MEM_CMD, "mem", cmd, data=cmd.data)
 
     def _take_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
         """Remove and return the oldest response for `addr` of one of
@@ -134,12 +145,13 @@ class CceCore:
 
     def accept(self, msg: NetMessage):
         """Inbound message from the network delivery for this endpoint."""
-        if msg.net is NetKind.Request:
+        net = msg.net
+        if net is REQUEST:
             self.req_qs[msg.payload.lce].append(msg.payload)
             self._none_admissible = False
-        elif msg.net is NetKind.Response:
+        elif net is RESPONSE:
             self.resp_q.append(msg.payload)
-        elif msg.net is NetKind.MemResp:
+        elif net is MEM_RESP:
             self.memresp_q.append(msg.payload)
         else:
             raise AssertionError(f"unexpected {msg.net} at {self.endpoint}")
@@ -185,8 +197,7 @@ class CceCore:
     def _open_txn(self, req: CohRequest) -> AddressClass:
         addr_class = classify_request(req.addr, req.uncached, self.region_map)
         self._req = req
-        self._txn = TransactionRecord(addr=req.addr, lce=req.lce,
-                                      req_kind=addr_class._value_)
+        self._txn = TransactionRecord(req.addr, req.lce, addr_class._value_)
         return addr_class
 
     def _close_txn(self):
@@ -281,7 +292,7 @@ class CceCore:
         sequencer."""
         kept = deque()
         for resp in self.resp_q:
-            if resp.kind is Emission.CohAck:
+            if resp.kind is COH_ACK:
                 self.pending.adjust(self.local_wg(resp.addr), -1)
             else:
                 kept.append(resp)
@@ -296,7 +307,7 @@ class CceCore:
             self.net.release_mem_credit()
             if not resp.write:
                 self._send_cmd(resp.lce, CceCommand(
-                    kind=CommandKind.Data, addr=resp.addr, data=resp.data,
+                    kind=DATA, addr=resp.addr, data=resp.data,
                     uncached=True, size=resp.size, state=None))
                 self.stats.mem_resp_forwards += 1
             if resp.wp:
@@ -327,6 +338,6 @@ class CceCore:
         self.net.release_mem_credit()
         self.pending.adjust(wg, -1)
         self._send_cmd(resp.lce, CceCommand(
-            kind=CommandKind.Data, addr=resp.addr, way=resp.way,
+            kind=DATA, addr=resp.addr, way=resp.way,
             target_way=resp.way, state=state, data=resp.data))
         self.stats.mem_resp_forwards += 1

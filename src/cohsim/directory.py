@@ -117,6 +117,9 @@ class DirectorySegment:
         self.num_cces = num_cces
         self.num_rows = cfg.rows_per_set * cfg.sets_per_cache
         self._read_latency = cfg.way_group_read_latency
+        # Set index -> whether its way group is homed here.
+        self._homed = [way_group_home(s, num_cces)[0] == cce_id
+                       for s in range(cfg.sets_per_cache)]
         self.rows = [
             [[TagSetEntry() for _ in range(cfg.assoc)]
              for _ in range(cfg.tag_sets_per_row)]
@@ -133,9 +136,10 @@ class DirectorySegment:
     def _set_of(self, addr: int) -> int:
         """The addressed set, once its way group is checked to be homed
         here."""
-        set_idx = self.cfg.set_index(addr)
-        home, _ = way_group_home(set_idx, self.num_cces)
-        if home != self.cce_id:
+        cfg = self.cfg
+        set_idx = (addr // cfg.block_bytes) % cfg.sets_per_cache
+        if not self._homed[set_idx]:
+            home, _ = way_group_home(set_idx, self.num_cces)
             raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
         return set_idx
 
@@ -176,8 +180,7 @@ class DirectorySegment:
                 states.append(I)
                 ways.append(0)
         lru_ent = tag_sets[req_lce][lru_way]
-        lru = LruEntry(lru_tag=lru_ent.tag, lru_state=lru_ent.state,
-                       lru_way=lru_way)
+        lru = LruEntry(lru_ent.tag, lru_ent.state, lru_way)
         return SharersVectors(hits, states, ways), lru, self._read_latency
 
     def read_entry(self, addr: int, lce: int, way: int):
@@ -276,7 +279,9 @@ class SpecBits:
         rec = self.records[wg]
         if rec.spec:
             raise DoubleSpeculation(f"way group {wg}")
-        self.records[wg] = SpecRecord(spec=True)
+        rec.spec = True
+        rec.squash = rec.fwd_mod = False
+        rec.state = I
 
     def squash(self, wg: int):
         rec = self.records[wg]
@@ -292,7 +297,9 @@ class SpecBits:
         rec.state = state
 
     def unset(self, wg: int):
-        self.records[wg] = SpecRecord()
+        rec = self.records[wg]
+        rec.spec = rec.squash = rec.fwd_mod = False
+        rec.state = I
 
 
 @dataclass(slots=True)
@@ -301,8 +308,6 @@ class GadRequest:
 
     lce: int
     write: bool
-    non_exclusive: bool = False
-    atomic: bool = False
 
 
 @dataclass(slots=True)

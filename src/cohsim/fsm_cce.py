@@ -122,9 +122,7 @@ class FsmCce(CceCore):
             req.addr, req.lce, req.lru_way)
         for _ in range(latency):
             yield BUSY                   # directory way-group read
-        info = gad(sv, lru, GadRequest(lce=req.lce, write=req.write,
-                                       non_exclusive=req.non_exclusive,
-                                       atomic=req.atomic is not None))
+        info = gad(sv, lru, GadRequest(req.lce, req.write))
         mshr.replacement = info.replacement
         mshr.owner = info.owner
         mshr.req_way = (info.req_way_hit if info.req_way_hit is not None

@@ -9,11 +9,20 @@ from enum import Enum
 from typing import Optional
 
 from . import protocol
-from .messages import (AtomicOp, CceCommand, CohRequest, Emission, FillData,
-                       LceResponse, NetKind, NetMessage)
+from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
+                       Emission, FillData, LceResponse, NetMessage)
 from .protocol import (CoherenceState, CommandKind, I, E, M,
                        ImpossibleTransition, LceAction, LceEvent,
                        LceEventKind, WRITABLE_STATES, state_permissions)
+
+
+# Emissions that carry no data, and the members tested per access and per
+# command, as module constants (see the note on `messages.REQUEST`).
+HEADER_ONLY = (Emission.InvAck, Emission.CohAck, Emission.NullWB)
+DIRTY_WB, DATA_TO_TARGET, COH_ACK = (Emission.DirtyWB, Emission.DataToTarget,
+                                     Emission.CohAck)
+DATA, STW = CommandKind.Data, CommandKind.StW
+LOAD, STORE, SC = LceEventKind.Load, LceEventKind.Store, AtomicOp.Sc
 
 
 class Busy(Exception):
@@ -105,11 +114,10 @@ class Lce:
         self.on_store = None
         self.on_state = None   # on_state(block addr) after a state write
         # Table lookups memoised on plain values, so that resolving one
-        # hashes no enum member: state value -> `state_permissions`, and
-        # (tables, state value, event kind value, attached state value)
-        # -> `lce_event_action`.
+        # hashes no enum member: state value -> `state_permissions`, and,
+        # in `tables.lce_actions`, (state value, event kind value, attached
+        # state value) -> `lce_event_action`.
         self._perms = {s.value: state_permissions(s) for s in CoherenceState}
-        self._actions = {}
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -127,13 +135,13 @@ class Lce:
         """The table's action for event `kind` with `attached` state in
         `state`.  `kind` is an LceEventKind, or a CommandKind, which
         names the event column of the same name."""
-        key = (self.tables, state._value_, kind._value_,
-               attached and attached._value_)
-        action = self._actions.get(key)
+        tables = self.tables
+        key = (state._value_, kind._value_, attached and attached._value_)
+        action = tables.lce_actions.get(key)
         if action is None:
             event = LceEvent(LceEventKind(kind._value_),
                              attached_state=attached)
-            action = self._actions[key] = self.tables.lce_event_action(
+            action = tables.lce_actions[key] = tables.lce_event_action(
                 state, event)
         return action
 
@@ -163,6 +171,9 @@ class Lce:
         off = addr % self.cfg.block_bytes
         return bytes(line.data[off:off + size])
 
+    def _line_bytes(self, line: Optional[CacheLine]) -> bytes:
+        return bytes(line.data) if line else bytes(self.cfg.block_bytes)
+
     def _write_bytes(self, line: CacheLine, addr: int, data: bytes):
         off = addr % self.cfg.block_bytes
         line.data[off:off + len(data)] = data
@@ -179,7 +190,7 @@ class Lce:
             raise Busy("outstanding miss")
         if uncached:
             return self._uncached_access(addr, write, size, data)
-        if atomic is AtomicOp.Sc:
+        if atomic is SC:
             return self._store_conditional(addr, size, data)
 
         way, line = self._lookup(addr)
@@ -191,15 +202,15 @@ class Lce:
                 value = self._read_bytes(line, addr, size)
                 if self.on_load:
                     self.on_load(self.cfg.lce_id, addr, size, value)
-                return Hit(value=value)
+                return Hit(value)
             if wants_write and perms["write"]:
                 if line.state is E:
                     self.set_state(line, M, addr)  # silent upgrade
                 self._touch(line)
-                return Hit(value=self._apply_write_op(line, addr, size, data, atomic))
+                return Hit(self._apply_write_op(line, addr, size, data, atomic))
 
         # Miss (or write upgrade): consult the Load/Store column and issue.
-        kind = LceEventKind.Store if wants_write else LceEventKind.Load
+        kind = STORE if wants_write else LOAD
         state = line.state if line else I
         if not self._action(state, kind).is_miss:
             raise ImpossibleTransition(
@@ -208,13 +219,12 @@ class Lce:
         set_idx = self.cfg.set_index(addr)
         lru = self.lru_way(set_idx)
         non_excl = (not wants_write) and self.cfg.kind is LceKind.Instruction
-        self.miss = OutstandingMiss(addr=addr, write=wants_write, size=size,
-                                    data=data, lru_way=lru, atomic=atomic)
+        self.miss = OutstandingMiss(addr, wants_write, size, data, lru, atomic)
         req = CohRequest(lce=self.cfg.lce_id, addr=self._block_base(addr),
                          write=wants_write, lru_way=lru,
                          non_exclusive=non_excl,
                          atomic=atomic, size=size)
-        return MissIssued(request=req)
+        return MissIssued(req)
 
     def _store_conditional(self, addr: int, size: int, data: bytes):
         """SC succeeds iff the LR reservation survived; it never misses."""
@@ -223,14 +233,14 @@ class Lce:
               and line is not None and line.state in WRITABLE_STATES)
         self.reservation = None
         if not ok:
-            return Hit(value=(1).to_bytes(size, "little"))
+            return Hit((1).to_bytes(size, "little"))
         if line.state is E:
             self.set_state(line, M, addr)
         self._touch(line)
         self._write_bytes(line, addr, data)
         if self.on_store:
             self.on_store(self.cfg.lce_id, addr, size, data)
-        return Hit(value=(0).to_bytes(size, "little"))
+        return Hit((0).to_bytes(size, "little"))
 
     def _uncached_access(self, addr: int, write: bool, size: int,
                          data: Optional[bytes]):
@@ -238,7 +248,7 @@ class Lce:
             # Posted: an uncached store completes at issue.
             req = CohRequest(lce=self.cfg.lce_id, addr=addr, write=True,
                              uncached=True, size=size, data=data)
-            return MissIssued(request=req)
+            return MissIssued(req)
         self.miss = OutstandingMiss(addr=addr, write=False, size=size,
                                     data=None, lru_way=0, uncached=True)
         return MissIssued(request=CohRequest(
@@ -282,36 +292,34 @@ class Lce:
     def _respond(self, kind: Emission, addr: int, cce: str,
                  data: Optional[bytes] = None, beats: int = 0):
         resp = LceResponse(kind, self.cfg.lce_id, addr, data)
-        self.outbox.append(NetMessage(NetKind.Response, self.endpoint, cce,
-                                      resp, beats))
+        self.outbox.append(NetMessage(RESPONSE, self.endpoint, cce, resp,
+                                      beats))
 
     def handle_command(self, cmd: CceCommand, cce: str, beats_of=len):
         """Apply a directory command; queue responses/fills on the outbox."""
-        if cmd.kind is CommandKind.Data:
+        if cmd.kind is DATA:
             self.apply_fill(cmd.addr, cmd.target_way, cmd.state, cmd.data,
                             cce, uncached=cmd.uncached, size=cmd.size)
             return
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
         action = self._action(state, cmd.kind, cmd.state)
-        block = bytes(line.data) if line else bytes(self.cfg.block_bytes)
+        block = None   # the line's bytes, copied for the first data emission
 
         for emission in action.sends:
-            if emission is Emission.InvAck:
-                self._respond(Emission.InvAck, cmd.addr, cce)
-            elif emission is Emission.CohAck:
-                self._respond(Emission.CohAck, cmd.addr, cce)
-            elif emission is Emission.NullWB:
-                self._respond(Emission.NullWB, cmd.addr, cce)
-            elif emission is Emission.DirtyWB:
-                self._respond(Emission.DirtyWB, cmd.addr, cce, data=block,
+            if emission in HEADER_ONLY:
+                self._respond(emission, cmd.addr, cce)
+            elif emission is DIRTY_WB:
+                block = block or self._line_bytes(line)
+                self._respond(DIRTY_WB, cmd.addr, cce, data=block,
                               beats=beats_of(block))
-            elif emission is Emission.DataToTarget:
+            elif emission is DATA_TO_TARGET:
+                block = block or self._line_bytes(line)
                 fill = FillData(src_lce=self.cfg.lce_id, addr=cmd.addr,
                                 way=cmd.target_way, state=cmd.transfer_state,
                                 data=block)
                 self.outbox.append(NetMessage(
-                    NetKind.Fill, self.endpoint, f"lce{cmd.target_lce}",
+                    FILL, self.endpoint, f"lce{cmd.target_lce}",
                     fill, beats_of(block)))
             else:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
@@ -324,7 +332,7 @@ class Lce:
             self.reservation = None
 
         # An upgrade command also completes the outstanding write miss.
-        if cmd.kind is CommandKind.StW:
+        if cmd.kind is STW:
             self._complete_write_upgrade(cmd.addr, line)
 
     def _complete_write_upgrade(self, addr: int, line: CacheLine):
@@ -369,7 +377,7 @@ class Lce:
             if self.on_load:
                 self.on_load(self.cfg.lce_id, miss.addr, miss.size, value)
             self.completed = value
-        self._respond(Emission.CohAck, addr, cce)
+        self._respond(COH_ACK, addr, cce)
         self.miss = None
 
     def handle_fill_net(self, fill: FillData, cce: str):

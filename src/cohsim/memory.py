@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .messages import MemCmd, MemResp, NetKind, NetMessage
+from .messages import MEM_CMD, MEM_RESP, MemCmd, MemResp, NetMessage
 from .network import Network
 
 SUPPORTED_SIZES = (1, 2, 4, 8)   # word accesses; a whole block is allowed too
@@ -70,22 +70,21 @@ class MemoryModel:
     def handle_mem_cmd(self, cmd: MemCmd) -> MemResp:
         if cmd.write:
             self.store.write(cmd.addr, cmd.data)
-            # Header-only acknowledgment.
-            return MemResp(addr=cmd.addr, write=True, uncached=cmd.uncached,
-                           size=cmd.size, spec=cmd.spec, wp=cmd.wp,
-                           lce=cmd.lce, way=cmd.way, state=cmd.state)
+            # Header-only acknowledgment.  Fields in order: addr, write,
+            # uncached, size, data, spec, wp, lce, way, state.
+            return MemResp(cmd.addr, True, cmd.uncached, cmd.size, None,
+                           cmd.spec, cmd.wp, cmd.lce, cmd.way, cmd.state)
         size = cmd.size if cmd.uncached else self.cfg.block_bytes
         addr = cmd.addr if cmd.uncached else (
             cmd.addr - cmd.addr % self.cfg.block_bytes)
-        data = self.store.read(addr, size)
-        return MemResp(addr=cmd.addr, write=False, uncached=cmd.uncached,
-                       size=size, data=data, spec=cmd.spec, wp=cmd.wp,
-                       lce=cmd.lce, way=cmd.way, state=cmd.state)
+        return MemResp(cmd.addr, False, cmd.uncached, size,
+                       self.store.read(addr, size), cmd.spec, cmd.wp,
+                       cmd.lce, cmd.way, cmd.state)
 
     def tick(self, now: int, net: Network):
         if net.next_ready.get(self.endpoint, now + 1) <= now:
             for msg in net.deliver(now, self.endpoint):
-                if msg.net is not NetKind.MemCmd:
+                if msg.net is not MEM_CMD:
                     raise AssertionError(
                         f"unexpected {msg.net} at {self.endpoint}")
                 resp = self.handle_mem_cmd(msg.payload)
@@ -93,5 +92,5 @@ class MemoryModel:
         while self.inflight and self.inflight[0][0] <= now:
             _, dst, resp = self.inflight.popleft()
             beats = net.beats_of(resp.data)
-            net.send(NetMessage(NetKind.MemResp, self.endpoint, dst, resp,
+            net.send(NetMessage(MEM_RESP, self.endpoint, dst, resp,
                                 beats), now)

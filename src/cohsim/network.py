@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .messages import NetKind, NetMessage
+from .messages import MEM_CMD, NetMessage
 
 
 class Backpressure(Exception):
@@ -28,6 +28,8 @@ class CreditError(RuntimeError):
 ORDERINGS = ("fifo", "random")
 INF = float("inf")
 _rank = attrgetter("rank")
+_priority = attrgetter("net.priority")
+_priority_seq = attrgetter("net.priority", "seq")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Network:
 
     def send(self, msg: NetMessage, now: int):
         """Enqueue; raises Backpressure when out of memory credits."""
-        if msg.net is NetKind.MemCmd:
+        if msg.net is MEM_CMD:
             if not self.has_mem_credit():
                 raise Backpressure("memory command credits exhausted")
             self.mem_credits_avail -= 1
@@ -97,8 +99,10 @@ class Network:
             chan = self.channels[key] = _Channel(len(self.channels))
             self._busy.setdefault(dst, [])
         # Header occupies one channel cycle, plus one per additional beat.
-        serialization = max(1, msg.beats)
-        start = max(now, chan.free)
+        beats = msg.beats
+        serialization = beats if beats > 1 else 1
+        free = chan.free
+        start = free if free > now else now
         ready = start + self.cfg.latency + (serialization - 1)
         chan.free = start + serialization
         msg.seq = self._seq
@@ -153,9 +157,9 @@ class Network:
         if len(ready) > 1:
             if self.cfg.ordering == "random":
                 self._rng.shuffle(ready)
-                ready.sort(key=lambda m: m.net.priority)
+                ready.sort(key=_priority)
             else:
-                ready.sort(key=lambda m: (m.net.priority, m.seq))
+                ready.sort(key=_priority_seq)
         return ready
 
     def idle(self) -> bool:

@@ -9,7 +9,7 @@ is caught immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -312,6 +312,9 @@ class ProtocolTables:
     states: tuple
     lce: dict
     directory: dict
+    # `Lce._action`'s memo, shared by every cache that uses these tables;
+    # `dataclasses.replace` gives the copy an empty one.
+    lce_actions: dict = field(default_factory=dict, init=False, repr=False)
 
     def lce_event_action(self, state: CoherenceState, event: LceEvent) -> LceAction:
         try:

@@ -15,7 +15,7 @@ from .cce import CceCore
 from .fsm_cce import FsmCce
 from .lce import Lce, LceConfig, MissIssued, check_geometry
 from .memory import BackingStore, MemoryConfig, MemoryModel
-from .messages import NetKind, NetMessage
+from .messages import COMMAND, FILL, REQUEST, NetMessage
 from .network import INF, ORDERINGS, NetConfig, Network
 
 ENGINES = ("fsm", "ucode")
@@ -78,6 +78,10 @@ class System:
                             sets_per_cache=cfg.sets,
                             block_bytes=cfg.block_bytes)
         self.cces = [self._make_cce(i, seg) for i in range(cfg.num_cces)]
+        # Set index -> home CCE: the one routing rule for requests and for
+        # the acks of cache-to-cache fills.
+        self._homes = [self.cces[way_group_home(s, cfg.num_cces)[0]]
+                       for s in range(cfg.sets)]
         store = BackingStore(cfg.block_bytes)
         self.mem = MemoryModel(MemoryConfig(latency=cfg.mem_latency,
                                             block_bytes=cfg.block_bytes),
@@ -119,9 +123,8 @@ class System:
     # -- request routing -----------------------------------------------------
 
     def home_cce(self, addr: int) -> CceCore:
-        set_idx = (addr // self.cfg.block_bytes) % self.cfg.sets
-        home, _ = way_group_home(set_idx, self.cfg.num_cces)
-        return self.cces[home]
+        cfg = self.cfg
+        return self._homes[(addr // cfg.block_bytes) % cfg.sets]
 
     def submit(self, lce_id: int, addr: int, write: bool, size: int = 8,
                data=None, atomic=None, uncached: bool = False):
@@ -131,7 +134,7 @@ class System:
                             uncached=uncached)
         if isinstance(result, MissIssued):
             req = result.request
-            self.net.send(NetMessage(NetKind.Request, lce.endpoint,
+            self.net.send(NetMessage(REQUEST, lce.endpoint,
                                      self.home_cce(addr).endpoint, req,
                                      self.net.beats_of(req.data)), self.now)
         return result
@@ -158,12 +161,15 @@ class System:
                     continue
                 miss = lce.miss
                 for msg in net.deliver(now, endpoint):
-                    cce_ep = self.home_cce(msg.payload.addr).endpoint
-                    if msg.net is NetKind.Command:
-                        lce.handle_command(msg.payload, cce_ep,
+                    # A command's acks go back to the CCE that sent it; a
+                    # fill comes from a cache, so its ack goes home.
+                    if msg.net is COMMAND:
+                        lce.handle_command(msg.payload, msg.src,
                                            beats_of=net.beats_of)
-                    elif msg.net is NetKind.Fill:
-                        lce.handle_fill_net(msg.payload, cce_ep)
+                    elif msg.net is FILL:
+                        lce.handle_fill_net(
+                            msg.payload,
+                            self.home_cce(msg.payload.addr).endpoint)
                     else:
                         raise AssertionError(
                             f"unexpected {msg.net} at {endpoint}")
@@ -225,8 +231,12 @@ class System:
                     return retired
 
     def idle(self) -> bool:
-        return (self.net.idle() and not self.mem.inflight
-                and not any(cce.has_pending_input() for cce in self.cces))
+        if not self.net.idle() or self.mem.inflight:
+            return False
+        for cce in self.cces:
+            if cce.has_pending_input():
+                return False
+        return True
 
     def run(self, limit: int = 1_000_000) -> int:
         """Advance until idle (returns cycles elapsed) or the cycle limit."""

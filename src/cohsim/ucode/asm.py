@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..messages import CommandKind
 from . import isa
@@ -350,8 +351,16 @@ def assemble(source: str):
     return out
 
 
-def assemble_words(source: str):
-    return [isa.encode(i) for i in assemble(source)]
+def assemble_words(source: str) -> list:
+    """The encoded words of `source`, as a fresh list of a value
+    memoised per source text.  A source that fails to assemble raises on
+    every call."""
+    return list(_assembled_words(source))
+
+
+@lru_cache(maxsize=16)
+def _assembled_words(source: str) -> tuple:
+    return tuple(isa.encode(i) for i in assemble(source))
 
 
 def to_binary(words) -> bytes:

@@ -2,8 +2,10 @@
 
 A two-stage (fetch, execute) pipeline over a 256-entry instruction memory,
 running on the shared engine core (`cce.CceCore`).  Each instruction
-word is decoded once, when the engine is built, into a `Uop` that carries
-its handler, so executing an instruction is one call.  Branches are
+word is decoded once, when the first engine with that program is built,
+into a `Uop` that carries its handler, so executing an instruction is one
+call; engines built from the same words share the decoded program.
+Branches are
 statically predicted not-taken unless annotated `[pt]`; unconditional
 jumps redirect at predecode.  A mispredicted branch costs one bubble
 cycle.  Multi-beat pushes, the way-group read, and the hardware
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -44,10 +47,10 @@ FREE = "free"   # zero-cost completion (fused with the next instruction)
 
 # Flag bit positions as plain ints, named by their assembler mnemonics, so
 # that building a flags word looks up no enum attribute.
-WNR, UCF, NEX, AF, ANRF, CAF, PF, CSF, CEF, CMF, COF, CFF, RF, UF = (
+WNR, UCF, NEX, AF, CAF, PF, CSF, CEF, CMF, COF, CFF, RF, UF = (
     int(isa.FLAG_BY_NAME[n])
-    for n in ("wnr", "ucf", "nex", "af", "anrf", "caf", "pf", "csf", "cef",
-              "cmf", "cof", "cff", "rf", "uf"))
+    for n in ("wnr", "ucf", "nex", "af", "caf", "pf", "csf", "cef", "cmf",
+              "cof", "cff", "rf", "uf"))
 # The flags other than those `gad` writes.
 GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
 
@@ -119,7 +122,7 @@ class UcodeCce(CceCore):
         else:
             with open(program) as f:
                 source = f.read()
-        self.imem = [Uop(isa.decode(w)) for w in asm.assemble_words(source)]
+        self.imem = _decoded(tuple(asm.assemble_words(source)))
         self.pc = 0
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
@@ -354,10 +357,8 @@ class UcodeCce(CceCore):
         if self._sv is None:
             raise MicrocodeFault("gad before rdw")
         m = self.umshr
-        info = gad(self._sv, self._lru, GadRequest(
-            lce=m.lce, write=self._flag(Flag.WriteNotRead),
-            non_exclusive=self._flag(Flag.NonExclusive),
-            atomic=self._flag(Flag.Atomic)))
+        info = gad(self._sv, self._lru,
+                   GadRequest(m.lce, bool(self.flags >> WNR & 1)))
         self.flags = (self.flags & GAD_KEEP
                       | info.cached_s << CSF | info.cached_e << CEF
                       | info.cached_m << CMF | info.cached_o << COF
@@ -422,7 +423,6 @@ class UcodeCce(CceCore):
         self.flags = (req.write << WNR | req.uncached << UCF
                       | req.non_exclusive << NEX
                       | (req.atomic is not None) << AF
-                      | req.atomic_no_return << ANRF
                       | self.region_map.is_cacheable(req.addr) << CAF)
 
     def _pushq(self, u) -> str:
@@ -511,6 +511,13 @@ class UcodeCce(CceCore):
             self._inv_job = None
             self.pc += 1
         return BUSY
+
+
+@lru_cache(maxsize=16)
+def _decoded(words: tuple) -> tuple:
+    """The instruction memory for `words`, shared by every engine built
+    from them: nothing writes to a `Uop` once it is built."""
+    return tuple(Uop(isa.decode(w)) for w in words)
 
 
 def _flags_all(hit, mask):

@@ -27,7 +27,7 @@ class Flag(IntEnum):
     Uncached = 1
     NonExclusive = 2
     Atomic = 3
-    AtomicNoReturn = 4
+    AtomicNoReturn = 4     # no request kind sets it: always reads 0
     CacheableAddress = 5
     Pending = 6
     CachedShared = 7

@@ -538,3 +538,86 @@ class TestBitIdentity:
         if (shape, engine) in self.TXN_GOLDEN:
             assert (_transactions_digest(system)
                     == self.TXN_GOLDEN[shape, engine])
+
+
+
+class TestHookContract:
+    """The benchmark's layer tracing replaces instance methods of a built
+    `System` with wrappers.  A method the simulator bound before that (a
+    bound method kept in a table, say) would bypass its wrapper and
+    silently read low, or 0, for a whole layer.  So every traced method
+    is wrapped twice, on its class before the System is built and on its
+    instance after, and the two counts must agree."""
+
+    # attribute path from the System -> traced methods
+    TRACED = {
+        "": ("step", "submit"),
+        "net": ("send", "deliver"),
+        "lces": ("access", "handle_command", "handle_fill_net"),
+        "cces": ("tick", "accept"),
+        "cces.directory": ("read_way_group", "write_state"),
+        "mem": ("tick",),
+    }
+
+    @classmethod
+    def _traced(cls, system):
+        """(path, object, method name) for every traced method."""
+        for path, names in cls.TRACED.items():
+            objs = [system]
+            for attr in filter(None, path.split(".")):
+                objs = [getattr(o, attr) for o in objs]
+                objs = [x for o in objs
+                        for x in (o if isinstance(o, list) else [o])]
+            for obj in objs:
+                for name in names:
+                    yield path, obj, name
+
+    @pytest.mark.parametrize("engine", ["fsm", "ucode"])
+    def test_every_traced_method_is_called(self, engine, monkeypatch):
+        cfg = SystemConfig(cores=2, sets=16, assoc=2, num_cces=2,
+                           engine=engine)
+        ops = random_workload(5, lces=2, ops=300, footprint_blocks=256,
+                              write_ratio=0.5)
+        plain = System(cfg)
+        want = run_trace(plain, ops, monitors=default_monitors())
+
+        by_class = {}   # (id(instance), method) -> calls through the class
+
+        def class_wrapper(real, name):
+            def counted(obj, *args, **kwargs):
+                key = (id(obj), name)
+                by_class[key] = by_class.get(key, 0) + 1
+                return real(obj, *args, **kwargs)
+            return counted
+
+        for cls, name in {(type(obj), name)
+                          for _, obj, name in self._traced(plain)}:
+            monkeypatch.setattr(cls, name,
+                                class_wrapper(getattr(cls, name), name))
+        from cohsim.ucode import asm
+        assembled = []
+        real_assemble = asm.assemble_words
+        monkeypatch.setattr(asm, "assemble_words", lambda source: (
+            assembled.append(source) or real_assemble(source)))
+        system = System(cfg)
+        assert len(assembled) == (cfg.num_cces if engine == "ucode" else 0)
+
+        by_instance = {}   # (path, id(instance), method) -> calls
+
+        def instance_wrapper(real, key):
+            by_instance[key] = 0
+
+            def counted(*args, **kwargs):
+                by_instance[key] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for path, obj, name in self._traced(system):
+            setattr(obj, name, instance_wrapper(getattr(obj, name),
+                                                (path, id(obj), name)))
+        report = run_trace(system, ops, monitors=default_monitors())
+        assert report == want
+        assert _final_state_digest(system) == _final_state_digest(plain)
+        assert not [key for key, n in by_instance.items() if n == 0]
+        assert {key: by_class.get(key[1:], 0) for key in by_instance} \
+            == by_instance

@@ -10,7 +10,7 @@ from cohsim.network import NetConfig, Network
 from cohsim.occupancy import measure_occupancy
 from cohsim.protocol import CoherenceState
 from cohsim.system import System, SystemConfig
-from cohsim.ucode import engine as ucode_engine
+from cohsim.ucode import asm, engine as ucode_engine
 from cohsim.ucode.engine import UcodeCce
 from cohsim.ucode.isa import NUM_GPRS, Op
 
@@ -205,3 +205,38 @@ class TestAluDifferential:
         eng = make_engine(tmp, src)
         busy_after(eng, ticks=len(lines) + 10)
         assert eng.regs == reference_run(lines)
+
+
+class TestProgramCache:
+    """Engines built from the same microcode share one assembled and
+    decoded program; other text gets its own, and a source that fails to
+    assemble fails every build."""
+
+    def test_same_source_shares_one_decoded_program(self):
+        a = System(SystemConfig(engine="ucode", num_cces=2))
+        b = System(SystemConfig(engine="ucode"))
+        assert a.cces[0].imem is a.cces[1].imem is b.cces[0].imem
+
+    def test_other_text_gets_its_own_program(self, tmp_path):
+        source = ucode_engine.default_program("moesif")
+        path = tmp_path / "extra.ucs"
+        path.write_text(source + "  nop\n")
+        shipped = System(SystemConfig(engine="ucode")).cces[0].imem
+        extra = System(SystemConfig(engine="ucode",
+                                    ucode_program=str(path))).cces[0].imem
+        assert extra is not shipped
+        assert len(extra) == len(shipped) + 1
+        assert [u.op for u in extra[:-1]] == [u.op for u in shipped]
+
+    def test_assembled_words_cannot_be_changed_by_a_caller(self):
+        source = ucode_engine.default_program("mesi")
+        words = asm.assemble_words(source)
+        words[0] ^= 1
+        assert asm.assemble_words(source)[0] == words[0] ^ 1
+
+    def test_assembly_error_raises_on_every_build(self, tmp_path):
+        path = tmp_path / "bad.ucs"
+        path.write_text("  nop\n  bogus r1\n")
+        for _ in range(2):
+            with pytest.raises(asm.AsmError, match="bogus"):
+                System(SystemConfig(engine="ucode", ucode_program=str(path)))
