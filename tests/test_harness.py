@@ -13,6 +13,7 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             random_workload, run_trace)
 from cohsim.protocol import MOESIF, CoherenceState, LceEventKind
 from cohsim.system import System, SystemConfig
+from cohsim.ucode import asm
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -540,7 +541,6 @@ class TestBitIdentity:
                     == self.TXN_GOLDEN[shape, engine])
 
 
-
 class TestHookContract:
     """The benchmark's layer tracing replaces instance methods of a built
     `System` with wrappers.  A method the simulator bound before that (a
@@ -594,7 +594,6 @@ class TestHookContract:
                           for _, obj, name in self._traced(plain)}:
             monkeypatch.setattr(cls, name,
                                 class_wrapper(getattr(cls, name), name))
-        from cohsim.ucode import asm
         assembled = []
         real_assemble = asm.assemble_words
         monkeypatch.setattr(asm, "assemble_words", lambda source: (
