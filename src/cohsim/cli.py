@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 a violation/mismatch/diagnostic was found,
 
 Config files are flat ``key = value`` text with ``#`` comments; keys are
 the SystemConfig fields (cores, sets, assoc, block_bytes, beat_bytes,
-engine, protocol, ucode_program, num_cces, mem_latency, net_latency,
-ordering, seed).
+engine, protocol, ucode_program, num_cces, mem_latency, net_latency).
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ REPLACEMENT_STATES = (E, M, O)   # a tuple: see protocol.OWNER_STATES
 
 PENDING_COUNTER_MAX = 15  # 4-bit counters; overflow is a protocol bug
 
+# Two caches' tag sets share one physical row of directory storage, so a
+# way-group read takes one cycle per row of the set.
+TAG_SETS_PER_ROW = 2
+
 
 class OutOfRange(Exception):
     pass
@@ -46,18 +50,11 @@ class SegmentConfig:
     num_caches: int
     assoc: int = 8
     sets_per_cache: int = 64
-    tag_bits: int = 28
-    state_bits: int = 3
-    tag_sets_per_row: int = 2
     block_bytes: int = 64
-
-    def __post_init__(self):
-        if self.tag_sets_per_row & (self.tag_sets_per_row - 1):
-            raise ValueError("tag_sets_per_row must be a power of two")
 
     @property
     def rows_per_set(self) -> int:
-        return math.ceil(self.num_caches / self.tag_sets_per_row)
+        return math.ceil(self.num_caches / TAG_SETS_PER_ROW)
 
     @property
     def way_group_read_latency(self) -> int:
@@ -70,15 +67,10 @@ class SegmentConfig:
         return (addr // self.block_bytes) // self.sets_per_cache
 
 
-def way_group_index(addr: int, cfg: SegmentConfig) -> int:
-    """Way group of a block: all addresses with the same set index collide."""
-    return cfg.set_index(addr)
-
-
 def way_group_home(set_idx: int, num_cces: int) -> tuple:
     """Stripe way groups round-robin across CCEs by low set-index bits.
 
-    Returns (cce_id, local_way_group_index).
+    Returns (cce_id, the way group's index within that CCE).
     """
     return set_idx % num_cces, set_idx // num_cces
 
@@ -106,32 +98,23 @@ class LruEntry:
 class DirectorySegment:
     """Duplicate tags for every (cache, set, way) of one cache type.
 
-    Cache c's tag sets live in row block c // tag_sets_per_row at horizontal
-    offset c % tag_sets_per_row; each block holds sets_per_cache sequential
-    rows (cache-major interleaving of additional row blocks).
+    A set's way group holds every cache's tag set in cache order; caches
+    2k and 2k + 1 share a physical row (see TAG_SETS_PER_ROW).
     """
 
     def __init__(self, cfg: SegmentConfig, cce_id: int = 0, num_cces: int = 1):
         self.cfg = cfg
         self.cce_id = cce_id
         self.num_cces = num_cces
-        self.num_rows = cfg.rows_per_set * cfg.sets_per_cache
         self._read_latency = cfg.way_group_read_latency
         # Set index -> whether its way group is homed here.
         self._homed = [way_group_home(s, num_cces)[0] == cce_id
                        for s in range(cfg.sets_per_cache)]
-        self.rows = [
-            [[TagSetEntry() for _ in range(cfg.assoc)]
-             for _ in range(cfg.tag_sets_per_row)]
-            for _ in range(self.num_rows)
-        ]
-        # Per set, every cache's tag set in cache order: the set's row in
-        # each row block, left to right.  The lists share the tag sets of
-        # `rows`, which are only ever updated in place.
+        # Per set, every cache's tag set in cache order.
         self.way_groups = [
-            [tag_set for row in self.rows[s::cfg.sets_per_cache]
-             for tag_set in row][:cfg.num_caches]
-            for s in range(cfg.sets_per_cache)]
+            [[TagSetEntry() for _ in range(cfg.assoc)]
+             for _ in range(cfg.num_caches)]
+            for _ in range(cfg.sets_per_cache)]
 
     def _set_of(self, addr: int) -> int:
         """The addressed set, once its way group is checked to be homed
@@ -143,16 +126,12 @@ class DirectorySegment:
             raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
         return set_idx
 
-    def _coords(self, addr: int, lce: int) -> tuple:
-        cfg = self.cfg
-        if not (0 <= lce < cfg.num_caches):
+    def _way_group(self, addr: int, lce: int) -> list:
+        """The addressed set's tag sets, once `lce` and the set are
+        checked."""
+        if not (0 <= lce < self.cfg.num_caches):
             raise OutOfRange(f"cache id {lce}")
-        row = (lce // cfg.tag_sets_per_row) * cfg.sets_per_cache
-        return row + self._set_of(addr), lce % cfg.tag_sets_per_row
-
-    def _tag_set(self, addr: int, lce: int):
-        row, col = self._coords(addr, lce)
-        return self.rows[row][col]
+        return self.way_groups[self._set_of(addr)]
 
     def read_way_group(self, addr: int, req_lce: int, lru_way: int):
         """Read every cache's tag set for the addressed set.
@@ -186,7 +165,7 @@ class DirectorySegment:
     def read_entry(self, addr: int, lce: int, way: int):
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
-        entry = self._tag_set(addr, lce)[way]
+        entry = self._way_group(addr, lce)[lce][way]
         return TagSetEntry(entry.tag, entry.state), 2
 
     def write_entry(self, addr: int, lce: int, way: int,
@@ -194,7 +173,7 @@ class DirectorySegment:
                     state: CoherenceState = I) -> int:
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
-        entry = self._tag_set(addr, lce)[way]
+        entry = self._way_group(addr, lce)[lce][way]
         entry.tag = self.cfg.tag_of(addr) if tag is None else tag
         entry.state = state
         return 1
@@ -203,13 +182,15 @@ class DirectorySegment:
                     state: CoherenceState) -> int:
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
-        self._tag_set(addr, lce)[way].state = state
+        self._way_group(addr, lce)[lce][way].state = state
         return 1
 
     def clear_row(self, addr: int, lce: int) -> int:
-        """Clear the physical row holding this cache's tag set (reset state)."""
-        row, _ = self._coords(addr, lce)
-        for tag_set in self.rows[row]:
+        """Clear the physical row holding this cache's tag set (reset
+        state): the addressed set's tag sets of every cache in the row."""
+        tag_sets = self._way_group(addr, lce)
+        first = lce - lce % TAG_SETS_PER_ROW
+        for tag_set in tag_sets[first:first + TAG_SETS_PER_ROW]:
             for entry in tag_set:
                 entry.tag = 0
                 entry.state = I
@@ -218,14 +199,11 @@ class DirectorySegment:
     def snapshot(self):
         """Quiescent view: {(lce, set, way): (tag, state)} of valid entries."""
         out = {}
-        cfg = self.cfg
-        for c in range(cfg.num_caches):
-            for row_off in range(cfg.sets_per_cache):
-                row = (c // cfg.tag_sets_per_row) * cfg.sets_per_cache + row_off
-                tag_set = self.rows[row][c % cfg.tag_sets_per_row]
+        for set_idx, tag_sets in enumerate(self.way_groups):
+            for c, tag_set in enumerate(tag_sets):
                 for w, entry in enumerate(tag_set):
                     if entry.state is not I:
-                        out[(c, row_off, w)] = (entry.tag, entry.state)
+                        out[(c, set_idx, w)] = (entry.tag, entry.state)
         return out
 
 

@@ -315,9 +315,8 @@ class Lce:
                               beats=beats_of(block))
             elif emission is DATA_TO_TARGET:
                 block = block or self._line_bytes(line)
-                fill = FillData(src_lce=self.cfg.lce_id, addr=cmd.addr,
-                                way=cmd.target_way, state=cmd.transfer_state,
-                                data=block)
+                fill = FillData(addr=cmd.addr, way=cmd.target_way,
+                                state=cmd.transfer_state, data=block)
                 self.outbox.append(NetMessage(
                     FILL, self.endpoint, f"lce{cmd.target_lce}",
                     fill, beats_of(block)))

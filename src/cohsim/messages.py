@@ -86,7 +86,6 @@ class LceResponse:
 class FillData:
     """Cache-to-cache transfer on the Fill network."""
 
-    src_lce: int
     addr: int
     way: int
     state: CoherenceState

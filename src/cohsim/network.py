@@ -8,8 +8,6 @@ flow control for memory commands.
 
 from __future__ import annotations
 
-import random
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
@@ -25,10 +23,7 @@ class CreditError(RuntimeError):
     """A memory credit was released with none outstanding."""
 
 
-ORDERINGS = ("fifo", "random")
 INF = float("inf")
-_rank = attrgetter("rank")
-_priority = attrgetter("net.priority")
 _priority_seq = attrgetter("net.priority", "seq")
 
 
@@ -37,19 +32,16 @@ class NetConfig:
     latency: int = 1
     beat_bytes: int = 8
     mem_credits: int = 8
-    ordering: str = "fifo"  # one of ORDERINGS
-    seed: int = 0
 
 
 class _Channel(deque):
-    """One (src, dst, net) FIFO of (ready_time, msg), with its creation
-    rank and the next cycle its link is free."""
+    """One (src, dst, net) FIFO of (ready_time, msg), with the next cycle
+    its link is free."""
 
-    __slots__ = ("rank", "free")
+    __slots__ = ("free",)
 
-    def __init__(self, rank: int):
+    def __init__(self):
         super().__init__()
-        self.rank = rank
         self.free = 0
 
 
@@ -59,7 +51,7 @@ class Network:
         # (src, dst, net value) -> _Channel.  The key holds the NetKind's
         # value, not the member, so that a send hashes no enum member.
         self.channels = {}
-        # dst -> its channels that hold messages, in creation order.
+        # dst -> its channels that hold messages.
         self._busy = {}
         # dst -> earliest ready time of its queued messages; a destination
         # with nothing queued has no entry.  Callers may read it, so that a
@@ -69,7 +61,6 @@ class Network:
         self.earliest = INF
         self.mem_credits_avail = cfg.mem_credits
         self._seq = 0
-        self._rng = random.Random(cfg.seed)
 
     def beats_of(self, data) -> int:
         if not data:
@@ -94,9 +85,7 @@ class Network:
         key = (msg.src, dst, msg.net._value_)
         chan = self.channels.get(key)
         if chan is None:
-            # Ranks follow global creation order, so they also order each
-            # destination's channels by creation.
-            chan = self.channels[key] = _Channel(len(self.channels))
+            chan = self.channels[key] = _Channel()
             self._busy.setdefault(dst, [])
         # Header occupies one channel cycle, plus one per additional beat.
         beats = msg.beats
@@ -108,11 +97,7 @@ class Network:
         msg.seq = self._seq
         self._seq += 1
         if not chan:
-            busy = self._busy[dst]
-            if busy and busy[-1].rank > chan.rank:
-                insort(busy, chan, key=_rank)
-            else:
-                busy.append(chan)
+            self._busy[dst].append(chan)
         chan.append((ready, msg))
         if ready < self.next_ready.get(dst, ready + 1):
             self.next_ready[dst] = ready
@@ -120,13 +105,9 @@ class Network:
                 self.earliest = ready
 
     def deliver(self, now: int, dst: str):
-        """Pop every message for `dst` ready at `now`, priority-sorted.
-
-        FIFO order is preserved within each (src, dst, net) channel; in
-        random ordering mode the ready set, gathered channel by channel in
-        creation order, is permuted before the priority sort (head-of-line
-        FIFO order still holds).
-        """
+        """Pop every message for `dst` ready at `now`, sorted by network
+        priority and then by send order, which also keeps each (src, dst,
+        net) channel's FIFO order."""
         next_ready = self.next_ready
         due = next_ready.get(dst, INF)
         if due > now:
@@ -155,11 +136,7 @@ class Network:
             # This destination held the earliest time.
             self.earliest = min(next_ready.values()) if next_ready else INF
         if len(ready) > 1:
-            if self.cfg.ordering == "random":
-                self._rng.shuffle(ready)
-                ready.sort(key=_priority)
-            else:
-                ready.sort(key=_priority_seq)
+            ready.sort(key=_priority_seq)
         return ready
 
     def idle(self) -> bool:

@@ -64,14 +64,15 @@ SCENARIOS = {
 }
 
 
-def dir_read_rows(cores: int, tag_sets_per_row: int = 2) -> int:
-    return math.ceil(cores / tag_sets_per_row)
+def dir_read_rows(cores: int) -> int:
+    """Directory rows a way-group read covers: two caches per row."""
+    return math.ceil(cores / 2)
 
 
 def fsm_occupancy_model(name: str, cores: int, sharers: int = 0,
-                        beats: int = 1, tag_sets_per_row: int = 2) -> int:
+                        beats: int = 1) -> int:
     """Expected busy cycles of the fixed-function engine."""
-    h = dir_read_rows(cores, tag_sets_per_row)
+    h = dir_read_rows(cores)
     s = sharers
     n = beats
     return {
@@ -98,9 +99,9 @@ def fsm_occupancy_model(name: str, cores: int, sharers: int = 0,
 
 
 def ucode_occupancy_model(name: str, cores: int, sharers: int = 0,
-                          beats: int = 1, tag_sets_per_row: int = 2) -> int:
+                          beats: int = 1) -> int:
     """Expected busy cycles of the microcoded engine."""
-    h = dir_read_rows(cores, tag_sets_per_row)
+    h = dir_read_rows(cores)
     s = sharers
     n = beats
     return {

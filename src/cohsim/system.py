@@ -16,7 +16,7 @@ from .fsm_cce import FsmCce
 from .lce import Lce, LceConfig, MissIssued, check_geometry
 from .memory import BackingStore, MemoryConfig, MemoryModel
 from .messages import COMMAND, FILL, REQUEST, NetMessage
-from .network import INF, ORDERINGS, NetConfig, Network
+from .network import INF, NetConfig, Network
 
 ENGINES = ("fsm", "ucode")
 
@@ -34,8 +34,6 @@ class SystemConfig:
     num_cces: int = 1
     mem_latency: int = 20
     net_latency: int = 1
-    ordering: str = "fifo"
-    seed: int = 0
 
     def __post_init__(self):
         check_geometry(self)
@@ -57,8 +55,7 @@ class SystemConfig:
             raise ValueError(f"num_cces must be between 1 and sets "
                              f"({self.sets}), got {self.num_cces}")
         for name, allowed in (("engine", ENGINES),
-                              ("protocol", tuple(protocol.PROTOCOLS)),
-                              ("ordering", ORDERINGS)):
+                              ("protocol", tuple(protocol.PROTOCOLS))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}"
                                  f", got {getattr(self, name)!r}")
@@ -69,8 +66,7 @@ class System:
         self.cfg = cfg
         self.tables = protocol.PROTOCOLS[cfg.protocol]
         self.net = Network(NetConfig(latency=cfg.net_latency,
-                                     beat_bytes=cfg.beat_bytes,
-                                     ordering=cfg.ordering, seed=cfg.seed))
+                                     beat_bytes=cfg.beat_bytes))
         self.lces = [Lce(LceConfig(lce_id=i, sets=cfg.sets, assoc=cfg.assoc,
                                    block_bytes=cfg.block_bytes), self.tables)
                      for i in range(cfg.cores)]

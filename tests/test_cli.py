@@ -55,7 +55,7 @@ class TestConfig:
         ("cores = two\n", "cores needs an integer, got 'two'"),
         ("sets = 3\n", "sets must be a power of two, got 3"),
         ("sets = 8\nnum_cces = 16\n", "num_cces must be between 1 and sets"),
-        ("ordering = rnd\n", "ordering must be one of fifo, random"),
+        ("ordering = rnd\n", "bad config line"),
         ("protocol = msi\n", "protocol must be one of moesif, mesi"),
         ("beat_bytes = 0\n", "beat_bytes must be a power of two no larger "
                              "than block_bytes (64), got 0"),

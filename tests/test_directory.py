@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cohsim.directory import (DirectorySegment, DoubleSpeculation, GadRequest,
                               MultipleOwners, OutOfRange, PendingBits,
                               SegmentConfig, SpecBits, Underflow, gad,
-                              way_group_home, way_group_index)
+                              way_group_home)
 from cohsim.protocol import CoherenceState
 
 I, S, E, M, O, F = CoherenceState
@@ -45,7 +45,10 @@ class TestGeometryAndLatency:
         assert way_group_home(1, 2) == (1, 0)
         assert way_group_home(2, 2) == (0, 1)
         assert way_group_home(5, 4) == (1, 1)
-        cfg = cfg_for(2)
+        # The set index, which names the way group, ignores the tag bits.
+        cfg = cfg_for(2, sets_per_cache=64)
+        assert cfg.set_index(0x8000_0000 + 64 * 5) == 5
+        assert cfg.set_index(0x8000_0000 + 64 * 69) == 5
         seg0 = DirectorySegment(cfg, cce_id=0, num_cces=2)
         addr_even = 0x8000_0000          # set 0 -> CCE 0
         addr_odd = 0x8000_0000 + 64      # set 1 -> CCE 1
@@ -85,6 +88,26 @@ class TestStorage:
                 assert entry.tag == tag
         expect = {k: v for k, v in shadow.items() if v[1] is not I}
         assert seg.snapshot() == expect
+
+    @pytest.mark.parametrize("caches,cleared,emptied", [
+        (4, 1, {0, 1}), (3, 2, {2})])
+    def test_clear_row_clears_the_caches_sharing_the_row(self, caches,
+                                                         cleared, emptied):
+        """Two caches' tag sets share a physical row: clearing one cache's
+        row in a set empties both in that set, and nothing else."""
+        cfg = cfg_for(caches, sets_per_cache=4, assoc=2)
+        seg = DirectorySegment(cfg)
+        base = 0x8000_0000
+        for set_idx in range(4):
+            for lce in range(caches):
+                for way in range(2):
+                    seg.write_entry(base + 64 * set_idx, lce, way, state=S)
+        before = seg.snapshot()
+        assert seg.clear_row(base + 64 * 2, cleared) == 1
+        assert seg.snapshot() == {
+            (lce, set_idx, way): v
+            for (lce, set_idx, way), v in before.items()
+            if not (set_idx == 2 and lce in emptied)}
 
 
 class TestPendingBits:
@@ -189,8 +212,3 @@ class TestGad:
         sv, lru, _ = seg.read_way_group(addr, 0, 0)
         with pytest.raises(MultipleOwners):
             gad(sv, lru, GadRequest(lce=0, write=False))
-
-    def test_way_group_index_is_set_index(self):
-        cfg = cfg_for(2, sets_per_cache=64)
-        assert way_group_index(0x8000_0000 + 64 * 5, cfg) == 5
-        assert way_group_index(0x8000_0000 + 64 * 69, cfg) == 5

@@ -80,23 +80,6 @@ class TestTransport:
             net.release_mem_credit()
         assert net.mem_credits_avail == 2
 
-    def test_random_ordering_is_seeded_and_keeps_priority(self):
-        def run(seed):
-            net = Network(NetConfig(ordering="random", seed=seed))
-            ms = [msg(NetKind.Request, src=f"s{i}") for i in range(6)]
-            for m in ms:
-                net.send(m, now=0)
-            return [m.src for m in net.deliver(10, "b")]
-
-        assert run(1) == run(1)          # deterministic per seed
-        net = Network(NetConfig(ordering="random", seed=3))
-        resp = msg(NetKind.Response, src="s0")
-        reqs = [msg(NetKind.Request, src=f"s{i}") for i in range(4)]
-        for m in reqs + [resp]:
-            net.send(m, now=0)
-        out = net.deliver(10, "b")
-        assert out[0] is resp            # priority survives the shuffle
-
 
 def labels(msgs):
     return [m.payload for m in msgs]
@@ -148,21 +131,6 @@ class TestDeliveryOrder:
         assert labels(net.deliver(9, "d")) == ["h"]
         assert net.idle() and net.earliest == INF
 
-    def test_random_ordering_golden_sequence(self):
-        # Recorded from the channel-scanning implementation: the same seed
-        # must give the same permutations, draw for draw.
-        net = Network(NetConfig(ordering="random", seed=5))
-        for i in range(6):
-            net.send(msg(NetKind.Request, src=f"s{i}", payload=f"r{i}"),
-                     now=0)
-            net.send(msg(NetKind.Command, src=f"s{i}", payload=f"c{i}"),
-                     now=i % 3)
-        net.send(msg(NetKind.Request, src="s0", dst="x", payload="x0"),
-                 now=0)
-        got = [labels(net.deliver(t, "b")) for t in range(5)]
-        assert got == GOLDEN_RANDOM
-        assert net._rng.random() == GOLDEN_RANDOM_NEXT
-
 
 def scanned_ready(net):
     """dst -> earliest ready time, by a scan of every channel."""
@@ -202,15 +170,12 @@ class TestReadyIndex:
             assert net.earliest == min(scan.values(), default=INF)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_ordering_gathers_in_channel_creation_order(self, seed):
-        """Under random ordering, the messages shuffled before the
-        priority sort are gathered channel by channel in creation order,
-        FIFO within a channel, however often channels empty and refill:
-        checked against a gather over every channel and a copy of the
-        network's random stream."""
+    def test_delivers_by_priority_then_seq(self, seed):
+        """A delivery holds every ready message for its destination in
+        (priority, seq) order, however often channels empty and refill:
+        checked against a gather over every channel."""
         rng = random.Random(seed)
-        net = Network(NetConfig(latency=1, ordering="random", seed=seed))
-        shadow = random.Random(seed)
+        net = Network(NetConfig(latency=1))
         dsts = ["d0", "d1", "mem"]
         now = 0
         for _ in range(400):
@@ -222,16 +187,9 @@ class TestReadyIndex:
                              beats=rng.choice([0, 1, 8])), now)
             else:
                 dst = rng.choice(dsts)
-                want = [m for (_, d, _), chan in net.channels.items()
-                        if d == dst for t, m in chan if t <= now]
-                shadow.shuffle(want)
-                want.sort(key=lambda m: m.net.priority)
+                want = sorted((m for (_, d, _), chan in net.channels.items()
+                               if d == dst for t, m in chan if t <= now),
+                              key=lambda m: (m.net.priority, m.seq))
                 got = net.deliver(now, dst)
                 assert [id(m) for m in got] == [id(m) for m in want]
             now += rng.choice([0, 0, 1, 2])
-        assert net._rng.random() == shadow.random()
-
-
-GOLDEN_RANDOM = [[], ["c0", "c3", "r4", "r2", "r0", "r5", "r1", "r3"],
-                 ["c4", "c1"], ["c5", "c2"], []]
-GOLDEN_RANDOM_NEXT = 0.11320596465314436
