@@ -138,9 +138,10 @@ def occupancy_model(engine: str, name: str, cores: int, sharers: int = 0,
                     beats: int = 1, victim: Optional[str] = None) -> int:
     model = (fsm_occupancy_model if engine == "fsm"
              else ucode_occupancy_model)
-    # The microcode's single-flag fast dispatch for an exclusive read only
-    # fires when no flag (including Replacement) is set, so a read miss
-    # that also evicts runs the generic read path instead.
+    # The microcode's fast dispatch for an exclusive read fires only when
+    # no flag (Replacement included) is set, so a read miss that also
+    # evicts runs the generic read path and costs what `read_is` does; it
+    # still grants E.
     if engine == "ucode" and victim is not None and name == "read_excl_ii":
         name = "read_is"
     total = model(name, cores, sharers, beats)

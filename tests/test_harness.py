@@ -338,6 +338,21 @@ class TestCompareEngines:
         assert report.cycle_ratio > 0
         assert "equivalent" in report.summary()
 
+    @pytest.mark.parametrize("num_cces", [1, 2, 4])
+    @pytest.mark.parametrize("assoc", [1, 2])
+    @pytest.mark.parametrize("protocol", ["moesif", "mesi"])
+    def test_equivalent_under_evictions(self, protocol, assoc, num_cces):
+        """A 256-block footprint against 16 sets of 1 or 2 ways: most
+        reads also replace a line, and such a read of a block cached
+        nowhere must be granted E by both engines."""
+        ops = random_workload(1, lces=2, ops=400, footprint_blocks=256,
+                              write_ratio=0.5)
+        report = compare_engines(ops, SystemConfig(
+            cores=2, sets=16, assoc=assoc, num_cces=num_cces,
+            protocol=protocol))
+        assert report.equivalent, report.differences
+        assert not report.violations
+
     def test_empty_trace_ratio_is_one(self):
         report = compare_engines([], SystemConfig(cores=2, sets=8))
         assert report.equivalent
@@ -453,9 +468,9 @@ class TestBitIdentity:
             7789, "a7d2e2c6a3d20cb16715f5aa2ac99b88"
                   "dc628abcc48d0da97bb47d7bb56ef427", (3567, 966, 16, 3240), 0),
         ("evict-2c", "ucode"): (
-            10683, "a6cddd480cb22b979ae9ec1c5fbb6e2e"
-                   "4e35ae03cd3e446c2f65a37a7243a864", (8048, 934, 7, 1694),
-            591),
+            10809, "a7d2e2c6a3d20cb16715f5aa2ac99b88"
+                   "dc628abcc48d0da97bb47d7bb56ef427", (8387, 966, 5, 1451),
+            661),
         ("8c-2cce", "fsm"): (
             3309, "d586bf2eb2ae9a94278b84193b3c14f7"
                   "8f9bb259a5ab8f62ae6ac7b2e724f37b", (3154, 23, 146, 3295), 0),
@@ -481,9 +496,9 @@ class TestBitIdentity:
                   "b3c5598e808afca64a56dbd72e456755", (3560, 518, 75, 5337),
             0),
         ("4c-2cce-lat0-evict", "ucode"): (
-            6703, "07cb02e0c1e1d5fbf7ecda4ed1f95ea2"
-                  "9d03ab4e8bfb2a0d51b512bc40c8d546", (7844, 523, 15, 5024),
-            555),
+            6761, "9affee317dcd226afbda1a656bda2f4d"
+                  "b3c5598e808afca64a56dbd72e456755", (7950, 523, 9, 5040),
+            586),
     }
 
     # (shape, engine) -> _transactions_digest.  The counter sums above do
@@ -491,8 +506,8 @@ class TestBitIdentity:
     TXN_GOLDEN = {
         ("evict-2c", "fsm"): "3ccb89d63d7267ab0f0d1f5b6aea7a67"
                              "35ae11ad66f8c61e98b0dd8bdbd16c09",
-        ("evict-2c", "ucode"): "2ec4b358d63fb161d66e475321afa5bb"
-                               "4a5ca38300426d04f8a9c934443594db",
+        ("evict-2c", "ucode"): "d8eb340126f71fea360509ae46322a4d"
+                               "3785c0f16b980ac60751f5d9b8e9af86",
         ("8c-2cce", "fsm"): "b4d687dbf5bdd4657373c86dd5aa5190"
                             "a0e60c464bad97f0366629789686dcb1",
         ("8c-2cce", "ucode"): "8a3730f3d00e1977fa76369bc2d68400"
@@ -509,12 +524,8 @@ class TestBitIdentity:
         caches of 16 sets x 2 ways on 2 CCEs at zero latency under a
         256-block footprint, where memory commands sent in cycles in which
         only the CCEs act are delivered in that same cycle, two CCEs share
-        the memory credits, and lines are replaced.
-
-        In the eviction shapes the two engines end in different states:
-        where `fsm` grants E to a read that replaces a line, `ucode`
-        grants S (ROADMAP item 1).  Its `ucode` golden therefore moves, by
-        design, when that item is fixed; the others must not."""
+        the memory credits, and lines are replaced.  In every shape both
+        engines end in the same state."""
         system_args, trace_args = self.SHAPES[shape]
         ops = (random_workload(5, ops=300, **trace_args)
                + self.TAILS.get(shape, []))

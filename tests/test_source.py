@@ -1,12 +1,17 @@
 """Source-level guards over the `cohsim` package."""
 
 import ast
+import dataclasses
 import pathlib
+import re
 import sys
 
 import cohsim
+from cohsim import cli
+from cohsim.system import SystemConfig
 
 SRC = pathlib.Path(cohsim.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -60,3 +65,15 @@ def test_stdlib_only_imports():
                       for name in names
                       if name.split(".")[0] not in allowed]
     assert not found, found
+
+
+def test_documented_config_keys_are_the_system_config_fields():
+    """README's "Config files" section and the `cli` docstring name every
+    `SystemConfig` field as a config key, and nothing else."""
+    fields = [f.name for f in dataclasses.fields(SystemConfig)]
+    section = README.read_text().split("### Config files", 1)[1]
+    readme_keys = re.search(r"fields:(.*?)\.\s", section, re.S).group(1)
+    assert re.findall(r"`(\w+)`", readme_keys) == fields
+    cli_keys = re.search(r"SystemConfig fields \((.*?)\)", cli.__doc__,
+                         re.S).group(1)
+    assert [key.strip() for key in cli_keys.split(",")] == fields
