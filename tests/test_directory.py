@@ -45,10 +45,7 @@ class TestGeometryAndLatency:
         assert way_group_home(1, 2) == (1, 0)
         assert way_group_home(2, 2) == (0, 1)
         assert way_group_home(5, 4) == (1, 1)
-        # The set index, which names the way group, ignores the tag bits.
-        cfg = cfg_for(2, sets_per_cache=64)
-        assert cfg.set_index(0x8000_0000 + 64 * 5) == 5
-        assert cfg.set_index(0x8000_0000 + 64 * 69) == 5
+        cfg = cfg_for(2)
         seg0 = DirectorySegment(cfg, cce_id=0, num_cces=2)
         addr_even = 0x8000_0000          # set 0 -> CCE 0
         addr_odd = 0x8000_0000 + 64      # set 1 -> CCE 1
@@ -212,3 +209,9 @@ class TestGad:
         sv, lru, _ = seg.read_way_group(addr, 0, 0)
         with pytest.raises(MultipleOwners):
             gad(sv, lru, GadRequest(lce=0, write=False))
+
+    def test_way_group_index_is_set_index(self):
+        # The set index, which names the way group, ignores the tag bits.
+        cfg = cfg_for(2, sets_per_cache=64)
+        assert cfg.set_index(0x8000_0000 + 64 * 5) == 5
+        assert cfg.set_index(0x8000_0000 + 64 * 69) == 5
