@@ -2,10 +2,14 @@
 
 A CCE instance owns one directory segment with its pending and speculation
 bits, one request queue per LCE, the response and memory-response queues,
-the CohAck drain and the memory-response machine.  The two engines,
+the CohAck drain and the memory-response machine.  It also holds the
+datapath's multi-cycle units, each a generator of per-cycle BUSY or WAIT
+tags: `_busy` (a fixed count of busy cycles, such as a way-group read),
+`_await_resp`, the memory-command unit `_to_memory` and its `_write_back`,
+and the invalidation sequencer `_invalidate`.  The two engines,
 `fsm_cce.FsmCce` and `ucode.engine.UcodeCce`, differ only in how they
-sequence a request: each supplies `_step` (one sequencer cycle, tagged BUSY
-or WAIT) and `_active`.
+sequence a request and run these units: each supplies `_step` (one
+sequencer cycle, tagged BUSY or WAIT) and `_active`.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from . import protocol
@@ -36,6 +41,7 @@ from .protocol import (AddressClass, CoherenceState, CommandKind,
 BUSY = "busy"
 WAIT = "wait"
 COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
+INV_ACK = (Emission.InvAck,)
 
 
 class EngineFault(Exception):
@@ -75,15 +81,13 @@ class CceCore:
 
     def __init__(self, cce_id: int, seg_cfg: SegmentConfig, net: Network,
                  num_cces: int = 1,
-                 tables: protocol.ProtocolTables = protocol.MOESIF,
-                 region_map: protocol.RegionMap = protocol.DEFAULT_REGION_MAP):
+                 tables: protocol.ProtocolTables = protocol.MOESIF):
         self.cce_id = cce_id
         self.endpoint = f"cce{cce_id}"
         self.cfg = seg_cfg
         self.net = net
         self.num_cces = num_cces
         self.tables = tables
-        self.region_map = region_map
         self.directory = DirectorySegment(seg_cfg, cce_id, num_cces)
         self._lce_endpoints = [f"lce{i}" for i in range(seg_cfg.num_caches)]
         # Set index -> local way group, or None for a set homed elsewhere.
@@ -126,10 +130,6 @@ class CceCore:
         if cmd.kind is INV and self._txn is not None:
             self._txn.invalidations += 1
         self._send(COMMAND, self._lce_endpoints[lce], cmd, data=cmd.data)
-
-    def _send_mem(self, cmd: MemCmd):
-        # Backpressure would be a bug here; sequencers wait for a credit.
-        self._send(MEM_CMD, "mem", cmd, data=cmd.data)
 
     def _take_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
         """Remove and return the oldest response for `addr` of one of
@@ -192,10 +192,67 @@ class CceCore:
         """True while the sequencer holds work that needs more cycles."""
         raise NotImplementedError
 
+    # -- datapath units --------------------------------------------------------
+    # Each is a generator of per-cycle BUSY/WAIT tags: `fsm` runs one with
+    # `yield from`, `ucode` in the unit slot its current instruction fills.
+
+    @staticmethod
+    def _busy(n: int):
+        """`n` busy cycles."""
+        return repeat(BUSY, n)
+
+    def _await_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
+        """Wait for a response (see `_take_resp`) and return it."""
+        while True:
+            resp = self._take_resp(addr, kinds, lce)
+            if resp is not None:
+                return resp
+            yield WAIT
+
+    def _to_memory(self, cmd: MemCmd, wg: Optional[int] = None):
+        """Memory-command unit: wait for a memory credit, latch the
+        speculation bits of a speculative read, count the pending bit of
+        way group `wg` when given, send, then one busy cycle per data beat
+        (at least one)."""
+        net = self.net
+        while not net.has_mem_credit():
+            yield WAIT
+        if cmd.spec:
+            self.spec.set(self.local_wg(cmd.addr))
+        if wg is not None:
+            self.pending.adjust(wg, +1)
+        self._send(MEM_CMD, "mem", cmd, data=cmd.data)
+        yield from repeat(BUSY, max(1, net.beats_of(cmd.data)))
+
+    def _write_back(self, resp, wg: Optional[int]):
+        """Write a writeback's block to memory.  An uncached request's
+        writeback carries a sub-block address."""
+        addr = resp.addr - resp.addr % self.cfg.block_bytes
+        return self._to_memory(MemCmd(addr=addr, write=True, data=resp.data),
+                               wg)
+
+    def _invalidate(self, addr: int, targets: list):
+        """Invalidation sequencer: for each (cache, way) in `targets`, clear
+        its directory entry and send Inv, one per cycle; then consume one
+        InvAck per cycle."""
+        for c, way in targets:
+            self.directory.write_state(addr, c, way, I)
+            self._send_cmd(c, CceCommand(kind=INV, addr=addr, way=way))
+            yield BUSY
+        for _ in targets:
+            yield from self._await_resp(addr, INV_ACK)
+            yield BUSY
+
+    def _victim_addr(self, addr: int, lru_tag: int) -> int:
+        """The address of the block with tag `lru_tag` in `addr`'s set."""
+        cfg = self.cfg
+        return ((lru_tag * cfg.sets_per_cache + cfg.set_index(addr))
+                * cfg.block_bytes)
+
     # -- transactions ----------------------------------------------------------
 
     def _open_txn(self, req: CohRequest) -> AddressClass:
-        addr_class = classify_request(req.addr, req.uncached, self.region_map)
+        addr_class = classify_request(req.addr, req.uncached)
         self._req = req
         self._txn = TransactionRecord(req.addr, req.lce, addr_class._value_)
         return addr_class
@@ -266,7 +323,8 @@ class CceCore:
             if not q:
                 continue
             head = q[0]
-            if ((not head.uncached or self.region_map.is_cacheable(head.addr))
+            if ((not head.uncached
+                 or protocol.DEFAULT_REGION_MAP.is_cacheable(head.addr))
                     and pending.read(self.local_wg(head.addr))):
                 stalled = True
                 continue

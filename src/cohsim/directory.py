@@ -281,14 +281,6 @@ class SpecBits:
 
 
 @dataclass(slots=True)
-class GadRequest:
-    """The request summary the GAD unit needs."""
-
-    lce: int
-    write: bool
-
-
-@dataclass(slots=True)
 class GadResult:
     cached_s: bool = False
     cached_e: bool = False
@@ -301,8 +293,10 @@ class GadResult:
     req_way_hit: Optional[int] = None
 
 
-def gad(sv: SharersVectors, lru: LruEntry, req: GadRequest) -> GadResult:
-    """Single-cycle digest of a way-group read into MSHR control flags.
+def gad(sv: SharersVectors, lru: LruEntry, lce: int,
+        write: bool) -> GadResult:
+    """Single-cycle digest of a way-group read for requester `lce` (whose
+    request writes when `write`) into MSHR control flags.
 
     Cached-state flags consider every cache except the requester; the owner
     may be any cache, including the requester.
@@ -317,7 +311,7 @@ def gad(sv: SharersVectors, lru: LruEntry, req: GadRequest) -> GadResult:
             if owner is not None:
                 raise MultipleOwners(f"caches {owner[0]} and {c}")
             owner = (c, sv.ways[c], state)
-        if c == req.lce:
+        if c == lce:
             res.req_way_hit = sv.ways[c]
             continue
         if state is S:
@@ -331,8 +325,8 @@ def gad(sv: SharersVectors, lru: LruEntry, req: GadRequest) -> GadResult:
         elif state is F:
             res.cached_f = True
     res.owner = owner
-    req_hit = sv.hits[req.lce]
-    req_state = sv.states[req.lce]
-    res.upgrade = bool(req.write and req_hit and req_state in (S, O, F))
+    req_hit = sv.hits[lce]
+    req_state = sv.states[lce]
+    res.upgrade = bool(write and req_hit and req_state in (S, O, F))
     res.replacement = bool(not req_hit and lru.lru_state in REPLACEMENT_STATES)
     return res

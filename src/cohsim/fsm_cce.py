@@ -16,8 +16,10 @@ class holds exactly:
   replacement (ST-WB send + WB consume)    +2 clean / +1+N dirty
   invalidations (1 send + 1 ack per cycle) +2 per invalidation
 
-The core's memory-response machine runs concurrently and its cycles never
-count toward request occupancy.
+The multi-cycle steps (the way-group read, the memory-command unit, the
+invalidation sequencer, response waits) are the core's datapath units, run
+with `yield from`.  The core's memory-response machine runs concurrently
+and its cycles never count toward request occupancy.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cce import BUSY, WAIT, CceCore, EngineFault
-from .directory import GadRequest, gad
-from .messages import CceCommand, CohRequest, Emission, LceResponse, MemCmd
+from .directory import gad
+from .messages import CceCommand, CohRequest, Emission, MemCmd
 from .protocol import (AddressClass, CoherenceState, CommandKind,
                        DirRequestKind, I, S, E, F, InvalidateSet,
                        OWNER_STATES, RequesterGrant)
 
 WRITEBACKS = (Emission.NullWB, Emission.DirtyWB)
-INV_ACK = (Emission.InvAck,)
 
 
 @dataclass(slots=True)
@@ -83,24 +84,6 @@ class FsmCce(CceCore):
 
     # -- request processing flow ----------------------------------------------
 
-    def _await_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
-        while True:
-            resp = self._take_resp(addr, kinds, lce)
-            if resp is not None:
-                return resp
-            yield WAIT
-
-    def _forward_dirty_wb(self, resp: LceResponse, wg: int):
-        """Write a dirty writeback's block to memory, one busy cycle per
-        data beat."""
-        while not self.net.has_mem_credit():
-            yield WAIT
-        self.pending.adjust(wg, +1)
-        self._send_mem(MemCmd(addr=resp.addr - resp.addr % self.cfg.block_bytes,
-                              write=True, data=resp.data))
-        for _ in range(max(1, self.net.beats_of(resp.data))):
-            yield BUSY
-
     def _coherent_flow(self, req: CohRequest):
         mshr = self.mshr = Mshr(lru_way=req.lru_way)
         wg = self.local_wg(req.addr)
@@ -110,19 +93,14 @@ class FsmCce(CceCore):
         yield BUSY                       # pending check
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
-        while not self.net.has_mem_credit():
-            yield WAIT
-        self.spec.set(wg)
-        self.pending.adjust(wg, +1)
-        self._send_mem(MemCmd(addr=req.addr, write=False, spec=True,
-                              lce=req.lce, way=req.lru_way, state=E))
-        yield BUSY                       # speculative memory read issue
+        yield from self._to_memory(      # speculative memory read issue
+            MemCmd(addr=req.addr, write=False, spec=True, lce=req.lce,
+                   way=req.lru_way, state=E), wg)
 
         sv, lru, latency = self.directory.read_way_group(
             req.addr, req.lce, req.lru_way)
-        for _ in range(latency):
-            yield BUSY                   # directory way-group read
-        info = gad(sv, lru, GadRequest(req.lce, req.write))
+        yield from self._busy(latency)   # directory way-group read
+        info = gad(sv, lru, req.lce, req.write)
         mshr.replacement = info.replacement
         mshr.owner = info.owner
         mshr.req_way = (info.req_way_hit if info.req_way_hit is not None
@@ -139,7 +117,14 @@ class FsmCce(CceCore):
         if mshr.replacement:
             yield from self._replacement_subflow(req, wg)
 
-        yield from self._invalidations(req, sv, plan)
+        if plan.invalidate_set is not InvalidateSet.Nothing:
+            with_owner = (plan.invalidate_set
+                          is InvalidateSet.OtherSharersAndOwner)
+            yield from self._invalidate(req.addr, [
+                (c, sv.ways[c]) for c, hit in enumerate(sv.hits)
+                if hit and c != req.lce
+                and (sv.states[c] is S
+                     or (with_owner and sv.states[c] in OWNER_STATES))])
 
         if plan.requester_grant is RequesterGrant.DataFromMemory:
             if plan.grant_state is E:
@@ -163,8 +148,7 @@ class FsmCce(CceCore):
     def _replacement_subflow(self, req: CohRequest, wg: int):
         """Evict the requester's LRU block: 2 cycles clean, 1+N dirty."""
         mshr = self.mshr
-        victim = ((mshr.lru_tag * self.cfg.sets_per_cache
-                   + self.cfg.set_index(req.addr)) * self.cfg.block_bytes)
+        victim = self._victim_addr(req.addr, mshr.lru_tag)
         plan = self.tables.dir_request_plan(mshr.lru_state,
                                             DirRequestKind.Replacement)
         self._send_cmd(req.lce, CceCommand(
@@ -176,24 +160,7 @@ class FsmCce(CceCore):
         if resp.kind is Emission.NullWB:
             yield BUSY                   # consume clean writeback header
         else:
-            yield from self._forward_dirty_wb(resp, wg)
-
-    def _invalidations(self, req: CohRequest, sv, plan):
-        if plan.invalidate_set is InvalidateSet.Nothing:
-            return
-        with_owner = plan.invalidate_set is InvalidateSet.OtherSharersAndOwner
-        targets = [c for c, hit in enumerate(sv.hits)
-                   if hit and c != req.lce
-                   and (sv.states[c] is S
-                        or (with_owner and sv.states[c] in OWNER_STATES))]
-        for c in targets:
-            self.directory.write_state(req.addr, c, sv.ways[c], I)
-            self._send_cmd(c, CceCommand(kind=CommandKind.Inv, addr=req.addr,
-                                         way=sv.ways[c]))
-            yield BUSY                   # one invalidation per cycle
-        for _ in targets:
-            yield from self._await_resp(req.addr, INV_ACK)
-            yield BUSY                   # one ack consumed per cycle
+            yield from self._write_back(resp, wg)
 
     def _transfer(self, req: CohRequest, plan, mshr: Mshr, wg: int):
         """Source the block from its current owner instead of memory.
@@ -215,20 +182,16 @@ class FsmCce(CceCore):
         if cmd_kind is CommandKind.StTrWb:
             resp = yield from self._await_resp(req.addr, WRITEBACKS, owner_lce)
             if resp.kind is Emission.DirtyWB:
-                yield from self._forward_dirty_wb(resp, wg)
+                yield from self._write_back(resp, wg)
 
     # -- uncached flows --------------------------------------------------------
 
     def _uncached_flow(self, req: CohRequest, addr_class: AddressClass):
         yield BUSY                       # Ready: classify
         if addr_class is AddressClass.UncachedToUncacheable:
-            while not self.net.has_mem_credit():
-                yield WAIT
-            self._send_mem(MemCmd(addr=req.addr, write=req.write,
-                                  uncached=True, size=req.size,
-                                  data=req.data, lce=req.lce))
-            for _ in range(max(1, self.net.beats_of(req.data))):
-                yield BUSY               # header + data beats
+            yield from self._to_memory(MemCmd(   # header + data beats
+                addr=req.addr, write=req.write, uncached=True, size=req.size,
+                data=req.data, lce=req.lce))
             return
 
         # Uncached access to cacheable memory: flush every valid copy first.
@@ -237,38 +200,27 @@ class FsmCce(CceCore):
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
         sv, lru, latency = self.directory.read_way_group(req.addr, req.lce, 0)
-        for _ in range(latency):
-            yield BUSY
+        yield from self._busy(latency)
         self._note_lookup(sv)
         yield BUSY                       # GAD
         for c, hit in enumerate(sv.hits):
             if not hit:
                 continue
-            state = sv.states[c]
-            self.directory.write_state(req.addr, c, sv.ways[c], I)
-            if state in (S, F):
-                self._send_cmd(c, CceCommand(kind=CommandKind.Inv,
-                                             addr=req.addr, way=sv.ways[c]))
-                yield BUSY
-                yield from self._await_resp(req.addr, INV_ACK)
-                yield BUSY
-            else:
-                self._send_cmd(c, CceCommand(kind=CommandKind.StWb,
-                                             addr=req.addr, way=sv.ways[c],
-                                             state=I))
-                yield BUSY
-                resp = yield from self._await_resp(req.addr, WRITEBACKS, c)
-                if resp.kind is Emission.DirtyWB:
-                    yield from self._forward_dirty_wb(resp, wg)
-                else:
-                    yield BUSY
-        while not self.net.has_mem_credit():
-            yield WAIT
-        self.pending.adjust(wg, +1)
-        self._send_mem(MemCmd(addr=req.addr, write=req.write, uncached=True,
-                              size=req.size, data=req.data, lce=req.lce,
-                              wp=True))
-        for _ in range(max(1, self.net.beats_of(req.data))):
+            way = sv.ways[c]
+            if sv.states[c] in (S, F):
+                yield from self._invalidate(req.addr, [(c, way)])
+                continue
+            self.directory.write_state(req.addr, c, way, I)
+            self._send_cmd(c, CceCommand(kind=CommandKind.StWb, addr=req.addr,
+                                         way=way, state=I))
             yield BUSY
+            resp = yield from self._await_resp(req.addr, WRITEBACKS, c)
+            if resp.kind is Emission.DirtyWB:
+                yield from self._write_back(resp, wg)
+            else:
+                yield BUSY
+        yield from self._to_memory(MemCmd(
+            addr=req.addr, write=req.write, uncached=True, size=req.size,
+            data=req.data, lce=req.lce, wp=True), wg)
         self.pending.adjust(wg, -1)
         yield BUSY                       # close transaction

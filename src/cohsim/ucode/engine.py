@@ -8,8 +8,12 @@ call; engines built from the same words share the decoded program.
 Branches are
 statically predicted not-taken unless annotated `[pt]`; unconditional
 jumps redirect at predecode.  A mispredicted branch costs one bubble
-cycle.  Multi-beat pushes, the way-group read, and the hardware
-invalidation sequencer occupy the execute stage for their full duration.
+cycle.  An instruction that drives one of the core's multi-cycle datapath
+units (`rdw`, `rde`, `inv`, `pushq memcmd`) starts it in the engine's one
+unit slot and advances `pc` at once; the unit then occupies the execute
+stage for its full duration, as does the bubble (`_busy(1)`).  A unit
+that takes no cycle (an `inv` with no targets) fuses with the next
+instruction.
 
 Each cycle the execute stage does work (bubbles included) is busy; a cycle
 blocked on an empty queue or an exhausted memory credit, and every `wfq`
@@ -20,8 +24,7 @@ outside one.  A transaction opens at `popq req` and closes at the next
 
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
-speculative-read bits.  The invalidation sequencer runs one command or
-ack per cycle.
+speculative-read bits.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from importlib import resources
 from typing import Optional
 
 from ..cce import BUSY, WAIT, CceCore
-from ..directory import GadRequest, gad
-from ..messages import CceCommand, CohRequest, Emission, LceResponse, MemCmd
-from ..protocol import CoherenceState, CommandKind, I, S, E
+from ..directory import gad
+from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
+from ..protocol import (DEFAULT_REGION_MAP, CoherenceState, CommandKind,
+                        I, S, E)
 from . import asm, isa
-from .isa import (AddrSel, CmdTarget, Flag, Instr, MemPushKind, Op, PushDest,
+from .isa import (AddrSel, CmdTarget, Instr, MemPushKind, Op, PushDest,
                   Queue, RESP_KIND_CODE, SpecCmd, Special, STATE_BY_CODE,
                   STATE_CODE)
 
@@ -130,39 +134,42 @@ class UcodeCce(CceCore):
         self.last_resp = None
         self._sv = None
         self._lru = None
-        self._bubbles = 0
+        self._unit = None   # the running datapath unit, if any
         self.mispredicts = 0
-        self._multi = 0
-        self._inv_job = None
 
     # -- sequencer -------------------------------------------------------------
 
     def _active(self) -> bool:
-        return (self._txn is not None or self._bubbles > 0
-                or self._multi > 0 or self._inv_job is not None)
+        return self._txn is not None or self._unit is not None
 
     def _step(self) -> str:
-        if self._bubbles:
-            self._bubbles -= 1
-            return BUSY
-        if self._multi:
-            self._multi -= 1
-            return BUSY
-        if self._inv_job is not None:
-            return self._inv_step()
-        u = self.imem[self.pc]
-        outcome = u.run(self, u)
-        if outcome is not FREE:
-            return outcome
+        unit = self._unit
+        if unit is not None:
+            tag = next(unit, None)
+            if tag is not None:
+                return tag
+            # The finished unit consumed no cycle here; the next
+            # instruction runs in this same cycle.
+            self._unit = None
         # Zero-cost completions (an inv with no targets) fuse with the next
         # instruction; bound the fusion chain, 8 instructions in all,
         # defensively.
-        for _ in range(7):
+        for _ in range(8):
             u = self.imem[self.pc]
             outcome = u.run(self, u)
             if outcome is not FREE:
                 return outcome
         raise MicrocodeFault("zero-cost instruction chain too long")
+
+    def _start(self, unit) -> str:
+        """Advance `pc` and run `unit` from this cycle on in the unit slot;
+        FREE when it takes no cycle."""
+        self.pc += 1
+        tag = next(unit, None)
+        if tag is None:
+            return FREE
+        self._unit = unit
+        return tag
 
     def _branch(self, u: Uop, taken: bool) -> str:
         if taken:
@@ -170,20 +177,12 @@ class UcodeCce(CceCore):
         else:
             self.pc += 1
         if taken != u.predict:
-            self._bubbles += 1
+            self._unit = self._busy(1)   # the bubble, in the next cycle
             self.mispredicts += 1
         return BUSY
 
     def _wg(self) -> int:
         return self.local_wg(self.umshr.addr)
-
-    def _victim_addr(self) -> int:
-        m = self.umshr
-        return ((m.lru_tag * self.cfg.sets_per_cache
-                 + self.cfg.set_index(m.addr)) * self.cfg.block_bytes)
-
-    def _flag(self, flag: Flag) -> bool:
-        return bool(self.flags & (1 << flag))
 
     # -- instruction semantics ---------------------------------------------------
     # One handler per opcode (see `_HANDLERS`), called as
@@ -254,9 +253,7 @@ class UcodeCce(CceCore):
             m.addr, m.lce, m.lru_way)
         self._sv, self._lru = sv, lru
         m.lru_tag, m.lru_state = lru.lru_tag, lru.lru_state
-        self._multi = latency - 1
-        self.pc += 1
-        return BUSY
+        return self._start(self._busy(latency))
 
     def _rde(self, u) -> str:
         m = self.umshr
@@ -264,9 +261,7 @@ class UcodeCce(CceCore):
                     if u.cmd_target is CmdTarget.Owner
                     else (m.lce, m.req_way))
         _, latency = self.directory.read_entry(m.addr, lce, way)
-        self._multi = latency - 1
-        self.pc += 1
-        return BUSY
+        return self._start(self._busy(latency))
 
     def _wdp(self, u) -> str:
         self.pending.adjust(self._wg(), +1 if u.inc else -1)
@@ -357,8 +352,7 @@ class UcodeCce(CceCore):
         if self._sv is None:
             raise MicrocodeFault("gad before rdw")
         m = self.umshr
-        info = gad(self._sv, self._lru,
-                   GadRequest(m.lce, bool(self.flags >> WNR & 1)))
+        info = gad(self._sv, self._lru, m.lce, bool(self.flags >> WNR & 1))
         self.flags = (self.flags & GAD_KEEP
                       | info.cached_s << CSF | info.cached_e << CEF
                       | info.cached_m << CMF | info.cached_o << COF
@@ -399,8 +393,9 @@ class UcodeCce(CceCore):
         resp = q.popleft()
         self.last_resp = resp
         if (queue is Queue.Resp and self._txn is not None
-                and self._flag(Flag.Replacement)
-                and resp.addr == self._victim_addr()):
+                and self.flags >> RF & 1
+                and resp.addr == self._victim_addr(self.umshr.addr,
+                                                   self.umshr.lru_tag)):
             self._note_victim_wb(resp)
         self.regs[u.rd] = self._resp_code(resp)
         if u.wp:
@@ -423,50 +418,29 @@ class UcodeCce(CceCore):
         self.flags = (req.write << WNR | req.uncached << UCF
                       | req.non_exclusive << NEX
                       | (req.atomic is not None) << AF
-                      | self.region_map.is_cacheable(req.addr) << CAF)
+                      | DEFAULT_REGION_MAP.is_cacheable(req.addr) << CAF)
 
     def _pushq(self, u) -> str:
         m = self.umshr
         if u.dest is PushDest.MemCmd:
-            if not self.net.has_mem_credit():
-                return WAIT
             kind = u.kind
-            wp = bool(u.wp)
+            wg = self._wg() if u.wp else None
             if kind is MemPushKind.SpecRead:
-                # The spec annotation latches the speculative bits with it.
-                self.spec.set(self._wg())
-                if wp:
-                    self.pending.adjust(self._wg(), +1)
-                self._send_mem(MemCmd(addr=m.addr, write=False, spec=True,
-                                      lce=m.lce, way=m.lru_way, state=E))
-                self.pc += 1
-                return BUSY
-            if kind is MemPushKind.Writeback:
-                addr, data = self.last_resp.addr, self.last_resp.data
-                if wp:
-                    self.pending.adjust(self._wg(), +1)
-                # An uncached request's command carries a sub-block address.
-                self._send_mem(MemCmd(addr=addr - addr % self.cfg.block_bytes,
-                                      write=True, data=data))
-                self._multi = max(1, self.net.beats_of(data)) - 1
-                self.pc += 1
-                return BUSY
-            # Uncached access for the current request.
-            data = m.data if self._flag(Flag.WriteNotRead) else None
-            if wp:
-                self.pending.adjust(self._wg(), +1)
-            self._send_mem(MemCmd(addr=m.addr,
-                                  write=self._flag(Flag.WriteNotRead),
-                                  uncached=True, size=m.size, data=data,
-                                  lce=m.lce, wp=wp))
-            self._multi = max(1, self.net.beats_of(data)) - 1
-            self.pc += 1
-            return BUSY
+                cmd = MemCmd(addr=m.addr, write=False, spec=True, lce=m.lce,
+                             way=m.lru_way, state=E)
+            elif kind is MemPushKind.Writeback:
+                return self._start(self._write_back(self.last_resp, wg))
+            else:   # uncached access for the current request
+                write = bool(self.flags >> WNR & 1)
+                cmd = MemCmd(addr=m.addr, write=write, uncached=True,
+                             size=m.size, data=m.data if write else None,
+                             lce=m.lce, wp=bool(u.wp))
+            return self._start(self._to_memory(cmd, wg))
 
         kind = u.kind
         to_owner = u.cmd_target is CmdTarget.Owner
         victim = u.addr_sel is AddrSel.Victim
-        addr = self._victim_addr() if victim else m.addr
+        addr = self._victim_addr(m.addr, m.lru_tag) if victim else m.addr
         if to_owner:
             lce, way = m.owner_lce, m.owner_way
         else:
@@ -480,37 +454,14 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    # -- hardware invalidation sequencer -----------------------------------------
-
-    def _inv_start(self, u) -> str:
-        if self._sv is None:
+    def _inv(self, u) -> str:
+        sv = self._sv
+        if sv is None:
             raise MicrocodeFault("inv before rdw")
         m = self.umshr
-        targets = [(c, self._sv.ways[c])
-                   for c, hit in enumerate(self._sv.hits)
-                   if hit and c != m.lce and self._sv.states[c] is S]
-        if not targets:
-            self.pc += 1
-            return FREE
-        self._inv_job = {"to_send": targets, "acks": len(targets)}
-        return self._inv_step()
-
-    def _inv_step(self) -> str:
-        job = self._inv_job
-        m = self.umshr
-        if job["to_send"]:
-            c, way = job["to_send"].pop(0)
-            self.directory.write_state(m.addr, c, way, I)
-            self._send_cmd(c, CceCommand(kind=CommandKind.Inv, addr=m.addr,
-                                         way=way))
-            return BUSY
-        if self._take_resp(m.addr, (Emission.InvAck,)) is None:
-            return WAIT
-        job["acks"] -= 1
-        if job["acks"] == 0:
-            self._inv_job = None
-            self.pc += 1
-        return BUSY
+        return self._start(self._invalidate(m.addr, [
+            (c, sv.ways[c]) for c, hit in enumerate(sv.hits)
+            if hit and c != m.lce and sv.states[c] is S]))
 
 
 @lru_cache(maxsize=16)
@@ -581,5 +532,5 @@ _HANDLERS = {
     Op.WDE: UcodeCce._wde, Op.WDS: UcodeCce._wds, Op.GAD: UcodeCce._gad,
     Op.WFQ: UcodeCce._wfq, Op.PUSHQ: UcodeCce._pushq,
     Op.POPQ: UcodeCce._popq, Op.POPH: UcodeCce._poph,
-    Op.SPECQ: UcodeCce._specq, Op.INV: UcodeCce._inv_start,
+    Op.SPECQ: UcodeCce._specq, Op.INV: UcodeCce._inv,
 }

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohsim.directory import (DirectorySegment, DoubleSpeculation, GadRequest,
+from cohsim.directory import (DirectorySegment, DoubleSpeculation,
                               MultipleOwners, OutOfRange, PendingBits,
                               SegmentConfig, SpecBits, Underflow, gad,
                               way_group_home)
@@ -153,7 +153,7 @@ class TestSpecBits:
             spec.set(0)
 
 
-def brute_force_gad(states, ways, req):
+def brute_force_gad(states, ways, lce, write):
     """Independent re-derivation of the GAD digest from first principles."""
     from cohsim.directory import GadResult
     res = GadResult()
@@ -163,12 +163,12 @@ def brute_force_gad(states, ways, req):
         if state in (E, M, O, F):
             assert res.owner is None
             res.owner = (c, ways[c], state)
-        if c == req.lce:
+        if c == lce:
             res.req_way_hit = ways[c]
             continue
         setattr(res, f"cached_{state.value.lower()}", True)
-    req_state = states[req.lce]
-    res.upgrade = req.write and req_state in (S, O, F)
+    req_state = states[lce]
+    res.upgrade = write and req_state in (S, O, F)
     return res
 
 
@@ -188,17 +188,17 @@ class TestGad:
         ways = [data.draw(st.integers(0, 3)) for _ in range(caches)]
         for c, state in enumerate(states):
             seg.write_entry(addr, c, ways[c], state=state)
-        req = GadRequest(lce=data.draw(st.integers(0, caches - 1)),
-                         write=data.draw(st.booleans()))
+        lce = data.draw(st.integers(0, caches - 1))
+        write = data.draw(st.booleans())
         lru_way = data.draw(st.integers(0, 3))
-        sv, lru, _ = seg.read_way_group(addr, req.lce, lru_way)
-        got = gad(sv, lru, req)
-        want = brute_force_gad(states, ways, req)
+        sv, lru, _ = seg.read_way_group(addr, lce, lru_way)
+        got = gad(sv, lru, lce, write)
+        want = brute_force_gad(states, ways, lce, write)
         for f in ("cached_s", "cached_e", "cached_m", "cached_o", "cached_f",
                   "owner", "req_way_hit", "upgrade"):
             assert getattr(got, f) == getattr(want, f), f
         # Replacement flag: miss with a valid victim in the LRU way.
-        miss = not sv.hits[req.lce]
+        miss = not sv.hits[lce]
         assert got.replacement == (miss and lru.lru_state is not I)
 
     def test_multiple_owners_detected(self):
@@ -208,7 +208,7 @@ class TestGad:
         seg.write_entry(addr, 1, 0, state=E)
         sv, lru, _ = seg.read_way_group(addr, 0, 0)
         with pytest.raises(MultipleOwners):
-            gad(sv, lru, GadRequest(lce=0, write=False))
+            gad(sv, lru, lce=0, write=False)
 
     def test_way_group_index_is_set_index(self):
         # The set index, which names the way group, ignores the tag bits.

@@ -210,6 +210,58 @@ class TestBookkeeping:
         assert per_block["fsm"] == per_block["ucode"]
 
 
+class TestMemoryCredits:
+    # request -> (address, uncached, busy cycles per engine); the busy
+    # cycles are a no-wait run's, 2 cores.
+    REQUESTS = {"read-miss": (BASE, False, {"fsm": 9, "ucode": 13}),
+                "LDU": (0x1000, True, {"fsm": 2, "ucode": 5})}
+
+    @staticmethod
+    def _start(engine, kind, credits):
+        addr, uncached, _ = TestMemoryCredits.REQUESTS[kind]
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        sent = []
+        handle = system.mem.handle_mem_cmd
+        system.mem.handle_mem_cmd = lambda cmd: (sent.append(cmd),
+                                                 handle(cmd))[1]
+        system.net.mem_credits_avail = credits
+        system.submit(0, addr, write=False, uncached=uncached,
+                      size=8 if uncached else 64)
+        return system, sent
+
+    @pytest.mark.parametrize("kind", sorted(REQUESTS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_engine_waits_for_a_credit(self, engine, kind):
+        """With no memory credit the memory-command unit waits: nothing
+        reaches memory, no busy cycle is spent and, for a read miss, the
+        speculation bits are not latched although the transaction has
+        counted its pending bit.  Once credits return the request costs
+        the busy cycles of a run that never waited."""
+        system, sent = self._start(engine, kind, credits=0)
+        cce = system.cces[0]
+        busy = []
+        for _ in range(60):
+            system.step()
+            busy.append(cce.stats.busy_cycles)
+        assert not sent
+        assert busy[-1] == busy[29]
+        assert cce.stats.wait_cycles > 30
+        if kind == "read-miss":
+            wg = cce.local_wg(BASE)
+            assert not cce.spec.read(wg).spec
+            assert cce.pending.counters[wg] == 1
+        system.net.mem_credits_avail = system.net.cfg.mem_credits
+        system.run()
+        assert len(sent) == 1 and system.lces[0].completed is not None
+        want = self.REQUESTS[kind][2][engine]
+        no_wait, _ = self._start(engine, kind,
+                                 credits=system.net.cfg.mem_credits)
+        no_wait.run()
+        assert ([r.busy_cycles for r in cce.stats.transactions]
+                == [r.busy_cycles for r in no_wait.cces[0].stats.transactions]
+                == [want])
+
+
 class TestArbitration:
     # engine -> (cycle whose tick drains the CohAck that frees the way
     # group, cycle whose tick takes the blocked request off its queue,

@@ -9,6 +9,8 @@ import sys
 import cohsim
 from cohsim import cli
 from cohsim.system import SystemConfig
+from cohsim.ucode import asm
+from cohsim.ucode.engine import default_program
 
 SRC = pathlib.Path(cohsim.__file__).parent
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -77,3 +79,28 @@ def test_documented_config_keys_are_the_system_config_fields():
     cli_keys = re.search(r"SystemConfig fields \((.*?)\)", cli.__doc__,
                          re.S).group(1)
     assert [key.strip() for key in cli_keys.split(",")] == fields
+
+
+def test_readme_microcode_sizes_match_the_assembler():
+    """README's "Microcode" section gives each shipped program's size as
+    the assembler counts it."""
+    section = README.read_text().split("## Microcode", 1)[1]
+    sizes = re.search(r"`moesif\.ucs`, (\d+)\s+instructions; `mesi\.ucs`, "
+                      r"(\d+)\)", section)
+    assert sizes is not None
+    assert [int(n) for n in sizes.groups()] == [
+        len(asm.assemble(default_program(name)))
+        for name in ("moesif", "mesi")]
+
+
+def test_engines_use_the_cores_memory_command_unit():
+    """Only the engine core sends memory commands or checks memory
+    credits; both engines go through its `_to_memory` unit."""
+    found = []
+    for name in ("fsm_cce.py", "ucode/engine.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{node.lineno}: {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("_send_mem", "has_mem_credit")]
+    assert not found, found
