@@ -99,8 +99,12 @@ def _cmd_assemble(args) -> int:
 def _cmd_disasm(args) -> int:
     from .ucode import asm
     with open(args.binary, "rb") as fh:
-        words = asm.from_binary(fh.read())
-    print(asm.disassemble(words))
+        blob = fh.read()
+    try:
+        listing = asm.disassemble(asm.from_binary(blob))
+    except asm.EncodingError as exc:
+        raise _config_error(f"{args.binary}: {exc}") from None
+    print(listing)
     return 0
 
 

@@ -10,11 +10,10 @@ Scenarios and models are MOESIF's: some preload O or F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .lce import OutstandingMiss
-from .messages import CohRequest, NetKind, NetMessage
+from .lce import LceKind
 from .protocol import CoherenceState, I, S, E, M, O, F
 from .system import System, SystemConfig
 
@@ -188,7 +187,6 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
                        engine=engine, ucode_program=ucode_program)
     system = System(cfg)
     addr = 0x8000_0000
-    data = bytes(range(block % 256)) or None
 
     others = iter(range(1, cores))
     if sc.owner_state is not None:
@@ -206,20 +204,11 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
                             dir_state=E if victim == "clean" else M)
 
     if sc.non_exclusive:
-        # Non-exclusive requests come from instruction fetch; inject one
-        # directly rather than modeling a second cache type here.
+        # Non-exclusive reads come from instruction fetch.
         lce = system.lces[0]
-        lru = lce.lru_way(lce.cfg.set_index(addr))
-        lce.miss = OutstandingMiss(addr=addr, write=False, size=8, data=None,
-                                   lru_way=lru)
-        req = CohRequest(lce=0, addr=addr, write=False, lru_way=lru,
-                         non_exclusive=True)
-        system.net.send(NetMessage(net=NetKind.Request, src="lce0",
-                                   dst=system.home_cce(addr).endpoint,
-                                   payload=req), system.now)
-    else:
-        system.submit(0, addr, write=sc.write, size=8,
-                      data=b"\xa5" * 8 if sc.write else None)
+        lce.cfg = replace(lce.cfg, kind=LceKind.Instruction)
+    system.submit(0, addr, write=sc.write, size=8,
+                  data=b"\xa5" * 8 if sc.write else None)
     system.run(limit=100_000)
     if not system.idle():
         raise RuntimeError(f"scenario {name} did not settle")

@@ -41,9 +41,7 @@ from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
 from ..protocol import (DEFAULT_REGION_MAP, CoherenceState, CommandKind,
                         I, S, E)
 from . import asm, isa
-from .isa import (AddrSel, CmdTarget, Instr, MemPushKind, Op, PushDest,
-                  Queue, RESP_KIND_CODE, SpecCmd, Special, STATE_BY_CODE,
-                  STATE_CODE)
+from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
 MASK64 = (1 << 64) - 1
 
@@ -52,11 +50,13 @@ FREE = "free"   # zero-cost completion (fused with the next instruction)
 # Flag bit positions as plain ints, named by their assembler mnemonics, so
 # that building a flags word looks up no enum attribute.
 WNR, UCF, NEX, AF, CAF, PF, CSF, CEF, CMF, COF, CFF, RF, UF = (
-    int(isa.FLAG_BY_NAME[n])
+    isa.FLAGS.index(n)
     for n in ("wnr", "ucf", "nex", "af", "caf", "pf", "csf", "cef", "cmf",
               "cof", "cff", "rf", "uf"))
 # The flags other than those `gad` writes.
 GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
+# The commands that also transfer the block to the requester.
+TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 
 
 class MicrocodeFault(Exception):
@@ -90,28 +90,35 @@ class Uop:
     its opcode, its fields as attributes (`u.rd`, `u.target`, ...), the
     handler that executes it (`run`), the comparison or ALU function its
     handler applies (`fn`, where the opcode has one) and its static
-    prediction (`predict`).  Enum-coded fields hold their members (a
-    `pushq` kind its `MemPushKind` or `CommandKind`, a state field its
-    `CoherenceState` or None) and a `wfq` queue mask its three bits as
-    `waits_req`, `waits_resp` and `waits_memresp`, so executing an
-    instruction decodes nothing."""
+    prediction (`predict`).  A name-coded field holds its name from
+    `isa`'s tables, except that a state field holds its `CoherenceState`
+    (None for no state) and a `pushq lcecmd` kind its `CommandKind`; a
+    `wfq` queue mask holds its bits as `waits_req`, `waits_resp` and
+    `waits_memresp`.  So executing an instruction decodes nothing."""
 
     def __init__(self, instr: Instr):
-        fields = {name: _DECODERS[name][value] if name in _DECODERS
-                  else value for name, value in instr.fields}
-        if instr.op is Op.PUSHQ:
-            fields["kind"] = (_MEM_PUSH_KINDS
-                              if fields["dest"] is PushDest.MemCmd
-                              else isa.COMMAND_BY_CODE)[fields["kind"]]
-        elif instr.op is Op.WFQ:
-            qmask = fields["qmask"]
-            self.waits_req = bool(qmask & 1 << Queue.Req)
-            self.waits_resp = bool(qmask & 1 << Queue.Resp)
-            self.waits_memresp = bool(qmask & 1 << Queue.MemResp)
-        self.__dict__.update(fields)
+        dest = instr.get("dest")
+        for field, code in instr.fields:
+            if field in ("state", "tr_state"):
+                value = (None if code == NO_STATE
+                         else CoherenceState(isa.name_of(field, code)))
+            elif field == "kind" and isa.name_of("dest", dest) == "lcecmd":
+                value = isa.COMMANDS[code]
+            elif field in isa.NAMES or field == "kind":
+                value = isa.name_of(field, code, dest)
+            else:
+                value = code
+            setattr(self, field, value)
+        if instr.op is Op.WFQ:
+            waits = {q for bit, q in enumerate(isa.QUEUES)
+                     if self.qmask >> bit & 1}
+            self.waits_req = "req" in waits
+            self.waits_resp = "resp" in waits
+            self.waits_memresp = "memresp" in waits
         self.op = instr.op
         self.run = _HANDLERS[instr.op]
-        self.fn = _FNS.get(instr.op)
+        self.fn = (_SPECIAL_READERS[self.special] if instr.op is Op.MOVS
+                   else _FNS.get(instr.op))
         self.predict = isa.predicted_taken(instr)
 
 
@@ -209,7 +216,7 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _movs(self, u) -> str:
-        self.regs[u.rd] = self._read_special(u.special)
+        self.regs[u.rd] = u.fn(self, self.umshr)
         self.pc += 1
         return BUSY
 
@@ -258,13 +265,13 @@ class UcodeCce(CceCore):
     def _rde(self, u) -> str:
         m = self.umshr
         lce, way = ((m.owner_lce, m.owner_way)
-                    if u.cmd_target is CmdTarget.Owner
+                    if u.cmd_target == "owner"
                     else (m.lce, m.req_way))
         _, latency = self.directory.read_entry(m.addr, lce, way)
         return self._start(self._busy(latency))
 
     def _wdp(self, u) -> str:
-        self.pending.adjust(self._wg(), +1 if u.inc else -1)
+        self.pending.adjust(self._wg(), +1 if u.inc == "inc" else -1)
         self.pc += 1
         return BUSY
 
@@ -287,7 +294,7 @@ class UcodeCce(CceCore):
 
     def _wds(self, u) -> str:
         m = self.umshr
-        if u.cmd_target is CmdTarget.Owner:
+        if u.cmd_target == "owner":
             self.directory.write_state(m.addr, m.owner_lce, m.owner_way,
                                        u.state)
         else:
@@ -298,11 +305,11 @@ class UcodeCce(CceCore):
     def _specq(self, u) -> str:
         cmd = u.spec_cmd
         wg = self._wg()
-        if cmd is SpecCmd.Set:
+        if cmd == "set":
             self.spec.set(wg)
-        elif cmd is SpecCmd.Unset:
+        elif cmd == "unset":
             self.spec.unset(wg)
-        elif cmd is SpecCmd.Squash:
+        elif cmd == "squash":
             self.spec.squash(wg)
         else:
             self.spec.fwd_mod(wg, u.state)
@@ -321,32 +328,14 @@ class UcodeCce(CceCore):
 
     def _poph(self, u) -> str:
         queue = u.queue
-        if queue is Queue.Req:
+        if queue == "req":
             raise MicrocodeFault("poph req is not supported")
-        q = self.resp_q if queue is Queue.Resp else self.memresp_q
+        q = self.resp_q if queue == "resp" else self.memresp_q
         if not q:
             return WAIT
         self.regs[u.rd] = self._resp_code(q[0])
         self.pc += 1
         return BUSY
-
-    def _read_special(self, sp: Special) -> int:
-        m = self.umshr
-        return {
-            Special.ReqAddr: m.addr,
-            Special.ReqLce: m.lce,
-            Special.ReqState: STATE_CODE[m.req_state],
-            Special.OwnerLce: m.owner_lce,
-            Special.OwnerState: STATE_CODE[m.owner_state],
-            Special.ReqWay: m.req_way,
-            Special.LruWay: m.lru_way,
-            Special.LruTag: m.lru_tag,
-            Special.SetIndex: self.cfg.set_index(m.addr),
-            Special.Sharers: (sum(
-                1 for c, h in enumerate(self._sv.hits)
-                if h and self._sv.states[c] is S) if self._sv else 0),
-            Special.ReqSize: m.size,
-        }[sp]
 
     def _gad(self, u) -> str:
         if self._sv is None:
@@ -378,7 +367,7 @@ class UcodeCce(CceCore):
 
     def _popq(self, u) -> str:
         queue = u.queue
-        if queue is Queue.Req:
+        if queue == "req":
             self._close_txn()
             req = self._arbitrate()
             if req is None:
@@ -387,12 +376,12 @@ class UcodeCce(CceCore):
             self._load_request(req)
             self.pc += 1
             return BUSY
-        q = self.resp_q if queue is Queue.Resp else self.memresp_q
+        q = self.resp_q if queue == "resp" else self.memresp_q
         if not q:
             return WAIT
         resp = q.popleft()
         self.last_resp = resp
-        if (queue is Queue.Resp and self._txn is not None
+        if (queue == "resp" and self._txn is not None
                 and self.flags >> RF & 1
                 and resp.addr == self._victim_addr(self.umshr.addr,
                                                    self.umshr.lru_tag)):
@@ -400,7 +389,7 @@ class UcodeCce(CceCore):
         self.regs[u.rd] = self._resp_code(resp)
         if u.wp:
             self.pending.adjust(self._wg(), -1)
-        if queue is Queue.MemResp:
+        if queue == "memresp":
             self.net.release_mem_credit()
         self.pc += 1
         return BUSY
@@ -422,13 +411,13 @@ class UcodeCce(CceCore):
 
     def _pushq(self, u) -> str:
         m = self.umshr
-        if u.dest is PushDest.MemCmd:
+        if u.dest == "memcmd":
             kind = u.kind
             wg = self._wg() if u.wp else None
-            if kind is MemPushKind.SpecRead:
+            if kind == "specread":
                 cmd = MemCmd(addr=m.addr, write=False, spec=True, lce=m.lce,
                              way=m.lru_way, state=E)
-            elif kind is MemPushKind.Writeback:
+            elif kind == "wb":
                 return self._start(self._write_back(self.last_resp, wg))
             else:   # uncached access for the current request
                 write = bool(self.flags >> WNR & 1)
@@ -438,8 +427,8 @@ class UcodeCce(CceCore):
             return self._start(self._to_memory(cmd, wg))
 
         kind = u.kind
-        to_owner = u.cmd_target is CmdTarget.Owner
-        victim = u.addr_sel is AddrSel.Victim
+        to_owner = u.cmd_target == "owner"
+        victim = u.addr_sel == "victim"
         addr = self._victim_addr(m.addr, m.lru_tag) if victim else m.addr
         if to_owner:
             lce, way = m.owner_lce, m.owner_way
@@ -447,7 +436,7 @@ class UcodeCce(CceCore):
             lce, way = m.lce, (m.lru_way if victim else m.req_way)
         cmd = CceCommand(kind=kind, addr=addr, way=way, state=u.state,
                          transfer_state=u.tr_state)
-        if kind in (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb):
+        if kind in TRANSFERS:
             cmd.target_lce = m.lce
             cmd.target_way = m.req_way
         self._send_cmd(lce, cmd)
@@ -487,19 +476,29 @@ def _flags_none(hit, mask):
     return hit == 0
 
 
-def _by_code(enum) -> dict:
-    return {member.value: member for member in enum}
+def _sharers(engine, m) -> int:
+    sv = engine._sv
+    return (sum(1 for c, h in enumerate(sv.hits) if h and sv.states[c] is S)
+            if sv else 0)
 
 
-# Enum-coded field name -> {code: member}.  A `pushq` kind's meaning
-# depends on its destination, so `Uop` decodes it itself.
-_DECODERS = {
-    "queue": _by_code(Queue), "spec_cmd": _by_code(SpecCmd),
-    "special": _by_code(Special), "dest": _by_code(PushDest),
-    "cmd_target": _by_code(CmdTarget), "addr_sel": _by_code(AddrSel),
-    "state": STATE_BY_CODE, "tr_state": STATE_BY_CODE,
+_STATE_CODE = {CoherenceState(name): code
+               for code, name in enumerate(isa.STATES)}
+
+# Special name -> its reader, called as reader(engine, umshr).
+_SPECIAL_READERS = {
+    "reqaddr": lambda engine, m: m.addr,
+    "reqlce": lambda engine, m: m.lce,
+    "reqstate": lambda engine, m: _STATE_CODE[m.req_state],
+    "ownerlce": lambda engine, m: m.owner_lce,
+    "ownerstate": lambda engine, m: _STATE_CODE[m.owner_state],
+    "reqway": lambda engine, m: m.req_way,
+    "lruway": lambda engine, m: m.lru_way,
+    "lrutag": lambda engine, m: m.lru_tag,
+    "setindex": lambda engine, m: engine.cfg.set_index(m.addr),
+    "sharers": _sharers,
+    "reqsize": lambda engine, m: m.size,
 }
-_MEM_PUSH_KINDS = _by_code(MemPushKind)
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
 # register branches to their two operands, flag ops and flag branches to

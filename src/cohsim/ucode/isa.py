@@ -4,6 +4,10 @@ Fixed 32-bit encoding, opcode in bits [31:26], remaining fields per
 format as listed in `FIELDS`.  The instruction memory holds up to 256
 words, so branch targets are absolute 9-bit instruction indices.
 
+This module is the one place that names operands.  A name-coded field
+is a code into a tuple of names (`NAMES`, and `KINDS` for a `pushq`
+kind), a mask field is a set of bits over one (`MASKS`); the assembler,
+the disassembler and the engine's decode all read these tables.
 Flag-mask operands name the per-transaction control flags; multi-flag
 masks are allowed everywhere a mask appears.
 """
@@ -11,7 +15,7 @@ masks are allowed everywhere a mask appears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 from ..protocol import I, S, E, M, O, F
 from ..messages import CommandKind
@@ -19,126 +23,67 @@ from ..messages import CommandKind
 IMEM_SIZE = 256
 NUM_GPRS = 8
 
+# Per-transaction control flags, by bit index in a 14-bit mask: write
+# not read, uncached, non-exclusive, atomic, atomic no-return (no request
+# kind sets it: always reads 0), cacheable address, pending, cached
+# S/E/M/O/F, replacement, upgrade.
+FLAGS = ("wnr", "ucf", "nex", "af", "anrf", "caf", "pf",
+         "csf", "cef", "cmf", "cof", "cff", "rf", "uf")
 
-class Flag(IntEnum):
-    """Per-transaction control flags (bit index within a 14-bit mask)."""
+# Read-only special sources for `mov rd, %name`.
+SPECIALS = ("reqaddr", "reqlce", "reqstate", "ownerlce", "ownerstate",
+            "reqway", "lruway", "lrutag", "setindex", "sharers", "reqsize")
 
-    WriteNotRead = 0
-    Uncached = 1
-    NonExclusive = 2
-    Atomic = 3
-    AtomicNoReturn = 4     # no request kind sets it: always reads 0
-    CacheableAddress = 5
-    Pending = 6
-    CachedShared = 7
-    CachedExclusive = 8
-    CachedModified = 9
-    CachedOwned = 10
-    CachedForward = 11
-    Replacement = 12
-    Upgrade = 13
+# Coherence states in 3-bit fields; NO_STATE encodes "no state" where
+# the state is optional (a `pushq` option, a `specq` other than fwd_mod).
+STATES = tuple(st.value for st in (I, S, E, M, O, F))
+NO_STATE = 7
 
+# Inbound queues: coherence requests, cache-controller responses, memory
+# responses (normally auto-forwarded).
+QUEUES = ("req", "resp", "memresp")
 
-FLAG_BY_NAME = {
-    "wnr": Flag.WriteNotRead,
-    "ucf": Flag.Uncached,
-    "nex": Flag.NonExclusive,
-    "af": Flag.Atomic,
-    "anrf": Flag.AtomicNoReturn,
-    "caf": Flag.CacheableAddress,
-    "pf": Flag.Pending,
-    "csf": Flag.CachedShared,
-    "cef": Flag.CachedExclusive,
-    "cmf": Flag.CachedModified,
-    "cof": Flag.CachedOwned,
-    "cff": Flag.CachedForward,
-    "rf": Flag.Replacement,
-    "uf": Flag.Upgrade,
+# Cache-controller commands, in code order.
+COMMANDS = (CommandKind.Inv, CommandKind.StW, CommandKind.Wb,
+            CommandKind.StWb, CommandKind.Tr, CommandKind.StTr,
+            CommandKind.StTrWb, CommandKind.Data)
+
+# Field name -> the names of its codes.  `addr_sel` victim is the
+# address reconstructed from the requester's LRU tag.
+NAMES = {
+    "special": SPECIALS,
+    "state": STATES,
+    "tr_state": STATES,
+    "queue": QUEUES,
+    "dest": ("lcecmd", "memcmd"),
+    "cmd_target": ("req", "owner"),
+    "addr_sel": ("req", "victim"),
+    "spec_cmd": ("set", "unset", "squash", "fwd_mod"),
+    "inc": ("dec", "inc"),
 }
-NAME_BY_FLAG = {v: k for k, v in FLAG_BY_NAME.items()}
+
+# A `pushq` kind's names, by its dest code: a cache-controller command,
+# or to memory a speculative block read for the current request, the
+# last-popped dirty writeback, or the request's own uncached operation.
+KINDS = (tuple(k.value.replace("-", "_").lower() for k in COMMANDS),
+         ("specread", "wb", "uncached"))
+
+# Mask field -> the names of its bits.
+MASKS = {"mask": FLAGS, "qmask": QUEUES}
 
 
-class Special(IntEnum):
-    """Read-only special sources for `mov rd, %name`."""
-
-    ReqAddr = 0
-    ReqLce = 1
-    ReqState = 2
-    OwnerLce = 3
-    OwnerState = 4
-    ReqWay = 5
-    LruWay = 6
-    LruTag = 7
-    SetIndex = 8
-    Sharers = 9
-    ReqSize = 10
+def names(field: str, dest: int = 0) -> tuple:
+    """The names of `field`'s codes; a `pushq` kind's depend on its
+    `dest` code."""
+    return KINDS[dest] if field == "kind" else NAMES[field]
 
 
-SPECIAL_BY_NAME = {
-    "reqaddr": Special.ReqAddr,
-    "reqlce": Special.ReqLce,
-    "reqstate": Special.ReqState,
-    "ownerlce": Special.OwnerLce,
-    "ownerstate": Special.OwnerState,
-    "reqway": Special.ReqWay,
-    "lruway": Special.LruWay,
-    "lrutag": Special.LruTag,
-    "setindex": Special.SetIndex,
-    "sharers": Special.Sharers,
-    "reqsize": Special.ReqSize,
-}
-NAME_BY_SPECIAL = {v: k for k, v in SPECIAL_BY_NAME.items()}
-
-# Coherence states in 3-bit command fields; 7 encodes "no state".
-STATE_CODE = {I: 0, S: 1, E: 2, M: 3, O: 4, F: 5, None: 7}
-STATE_BY_CODE = {v: k for k, v in STATE_CODE.items()}
-
-# pushq / popq queue selectors.
-class Queue(IntEnum):
-    Req = 0       # inbound coherence requests
-    Resp = 1      # inbound cache-controller responses
-    MemResp = 2   # inbound memory responses (normally auto-forwarded)
-
-
-class PushDest(IntEnum):
-    LceCmd = 0
-    MemCmd = 1
-
-
-class MemPushKind(IntEnum):
-    SpecRead = 0   # speculative block read for the current request
-    Writeback = 1  # forward the last-popped dirty writeback to memory
-    Uncached = 2   # the request's own uncached operation
-
-
-class CmdTarget(IntEnum):
-    Req = 0
-    Owner = 1
-
-
-class AddrSel(IntEnum):
-    ReqAddr = 0
-    Victim = 1     # reconstructed from the requester's LRU tag
-
-
-class SpecCmd(IntEnum):
-    Set = 0
-    Unset = 1
-    Squash = 2
-    FwdMod = 3
-
-
-COMMAND_CODE = {
-    CommandKind.Inv: 0,
-    CommandKind.StW: 1,
-    CommandKind.Wb: 2,
-    CommandKind.StWb: 3,
-    CommandKind.Tr: 4,
-    CommandKind.StTr: 5,
-    CommandKind.StTrWb: 6,
-    CommandKind.Data: 7,
-}
-COMMAND_BY_CODE = {v: k for k, v in COMMAND_CODE.items()}
+def name_of(field: str, code: int, dest: int = 0) -> str:
+    """The name of `field`'s `code`; EncodingError if it names nothing."""
+    table = names(field, dest)
+    if not 0 <= code < len(table):
+        raise EncodingError(f"{field} code {code} names nothing")
+    return table[code]
 
 
 class Op(Enum):
@@ -198,21 +143,22 @@ class Op(Enum):
 
 OP_BY_CODE = {op.opcode: op for op in Op}
 
-# Field name -> (hi, lo) bit positions, per format.  Unlisted bits are zero.
+# Field name -> (hi, lo) bit positions, per format, in the order the
+# assembler writes the operands.  Unlisted bits are zero.
 FIELDS = {
     "none": {},
     "alu": {"rd": (25, 23), "rs1": (22, 20), "rs2": (19, 17)},
     "mov": {"rd": (25, 23), "rs1": (22, 20)},
     "movi": {"rd": (25, 23), "imm": (15, 0)},
     "movs": {"rd": (25, 23), "special": (19, 16)},
-    "br": {"rs1": (25, 23), "rs2": (22, 20), "pt": (11, 11),
-           "target": (8, 0)},
-    "bri": {"rs1": (25, 23), "imm": (22, 18), "pt": (11, 11),
-            "target": (8, 0)},
+    "br": {"rs1": (25, 23), "rs2": (22, 20), "target": (8, 0),
+           "pt": (11, 11)},
+    "bri": {"rs1": (25, 23), "imm": (22, 18), "target": (8, 0),
+            "pt": (11, 11)},
     "bi": {"target": (8, 0)},
     "flag": {"mask": (13, 0)},
     "flagop": {"rd": (25, 23), "mask": (13, 0)},
-    "flagbr": {"mask": (25, 12), "pt": (11, 11), "target": (8, 0)},
+    "flagbr": {"mask": (25, 12), "target": (8, 0), "pt": (11, 11)},
     "rde": {"cmd_target": (0, 0)},
     "wdp": {"inc": (0, 0)},
     "wde": {"state": (2, 0)},
@@ -222,7 +168,7 @@ FIELDS = {
     "push": {"dest": (25, 25), "kind": (24, 21), "cmd_target": (20, 20),
              "addr_sel": (19, 19), "state": (18, 16), "tr_state": (15, 13),
              "wp": (12, 12)},
-    "pop": {"queue": (25, 24), "wp": (23, 23), "rd": (19, 17)},
+    "pop": {"queue": (25, 24), "rd": (19, 17), "wp": (23, 23)},
 }
 
 # Message kind codes a popq/poph writes to its destination register.
@@ -265,18 +211,22 @@ class EncodingError(Exception):
     pass
 
 
+def field_range(fmt: str, name: str) -> range:
+    """The values field `name` of format `fmt` can encode."""
+    hi, lo = FIELDS[fmt][name]
+    width = hi - lo + 1
+    if (fmt, name) in SIGNED_FIELDS:
+        return range(-(1 << (width - 1)), 1 << (width - 1))
+    return range(1 << width)
+
+
 def encode(instr: Instr) -> int:
     word = instr.op.opcode << 26
     for name, (hi, lo) in FIELDS[instr.op.fmt].items():
         value = instr.get(name, 0)
-        width = hi - lo + 1
-        if (instr.op.fmt, name) in SIGNED_FIELDS:
-            if not (-(1 << (width - 1)) <= value < (1 << (width - 1))):
-                raise EncodingError(f"{instr.op.name}.{name}={value}")
-            value &= (1 << width) - 1
-        if not (0 <= value < (1 << width)):
+        if value not in field_range(instr.op.fmt, name):
             raise EncodingError(f"{instr.op.name}.{name}={value}")
-        word |= value << lo
+        word |= (value & ((1 << (hi - lo + 1)) - 1)) << lo
     return word
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from cohsim import harness
 from cohsim.cli import load_config, main
+from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
+from cohsim.ucode.isa import Op
 
 
 _ST = "[ISEMOF]"
@@ -110,6 +112,25 @@ class TestMicrocodeTools:
         src.write_text("frobnicate r1\n")
         assert main(["assemble", str(src), "-o", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"XXXX" + asm.to_binary([0])[4:], "bad magic"),
+        (asm.to_binary([0, 0])[:-3], "header gives 2 words"),
+        (asm.to_binary([63 << 26]), "bad opcode 63"),
+        (asm.to_binary([Op.POPQ.opcode << 26 | 3 << 24]), "queue code 3"),
+        (asm.to_binary([Op.WDE.opcode << 26 | 6]), "state code 6"),
+    ], ids=["magic", "truncated", "opcode-63", "queue-3", "state-6"])
+    def test_disasm_bad_binary_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     blob, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(SystemExit) as exc:
+            main(["disasm", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cohsim: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
 
 class TestCheck:

@@ -11,6 +11,7 @@ from cohsim import cli
 from cohsim.system import SystemConfig
 from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
+from cohsim.ucode.isa import Op
 
 SRC = pathlib.Path(cohsim.__file__).parent
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -104,3 +105,10 @@ def test_engines_use_the_cores_memory_command_unit():
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("_send_mem", "has_mem_credit")]
     assert not found, found
+
+
+def test_assembler_grammar_names_every_mnemonic():
+    """The grammar in `asm`'s docstring names every opcode's mnemonic."""
+    missing = [op.name.lower() for op in Op
+               if not re.search(rf"\b{op.name.lower()}\b", asm.__doc__)]
+    assert not missing, missing

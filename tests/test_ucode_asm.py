@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cohsim.ucode import asm, isa
 from cohsim.ucode.asm import AsmError, MAGIC, VERSION
-from cohsim.ucode.isa import (EncodingError, FIELDS, IMEM_SIZE, Op,
-                              SIGNED_FIELDS, decode, encode, make)
+from cohsim.ucode.isa import (EncodingError, FIELDS, IMEM_SIZE, NO_STATE,
+                              Op, SIGNED_FIELDS, decode, encode, make)
 
 
 def field_strategy(fmt, name):
@@ -97,6 +97,12 @@ class TestAssembler:
         ("beqi r0, 99, x\nx: nop", "out of range"),
         ("dup: nop\ndup: nop", "duplicate label"),
         ("pushq lcecmd st_wb req, addr=self", "addr= takes only"),
+        ("movi r1, 100000", "out of range"),
+        ("bi 600", "out of range"),
+        ("nop [pt]", "unexpected operand"),
+        ("pushq memcmd specread, st=I", "unexpected operand"),
+        ("popq req r1 r2", "unexpected operand"),
+        ("poph resp wp", "unexpected operand"),
     ])
     def test_errors_carry_line_numbers(self, source, fragment):
         with pytest.raises(AsmError) as exc:
@@ -111,6 +117,55 @@ class TestAssembler:
     def test_comments_and_blank_lines_ignored(self):
         assert asm.assemble("# nothing\n\n  nop  # trailing\n") == \
             asm.assemble("nop")
+
+
+@st.composite
+def assemblable(draw, size):
+    """An instruction the assembler can produce, in a program of `size`
+    instructions: masks non-empty, codes inside their name tables,
+    targets inside the program, and each field the source form leaves
+    out holding what the assembler writes there."""
+    op = draw(st.sampled_from(sorted(Op, key=lambda o: o.opcode)))
+    fields = {}
+    for name in FIELDS[op.fmt]:
+        if name == "target":
+            values = st.integers(0, size - 1)
+        elif name in isa.MASKS:
+            values = st.integers(1, (1 << len(isa.MASKS[name])) - 1)
+        elif name in isa.NAMES or name == "kind":
+            names = isa.names(name, fields.get("dest", 0))
+            values = st.integers(0, len(names) - 1)
+        else:
+            values = field_strategy(op.fmt, name)
+        fields[name] = draw(values)
+    if op is Op.PUSHQ and isa.name_of("dest", fields["dest"]) == "memcmd":
+        fields.update(cmd_target=0, addr_sel=0, state=NO_STATE,
+                      tr_state=NO_STATE)
+    elif op is Op.PUSHQ:
+        fields["wp"] = 0
+        for name in ("state", "tr_state"):
+            if draw(st.booleans()):
+                fields[name] = NO_STATE
+    elif (op is Op.SPECQ
+          and isa.name_of("spec_cmd", fields["spec_cmd"]) != "fwd_mod"):
+        fields["state"] = NO_STATE
+    elif op is Op.POPH:
+        fields["wp"] = 0
+    return make(op, **fields)
+
+
+@st.composite
+def programs(draw):
+    size = draw(st.integers(1, 4))
+    return [draw(assemblable(size)) for _ in range(size)]
+
+
+class TestEveryInstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(programs())
+    def test_disassembly_assembles_to_the_same_words(self, program):
+        words = [encode(i) for i in program]
+        assert asm.assemble_words(asm.disassemble(words)) == words
 
 
 class TestBinaryContainer:
