@@ -243,6 +243,13 @@ class CceCore:
             yield from self._await_resp(addr, INV_ACK)
             yield BUSY
 
+    @staticmethod
+    def _inv_targets(found, lce: int, owner_too: bool = False) -> list:
+        """The (cache, way) of every S copy `found` other than requester
+        `lce`'s, in cache order; with `owner_too`, the owner's too."""
+        return [(c, way) for c, way, state in found.copies
+                if c != lce and (state is S or owner_too)]
+
     def _victim_addr(self, addr: int, lru_tag: int) -> int:
         """The address of the block with tag `lru_tag` in `addr`'s set."""
         cfg = self.cfg
@@ -262,19 +269,17 @@ class CceCore:
             self.stats.transactions.append(self._txn)
             self._txn = None
 
-    def _note_lookup(self, sv) -> Optional[DirRequestKind]:
-        """Record what the way-group read found for the open request.
+    def _note_lookup(self, found) -> Optional[DirRequestKind]:
+        """Record what the way-group read `found` for the open request.
         Returns the directory-table column of a coherent request, None for
         an uncached one."""
         req, txn = self._req, self._txn
-        req_state = sv.states[req.lce] if sv.hits[req.lce] else I
-        txn.lce_state = req_state
-        txn.dir_state = self._summary_state(sv)
-        txn.sharers = sum(1 for c, h in enumerate(sv.hits)
-                          if h and sv.states[c] is S)
+        txn.lce_state = found.req_state
+        txn.dir_state = found.dir_state
+        txn.sharers = found.sharers
         if req.uncached:
             return None
-        kind = self._classify_kind(req, req_state)
+        kind = self._classify_kind(req, found.req_state)
         txn.req_kind = kind._value_
         return kind
 
@@ -294,13 +299,6 @@ class CceCore:
             return DirRequestKind.ReqWrFromOF
         raise protocol.ImpossibleTransition(
             f"write request from cache holding {req_state}")
-
-    @staticmethod
-    def _summary_state(sv) -> CoherenceState:
-        for c, hit in enumerate(sv.hits):
-            if hit and sv.states[c] in protocol.OWNER_STATES:
-                return sv.states[c]
-        return S if any(sv.hits) else I
 
     # -- arbitration -----------------------------------------------------------
 

@@ -1,8 +1,11 @@
-"""Duplicate-tag directory segment, pending bits, speculative bits, and GAD.
+"""Duplicate-tag directory segment, pending bits and speculative bits.
 
-Storage is functional: operations apply immediately and return the cycle
-latency the owning engine must account for, which keeps the structures
-independently testable while the engines do the scheduling.
+Storage is functional: operations apply immediately, and the owning
+engine accounts for their cycles (a way-group read's are
+`SegmentConfig.way_group_read_latency`, a single entry read's
+`ENTRY_READ_LATENCY`), which keeps the structures independently testable
+while the engines do the scheduling.  A way-group read returns one
+`WayGroupRead`, the engines' only view of the tag sets.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .protocol import CoherenceState, I, S, E, M, O, F, OWNER_STATES
+from .protocol import CoherenceState, I, S, E, M, O
 
 # Victim states that require an explicit writeback flow.  S and F victims
 # are clean non-exclusive copies and are dropped silently when overwritten
@@ -23,6 +26,9 @@ PENDING_COUNTER_MAX = 15  # 4-bit counters; overflow is a protocol bug
 # Two caches' tag sets share one physical row of directory storage, so a
 # way-group read takes one cycle per row of the set.
 TAG_SETS_PER_ROW = 2
+
+# A single entry read (the microcode's `rde`) takes two cycles.
+ENTRY_READ_LATENCY = 2
 
 
 class OutOfRange(Exception):
@@ -82,17 +88,20 @@ class TagSetEntry:
 
 
 @dataclass(slots=True)
-class SharersVectors:
-    hits: list
-    states: list
-    ways: list
+class WayGroupRead:
+    """What one way-group read found for the addressed block and the
+    requesting cache."""
 
-
-@dataclass(slots=True)
-class LruEntry:
+    copies: list            # (cache, way, state) of every valid copy
+    owner: Optional[tuple]  # the copy in an owner state, or None
+    req_way: int            # the requester's way: its copy's, else the LRU way
+    req_state: CoherenceState   # the requester's state (I on a miss)
+    lru_way: int
     lru_tag: int
     lru_state: CoherenceState
-    lru_way: int
+    dir_state: CoherenceState   # the owner's state, else S or I
+    sharers: int            # copies in S, the requester's included
+    replacement: bool       # a miss whose LRU entry needs a writeback flow
 
 
 class DirectorySegment:
@@ -106,7 +115,6 @@ class DirectorySegment:
         self.cfg = cfg
         self.cce_id = cce_id
         self.num_cces = num_cces
-        self._read_latency = cfg.way_group_read_latency
         # Set index -> whether its way group is homed here.
         self._homed = [way_group_home(s, num_cces)[0] == cce_id
                        for s in range(cfg.sets_per_cache)]
@@ -133,59 +141,58 @@ class DirectorySegment:
             raise OutOfRange(f"cache id {lce}")
         return self.way_groups[self._set_of(addr)]
 
-    def read_way_group(self, addr: int, req_lce: int, lru_way: int):
-        """Read every cache's tag set for the addressed set.
-
-        Returns (SharersVectors, LruEntry, latency).  The LRU entry comes
-        from the requesting cache's tag set at the request-supplied way.
-        """
+    def read_way_group(self, addr: int, lce: int,
+                       lru_way: int) -> WayGroupRead:
+        """Read every cache's tag set for the addressed set, in one pass,
+        for requesting cache `lce`, whose request names `lru_way` as its
+        LRU way.  It takes `SegmentConfig.way_group_read_latency` cycles.
+        Raises MultipleOwners if two copies are in owner states."""
         cfg = self.cfg
-        if not (0 <= req_lce < cfg.num_caches):
-            raise OutOfRange(f"cache id {req_lce}")
+        if not (0 <= lce < cfg.num_caches):
+            raise OutOfRange(f"cache id {lce}")
         if not (0 <= lru_way < cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")
         tag_sets = self.way_groups[self._set_of(addr)]
         tag = cfg.tag_of(addr)
-        hits, states, ways = [], [], []
-        for tag_set in tag_sets:
+        copies = []
+        owner = None
+        sharers = 0
+        req_way, req_state = lru_way, I
+        for c, tag_set in enumerate(tag_sets):
             for w, entry in enumerate(tag_set):
-                if entry.state is not I and entry.tag == tag:
-                    hits.append(True)
-                    states.append(entry.state)
-                    ways.append(w)
+                state = entry.state
+                if state is not I and entry.tag == tag:
+                    copies.append((c, w, state))
+                    if state is S:
+                        sharers += 1
+                    elif owner is None:   # every other valid state owns
+                        owner = (c, w, state)
+                    else:
+                        raise MultipleOwners(f"caches {owner[0]} and {c}")
+                    if c == lce:
+                        req_way, req_state = w, state
                     break
-            else:
-                hits.append(False)
-                states.append(I)
-                ways.append(0)
-        lru_ent = tag_sets[req_lce][lru_way]
-        lru = LruEntry(lru_ent.tag, lru_ent.state, lru_way)
-        return SharersVectors(hits, states, ways), lru, self._read_latency
-
-    def read_entry(self, addr: int, lce: int, way: int):
-        if not (0 <= way < self.cfg.assoc):
-            raise OutOfRange(f"way {way}")
-        entry = self._way_group(addr, lce)[lce][way]
-        return TagSetEntry(entry.tag, entry.state), 2
+        lru = tag_sets[lce][lru_way]
+        return WayGroupRead(
+            copies, owner, req_way, req_state, lru_way, lru.tag, lru.state,
+            owner[2] if owner else (S if copies else I), sharers,
+            req_state is I and lru.state in REPLACEMENT_STATES)
 
     def write_entry(self, addr: int, lce: int, way: int,
-                    tag: Optional[int] = None,
-                    state: CoherenceState = I) -> int:
+                    tag: Optional[int] = None, state: CoherenceState = I):
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
         entry = self._way_group(addr, lce)[lce][way]
         entry.tag = self.cfg.tag_of(addr) if tag is None else tag
         entry.state = state
-        return 1
 
     def write_state(self, addr: int, lce: int, way: int,
-                    state: CoherenceState) -> int:
+                    state: CoherenceState):
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
         self._way_group(addr, lce)[lce][way].state = state
-        return 1
 
-    def clear_row(self, addr: int, lce: int) -> int:
+    def clear_row(self, addr: int, lce: int):
         """Clear the physical row holding this cache's tag set (reset
         state): the addressed set's tag sets of every cache in the row."""
         tag_sets = self._way_group(addr, lce)
@@ -194,7 +201,6 @@ class DirectorySegment:
             for entry in tag_set:
                 entry.tag = 0
                 entry.state = I
-        return 1
 
     def snapshot(self):
         """Quiescent view: {(lce, set, way): (tag, state)} of valid entries."""
@@ -278,55 +284,3 @@ class SpecBits:
         rec = self.records[wg]
         rec.spec = rec.squash = rec.fwd_mod = False
         rec.state = I
-
-
-@dataclass(slots=True)
-class GadResult:
-    cached_s: bool = False
-    cached_e: bool = False
-    cached_m: bool = False
-    cached_o: bool = False
-    cached_f: bool = False
-    replacement: bool = False
-    upgrade: bool = False
-    owner: Optional[tuple] = None  # (cache, way, state)
-    req_way_hit: Optional[int] = None
-
-
-def gad(sv: SharersVectors, lru: LruEntry, lce: int,
-        write: bool) -> GadResult:
-    """Single-cycle digest of a way-group read for requester `lce` (whose
-    request writes when `write`) into MSHR control flags.
-
-    Cached-state flags consider every cache except the requester; the owner
-    may be any cache, including the requester.
-    """
-    res = GadResult()
-    owner = None
-    for c, hit in enumerate(sv.hits):
-        if not hit:
-            continue
-        state = sv.states[c]
-        if state in OWNER_STATES:
-            if owner is not None:
-                raise MultipleOwners(f"caches {owner[0]} and {c}")
-            owner = (c, sv.ways[c], state)
-        if c == lce:
-            res.req_way_hit = sv.ways[c]
-            continue
-        if state is S:
-            res.cached_s = True
-        elif state is E:
-            res.cached_e = True
-        elif state is M:
-            res.cached_m = True
-        elif state is O:
-            res.cached_o = True
-        elif state is F:
-            res.cached_f = True
-    res.owner = owner
-    req_hit = sv.hits[lce]
-    req_state = sv.states[lce]
-    res.upgrade = bool(write and req_hit and req_state in (S, O, F))
-    res.replacement = bool(not req_hit and lru.lru_state in REPLACEMENT_STATES)
-    return res

@@ -24,29 +24,12 @@ and its cycles never count toward request occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .cce import BUSY, WAIT, CceCore, EngineFault
-from .directory import gad
 from .messages import CceCommand, CohRequest, Emission, MemCmd
-from .protocol import (AddressClass, CoherenceState, CommandKind,
-                       DirRequestKind, I, S, E, F, InvalidateSet,
-                       OWNER_STATES, RequesterGrant)
+from .protocol import (AddressClass, CommandKind, DirRequestKind, I, S,
+                       E, F, InvalidateSet, RequesterGrant)
 
 WRITEBACKS = (Emission.NullWB, Emission.DirtyWB)
-
-
-@dataclass(slots=True)
-class Mshr:
-    """What the directory lookup found for the in-flight transaction."""
-
-    req_way: int = 0
-    lru_way: int = 0
-    lru_tag: int = 0
-    lru_state: CoherenceState = I
-    owner: Optional[tuple] = None
-    replacement: bool = False
 
 
 class FsmCce(CceCore):
@@ -55,7 +38,6 @@ class FsmCce(CceCore):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.mshr = Mshr()
         self._flow = None
 
     # -- sequencer -------------------------------------------------------------
@@ -85,7 +67,6 @@ class FsmCce(CceCore):
     # -- request processing flow ----------------------------------------------
 
     def _coherent_flow(self, req: CohRequest):
-        mshr = self.mshr = Mshr(lru_way=req.lru_way)
         wg = self.local_wg(req.addr)
         yield BUSY                       # Ready: dequeue and classify
         if self.pending.read(wg):
@@ -97,34 +78,25 @@ class FsmCce(CceCore):
             MemCmd(addr=req.addr, write=False, spec=True, lce=req.lce,
                    way=req.lru_way, state=E), wg)
 
-        sv, lru, latency = self.directory.read_way_group(
-            req.addr, req.lce, req.lru_way)
-        yield from self._busy(latency)   # directory way-group read
-        info = gad(sv, lru, req.lce, req.write)
-        mshr.replacement = info.replacement
-        mshr.owner = info.owner
-        mshr.req_way = (info.req_way_hit if info.req_way_hit is not None
-                        else req.lru_way)
-        mshr.lru_tag, mshr.lru_state = lru.lru_tag, lru.lru_state
+        found = self.directory.read_way_group(req.addr, req.lce, req.lru_way)
+        yield from self._busy(           # directory way-group read
+            self.cfg.way_group_read_latency)
         yield BUSY                       # GAD
 
-        kind = self._note_lookup(sv)
-        plan = self.tables.dir_request_plan(self._txn.dir_state, kind)
-        self.directory.write_entry(req.addr, req.lce, mshr.req_way,
+        kind = self._note_lookup(found)
+        plan = self.tables.dir_request_plan(found.dir_state, kind)
+        self.directory.write_entry(req.addr, req.lce, found.req_way,
                                    state=plan.grant_state)
         yield BUSY                       # write next state
 
-        if mshr.replacement:
-            yield from self._replacement_subflow(req, wg)
+        if found.replacement:
+            yield from self._replacement_subflow(req, found, wg)
 
         if plan.invalidate_set is not InvalidateSet.Nothing:
-            with_owner = (plan.invalidate_set
-                          is InvalidateSet.OtherSharersAndOwner)
-            yield from self._invalidate(req.addr, [
-                (c, sv.ways[c]) for c, hit in enumerate(sv.hits)
-                if hit and c != req.lce
-                and (sv.states[c] is S
-                     or (with_owner and sv.states[c] in OWNER_STATES))])
+            owner_too = (plan.invalidate_set
+                         is InvalidateSet.OtherSharersAndOwner)
+            yield from self._invalidate(
+                req.addr, self._inv_targets(found, req.lce, owner_too))
 
         if plan.requester_grant is RequesterGrant.DataFromMemory:
             if plan.grant_state is E:
@@ -136,23 +108,22 @@ class FsmCce(CceCore):
             self.spec.squash(wg)
             yield BUSY                   # squash speculation
             self._send_cmd(req.lce, CceCommand(
-                kind=CommandKind.StW, addr=req.addr, way=mshr.req_way,
+                kind=CommandKind.StW, addr=req.addr, way=found.req_way,
                 state=plan.grant_state))
             yield BUSY                   # upgrade command send
         else:
             if plan.owner_command is None:
                 raise EngineFault(f"{self.tables.name}: plan for {kind.value} "
                                   "grants nothing and commands no owner")
-            yield from self._transfer(req, plan, mshr, wg)
+            yield from self._transfer(req, plan, found, wg)
 
-    def _replacement_subflow(self, req: CohRequest, wg: int):
+    def _replacement_subflow(self, req: CohRequest, found, wg: int):
         """Evict the requester's LRU block: 2 cycles clean, 1+N dirty."""
-        mshr = self.mshr
-        victim = self._victim_addr(req.addr, mshr.lru_tag)
-        plan = self.tables.dir_request_plan(mshr.lru_state,
+        victim = self._victim_addr(req.addr, found.lru_tag)
+        plan = self.tables.dir_request_plan(found.lru_state,
                                             DirRequestKind.Replacement)
         self._send_cmd(req.lce, CceCommand(
-            kind=plan.owner_command.command, addr=victim, way=mshr.lru_way,
+            kind=plan.owner_command.command, addr=victim, way=found.lru_way,
             state=plan.owner_command.set_owner_state))
         yield BUSY                       # ST-WB send
         resp = yield from self._await_resp(victim, WRITEBACKS, req.lce)
@@ -162,12 +133,12 @@ class FsmCce(CceCore):
         else:
             yield from self._write_back(resp, wg)
 
-    def _transfer(self, req: CohRequest, plan, mshr: Mshr, wg: int):
+    def _transfer(self, req: CohRequest, plan, found, wg: int):
         """Source the block from its current owner instead of memory.
         A clean writeback is absorbed for free; dirty data occupies one
         cycle per beat while forwarded to memory."""
         cmd_kind = plan.owner_command.command
-        owner_lce, owner_way, _ = mshr.owner
+        owner_lce, owner_way, _ = found.owner
         self.spec.squash(wg)
         yield BUSY                       # squash speculation
         set_state = plan.owner_command.set_owner_state
@@ -177,7 +148,7 @@ class FsmCce(CceCore):
         self._send_cmd(owner_lce, CceCommand(
             kind=cmd_kind, addr=req.addr, way=owner_way, state=set_state,
             transfer_state=plan.owner_command.transfer_state,
-            target_lce=req.lce, target_way=mshr.req_way))
+            target_lce=req.lce, target_way=found.req_way))
         yield BUSY                       # owner command send
         if cmd_kind is CommandKind.StTrWb:
             resp = yield from self._await_resp(req.addr, WRITEBACKS, owner_lce)
@@ -199,15 +170,12 @@ class FsmCce(CceCore):
         yield BUSY                       # pending check (arbitration enforced)
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
-        sv, lru, latency = self.directory.read_way_group(req.addr, req.lce, 0)
-        yield from self._busy(latency)
-        self._note_lookup(sv)
+        found = self.directory.read_way_group(req.addr, req.lce, 0)
+        yield from self._busy(self.cfg.way_group_read_latency)
+        self._note_lookup(found)
         yield BUSY                       # GAD
-        for c, hit in enumerate(sv.hits):
-            if not hit:
-                continue
-            way = sv.ways[c]
-            if sv.states[c] in (S, F):
+        for c, way, state in found.copies:
+            if state in (S, F):
                 yield from self._invalidate(req.addr, [(c, way)])
                 continue
             self.directory.write_state(req.addr, c, way, I)

@@ -26,8 +26,10 @@ order `isa.FIELDS` lists them, and name values from `isa`'s tables:
                                    (KIND: inv stw wb st_wb tr st_tr
                                     st_tr_wb data)
     pushq memcmd specread|wb|uncached [wp]
-    popq req|resp|memresp [rd] [wp]
-    poph req|resp|memresp [rd]     (reads the head without popping it)
+    popq req | popq resp|memresp [rd] [wp]
+    poph resp|memresp [rd]         (reads the head without popping it)
+
+Every branch and jump target lies inside the program.
 
 The binary container is the magic "UCOH", a little-endian u16 version and
 u16 word count, then the instruction words as little-endian u32.
@@ -176,6 +178,12 @@ def _parse_instr(line: _Line, labels) -> Instr:
             fields[field] = isa.NAMES[field].index(value)
     if toks:
         raise AsmError(f"unexpected operand {toks[0]!r}", line.no, line.text)
+    if op is Op.POPH and first == "req":
+        raise AsmError("poph cannot read the request queue",
+                       line.no, line.text)
+    if op is Op.POPQ and first == "req" and fields.keys() != {"queue"}:
+        raise AsmError("popq req loads the request into the MSHR, so "
+                       "takes no rd or wp", line.no, line.text)
     for field, value in fields.items():
         valid = isa.field_range(op.fmt, field)
         if value not in valid:
@@ -203,7 +211,13 @@ def assemble(source: str):
     out = []
     for line in lines:
         if line.body:
-            out.append(_parse_instr(line, labels))
+            instr = _parse_instr(line, labels)
+            if (instr.op in isa.BRANCH_OPS | isa.JUMP_OPS
+                    and instr["target"] >= pc):
+                raise AsmError(f"target {instr['target']} is past the end "
+                               f"of the program ({pc} instructions)",
+                               line.no, line.text)
+            out.append(instr)
     return out
 
 

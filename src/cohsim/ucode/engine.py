@@ -36,10 +36,10 @@ from importlib import resources
 from typing import Optional
 
 from ..cce import BUSY, WAIT, CceCore
-from ..directory import gad
+from ..directory import ENTRY_READ_LATENCY
 from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
 from ..protocol import (DEFAULT_REGION_MAP, CoherenceState, CommandKind,
-                        I, S, E)
+                        I, S, E, O, F)
 from . import asm, isa
 from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
@@ -55,6 +55,11 @@ WNR, UCF, NEX, AF, CAF, PF, CSF, CEF, CMF, COF, CFF, RF, UF = (
               "cof", "cff", "rf", "uf"))
 # The flags other than those `gad` writes.
 GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
+# A copy's state, by value -> the cached-state flag `gad` sets for it.
+CACHED_FLAG = {"S": 1 << CSF, "E": 1 << CEF, "M": 1 << CMF, "O": 1 << COF,
+               "F": 1 << CFF}
+# The requester's states from which a write is an upgrade.
+UPGRADE_STATES = (S, O, F)
 # The commands that also transfer the block to the requester.
 TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 
@@ -139,8 +144,7 @@ class UcodeCce(CceCore):
         self.flags = 0
         self.umshr = UMshr()
         self.last_resp = None
-        self._sv = None
-        self._lru = None
+        self._found = None   # the last way-group read of this request
         self._unit = None   # the running datapath unit, if any
         self.mispredicts = 0
 
@@ -162,7 +166,11 @@ class UcodeCce(CceCore):
         # instruction; bound the fusion chain, 8 instructions in all,
         # defensively.
         for _ in range(8):
-            u = self.imem[self.pc]
+            try:
+                u = self.imem[self.pc]
+            except IndexError:
+                raise MicrocodeFault(f"pc {self.pc} is past the end of the "
+                                     "program") from None
             outcome = u.run(self, u)
             if outcome is not FREE:
                 return outcome
@@ -256,19 +264,15 @@ class UcodeCce(CceCore):
 
     def _rdw(self, u) -> str:
         m = self.umshr
-        sv, lru, latency = self.directory.read_way_group(
+        found = self._found = self.directory.read_way_group(
             m.addr, m.lce, m.lru_way)
-        self._sv, self._lru = sv, lru
-        m.lru_tag, m.lru_state = lru.lru_tag, lru.lru_state
-        return self._start(self._busy(latency))
+        m.lru_tag, m.lru_state = found.lru_tag, found.lru_state
+        return self._start(self._busy(self.cfg.way_group_read_latency))
 
     def _rde(self, u) -> str:
-        m = self.umshr
-        lce, way = ((m.owner_lce, m.owner_way)
-                    if u.cmd_target == "owner"
-                    else (m.lce, m.req_way))
-        _, latency = self.directory.read_entry(m.addr, lce, way)
-        return self._start(self._busy(latency))
+        """An entry read: no instruction reads its result, so it only
+        occupies the execute stage."""
+        return self._start(self._busy(ENTRY_READ_LATENCY))
 
     def _wdp(self, u) -> str:
         self.pending.adjust(self._wg(), +1 if u.inc == "inc" else -1)
@@ -327,10 +331,7 @@ class UcodeCce(CceCore):
         return WAIT
 
     def _poph(self, u) -> str:
-        queue = u.queue
-        if queue == "req":
-            raise MicrocodeFault("poph req is not supported")
-        q = self.resp_q if queue == "resp" else self.memresp_q
+        q = self.resp_q if u.queue == "resp" else self.memresp_q
         if not q:
             return WAIT
         self.regs[u.rd] = self._resp_code(q[0])
@@ -338,24 +339,26 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _gad(self, u) -> str:
-        if self._sv is None:
+        """Digest the last way-group read into the flags: the cached-state
+        flags of every copy but the requester's, replacement, and upgrade
+        (a write, by the current WNR flag, from S, O or F)."""
+        found = self._found
+        if found is None:
             raise MicrocodeFault("gad before rdw")
         m = self.umshr
-        info = gad(self._sv, self._lru, m.lce, bool(self.flags >> WNR & 1))
-        self.flags = (self.flags & GAD_KEEP
-                      | info.cached_s << CSF | info.cached_e << CEF
-                      | info.cached_m << CMF | info.cached_o << COF
-                      | info.cached_f << CFF | info.replacement << RF
-                      | info.upgrade << UF)
-        if info.owner is not None:
-            m.owner_lce, m.owner_way, m.owner_state = info.owner
-        else:
-            m.owner_lce, m.owner_way, m.owner_state = 0, 0, I
-        m.req_way = (info.req_way_hit if info.req_way_hit is not None
-                     else m.lru_way)
-        m.req_state = (self._sv.states[m.lce] if self._sv.hits[m.lce] else I)
+        lce = m.lce
+        flags = (self.flags & GAD_KEEP | found.replacement << RF
+                 | (self.flags >> WNR & 1
+                    and found.req_state in UPGRADE_STATES) << UF)
+        for c, _, state in found.copies:
+            if c != lce:
+                flags |= CACHED_FLAG[state._value_]
+        self.flags = flags
+        m.owner_lce, m.owner_way, m.owner_state = found.owner or (0, 0, I)
+        m.req_way = found.req_way
+        m.req_state = found.req_state
         if self._txn is not None:
-            self._note_lookup(self._sv)
+            self._note_lookup(found)
         self.pc += 1
         return BUSY
 
@@ -403,7 +406,7 @@ class UcodeCce(CceCore):
         m.data = req.data
         m.req_way = req.lru_way
         m.req_state = I
-        self._sv = self._lru = None
+        self._found = None
         self.flags = (req.write << WNR | req.uncached << UCF
                       | req.non_exclusive << NEX
                       | (req.atomic is not None) << AF
@@ -444,13 +447,12 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _inv(self, u) -> str:
-        sv = self._sv
-        if sv is None:
+        found = self._found
+        if found is None:
             raise MicrocodeFault("inv before rdw")
         m = self.umshr
-        return self._start(self._invalidate(m.addr, [
-            (c, sv.ways[c]) for c, hit in enumerate(sv.hits)
-            if hit and c != m.lce and sv.states[c] is S]))
+        return self._start(
+            self._invalidate(m.addr, self._inv_targets(found, m.lce)))
 
 
 @lru_cache(maxsize=16)
@@ -477,9 +479,8 @@ def _flags_none(hit, mask):
 
 
 def _sharers(engine, m) -> int:
-    sv = engine._sv
-    return (sum(1 for c, h in enumerate(sv.hits) if h and sv.states[c] is S)
-            if sv else 0)
+    found = engine._found
+    return found.sharers if found else 0
 
 
 _STATE_CODE = {CoherenceState(name): code

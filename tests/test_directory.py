@@ -1,13 +1,16 @@
-"""Directory segment, pending/speculative bits, and GAD unit."""
+"""Directory segment, pending/speculative bits, the way-group read record
+and the GAD unit."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohsim.directory import (DirectorySegment, DoubleSpeculation,
-                              MultipleOwners, OutOfRange, PendingBits,
-                              SegmentConfig, SpecBits, Underflow, gad,
+from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
+                              DoubleSpeculation, MultipleOwners, OutOfRange,
+                              PendingBits, SegmentConfig, SpecBits, Underflow,
                               way_group_home)
 from cohsim.protocol import CoherenceState
+from cohsim.ucode import engine as ucode_engine
+from test_ucode_engine import busy_after, make_engine
 
 I, S, E, M, O, F = CoherenceState
 VALID = [S, E, M, O, F]
@@ -27,17 +30,27 @@ class TestGeometryAndLatency:
     def test_way_group_read_latency_is_one_plus_half_caches(self, caches):
         # One cycle to start plus one cycle per physical row of the set.
         assert cfg_for(caches).way_group_read_latency == 1 + caches // 2
-        seg = DirectorySegment(cfg_for(caches))
-        _, _, latency = seg.read_way_group(0x8000_0000, 0, 0)
-        assert latency == 1 + caches // 2
+        found = DirectorySegment(cfg_for(caches)).read_way_group(
+            0x8000_0000, 0, 0)
+        assert (found.copies, found.dir_state, found.replacement) == (
+            [], I, False)
 
-    def test_entry_read_and_write_latencies(self):
-        seg = DirectorySegment(cfg_for(4))
-        addr = 0x8000_0000
-        assert seg.read_entry(addr, 1, 3)[1] == 2
-        assert seg.write_entry(addr, 1, 3, state=M) == 1
-        assert seg.write_state(addr, 1, 3, O) == 1
-        assert seg.clear_row(addr, 1) == 1
+    def test_entry_read_and_write_latencies(self, tmp_path):
+        """An entry read (`rde`) occupies the engine two cycles; an entry
+        write (`wde`, `wds`) or a row clear (`clr`) one."""
+        assert ENTRY_READ_LATENCY == 2
+        for target in ("req", "owner"):
+            eng = make_engine(tmp_path, f"  rde {target}\n  wfq resp\n",
+                              caches=4)
+            assert busy_after(eng) == 2
+        eng = make_engine(tmp_path, "  wde M\n  wds req, O\n  wfq resp\n",
+                          caches=4)
+        eng.umshr.addr = 0x8000_0000
+        assert busy_after(eng) == 2
+        assert eng.directory.snapshot() == {
+            (0, 0, 0): (eng.cfg.tag_of(0x8000_0000), O)}
+        eng = make_engine(tmp_path, "  clr\n  wfq resp\n", caches=4)
+        assert busy_after(eng) == 1
 
     def test_striping(self):
         # Way groups stripe round-robin over CCEs by low set-index bits.
@@ -51,14 +64,20 @@ class TestGeometryAndLatency:
         addr_odd = 0x8000_0000 + 64      # set 1 -> CCE 1
         seg0.write_entry(addr_even, 0, 0, state=S)
         with pytest.raises(OutOfRange):
-            seg0.read_entry(addr_odd, 0, 0)
+            seg0.read_way_group(addr_odd, 0, 0)
+        with pytest.raises(OutOfRange):
+            seg0.write_state(addr_odd, 0, 0, S)
 
     def test_out_of_range(self):
         seg = DirectorySegment(cfg_for(2))
-        with pytest.raises(OutOfRange):
-            seg.read_entry(0x8000_0000, 2, 0)
-        with pytest.raises(OutOfRange):
-            seg.read_entry(0x8000_0000, 0, 8)
+        with pytest.raises(OutOfRange, match="cache id 2"):
+            seg.read_way_group(0x8000_0000, 2, 0)
+        with pytest.raises(OutOfRange, match="lru way 8"):
+            seg.read_way_group(0x8000_0000, 0, 8)
+        with pytest.raises(OutOfRange, match="cache id 2"):
+            seg.write_state(0x8000_0000, 2, 0, S)
+        with pytest.raises(OutOfRange, match="way 8"):
+            seg.write_entry(0x8000_0000, 0, 8, state=S)
 
 
 class TestStorage:
@@ -78,11 +97,6 @@ class TestStorage:
             state = data.draw(st.sampled_from([I] + VALID))
             seg.write_entry(addr, lce, way, state=state)
             shadow[(lce, cfg.set_index(addr), way)] = (cfg.tag_of(addr), state)
-        for (lce, set_idx, way), (tag, state) in shadow.items():
-            addr = (tag * cfg.sets_per_cache + set_idx) * 64
-            entry, _ = seg.read_entry(addr, lce, way)
-            if entry.state is state and state is not I:
-                assert entry.tag == tag
         expect = {k: v for k, v in shadow.items() if v[1] is not I}
         assert seg.snapshot() == expect
 
@@ -100,7 +114,7 @@ class TestStorage:
                 for way in range(2):
                     seg.write_entry(base + 64 * set_idx, lce, way, state=S)
         before = seg.snapshot()
-        assert seg.clear_row(base + 64 * 2, cleared) == 1
+        seg.clear_row(base + 64 * 2, cleared)
         assert seg.snapshot() == {
             (lce, set_idx, way): v
             for (lce, set_idx, way), v in before.items()
@@ -153,62 +167,111 @@ class TestSpecBits:
             spec.set(0)
 
 
-def brute_force_gad(states, ways, lce, write):
-    """Independent re-derivation of the GAD digest from first principles."""
-    from cohsim.directory import GadResult
-    res = GadResult()
+@st.composite
+def way_groups(draw):
+    """A way group holding one block in any legal mix of states, and a
+    request for it: (caches, states, ways, lce, lru_way, victim state).
+    Each cache's copy, if any, sits at its way; the requester's LRU way,
+    unless its own copy is there, holds another block of the set in any
+    state, I to F."""
+    caches = draw(st.integers(2, 8))
+    # At most one owner; any number of S sharers.
+    states = [draw(st.sampled_from([I, I, S])) for _ in range(caches)]
+    owner_choice = draw(st.integers(-1, caches - 1))
+    if owner_choice >= 0:
+        states[owner_choice] = draw(st.sampled_from([E, M, O, F]))
+    ways = [draw(st.integers(0, 3)) for _ in range(caches)]
+    lce = draw(st.integers(0, caches - 1))
+    lru_way = draw(st.integers(0, 3))
+    victim = draw(st.sampled_from([I] + VALID))
+    return caches, states, ways, lce, lru_way, victim
+
+
+GAD_ADDR = 0x8000_0000
+
+
+def fill(seg, states, ways, lce, lru_way, victim):
+    """Write a `way_groups` example into `seg` at GAD_ADDR."""
     for c, state in enumerate(states):
-        if state is I:
-            continue
-        if state in (E, M, O, F):
-            assert res.owner is None
-            res.owner = (c, ways[c], state)
-        if c == lce:
-            res.req_way_hit = ways[c]
-            continue
-        setattr(res, f"cached_{state.value.lower()}", True)
-    req_state = states[lce]
-    res.upgrade = write and req_state in (S, O, F)
-    return res
+        seg.write_entry(GAD_ADDR, c, ways[c], state=state)
+    if states[lce] is I or ways[lce] != lru_way:
+        victim_tag = seg.cfg.tag_of(GAD_ADDR) + 1
+        seg.write_entry(GAD_ADDR, lce, lru_way, tag=victim_tag, state=victim)
 
 
 class TestGad:
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_brute_force(self, data):
-        caches = data.draw(st.integers(2, 8))
-        cfg = cfg_for(caches, sets_per_cache=4, assoc=4)
-        seg = DirectorySegment(cfg)
-        addr = 0x8000_0000
-        # At most one owner; any number of S sharers.
-        states = [data.draw(st.sampled_from([I, I, S])) for _ in range(caches)]
-        owner_choice = data.draw(st.integers(-1, caches - 1))
-        if owner_choice >= 0:
-            states[owner_choice] = data.draw(st.sampled_from([E, M, O, F]))
-        ways = [data.draw(st.integers(0, 3)) for _ in range(caches)]
-        for c, state in enumerate(states):
-            seg.write_entry(addr, c, ways[c], state=state)
-        lce = data.draw(st.integers(0, caches - 1))
-        write = data.draw(st.booleans())
-        lru_way = data.draw(st.integers(0, 3))
-        sv, lru, _ = seg.read_way_group(addr, lce, lru_way)
-        got = gad(sv, lru, lce, write)
-        want = brute_force_gad(states, ways, lce, write)
-        for f in ("cached_s", "cached_e", "cached_m", "cached_o", "cached_f",
-                  "owner", "req_way_hit", "upgrade"):
-            assert getattr(got, f) == getattr(want, f), f
-        # Replacement flag: miss with a valid victim in the LRU way.
-        miss = not sv.hits[lce]
-        assert got.replacement == (miss and lru.lru_state is not I)
+    @given(way_groups())
+    def test_matches_brute_force(self, example):
+        """The way-group read record, re-derived from first principles."""
+        caches, states, ways, lce, lru_way, victim = example
+        seg = DirectorySegment(cfg_for(caches, sets_per_cache=4, assoc=4))
+        fill(seg, states, ways, lce, lru_way, victim)
+        found = seg.read_way_group(GAD_ADDR, lce, lru_way)
+
+        copies = [(c, ways[c], state) for c, state in enumerate(states)
+                  if state is not I]
+        owners = [copy for copy in copies if copy[2] is not S]
+        hit = states[lce] is not I
+        tag = seg.cfg.tag_of(GAD_ADDR)
+        if hit and ways[lce] == lru_way:
+            lru = (lru_way, tag, states[lce])
+        else:
+            lru = (lru_way, tag + 1, victim)
+        assert found.copies == copies
+        assert found.owner == (owners[0] if owners else None)
+        assert (found.req_way, found.req_state) == (
+            (ways[lce], states[lce]) if hit else (lru_way, I))
+        assert (found.lru_way, found.lru_tag, found.lru_state) == lru
+        assert found.dir_state is (owners[0][2] if owners
+                                   else S if copies else I)
+        assert found.sharers == states.count(S)
+        # Only a miss whose victim is E, M or O needs a writeback flow: an
+        # S or F victim is clean and non-exclusive, dropped silently.
+        assert found.replacement == (
+            not hit and lru_way == lru[0] and lru[2] in (E, M, O))
+
+    @settings(max_examples=150, deadline=None)
+    @given(way_groups(), st.booleans())
+    def test_gad_flags_match_brute_force(self, tmp_path_factory, example,
+                                         write):
+        """`gad` sets a cached-state flag for every copy but the
+        requester's, the replacement flag from the read, and the upgrade
+        flag for a write from S, O or F; the MSHR gets the owner's copy
+        and the requester's way and state."""
+        caches, states, ways, lce, lru_way, victim = example
+        eng = make_engine(tmp_path_factory.mktemp("gad"),
+                          "  rdw\n  gad\n  wfq resp\n", caches=caches)
+        fill(eng.directory, states, ways, lce, lru_way, victim)
+        m = eng.umshr
+        m.addr, m.lce, m.lru_way = GAD_ADDR, lce, lru_way
+        eng.flags = write << ucode_engine.WNR
+        busy_after(eng, ticks=12)
+        found = eng._found
+
+        flag_of = {S: ucode_engine.CSF, E: ucode_engine.CEF,
+                   M: ucode_engine.CMF, O: ucode_engine.COF,
+                   F: ucode_engine.CFF}
+        want = {flag_of[state] for c, state in enumerate(states)
+                if state is not I and c != lce}
+        if found.replacement:
+            want.add(ucode_engine.RF)
+        if write and states[lce] in (S, O, F):
+            want.add(ucode_engine.UF)
+        if write:
+            want.add(ucode_engine.WNR)
+        assert {bit for bit in range(16) if eng.flags >> bit & 1} == want
+        assert (m.owner_lce, m.owner_way, m.owner_state) == (
+            found.owner or (0, 0, I))
+        assert (m.req_way, m.req_state) == (found.req_way, found.req_state)
 
     def test_multiple_owners_detected(self):
         seg = DirectorySegment(cfg_for(2))
         addr = 0x8000_0000
         seg.write_entry(addr, 0, 0, state=M)
         seg.write_entry(addr, 1, 0, state=E)
-        sv, lru, _ = seg.read_way_group(addr, 0, 0)
-        with pytest.raises(MultipleOwners):
-            gad(sv, lru, lce=0, write=False)
+        with pytest.raises(MultipleOwners, match="caches 0 and 1"):
+            seg.read_way_group(addr, 0, 0)
 
     def test_way_group_index_is_set_index(self):
         # The set index, which names the way group, ignores the tag bits.

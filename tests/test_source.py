@@ -107,6 +107,21 @@ def test_engines_use_the_cores_memory_command_unit():
     assert not found, found
 
 
+def test_only_the_directory_reads_its_tag_sets():
+    """No module but `directory` reads `DirectorySegment.way_groups`: the
+    engines see the tag sets only through a way-group read's record."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        if name == "directory.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "way_groups"]
+    assert not found, found
+
+
 def test_assembler_grammar_names_every_mnemonic():
     """The grammar in `asm`'s docstring names every opcode's mnemonic."""
     missing = [op.name.lower() for op in Op

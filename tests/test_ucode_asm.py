@@ -103,6 +103,12 @@ class TestAssembler:
         ("pushq memcmd specread, st=I", "unexpected operand"),
         ("popq req r1 r2", "unexpected operand"),
         ("poph resp wp", "unexpected operand"),
+        ("bi 5", "past the end"),
+        ("  beqi r0, 1, end\n  bi 0\nend:", "past the end"),
+        ("popq req r1", "takes no rd or wp"),
+        ("popq req wp", "takes no rd or wp"),
+        ("poph req", "cannot read the request queue"),
+        ("poph req r1", "cannot read the request queue"),
     ])
     def test_errors_carry_line_numbers(self, source, fragment):
         with pytest.raises(AsmError) as exc:
@@ -123,8 +129,9 @@ class TestAssembler:
 def assemblable(draw, size):
     """An instruction the assembler can produce, in a program of `size`
     instructions: masks non-empty, codes inside their name tables,
-    targets inside the program, and each field the source form leaves
-    out holding what the assembler writes there."""
+    targets inside the program, a `poph` reading a queue other than
+    req, and each field the source form leaves out holding what the
+    assembler writes there."""
     op = draw(st.sampled_from(sorted(Op, key=lambda o: o.opcode)))
     fields = {}
     for name in FIELDS[op.fmt]:
@@ -149,8 +156,11 @@ def assemblable(draw, size):
     elif (op is Op.SPECQ
           and isa.name_of("spec_cmd", fields["spec_cmd"]) != "fwd_mod"):
         fields["state"] = NO_STATE
+    elif op is Op.POPQ and isa.name_of("queue", fields["queue"]) == "req":
+        fields.update(rd=0, wp=0)
     elif op is Op.POPH:
         fields["wp"] = 0
+        fields["queue"] = draw(st.integers(1, len(isa.QUEUES) - 1))
     return make(op, **fields)
 
 

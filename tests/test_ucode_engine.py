@@ -83,6 +83,26 @@ class TestPredecode:
         assert eng.regs[1:] == [1, 0, 1, 1, 0, 1, 0]
 
 
+class TestProgramEnd:
+    """A program the assembler accepts can still run past its last
+    instruction, as a test fragment ending in `wfq` does once its queue
+    fills; that is a microcode fault, not an IndexError."""
+
+    @pytest.mark.parametrize("source,resp", [
+        ("  nop\n", False),
+        ("  wfq resp\n", True),
+    ])
+    def test_falling_off_the_end_is_a_microcode_fault(self, tmp_path,
+                                                      source, resp):
+        eng = make_engine(tmp_path, source)
+        if resp:
+            eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=1,
+                                          addr=BASE))
+        with pytest.raises(ucode_engine.MicrocodeFault,
+                           match="pc 1 is past the end"):
+            busy_after(eng, ticks=3)
+
+
 class TestMultiCycleUnits:
     @pytest.mark.parametrize("caches", [2, 4, 8, 16])
     def test_way_group_read_occupies_one_plus_half_caches(self, tmp_path,
