@@ -36,7 +36,7 @@ from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        NetKind, NetMessage)
 from .network import Network
 from .protocol import (AddressClass, CoherenceState, CommandKind,
-                       DirRequestKind, I, S, O, F, classify_request)
+                       DirRequestKind, I, S, classify_request, request_kind)
 
 BUSY = "busy"
 WAIT = "wait"
@@ -279,26 +279,13 @@ class CceCore:
         txn.sharers = found.sharers
         if req.uncached:
             return None
-        kind = self._classify_kind(req, found.req_state)
+        kind = request_kind(req.write, req.non_exclusive, found.req_state)
         txn.req_kind = kind._value_
         return kind
 
     def _note_victim_wb(self, resp):
         self._txn.replacement = ("clean" if resp.kind is Emission.NullWB
                                  else "dirty")
-
-    def _classify_kind(self, req: CohRequest, req_state: CoherenceState):
-        if not req.write:
-            return (DirRequestKind.ReqRdNE if req.non_exclusive
-                    else DirRequestKind.ReqRd)
-        if req_state is I:
-            return DirRequestKind.ReqWrFromI
-        if req_state is S:
-            return DirRequestKind.ReqWrFromS
-        if req_state in (O, F):
-            return DirRequestKind.ReqWrFromOF
-        raise protocol.ImpossibleTransition(
-            f"write request from cache holding {req_state}")
 
     # -- arbitration -----------------------------------------------------------
 

@@ -10,7 +10,10 @@ ever holds a valid stale copy.
 
 All transition behavior is derived from the protocol tables at expansion
 time — the checker has no hand-written per-cell rules — so a table bug is
-a checker counterexample and vice versa.  Seeded mutations deliberately
+a checker counterexample and vice versa.  A cache's own operations come
+from its Load and Store cells and the directory's Replacement column, a
+request's directory column from `protocol.request_kind`, and a command's
+effect from its cache-controller cell.  Seeded mutations deliberately
 bend one rule each to demonstrate the checker catches real bugs.
 """
 
@@ -20,9 +23,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .protocol import (CommandKind, CoherenceState, DirRequestKind, Emission,
-                       ImpossibleTransition, InvalidateSet, LceEvent,
-                       LceEventKind, PROTOCOLS, RequesterGrant)
+from .protocol import (LOAD, STORE, CommandKind, CoherenceState,
+                       DirRequestKind, Emission, ImpossibleTransition,
+                       InvalidateSet, PROTOCOLS, RequesterGrant, request_kind)
 
 I, S, E, M, O, F = CoherenceState
 
@@ -39,11 +42,6 @@ _REQ_NAMES = {RD: "read", RD_NE: "read-ne", WR: "write", REPL: "replace"}
 # Directory-to-cache command codes reuse CommandKind by enumeration index.
 _CK_NUM = {k: n for n, k in enumerate(CommandKind)}
 _CK = list(CommandKind)
-_CK_EVENT = {CommandKind.Inv: LceEventKind.Inv, CommandKind.StW: LceEventKind.StW,
-             CommandKind.Wb: LceEventKind.Wb, CommandKind.StWb: LceEventKind.StWb,
-             CommandKind.Tr: LceEventKind.Tr, CommandKind.StTr: LceEventKind.StTr,
-             CommandKind.StTrWb: LceEventKind.StTrWb,
-             CommandKind.Data: LceEventKind.Data}
 
 MUTATIONS = ("drop-invalidations", "grant-e-with-sharers",
              "skip-writeback", "wrong-transfer-state")
@@ -142,8 +140,6 @@ _COUNT_BITS = 2
 _COUNT_MAX = (1 << _COUNT_BITS) - 1
 
 _LETTER = [s.value for s in CoherenceState]
-_EMO_NUMS = frozenset(_NUM[s] for s in (E, M, O))
-_M_NUM = _NUM[M]
 
 # How a message's delivery is keyed (see `Model._expand`).
 _REQUEST, _RESPONSE, _TO_CACHE = range(3)
@@ -297,21 +293,21 @@ class Model:
         st, latest, pend = entry
         if pend != IDLE:
             return ()
-        ops = []
-        if st in WRITABLE_NUMS:
-            # Store hit; E upgrades silently to M.
-            ops.append(((_M_NUM, 1, IDLE), None,
-                        f"store hit in {_LETTER[st]}"))
-        elif self.tables.lce_event_action(
-                _STATE[st], LceEvent(LceEventKind.Store)).is_miss:
+        tables, state = self.tables, _STATE[st]
+        store = tables.lce_event_action(state, STORE)
+        if store.is_miss:
             # Store miss or upgrade request.
-            ops.append(((st, latest, WR), (("req", i, WR),),
-                        f"write request from {_LETTER[st]}"))
-        if st == 0:
+            ops = [((st, latest, WR), (("req", i, WR),),
+                    f"write request from {_LETTER[st]}")]
+        else:
+            # Store hit, with the cell's silent state change (E to M).
+            nxt = st if store.next_state is None else _NUM[store.next_state]
+            ops = [((nxt, 1, IDLE), None, f"store hit in {_LETTER[st]}")]
+        if tables.lce_event_action(state, LOAD).is_miss:
             for kind in (RD, RD_NE):
                 ops.append(((st, latest, kind), (("req", i, kind),),
                             f"{_REQ_NAMES[kind]} request"))
-        elif st in _EMO_NUMS:
+        if state in tables.replacement_states:
             ops.append(((st, latest, REPL), (("req", i, REPL),),
                         f"evict {_LETTER[st]} block"))
         return tuple(ops)
@@ -330,19 +326,10 @@ class Model:
         _, i, pend = msg
         mut = self.cfg.mutation
         owner, sharers, dir_state = self._dir_view(dir_rec)
-        if pend == RD:
-            kind = DirRequestKind.ReqRd
-        elif pend == RD_NE:
-            kind = DirRequestKind.ReqRdNE
-        elif pend == REPL:
-            kind = DirRequestKind.Replacement
-        elif _STATE[dir_rec[i]] is I:
-            kind = DirRequestKind.ReqWrFromI
-        elif _STATE[dir_rec[i]] is S:
-            kind = DirRequestKind.ReqWrFromS
-        else:
-            kind = DirRequestKind.ReqWrFromOF
         try:
+            kind = (DirRequestKind.Replacement if pend == REPL
+                    else request_kind(pend == WR, pend == RD_NE,
+                                      _STATE[dir_rec[i]]))
             plan = self.tables.dir_request_plan(dir_state, kind)
         except ImpossibleTransition as exc:
             raise ModelError(f"directory hit a blank cell: {exc}") from exc
@@ -405,11 +392,11 @@ class Model:
         else:
             _, i, ck, set_st, tr_st, target = msg
         st, latest, pend = entry
-        kind = _CK_EVENT[_CK[ck]]
+        kind = _CK[ck]
         attached = _STATE[set_st] if set_st >= 0 else None
         try:
-            act = self.tables.lce_event_action(_STATE[st],
-                                               LceEvent(kind, attached))
+            act = self.tables.lce_event_action(_STATE[st], kind._value_,
+                                               attached)
         except (ImpossibleTransition, ValueError) as exc:
             raise ModelError(
                 f"cache {i} in {_STATE[st].value} got {kind.value}: {exc}"
@@ -431,7 +418,7 @@ class Model:
             else:
                 raise AssertionError(em)
         nxt_st = st if act.next_state is None else _NUM[act.next_state]
-        if pend == REPL and kind is LceEventKind.StWb:
+        if pend == REPL and kind is CommandKind.StWb:
             pend = IDLE   # the eviction's writeback completes it
         return (i, (nxt_st, latest, pend), tuple(adds),
                 f"{kind.value} -> {_LETTER[nxt_st]}")
@@ -502,7 +489,8 @@ class Model:
             dir_rec = tuple(records >> (_REC_BITS * j) & 7
                             for j in range(self.n))
             pend = msg[2]
-            if pend == REPL and dir_rec[i] not in _EMO_NUMS:
+            if (pend == REPL and _STATE[dir_rec[i]]
+                    not in self.tables.replacement_states):
                 # The would-be victim lost its copy (or only held it
                 # shared) before the replacement was processed: nothing
                 # to write back.

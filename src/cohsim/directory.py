@@ -16,10 +16,10 @@ from typing import Optional
 
 from .protocol import CoherenceState, I, S, E, M, O
 
-# Victim states that require an explicit writeback flow.  S and F victims
-# are clean non-exclusive copies and are dropped silently when overwritten
-# (the controller tables define no ST-WB action for them).
-REPLACEMENT_STATES = (E, M, O)   # a tuple: see protocol.OWNER_STATES
+# Victim states that require an explicit writeback flow: those with a
+# filled Replacement cell in some protocol (a segment holds no tables, so
+# it keeps this copy).  S and F victims are dropped silently.
+REPLACEMENT_STATES = (E, M, O)   # a tuple: see protocol.WRITABLE_STATES
 
 PENDING_COUNTER_MAX = 15  # 4-bit counters; overflow is a protocol bug
 

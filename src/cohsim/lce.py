@@ -11,9 +11,8 @@ from typing import Optional
 from . import protocol
 from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
                        Emission, FillData, LceResponse, NetMessage)
-from .protocol import (CoherenceState, CommandKind, I, E, M,
-                       ImpossibleTransition, LceAction, LceEvent,
-                       LceEventKind, WRITABLE_STATES, state_permissions)
+from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
+                       ImpossibleTransition, LceAction, WRITABLE_STATES)
 
 
 # Emissions that carry no data, and the members tested per access and per
@@ -21,8 +20,7 @@ from .protocol import (CoherenceState, CommandKind, I, E, M,
 HEADER_ONLY = (Emission.InvAck, Emission.CohAck, Emission.NullWB)
 DIRTY_WB, DATA_TO_TARGET, COH_ACK = (Emission.DirtyWB, Emission.DataToTarget,
                                      Emission.CohAck)
-DATA, STW = CommandKind.Data, CommandKind.StW
-LOAD, STORE, SC = LceEventKind.Load, LceEventKind.Store, AtomicOp.Sc
+DATA, STW, SC = CommandKind.Data, CommandKind.StW, AtomicOp.Sc
 
 
 class Busy(Exception):
@@ -113,11 +111,6 @@ class Lce:
         self.on_load = None
         self.on_store = None
         self.on_state = None   # on_state(block addr) after a state write
-        # Table lookups memoised on plain values, so that resolving one
-        # hashes no enum member: state value -> `state_permissions`, and,
-        # in `tables.lce_actions`, (state value, event kind value, attached
-        # state value) -> `lce_event_action`.
-        self._perms = {s.value: state_permissions(s) for s in CoherenceState}
 
     # -- lookup helpers ----------------------------------------------------
 
@@ -130,19 +123,18 @@ class Lce:
                 return way, line
         return None, None
 
-    def _action(self, state: CoherenceState, kind,
+    def _action(self, state: CoherenceState, column: str,
                 attached: Optional[CoherenceState] = None) -> LceAction:
-        """The table's action for event `kind` with `attached` state in
-        `state`.  `kind` is an LceEventKind, or a CommandKind, which
-        names the event column of the same name."""
+        """The table's action in `state` for `column` (LOAD, STORE or a
+        command kind's value) with `attached` state.  Memoised in
+        `tables.lce_actions` on plain values, so that a lookup hashes no
+        enum member."""
         tables = self.tables
-        key = (state._value_, kind._value_, attached and attached._value_)
+        key = (state._value_, column, attached and attached._value_)
         action = tables.lce_actions.get(key)
         if action is None:
-            event = LceEvent(LceEventKind(kind._value_),
-                             attached_state=attached)
             action = tables.lce_actions[key] = tables.lce_event_action(
-                state, event)
+                state, column, attached)
         return action
 
     def set_state(self, line: CacheLine, state: CoherenceState, addr: int):
@@ -195,27 +187,23 @@ class Lce:
 
         way, line = self._lookup(addr)
         wants_write = write or atomic is not None
-        if line is not None:
-            perms = self._perms[line.state._value_]
-            if not wants_write and perms["read"]:
-                self._touch(line)
-                value = self._read_bytes(line, addr, size)
-                if self.on_load:
-                    self.on_load(self.cfg.lce_id, addr, size, value)
-                return Hit(value)
-            if wants_write and perms["write"]:
-                if line.state is E:
-                    self.set_state(line, M, addr)  # silent upgrade
-                self._touch(line)
+        # The Load or Store cell decides hit or miss.  A hit has a line
+        # (the tables make every access in I miss); its cell may name a
+        # silent state change (a store in E makes it M).
+        action = self._action(I if line is None else line.state,
+                              STORE if wants_write else LOAD)
+        if not action.is_miss:
+            if action.next_state is not None:
+                self.set_state(line, action.next_state, addr)
+            self._touch(line)
+            if wants_write:
                 return Hit(self._apply_write_op(line, addr, size, data, atomic))
+            value = self._read_bytes(line, addr, size)
+            if self.on_load:
+                self.on_load(self.cfg.lce_id, addr, size, value)
+            return Hit(value)
 
-        # Miss (or write upgrade): consult the Load/Store column and issue.
-        kind = STORE if wants_write else LOAD
-        state = line.state if line else I
-        if not self._action(state, kind).is_miss:
-            raise ImpossibleTransition(
-                f"{self.tables.name}: ({state.value}, {kind.value}) "
-                f"is neither a hit nor a miss")
+        # Miss (or write upgrade): issue the request.
         set_idx = self.cfg.set_index(addr)
         lru = self.lru_way(set_idx)
         non_excl = (not wants_write) and self.cfg.kind is LceKind.Instruction
@@ -227,15 +215,16 @@ class Lce:
         return MissIssued(req)
 
     def _store_conditional(self, addr: int, size: int, data: bytes):
-        """SC succeeds iff the LR reservation survived; it never misses."""
+        """SC succeeds iff the LR reservation survived and the Store cell
+        is a hit; it never misses."""
         way, line = self._lookup(addr)
-        ok = (self.reservation == self._block_base(addr)
-              and line is not None and line.state in WRITABLE_STATES)
+        ok = self.reservation == self._block_base(addr) and line is not None
         self.reservation = None
-        if not ok:
+        action = self._action(line.state, STORE) if ok else None
+        if action is None or action.is_miss:
             return Hit((1).to_bytes(size, "little"))
-        if line.state is E:
-            self.set_state(line, M, addr)
+        if action.next_state is not None:
+            self.set_state(line, action.next_state, addr)
         self._touch(line)
         self._write_bytes(line, addr, data)
         if self.on_store:
@@ -303,7 +292,7 @@ class Lce:
             return
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
-        action = self._action(state, cmd.kind, cmd.state)
+        action = self._action(state, cmd.kind._value_, cmd.state)
         block = None   # the line's bytes, copied for the first data emission
 
         for emission in action.sends:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 
@@ -32,53 +33,9 @@ class CoherenceState(Enum):
 
 I, S, E, M, O, F = CoherenceState  # noqa: E741 - protocol letters
 
-# Tuples, so that a membership test compares identities and hashes no
-# enum member (`Enum.__hash__` is Python code).
-OWNER_STATES = (E, M, O, F)
+# A tuple, so that a membership test hashes no enum member (Python code);
+# the Store column hits in exactly these states (see `_validate_tables`).
 WRITABLE_STATES = (E, M)
-VALID_STATES = frozenset({S, E, M, O, F})
-
-
-def state_permissions(state: CoherenceState) -> dict:
-    """Read/write permission of a block held in `state`.
-
-    E is writable because a store hit silently upgrades it to M.
-    """
-    return {"read": state in VALID_STATES, "write": state in WRITABLE_STATES}
-
-
-class LceEventKind(Enum):
-    Load = "Load"
-    Store = "Store"
-    Inv = "Inv"
-    Data = "DATA"
-    StW = "STW"
-    Wb = "WB"
-    StWb = "ST-WB"
-    Tr = "TR"
-    StTr = "ST-TR"
-    StTrWb = "ST-TR-WB"
-
-
-# Command kinds whose cell (or originating directory command) carries an
-# explicit coherence state that resolves the table's "X" next state.
-ATTACHED_STATE_KINDS = frozenset(
-    {LceEventKind.Data, LceEventKind.StW, LceEventKind.StWb,
-     LceEventKind.StTr, LceEventKind.StTrWb}
-)
-
-
-@dataclass(frozen=True)
-class LceEvent:
-    kind: LceEventKind
-    attached_state: Optional[CoherenceState] = None
-
-    def __post_init__(self):
-        if self.kind in ATTACHED_STATE_KINDS:
-            if self.attached_state is None:
-                raise ValueError(f"{self.kind.value} requires an attached state")
-        elif self.attached_state is not None:
-            raise ValueError(f"{self.kind.value} never carries an attached state")
 
 
 class Emission(Enum):
@@ -96,7 +53,7 @@ class LceAction:
     sends: tuple
     next_state: Optional[CoherenceState]  # None = hit, state unchanged
 
-    @property
+    @cached_property
     def is_miss(self) -> bool:
         return Emission.ReqRd in self.sends or Emission.ReqWr in self.sends
 
@@ -108,6 +65,26 @@ class DirRequestKind(Enum):
     ReqWrFromS = "ReqWr from S"
     ReqWrFromOF = "ReqWr from O/F"
     Replacement = "Replacement"
+
+
+# Requester state letter -> write column; each column names its states.
+_WRITE_COLUMNS = {letter: kind for kind in DirRequestKind
+                  if kind._value_.startswith("ReqWr from ")
+                  for letter in kind._value_[11:].split("/")}
+
+
+def request_kind(write: bool, non_exclusive: bool,
+                 req_state: CoherenceState) -> DirRequestKind:
+    """The directory-table column of a coherent read or write request from
+    a cache the directory records in `req_state`."""
+    if not write:
+        return (DirRequestKind.ReqRdNE if non_exclusive
+                else DirRequestKind.ReqRd)
+    kind = _WRITE_COLUMNS.get(req_state._value_)
+    if kind is None:
+        raise ImpossibleTransition(
+            f"write request from cache holding {req_state}")
+    return kind
 
 
 class InvalidateSet(Enum):
@@ -126,6 +103,17 @@ class CommandKind(Enum):
     Tr = "TR"
     StTr = "ST-TR"
     StTrWb = "ST-TR-WB"
+
+
+# The cache-controller table's columns are the core's Load and Store, then
+# one per directory command, named by its `CommandKind` value.
+LOAD, STORE = "Load", "Store"
+
+# Command columns whose command carries an explicit coherence state, which
+# resolves the cell's "X" next state or must agree with its literal one.
+ATTACHED_STATE_COLUMNS = frozenset(k._value_ for k in (
+    CommandKind.Data, CommandKind.StW, CommandKind.StWb, CommandKind.StTr,
+    CommandKind.StTrWb))
 
 
 class RequesterGrant(Enum):
@@ -287,16 +275,16 @@ def _parse_dir_cell(text: str):
                          next_dir_state)
 
 
-def _parse_table(text: str, key_enum, cell_parser):
+def _parse_table(text: str, cell_parser):
+    """{(state letter, column name): parsed cell} of a text rendering."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split("|")][1:]
-    columns = [key_enum(h) for h in header]
+    columns = [h.strip() for h in lines[0].split("|")][1:]
     table = {}
     for line in lines[1:]:
         cells = [c.strip() for c in line.split("|")]
-        state = _STATE_BY_LETTER[cells[0]]
+        letter = _STATE_BY_LETTER[cells[0]]._value_
         for col, cell in zip(columns, cells[1:]):
-            table[(state, col)] = cell_parser(cell)
+            table[(letter, col)] = cell_parser(cell)
     return table
 
 
@@ -305,8 +293,10 @@ class ProtocolTables:
     """One protocol variant: parsed cache-controller and directory tables.
 
     Compared and hashed by identity, so a table object can key a dict.
-    `directory` is keyed by (state letter, request-kind value), so a plan
-    lookup hashes two strings and no enum member."""
+    Both tables are keyed by (state letter, column name): `lce`'s columns
+    are LOAD, STORE and the `CommandKind` values, `directory`'s the
+    `DirRequestKind` values.  A lookup hashes two strings and no enum
+    member."""
 
     name: str
     states: tuple
@@ -316,25 +306,33 @@ class ProtocolTables:
     # `dataclasses.replace` gives the copy an empty one.
     lce_actions: dict = field(default_factory=dict, init=False, repr=False)
 
-    def lce_event_action(self, state: CoherenceState, event: LceEvent) -> LceAction:
+    def lce_event_action(self, state: CoherenceState, event: str,
+                         attached: Optional[CoherenceState] = None
+                         ) -> LceAction:
+        """The action in `state` for column `event`; `attached` is the
+        state its command carries (see ATTACHED_STATE_COLUMNS)."""
+        if event in ATTACHED_STATE_COLUMNS:
+            if attached is None:
+                raise ValueError(f"{event} requires an attached state")
+        elif attached is not None:
+            raise ValueError(f"{event} never carries an attached state")
         try:
-            cell = self.lce[(state, event.kind)]
+            cell = self.lce[state._value_, event]
         except KeyError:
             raise ImpossibleTransition(
-                f"{self.name}: no cache-controller row for state {state.value}")
+                f"{self.name}: no cell ({state.value}, {event})")
         if cell is None:
             raise ImpossibleTransition(
-                f"{self.name}: ({state.value}, {event.kind.value}) is a blank cell")
+                f"{self.name}: ({state.value}, {event}) is a blank cell")
         sends, next_state = cell
         if next_state == X_STATE:
-            next_state = event.attached_state
-        elif (event.kind in ATTACHED_STATE_KINDS
-              and event.attached_state is not next_state):
+            next_state = attached
+        elif attached is not None and attached is not next_state:
             # Cell names a literal state (e.g. CohAck/M for STW^M); the
             # command's attached state must agree.
             raise ImpossibleTransition(
-                f"{self.name}: ({state.value}, {event.kind.value}) attached "
-                f"state {event.attached_state} conflicts with table")
+                f"{self.name}: ({state.value}, {event}) attached "
+                f"state {attached} conflicts with table")
         return LceAction(sends=sends, next_state=next_state)
 
     def dir_request_plan(self, dir_state: CoherenceState,
@@ -349,15 +347,20 @@ class ProtocolTables:
                 f"{self.name}: ({dir_state.value}, {req.value}) is a blank cell")
         return plan
 
+    @property
+    def replacement_states(self) -> tuple:
+        """The states whose Replacement cell is filled: evicting a block
+        held in one takes the writeback flow; other victims are dropped."""
+        return tuple(s for s in self.states if self.directory.get(
+            (s._value_, DirRequestKind.Replacement._value_)) is not None)
+
 
 def _build(name, lce_text, dir_text, states):
     return ProtocolTables(
         name=name,
         states=tuple(states),
-        lce=_parse_table(lce_text, LceEventKind, _parse_lce_cell),
-        directory={(state._value_, req._value_): plan for (state, req), plan
-                   in _parse_table(dir_text, DirRequestKind,
-                                   _parse_dir_cell).items()},
+        lce=_parse_table(lce_text, _parse_lce_cell),
+        directory=_parse_table(dir_text, _parse_dir_cell),
     )
 
 
@@ -394,9 +397,8 @@ class RegionMap:
 DEFAULT_REGION_MAP = RegionMap(cacheable=((0x8000_0000, 0x8000_0000),))
 
 
-def classify_request(addr: int, uncached_flag: bool,
-                     region_map: RegionMap = DEFAULT_REGION_MAP) -> AddressClass:
-    if region_map.is_cacheable(addr):
+def classify_request(addr: int, uncached_flag: bool) -> AddressClass:
+    if DEFAULT_REGION_MAP.is_cacheable(addr):
         if uncached_flag:
             return AddressClass.UncachedToCacheable
         return AddressClass.CacheableCoherent
@@ -408,17 +410,37 @@ def classify_request(addr: int, uncached_flag: bool,
 # ---------------------------------------------------------------------------
 
 def _validate_tables(tables: ProtocolTables):
-    def require(ok, where):
+    def require(ok, what):
         if not ok:
-            raise ValueError(f"{tables.name}: malformed cell {where}")
+            raise ValueError(f"{tables.name}: {what}")
 
+    # The cache controller and the checker look cells up by column name.
+    columns = {col for _, col in tables.lce}
+    require(columns == {LOAD, STORE} | {k._value_ for k in CommandKind},
+            f"columns {sorted(columns)} are not Load, Store and the commands")
     for (state, kind), cell in tables.lce.items():
         if cell is None:
             continue
         sends, nxt = cell
-        require(nxt == X_STATE or nxt is None
-                or isinstance(nxt, CoherenceState), (state, kind))
-        require(all(isinstance(e, Emission) for e in sends), (state, kind))
+        require((nxt == X_STATE or nxt is None
+                 or isinstance(nxt, CoherenceState))
+                and all(isinstance(e, Emission) for e in sends),
+                f"malformed cell {(state, kind)}")
+    # Every access is a hit or a miss by its Load or Store cell; one with
+    # no line (I) must miss, and store hits are exactly the writable states.
+    store_hits = set()
+    for state in tables.states:
+        for column in (LOAD, STORE):
+            cell = tables.lce.get((state._value_, column))
+            require(cell is not None, f"({state.value}, {column}) is blank")
+            hit = not LceAction(*cell).is_miss
+            require(not (hit and state is I),
+                    f"({state.value}, {column}) is a hit with no line")
+        if hit:
+            store_hits.add(state)
+    require(store_hits == set(WRITABLE_STATES),
+            f"store hits in {sorted(s.value for s in store_hits)}, not in "
+            f"the writable states")
     for (state, req), plan in tables.directory.items():
         if plan is None:
             continue

@@ -296,14 +296,25 @@ def _instr_text(i: Instr, label_of) -> str:
 
 def disassemble(words, labels: bool = True) -> str:
     """A listing of `words` in source syntax; EncodingError if a word is
-    not an instruction or a code in it names nothing."""
+    not an instruction, a code in it names nothing, or its line would
+    assemble to another instruction (it sets a field that its source
+    form cannot write, such as `poph`'s wp)."""
     instrs = [isa.decode(w) for w in words]
     targets = sorted({i["target"] for i in instrs
                       if i.op in isa.BRANCH_OPS | isa.JUMP_OPS})
     label_of = {t: f"L{t}" for t in targets}
+    pc_of = {label: t for t, label in label_of.items()}
     out = []
     for pc, i in enumerate(instrs):
+        text = _instr_text(i, label_of)
+        try:
+            same = _parse_instr(_Line(pc, text, None, text), pc_of) == i
+        except AsmError:
+            same = False
+        if not same:
+            raise EncodingError(f"word {pc} sets bits that its listing "
+                                f"{text!r} cannot show")
         if labels and pc in label_of:
             out.append(f"{label_of[pc]}:")
-        out.append("  " + _instr_text(i, label_of))
+        out.append("  " + text)
     return "\n".join(out) + "\n"

@@ -1,5 +1,6 @@
 """Explicit-state model checker for the protocol tables."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ from cohsim import checker
 from cohsim.checker import (CheckConfig, CheckResult, MUTATIONS, Model,
                             ModelError, check, check_invariants,
                             initial_state)
+from cohsim.protocol import MOESIF
 
 # (states, depth) of exhaustive searches, and the depth at which each
 # seeded mutation is caught with 3 caches (the same for both protocols).
@@ -183,12 +185,51 @@ class TestStateEncoding:
         def fill(latest):
             return model._shift(model._number(("fill", 1, 1, latest)))
 
-        owner = checker._entry(checker._M_NUM, 1, checker.IDLE) \
+        owner = checker._entry(checker._NUM[checker.M], 1, checker.IDLE) \
             << checker._N_BITS
         state = initial_state(2) + owner + (2 << fill(1))
         (nxt,) = [nxt for label, nxt in model.labelled_successors(state)
                   if label == "cache 0: store hit in M"]
         assert nxt == 2 + owner + (2 << fill(0))
+
+
+def _reached_labels(model):
+    """Every transition label of an exhaustive search of `model` that
+    expands past each state it cannot expand."""
+    init = initial_state(model.n)
+    seen, level, labels = {init}, [init], set()
+    while level:
+        nxt = []
+        for state in level:
+            try:
+                succs = model.labelled_successors(state)
+            except ModelError:
+                continue
+            for label, succ in succs:
+                labels.add(label)
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        level = nxt
+    return labels
+
+
+class TestTableDrivenLocalOperations:
+    """A cache's own operations come from the tables' cells: a mutated
+    cell changes what the checker explores."""
+
+    def test_replacement_cells_decide_evictions(self):
+        model = Model(CheckConfig(protocol="moesif", caches=2))
+        labels = _reached_labels(model)
+        assert {"cache 0: evict O block", "cache 0: evict E block",
+                "cache 0: evict M block"} <= labels
+        assert "cache 0: evict F block" not in labels
+        directory = MOESIF.directory
+        model = Model(CheckConfig(protocol="moesif", caches=2))
+        model.tables = dataclasses.replace(MOESIF, directory={
+            **directory,
+            ("F", "Replacement"): directory["O", "Replacement"]})
+        assert "cache 0: evict F block" in _reached_labels(model)
 
 
 _RESULTS_SCRIPT = """

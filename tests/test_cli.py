@@ -8,7 +8,7 @@ from cohsim import harness
 from cohsim.cli import load_config, main
 from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
-from cohsim.ucode.isa import Op
+from cohsim.ucode.isa import NO_STATE, Op, encode, make
 
 
 _ST = "[ISEMOF]"
@@ -119,7 +119,13 @@ class TestMicrocodeTools:
         (asm.to_binary([63 << 26]), "bad opcode 63"),
         (asm.to_binary([Op.POPQ.opcode << 26 | 3 << 24]), "queue code 3"),
         (asm.to_binary([Op.WDE.opcode << 26 | 6]), "state code 6"),
-    ], ids=["magic", "truncated", "opcode-63", "queue-3", "state-6"])
+        (asm.to_binary([0, encode(make(Op.POPH, queue=1, rd=2, wp=1))]),
+         "word 1 sets bits"),
+        (asm.to_binary([encode(make(Op.PUSHQ, dest=1, cmd_target=1,
+                                    state=NO_STATE, tr_state=NO_STATE))]),
+         "word 0 sets bits"),
+    ], ids=["magic", "truncated", "opcode-63", "queue-3", "state-6",
+            "poph-wp", "memcmd-target"])
     def test_disasm_bad_binary_exits_2_with_one_line(self, tmp_path, capsys,
                                                      blob, message):
         path = tmp_path / "bad.bin"

@@ -11,7 +11,7 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             TraceOp, compare_engines, default_monitors,
                             format_trace, overhead_calc, parse_trace,
                             random_workload, run_trace)
-from cohsim.protocol import MOESIF, CoherenceState, LceEventKind
+from cohsim.protocol import MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm
 
@@ -147,9 +147,9 @@ class TestMonitors:
     def test_swmr_flagged_in_the_cycle_it_appears(self, engine):
         """A cache whose (S, Inv) cell keeps the line S lets a writer
         coexist with a reader; the violation carries the upgrade's cycle."""
-        sends, _ = MOESIF.lce[(S, LceEventKind.Inv)]
+        sends, _ = MOESIF.lce[("S", "Inv")]
         broken = dataclasses.replace(
-            MOESIF, lce={**MOESIF.lce, (S, LceEventKind.Inv): (sends, S)})
+            MOESIF, lce={**MOESIF.lce, ("S", "Inv"): (sends, S)})
         system = System(SystemConfig(cores=2, sets=8, engine=engine))
         for lce in system.lces:
             lce.tables = broken

@@ -9,7 +9,7 @@ from cohsim.lce import (Busy, Hit, Lce, LceConfig, LceKind, MissIssued,
                         UnexpectedFill)
 from cohsim.messages import AtomicOp, CceCommand, Emission
 from cohsim.protocol import (MOESIF, CoherenceState, CommandKind,
-                             ImpossibleTransition, LceEventKind)
+                             ImpossibleTransition)
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -208,12 +208,23 @@ class TestCoherencePort:
         way = fill(lce, BASE, S)
         lce.handle_command(CceCommand(kind=CommandKind.Inv, addr=BASE), "cce0")
         assert lce.sets[0][way].state is I
-        sends, _ = MOESIF.lce[(S, LceEventKind.Inv)]
+        sends, _ = MOESIF.lce[("S", "Inv")]
         lce.tables = dataclasses.replace(
-            MOESIF, lce={**MOESIF.lce, (S, LceEventKind.Inv): (sends, S)})
+            MOESIF, lce={**MOESIF.lce, ("S", "Inv"): (sends, S)})
         way = fill(lce, BASE, S)
         lce.handle_command(CceCommand(kind=CommandKind.Inv, addr=BASE), "cce0")
         assert lce.sets[0][way].state is S
+
+    def test_load_cell_decides_hit_or_miss(self):
+        """A load in O misses when the table's (O, Load) cell says ReqRd:
+        hit or miss comes from the table alone."""
+        lce = Lce(LceConfig(lce_id=0), tables=dataclasses.replace(
+            MOESIF, lce={**MOESIF.lce, ("O", "Load"): ((Emission.ReqRd,),
+                                                       None)}))
+        way = fill(lce, BASE, O)
+        res = lce.access(BASE, write=False)
+        assert isinstance(res, MissIssued) and not res.request.write
+        assert lce.sets[0][way].state is O
 
     def test_blank_cell_raises_every_time(self):
         lce = make_lce()

@@ -8,58 +8,60 @@ import dataclasses
 
 import pytest
 
+from cohsim import protocol
 from cohsim.protocol import (AddressClass, CoherenceState, DirRequestKind,
                              Emission, ImpossibleTransition, InvalidateSet,
-                             LceEvent, LceEventKind, MESI, MOESIF,
-                             RegionMap, RequesterGrant, classify_request,
-                             state_permissions)
+                             MESI, MOESIF, RequesterGrant, classify_request)
 
 I, S, E, M, O, F = CoherenceState
 
-L = LceEventKind
+# The cache-controller table's columns, by name.
+LCE_COLUMNS = ("Load", "Store", "Inv", "DATA", "STW", "WB", "ST-WB", "TR",
+               "ST-TR", "ST-TR-WB")
+ATTACHED_COLUMNS = ("DATA", "STW", "ST-WB", "ST-TR", "ST-TR-WB")
 EV = Emission
 
 # (state, event) -> (emissions, next state); next None = unchanged,
 # "X" = taken from the command's attached state.
 LCE_EXPECTED = {
-    (I, L.Load): ((EV.ReqRd,), None),
-    (I, L.Store): ((EV.ReqWr,), None),
-    (I, L.Data): ((EV.CohAck,), "X"),
-    (S, L.Load): ((), None),
-    (S, L.Store): ((EV.ReqWr,), None),
-    (S, L.Inv): ((EV.InvAck,), I),
-    (S, L.StW): ((EV.CohAck,), M),
-    (E, L.Load): ((), None),
-    (E, L.Store): ((), M),
-    (E, L.Wb): ((EV.NullWB,), E),
-    (E, L.StWb): ((EV.NullWB,), "X"),
-    (E, L.StTr): ((EV.DataToTarget,), "X"),
-    (E, L.StTrWb): ((EV.DataToTarget, EV.NullWB), "X"),
-    (M, L.Load): ((), None),
-    (M, L.Store): ((), None),
-    (M, L.Wb): ((EV.DirtyWB,), M),
-    (M, L.StWb): ((EV.DirtyWB,), "X"),
-    (M, L.StTr): ((EV.DataToTarget,), "X"),
-    (M, L.StTrWb): ((EV.DataToTarget, EV.DirtyWB), "X"),
-    (O, L.Load): ((), None),
-    (O, L.Store): ((EV.ReqWr,), None),
-    (O, L.Inv): ((EV.InvAck,), I),
-    (O, L.StW): ((EV.CohAck,), M),
-    (O, L.Wb): ((EV.DirtyWB,), O),
-    (O, L.Tr): ((EV.DataToTarget,), O),
-    (O, L.StWb): ((EV.DirtyWB,), "X"),
-    (O, L.StTr): ((EV.DataToTarget,), "X"),
-    (F, L.Load): ((), None),
-    (F, L.Store): ((EV.ReqWr,), None),
-    (F, L.Inv): ((EV.InvAck,), I),
-    (F, L.StW): ((EV.CohAck,), M),
-    (F, L.Tr): ((EV.DataToTarget,), F),
-    (F, L.StTr): ((EV.DataToTarget,), "X"),
+    (I, "Load"): ((EV.ReqRd,), None),
+    (I, "Store"): ((EV.ReqWr,), None),
+    (I, "DATA"): ((EV.CohAck,), "X"),
+    (S, "Load"): ((), None),
+    (S, "Store"): ((EV.ReqWr,), None),
+    (S, "Inv"): ((EV.InvAck,), I),
+    (S, "STW"): ((EV.CohAck,), M),
+    (E, "Load"): ((), None),
+    (E, "Store"): ((), M),
+    (E, "WB"): ((EV.NullWB,), E),
+    (E, "ST-WB"): ((EV.NullWB,), "X"),
+    (E, "ST-TR"): ((EV.DataToTarget,), "X"),
+    (E, "ST-TR-WB"): ((EV.DataToTarget, EV.NullWB), "X"),
+    (M, "Load"): ((), None),
+    (M, "Store"): ((), None),
+    (M, "WB"): ((EV.DirtyWB,), M),
+    (M, "ST-WB"): ((EV.DirtyWB,), "X"),
+    (M, "ST-TR"): ((EV.DataToTarget,), "X"),
+    (M, "ST-TR-WB"): ((EV.DataToTarget, EV.DirtyWB), "X"),
+    (O, "Load"): ((), None),
+    (O, "Store"): ((EV.ReqWr,), None),
+    (O, "Inv"): ((EV.InvAck,), I),
+    (O, "STW"): ((EV.CohAck,), M),
+    (O, "WB"): ((EV.DirtyWB,), O),
+    (O, "TR"): ((EV.DataToTarget,), O),
+    (O, "ST-WB"): ((EV.DirtyWB,), "X"),
+    (O, "ST-TR"): ((EV.DataToTarget,), "X"),
+    (F, "Load"): ((), None),
+    (F, "Store"): ((EV.ReqWr,), None),
+    (F, "Inv"): ((EV.InvAck,), I),
+    (F, "STW"): ((EV.CohAck,), M),
+    (F, "TR"): ((EV.DataToTarget,), F),
+    (F, "ST-TR"): ((EV.DataToTarget,), "X"),
 }
 
-ALL_LCE_CELLS = [(s, k) for s in (I, S, E, M, O, F) for k in L]
+ALL_LCE_CELLS = [(s, k) for s in (I, S, E, M, O, F) for k in LCE_COLUMNS]
 LCE_BLANKS = sorted(set(ALL_LCE_CELLS) - set(LCE_EXPECTED),
-                    key=lambda c: (c[0].value, c[1].value))
+                    key=lambda c: (c[0].value, c[1]))
 
 K = DirRequestKind
 IV = InvalidateSet
@@ -102,23 +104,25 @@ DIR_BLANKS = sorted(set(ALL_DIR_CELLS) - set(DIR_EXPECTED),
                     key=lambda c: (c[0].value, c[1].value))
 
 
-def _event(state, kind):
-    if kind in (L.Data, L.StW, L.StWb, L.StTr, L.StTrWb):
-        return LceEvent(kind, M if state is not M else S)
-    return LceEvent(kind)
+def _attached(state, kind):
+    """The state a command of column `kind` carries to a cache in
+    `state`, or None for a column whose command carries none."""
+    if kind in ATTACHED_COLUMNS:
+        return M if state is not M else S
+    return None
 
 
 class TestLceTable:
     @pytest.mark.parametrize("state,kind", sorted(
-        LCE_EXPECTED, key=lambda c: (c[0].value, c[1].value)),
+        LCE_EXPECTED, key=lambda c: (c[0].value, c[1])),
         ids=lambda v: getattr(v, "value", v))
     def test_filled_cell(self, state, kind):
-        ev = _event(state, kind)
-        act = MOESIF.lce_event_action(state, ev)
+        attached = _attached(state, kind)
+        act = MOESIF.lce_event_action(state, kind, attached)
         sends, nxt = LCE_EXPECTED[(state, kind)]
         assert act.sends == sends
         if nxt == "X":
-            assert act.next_state is ev.attached_state
+            assert act.next_state is attached
         else:
             assert act.next_state is nxt
 
@@ -126,7 +130,7 @@ class TestLceTable:
                              ids=lambda v: getattr(v, "value", v))
     def test_blank_cell_is_impossible(self, state, kind):
         with pytest.raises(ImpossibleTransition):
-            MOESIF.lce_event_action(state, _event(state, kind))
+            MOESIF.lce_event_action(state, kind, _attached(state, kind))
 
     def test_cell_counts(self):
         assert len(LCE_EXPECTED) == 33
@@ -134,10 +138,10 @@ class TestLceTable:
 
     def test_mesi_has_no_owner_rows(self):
         assert MESI.states == (I, S, E, M)
-        act = MESI.lce_event_action(E, _event(E, L.StTrWb))
+        act = MESI.lce_event_action(E, "ST-TR-WB", M)
         assert act.sends == (EV.DataToTarget, EV.NullWB)
         with pytest.raises(ImpossibleTransition):
-            MESI.lce_event_action(O, _event(O, L.Load))
+            MESI.lce_event_action(O, "Load")
 
 
 class TestDirTable:
@@ -170,6 +174,22 @@ class TestDirTable:
         assert len(DIR_BLANKS) == 10
         assert len(ALL_DIR_CELLS) == 36
 
+    @pytest.mark.parametrize("write,non_exclusive,state,kind", [
+        (False, False, M, K.ReqRd),
+        (False, True, I, K.ReqRdNE),
+        (True, False, I, K.ReqWrFromI),
+        (True, False, S, K.ReqWrFromS),
+        (True, False, O, K.ReqWrFromOF),
+        (True, False, F, K.ReqWrFromOF),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_request_kind(self, write, non_exclusive, state, kind):
+        assert protocol.request_kind(write, non_exclusive, state) is kind
+
+    @pytest.mark.parametrize("state", [E, M])
+    def test_no_write_request_from_a_writable_state(self, state):
+        with pytest.raises(ImpossibleTransition):
+            protocol.request_kind(True, False, state)
+
     def test_mesi_read_of_owner_downgrades_to_shared(self):
         for st in (E, M):
             plan = MESI.dir_request_plan(st, K.ReqRd)
@@ -189,13 +209,33 @@ def test_tables_hash_by_identity():
 
 
 class TestPermissionsAndRegions:
-    def test_permissions(self):
-        assert state_permissions(I) == {"read": False, "write": False}
-        assert state_permissions(S)["read"] and not state_permissions(S)["write"]
-        for st in (E, M):
-            assert state_permissions(st) == {"read": True, "write": True}
-        for st in (O, F):
-            assert state_permissions(st) == {"read": True, "write": False}
+    """Access permissions come from the Load and Store cells, which
+    `_validate_tables` holds to the line-less and writable states."""
+
+    @staticmethod
+    def _with_lce_cells(cells):
+        return dataclasses.replace(MOESIF, lce={**MOESIF.lce, **cells})
+
+    @pytest.mark.parametrize("column", ["Load", "Store"])
+    def test_rejects_a_hit_in_i(self, column):
+        tables = self._with_lce_cells({("I", column): ((), None)})
+        with pytest.raises(ValueError, match="hit with no line"):
+            protocol._validate_tables(tables)
+
+    def test_rejects_command_columns_other_than_the_command_kinds(self):
+        renamed = {(letter, "TRANSFER" if col == "TR" else col): cell
+                   for (letter, col), cell in MOESIF.lce.items()}
+        with pytest.raises(ValueError, match="columns"):
+            protocol._validate_tables(
+                dataclasses.replace(MOESIF, lce=renamed))
+
+    @pytest.mark.parametrize("cells", [
+        {("O", "Store"): ((), M)},                # a store hit in O
+        {("E", "Store"): ((EV.ReqWr,), None)},    # a store miss in E
+    ], ids=["O-hit", "E-miss"])
+    def test_rejects_store_hits_outside_the_writable_states(self, cells):
+        with pytest.raises(ValueError, match="store hits"):
+            protocol._validate_tables(self._with_lce_cells(cells))
 
     def test_classify(self):
         assert classify_request(0x8000_0000, False) is \
@@ -205,11 +245,4 @@ class TestPermissionsAndRegions:
         assert classify_request(0x1000, True) is \
             AddressClass.UncachedToUncacheable
         assert classify_request(0x1000, False) is \
-            AddressClass.UncachedToUncacheable
-
-    def test_custom_region_map(self):
-        rm = RegionMap(cacheable=((0x0, 0x1000),))
-        assert classify_request(0x800, False, rm) is \
-            AddressClass.CacheableCoherent
-        assert classify_request(0x1000, False, rm) is \
             AddressClass.UncachedToUncacheable

@@ -7,7 +7,8 @@ import re
 import sys
 
 import cohsim
-from cohsim import cli
+from cohsim import cli, directory
+from cohsim.protocol import PROTOCOLS
 from cohsim.system import SystemConfig
 from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
@@ -120,6 +121,33 @@ def test_only_the_directory_reads_its_tag_sets():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "way_groups"]
     assert not found, found
+
+
+def test_only_the_protocol_picks_a_write_column():
+    """No module but `protocol` reads a write column of `DirRequestKind`:
+    everything else takes a request's column from `request_kind`."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        if name == "protocol.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{node.lineno}: {node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("ReqWrFromI", "ReqWrFromS",
+                                    "ReqWrFromOF")]
+    assert not found, found
+
+
+def test_directory_replacement_states_are_the_tables():
+    """A directory segment holds no tables, so it keeps its own copy of
+    the states whose eviction takes the writeback flow: every state with
+    a filled Replacement cell in some protocol."""
+    from_tables = {s for tables in PROTOCOLS.values()
+                   for s in tables.replacement_states}
+    assert set(directory.REPLACEMENT_STATES) == from_tables
+    assert len(directory.REPLACEMENT_STATES) == len(from_tables)
 
 
 def test_assembler_grammar_names_every_mnemonic():

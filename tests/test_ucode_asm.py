@@ -178,6 +178,28 @@ class TestEveryInstruction:
         assert asm.assemble_words(asm.disassemble(words)) == words
 
 
+class TestUnlistableWords:
+    """A word whose fields its source form cannot write has no listing:
+    disassembling it raises instead of dropping the bits."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(cmd_target=1), dict(addr_sel=1), dict(state=3),
+    ], ids=["cmd_target", "addr_sel", "state"])
+    def test_pushq_memcmd_with_lcecmd_fields(self, fields):
+        base = dict(dest=1, kind=0, state=NO_STATE, tr_state=NO_STATE)
+        assert asm.disassemble([encode(make(Op.PUSHQ, **base))]) == \
+            "  pushq memcmd specread\n"
+        word = encode(make(Op.PUSHQ, **{**base, **fields}))
+        with pytest.raises(EncodingError, match="word 0 sets bits"):
+            asm.disassemble([word])
+
+    def test_poph_with_wp(self):
+        assert asm.disassemble([encode(make(Op.POPH, queue=1, rd=2))]) == \
+            "  poph resp r2\n"
+        with pytest.raises(EncodingError, match="'poph resp r2' cannot show"):
+            asm.disassemble([encode(make(Op.POPH, queue=1, rd=2, wp=1))])
+
+
 class TestBinaryContainer:
     def test_roundtrip(self):
         words = asm.assemble_words(PROGRAM)
