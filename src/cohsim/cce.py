@@ -41,6 +41,7 @@ from .protocol import (AddressClass, CoherenceState, CommandKind,
 BUSY = "busy"
 WAIT = "wait"
 COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
+NULL_WB = Emission.NullWB
 INV_ACK = (Emission.InvAck,)
 
 
@@ -284,7 +285,7 @@ class CceCore:
         return kind
 
     def _note_victim_wb(self, resp):
-        self._txn.replacement = ("clean" if resp.kind is Emission.NullWB
+        self._txn.replacement = ("clean" if resp.kind is NULL_WB
                                  else "dirty")
 
     # -- arbitration -----------------------------------------------------------

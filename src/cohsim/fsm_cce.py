@@ -24,12 +24,23 @@ and its cycles never count toward request occupancy.
 
 from __future__ import annotations
 
-from .cce import BUSY, WAIT, CceCore, EngineFault
+from .cce import BUSY, NULL_WB, WAIT, CceCore, EngineFault
 from .messages import CceCommand, CohRequest, Emission, MemCmd
 from .protocol import (AddressClass, CommandKind, DirRequestKind, I, S,
                        E, F, InvalidateSet, RequesterGrant)
 
-WRITEBACKS = (Emission.NullWB, Emission.DirtyWB)
+# The enum members each transaction tests, as module constants (see the
+# note on `messages.REQUEST`).
+COHERENT = AddressClass.CacheableCoherent
+UNCACHEABLE = AddressClass.UncachedToUncacheable
+NO_INVALIDATION = InvalidateSet.Nothing
+OTHERS_AND_OWNER = InvalidateSet.OtherSharersAndOwner
+FROM_MEMORY, UPGRADE_STW = (RequesterGrant.DataFromMemory,
+                            RequesterGrant.UpgradeStW)
+STW, STWB, STTRWB = CommandKind.StW, CommandKind.StWb, CommandKind.StTrWb
+DIRTY_WB = Emission.DirtyWB
+WRITEBACKS = (NULL_WB, DIRTY_WB)
+REPLACEMENT = DirRequestKind.Replacement
 
 
 class FsmCce(CceCore):
@@ -52,7 +63,7 @@ class FsmCce(CceCore):
                 if req is None:
                     return WAIT
                 addr_class = self._open_txn(req)
-                if addr_class is AddressClass.CacheableCoherent:
+                if addr_class is COHERENT:
                     self._flow = self._coherent_flow(req)
                 else:
                     self._flow = self._uncached_flow(req, addr_class)
@@ -92,23 +103,22 @@ class FsmCce(CceCore):
         if found.replacement:
             yield from self._replacement_subflow(req, found, wg)
 
-        if plan.invalidate_set is not InvalidateSet.Nothing:
-            owner_too = (plan.invalidate_set
-                         is InvalidateSet.OtherSharersAndOwner)
+        if plan.invalidate_set is not NO_INVALIDATION:
+            owner_too = plan.invalidate_set is OTHERS_AND_OWNER
             yield from self._invalidate(
                 req.addr, self._inv_targets(found, req.lce, owner_too))
 
-        if plan.requester_grant is RequesterGrant.DataFromMemory:
+        if plan.requester_grant is FROM_MEMORY:
             if plan.grant_state is E:
                 self.spec.unset(wg)
             else:
                 self.spec.fwd_mod(wg, plan.grant_state)
             yield BUSY                   # resolve speculation
-        elif plan.requester_grant is RequesterGrant.UpgradeStW:
+        elif plan.requester_grant is UPGRADE_STW:
             self.spec.squash(wg)
             yield BUSY                   # squash speculation
             self._send_cmd(req.lce, CceCommand(
-                kind=CommandKind.StW, addr=req.addr, way=found.req_way,
+                kind=STW, addr=req.addr, way=found.req_way,
                 state=plan.grant_state))
             yield BUSY                   # upgrade command send
         else:
@@ -120,15 +130,14 @@ class FsmCce(CceCore):
     def _replacement_subflow(self, req: CohRequest, found, wg: int):
         """Evict the requester's LRU block: 2 cycles clean, 1+N dirty."""
         victim = self._victim_addr(req.addr, found.lru_tag)
-        plan = self.tables.dir_request_plan(found.lru_state,
-                                            DirRequestKind.Replacement)
+        plan = self.tables.dir_request_plan(found.lru_state, REPLACEMENT)
         self._send_cmd(req.lce, CceCommand(
             kind=plan.owner_command.command, addr=victim, way=found.lru_way,
             state=plan.owner_command.set_owner_state))
         yield BUSY                       # ST-WB send
         resp = yield from self._await_resp(victim, WRITEBACKS, req.lce)
         self._note_victim_wb(resp)
-        if resp.kind is Emission.NullWB:
+        if resp.kind is NULL_WB:
             yield BUSY                   # consume clean writeback header
         else:
             yield from self._write_back(resp, wg)
@@ -150,16 +159,16 @@ class FsmCce(CceCore):
             transfer_state=plan.owner_command.transfer_state,
             target_lce=req.lce, target_way=found.req_way))
         yield BUSY                       # owner command send
-        if cmd_kind is CommandKind.StTrWb:
+        if cmd_kind is STTRWB:
             resp = yield from self._await_resp(req.addr, WRITEBACKS, owner_lce)
-            if resp.kind is Emission.DirtyWB:
+            if resp.kind is DIRTY_WB:
                 yield from self._write_back(resp, wg)
 
     # -- uncached flows --------------------------------------------------------
 
     def _uncached_flow(self, req: CohRequest, addr_class: AddressClass):
         yield BUSY                       # Ready: classify
-        if addr_class is AddressClass.UncachedToUncacheable:
+        if addr_class is UNCACHEABLE:
             yield from self._to_memory(MemCmd(   # header + data beats
                 addr=req.addr, write=req.write, uncached=True, size=req.size,
                 data=req.data, lce=req.lce))
@@ -179,11 +188,11 @@ class FsmCce(CceCore):
                 yield from self._invalidate(req.addr, [(c, way)])
                 continue
             self.directory.write_state(req.addr, c, way, I)
-            self._send_cmd(c, CceCommand(kind=CommandKind.StWb, addr=req.addr,
-                                         way=way, state=I))
+            self._send_cmd(c, CceCommand(kind=STWB, addr=req.addr, way=way,
+                                         state=I))
             yield BUSY
             resp = yield from self._await_resp(req.addr, WRITEBACKS, c)
-            if resp.kind is Emission.DirtyWB:
+            if resp.kind is DIRTY_WB:
                 yield from self._write_back(resp, wg)
             else:
                 yield BUSY

@@ -22,11 +22,11 @@ import csv
 import io
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lce import Hit
 from .messages import AtomicOp
-from .protocol import DEFAULT_REGION_MAP, CoherenceState, I
+from .protocol import DEFAULT_REGION_MAP, STORE, CoherenceState, I
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
@@ -34,8 +34,9 @@ _ATOMIC_BY_OP = {"AMOADD": AtomicOp.Add, "AMOSWAP": AtomicOp.Swap,
                  "LR": AtomicOp.Lr, "SC": AtomicOp.Sc}
 
 
-@dataclass(frozen=True)
-class TraceOp:
+class TraceOp(NamedTuple):
+    """One trace operation: immutable and hashable, and cheap to build."""
+
     lce: int
     op: str                      # one of OPS
     addr: int = 0
@@ -97,8 +98,24 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
     pool); raising it raises cross-cache conflict and invalidation rates.
     Uncached accesses go to a per-cache slice of the uncacheable region so
     posted uncached stores never race across caches.
+
+    The trace depends only on the seeded generator's `getrandbits` and
+    `random` draws.  Each index below `n` is drawn as `Random.randrange(n)`
+    and `Random.choice` draw it: `getrandbits(n.bit_length())`, repeated
+    until the value is below `n`.
     """
     rng = random.Random(seed)
+    bits, rand = rng.getrandbits, rng.random
+
+    def below(n):
+        if n < 1:
+            raise ValueError(f"no index below {n}")
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     base = DEFAULT_REGION_MAP.cacheable[0][0]
     shared_n = max(1, footprint_blocks // 2)
     private_n = max(1, footprint_blocks - shared_n)
@@ -107,38 +124,44 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
                 for i in range(private_n)] for c in range(lces)]
     uncacheable = [[0x1000 + (c * private_n + i) * block_bytes
                     for i in range(private_n)] for c in range(lces)]
+    words = block_bytes // 8
+    uncached_below = fence_ratio + uncached_ratio
     out = []
+    append = out.append
     reserved = [None] * lces  # address of each cache's live LR, if any
     for _ in range(ops):
-        lce = rng.randrange(lces)
-        r = rng.random()
+        lce = below(lces)
+        r = rand()
         if r < fence_ratio:
-            out.append(TraceOp(lce, "FENCE"))
+            append(TraceOp(lce, "FENCE"))
             continue
-        word = rng.getrandbits(64)
-        if r < fence_ratio + uncached_ratio:
-            addr = rng.choice(uncacheable[lce])
-            if rng.random() < write_ratio:
-                out.append(TraceOp(lce, "STU", addr, word))
+        word = bits(64)
+        if r < uncached_below:
+            addr = uncacheable[lce][below(private_n)]
+            if rand() < write_ratio:
+                append(TraceOp(lce, "STU", addr, word))
             else:
-                out.append(TraceOp(lce, "LDU", addr))
+                append(TraceOp(lce, "LDU", addr))
             continue
-        pool = shared if rng.random() < sharing_degree else private[lce]
-        addr = rng.choice(pool) + 8 * rng.randrange(block_bytes // 8)
+        if rand() < sharing_degree:
+            addr = shared[below(shared_n)]
+        else:
+            addr = private[lce][below(private_n)]
+        addr += 8 * below(words)
         if reserved[lce] is not None:
-            out.append(TraceOp(lce, "SC", reserved[lce], word))
+            append(TraceOp(lce, "SC", reserved[lce], word))
             reserved[lce] = None
-        elif rng.random() < atomic_ratio:
-            kind = rng.choice(("AMOADD", "AMOSWAP", "LR"))
+        elif rand() < atomic_ratio:
+            kind = ("AMOADD", "AMOSWAP", "LR")[below(3)]
             if kind == "LR":
                 reserved[lce] = addr
-                out.append(TraceOp(lce, "LR", addr))
+                append(TraceOp(lce, "LR", addr))
             else:
-                out.append(TraceOp(lce, kind, addr, word))
-        elif rng.random() < write_ratio:
-            out.append(TraceOp(lce, "ST", addr, word))
+                append(TraceOp(lce, kind, addr, word))
+        elif rand() < write_ratio:
+            append(TraceOp(lce, "ST", addr, word))
         else:
-            out.append(TraceOp(lce, "LD", addr))
+            append(TraceOp(lce, "LD", addr))
     return out
 
 
@@ -298,23 +321,23 @@ def run_trace(system: System, ops, monitors=(),
         m.attach(system)
     block = system.cfg.block_bytes
 
-    def domain(op):
+    def domain(addr):
         """Serialization domain: cache set for cacheable addresses, the
         block itself for the uncacheable region."""
-        blk = op.addr - op.addr % block
-        if DEFAULT_REGION_MAP.is_cacheable(op.addr):
-            return (op.addr // block) % system.cfg.sets
-        return ("u", blk)
+        if DEFAULT_REGION_MAP.is_cacheable(addr):
+            return (addr // block) % system.cfg.sets
+        return ("u", addr - addr % block)
 
     queues = [[] for _ in system.lces]
     domains = [None] * len(ops)   # trace index -> serialization domain
     domain_order = {}             # domain -> trace indices, oldest first
     for idx, op in enumerate(ops):
-        if not 0 <= op.lce < len(system.lces):
-            raise TraceError(f"op {idx}: no such cache {op.lce}")
-        queues[op.lce].append((idx, op))
-        if op.op != "FENCE":
-            d = domains[idx] = domain(op)
+        lce, kind, addr, _ = op
+        if not 0 <= lce < len(system.lces):
+            raise TraceError(f"op {idx}: no such cache {lce}")
+        queues[lce].append((idx, op))
+        if kind != "FENCE":
+            d = domains[idx] = domain(addr)
             domain_order.setdefault(d, []).append(idx)
     for q in queues:
         q.reverse()  # pop() from the tail
@@ -351,8 +374,10 @@ def run_trace(system: System, ops, monitors=(),
             for i, q in enumerate(queues):
                 if not q or i in outstanding:
                     continue
-                idx, op = q[-1]
-                if op.op == "FENCE":
+                # Unpacked once: a `TraceOp` field read costs more than a
+                # local.
+                idx, (_, kind, addr, data) = q[-1]
+                if kind == "FENCE":
                     q.pop()
                     outstanding[i] = "fence"
                     fenced.append(i)
@@ -361,15 +386,15 @@ def run_trace(system: System, ops, monitors=(),
                 if domain_order[d][heads[d]] != idx:
                     continue   # an earlier trace op on this set must finish
                 q.pop()
-                data = (op.data.to_bytes(8, "little")
-                        if op.data is not None else None)
+                if data is not None:
+                    data = data.to_bytes(8, "little")
                 result = system.submit(
-                    i, op.addr, write=op.op in ("ST", "STU"),
-                    data=data, atomic=_ATOMIC_BY_OP.get(op.op),
-                    uncached=op.op in ("LDU", "STU"))
-                report.stores += op.op in ("ST", "STU", "AMOADD", "AMOSWAP",
-                                           "SC")
-                report.loads += op.op in ("LD", "LDU", "LR")
+                    i, addr, write=kind in ("ST", "STU"),
+                    data=data, atomic=_ATOMIC_BY_OP.get(kind),
+                    uncached=kind in ("LDU", "STU"))
+                report.stores += kind in ("ST", "STU", "AMOADD", "AMOSWAP",
+                                          "SC")
+                report.loads += kind in ("LD", "LDU", "LR")
                 if isinstance(result, Hit) or system.lces[i].miss is None:
                     finish(d)   # hit, SC, or posted uncached store
                 else:
@@ -424,15 +449,19 @@ def _memory_image(system: System):
 
 
 def _dir_image(system: System):
-    """Directory contents with the silent E-to-M upgrade canonicalized:
-    an E entry whose cache holds the line M is reported as M."""
+    """Directory contents with silent store upgrades canonicalized: an
+    entry whose cache's Store cell is a hit into another state (E to M in
+    the shipped tables), and whose line holds that state, is reported in
+    it."""
     out = {}
     for ci, cce in enumerate(system.cces):
         for (lce, set_idx, way), (tag, state) in cce.directory.snapshot().items():
-            if state is CoherenceState.E:
-                line = system.lces[lce].sets[set_idx][way]
-                if (line.tag == tag and line.state is CoherenceState.M):
-                    state = CoherenceState.M
+            cache = system.lces[lce]
+            line = cache.sets[set_idx][way]
+            if line.tag == tag and line.state is not state:
+                action = cache.tables.lce_event_action(state, STORE)
+                if not action.is_miss and action.next_state is line.state:
+                    state = line.state
             out[(ci, lce, set_idx, way)] = (tag, state)
     return out
 

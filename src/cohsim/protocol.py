@@ -87,6 +87,13 @@ def request_kind(write: bool, non_exclusive: bool,
     return kind
 
 
+# The requester states from which a write is an upgrade: those whose write
+# column is not "ReqWr from I".
+UPGRADE_STATES = tuple(CoherenceState(letter)
+                       for letter, kind in _WRITE_COLUMNS.items()
+                       if kind is not DirRequestKind.ReqWrFromI)
+
+
 class InvalidateSet(Enum):
     Nothing = "None"
     AllSharers = "all S"

@@ -38,8 +38,8 @@ from typing import Optional
 from ..cce import BUSY, WAIT, CceCore
 from ..directory import ENTRY_READ_LATENCY
 from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
-from ..protocol import (DEFAULT_REGION_MAP, CoherenceState, CommandKind,
-                        I, S, E, O, F)
+from ..protocol import (DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState,
+                        CommandKind, I, E)
 from . import asm, isa
 from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
@@ -58,8 +58,6 @@ GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
 # A copy's state, by value -> the cached-state flag `gad` sets for it.
 CACHED_FLAG = {"S": 1 << CSF, "E": 1 << CEF, "M": 1 << CMF, "O": 1 << COF,
                "F": 1 << CFF}
-# The requester's states from which a write is an upgrade.
-UPGRADE_STATES = (S, O, F)
 # The commands that also transfer the block to the requester.
 TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 
@@ -341,7 +339,8 @@ class UcodeCce(CceCore):
     def _gad(self, u) -> str:
         """Digest the last way-group read into the flags: the cached-state
         flags of every copy but the requester's, replacement, and upgrade
-        (a write, by the current WNR flag, from S, O or F)."""
+        (a write, by the current WNR flag, from an `UPGRADE_STATES`
+        state)."""
         found = self._found
         if found is None:
             raise MicrocodeFault("gad before rdw")

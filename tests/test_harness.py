@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             TraceOp, compare_engines, default_monitors,
                             format_trace, overhead_calc, parse_trace,
                             random_workload, run_trace)
-from cohsim.protocol import MOESIF, CoherenceState
+from cohsim.protocol import DEFAULT_REGION_MAP, MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm
 
@@ -73,6 +74,102 @@ class TestWorkloadGenerator:
                 live[op.lce] = op.addr
             elif op.op == "SC":
                 assert live.pop(op.lce) == op.addr
+
+
+def reference_workload(seed: int, lces: int = 2, ops: int = 1000,
+                       footprint_blocks: int = 64, write_ratio: float = 0.4,
+                       sharing_degree: float = 0.5,
+                       uncached_ratio: float = 0.02,
+                       atomic_ratio: float = 0.05, fence_ratio: float = 0.01,
+                       block_bytes: int = 64) -> list:
+    """`random_workload` as first written, on `randrange` and `choice`:
+    the generator it must keep matching draw for draw."""
+    rng = random.Random(seed)
+    base = DEFAULT_REGION_MAP.cacheable[0][0]
+    shared_n = max(1, footprint_blocks // 2)
+    private_n = max(1, footprint_blocks - shared_n)
+    shared = [base + i * block_bytes for i in range(shared_n)]
+    private = [[base + (shared_n + c * private_n + i) * block_bytes
+                for i in range(private_n)] for c in range(lces)]
+    uncacheable = [[0x1000 + (c * private_n + i) * block_bytes
+                    for i in range(private_n)] for c in range(lces)]
+    out = []
+    reserved = [None] * lces  # address of each cache's live LR, if any
+    for _ in range(ops):
+        lce = rng.randrange(lces)
+        r = rng.random()
+        if r < fence_ratio:
+            out.append(TraceOp(lce, "FENCE"))
+            continue
+        word = rng.getrandbits(64)
+        if r < fence_ratio + uncached_ratio:
+            addr = rng.choice(uncacheable[lce])
+            if rng.random() < write_ratio:
+                out.append(TraceOp(lce, "STU", addr, word))
+            else:
+                out.append(TraceOp(lce, "LDU", addr))
+            continue
+        pool = shared if rng.random() < sharing_degree else private[lce]
+        addr = rng.choice(pool) + 8 * rng.randrange(block_bytes // 8)
+        if reserved[lce] is not None:
+            out.append(TraceOp(lce, "SC", reserved[lce], word))
+            reserved[lce] = None
+        elif rng.random() < atomic_ratio:
+            kind = rng.choice(("AMOADD", "AMOSWAP", "LR"))
+            if kind == "LR":
+                reserved[lce] = addr
+                out.append(TraceOp(lce, "LR", addr))
+            else:
+                out.append(TraceOp(lce, kind, addr, word))
+        elif rng.random() < write_ratio:
+            out.append(TraceOp(lce, "ST", addr, word))
+        else:
+            out.append(TraceOp(lce, "LD", addr))
+    return out
+
+
+# Uncached, atomic and fence ratios at zero and at high values.
+RATIOS = {
+    "none": dict(uncached_ratio=0, atomic_ratio=0, fence_ratio=0),
+    "high": dict(uncached_ratio=0.3, atomic_ratio=0.4, fence_ratio=0.2,
+                 write_ratio=0.7, sharing_degree=0.9),
+}
+
+
+# Every combination of cache count, footprint, block size and ratios, each
+# on four of the seeds 0-19 in turn.
+GRID = [(*params, range(4 * (i % 5), 4 * (i % 5) + 4))
+        for i, params in enumerate(itertools.product(
+            [1, 2, 3, 8], [1, 5, 64, 256], [32, 64], RATIOS))]
+
+
+class TestWorkloadMatchesReference:
+    @pytest.mark.parametrize("lces,footprint,block_bytes,ratios,seeds", GRID)
+    def test_same_trace_as_reference(self, lces, footprint, block_bytes,
+                                     ratios, seeds):
+        kw = dict(lces=lces, ops=2000, footprint_blocks=footprint,
+                  block_bytes=block_bytes, **RATIOS[ratios])
+        for seed in seeds:
+            assert (random_workload(seed, **kw)
+                    == reference_workload(seed, **kw)), seed
+
+    def test_same_trace_at_default_parameters(self):
+        for seed in range(20):
+            assert random_workload(seed) == reference_workload(seed)
+
+    @pytest.mark.parametrize("kw", [dict(lces=0), dict(block_bytes=4)])
+    def test_empty_draw_range_raises_as_reference(self, kw):
+        for gen in (reference_workload, random_workload):
+            with pytest.raises(ValueError):
+                gen(1, ops=10, **kw)
+
+    def test_trace_op_is_immutable_and_hashable(self):
+        op = TraceOp(1, "ST", BASE, 5)
+        with pytest.raises(AttributeError):
+            op.addr = 0
+        assert {op: "st"}[TraceOp(1, "ST", BASE, 5)] == "st"
+        assert TraceOp(0, "FENCE") == TraceOp(0, "FENCE", 0, None)
+        assert op.format() == f"1 ST {BASE:#x} 0x5"
 
 
 class TestMonitors:
@@ -352,6 +449,19 @@ class TestCompareEngines:
             protocol=protocol))
         assert report.equivalent, report.differences
         assert not report.violations
+
+    def test_directory_image_takes_the_silent_upgrade_from_the_store_cell(
+            self):
+        """A directory E entry over a line the cache holds M is reported M
+        because the cache's (E, Store) cell is Hit/M; with that cell a
+        plain hit, it stays E."""
+        system = System(SystemConfig(cores=2, sets=8))
+        system.preload_line(0, BASE, M, dir_state=E)
+        entry = (0, 0, 0, 0)   # (cce, cache, set, way)
+        assert harness._dir_image(system)[entry][1] is M
+        system.lces[0].tables = dataclasses.replace(
+            MOESIF, lce={**MOESIF.lce, ("E", "Store"): ((), None)})
+        assert harness._dir_image(system)[entry][1] is E
 
     def test_empty_trace_ratio_is_one(self):
         report = compare_engines([], SystemConfig(cores=2, sets=8))

@@ -190,6 +190,20 @@ class TestDirTable:
         with pytest.raises(ImpossibleTransition):
             protocol.request_kind(True, False, state)
 
+    def test_upgrade_states_are_the_write_columns_but_from_i(self):
+        """A write is an upgrade exactly from the states whose write
+        request has a column other than ReqWr from I."""
+        def upgrades(state):
+            try:
+                kind = protocol.request_kind(True, False, state)
+            except ImpossibleTransition:
+                return False
+            return kind is not K.ReqWrFromI
+
+        assert protocol.UPGRADE_STATES == tuple(
+            s for s in CoherenceState if upgrades(s))
+        assert protocol.UPGRADE_STATES == (S, O, F)
+
     def test_mesi_read_of_owner_downgrades_to_shared(self):
         for st in (E, M):
             plan = MESI.dir_request_plan(st, K.ReqRd)

@@ -71,6 +71,56 @@ def test_stdlib_only_imports():
     assert not found, found
 
 
+def _shared_random_uses(tree):
+    """Uses of the `random` module other than building a seeded
+    `random.Random(...)`: (line, what) for each."""
+    found = []
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "random"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [(node.lineno, f"from random import {alias.name}")
+                      for alias in node.names]
+    seeded = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and (node.args or node.keywords)}
+    found += [(node.lineno, f"{node.value.id}.{node.attr}")
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases
+              and not (node.attr == "Random" and id(node) in seeded)]
+    return found
+
+
+def test_random_draws_come_from_a_seeded_generator():
+    """`random` serves only to build a seeded `random.Random(...)`: no
+    module-level draw or reseed such as `random.random()`,
+    `random.choice()` or `random.seed()`, so every trace is reproducible
+    from its seed."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SRC)}:{line}: {what}"
+                  for line, what in _shared_random_uses(tree)]
+    assert not found, found
+
+
+def test_shared_random_uses_are_found():
+    source = ("import random\n"
+              "import random as r\n"
+              "from random import choice\n"
+              "rng = random.Random(1)\n"
+              "rng2 = r.Random(seed)\n"
+              "random.seed(1)\n"
+              "r.random()\n"
+              "random.Random()\n")
+    assert _shared_random_uses(ast.parse(source)) == [
+        (3, "from random import choice"), (6, "random.seed"),
+        (7, "r.random"), (8, "random.Random")]
+
+
 def test_documented_config_keys_are_the_system_config_fields():
     """README's "Config files" section and the `cli` docstring name every
     `SystemConfig` field as a config key, and nothing else."""
