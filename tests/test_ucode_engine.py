@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from cohsim import harness
 from cohsim.directory import SegmentConfig
-from cohsim.messages import Emission, LceResponse
+from cohsim.messages import (REQUEST, CohRequest, Emission, LceResponse,
+                             NetMessage)
 from cohsim.network import NetConfig, Network
 from cohsim.occupancy import measure_occupancy
 from cohsim.protocol import CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm, engine as ucode_engine
 from cohsim.ucode.engine import UcodeCce
+from cohsim.ucode import isa
 from cohsim.ucode.isa import NUM_GPRS, Op
 
 I, S, E, M, O, F = CoherenceState
@@ -130,6 +132,57 @@ class TestMultiCycleUnits:
         eng.umshr.addr = BASE
         base = (1 + 4 // 2) + 1 + 1  # rdw + gad + trailing nop
         assert busy_after(eng) == base
+
+
+class TestSpecials:
+    """`mov rN, %special` after `popq req; rdw; gad` reads the request
+    taken and the way-group read made for it, on a preloaded way group
+    with and without an owner copy."""
+
+    STATE_CODE = {CoherenceState(name): code
+                  for code, name in enumerate(isa.STATES)}
+
+    @staticmethod
+    def preload(eng, with_owner):
+        """Four caches; the requester, cache 1, names way 1 as its LRU way,
+        which holds another block of the set."""
+        cfg = eng.cfg
+        addr = BASE + 5 * cfg.block_bytes
+        other = addr + 3 * cfg.sets_per_cache * cfg.block_bytes
+        d = eng.directory
+        d.write_entry(addr, 0, 2, state=S)
+        d.write_entry(other, 1, 1, state=M)
+        if with_owner:
+            d.write_entry(addr, 2, 3, state=O)
+            d.write_entry(addr, 3, 0, state=S)
+        else:
+            d.write_entry(addr, 1, 2, state=S)
+        return CohRequest(lce=1, addr=addr, write=True, lru_way=1)
+
+    @pytest.mark.parametrize("with_owner", [True, False])
+    @pytest.mark.parametrize("special", isa.SPECIALS)
+    def test_special_reads_request_and_way_group_read(self, tmp_path,
+                                                      special, with_owner):
+        eng = make_engine(tmp_path, "  popq req\n  rdw\n  gad\n"
+                          f"  mov r1, %{special}\n  wfq resp\n", caches=4)
+        req = self.preload(eng, with_owner)
+        eng.accept(NetMessage(REQUEST, "lce1", eng.endpoint, req))
+        busy_after(eng, ticks=20)
+        found = eng.directory.read_way_group(req.addr, req.lce, req.lru_way)
+        assert (found.owner is not None) is with_owner
+        owner_lce, _, owner_state = found.owner or (0, 0, I)
+        code = self.STATE_CODE
+        expect = {
+            "reqaddr": req.addr, "reqlce": req.lce,
+            "reqstate": code[found.req_state],
+            "ownerlce": owner_lce, "ownerstate": code[owner_state],
+            "reqway": found.req_way, "lruway": req.lru_way,
+            "lrutag": found.lru_tag,
+            "setindex": eng.cfg.set_index(req.addr),
+            "sharers": found.sharers, "reqsize": req.size,
+        }
+        assert set(expect) == set(isa.SPECIALS)
+        assert eng.regs[1] == expect[special]
 
 
 class TestFastPath:
