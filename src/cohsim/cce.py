@@ -32,8 +32,8 @@ from . import protocol
 from .directory import (DirectorySegment, PendingBits, SegmentConfig,
                         SpecBits, way_group_home)
 from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
-                       CceCommand, CohRequest, Emission, MemCmd, MemResp,
-                       NetKind, NetMessage)
+                       CceCommand, CohRequest, Emission, MemCmd, NetKind,
+                       NetMessage)
 from .network import Network
 from .protocol import (AddressClass, CoherenceState, CommandKind,
                        DirRequestKind, I, S, classify_request, request_kind)
@@ -345,7 +345,7 @@ class CceCore:
     def _mem_resp_tick(self):
         """Concurrent three-outcome machine: squash, rewrite-and-forward,
         or forward unchanged; write acks are sunk."""
-        resp: MemResp = self.memresp_q[0]
+        resp: MemCmd = self.memresp_q[0]
         if resp.uncached:
             self.memresp_q.popleft()
             self.net.release_mem_credit()

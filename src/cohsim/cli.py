@@ -164,6 +164,15 @@ def _cmd_overhead(args) -> int:
 def _cmd_tracegen(args) -> int:
     if args.lces < 1:
         raise _config_error(f"lces must be at least 1, got {args.lces}")
+    if args.ops < 0:
+        raise _config_error(f"ops must not be negative, got {args.ops}")
+    if args.footprint < 1:
+        raise _config_error(
+            f"footprint must be at least 1, got {args.footprint}")
+    for name in ("write_ratio", "sharing"):
+        value = getattr(args, name)
+        if not 0 <= value <= 1:
+            raise _config_error(f"{name} must be from 0 to 1, got {value}")
     ops = harness.random_workload(
         seed=args.seed, lces=args.lces, ops=args.ops,
         footprint_blocks=args.footprint, write_ratio=args.write_ratio,

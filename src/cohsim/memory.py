@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .messages import MEM_CMD, MEM_RESP, MemCmd, MemResp, NetMessage
+from .messages import MEM_CMD, MEM_RESP, MemCmd, NetMessage
 from .network import Network
 
 SUPPORTED_SIZES = (1, 2, 4, 8)   # word accesses; a whole block is allowed too
@@ -57,7 +57,8 @@ class MemoryConfig:
 
 
 class MemoryModel:
-    """Consumes MemCmd messages and produces MemResp messages in FIFO order."""
+    """Consumes memory commands and answers each, in FIFO order, with a
+    `MemCmd` record on the MemResp network."""
 
     endpoint = "mem"
 
@@ -65,21 +66,21 @@ class MemoryModel:
                  store: BackingStore = None):
         self.cfg = cfg
         self.store = store if store is not None else BackingStore(cfg.block_bytes)
-        self.inflight = deque()  # (ready_time, resp_msg_dst, MemResp)
+        self.inflight = deque()  # (ready_time, resp_msg_dst, response)
 
-    def handle_mem_cmd(self, cmd: MemCmd) -> MemResp:
+    def handle_mem_cmd(self, cmd: MemCmd) -> MemCmd:
         if cmd.write:
             self.store.write(cmd.addr, cmd.data)
             # Header-only acknowledgment.  Fields in order: addr, write,
             # uncached, size, data, spec, wp, lce, way, state.
-            return MemResp(cmd.addr, True, cmd.uncached, cmd.size, None,
-                           cmd.spec, cmd.wp, cmd.lce, cmd.way, cmd.state)
+            return MemCmd(cmd.addr, True, cmd.uncached, cmd.size, None,
+                          cmd.spec, cmd.wp, cmd.lce, cmd.way, cmd.state)
         size = cmd.size if cmd.uncached else self.cfg.block_bytes
         addr = cmd.addr if cmd.uncached else (
             cmd.addr - cmd.addr % self.cfg.block_bytes)
-        return MemResp(cmd.addr, False, cmd.uncached, size,
-                       self.store.read(addr, size), cmd.spec, cmd.wp,
-                       cmd.lce, cmd.way, cmd.state)
+        return MemCmd(cmd.addr, False, cmd.uncached, size,
+                      self.store.read(addr, size), cmd.spec, cmd.wp,
+                      cmd.lce, cmd.way, cmd.state)
 
     def tick(self, now: int, net: Network):
         if net.next_ready.get(self.endpoint, now + 1) <= now:

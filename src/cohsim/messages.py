@@ -94,6 +94,9 @@ class FillData:
 
 @dataclass(slots=True)
 class MemCmd:
+    """Directory -> memory, on the MemCmd network.  Memory answers with
+    one on the MemResp network that echoes the command's fields."""
+
     addr: int
     write: bool
     uncached: bool = False
@@ -102,20 +105,6 @@ class MemCmd:
     spec: bool = False
     wp: bool = False  # response consumption decrements the pending counter
     # Routing metadata echoed back in the response.
-    lce: Optional[int] = None
-    way: int = 0
-    state: Optional[CoherenceState] = None
-
-
-@dataclass(slots=True)
-class MemResp:
-    addr: int
-    write: bool
-    uncached: bool = False
-    size: int = 64
-    data: Optional[bytes] = None
-    spec: bool = False
-    wp: bool = False
     lce: Optional[int] = None
     way: int = 0
     state: Optional[CoherenceState] = None

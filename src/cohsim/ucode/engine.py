@@ -22,6 +22,10 @@ rule, the same for both engines: wait inside a transaction, stall or idle
 outside one.  A transaction opens at `popq req` and closes at the next
 `wfq req` or `popq req`.
 
+Instructions read the request `popq req` took and the way-group read
+`rdw` made for it in place.  Reading either before it exists, or naming
+an owner the read did not find, is a `MicrocodeFault`.
+
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
 speculative-read bits.
@@ -30,13 +34,12 @@ speculative-read bits.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
 from ..cce import BUSY, WAIT, CceCore
-from ..directory import ENTRY_READ_LATENCY
+from ..directory import ENTRY_READ_LATENCY, WayGroupRead
 from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
 from ..protocol import (DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState,
                         CommandKind, I, E)
@@ -60,26 +63,12 @@ CACHED_FLAG = {"S": 1 << CSF, "E": 1 << CEF, "M": 1 << CMF, "O": 1 << COF,
                "F": 1 << CFF}
 # The commands that also transfer the block to the requester.
 TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
+# What `%ownerlce` and `%ownerstate` read when no copy is an owner.
+NO_OWNER = (0, 0, I)
 
 
 class MicrocodeFault(Exception):
-    pass
-
-
-@dataclass(slots=True)
-class UMshr:
-    addr: int = 0
-    lce: int = 0
-    lru_way: int = 0
-    size: int = 64
-    data: Optional[bytes] = None
-    req_way: int = 0
-    req_state: CoherenceState = I
-    owner_lce: int = 0
-    owner_way: int = 0
-    owner_state: CoherenceState = I
-    lru_tag: int = 0
-    lru_state: CoherenceState = I
+    """The program asked for something its engine cannot do."""
 
 
 def default_program(protocol_name: str) -> str:
@@ -97,9 +86,11 @@ class Uop:
     `isa`'s tables, except that a state field holds its `CoherenceState`
     (None for no state) and a `pushq lcecmd` kind its `CommandKind`; a
     `wfq` queue mask holds its bits as `waits_req`, `waits_resp` and
-    `waits_memresp`.  So executing an instruction decodes nothing."""
+    `waits_memresp`.  So executing an instruction decodes nothing.  The
+    decoded `instr` is kept for fault messages."""
 
     def __init__(self, instr: Instr):
+        self.instr = instr
         dest = instr.get("dest")
         for field, code in instr.fields:
             if field in ("state", "tr_state"):
@@ -140,9 +131,8 @@ class UcodeCce(CceCore):
         self.pc = 0
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
-        self.umshr = UMshr()
         self.last_resp = None
-        self._found = None   # the last way-group read of this request
+        self._found = None   # this request's way-group read, once `rdw` ran
         self._unit = None   # the running datapath unit, if any
         self.mispredicts = 0
 
@@ -194,8 +184,30 @@ class UcodeCce(CceCore):
             self.mispredicts += 1
         return BUSY
 
+    def _fault(self, why: str) -> MicrocodeFault:
+        """A fault of the executing instruction, the one at `pc`."""
+        text = asm.disassemble([isa.encode(self.imem[self.pc].instr)],
+                               labels=False)
+        return MicrocodeFault(f"pc {self.pc} ({text.strip()}) {why}")
+
+    def _request(self) -> CohRequest:
+        if self._req is None:
+            raise self._fault("reads the request before the first popq req")
+        return self._req
+
+    def _read(self) -> WayGroupRead:
+        if self._found is None:
+            raise self._fault("reads the way-group read before rdw")
+        return self._found
+
+    def _owner(self, found: WayGroupRead) -> tuple:
+        """The (cache, way, state) of the owner copy `found`."""
+        if found.owner is None:
+            raise self._fault("names the owner, but no copy is an owner")
+        return found.owner
+
     def _wg(self) -> int:
-        return self.local_wg(self.umshr.addr)
+        return self.local_wg(self._request().addr)
 
     # -- instruction semantics ---------------------------------------------------
     # One handler per opcode (see `_HANDLERS`), called as
@@ -222,7 +234,7 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _movs(self, u) -> str:
-        self.regs[u.rd] = u.fn(self, self.umshr)
+        self.regs[u.rd] = u.fn(self, self._request())
         self.pc += 1
         return BUSY
 
@@ -261,10 +273,9 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _rdw(self, u) -> str:
-        m = self.umshr
-        found = self._found = self.directory.read_way_group(
-            m.addr, m.lce, m.lru_way)
-        m.lru_tag, m.lru_state = found.lru_tag, found.lru_state
+        req = self._request()
+        self._found = self.directory.read_way_group(req.addr, req.lce,
+                                                    req.lru_way)
         return self._start(self._busy(self.cfg.way_group_read_latency))
 
     def _rde(self, u) -> str:
@@ -283,24 +294,27 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _clr(self, u) -> str:
-        m = self.umshr
-        self.directory.clear_row(m.addr, m.lce)
+        req = self._request()
+        self.directory.clear_row(req.addr, req.lce)
         self.pc += 1
         return BUSY
 
     def _wde(self, u) -> str:
-        m = self.umshr
-        self.directory.write_entry(m.addr, m.lce, m.req_way, state=u.state)
+        found = self._read()
+        req = self._req
+        self.directory.write_entry(req.addr, req.lce, found.req_way,
+                                   state=u.state)
         self.pc += 1
         return BUSY
 
     def _wds(self, u) -> str:
-        m = self.umshr
+        found = self._read()
+        req = self._req
         if u.cmd_target == "owner":
-            self.directory.write_state(m.addr, m.owner_lce, m.owner_way,
-                                       u.state)
+            lce, way, _ = self._owner(found)
         else:
-            self.directory.write_state(m.addr, m.lce, m.req_way, u.state)
+            lce, way = req.lce, found.req_way
+        self.directory.write_state(req.addr, lce, way, u.state)
         self.pc += 1
         return BUSY
 
@@ -337,15 +351,12 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _gad(self, u) -> str:
-        """Digest the last way-group read into the flags: the cached-state
-        flags of every copy but the requester's, replacement, and upgrade
-        (a write, by the current WNR flag, from an `UPGRADE_STATES`
-        state)."""
-        found = self._found
-        if found is None:
-            raise MicrocodeFault("gad before rdw")
-        m = self.umshr
-        lce = m.lce
+        """Digest this request's way-group read into the flags: the
+        cached-state flags of every copy but the requester's, replacement,
+        and upgrade (a write, by the current WNR flag, from an
+        `UPGRADE_STATES` state)."""
+        found = self._read()
+        lce = self._req.lce
         flags = (self.flags & GAD_KEEP | found.replacement << RF
                  | (self.flags >> WNR & 1
                     and found.req_state in UPGRADE_STATES) << UF)
@@ -353,9 +364,6 @@ class UcodeCce(CceCore):
             if c != lce:
                 flags |= CACHED_FLAG[state._value_]
         self.flags = flags
-        m.owner_lce, m.owner_way, m.owner_state = found.owner or (0, 0, I)
-        m.req_way = found.req_way
-        m.req_state = found.req_state
         if self._txn is not None:
             self._note_lookup(found)
         self.pc += 1
@@ -375,7 +383,11 @@ class UcodeCce(CceCore):
             if req is None:
                 return WAIT
             self._open_txn(req)
-            self._load_request(req)
+            self._found = None
+            self.flags = (req.write << WNR | req.uncached << UCF
+                          | req.non_exclusive << NEX
+                          | (req.atomic is not None) << AF
+                          | DEFAULT_REGION_MAP.is_cacheable(req.addr) << CAF)
             self.pc += 1
             return BUSY
         q = self.resp_q if queue == "resp" else self.memresp_q
@@ -385,8 +397,8 @@ class UcodeCce(CceCore):
         self.last_resp = resp
         if (queue == "resp" and self._txn is not None
                 and self.flags >> RF & 1
-                and resp.addr == self._victim_addr(self.umshr.addr,
-                                                   self.umshr.lru_tag)):
+                and resp.addr == self._victim_addr(self._req.addr,
+                                                   self._read().lru_tag)):
             self._note_victim_wb(resp)
         self.regs[u.rd] = self._resp_code(resp)
         if u.wp:
@@ -396,62 +408,47 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _load_request(self, req: CohRequest):
-        m = self.umshr
-        m.addr = req.addr
-        m.lce = req.lce
-        m.lru_way = req.lru_way
-        m.size = req.size
-        m.data = req.data
-        m.req_way = req.lru_way
-        m.req_state = I
-        self._found = None
-        self.flags = (req.write << WNR | req.uncached << UCF
-                      | req.non_exclusive << NEX
-                      | (req.atomic is not None) << AF
-                      | DEFAULT_REGION_MAP.is_cacheable(req.addr) << CAF)
-
     def _pushq(self, u) -> str:
-        m = self.umshr
         if u.dest == "memcmd":
             kind = u.kind
             wg = self._wg() if u.wp else None
-            if kind == "specread":
-                cmd = MemCmd(addr=m.addr, write=False, spec=True, lce=m.lce,
-                             way=m.lru_way, state=E)
-            elif kind == "wb":
+            if kind == "wb":
                 return self._start(self._write_back(self.last_resp, wg))
+            req = self._request()
+            if kind == "specread":
+                cmd = MemCmd(addr=req.addr, write=False, spec=True,
+                             lce=req.lce, way=req.lru_way, state=E)
             else:   # uncached access for the current request
                 write = bool(self.flags >> WNR & 1)
-                cmd = MemCmd(addr=m.addr, write=write, uncached=True,
-                             size=m.size, data=m.data if write else None,
-                             lce=m.lce, wp=bool(u.wp))
+                cmd = MemCmd(addr=req.addr, write=write, uncached=True,
+                             size=req.size, data=req.data if write else None,
+                             lce=req.lce, wp=bool(u.wp))
             return self._start(self._to_memory(cmd, wg))
 
         kind = u.kind
-        to_owner = u.cmd_target == "owner"
+        found = self._read()
+        req = self._req
         victim = u.addr_sel == "victim"
-        addr = self._victim_addr(m.addr, m.lru_tag) if victim else m.addr
-        if to_owner:
-            lce, way = m.owner_lce, m.owner_way
+        addr = (self._victim_addr(req.addr, found.lru_tag) if victim
+                else req.addr)
+        if u.cmd_target == "owner":
+            lce, way, _ = self._owner(found)
         else:
-            lce, way = m.lce, (m.lru_way if victim else m.req_way)
+            lce, way = req.lce, (req.lru_way if victim else found.req_way)
         cmd = CceCommand(kind=kind, addr=addr, way=way, state=u.state,
                          transfer_state=u.tr_state)
         if kind in TRANSFERS:
-            cmd.target_lce = m.lce
-            cmd.target_way = m.req_way
+            cmd.target_lce = req.lce
+            cmd.target_way = found.req_way
         self._send_cmd(lce, cmd)
         self.pc += 1
         return BUSY
 
     def _inv(self, u) -> str:
-        found = self._found
-        if found is None:
-            raise MicrocodeFault("inv before rdw")
-        m = self.umshr
+        found = self._read()
+        req = self._req
         return self._start(
-            self._invalidate(m.addr, self._inv_targets(found, m.lce)))
+            self._invalidate(req.addr, self._inv_targets(found, req.lce)))
 
 
 @lru_cache(maxsize=16)
@@ -477,27 +474,23 @@ def _flags_none(hit, mask):
     return hit == 0
 
 
-def _sharers(engine, m) -> int:
-    found = engine._found
-    return found.sharers if found else 0
-
-
 _STATE_CODE = {CoherenceState(name): code
                for code, name in enumerate(isa.STATES)}
 
-# Special name -> its reader, called as reader(engine, umshr).
+# Special name -> its reader, called as reader(engine, request).
 _SPECIAL_READERS = {
-    "reqaddr": lambda engine, m: m.addr,
-    "reqlce": lambda engine, m: m.lce,
-    "reqstate": lambda engine, m: _STATE_CODE[m.req_state],
-    "ownerlce": lambda engine, m: m.owner_lce,
-    "ownerstate": lambda engine, m: _STATE_CODE[m.owner_state],
-    "reqway": lambda engine, m: m.req_way,
-    "lruway": lambda engine, m: m.lru_way,
-    "lrutag": lambda engine, m: m.lru_tag,
-    "setindex": lambda engine, m: engine.cfg.set_index(m.addr),
-    "sharers": _sharers,
-    "reqsize": lambda engine, m: m.size,
+    "reqaddr": lambda engine, req: req.addr,
+    "reqlce": lambda engine, req: req.lce,
+    "reqstate": lambda engine, req: _STATE_CODE[engine._read().req_state],
+    "ownerlce": lambda engine, req: (engine._read().owner or NO_OWNER)[0],
+    "ownerstate": lambda engine, req: _STATE_CODE[
+        (engine._read().owner or NO_OWNER)[2]],
+    "reqway": lambda engine, req: engine._read().req_way,
+    "lruway": lambda engine, req: req.lru_way,
+    "lrutag": lambda engine, req: engine._read().lru_tag,
+    "setindex": lambda engine, req: engine.cfg.set_index(req.addr),
+    "sharers": lambda engine, req: engine._read().sharers,
+    "reqsize": lambda engine, req: req.size,
 }
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),

@@ -188,20 +188,20 @@ def test_criterion_8_micro_latencies(tmp_path):
                    "2 cycles per sharer, one-bubble mispredicts, same-cycle "
                    "pending-bit forwarding")
     def body():
-        from test_ucode_engine import busy_after, make_engine
+        from test_ucode_engine import busy_after, make_engine, request
         from cohsim.messages import Emission, LceResponse
         from cohsim.protocol import S
 
         for caches in CORES_SWEEP:
             assert SegmentConfig(num_caches=caches).way_group_read_latency \
                 == 1 + caches // 2
-            eng = make_engine(tmp_path, "  rdw\n  wfq resp\n", caches=caches)
+            eng = make_engine(tmp_path, "  rdw\n  wfq resp\n", caches=caches,
+                              req=request())
             assert busy_after(eng) == 1 + caches // 2
 
         for sharers in (1, 2, 3):
             eng = make_engine(tmp_path, "  rdw\n  gad\n  inv\n  wfq resp\n",
-                              caches=8)
-            eng.umshr.addr = 0x8000_0000
+                              caches=8, req=request(0x8000_0000))
             for c in range(1, sharers + 1):
                 eng.directory.write_entry(0x8000_0000, c, 0, state=S)
                 eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=c,

@@ -233,6 +233,16 @@ class TestOverhead:
      "cohsim: error: occupancy scenarios need at least 2 cores, got 1"),
     (["occupancy", "--engine", "ucode", "--cores", "0"],
      "cohsim: error: occupancy scenarios need at least 2 cores, got 0"),
+    (["tracegen", "--seed", "1", "--ops", "-5"],
+     "cohsim: error: ops must not be negative, got -5"),
+    (["tracegen", "--seed", "1", "--write-ratio", "3", "--sharing", "-1"],
+     "cohsim: error: write_ratio must be from 0 to 1, got 3.0"),
+    (["tracegen", "--seed", "1", "--sharing", "-1"],
+     "cohsim: error: sharing must be from 0 to 1, got -1.0"),
+    (["tracegen", "--seed", "1", "--sharing", "nan"],
+     "cohsim: error: sharing must be from 0 to 1, got nan"),
+    (["tracegen", "--seed", "1", "--footprint", "0"],
+     "cohsim: error: footprint must be at least 1, got 0"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     """Bad input is an error line and exit 2, not a traceback; argparse

@@ -10,7 +10,7 @@ from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
                               way_group_home)
 from cohsim.protocol import CoherenceState
 from cohsim.ucode import engine as ucode_engine
-from test_ucode_engine import busy_after, make_engine
+from test_ucode_engine import busy_after, make_engine, request
 
 I, S, E, M, O, F = CoherenceState
 VALID = [S, E, M, O, F]
@@ -43,13 +43,14 @@ class TestGeometryAndLatency:
             eng = make_engine(tmp_path, f"  rde {target}\n  wfq resp\n",
                               caches=4)
             assert busy_after(eng) == 2
-        eng = make_engine(tmp_path, "  wde M\n  wds req, O\n  wfq resp\n",
-                          caches=4)
-        eng.umshr.addr = 0x8000_0000
-        assert busy_after(eng) == 2
+        eng = make_engine(tmp_path,
+                          "  rdw\n  wde M\n  wds req, O\n  wfq resp\n",
+                          caches=4, req=request(0x8000_0000))
+        assert busy_after(eng) == eng.cfg.way_group_read_latency + 2
         assert eng.directory.snapshot() == {
             (0, 0, 0): (eng.cfg.tag_of(0x8000_0000), O)}
-        eng = make_engine(tmp_path, "  clr\n  wfq resp\n", caches=4)
+        eng = make_engine(tmp_path, "  clr\n  wfq resp\n", caches=4,
+                          req=request(0x8000_0000))
         assert busy_after(eng) == 1
 
     def test_striping(self):
@@ -237,16 +238,18 @@ class TestGad:
                                          write):
         """`gad` sets a cached-state flag for every copy but the
         requester's, the replacement flag from the read, and the upgrade
-        flag for a write from S, O or F; the MSHR gets the owner's copy
-        and the requester's way and state."""
+        flag for a write from S, O or F; the specials then read the
+        owner's copy and the requester's way and state."""
         caches, states, ways, lce, lru_way, victim = example
         eng = make_engine(tmp_path_factory.mktemp("gad"),
-                          "  rdw\n  gad\n  wfq resp\n", caches=caches)
+                          "  rdw\n  gad\n  mov r1, %ownerlce\n"
+                          "  mov r2, %ownerstate\n  mov r3, %reqway\n"
+                          "  mov r4, %reqstate\n  wfq resp\n",
+                          caches=caches,
+                          req=request(GAD_ADDR, lce, lru_way=lru_way))
         fill(eng.directory, states, ways, lce, lru_way, victim)
-        m = eng.umshr
-        m.addr, m.lce, m.lru_way = GAD_ADDR, lce, lru_way
         eng.flags = write << ucode_engine.WNR
-        busy_after(eng, ticks=12)
+        busy_after(eng, ticks=16)
         found = eng._found
 
         flag_of = {S: ucode_engine.CSF, E: ucode_engine.CEF,
@@ -261,9 +264,10 @@ class TestGad:
         if write:
             want.add(ucode_engine.WNR)
         assert {bit for bit in range(16) if eng.flags >> bit & 1} == want
-        assert (m.owner_lce, m.owner_way, m.owner_state) == (
-            found.owner or (0, 0, I))
-        assert (m.req_way, m.req_state) == (found.req_way, found.req_state)
+        owner_lce, _, owner_state = found.owner or (0, 0, I)
+        code = ucode_engine._STATE_CODE
+        assert eng.regs[1:3] == [owner_lce, code[owner_state]]
+        assert eng.regs[3:5] == [found.req_way, code[found.req_state]]
 
     def test_multiple_owners_detected(self):
         seg = DirectorySegment(cfg_for(2))

@@ -21,12 +21,21 @@ BASE = 0x8000_0000
 MASK64 = (1 << 64) - 1
 
 
-def make_engine(tmp_path, source, caches=2):
+def make_engine(tmp_path, source, caches=2, req=None):
+    """An engine running `source`; `req`, when given, is the request its
+    instructions read, as if a `popq req` had taken it."""
     path = tmp_path / "prog.ucs"
     path.write_text(source)
     net = Network(NetConfig())
     seg = SegmentConfig(num_caches=caches)
-    return UcodeCce(0, seg, net, program=str(path))
+    eng = UcodeCce(0, seg, net, program=str(path))
+    eng._req = req
+    return eng
+
+
+def request(addr=BASE, lce=0, **kw):
+    """A coherent read of `addr` by `lce`, unless `kw` says otherwise."""
+    return CohRequest(lce=lce, addr=addr, write=False, **kw)
 
 
 def busy_after(engine, ticks=100):
@@ -105,20 +114,44 @@ class TestProgramEnd:
             busy_after(eng, ticks=3)
 
 
+class TestReadFaults:
+    """An instruction that reads the request before any `popq req`, the
+    way-group read before `rdw`, or names an owner the read did not find
+    is a microcode fault naming the instruction; it writes and sends
+    nothing."""
+
+    @pytest.mark.parametrize("source,req,message", [
+        ("  rdw\n", None,
+         r"pc 0 \(rdw\) reads the request before the first popq req"),
+        ("  mov r1, %reqway\n", request(),
+         r"pc 0 \(mov r1, %reqway\) reads the way-group read before rdw"),
+        ("  rdw\n  wds owner, I\n", request(),
+         r"pc 1 \(wds owner, I\) names the owner, but no copy is an owner"),
+        ("  rdw\n  pushq lcecmd inv owner\n", request(),
+         r"pc 1 \(pushq lcecmd inv owner\) names the owner"),
+    ])
+    def test_fault_names_the_instruction(self, tmp_path, source, req,
+                                         message):
+        eng = make_engine(tmp_path, source + "  wfq resp\n", req=req)
+        with pytest.raises(ucode_engine.MicrocodeFault, match=message):
+            busy_after(eng, ticks=10)
+        assert eng.directory.snapshot() == {}
+        assert eng.net.idle()
+
+
 class TestMultiCycleUnits:
     @pytest.mark.parametrize("caches", [2, 4, 8, 16])
     def test_way_group_read_occupies_one_plus_half_caches(self, tmp_path,
                                                           caches):
-        eng = make_engine(tmp_path, "  rdw\n  wfq resp\n", caches=caches)
+        eng = make_engine(tmp_path, "  rdw\n  wfq resp\n", caches=caches,
+                          req=request())
         assert busy_after(eng) == 1 + caches // 2
 
     @pytest.mark.parametrize("sharers", [1, 2, 3])
     def test_invalidation_costs_two_cycles_per_sharer(self, tmp_path,
                                                       sharers):
         eng = make_engine(tmp_path, "  rdw\n  gad\n  inv\n  wfq resp\n",
-                          caches=4)
-        eng.umshr.addr = BASE
-        eng.umshr.lce = 0
+                          caches=4, req=request())
         for c in range(1, sharers + 1):
             eng.directory.write_entry(BASE, c, 0, state=S)
             eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=c,
@@ -128,8 +161,7 @@ class TestMultiCycleUnits:
 
     def test_invalidation_with_no_targets_is_free(self, tmp_path):
         eng = make_engine(tmp_path, "  rdw\n  gad\n  inv\n  nop\n  wfq resp\n",
-                          caches=4)
-        eng.umshr.addr = BASE
+                          caches=4, req=request())
         base = (1 + 4 // 2) + 1 + 1  # rdw + gad + trailing nop
         assert busy_after(eng) == base
 
