@@ -8,6 +8,11 @@ multisets with nondeterministic removal.  Data is abstracted to a single
 other copy stale, and the checked data-value invariant is that no cache
 ever holds a valid stale copy.
 
+Two entry fields are canonical, because no rule reads them: an entry in I
+has is-latest 0, and a pending read-ne is stored as a pending read.
+States that differ only in them behave alike, so each class is stored
+once (dead-variable reduction).
+
 All transition behavior is derived from the protocol tables at expansion
 time — the checker has no hand-written per-cell rules — so a table bug is
 a checker counterexample and vice versa.  A cache's own operations come
@@ -114,6 +119,13 @@ class CheckResult:
 # state means something only to the Model that built it.  The cache count
 # in the low bits lets `check_invariants` read a state alone.
 #
+# `_entry` builds every entry, and two of its fields are canonical.  An
+# entry in I has is-latest 0: the tables' I row sends no data
+# (`protocol._validate_tables` holds them to it), and `check_invariants`
+# reads the bit only for valid copies.  A pending read-ne is stored as RD:
+# an entry's outstanding op is only tested against IDLE, WR and REPL, and
+# the read-ne kind lives on in its ("req", cache, RD_NE) message.
+#
 # A transition is compiled once per Model, from the table-derived rules,
 # into an int added to the state, plus the message fields it sends to and
 # the writer whose store stales every other copy (see `_compile`).  The
@@ -149,7 +161,11 @@ _KIND = {"req": _REQUEST, "invack": _RESPONSE, "wb": _RESPONSE,
 
 
 def _entry(st, latest, pend):
-    return st | latest << 3 | pend << _PEND_SHIFT
+    """The canonical entry int: an entry in I (state 0) has is-latest 0,
+    and a pending read-ne is stored as RD (see the layout comment)."""
+    if pend == RD_NE:
+        pend = RD
+    return st | (latest if st else 0) << 3 | pend << _PEND_SHIFT
 
 
 def _entry_fields(entry):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a violation/mismatch/diagnostic was found,
-2 usage or config-file error (argparse's convention).
+2 usage or config-file error (argparse's convention), or a microcode
+fault.
 
 Config files are flat ``key = value`` text with ``#`` comments; keys are
 the SystemConfig fields (cores, sets, assoc, block_bytes, beat_bytes,
@@ -17,10 +18,11 @@ from . import harness
 from .checker import MUTATIONS, CheckConfig, check
 from .occupancy import check_cores
 from .system import System, SystemConfig
+from .ucode.engine import MicrocodeFault
 
 
 def _config_error(msg: str) -> SystemExit:
-    """Print a one-line config error; the caller raises the result."""
+    """Print a one-line error; the caller raises the result."""
     print(f"cohsim: error: {msg}", file=sys.stderr)
     return SystemExit(2)
 
@@ -257,7 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MicrocodeFault as exc:
+        # Firmware is outside input: a fault in it is bad input.
+        raise _config_error(f"microcode fault: {exc}") from None
 
 
 if __name__ == "__main__":

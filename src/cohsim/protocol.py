@@ -433,6 +433,12 @@ def _validate_tables(tables: ProtocolTables):
                  or isinstance(nxt, CoherenceState))
                 and all(isinstance(e, Emission) for e in sends),
                 f"malformed cell {(state, kind)}")
+        # A cache in I holds no data to send; the checker clears the
+        # is-latest bit of an entry in I, so such a cell would read it.
+        if state == I._value_:
+            require(Emission.DirtyWB not in sends
+                    and Emission.DataToTarget not in sends,
+                    f"({state}, {kind}) sends data with no line")
     # Every access is a hit or a miss by its Load or Store cell; one with
     # no line (I) must miss, and store hits are exactly the writable states.
     store_hits = set()

@@ -23,8 +23,10 @@ outside one.  A transaction opens at `popq req` and closes at the next
 `wfq req` or `popq req`.
 
 Instructions read the request `popq req` took and the way-group read
-`rdw` made for it in place.  Reading either before it exists, or naming
-an owner the read did not find, is a `MicrocodeFault`.
+`rdw` made for it in place.  Reading either before it exists, naming an
+owner the read did not find, writing back a response this request has
+not popped, or moving a pending counter or speculation bit past what the
+directory holds is a `MicrocodeFault` that names the instruction.
 
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
@@ -39,7 +41,8 @@ from importlib import resources
 from typing import Optional
 
 from ..cce import BUSY, WAIT, CceCore
-from ..directory import ENTRY_READ_LATENCY, WayGroupRead
+from ..directory import (ENTRY_READ_LATENCY, DoubleSpeculation, Overflow,
+                         Underflow, WayGroupRead)
 from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
 from ..protocol import (DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState,
                         CommandKind, I, E)
@@ -65,6 +68,10 @@ CACHED_FLAG = {"S": 1 << CSF, "E": 1 << CEF, "M": 1 << CMF, "O": 1 << COF,
 TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 # What `%ownerlce` and `%ownerstate` read when no copy is an owner.
 NO_OWNER = (0, 0, I)
+# The directory's pending-counter and speculation-bit errors -> what the
+# instruction that raised one did, for its fault.
+BIT_FAULTS = {Underflow: "underflows the", Overflow: "overflows the",
+              DoubleSpeculation: "speculates twice on"}
 
 
 class MicrocodeFault(Exception):
@@ -131,7 +138,7 @@ class UcodeCce(CceCore):
         self.pc = 0
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
-        self.last_resp = None
+        self.last_resp = None   # this request's last popped response
         self._found = None   # this request's way-group read, once `rdw` ran
         self._unit = None   # the running datapath unit, if any
         self.mispredicts = 0
@@ -143,25 +150,33 @@ class UcodeCce(CceCore):
 
     def _step(self) -> str:
         unit = self._unit
-        if unit is not None:
-            tag = next(unit, None)
-            if tag is not None:
-                return tag
-            # The finished unit consumed no cycle here; the next
-            # instruction runs in this same cycle.
-            self._unit = None
-        # Zero-cost completions (an inv with no targets) fuse with the next
-        # instruction; bound the fusion chain, 8 instructions in all,
-        # defensively.
-        for _ in range(8):
-            try:
-                u = self.imem[self.pc]
-            except IndexError:
-                raise MicrocodeFault(f"pc {self.pc} is past the end of the "
-                                     "program") from None
-            outcome = u.run(self, u)
-            if outcome is not FREE:
-                return outcome
+        try:
+            if unit is not None:
+                tag = next(unit, None)
+                if tag is not None:
+                    return tag
+                # The finished unit consumed no cycle here; the next
+                # instruction runs in this same cycle.
+                self._unit = None
+            # Zero-cost completions (an inv with no targets) fuse with the
+            # next instruction; bound the fusion chain, 8 instructions in
+            # all, defensively.
+            for _ in range(8):
+                pc = self.pc
+                try:
+                    u = self.imem[pc]
+                except IndexError:
+                    raise MicrocodeFault(f"pc {pc} is past the end of the "
+                                         "program") from None
+                outcome = u.run(self, u)
+                if outcome is not FREE:
+                    return outcome
+        except tuple(BIT_FAULTS) as exc:
+            if self._unit is not None:
+                # A later cycle of a running unit: `_start` advanced `pc`
+                # past the instruction that started it.
+                pc = self.pc - 1
+            raise self._fault(f"{BIT_FAULTS[type(exc)]} {exc}", pc) from None
         raise MicrocodeFault("zero-cost instruction chain too long")
 
     def _start(self, unit) -> str:
@@ -184,11 +199,14 @@ class UcodeCce(CceCore):
             self.mispredicts += 1
         return BUSY
 
-    def _fault(self, why: str) -> MicrocodeFault:
-        """A fault of the executing instruction, the one at `pc`."""
-        text = asm.disassemble([isa.encode(self.imem[self.pc].instr)],
+    def _fault(self, why: str, pc: Optional[int] = None) -> MicrocodeFault:
+        """A fault of the instruction at `pc`, by default the executing
+        one."""
+        if pc is None:
+            pc = self.pc
+        text = asm.disassemble([isa.encode(self.imem[pc].instr)],
                                labels=False)
-        return MicrocodeFault(f"pc {self.pc} ({text.strip()}) {why}")
+        return MicrocodeFault(f"pc {pc} ({text.strip()}) {why}")
 
     def _request(self) -> CohRequest:
         if self._req is None:
@@ -384,6 +402,7 @@ class UcodeCce(CceCore):
                 return WAIT
             self._open_txn(req)
             self._found = None
+            self.last_resp = None
             self.flags = (req.write << WNR | req.uncached << UCF
                           | req.non_exclusive << NEX
                           | (req.atomic is not None) << AF
@@ -413,6 +432,9 @@ class UcodeCce(CceCore):
             kind = u.kind
             wg = self._wg() if u.wp else None
             if kind == "wb":
+                if self.last_resp is None:
+                    raise self._fault("writes back a response, but this "
+                                      "request has popped none")
                 return self._start(self._write_back(self.last_resp, wg))
             req = self._request()
             if kind == "specread":

@@ -27,7 +27,7 @@ from cohsim.ucode.engine import default_program
 
 CORES_SWEEP = (2, 4, 8, 16)
 # (states, depth) of the exhaustive 4-cache searches.
-EXHAUSTIVE_4 = {"mesi": (196_640, 37), "moesif": (309_060, 37)}
+EXHAUSTIVE_4 = {"mesi": (48_984, 34), "moesif": (99_256, 35)}
 BEATS_SWEEP = (1, 8)
 
 

@@ -17,8 +17,8 @@ from cohsim.protocol import MOESIF
 # (states, depth) of exhaustive searches, and the depth at which each
 # seeded mutation is caught with 3 caches (the same for both protocols).
 # Breadth-first search fixes these whatever order it expands a level in.
-EXHAUSTIVE = {("mesi", 2): (776, 22), ("moesif", 2): (942, 22),
-              ("mesi", 3): (12_574, 28), ("moesif", 3): (17_680, 29)}
+EXHAUSTIVE = {("mesi", 2): (464, 22), ("moesif", 2): (608, 22),
+              ("mesi", 3): (4_899, 28), ("moesif", 3): (8_088, 29)}
 MUTANT_DEPTH = {"drop-invalidations": 7, "grant-e-with-sharers": 7,
                 "skip-writeback": 11, "wrong-transfer-state": 8}
 # The number of states first reached at each BFS depth, and the number of
@@ -26,13 +26,12 @@ MUTANT_DEPTH = {"drop-invalidations": 7, "grant-e-with-sharers": 7,
 # expansion order, and both pin the transition relation more tightly than
 # the totals do.
 LEVELS = {
-    "mesi": [1, 9, 36, 90, 156, 222, 345, 477, 612, 690, 594, 561, 553, 534,
-             675, 769, 846, 882, 735, 693, 645, 495, 513, 489, 376, 288, 159,
-             66, 63],
-    "moesif": [1, 9, 36, 90, 156, 222, 345, 489, 684, 846, 780, 771, 913,
-               1014, 1233, 1171, 999, 1026, 1035, 1110, 1116, 891, 822, 666,
-               427, 372, 249, 90, 93, 24]}
-GENERATED = {"mesi": 36_546, "moesif": 49_506}
+    "mesi": [1, 9, 36, 90, 156, 222, 327, 384, 441, 504, 471, 336, 247, 180,
+             156, 211, 210, 168, 129, 165, 150, 72, 63, 84, 45, 24, 6, 3, 9],
+    "moesif": [1, 9, 36, 90, 156, 222, 327, 390, 477, 588, 603, 540, 577,
+               606, 642, 517, 267, 210, 309, 438, 354, 156, 132, 132, 96, 84,
+               45, 27, 39, 18]}
+GENERATED = {"mesi": 14_391, "moesif": 22_842}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -193,6 +192,62 @@ class TestStateEncoding:
         assert nxt == 2 + owner + (2 << fill(0))
 
 
+def _reachable(model):
+    """Every state an exhaustive search of `model` reaches."""
+    init = initial_state(model.n)
+    seen, level = {init}, [init]
+    while level:
+        nxt = []
+        for state in level:
+            for succ in model.successors(state):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        level = nxt
+    return seen
+
+
+def _raw_entry(st, latest, pend):
+    """An entry that keeps every field as given."""
+    return st | latest << 3 | pend << checker._PEND_SHIFT
+
+
+def _dead_fields_cleared(state, caches):
+    """`state` with each entry's is-latest bit cleared in I and a pending
+    read-ne made a pending read."""
+    for i in range(caches):
+        shift = checker._N_BITS + checker._ENTRY_BITS * i
+        entry = state >> shift & checker._ENTRY_MASK
+        new = entry
+        if entry & 7 == checker._NUM[checker.I]:
+            new &= ~checker._LATEST
+        if new >> checker._PEND_SHIFT == checker.RD_NE:
+            new += (checker.RD - checker.RD_NE) << checker._PEND_SHIFT
+        state += (new - entry) << shift
+    return state
+
+
+class TestDeadFields:
+    """An entry's is-latest bit in I and its read-ne pending code are
+    read by no rule, so the checker stores them canonically.  That is
+    exact: the reduced search reaches one state per class of the states
+    an unreduced search reaches, classes differing only in those
+    fields."""
+
+    @pytest.mark.parametrize("caches", [2, 3])
+    @pytest.mark.parametrize("protocol", ["mesi", "moesif"])
+    def test_reduced_count_is_the_unreduced_class_count(self, monkeypatch,
+                                                        protocol, caches):
+        cfg = CheckConfig(protocol=protocol, caches=caches)
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "_entry", _raw_entry)
+            unreduced = _reachable(Model(cfg))
+        reduced = _reachable(Model(cfg))
+        classes = {_dead_fields_cleared(s, caches) for s in unreduced}
+        assert len(reduced) == len(classes) == EXHAUSTIVE[protocol, caches][0]
+        assert len(unreduced) > len(reduced)
+
+
 def _reached_labels(model):
     """Every transition label of an exhaustive search of `model` that
     expands past each state it cannot expand."""
@@ -255,5 +310,5 @@ def test_results_independent_of_hash_seed():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert "CheckResult(verified=False" in outs[0]
-    assert "CheckResult(verified=True, exhaustive=True, states=12574" \
+    assert "CheckResult(verified=True, exhaustive=True, states=4899" \
         in outs[0]

@@ -95,6 +95,31 @@ class TestSimulate:
         assert "engine: ucode" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_microcode_fault_exits_2_with_one_error_line(tmp_path, capsys,
+                                                     command):
+    """Firmware is outside input: a fault in it is one error line and
+    exit 2, not a traceback."""
+    firmware = tmp_path / "bad.ucs"
+    firmware.write_text("ready: wfq req\n  popq req\n  wdp dec\n"
+                        "  bi ready\n")
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 LD 0x80000000\n")
+    if command == "simulate":
+        argv = ["simulate", "--engine", "ucode", "--ucode", str(firmware),
+                "--trace", str(trace)]
+    else:
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(f"ucode_program = {firmware}\n")
+        argv = ["compare", "--config", str(cfg), "--trace", str(trace)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", (
+        "cohsim: error: microcode fault: pc 2 (wdp dec) underflows the "
+        "pending counter for way group 0\n"))
+
+
 class TestMicrocodeTools:
     def test_assemble_and_disasm(self, tmp_path, capsys):
         src = tmp_path / "p.ucs"

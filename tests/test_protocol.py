@@ -251,6 +251,15 @@ class TestPermissionsAndRegions:
         with pytest.raises(ValueError, match="store hits"):
             protocol._validate_tables(self._with_lce_cells(cells))
 
+    @pytest.mark.parametrize("emission", ["DirtyWB", "DataToTarget"])
+    def test_rejects_an_i_cell_that_sends_data(self, emission):
+        """The checker clears an I entry's is-latest bit, so no I cell
+        may send the data that bit describes."""
+        tables = self._with_lce_cells(
+            {("I", "WB"): ((getattr(EV, emission),), None)})
+        with pytest.raises(ValueError, match=r"\(I, WB\) sends data"):
+            protocol._validate_tables(tables)
+
     def test_classify(self):
         assert classify_request(0x8000_0000, False) is \
             AddressClass.CacheableCoherent

@@ -1,7 +1,7 @@
 """Microcoded engine pipeline: branch cost, multi-cycle units, ALU model."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohsim import harness
 from cohsim.directory import SegmentConfig
@@ -14,7 +14,8 @@ from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm, engine as ucode_engine
 from cohsim.ucode.engine import UcodeCce
 from cohsim.ucode import isa
-from cohsim.ucode.isa import NUM_GPRS, Op
+from cohsim.ucode.isa import NUM_GPRS, Op, encode
+from test_ucode_asm import assemblable
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -116,8 +117,10 @@ class TestProgramEnd:
 
 class TestReadFaults:
     """An instruction that reads the request before any `popq req`, the
-    way-group read before `rdw`, or names an owner the read did not find
-    is a microcode fault naming the instruction; it writes and sends
+    way-group read before `rdw`, names an owner the read did not find,
+    writes back a response this request has not popped, or moves a
+    pending counter or speculation bit past what the directory holds is
+    a microcode fault naming the instruction; it writes and sends
     nothing."""
 
     @pytest.mark.parametrize("source,req,message", [
@@ -129,14 +132,84 @@ class TestReadFaults:
          r"pc 1 \(wds owner, I\) names the owner, but no copy is an owner"),
         ("  rdw\n  pushq lcecmd inv owner\n", request(),
          r"pc 1 \(pushq lcecmd inv owner\) names the owner"),
+        ("  pushq memcmd wb\n", request(),
+         r"pc 0 \(pushq memcmd wb\) writes back a response, but this "
+         r"request has popped none"),
+        ("  wdp dec\n", request(),
+         r"pc 0 \(wdp dec\) underflows the pending counter for way group 0"),
+        ("  wdp inc\n" * 16, request(),
+         r"pc 15 \(wdp inc\) overflows the pending counter for way group 0"),
+        ("  specq set\n  specq set\n", request(),
+         r"pc 1 \(specq set\) speculates twice on way group 0"),
+        ("  specq set\n  pushq memcmd specread\n", request(),
+         r"pc 1 \(pushq memcmd specread\) speculates twice on way group 0"),
     ])
     def test_fault_names_the_instruction(self, tmp_path, source, req,
                                          message):
         eng = make_engine(tmp_path, source + "  wfq resp\n", req=req)
         with pytest.raises(ucode_engine.MicrocodeFault, match=message):
-            busy_after(eng, ticks=10)
+            busy_after(eng, ticks=20)
         assert eng.directory.snapshot() == {}
         assert eng.net.idle()
+
+    def test_popq_req_forgets_the_last_response(self, tmp_path):
+        eng = make_engine(tmp_path, "  popq resp r1\n  popq req\n"
+                                    "  pushq memcmd wb\n  wfq resp\n")
+        eng.resp_q.append(LceResponse(kind=Emission.DirtyWB, lce=1,
+                                      addr=BASE, data=bytes(64)))
+        eng.req_qs[0].append(request())
+        with pytest.raises(ucode_engine.MicrocodeFault,
+                           match=r"pc 2 \(pushq memcmd wb\) writes back"):
+            busy_after(eng, ticks=10)
+        assert eng.net.idle()
+
+    def test_fault_in_a_later_unit_cycle_names_the_unit(self, tmp_path):
+        """A speculative read waiting for a memory credit sets its bit
+        only once one is free; the fault still names the `pushq`."""
+        eng = make_engine(tmp_path, "  pushq memcmd specread\n"
+                                    "  wfq resp\n", req=request())
+        eng.net.mem_credits_avail = 0
+        eng.spec.set(eng.local_wg(BASE))
+        busy_after(eng, ticks=5)
+        assert eng.pc == 1
+        eng.net.release_mem_credit()
+        with pytest.raises(ucode_engine.MicrocodeFault, match=(
+                r"pc 0 \(pushq memcmd specread\) speculates twice")):
+            eng.tick(5)
+
+
+@st.composite
+def fuzz_programs(draw):
+    """The source of 2 to 8 instructions the assembler can produce."""
+    size = draw(st.integers(2, 8))
+    return asm.disassemble([encode(draw(assemblable(size)))
+                            for _ in range(size)])
+
+
+class TestFirmwareFuzz:
+    """Firmware is outside input: whatever program the assembler accepts
+    runs, or stops with a `MicrocodeFault`, and raises nothing else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(source=fuzz_programs())
+    # The directory's and the engine's own errors that drawn programs
+    # once raised instead of a fault.
+    @example(source="L0: pushq memcmd wb\n  rdp\n  bi L0\n")
+    @example(source="L0: wdp dec\n  bi L0\n")
+    @example(source="L0: wdp inc\n  bi L0\n")
+    @example(source="  specq set\n  specq set\n")
+    def test_runs_or_faults(self, tmp_path_factory, source):
+        for with_request in (False, True):
+            eng = make_engine(tmp_path_factory.getbasetemp(), source,
+                              req=request() if with_request else None)
+            if with_request:
+                eng.req_qs[1].append(request(lce=1, addr=BASE + 64))
+                eng.resp_q.append(LceResponse(kind=Emission.DirtyWB, lce=1,
+                                              addr=BASE, data=bytes(64)))
+            try:
+                busy_after(eng, ticks=60)
+            except ucode_engine.MicrocodeFault:
+                pass
 
 
 class TestMultiCycleUnits:
