@@ -2,14 +2,17 @@
 
 A CCE instance owns one directory segment with its pending and speculation
 bits, one request queue per LCE, the response and memory-response queues,
-the CohAck drain and the memory-response machine.  It also holds the
-datapath's multi-cycle units, each a generator of per-cycle BUSY or WAIT
-tags: `_busy` (a fixed count of busy cycles, such as a way-group read),
-`_await_resp`, the memory-command unit `_to_memory` and its `_write_back`,
-and the invalidation sequencer `_invalidate`.  The two engines,
-`fsm_cce.FsmCce` and `ucode.engine.UcodeCce`, differ only in how they
-sequence a request and run these units: each supplies `_step` (one
-sequencer cycle, tagged BUSY or WAIT) and `_active`.
+and the memory-response machine.  `accept` consumes a CohAck on arrival: it
+only decrements its way group's pending counter, and `System.step` delivers
+to a CCE before it ticks it.  It also holds the datapath's multi-cycle
+units, each a generator of per-cycle BUSY or WAIT tags: `_busy` (a fixed
+count of busy cycles, such as a way-group read), `_await_resp`, the
+memory-command unit `_to_memory` and its `_write_back`, and the
+invalidation sequencer `_invalidate`.  The two engines, `fsm_cce.FsmCce`
+and `ucode.engine.UcodeCce`, differ only in how they sequence a request and
+run these units: each supplies `_step` (one sequencer cycle, tagged BUSY or
+WAIT), `_active` and `Fault`, what a CohAck or memory response that
+underflows its pending counter raises.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -30,7 +33,7 @@ from typing import Optional
 
 from . import protocol
 from .directory import (DirectorySegment, PendingBits, SegmentConfig,
-                        SpecBits, way_group_home)
+                        SpecBits, Underflow, way_group_home)
 from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        CceCommand, CohRequest, Emission, MemCmd, NetKind,
                        NetMessage)
@@ -79,6 +82,8 @@ class EngineStats:
 
 class CceCore:
     """One directory-side coherence engine instance, less its sequencer."""
+
+    Fault = EngineFault
 
     def __init__(self, cce_id: int, seg_cfg: SegmentConfig, net: Network,
                  num_cces: int = 1,
@@ -132,16 +137,6 @@ class CceCore:
             self._txn.invalidations += 1
         self._send(COMMAND, self._lce_endpoints[lce], cmd, data=cmd.data)
 
-    def _take_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
-        """Remove and return the oldest response for `addr` of one of
-        `kinds` (from `lce`, when given); None when there is none yet."""
-        for i, resp in enumerate(self.resp_q):
-            if (resp.addr == addr and resp.kind in kinds
-                    and (lce is None or resp.lce == lce)):
-                del self.resp_q[i]
-                return resp
-        return None
-
     # -- external interface --------------------------------------------------
 
     def accept(self, msg: NetMessage):
@@ -151,7 +146,11 @@ class CceCore:
             self.req_qs[msg.payload.lce].append(msg.payload)
             self._none_admissible = False
         elif net is RESPONSE:
-            self.resp_q.append(msg.payload)
+            resp = msg.payload
+            if resp.kind is COH_ACK:
+                self._unpend(resp.addr, "CohAck")
+            else:
+                self.resp_q.append(resp)
         elif net is MEM_RESP:
             self.memresp_q.append(msg.payload)
         else:
@@ -163,8 +162,6 @@ class CceCore:
 
     def tick(self, now: int):
         self.now = now
-        if self.resp_q:
-            self._drain_cohacks()
         if self.memresp_q:
             self._mem_resp_tick()
         # Classify the cycle (see the module docstring); `_step` may open
@@ -203,11 +200,14 @@ class CceCore:
         return repeat(BUSY, n)
 
     def _await_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
-        """Wait for a response (see `_take_resp`) and return it."""
+        """Wait for the oldest response for `addr` of one of `kinds` (from
+        `lce`, when given); remove and return it."""
         while True:
-            resp = self._take_resp(addr, kinds, lce)
-            if resp is not None:
-                return resp
+            for i, resp in enumerate(self.resp_q):
+                if (resp.addr == addr and resp.kind in kinds
+                        and (lce is None or resp.lce == lce)):
+                    del self.resp_q[i]
+                    return resp
             yield WAIT
 
     def _to_memory(self, cmd: MemCmd, wg: Optional[int] = None):
@@ -331,57 +331,42 @@ class CceCore:
 
     # -- concurrent machines ---------------------------------------------------
 
-    def _drain_cohacks(self):
-        """Coherence acks complete transactions without occupying the
-        sequencer."""
-        kept = deque()
-        for resp in self.resp_q:
-            if resp.kind is COH_ACK:
-                self.pending.adjust(self.local_wg(resp.addr), -1)
-            else:
-                kept.append(resp)
-        self.resp_q = kept
+    def _unpend(self, addr: int, what: str = "memory response"):
+        """Decrement the pending counter of `addr`'s way group for `what`,
+        a CohAck or memory response.  Below zero it raises `Fault`."""
+        wg = self.local_wg(addr)
+        try:
+            self.pending.adjust(wg, -1)
+        except Underflow:
+            raise self.Fault(f"{what} for {addr:#x} underflows the pending "
+                             f"counter for way group {wg}") from None
 
     def _mem_resp_tick(self):
-        """Concurrent three-outcome machine: squash, rewrite-and-forward,
-        or forward unchanged; write acks are sunk."""
+        """Concurrent three-outcome machine for the head memory response:
+        held while its speculative read is unresolved, then squashed,
+        rewritten and forwarded, or forwarded unchanged; write acks are
+        sunk.  Every cached response, and an uncached one with `wp`,
+        decrements its way group's pending counter."""
         resp: MemCmd = self.memresp_q[0]
-        if resp.uncached:
-            self.memresp_q.popleft()
-            self.net.release_mem_credit()
-            if not resp.write:
-                self._send_cmd(resp.lce, CceCommand(
-                    kind=DATA, addr=resp.addr, data=resp.data,
-                    uncached=True, size=resp.size, state=None))
-                self.stats.mem_resp_forwards += 1
-            if resp.wp:
-                self.pending.adjust(self.local_wg(resp.addr), -1)
-            return
-        if resp.write:
-            self.memresp_q.popleft()
-            self.net.release_mem_credit()
-            self.pending.adjust(self.local_wg(resp.addr), -1)
-            return
-        wg = self.local_wg(resp.addr)
-        state = resp.state
+        state, squash = resp.state, False
         if resp.spec:
+            wg = self.local_wg(resp.addr)
             rec = self.spec.read(wg)
             if rec.spec:
                 return                   # unresolved: hold the response
-            if rec.squash:
-                self.memresp_q.popleft()
-                self.net.release_mem_credit()
-                self.spec.unset(wg)
-                self.pending.adjust(wg, -1)
-                self.stats.mem_resp_squashed += 1
-                return
+            squash = rec.squash
             if rec.fwd_mod:
                 state = rec.state
             self.spec.unset(wg)
         self.memresp_q.popleft()
         self.net.release_mem_credit()
-        self.pending.adjust(wg, -1)
-        self._send_cmd(resp.lce, CceCommand(
-            kind=DATA, addr=resp.addr, way=resp.way,
-            target_way=resp.way, state=state, data=resp.data))
-        self.stats.mem_resp_forwards += 1
+        if resp.wp or not resp.uncached:
+            self._unpend(resp.addr)
+        if squash:
+            self.stats.mem_resp_squashed += 1
+        elif not resp.write:
+            self._send_cmd(resp.lce, CceCommand(
+                kind=DATA, addr=resp.addr, way=resp.way, target_way=resp.way,
+                state=state, data=resp.data, uncached=resp.uncached,
+                size=resp.size))
+            self.stats.mem_resp_forwards += 1

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a violation/mismatch/diagnostic was found,
-2 usage or config-file error (argparse's convention), or a microcode
-fault.
+2 usage or config-file error (argparse's convention), a file that cannot
+be opened, a trace that does not parse or names a missing cache, or
+firmware that does not assemble or faults.
 
 Config files are flat ``key = value`` text with ``#`` comments; keys are
 the SystemConfig fields (cores, sets, assoc, block_bytes, beat_bytes,
@@ -18,6 +19,7 @@ from . import harness
 from .checker import MUTATIONS, CheckConfig, check
 from .occupancy import check_cores
 from .system import System, SystemConfig
+from .ucode import asm
 from .ucode.engine import MicrocodeFault
 
 
@@ -54,13 +56,24 @@ def load_config(path: str, **overrides) -> SystemConfig:
         raise _config_error(f"{path}: {exc}") from None
 
 
+def _read_trace(path: str, caches: int) -> list:
+    """The trace at `path`; a line that does not parse or an operation of
+    a cache past `caches` is bad input."""
+    try:
+        with open(path) as fh:
+            ops = harness.parse_trace(fh.read())
+        harness.check_caches(ops, caches)
+    except harness.TraceError as exc:
+        raise _config_error(f"{path}: {exc}") from None
+    return ops
+
+
 def _cmd_simulate(args) -> int:
     cfg = (load_config(args.config, engine=args.engine,
                        ucode_program=args.ucode)
            if args.config else
            SystemConfig(engine=args.engine or "fsm", ucode_program=args.ucode))
-    with open(args.trace) as fh:
-        ops = harness.parse_trace(fh.read())
+    ops = _read_trace(args.trace, cfg.cores)
     system = System(cfg)
     monitors = harness.default_monitors()
     report = harness.run_trace(system, ops, monitors=monitors)
@@ -81,7 +94,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    from .ucode import asm
     with open(args.source) as fh:
         source = fh.read()
     try:
@@ -99,7 +111,6 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_disasm(args) -> int:
-    from .ucode import asm
     with open(args.binary, "rb") as fh:
         blob = fh.read()
     try:
@@ -144,8 +155,7 @@ def _cmd_occupancy(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config) if args.config else SystemConfig()
-    with open(args.trace) as fh:
-        ops = harness.parse_trace(fh.read())
+    ops = _read_trace(args.trace, cfg.cores)
     report = harness.compare_engines(ops, cfg)
     print(report.summary())
     return 0 if report.equivalent and not report.violations else 1
@@ -264,6 +274,14 @@ def main(argv=None) -> int:
     except MicrocodeFault as exc:
         # Firmware is outside input: a fault in it is bad input.
         raise _config_error(f"microcode fault: {exc}") from None
+    except asm.AsmError as exc:
+        # So is firmware that does not assemble.
+        line = str(exc).splitlines()[0]
+        raise _config_error(f"microcode does not assemble: {line}") from None
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise _config_error(f"{exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -78,6 +78,13 @@ def parse_trace(text: str) -> list:
     return ops
 
 
+def check_caches(ops, caches: int):
+    """Raise TraceError at the first op of a cache outside range(caches)."""
+    for idx, op in enumerate(ops):
+        if not 0 <= op.lce < caches:
+            raise TraceError(f"op {idx}: no such cache {op.lce}")
+
+
 def format_trace(ops) -> str:
     return "".join(op.format() + "\n" for op in ops)
 
@@ -331,10 +338,9 @@ def run_trace(system: System, ops, monitors=(),
     queues = [[] for _ in system.lces]
     domains = [None] * len(ops)   # trace index -> serialization domain
     domain_order = {}             # domain -> trace indices, oldest first
+    check_caches(ops, len(system.lces))
     for idx, op in enumerate(ops):
         lce, kind, addr, _ = op
-        if not 0 <= lce < len(system.lces):
-            raise TraceError(f"op {idx}: no such cache {lce}")
         queues[lce].append((idx, op))
         if kind != "FENCE":
             d = domains[idx] = domain(addr)

@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import protocol
 from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
-                       Emission, FillData, LceResponse, NetMessage)
+                       Emission, LceResponse, NetMessage)
 from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
                        ImpossibleTransition, LceAction, WRITABLE_STATES)
 
@@ -77,7 +77,6 @@ class OutstandingMiss:
     write: bool
     size: int
     data: Optional[bytes]            # buffered store payload, applied at fill
-    lru_way: int
     atomic: Optional[AtomicOp] = None
     uncached: bool = False
 
@@ -85,11 +84,6 @@ class OutstandingMiss:
 @dataclass(slots=True)
 class Hit:
     value: Optional[bytes] = None
-
-
-@dataclass(slots=True)
-class MissIssued:
-    request: CohRequest
 
 
 class Lce:
@@ -176,8 +170,9 @@ class Lce:
                data: Optional[bytes] = None,
                atomic: Optional[AtomicOp] = None,
                uncached: bool = False):
-        """One load/store/atomic from the core.  Blocking: a single
-        outstanding miss is allowed."""
+        """One load/store/atomic from the core: a `Hit`, or the
+        `CohRequest` of the miss it issues.  Blocking: a single outstanding
+        miss is allowed."""
         if self.miss is not None:
             raise Busy("outstanding miss")
         if uncached:
@@ -204,15 +199,12 @@ class Lce:
             return Hit(value)
 
         # Miss (or write upgrade): issue the request.
-        set_idx = self.cfg.set_index(addr)
-        lru = self.lru_way(set_idx)
+        lru = self.lru_way(self.cfg.set_index(addr))
         non_excl = (not wants_write) and self.cfg.kind is LceKind.Instruction
-        self.miss = OutstandingMiss(addr, wants_write, size, data, lru, atomic)
-        req = CohRequest(lce=self.cfg.lce_id, addr=self._block_base(addr),
-                         write=wants_write, lru_way=lru,
-                         non_exclusive=non_excl,
-                         atomic=atomic, size=size)
-        return MissIssued(req)
+        self.miss = OutstandingMiss(addr, wants_write, size, data, atomic)
+        return CohRequest(lce=self.cfg.lce_id, addr=self._block_base(addr),
+                          write=wants_write, lru_way=lru,
+                          non_exclusive=non_excl, atomic=atomic, size=size)
 
     def _store_conditional(self, addr: int, size: int, data: bytes):
         """SC succeeds iff the LR reservation survived and the Store cell
@@ -233,16 +225,12 @@ class Lce:
 
     def _uncached_access(self, addr: int, write: bool, size: int,
                          data: Optional[bytes]):
-        if write:
-            # Posted: an uncached store completes at issue.
-            req = CohRequest(lce=self.cfg.lce_id, addr=addr, write=True,
-                             uncached=True, size=size, data=data)
-            return MissIssued(req)
-        self.miss = OutstandingMiss(addr=addr, write=False, size=size,
-                                    data=None, lru_way=0, uncached=True)
-        return MissIssued(request=CohRequest(
-            lce=self.cfg.lce_id, addr=addr, write=False, uncached=True,
-            size=size))
+        if not write:   # a posted uncached store completes at issue
+            self.miss = OutstandingMiss(addr=addr, write=False, size=size,
+                                        data=None, uncached=True)
+        return CohRequest(lce=self.cfg.lce_id, addr=addr, write=write,
+                          uncached=True, size=size,
+                          data=data if write else None)
 
     def _apply_write_op(self, line: CacheLine, addr: int, size: int,
                         data: Optional[bytes], atomic: Optional[AtomicOp]):
@@ -304,8 +292,9 @@ class Lce:
                               beats=beats_of(block))
             elif emission is DATA_TO_TARGET:
                 block = block or self._line_bytes(line)
-                fill = FillData(addr=cmd.addr, way=cmd.target_way,
-                                state=cmd.transfer_state, data=block)
+                fill = CceCommand(kind=DATA, addr=cmd.addr,
+                                  target_way=cmd.target_way,
+                                  state=cmd.transfer_state, data=block)
                 self.outbox.append(NetMessage(
                     FILL, self.endpoint, f"lce{cmd.target_lce}",
                     fill, beats_of(block)))
@@ -368,8 +357,8 @@ class Lce:
         self._respond(COH_ACK, addr, cce)
         self.miss = None
 
-    def handle_fill_net(self, fill: FillData, cce: str):
-        self.apply_fill(fill.addr, fill.way, fill.state, fill.data, cce)
+    # The Fill network's entry: a cache-to-cache transfer is a DATA command.
+    handle_fill_net = handle_command
 
     # -- introspection -----------------------------------------------------
 

@@ -58,7 +58,8 @@ class CohRequest:
 
 @dataclass(slots=True)
 class CceCommand:
-    """Directory -> cache controller, on the Command network."""
+    """Directory -> cache controller, on the Command network; a DATA
+    command also carries a cache-to-cache transfer on the Fill network."""
 
     kind: CommandKind
     addr: int
@@ -80,16 +81,6 @@ class LceResponse:
     lce: int
     addr: int
     data: Optional[bytes] = None
-
-
-@dataclass(slots=True)
-class FillData:
-    """Cache-to-cache transfer on the Fill network."""
-
-    addr: int
-    way: int
-    state: CoherenceState
-    data: bytes
 
 
 @dataclass(slots=True)

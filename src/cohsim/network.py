@@ -1,15 +1,20 @@
 """Coherence and memory message transport.
 
 Five logical networks (Request, Command, Fill, Response plus the memory
-command/response pair) with per-(src, dst, net) FIFO order, per-channel
+command/response pair) with per-(src, dst, net) FIFO order, per-link
 serialization of data beats, endpoint priority arbitration, and credit-based
-flow control for memory commands.
+flow control for memory commands.  Each destination has one heap of (ready,
+seq, message); a link keeps only the next cycle it is free.  A message
+starts no earlier than the link's previous one plus that one's
+serialization, so ready times strictly rise along a link and the heap keeps
+its FIFO order.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import attrgetter
 
 from .messages import MEM_CMD, NetMessage
@@ -34,25 +39,13 @@ class NetConfig:
     mem_credits: int = 8
 
 
-class _Channel(deque):
-    """One (src, dst, net) FIFO of (ready_time, msg), with the next cycle
-    its link is free."""
-
-    __slots__ = ("free",)
-
-    def __init__(self):
-        super().__init__()
-        self.free = 0
-
-
 class Network:
     def __init__(self, cfg: NetConfig = NetConfig()):
         self.cfg = cfg
-        # (src, dst, net value) -> _Channel.  The key holds the NetKind's
-        # value, not the member, so that a send hashes no enum member.
-        self.channels = {}
-        # dst -> its channels that hold messages.
-        self._busy = {}
+        self._queues = defaultdict(list)   # dst -> heap of (ready, seq, msg)
+        # (src, dst, net value) -> the next cycle that link is free; the key
+        # holds the NetKind's value, so that a send hashes no enum member.
+        self._free = {}
         # dst -> earliest ready time of its queued messages; a destination
         # with nothing queued has no entry.  Callers may read it, so that a
         # cycle costs only the destinations whose time has come.
@@ -83,22 +76,16 @@ class Network:
             self.mem_credits_avail -= 1
         dst = msg.dst
         key = (msg.src, dst, msg.net._value_)
-        chan = self.channels.get(key)
-        if chan is None:
-            chan = self.channels[key] = _Channel()
-            self._busy.setdefault(dst, [])
-        # Header occupies one channel cycle, plus one per additional beat.
+        # Header occupies one link cycle, plus one per additional beat.
         beats = msg.beats
         serialization = beats if beats > 1 else 1
-        free = chan.free
+        free = self._free.get(key, 0)
         start = free if free > now else now
+        self._free[key] = start + serialization
         ready = start + self.cfg.latency + (serialization - 1)
-        chan.free = start + serialization
-        msg.seq = self._seq
-        self._seq += 1
-        if not chan:
-            self._busy[dst].append(chan)
-        chan.append((ready, msg))
+        seq = msg.seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queues[dst], (ready, seq, msg))
         if ready < self.next_ready.get(dst, ready + 1):
             self.next_ready[dst] = ready
             if ready < self.earliest:
@@ -107,31 +94,19 @@ class Network:
     def deliver(self, now: int, dst: str):
         """Pop every message for `dst` ready at `now`, sorted by network
         priority and then by send order, which also keeps each (src, dst,
-        net) channel's FIFO order."""
+        net) link's FIFO order."""
         next_ready = self.next_ready
         due = next_ready.get(dst, INF)
         if due > now:
             return []
-        busy = self._busy[dst]
-        ready = []
-        # Ready times rise along a channel, so the heads left queued hold
-        # the destination's next ready time.
-        later = INF
-        emptied = False
-        for chan in busy:
-            while chan and chan[0][0] <= now:
-                ready.append(chan.popleft()[1])
-            if not chan:
-                emptied = True
-            elif chan[0][0] < later:
-                later = chan[0][0]
-        if later == INF:
-            busy.clear()
-            del next_ready[dst]
+        queue = self._queues[dst]
+        ready = [heappop(queue)[2]]
+        while queue and queue[0][0] <= now:
+            ready.append(heappop(queue)[2])
+        if queue:
+            next_ready[dst] = queue[0][0]
         else:
-            if emptied:
-                busy[:] = [chan for chan in busy if chan]
-            next_ready[dst] = later
+            del next_ready[dst]
         if due == self.earliest:
             # This destination held the earliest time.
             self.earliest = min(next_ready.values()) if next_ready else INF

@@ -13,9 +13,9 @@ from . import protocol
 from .directory import SegmentConfig, way_group_home
 from .cce import CceCore
 from .fsm_cce import FsmCce
-from .lce import Lce, LceConfig, MissIssued, check_geometry
+from .lce import Lce, LceConfig, check_geometry
 from .memory import BackingStore, MemoryConfig, MemoryModel
-from .messages import COMMAND, FILL, REQUEST, NetMessage
+from .messages import COMMAND, FILL, REQUEST, CohRequest, NetMessage
 from .network import INF, NetConfig, Network
 
 ENGINES = ("fsm", "ucode")
@@ -128,11 +128,11 @@ class System:
         lce = self.lces[lce_id]
         result = lce.access(addr, write, size=size, data=data, atomic=atomic,
                             uncached=uncached)
-        if isinstance(result, MissIssued):
-            req = result.request
+        if isinstance(result, CohRequest):
             self.net.send(NetMessage(REQUEST, lce.endpoint,
-                                     self.home_cce(addr).endpoint, req,
-                                     self.net.beats_of(req.data)), self.now)
+                                     self.home_cce(addr).endpoint, result,
+                                     self.net.beats_of(result.data)),
+                          self.now)
         return result
 
     # -- clocking ------------------------------------------------------------

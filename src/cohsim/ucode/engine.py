@@ -30,7 +30,9 @@ directory holds is a `MicrocodeFault` that names the instruction.
 
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
-speculative-read bits.
+speculative-read bits.  A CohAck or memory response that underflows its
+way group's pending counter (a memory command sent without `wp`, say) is
+a `MicrocodeFault` that names the way group and the message.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class Uop:
 class UcodeCce(CceCore):
     """Coherence engine driven by a microcode program instead of a
     hardwired request flow."""
+
+    Fault = MicrocodeFault
 
     def __init__(self, *args, program: Optional[str] = None, **kwargs):
         super().__init__(*args, **kwargs)

@@ -120,6 +120,80 @@ def test_microcode_fault_exits_2_with_one_error_line(tmp_path, capsys,
         "pending counter for way group 0\n"))
 
 
+# Firmware whose memory read is sent without `wp`, so its response
+# underflows the way group's pending counter when the core forwards it.
+UNPENDED_READ = ("ready: popq req\n  pushq memcmd specread\n  rdw\n  gad\n"
+                 "  specq unset\n  wde E\n  wds req, E\n  bi ready\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_message_unit_underflow_is_a_microcode_fault(tmp_path, capsys,
+                                                     command):
+    """A memory response that underflows its pending counter is a fault
+    of the firmware that names the way group and the message."""
+    firmware = tmp_path / "unpended.ucs"
+    firmware.write_text(UNPENDED_READ)
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 LD 0x800001c0\n")
+    if command == "simulate":
+        argv = ["simulate", "--engine", "ucode", "--ucode", str(firmware),
+                "--trace", str(trace)]
+    else:
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(f"ucode_program = {firmware}\n")
+        argv = ["compare", "--config", str(cfg), "--trace", str(trace)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "cohsim: error: microcode fault: memory response for 0x800001c0 "
+        "underflows the pending counter for way group 7\n")
+
+
+# Outside input to `simulate` and `compare`: case -> (argv with {d} for the
+# directory of the files below, the one error line after "cohsim: error: ").
+OUTSIDE_INPUT = {
+    "ucode-does-not-assemble": (
+        "simulate --engine ucode --ucode {d}/frob.ucs --trace {d}/t.txt",
+        "microcode does not assemble: line 1: unknown mnemonic 'frob'"),
+    "config-ucode-does-not-assemble": (
+        "compare --config {d}/frob.cfg --trace {d}/t.txt",
+        "microcode does not assemble: line 1: unknown mnemonic 'frob'"),
+    "trace-missing": (
+        "simulate --trace {d}/missing.txt",
+        "{d}/missing.txt: No such file or directory"),
+    "ucode-missing": (
+        "simulate --engine ucode --ucode {d}/missing.ucs --trace {d}/t.txt",
+        "{d}/missing.ucs: No such file or directory"),
+    "config-missing": (
+        "compare --config {d}/missing.cfg --trace {d}/t.txt",
+        "{d}/missing.cfg: No such file or directory"),
+    "trace-does-not-parse": (
+        "simulate --trace {d}/frob.txt",
+        "{d}/frob.txt: line 1: '0 FROB 0x0': unknown op 'FROB'"),
+    "trace-names-missing-cache": (
+        "compare --trace {d}/cache5.txt",
+        "{d}/cache5.txt: op 1: no such cache 5"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_INPUT)
+def test_outside_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    """An unreadable, unparsable or unassemblable input file is one error
+    line and exit 2, not a traceback."""
+    files = {"frob.ucs": "frob\n",
+             "frob.cfg": "ucode_program = {d}/frob.ucs\n",
+             "t.txt": "0 LD 0x80000000\n", "frob.txt": "0 FROB 0x0\n",
+             "cache5.txt": "0 LD 0x80000000\n5 LD 0x80000000\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(d=tmp_path))
+    argv, message = (s.format(d=tmp_path) for s in OUTSIDE_INPUT[case])
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"cohsim: error: {message}\n")
+
+
 class TestMicrocodeTools:
     def test_assemble_and_disasm(self, tmp_path, capsys):
         src = tmp_path / "p.ucs"

@@ -11,12 +11,14 @@ import pytest
 
 import cohsim
 from cohsim import harness
+from cohsim.cce import EngineFault
 from cohsim.harness import TraceOp, random_workload, run_trace
-from cohsim.messages import Emission, NetKind
+from cohsim.messages import Emission, LceResponse, NetKind, NetMessage
 from cohsim.occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                               replacement_extra, sharer_range)
 from cohsim.protocol import CoherenceState
 from cohsim.system import System, SystemConfig
+from cohsim.ucode.engine import MicrocodeFault
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -263,7 +265,7 @@ class TestMemoryCredits:
 
 
 class TestArbitration:
-    # engine -> (cycle whose tick drains the CohAck that frees the way
+    # engine -> (cycle whose delivery brings the CohAck that frees the way
     # group, cycle whose tick takes the blocked request off its queue,
     # cycles to idle)
     GOLDEN = {"fsm": ([42], [42], 75), "ucode": ([45], [46], 81)}
@@ -279,24 +281,43 @@ class TestArbitration:
         system = System(SystemConfig(cores=2, sets=8, engine=engine))
         cce = system.cces[0]
         wg = cce.local_wg(BASE)
-        tick = cce.tick
+        accept, tick = cce.accept, cce.tick
         freed, taken = [], []
 
+        def watched_accept(msg):
+            accept(msg)
+            if (msg.net is NetKind.Response
+                    and msg.payload.kind is Emission.CohAck
+                    and cce.pending.counters[wg] == 0):
+                freed.append(system.now)
+
         def watched_tick(now):
-            acked = any(r.kind is Emission.CohAck for r in cce.resp_q)
             queued = len(cce.req_qs[1])
             tick(now)
-            if acked and cce.pending.counters[wg] == 0:
-                freed.append(now)
             if queued and not cce.req_qs[1]:
                 taken.append(now)
 
-        cce.tick = watched_tick
+        cce.accept, cce.tick = watched_accept, watched_tick
         system.submit(0, BASE, write=False)
         system.submit(1, BASE, write=True, data=b"\x01" * 8)
         while not system.idle() and system.now < 200:
             system.advance(200)
         assert (freed[:1], taken[:1], system.now) == self.GOLDEN[engine]
+
+
+@pytest.mark.parametrize("engine,fault", [("fsm", EngineFault),
+                                          ("ucode", MicrocodeFault)])
+def test_cohack_underflow_is_the_engines_fault(engine, fault):
+    """A CohAck with nothing pending is consumed on arrival and raises the
+    engine's own fault: a simulator bug under `fsm`, a firmware fault
+    under `ucode`."""
+    system = System(SystemConfig(cores=2, sets=8, engine=engine))
+    cce = system.cces[0]
+    ack = NetMessage(NetKind.Response, "lce1", cce.endpoint,
+                     LceResponse(Emission.CohAck, 1, BASE + 0x40))
+    with pytest.raises(fault, match="CohAck for 0x80000040 underflows the "
+                                    "pending counter for way group 1$"):
+        cce.accept(ack)
 
 
 def test_checks_survive_optimized_python():

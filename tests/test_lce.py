@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohsim.lce import (Busy, Hit, Lce, LceConfig, LceKind, MissIssued,
-                        UnexpectedFill)
-from cohsim.messages import AtomicOp, CceCommand, Emission
+from cohsim.lce import Busy, Hit, Lce, LceConfig, LceKind, UnexpectedFill
+from cohsim.messages import AtomicOp, CceCommand, CohRequest, Emission
 from cohsim.protocol import (MOESIF, CoherenceState, CommandKind,
                              ImpossibleTransition)
 
@@ -22,8 +21,8 @@ def make_lce(**kw):
 def fill(lce, addr, state, data=None, way=None):
     """Drive the full miss-then-fill path to install a line."""
     res = lce.access(addr, write=False)
-    assert isinstance(res, MissIssued)
-    way = res.request.lru_way if way is None else way
+    assert isinstance(res, CohRequest)
+    way = res.lru_way if way is None else way
     block = data if data is not None else bytes(64)
     lce.apply_fill(addr - addr % 64, way, state, block, "cce0")
     return way
@@ -32,9 +31,8 @@ def fill(lce, addr, state, data=None, way=None):
 class TestProcessorPort:
     def test_cold_miss_issues_request(self):
         lce = make_lce()
-        res = lce.access(BASE + 8, write=False)
-        assert isinstance(res, MissIssued)
-        req = res.request
+        req = lce.access(BASE + 8, write=False)
+        assert isinstance(req, CohRequest)
         assert req.addr == BASE and not req.write and req.lce == 0
         with pytest.raises(Busy):
             lce.access(BASE + 16, write=False)
@@ -57,7 +55,7 @@ class TestProcessorPort:
         lce = make_lce()
         fill(lce, BASE, state)
         res = lce.access(BASE, write=True, data=bytes(8))
-        assert isinstance(res, MissIssued) and res.request.write
+        assert isinstance(res, CohRequest) and res.write
 
     def test_read_hit_in_every_valid_state(self):
         for state in (S, E, M, O, F):
@@ -69,7 +67,7 @@ class TestProcessorPort:
     def test_instruction_cache_requests_non_exclusive(self):
         lce = Lce(LceConfig(lce_id=0, kind=LceKind.Instruction))
         res = lce.access(BASE, write=False)
-        assert res.request.non_exclusive
+        assert res.non_exclusive
 
     def test_unexpected_fill(self):
         lce = make_lce()
@@ -146,8 +144,8 @@ class TestLru:
         for tag in refs:
             addr = BASE + tag * 64 * cfg.sets
             res = lce.access(addr, write=False)
-            if isinstance(res, MissIssued):
-                victim = res.request.lru_way
+            if isinstance(res, CohRequest):
+                victim = res.lru_way
                 lines = lce.sets[0]
                 invalid = [w for w, l in enumerate(lines) if l.state is I]
                 if invalid:
@@ -194,7 +192,7 @@ class TestCoherencePort:
         lce = make_lce()
         way = fill(lce, BASE, S)
         res = lce.access(BASE, write=True, data=b"\x5a" * 8)
-        assert isinstance(res, MissIssued)
+        assert isinstance(res, CohRequest)
         lce.handle_command(CceCommand(kind=CommandKind.StW, addr=BASE,
                                       state=M), "cce0")
         assert lce.miss is None
@@ -223,7 +221,7 @@ class TestCoherencePort:
                                                        None)}))
         way = fill(lce, BASE, O)
         res = lce.access(BASE, write=False)
-        assert isinstance(res, MissIssued) and not res.request.write
+        assert isinstance(res, CohRequest) and not res.write
         assert lce.sets[0][way].state is O
 
     def test_blank_cell_raises_every_time(self):

@@ -1,5 +1,6 @@
-"""Message transport: FIFO channels, serialization, priority, credits."""
+"""Message transport: FIFO links, serialization, priority, credits."""
 
+import itertools
 import random
 
 import pytest
@@ -40,6 +41,22 @@ class TestTransport:
         assert net.deliver(7, "b") == []
         assert net.deliver(8, "b") == [first]   # 0 + latency + (8-1)
         assert net.deliver(9, "b") == [second]  # starts after the first
+
+    def test_multi_beat_link_fifo_at_zero_latency(self):
+        """At latency 0, messages of mixed beats on one link arrive one by
+        one in send order, each when its last beat is through."""
+        net = Network(NetConfig(latency=0))
+        sent = [msg(NetKind.Fill, beats=b, payload=i)
+                for i, b in enumerate((8, 0, 8, 1, 2))]
+        for m in sent[:3]:
+            net.send(m, now=0)
+        for m in sent[3:]:
+            net.send(m, now=5)
+        arrivals = [(now, m.payload) for now in range(25)
+                    for m in net.deliver(now, "b")]
+        # Starts 0, 8, 9, 17, 18; ready at start + max(beats, 1) - 1.
+        assert arrivals == [(7, 0), (8, 1), (16, 2), (17, 3), (19, 4)]
+        assert net.idle()
 
     def test_beats_of(self):
         net = Network(NetConfig(beat_bytes=8))
@@ -132,13 +149,42 @@ class TestDeliveryOrder:
         assert net.idle() and net.earliest == INF
 
 
-def scanned_ready(net):
-    """dst -> earliest ready time, by a scan of every channel."""
-    out = {}
-    for (_, dst, _), chan in net.channels.items():
-        if chan:
-            out[dst] = min(out.get(dst, chan[0][0]), chan[0][0])
-    return out
+class LinkOracle:
+    """The link rule worked out from the sends alone, without reading the
+    network's internals: a message starts when its (src, dst, net) link
+    is free and now has come, holds the link one cycle per beat (at least
+    one), and is ready `latency` cycles after its last beat starts."""
+
+    def __init__(self, net, latency):
+        self.net = net
+        self.latency = latency
+        self.free = {}      # link -> next free cycle
+        self.queued = []    # (ready, priority, send order, msg)
+        self.order = itertools.count()
+
+    def send(self, m, now):
+        self.net.send(m, now)
+        link = (m.src, m.dst, m.net)
+        serial = max(1, m.beats)
+        start = max(self.free.get(link, 0), now)
+        self.free[link] = start + serial
+        self.queued.append((start + self.latency + serial - 1,
+                            m.net.priority, next(self.order), m))
+
+    def next_ready(self):
+        """dst -> earliest ready time of its queued messages."""
+        out = {}
+        for ready, _, _, m in self.queued:
+            out[m.dst] = min(out.get(m.dst, ready), ready)
+        return out
+
+    def deliver(self, now, dst):
+        """What `deliver(now, dst)` must return: every message for `dst`
+        ready by `now`, in (priority, send order)."""
+        due = [e for e in self.queued if e[3].dst == dst and e[0] <= now]
+        self.queued = [e for e in self.queued
+                       if not (e[3].dst == dst and e[0] <= now)]
+        return [e[3] for e in sorted(due, key=lambda e: e[1:3])]
 
 
 class TestReadyIndex:
@@ -146,50 +192,53 @@ class TestReadyIndex:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_a_scan_of_every_channel(self, latency, seed):
         """After each send and each partial delivery, `next_ready`,
-        `earliest` and `idle` agree with a full scan."""
+        `earliest` and `idle` agree with the link rule applied to every
+        send so far, and each delivery holds what that rule makes ready,
+        in (priority, seq) order."""
         rng = random.Random(seed)
         net = Network(NetConfig(latency=latency))
+        oracle = LinkOracle(net, latency)
         dsts = ["d0", "d1", "d2", "mem"]
         now = 0
         for _ in range(400):
             if rng.random() < 0.55:
                 kind = rng.choice([NetKind.Request, NetKind.Command,
                                    NetKind.Fill, NetKind.Response])
-                net.send(msg(kind, src=rng.choice(["s0", "s1", "s2"]),
-                             dst=rng.choice(dsts),
-                             beats=rng.choice([0, 1, 8])), now)
+                oracle.send(msg(kind, src=rng.choice(["s0", "s1", "s2"]),
+                                dst=rng.choice(dsts),
+                                beats=rng.choice([0, 1, 8])), now)
             else:
                 dst = rng.choice(dsts)
-                due = scanned_ready(net).get(dst)
-                out = net.deliver(now, dst)
-                assert bool(out) == (due is not None and due <= now)
+                want = oracle.deliver(now, dst)
+                got = net.deliver(now, dst)
+                assert [id(m) for m in got] == [id(m) for m in want]
             now += rng.choice([0, 0, 1, 2])
-            scan = scanned_ready(net)
-            assert net.next_ready == scan
-            assert net.idle() == (not scan)
-            assert net.earliest == min(scan.values(), default=INF)
+            ready = oracle.next_ready()
+            assert net.next_ready == ready
+            assert net.idle() == (not ready)
+            assert net.earliest == min(ready.values(), default=INF)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_delivers_by_priority_then_seq(self, seed):
         """A delivery holds every ready message for its destination in
-        (priority, seq) order, however often channels empty and refill:
-        checked against a gather over every channel."""
+        (priority, seq) order, however often links empty and refill:
+        checked against the link rule applied to every send."""
         rng = random.Random(seed)
         net = Network(NetConfig(latency=1))
+        oracle = LinkOracle(net, 1)
         dsts = ["d0", "d1", "mem"]
         now = 0
         for _ in range(400):
             if rng.random() < 0.55:
                 kind = rng.choice([NetKind.Request, NetKind.Command,
                                    NetKind.Fill, NetKind.Response])
-                net.send(msg(kind, src=rng.choice(["s0", "s1", "s2", "s3"]),
-                             dst=rng.choice(dsts),
-                             beats=rng.choice([0, 1, 8])), now)
+                oracle.send(msg(kind, src=rng.choice(["s0", "s1", "s2",
+                                                      "s3"]),
+                                dst=rng.choice(dsts),
+                                beats=rng.choice([0, 1, 8])), now)
             else:
                 dst = rng.choice(dsts)
-                want = sorted((m for (_, d, _), chan in net.channels.items()
-                               if d == dst for t, m in chan if t <= now),
-                              key=lambda m: (m.net.priority, m.seq))
+                want = oracle.deliver(now, dst)
                 got = net.deliver(now, dst)
                 assert [id(m) for m in got] == [id(m) for m in want]
             now += rng.choice([0, 0, 1, 2])
