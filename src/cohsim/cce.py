@@ -9,10 +9,11 @@ units, each a generator of per-cycle BUSY or WAIT tags: `_busy` (a fixed
 count of busy cycles, such as a way-group read), `_await_resp`, the
 memory-command unit `_to_memory` and its `_write_back`, and the
 invalidation sequencer `_invalidate`.  The two engines, `fsm_cce.FsmCce`
-and `ucode.engine.UcodeCce`, differ only in how they sequence a request and
-run these units: each supplies `_step` (one sequencer cycle, tagged BUSY or
-WAIT), `_active` and `Fault`, what a CohAck or memory response that
-underflows its pending counter raises.
+and `ucode.engine.UcodeCce`, differ only in how they sequence a request:
+each supplies `_sequencer`, a generator that yields one BUSY or WAIT tag
+per cycle and runs the units with `yield from`, and `Fault`, what a CohAck
+or memory response that underflows its pending counter raises.  The core
+creates the sequencer once and `tick` advances it by one tag.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -114,6 +115,7 @@ class CceCore:
         self._req: Optional[CohRequest] = None
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
+        self._seq = self._sequencer()
 
     # -- helpers -------------------------------------------------------------
 
@@ -164,9 +166,14 @@ class CceCore:
         self.now = now
         if self.memresp_q:
             self._mem_resp_tick()
-        # Classify the cycle (see the module docstring); `_step` may open
-        # or close the transaction it is charged to.
-        tag = self._step()
+        # Classify the cycle (see the module docstring); the sequencer may
+        # open or close the transaction it is charged to.
+        try:
+            tag = next(self._seq)
+        except StopIteration:
+            # The sequencer ends only by raising.
+            raise self.Fault(f"{self.endpoint} stopped at an earlier "
+                             "fault") from None
         txn = self._txn
         if tag is BUSY:
             self.stats.busy_cycles += 1
@@ -182,17 +189,18 @@ class CceCore:
 
     # -- sequencer hooks -------------------------------------------------------
 
-    def _step(self) -> str:
-        """Run one sequencer cycle; return BUSY or WAIT."""
+    def _sequencer(self):
+        """Yield BUSY or WAIT for each cycle, for ever."""
         raise NotImplementedError
 
     def _active(self) -> bool:
-        """True while the sequencer holds work that needs more cycles."""
-        raise NotImplementedError
+        """True while the sequencer holds work that needs more cycles: by
+        default, while a transaction is open."""
+        return self._txn is not None
 
     # -- datapath units --------------------------------------------------------
-    # Each is a generator of per-cycle BUSY/WAIT tags: `fsm` runs one with
-    # `yield from`, `ucode` in the unit slot its current instruction fills.
+    # Each is a generator of per-cycle BUSY/WAIT tags, which both engines'
+    # sequencers run with `yield from`.
 
     @staticmethod
     def _busy(n: int):

@@ -95,12 +95,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_assemble(args) -> int:
     with open(args.source) as fh:
-        source = fh.read()
-    try:
-        program = asm.assemble(source)
-    except asm.AsmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        program = asm.assemble(fh.read())
     words = [asm.isa.encode(i) for i in program]
     if args.listing:
         print(asm.disassemble(words))

@@ -1,12 +1,13 @@
 """Fixed-function coherence engine.
 
-The request flow is a generator running on the shared engine core
-(`cce.CceCore`): every yield is one sequencer cycle, tagged BUSY (the flow
-did work) or WAIT (blocked on the network).  The core classifies every
-cycle under its one accounting rule, the same for both engines: busy;
-wait inside a transaction; stall or idle outside one.  The per-state
-cycle placement is pinned so the closed-form occupancy of each request
-class holds exactly:
+The sequencer is a generator that the shared engine core (`cce.CceCore`)
+drives: it takes the next admissible request, opens its transaction, runs
+the request's flow and closes the transaction.  Every yield is one cycle,
+tagged BUSY (the flow did work) or WAIT (blocked on the network, or no
+request to take).  The core classifies every cycle under its one
+accounting rule, the same for both engines: busy; wait inside a
+transaction; stall or idle outside one.  The per-state cycle placement is
+pinned so the closed-form occupancy of each request class holds exactly:
 
   base (Ready .. Write Next State)         7 + rows_per_set   cycles
   resolve speculation (memory-sourced)     +1
@@ -47,33 +48,22 @@ class FsmCce(CceCore):
     """One directory-side coherence engine instance with a hardwired
     request flow."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._flow = None
-
     # -- sequencer -------------------------------------------------------------
 
-    def _active(self) -> bool:
-        return self._flow is not None
-
-    def _step(self) -> str:
+    def _sequencer(self):
         while True:
-            if self._flow is None:
-                req = self._arbitrate()
-                if req is None:
-                    return WAIT
-                addr_class = self._open_txn(req)
-                if addr_class is COHERENT:
-                    self._flow = self._coherent_flow(req)
-                else:
-                    self._flow = self._uncached_flow(req, addr_class)
-            try:
-                return next(self._flow)
-            except StopIteration:
-                # The finished flow consumed no cycle here; start the next
-                # request in this same cycle.
-                self._flow = None
-                self._close_txn()
+            req = self._arbitrate()
+            if req is None:
+                yield WAIT
+                continue
+            addr_class = self._open_txn(req)
+            if addr_class is COHERENT:
+                yield from self._coherent_flow(req)
+            else:
+                yield from self._uncached_flow(req, addr_class)
+            # The finished flow consumed no cycle here; the next request
+            # starts in this same cycle.
+            self._close_txn()
 
     # -- request processing flow ----------------------------------------------
 

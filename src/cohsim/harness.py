@@ -474,16 +474,15 @@ def _dir_image(system: System):
 
 def compare_engines(ops, cfg: SystemConfig = SystemConfig(),
                     monitors: bool = True) -> EquivalenceReport:
-    """Run one trace on both engines and compare final architectural state."""
-    results = {}
-    for engine in ("fsm", "ucode"):
-        system = System(SystemConfig(**{**cfg.__dict__, "engine": engine}))
-        mons = default_monitors() if monitors else []
-        rep = run_trace(system, ops, monitors=mons)
-        results[engine] = (system, rep)
+    """Run one trace on both engines and compare final architectural state.
+    Both systems are built before either runs, so firmware that cannot be
+    read or assembled fails at once."""
+    sys_f, sys_u = (System(SystemConfig(**{**cfg.__dict__, "engine": engine}))
+                    for engine in ("fsm", "ucode"))
+    rep_f, rep_u = (run_trace(system, ops,
+                              monitors=default_monitors() if monitors else [])
+                    for system in (sys_f, sys_u))
     diffs = []
-    sys_f, rep_f = results["fsm"]
-    sys_u, rep_u = results["ucode"]
     for label, probe in (("memory", _memory_image),
                          ("directory", _dir_image)):
         a, b = probe(sys_f), probe(sys_u)

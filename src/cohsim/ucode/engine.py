@@ -5,15 +5,19 @@ running on the shared engine core (`cce.CceCore`).  Each instruction
 word is decoded once, when the first engine with that program is built,
 into a `Uop` that carries its handler, so executing an instruction is one
 call; engines built from the same words share the decoded program.
-Branches are
-statically predicted not-taken unless annotated `[pt]`; unconditional
-jumps redirect at predecode.  A mispredicted branch costs one bubble
-cycle.  An instruction that drives one of the core's multi-cycle datapath
-units (`rdw`, `rde`, `inv`, `pushq memcmd`) starts it in the engine's one
-unit slot and advances `pc` at once; the unit then occupies the execute
-stage for its full duration, as does the bubble (`_busy(1)`).  A unit
-that takes no cycle (an `inv` with no targets) fuses with the next
-instruction.
+Branches are statically predicted not-taken unless annotated `[pt]`;
+unconditional jumps redirect at predecode.  A mispredicted branch costs
+one bubble cycle.
+
+The pipeline is the engine's sequencer, a generator of one BUSY or WAIT
+tag per cycle that the core drives.  An instruction that drives one of
+the core's multi-cycle datapath units (`rdw`, `rde`, `inv`, `pushq
+memcmd`) advances `pc` and returns the unit, which the pipeline runs with
+`yield from`: it occupies the execute stage for its full duration, as a
+mispredicted branch and its bubble do (`_busy(2)`).  A unit that takes no
+cycle (an `inv` with no targets) fuses with the next instruction.  Only
+such an `inv` takes no cycle, and it advances `pc`, so a chain of them
+ends at an instruction that costs a cycle or runs past the program's end.
 
 Each cycle the execute stage does work (bubbles included) is busy; a cycle
 blocked on an empty queue or an exhausted memory credit, and every `wfq`
@@ -26,7 +30,8 @@ Instructions read the request `popq req` took and the way-group read
 `rdw` made for it in place.  Reading either before it exists, naming an
 owner the read did not find, writing back a response this request has
 not popped, or moving a pending counter or speculation bit past what the
-directory holds is a `MicrocodeFault` that names the instruction.
+directory holds is a `MicrocodeFault` that names the instruction, also
+when a unit the instruction started does it in a later cycle.
 
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
@@ -52,8 +57,6 @@ from . import asm, isa
 from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
 MASK64 = (1 << 64) - 1
-
-FREE = "free"   # zero-cost completion (fused with the next instruction)
 
 # Flag bit positions as plain ints, named by their assembler mnemonics, so
 # that building a flags word looks up no enum attribute.
@@ -144,7 +147,7 @@ class UcodeCce(CceCore):
         self.flags = 0
         self.last_resp = None   # this request's last popped response
         self._found = None   # this request's way-group read, once `rdw` ran
-        self._unit = None   # the running datapath unit, if any
+        self._unit = None   # the running datapath unit, for `_active`
         self.mispredicts = 0
 
     # -- sequencer -------------------------------------------------------------
@@ -152,55 +155,37 @@ class UcodeCce(CceCore):
     def _active(self) -> bool:
         return self._txn is not None or self._unit is not None
 
-    def _step(self) -> str:
-        unit = self._unit
-        try:
-            if unit is not None:
-                tag = next(unit, None)
-                if tag is not None:
-                    return tag
-                # The finished unit consumed no cycle here; the next
-                # instruction runs in this same cycle.
-                self._unit = None
-            # Zero-cost completions (an inv with no targets) fuse with the
-            # next instruction; bound the fusion chain, 8 instructions in
-            # all, defensively.
-            for _ in range(8):
-                pc = self.pc
-                try:
-                    u = self.imem[pc]
-                except IndexError:
-                    raise MicrocodeFault(f"pc {pc} is past the end of the "
-                                         "program") from None
+    def _sequencer(self):
+        """The pipeline: run the instruction at `pc`, then the unit it
+        started, if any, from this cycle on."""
+        imem = self.imem
+        while True:
+            pc = self.pc
+            try:
+                u = imem[pc]
+            except IndexError:
+                raise MicrocodeFault(f"pc {pc} is past the end of the "
+                                     "program") from None
+            try:
                 outcome = u.run(self, u)
-                if outcome is not FREE:
-                    return outcome
-        except tuple(BIT_FAULTS) as exc:
-            if self._unit is not None:
-                # A later cycle of a running unit: `_start` advanced `pc`
-                # past the instruction that started it.
-                pc = self.pc - 1
-            raise self._fault(f"{BIT_FAULTS[type(exc)]} {exc}", pc) from None
-        raise MicrocodeFault("zero-cost instruction chain too long")
+                if outcome is BUSY or outcome is WAIT:
+                    yield outcome
+                else:
+                    self._unit = outcome
+                    yield from outcome
+                    self._unit = None
+            except tuple(BIT_FAULTS) as exc:
+                raise self._fault(f"{BIT_FAULTS[type(exc)]} {exc}",
+                                  pc) from None
 
-    def _start(self, unit) -> str:
-        """Advance `pc` and run `unit` from this cycle on in the unit slot;
-        FREE when it takes no cycle."""
-        self.pc += 1
-        tag = next(unit, None)
-        if tag is None:
-            return FREE
-        self._unit = unit
-        return tag
-
-    def _branch(self, u: Uop, taken: bool) -> str:
+    def _branch(self, u: Uop, taken: bool):
         if taken:
             self.pc = u.target
         else:
             self.pc += 1
         if taken != u.predict:
-            self._unit = self._busy(1)   # the bubble, in the next cycle
             self.mispredicts += 1
+            return self._busy(2)     # the branch cycle and its bubble
         return BUSY
 
     def _fault(self, why: str, pc: Optional[int] = None) -> MicrocodeFault:
@@ -233,7 +218,8 @@ class UcodeCce(CceCore):
 
     # -- instruction semantics ---------------------------------------------------
     # One handler per opcode (see `_HANDLERS`), called as
-    # `handler(self, uop)`; each returns BUSY, WAIT or FREE.
+    # `handler(self, uop)`; each returns BUSY, WAIT or, having advanced
+    # `pc`, the datapath unit it starts.
 
     def _nop(self, u) -> str:
         self.pc += 1
@@ -260,10 +246,10 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _br(self, u) -> str:
+    def _br(self, u):
         return self._branch(u, u.fn(self.regs[u.rs1], self.regs[u.rs2]))
 
-    def _bri(self, u) -> str:
+    def _bri(self, u):
         return self._branch(u, u.fn(self.regs[u.rs1], u.imm))
 
     def _bi(self, u) -> str:
@@ -285,7 +271,7 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _flagbr(self, u) -> str:
+    def _flagbr(self, u):
         return self._branch(u, u.fn(self.flags & u.mask, u.mask))
 
     def _rdp(self, u) -> str:
@@ -294,16 +280,18 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _rdw(self, u) -> str:
+    def _rdw(self, u):
         req = self._request()
         self._found = self.directory.read_way_group(req.addr, req.lce,
                                                     req.lru_way)
-        return self._start(self._busy(self.cfg.way_group_read_latency))
+        self.pc += 1
+        return self._busy(self.cfg.way_group_read_latency)
 
-    def _rde(self, u) -> str:
+    def _rde(self, u):
         """An entry read: no instruction reads its result, so it only
         occupies the execute stage."""
-        return self._start(self._busy(ENTRY_READ_LATENCY))
+        self.pc += 1
+        return self._busy(ENTRY_READ_LATENCY)
 
     def _wdp(self, u) -> str:
         self.pending.adjust(self._wg(), +1 if u.inc == "inc" else -1)
@@ -431,7 +419,7 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _pushq(self, u) -> str:
+    def _pushq(self, u):
         if u.dest == "memcmd":
             kind = u.kind
             wg = self._wg() if u.wp else None
@@ -439,7 +427,8 @@ class UcodeCce(CceCore):
                 if self.last_resp is None:
                     raise self._fault("writes back a response, but this "
                                       "request has popped none")
-                return self._start(self._write_back(self.last_resp, wg))
+                self.pc += 1
+                return self._write_back(self.last_resp, wg)
             req = self._request()
             if kind == "specread":
                 cmd = MemCmd(addr=req.addr, write=False, spec=True,
@@ -449,7 +438,8 @@ class UcodeCce(CceCore):
                 cmd = MemCmd(addr=req.addr, write=write, uncached=True,
                              size=req.size, data=req.data if write else None,
                              lce=req.lce, wp=bool(u.wp))
-            return self._start(self._to_memory(cmd, wg))
+            self.pc += 1
+            return self._to_memory(cmd, wg)
 
         kind = u.kind
         found = self._read()
@@ -470,11 +460,11 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    def _inv(self, u) -> str:
+    def _inv(self, u):
         found = self._read()
         req = self._req
-        return self._start(
-            self._invalidate(req.addr, self._inv_targets(found, req.lce)))
+        self.pc += 1
+        return self._invalidate(req.addr, self._inv_targets(found, req.lce))
 
 
 @lru_cache(maxsize=16)

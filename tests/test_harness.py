@@ -468,6 +468,22 @@ class TestCompareEngines:
         assert report.equivalent
         assert report.cycle_ratio == 1.0
 
+    @pytest.mark.parametrize("firmware,error", [
+        ("frob.ucs", asm.AsmError), ("missing.ucs", FileNotFoundError)])
+    def test_bad_firmware_fails_before_either_engine_runs(
+            self, tmp_path, monkeypatch, firmware, error):
+        """Both systems are built before either engine runs, so firmware
+        that does not assemble or cannot be opened costs no `fsm` run."""
+        (tmp_path / "frob.ucs").write_text("frob\n")
+        runs = []
+        monkeypatch.setattr(harness, "run_trace",
+                            lambda system, *args, **kw: runs.append(system))
+        ops = random_workload(11, lces=2, ops=20, footprint_blocks=4)
+        with pytest.raises(error):
+            compare_engines(ops, SystemConfig(
+                cores=2, sets=8, ucode_program=str(tmp_path / firmware)))
+        assert runs == []
+
 
 class TestOverhead:
     @pytest.mark.parametrize("caches", [2, 4, 8, 16, 32, 64])

@@ -2,16 +2,18 @@
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 import sys
 
 import cohsim
 from cohsim import cli, directory
+from cohsim.fsm_cce import FsmCce
 from cohsim.protocol import PROTOCOLS
 from cohsim.system import SystemConfig
 from cohsim.ucode import asm
-from cohsim.ucode.engine import default_program
+from cohsim.ucode.engine import UcodeCce, default_program
 from cohsim.ucode.isa import Op
 
 SRC = pathlib.Path(cohsim.__file__).parent
@@ -155,6 +157,22 @@ def test_engines_use_the_cores_memory_command_unit():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("_send_mem", "has_mem_credit")]
+    assert not found, found
+
+
+def test_engines_sequence_through_one_generator():
+    """Both engines give the core one sequencer, a generator of cycle
+    tags; no module keeps a per-cycle `_step` or a unit-starting
+    `_start`."""
+    assert inspect.isgeneratorfunction(FsmCce._sequencer)
+    assert inspect.isgeneratorfunction(UcodeCce._sequencer)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("_step", "_start")]
     assert not found, found
 
 

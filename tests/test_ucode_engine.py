@@ -152,6 +152,16 @@ class TestReadFaults:
         assert eng.directory.snapshot() == {}
         assert eng.net.idle()
 
+    def test_a_tick_after_a_fault_faults_again(self, tmp_path):
+        """The sequencer ends at a fault; ticking on is the engine's fault
+        too, not a bare StopIteration."""
+        eng = make_engine(tmp_path, "  wdp dec\n  wfq resp\n", req=request())
+        with pytest.raises(ucode_engine.MicrocodeFault, match="underflows"):
+            eng.tick(0)
+        with pytest.raises(ucode_engine.MicrocodeFault,
+                           match="cce0 stopped at an earlier fault"):
+            eng.tick(1)
+
     def test_popq_req_forgets_the_last_response(self, tmp_path):
         eng = make_engine(tmp_path, "  popq resp r1\n  popq req\n"
                                     "  pushq memcmd wb\n  wfq resp\n")
@@ -176,6 +186,23 @@ class TestReadFaults:
         with pytest.raises(ucode_engine.MicrocodeFault, match=(
                 r"pc 0 \(pushq memcmd specread\) speculates twice")):
             eng.tick(5)
+
+
+class TestIdle:
+    def test_a_unit_outside_a_transaction_keeps_the_system_busy(
+            self, tmp_path):
+        """An entry read with no transaction open still has a cycle to
+        run after its first: the system is idle only once it is done."""
+        path = tmp_path / "prog.ucs"
+        path.write_text("ready: rde req\n  wfq req\n  popq req\n"
+                        "  bi ready\n")
+        system = System(SystemConfig(cores=2, engine="ucode",
+                                     ucode_program=str(path)))
+        idle = []
+        for _ in range(3):
+            system.step()
+            idle.append(system.idle())
+        assert idle == [False, False, True]
 
 
 @st.composite
@@ -237,6 +264,20 @@ class TestMultiCycleUnits:
                           caches=4, req=request())
         base = (1 + 4 // 2) + 1 + 1  # rdw + gad + trailing nop
         assert busy_after(eng) == base
+
+    @pytest.mark.parametrize("invs", [0, 9])
+    def test_invalidations_with_no_targets_fuse_in_any_number(self, tmp_path,
+                                                              invs):
+        """No-target `inv`s fuse with the instruction after them however
+        many follow one another: only `popq req`, `rdw` and the trailing
+        `nop` take cycles, on a block no other cache holds."""
+        eng = make_engine(tmp_path, "  popq req\n  rdw\n" + "  inv\n" * invs
+                          + "  nop\n  wfq resp\n", caches=4)
+        eng.req_qs[0].append(request())
+        busy = 1 + (1 + 4 // 2) + 1  # popq req + rdw + trailing nop
+        assert busy_after(eng) == busy
+        assert eng.pc == 3 + invs
+        assert eng._txn.busy_cycles == busy
 
 
 class TestSpecials:
