@@ -95,7 +95,7 @@ class CceCore:
         self.net = net
         self.num_cces = num_cces
         self.tables = tables
-        self.directory = DirectorySegment(seg_cfg, cce_id, num_cces)
+        self.directory = DirectorySegment(seg_cfg, cce_id, num_cces, tables)
         self._lce_endpoints = [f"lce{i}" for i in range(seg_cfg.num_caches)]
         # Set index -> local way group, or None for a set homed elsewhere.
         homes = [way_group_home(s, num_cces)
@@ -375,6 +375,5 @@ class CceCore:
         elif not resp.write:
             self._send_cmd(resp.lce, CceCommand(
                 kind=DATA, addr=resp.addr, way=resp.way, target_way=resp.way,
-                state=state, data=resp.data, uncached=resp.uncached,
-                size=resp.size))
+                state=state, data=resp.data, uncached=resp.uncached))
             self.stats.mem_resp_forwards += 1

@@ -14,12 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .protocol import CoherenceState, I, S, E, M, O
-
-# Victim states that require an explicit writeback flow: those with a
-# filled Replacement cell in some protocol (a segment holds no tables, so
-# it keeps this copy).  S and F victims are dropped silently.
-REPLACEMENT_STATES = (E, M, O)   # a tuple: see protocol.WRITABLE_STATES
+from . import protocol
+from .protocol import CoherenceState, I, S
 
 PENDING_COUNTER_MAX = 15  # 4-bit counters; overflow is a protocol bug
 
@@ -111,10 +107,14 @@ class DirectorySegment:
     2k and 2k + 1 share a physical row (see TAG_SETS_PER_ROW).
     """
 
-    def __init__(self, cfg: SegmentConfig, cce_id: int = 0, num_cces: int = 1):
+    def __init__(self, cfg: SegmentConfig, cce_id: int = 0, num_cces: int = 1,
+                 tables: protocol.ProtocolTables = protocol.MOESIF):
         self.cfg = cfg
         self.cce_id = cce_id
         self.num_cces = num_cces
+        # Victim states that take the writeback flow: those whose
+        # Replacement cell is filled.  Other victims are dropped silently.
+        self.replacement_states = tables.replacement_states
         # Set index -> whether its way group is homed here.
         self._homed = [way_group_home(s, num_cces)[0] == cce_id
                        for s in range(cfg.sets_per_cache)]
@@ -176,7 +176,7 @@ class DirectorySegment:
         return WayGroupRead(
             copies, owner, req_way, req_state, lru_way, lru.tag, lru.state,
             owner[2] if owner else (S if copies else I), sharers,
-            req_state is I and lru.state in REPLACEMENT_STATES)
+            req_state is I and lru.state in self.replacement_states)
 
     def write_entry(self, addr: int, lce: int, way: int,
                     tag: Optional[int] = None, state: CoherenceState = I):

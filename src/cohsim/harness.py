@@ -472,15 +472,15 @@ def _dir_image(system: System):
     return out
 
 
-def compare_engines(ops, cfg: SystemConfig = SystemConfig(),
-                    monitors: bool = True) -> EquivalenceReport:
-    """Run one trace on both engines and compare final architectural state.
-    Both systems are built before either runs, so firmware that cannot be
-    read or assembled fails at once."""
+def compare_engines(ops, cfg: SystemConfig = SystemConfig()
+                    ) -> EquivalenceReport:
+    """Run one trace on both engines, under the default monitors, and
+    compare final architectural state.  Both systems are built before
+    either runs, so firmware that cannot be read or assembled fails at
+    once."""
     sys_f, sys_u = (System(SystemConfig(**{**cfg.__dict__, "engine": engine}))
                     for engine in ("fsm", "ucode"))
-    rep_f, rep_u = (run_trace(system, ops,
-                              monitors=default_monitors() if monitors else [])
+    rep_f, rep_u = (run_trace(system, ops, monitors=default_monitors())
                     for system in (sys_f, sys_u))
     diffs = []
     for label, probe in (("memory", _memory_image),
@@ -547,9 +547,9 @@ def overhead_calc(scheme: str, caches: int, tag_bits: int = 28,
 # Occupancy reporting
 # ---------------------------------------------------------------------------
 
-def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16),
-                  beats_list=(1, 8)) -> str:
-    """CSV sweep of measured vs. modeled occupancy for every scenario."""
+def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16)) -> str:
+    """CSV sweep of measured vs. modeled occupancy for every scenario, at
+    1 and 8 data beats."""
     from .occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                             sharer_range)
     buf = io.StringIO()
@@ -559,7 +559,7 @@ def occupancy_csv(engine: str, cores_list=(2, 4, 8, 16),
     for name in SCENARIOS:
         for cores in cores_list:
             for s in sharer_range(name, cores):
-                for beats in beats_list:
+                for beats in (1, 8):
                     got = measure_occupancy(name, cores, sharers=s,
                                             beats=beats, engine=engine)
                     want = occupancy_model(engine, name, cores=cores,

@@ -177,8 +177,6 @@ class Lce:
             raise Busy("outstanding miss")
         if uncached:
             return self._uncached_access(addr, write, size, data)
-        if atomic is SC:
-            return self._store_conditional(addr, size, data)
 
         way, line = self._lookup(addr)
         wants_write = write or atomic is not None
@@ -187,16 +185,19 @@ class Lce:
         # silent state change (a store in E makes it M).
         action = self._action(I if line is None else line.state,
                               STORE if wants_write else LOAD)
+        if atomic is SC:
+            # SC never misses: it fails at once unless the LR reservation
+            # survived and its Store cell hits, and it consumes the
+            # reservation either way.
+            reserved = self.reservation == self._block_base(addr)
+            self.reservation = None
+            if action.is_miss or not reserved:
+                return Hit((1).to_bytes(size, "little"))
         if not action.is_miss:
             if action.next_state is not None:
                 self.set_state(line, action.next_state, addr)
-            self._touch(line)
-            if wants_write:
-                return Hit(self._apply_write_op(line, addr, size, data, atomic))
-            value = self._read_bytes(line, addr, size)
-            if self.on_load:
-                self.on_load(self.cfg.lce_id, addr, size, value)
-            return Hit(value)
+            value = self._perform(line, addr, size, data, atomic, wants_write)
+            return Hit(bytes(size) if atomic is SC else value)
 
         # Miss (or write upgrade): issue the request.
         lru = self.lru_way(self.cfg.set_index(addr))
@@ -205,23 +206,6 @@ class Lce:
         return CohRequest(lce=self.cfg.lce_id, addr=self._block_base(addr),
                           write=wants_write, lru_way=lru,
                           non_exclusive=non_excl, atomic=atomic, size=size)
-
-    def _store_conditional(self, addr: int, size: int, data: bytes):
-        """SC succeeds iff the LR reservation survived and the Store cell
-        is a hit; it never misses."""
-        way, line = self._lookup(addr)
-        ok = self.reservation == self._block_base(addr) and line is not None
-        self.reservation = None
-        action = self._action(line.state, STORE) if ok else None
-        if action is None or action.is_miss:
-            return Hit((1).to_bytes(size, "little"))
-        if action.next_state is not None:
-            self.set_state(line, action.next_state, addr)
-        self._touch(line)
-        self._write_bytes(line, addr, data)
-        if self.on_store:
-            self.on_store(self.cfg.lce_id, addr, size, data)
-        return Hit((0).to_bytes(size, "little"))
 
     def _uncached_access(self, addr: int, write: bool, size: int,
                          data: Optional[bytes]):
@@ -232,36 +216,39 @@ class Lce:
                           uncached=True, size=size,
                           data=data if write else None)
 
-    def _apply_write_op(self, line: CacheLine, addr: int, size: int,
-                        data: Optional[bytes], atomic: Optional[AtomicOp]):
-        """Perform the (possibly atomic) write on a writable line."""
-        if line.state not in WRITABLE_STATES:
-            raise ImpossibleTransition(f"write to a line in {line.state.value}")
-        if atomic is None:
-            self._write_bytes(line, addr, data)
-            if self.on_store:
-                self.on_store(self.cfg.lce_id, addr, size, data)
-            return None
-        if atomic is AtomicOp.Lr:
-            self.reservation = self._block_base(addr)
+    def _perform(self, line: CacheLine, addr: int, size: int,
+                 data: Optional[bytes], atomic: Optional[AtomicOp],
+                 write: bool) -> Optional[bytes]:
+        """Do one access on a line that its table cell allows, and make
+        the line the most recently used: a load, a store or SC's write
+        (which return None), LR (which sets the reservation) or an AMO
+        (read, compute, write).  Returns the value read."""
+        self._touch(line)
+        lce_id = self.cfg.lce_id
+        if not write:
             value = self._read_bytes(line, addr, size)
             if self.on_load:
-                self.on_load(self.cfg.lce_id, addr, size, value)
+                self.on_load(lce_id, addr, size, value)
             return value
-        old = self._read_bytes(line, addr, size)
-        if self.on_load:
-            self.on_load(self.cfg.lce_id, addr, size, old)
-        operand = int.from_bytes(data, "little")
-        if atomic is AtomicOp.Add:
-            new = (int.from_bytes(old, "little") + operand) % (1 << (8 * size))
-        elif atomic is AtomicOp.Swap:
-            new = operand
-        else:
-            raise ValueError(atomic)
-        new_bytes = new.to_bytes(size, "little")
-        self._write_bytes(line, addr, new_bytes)
+        if line.state not in WRITABLE_STATES:
+            raise ImpossibleTransition(f"write to a line in {line.state.value}")
+        old = None
+        if atomic is not None and atomic is not SC:
+            old = self._read_bytes(line, addr, size)
+            if self.on_load:
+                self.on_load(lce_id, addr, size, old)
+            if atomic is AtomicOp.Lr:
+                self.reservation = self._block_base(addr)
+                return old
+            new = int.from_bytes(data, "little")
+            if atomic is AtomicOp.Add:
+                new = (new + int.from_bytes(old, "little")) % (1 << 8 * size)
+            elif atomic is not AtomicOp.Swap:
+                raise ValueError(atomic)
+            data = new.to_bytes(size, "little")
+        self._write_bytes(line, addr, data)
         if self.on_store:
-            self.on_store(self.cfg.lce_id, addr, size, new_bytes)
+            self.on_store(lce_id, addr, size, data)
         return old
 
     # -- coherence port ----------------------------------------------------
@@ -276,7 +263,7 @@ class Lce:
         """Apply a directory command; queue responses/fills on the outbox."""
         if cmd.kind is DATA:
             self.apply_fill(cmd.addr, cmd.target_way, cmd.state, cmd.data,
-                            cce, uncached=cmd.uncached, size=cmd.size)
+                            cce, uncached=cmd.uncached)
             return
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
@@ -316,14 +303,12 @@ class Lce:
         miss = self.miss
         if miss is None or self._block_base(miss.addr) != addr:
             raise UnexpectedFill(f"STW for {addr:#x} without matching miss")
-        self._touch(line)
-        self.completed = self._apply_write_op(line, miss.addr, miss.size,
-                                              miss.data, miss.atomic)
+        self.completed = self._perform(line, miss.addr, miss.size, miss.data,
+                                       miss.atomic, miss.write)
         self.miss = None
 
     def apply_fill(self, addr: int, way: int, state: CoherenceState,
-                   data: bytes, cce: str, uncached: bool = False,
-                   size: int = 64):
+                   data: bytes, cce: str, uncached: bool = False):
         """Install a granted block (or complete an uncached load)."""
         miss = self.miss
         if uncached:
@@ -345,15 +330,8 @@ class Lce:
         line.tag = self.cfg.tag_of(addr)
         line.data[:] = data
         self.set_state(line, state, addr)
-        self._touch(line)
-        if miss.write:
-            self.completed = self._apply_write_op(line, miss.addr, miss.size,
-                                                  miss.data, miss.atomic)
-        else:
-            value = self._read_bytes(line, miss.addr, miss.size)
-            if self.on_load:
-                self.on_load(self.cfg.lce_id, miss.addr, miss.size, value)
-            self.completed = value
+        self.completed = self._perform(line, miss.addr, miss.size, miss.data,
+                                       miss.atomic, miss.write)
         self._respond(COH_ACK, addr, cce)
         self.miss = None
 

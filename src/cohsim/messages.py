@@ -70,7 +70,6 @@ class CceCommand:
     target_way: int = 0
     data: Optional[bytes] = None                 # DATA fill payload
     uncached: bool = False
-    size: int = 64
 
 
 @dataclass(slots=True)

@@ -27,14 +27,13 @@ class Scenario:
     owner_state: Optional[CoherenceState] = None   # another cache's state
     owner_dir_state: Optional[CoherenceState] = None  # directory's view of it
     extra_sharers: str = "none"  # none | S | S-1  (count of other S copies)
-    uses_sharers: bool = False
 
 
 SCENARIOS = {
     s.name: s for s in [
         Scenario("read_excl_ii", write=False),
         Scenario("read_ne_ii", write=False, non_exclusive=True),
-        Scenario("read_is", write=False, extra_sharers="S", uses_sharers=True),
+        Scenario("read_is", write=False, extra_sharers="S"),
         Scenario("read_ie_clean", write=False, owner_state=E),
         Scenario("read_ie_dirty", write=False, owner_state=M,
                  owner_dir_state=E),
@@ -42,23 +41,18 @@ SCENARIOS = {
         Scenario("read_io", write=False, owner_state=O),
         Scenario("read_if", write=False, owner_state=F),
         Scenario("write_ii", write=True),
-        Scenario("write_is", write=True, extra_sharers="S", uses_sharers=True),
+        Scenario("write_is", write=True, extra_sharers="S"),
         Scenario("write_ie", write=True, owner_state=E),
         Scenario("write_im", write=True, owner_state=M),
-        Scenario("write_io", write=True, owner_state=O,
-                 extra_sharers="S", uses_sharers=True),
-        Scenario("write_if", write=True, owner_state=F,
-                 extra_sharers="S", uses_sharers=True),
-        Scenario("write_ss", write=True, req_state=S,
-                 extra_sharers="S-1", uses_sharers=True),
+        Scenario("write_io", write=True, owner_state=O, extra_sharers="S"),
+        Scenario("write_if", write=True, owner_state=F, extra_sharers="S"),
+        Scenario("write_ss", write=True, req_state=S, extra_sharers="S-1"),
         Scenario("write_so", write=True, req_state=S, owner_state=O,
-                 extra_sharers="S-1", uses_sharers=True),
+                 extra_sharers="S-1"),
         Scenario("write_sf", write=True, req_state=S, owner_state=F,
-                 extra_sharers="S-1", uses_sharers=True),
-        Scenario("write_oo", write=True, req_state=O,
-                 extra_sharers="S", uses_sharers=True),
-        Scenario("write_ff", write=True, req_state=F,
-                 extra_sharers="S", uses_sharers=True),
+                 extra_sharers="S-1"),
+        Scenario("write_oo", write=True, req_state=O, extra_sharers="S"),
+        Scenario("write_ff", write=True, req_state=F, extra_sharers="S"),
     ]
 }
 
@@ -156,7 +150,7 @@ def sharer_range(name: str, cores: int):
     requester when it is one of them.
     """
     sc = SCENARIOS[name]
-    if not sc.uses_sharers:
+    if sc.extra_sharers == "none":
         return (0,)
     used = 1 + (1 if sc.owner_state is not None else 0)  # requester + owner
     if sc.extra_sharers == "S":

@@ -1,6 +1,8 @@
 """Directory segment, pending/speculative bits, the way-group read record
 and the GAD unit."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,8 @@ from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
                               DoubleSpeculation, MultipleOwners, OutOfRange,
                               PendingBits, SegmentConfig, SpecBits, Underflow,
                               way_group_home)
-from cohsim.protocol import CoherenceState
+from cohsim.protocol import MOESIF, CoherenceState
+from cohsim.system import System, SystemConfig
 from cohsim.ucode import engine as ucode_engine
 from test_ucode_engine import busy_after, make_engine, request
 
@@ -120,6 +123,38 @@ class TestStorage:
             (lce, set_idx, way): v
             for (lce, set_idx, way), v in before.items()
             if not (set_idx == 2 and lce in emptied)}
+
+
+def replaces_lru(tables, lru_state) -> bool:
+    """Whether a miss by cache 0, whose LRU way 0 holds another block of
+    the set in `lru_state`, reads as a replacement."""
+    cfg = cfg_for(2)
+    seg = DirectorySegment(cfg, tables=tables)
+    seg.write_entry(0x8000_0000 + 64 * cfg.sets_per_cache, 0, 0,
+                    state=lru_state)
+    return seg.read_way_group(0x8000_0000, 0, 0).replacement
+
+
+class TestReplacementColumn:
+    """A miss's LRU victim takes the writeback flow exactly when its state
+    has a filled Replacement cell in the segment's tables."""
+
+    def test_a_blank_cell_drops_the_victim(self):
+        assert replaces_lru(MOESIF, O)
+        tables = dataclasses.replace(MOESIF, directory={
+            **MOESIF.directory, ("O", "Replacement"): None})
+        assert not replaces_lru(tables, O)
+
+    def test_a_filled_cell_replaces_the_victim(self):
+        assert not replaces_lru(MOESIF, F)
+        directory = MOESIF.directory
+        tables = dataclasses.replace(MOESIF, directory={
+            **directory, ("F", "Replacement"): directory["O", "Replacement"]})
+        assert replaces_lru(tables, F)
+
+    def test_each_cce_reads_its_own_tables(self):
+        system = System(SystemConfig(cores=2, sets=8, protocol="mesi"))
+        assert system.cces[0].directory.replacement_states == (E, M)
 
 
 class TestPendingBits:

@@ -132,6 +132,59 @@ class TestAtomics:
         assert int.from_bytes(res.value, "little") == 1
 
 
+class TestOneAccessPath:
+    """An access performed at a hit and one completed when its miss ends
+    give the same result, the same hook calls in the same order, the same
+    line bytes and the same reservation."""
+
+    BLOCK = bytes(range(64))
+    OPS = {"LD": dict(write=False),
+           "ST": dict(write=True, data=b"\x5a" * 8),
+           "LR": dict(write=False, atomic=AtomicOp.Lr),
+           "AMOADD": dict(write=False, atomic=AtomicOp.Add,
+                          data=(5).to_bytes(8, "little")),
+           "AMOSWAP": dict(write=False, atomic=AtomicOp.Swap,
+                           data=(9).to_bytes(8, "little"))}
+
+    @staticmethod
+    def watch(lce):
+        calls = []
+        lce.on_load = lambda *args: calls.append(("load", *args))
+        lce.on_store = lambda *args: calls.append(("store", *args))
+        return calls
+
+    def at_hit(self, op):
+        lce = make_lce()
+        way = fill(lce, BASE, M, data=self.BLOCK)
+        calls = self.watch(lce)
+        res = lce.access(BASE + 8, **self.OPS[op])
+        assert isinstance(res, Hit)
+        return res.value, calls, bytes(lce.sets[0][way].data), lce.reservation
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_at_the_fill(self, op):
+        lce = make_lce()
+        calls = self.watch(lce)
+        req = lce.access(BASE + 8, **self.OPS[op])
+        assert isinstance(req, CohRequest)
+        lce.apply_fill(BASE, req.lru_way, M, self.BLOCK, "cce0")
+        assert lce.miss is None
+        assert (lce.completed, calls, bytes(lce.sets[0][req.lru_way].data),
+                lce.reservation) == self.at_hit(op)
+
+    @pytest.mark.parametrize("op", ["ST", "LR", "AMOADD", "AMOSWAP"])
+    def test_at_the_upgrade(self, op):
+        lce = make_lce()
+        way = fill(lce, BASE, S, data=self.BLOCK)
+        calls = self.watch(lce)
+        assert isinstance(lce.access(BASE + 8, **self.OPS[op]), CohRequest)
+        lce.handle_command(CceCommand(kind=CommandKind.StW, addr=BASE,
+                                      state=M), "cce0")
+        assert lce.miss is None
+        assert (lce.completed, calls, bytes(lce.sets[0][way].data),
+                lce.reservation) == self.at_hit(op)
+
+
 class TestLru:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))

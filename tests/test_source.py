@@ -8,9 +8,9 @@ import re
 import sys
 
 import cohsim
-from cohsim import cli, directory
+from cohsim import cli
 from cohsim.fsm_cce import FsmCce
-from cohsim.protocol import PROTOCOLS
+from cohsim.messages import CceCommand
 from cohsim.system import SystemConfig
 from cohsim.ucode import asm
 from cohsim.ucode.engine import UcodeCce, default_program
@@ -208,14 +208,26 @@ def test_only_the_protocol_picks_a_write_column():
     assert not found, found
 
 
-def test_directory_replacement_states_are_the_tables():
-    """A directory segment holds no tables, so it keeps its own copy of
-    the states whose eviction takes the writeback flow: every state with
-    a filled Replacement cell in some protocol."""
-    from_tables = {s for tables in PROTOCOLS.values()
-                   for s in tables.replacement_states}
-    assert set(directory.REPLACEMENT_STATES) == from_tables
-    assert len(directory.REPLACEMENT_STATES) == len(from_tables)
+def _on_store_calls(node):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "on_store"]
+
+
+def test_one_access_path_in_the_cache_controller():
+    """Every access on a line, hit or completed miss, is done by
+    `Lce._perform`: it alone calls the `on_store` hook, the per-path
+    helpers are gone, and a fill command carries no access size."""
+    tree = ast.parse((SRC / "lce.py").read_text())
+    lce = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Lce")
+    methods = {node.name: node for node in lce.body
+               if isinstance(node, ast.FunctionDef)}
+    assert _on_store_calls(methods["_perform"])
+    assert len(_on_store_calls(tree)) == len(
+        _on_store_calls(methods["_perform"]))
+    assert not {"_store_conditional", "_apply_write_op"} & set(methods)
+    assert "size" not in {f.name for f in dataclasses.fields(CceCommand)}
 
 
 def test_assembler_grammar_names_every_mnemonic():
