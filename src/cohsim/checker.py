@@ -17,9 +17,12 @@ All transition behavior is derived from the protocol tables at expansion
 time — the checker has no hand-written per-cell rules — so a table bug is
 a checker counterexample and vice versa.  A cache's own operations come
 from its Load and Store cells and the directory's Replacement column, a
-request's directory column from `protocol.request_kind`, and a command's
-effect from its cache-controller cell.  Seeded mutations deliberately
-bend one rule each to demonstrate the checker catches real bugs.
+request's directory column from `protocol.request_kind`, and every
+command's effect, the directory's DATA and STW grants included, from its
+cache-controller cell.  A transaction closes only on a CohAck that a cell
+sent, and a reachable state with no enabled transition is reported as a
+deadlock.  Seeded mutations deliberately bend one rule each to
+demonstrate the checker catches real bugs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ _REQ_NAMES = {RD: "read", RD_NE: "read-ne", WR: "write", REPL: "replace"}
 # Directory-to-cache command codes reuse CommandKind by enumeration index.
 _CK_NUM = {k: n for n, k in enumerate(CommandKind)}
 _CK = list(CommandKind)
+_INV, _DATA, _STW = (_CK_NUM[k] for k in (CommandKind.Inv, CommandKind.Data,
+                                         CommandKind.StW))
 
 MUTATIONS = ("drop-invalidations", "grant-e-with-sharers",
              "skip-writeback", "wrong-transfer-state")
@@ -114,10 +119,14 @@ class CheckResult:
 # grant_code: 0 none, 1 data-from-mem, 2 STW.  deferred_cmd is an owner
 # command held back until every InvAck is collected, matching the engines'
 # invalidate-then-transfer ordering.  Messages are tuples such as
-# ("req", cache, op); a Model numbers each the first time it meets it, so
-# message k's count sits _COUNT_BITS * k bits above the transaction, and a
-# state means something only to the Model that built it.  The cache count
-# in the low bits lets `check_invariants` read a state alone.
+# ("req", cache, op).  Every message to a cache, grants included, has one
+# shape, ("cmd", cache, command kind, attached state, transfer state,
+# target, latest), with -1 for a field it lacks, and `_cmd_rule` delivers
+# it through the cache's cell.  A Model numbers each message the first
+# time it meets it, so message k's count sits _COUNT_BITS * k bits above
+# the transaction, and a state means something only to the Model that
+# built it.  The cache count in the low bits lets `check_invariants` read
+# a state alone.
 #
 # `_entry` builds every entry, and two of its fields are canonical.  An
 # entry in I has is-latest 0: the tables' I row sends no data
@@ -133,7 +142,7 @@ class CheckResult:
 # on (cache, entry); a message's delivery, per message, on the requester's
 # entry, the records and mem_latest (a request), on the transaction and
 # mem_latest (a response to the directory) or on the receiving cache's
-# entry (anything else).
+# entry (a command).
 #
 # `check` stores each reached state once, as the key of `parents`, whose
 # value is the state it was first reached from (None for the initial
@@ -156,8 +165,7 @@ _LETTER = [s.value for s in CoherenceState]
 # How a message's delivery is keyed (see `Model._expand`).
 _REQUEST, _RESPONSE, _TO_CACHE = range(3)
 _KIND = {"req": _REQUEST, "invack": _RESPONSE, "wb": _RESPONSE,
-         "cohack": _RESPONSE, "inv": _TO_CACHE, "cmd": _TO_CACHE,
-         "fill": _TO_CACHE, "stw": _TO_CACHE}
+         "cohack": _RESPONSE, "cmd": _TO_CACHE}
 
 
 def _entry(st, latest, pend):
@@ -274,7 +282,7 @@ class Model:
         if num is None:
             num = self._message_numbers[msg] = len(self._messages)
             self._messages.append((_KIND[msg[0]], msg[1], msg, {}, -1))
-            if msg[0] in ("fill", "wb") and msg[-1]:
+            if msg[0] in ("cmd", "wb") and msg[-1]:
                 self._latest_data |= _COUNT_MAX << self._shift(num)
                 self._messages[num] = self._messages[num][:4] + (
                     self._number(msg[:-1] + (0,)),)
@@ -366,7 +374,8 @@ class Model:
             targets = [t for t in sharers if t != i]
 
         new_rec = list(dir_rec)
-        adds = tuple(sorted(("inv", t) for t in targets))
+        adds = tuple(("cmd", t, _INV, -1, -1, -1, 0)
+                     for t in sorted(targets))
         for t in targets:
             new_rec[t] = 0
         wb = 0
@@ -379,7 +388,7 @@ class Model:
             deferred = ("cmd", owner, _CK_NUM[d.command],
                         -1 if d.set_owner_state is None
                         else _NUM[d.set_owner_state],
-                        -1 if tr_st is None else _NUM[tr_st], i)
+                        -1 if tr_st is None else _NUM[tr_st], i, 0)
             if d.set_owner_state is not None:
                 new_rec[owner] = _NUM[d.set_owner_state]
             wb = int(d.command in (CommandKind.Wb, CommandKind.StWb,
@@ -401,12 +410,11 @@ class Model:
         return tuple(new_rec), adds, new_txn, dir_state.value
 
     def _cmd_rule(self, entry, msg):
-        """Cache `msg[1]` in `entry` handling command `msg`: (cache index,
-        new entry, messages sent, label text)."""
-        if msg[0] == "inv":
-            i, ck, set_st, tr_st, target = msg[1], _CK_NUM[CommandKind.Inv], -1, -1, -1
-        else:
-            _, i, ck, set_st, tr_st, target = msg
+        """Cache `msg[1]` in `entry` handling command `msg` through its
+        cell: (new entry, messages sent, writer or -1, label text).  A
+        DATA or STW grant ends the cache's miss; a pending write commits,
+        and its writer stales every other copy."""
+        _, i, ck, set_st, tr_st, target, data_latest = msg
         st, latest, pend = entry
         kind = _CK[ck]
         attached = _STATE[set_st] if set_st >= 0 else None
@@ -422,6 +430,8 @@ class Model:
         for em in act.sends:
             if em is Emission.InvAck:
                 adds.append(("invack", i))
+            elif em is Emission.CohAck:
+                adds.append(("cohack", i))
             elif em is Emission.NullWB:
                 adds.append(("wb", i, 0, 0))
             elif em is Emission.DirtyWB:
@@ -430,13 +440,20 @@ class Model:
                 else:
                     adds.append(("wb", i, 1, latest))
             elif em is Emission.DataToTarget:
-                adds.append(("fill", target, tr_st, latest))
+                adds.append(("cmd", target, _DATA, tr_st, -1, -1, latest))
             else:
                 raise AssertionError(em)
         nxt_st = st if act.next_state is None else _NUM[act.next_state]
-        if pend == REPL and kind is CommandKind.StWb:
+        writer = -1
+        if ck == _DATA or ck == _STW:   # a grant ends the miss
+            if pend == WR:              # and commits its write
+                latest, writer = 1, i
+            elif ck == _DATA:
+                latest = data_latest
+            pend = IDLE
+        elif pend == REPL and kind is CommandKind.StWb:
             pend = IDLE   # the eviction's writeback completes it
-        return (i, (nxt_st, latest, pend), tuple(adds),
+        return ((nxt_st, latest, pend), tuple(adds), writer,
                 f"{kind.value} -> {_LETTER[nxt_st]}")
 
     def _txn_progress(self, txn, mem_latest):
@@ -453,8 +470,9 @@ class Model:
                 cmd = ()
             if wb == 0:
                 if grant:
-                    adds += (("fill", r, gst, mem_latest) if grant == 1
-                             else ("stw", r, gst),)
+                    adds += (("cmd", r, _DATA, gst, -1, -1, mem_latest)
+                             if grant == 1 else
+                             ("cmd", r, _STW, gst, -1, -1, 0),)
                     grant = 0
                 if coh == 0:
                     return 0, adds
@@ -548,21 +566,10 @@ class Model:
                 (r, acks, wb, grant, gst, coh, cmd), mem_latest)
             return self._compile(((txn << 1 | mem_latest) - context) << mem,
                                  num, sent, -1, label)
-        shift = slots[i][1]
-        if tag in ("inv", "cmd"):
-            i, new_entry, adds, text = self._cmd_rule(
-                _entry_fields(context), msg)
-            return self._compile((_entry(*new_entry) - context) << shift,
-                                 num, adds, -1, f"cache {i}: {text}")
-        # A grant: "fill" or "stw".
-        gst = msg[2]
-        _, latest, pend = _entry_fields(context)
-        write = pend == WR
-        latest = 1 if write else msg[3] if tag == "fill" else latest
-        verb = "install fill" if tag == "fill" else "upgrade (STW)"
-        return self._compile((_entry(gst, latest, IDLE) - context) << shift,
-                             num, (("cohack", i),), i if write else -1,
-                             f"cache {i}: {verb} -> {_LETTER[gst]}")
+        new_entry, adds, writer, text = self._cmd_rule(_entry_fields(context),
+                                                       msg)
+        return self._compile((_entry(*new_entry) - context) << slots[i][1],
+                             num, adds, writer, f"cache {i}: {text}")
 
     def _stale(self, state, writer):
         """A committed store by `writer` makes every other cached copy,
@@ -701,6 +708,10 @@ def _search(model: Model, cfg: CheckConfig) -> CheckResult:
             except ModelError as exc:
                 return CheckResult(False, False, len(parents), depth,
                                    f"impossible transition: {exc}",
+                                   _trace(model, parents, state))
+            if not succs:
+                return CheckResult(False, False, len(parents), depth,
+                                   "deadlock: no transition is enabled",
                                    _trace(model, parents, state))
             own = state & caches_mask
             for nxt in succs:

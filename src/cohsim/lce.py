@@ -18,8 +18,7 @@ from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
 # Emissions that carry no data, and the members tested per access and per
 # command, as module constants (see the note on `messages.REQUEST`).
 HEADER_ONLY = (Emission.InvAck, Emission.CohAck, Emission.NullWB)
-DIRTY_WB, DATA_TO_TARGET, COH_ACK = (Emission.DirtyWB, Emission.DataToTarget,
-                                     Emission.CohAck)
+DIRTY_WB, DATA_TO_TARGET = Emission.DirtyWB, Emission.DataToTarget
 DATA, STW, SC = CommandKind.Data, CommandKind.StW, AtomicOp.Sc
 
 
@@ -260,14 +259,30 @@ class Lce:
                                       beats))
 
     def handle_command(self, cmd: CceCommand, cce: str, beats_of=len):
-        """Apply a directory command; queue responses/fills on the outbox."""
-        if cmd.kind is DATA:
-            self.apply_fill(cmd.addr, cmd.target_way, cmd.state, cmd.data,
-                            cce, uncached=cmd.uncached)
+        """Apply a directory command through its table cell, and queue the
+        responses and fills it sends on the outbox.  A DATA command
+        installs its block in `cmd.target_way`; a DATA or STW grant then
+        ends the outstanding miss.  An uncached load's data ends its miss
+        with no cell."""
+        miss = self.miss
+        kind = cmd.kind
+        if cmd.uncached:
+            if miss is None or not miss.uncached or miss.addr != cmd.addr:
+                raise UnexpectedFill(f"uncached data for {cmd.addr:#x}")
+            self.completed = cmd.data[:miss.size]
+            if self.on_load:
+                self.on_load(self.cfg.lce_id, cmd.addr, miss.size,
+                             self.completed)
+            self.miss = None
             return
+        grant = kind is DATA or kind is STW
+        if grant and (miss is None
+                      or self._block_base(miss.addr) != cmd.addr):
+            raise UnexpectedFill(f"{kind._value_} for {cmd.addr:#x} "
+                                 "without matching miss")
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
-        action = self._action(state, cmd.kind._value_, cmd.state)
+        action = self._action(state, kind._value_, cmd.state)
         block = None   # the line's bytes, copied for the first data emission
 
         for emission in action.sends:
@@ -288,52 +303,20 @@ class Lce:
             else:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
 
+        if kind is DATA:
+            line = self.sets[self.cfg.set_index(cmd.addr)][cmd.target_way]
+            line.tag = self.cfg.tag_of(cmd.addr)
+            line.data[:] = cmd.data
         if action.next_state is not None and line is not None:
             self.set_state(line, action.next_state, cmd.addr)
         if (self.reservation is not None
                 and self._block_base(self.reservation) == self._block_base(cmd.addr)
                 and (line is None or line.state not in WRITABLE_STATES)):
             self.reservation = None
-
-        # An upgrade command also completes the outstanding write miss.
-        if cmd.kind is STW:
-            self._complete_write_upgrade(cmd.addr, line)
-
-    def _complete_write_upgrade(self, addr: int, line: CacheLine):
-        miss = self.miss
-        if miss is None or self._block_base(miss.addr) != addr:
-            raise UnexpectedFill(f"STW for {addr:#x} without matching miss")
-        self.completed = self._perform(line, miss.addr, miss.size, miss.data,
-                                       miss.atomic, miss.write)
-        self.miss = None
-
-    def apply_fill(self, addr: int, way: int, state: CoherenceState,
-                   data: bytes, cce: str, uncached: bool = False):
-        """Install a granted block (or complete an uncached load)."""
-        miss = self.miss
-        if uncached:
-            if miss is None or not miss.uncached or miss.addr != addr:
-                raise UnexpectedFill(f"uncached data for {addr:#x}")
-            self.completed = data[:miss.size]
-            if self.on_load:
-                self.on_load(self.cfg.lce_id, addr, miss.size, data[:miss.size])
+        if grant:
+            self.completed = self._perform(line, miss.addr, miss.size,
+                                           miss.data, miss.atomic, miss.write)
             self.miss = None
-            return
-        if miss is None or self._block_base(miss.addr) != addr:
-            raise UnexpectedFill(f"fill for {addr:#x} without matching miss")
-        line = self.sets[self.cfg.set_index(addr)][way]
-        if (self.reservation is not None
-                and line.state is not I
-                and line.tag == self.cfg.tag_of(self.reservation)
-                and self.cfg.set_index(self.reservation) == self.cfg.set_index(addr)):
-            self.reservation = None  # victim overwritten
-        line.tag = self.cfg.tag_of(addr)
-        line.data[:] = data
-        self.set_state(line, state, addr)
-        self.completed = self._perform(line, miss.addr, miss.size, miss.data,
-                                       miss.atomic, miss.write)
-        self._respond(COH_ACK, addr, cce)
-        self.miss = None
 
     # The Fill network's entry: a cache-to-cache transfer is a DATA command.
     handle_fill_net = handle_command

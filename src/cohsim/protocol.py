@@ -339,7 +339,7 @@ class ProtocolTables:
             # command's attached state must agree.
             raise ImpossibleTransition(
                 f"{self.name}: ({state.value}, {event}) attached "
-                f"state {attached} conflicts with table")
+                f"state {attached.value} conflicts with table")
         return LceAction(sends=sends, next_state=next_state)
 
     def dir_request_plan(self, dir_state: CoherenceState,
@@ -454,6 +454,12 @@ def _validate_tables(tables: ProtocolTables):
     require(store_hits == set(WRITABLE_STATES),
             f"store hits in {sorted(s.value for s in store_hits)}, not in "
             f"the writable states")
+    # An LR reservation lives only on a writable line.  Evicting one takes
+    # the Replacement flow, whose command clears the reservation before
+    # the fill that overwrites the line.
+    blank = store_hits - set(tables.replacement_states)
+    require(not blank, f"store hits in {sorted(s.value for s in blank)}, "
+            f"whose Replacement cell is blank")
     for (state, req), plan in tables.directory.items():
         if plan is None:
             continue

@@ -21,13 +21,13 @@ order `isa.FIELDS` lists them, and name values from `isa`'s tables:
     wde STATE                      (I S E M O F)
     wds req|owner, STATE
     specq set|unset|squash | specq fwd_mod STATE
-    wfq queues                     (req|resp|memresp, joined with |)
+    wfq queues                     (req|resp, joined with |)
     pushq lcecmd KIND req|owner [, addr=victim] [, st=STATE] [, tr=STATE]
                                    (KIND: inv stw wb st_wb tr st_tr
                                     st_tr_wb data)
     pushq memcmd specread|wb|uncached [wp]
-    popq req | popq resp|memresp [rd] [wp]
-    poph resp|memresp [rd]         (reads the head without popping it)
+    popq req | popq resp [rd] [wp]
+    poph resp [rd]                 (reads the head without popping it)
 
 Every branch and jump target lies inside the program.
 

@@ -50,7 +50,7 @@ from typing import Optional
 from ..cce import BUSY, WAIT, CceCore
 from ..directory import (ENTRY_READ_LATENCY, DoubleSpeculation, Overflow,
                          Underflow, WayGroupRead)
-from ..messages import CceCommand, CohRequest, LceResponse, MemCmd
+from ..messages import CceCommand, CohRequest, MemCmd
 from ..protocol import (DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState,
                         CommandKind, I, E)
 from . import asm, isa
@@ -97,9 +97,9 @@ class Uop:
     prediction (`predict`).  A name-coded field holds its name from
     `isa`'s tables, except that a state field holds its `CoherenceState`
     (None for no state) and a `pushq lcecmd` kind its `CommandKind`; a
-    `wfq` queue mask holds its bits as `waits_req`, `waits_resp` and
-    `waits_memresp`.  So executing an instruction decodes nothing.  The
-    decoded `instr` is kept for fault messages."""
+    `wfq` queue mask holds its bits as `waits_req` and `waits_resp`.  So
+    executing an instruction decodes nothing.  The decoded `instr` is kept
+    for fault messages."""
 
     def __init__(self, instr: Instr):
         self.instr = instr
@@ -120,7 +120,6 @@ class Uop:
                      if self.qmask >> bit & 1}
             self.waits_req = "req" in waits
             self.waits_resp = "resp" in waits
-            self.waits_memresp = "memresp" in waits
         self.op = instr.op
         self.run = _HANDLERS[instr.op]
         self.fn = (_SPECIAL_READERS[self.special] if instr.op is Op.MOVS
@@ -346,17 +345,15 @@ class UcodeCce(CceCore):
         if u.waits_req:
             self._close_txn()
         ready = ((u.waits_req and self._admissible() is not None)
-                 or (u.waits_resp and self.resp_q)
-                 or (u.waits_memresp and self.memresp_q))
+                 or (u.waits_resp and self.resp_q))
         if ready:
             self.pc += 1
         return WAIT
 
     def _poph(self, u) -> str:
-        q = self.resp_q if u.queue == "resp" else self.memresp_q
-        if not q:
+        if not self.resp_q:
             return WAIT
-        self.regs[u.rd] = self._resp_code(q[0])
+        self.regs[u.rd] = RESP_KIND_CODE[self.resp_q[0].kind._value_]
         self.pc += 1
         return BUSY
 
@@ -379,15 +376,8 @@ class UcodeCce(CceCore):
         self.pc += 1
         return BUSY
 
-    @staticmethod
-    def _resp_code(resp) -> int:
-        if type(resp) is LceResponse:
-            return RESP_KIND_CODE[resp.kind._value_]
-        return 4 if resp.write else 5   # a memory response
-
     def _popq(self, u) -> str:
-        queue = u.queue
-        if queue == "req":
+        if u.queue == "req":
             self._close_txn()
             req = self._arbitrate()
             if req is None:
@@ -401,21 +391,18 @@ class UcodeCce(CceCore):
                           | DEFAULT_REGION_MAP.is_cacheable(req.addr) << CAF)
             self.pc += 1
             return BUSY
-        q = self.resp_q if queue == "resp" else self.memresp_q
-        if not q:
+        if not self.resp_q:
             return WAIT
-        resp = q.popleft()
+        resp = self.resp_q.popleft()
         self.last_resp = resp
-        if (queue == "resp" and self._txn is not None
+        if (self._txn is not None
                 and self.flags >> RF & 1
                 and resp.addr == self._victim_addr(self._req.addr,
                                                    self._read().lru_tag)):
             self._note_victim_wb(resp)
-        self.regs[u.rd] = self._resp_code(resp)
+        self.regs[u.rd] = RESP_KIND_CODE[resp.kind._value_]
         if u.wp:
             self.pending.adjust(self._wg(), -1)
-        if queue == "memresp":
-            self.net.release_mem_credit()
         self.pc += 1
         return BUSY
 

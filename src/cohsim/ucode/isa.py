@@ -39,9 +39,10 @@ SPECIALS = ("reqaddr", "reqlce", "reqstate", "ownerlce", "ownerstate",
 STATES = tuple(st.value for st in (I, S, E, M, O, F))
 NO_STATE = 7
 
-# Inbound queues: coherence requests, cache-controller responses, memory
-# responses (normally auto-forwarded).
-QUEUES = ("req", "resp", "memresp")
+# Inbound queues: coherence requests and cache-controller responses.  The
+# engine core owns the memory-response queue, so no code names it; code 2
+# stays unassigned, and `disasm` rejects a word that uses it.
+QUEUES = ("req", "resp")
 
 # Cache-controller commands, in code order.
 COMMANDS = (CommandKind.Inv, CommandKind.StW, CommandKind.Wb,

@@ -12,7 +12,9 @@ from cohsim import checker
 from cohsim.checker import (CheckConfig, CheckResult, MUTATIONS, Model,
                             ModelError, check, check_invariants,
                             initial_state)
-from cohsim.protocol import MOESIF
+from cohsim.harness import TraceError, parse_trace, run_trace
+from cohsim.protocol import MESI, MOESIF, CoherenceState, Emission
+from cohsim.system import System, SystemConfig
 
 # (states, depth) of exhaustive searches, and the depth at which each
 # seeded mutation is caught with 3 caches (the same for both protocols).
@@ -33,6 +35,7 @@ LEVELS = {
                45, 27, 39, 18]}
 GENERATED = {"mesi": 14_391, "moesif": 22_842}
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+I, S, E, M, O, F = CoherenceState
 
 
 class TestVerification:
@@ -182,7 +185,8 @@ class TestStateEncoding:
         model = Model(CheckConfig(protocol="moesif", caches=2))
 
         def fill(latest):
-            return model._shift(model._number(("fill", 1, 1, latest)))
+            return model._shift(model._number(
+                ("cmd", 1, checker._DATA, 1, -1, -1, latest)))
 
         owner = checker._entry(checker._NUM[checker.M], 1, checker.IDLE) \
             << checker._N_BITS
@@ -285,6 +289,66 @@ class TestTableDrivenLocalOperations:
             **directory,
             ("F", "Replacement"): directory["O", "Replacement"]})
         assert "cache 0: evict F block" in _reached_labels(model)
+
+
+# Cache-controller cell mutants at MESI-3: (cells, verdict, depth).  A
+# cell that sends no acknowledgement leaves its transaction open until no
+# transition is enabled; a grant cell whose state disagrees with the
+# grant's is a blank-cell error.
+CELL_MUTANTS = {
+    "S-Inv-no-InvAck": ({("S", "Inv"): ((), I)},
+                        "deadlock: no transition is enabled", 9),
+    "S-STW-no-CohAck": ({("S", "STW"): ((), M)},
+                        "deadlock: no transition is enabled", 10),
+    "S-STW-keeps-S": ({("S", "STW"): ((Emission.CohAck,), S)},
+                      "impossible transition: cache 0 in S got STW: MESI: "
+                      "(S, STW) attached state M conflicts with table", 6),
+    "I-DATA-keeps-I": ({("I", "DATA"): ((Emission.CohAck,), I)},
+                       "impossible transition: cache 0 in I got DATA: MESI: "
+                       "(I, DATA) attached state M conflicts with table", 2),
+}
+
+
+class TestCellMutants:
+    """Grants go through the (I, DATA) and (S, STW) cells, and a
+    transaction closes only on a CohAck that a cell sent, so a mutated
+    cell is a deadlock or an impossible transition, with a trace that
+    replays."""
+
+    @pytest.mark.parametrize("name", CELL_MUTANTS)
+    def test_mutant_is_caught_with_a_replayable_trace(self, name):
+        cells, verdict, depth = CELL_MUTANTS[name]
+        cfg = CheckConfig(protocol="mesi", caches=3)
+        model = Model(cfg)
+        model.tables = dataclasses.replace(MESI, lce={**MESI.lce, **cells})
+        result = checker._search(model, cfg)
+        assert not result.verified
+        assert result.violation == verdict
+        assert result.depth == len(result.trace) == depth
+        state = initial_state(3)
+        for label in result.trace:
+            assert check_invariants(state) is None
+            state = next(nxt for lab, nxt in model.labelled_successors(state)
+                         if lab == label)
+        if verdict.startswith("deadlock"):
+            assert model.successors(state) == []
+        else:
+            with pytest.raises(ModelError):
+                model.successors(state)
+
+    def test_engine_hangs_on_a_data_cell_without_cohack(self):
+        """The `fsm` engine's directory waits for the CohAck that the
+        cache's (I, DATA) cell no longer sends, so the second cache's
+        load never ends."""
+        _, nxt = MESI.lce["I", "DATA"]
+        broken = dataclasses.replace(
+            MESI, lce={**MESI.lce, ("I", "DATA"): ((), nxt)})
+        system = System(SystemConfig(cores=2, sets=8, protocol="mesi"))
+        for lce in system.lces:
+            lce.tables = broken
+        ops = parse_trace("0 LD 0x80000000\n1 LD 0x80000000\n")
+        with pytest.raises(TraceError, match="within 5000 cycles"):
+            run_trace(system, ops, limit=5_000)
 
 
 _RESULTS_SCRIPT = """

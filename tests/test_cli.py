@@ -19,7 +19,6 @@ CHECK_LABELS = (
     r"cache \d+: (read|read-ne) request",
     rf"cache \d+: evict {_ST} block",
     rf"cache \d+: (Inv|DATA|STW|WB|ST-WB|TR|ST-TR|ST-TR-WB) -> {_ST}",
-    rf"cache \d+: (install fill|upgrade \(STW\)) -> {_ST}",
     r"directory: collect InvAck from cache \d+",
     r"directory: consume (dirty|null) writeback from cache \d+",
     r"directory: transaction done \(CohAck\)",

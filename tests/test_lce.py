@@ -23,9 +23,16 @@ def fill(lce, addr, state, data=None, way=None):
     res = lce.access(addr, write=False)
     assert isinstance(res, CohRequest)
     way = res.lru_way if way is None else way
-    block = data if data is not None else bytes(64)
-    lce.apply_fill(addr - addr % 64, way, state, block, "cce0")
+    data_command(lce, addr - addr % 64, way, state,
+                 data if data is not None else bytes(64))
     return way
+
+
+def data_command(lce, addr, way, state, data):
+    """Deliver the directory's DATA grant of block `addr` into `way`."""
+    lce.handle_command(CceCommand(kind=CommandKind.Data, addr=addr,
+                                  target_way=way, state=state, data=data),
+                       "cce0")
 
 
 class TestProcessorPort:
@@ -72,7 +79,7 @@ class TestProcessorPort:
     def test_unexpected_fill(self):
         lce = make_lce()
         with pytest.raises(UnexpectedFill):
-            lce.apply_fill(BASE, 0, E, bytes(64), "cce0")
+            data_command(lce, BASE, 0, E, bytes(64))
 
 
 class TestAtomics:
@@ -167,7 +174,7 @@ class TestOneAccessPath:
         calls = self.watch(lce)
         req = lce.access(BASE + 8, **self.OPS[op])
         assert isinstance(req, CohRequest)
-        lce.apply_fill(BASE, req.lru_way, M, self.BLOCK, "cce0")
+        data_command(lce, BASE, req.lru_way, M, self.BLOCK)
         assert lce.miss is None
         assert (lce.completed, calls, bytes(lce.sets[0][req.lru_way].data),
                 lce.reservation) == self.at_hit(op)
@@ -207,7 +214,7 @@ class TestLru:
                     oldest = BASE + recency[0] * 64 * cfg.sets
                     assert lines[victim].tag == cfg.tag_of(oldest)
                     recency.pop(0)
-                lce.apply_fill(addr, victim, E, bytes(64), "cce0")
+                data_command(lce, addr, victim, E, bytes(64))
             if tag in recency:
                 recency.remove(tag)
             recency.append(tag)

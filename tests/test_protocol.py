@@ -251,6 +251,16 @@ class TestPermissionsAndRegions:
         with pytest.raises(ValueError, match="store hits"):
             protocol._validate_tables(self._with_lce_cells(cells))
 
+    def test_rejects_a_writable_state_with_a_blank_replacement_cell(self):
+        """A reservation lives only on a writable line, and evicting one
+        must take the Replacement flow, which clears it before the fill
+        overwrites the line."""
+        tables = dataclasses.replace(MOESIF, directory={
+            **MOESIF.directory, ("E", "Replacement"): None})
+        with pytest.raises(ValueError, match=r"store hits in \['E'\], "
+                                             r"whose Replacement cell"):
+            protocol._validate_tables(tables)
+
     @pytest.mark.parametrize("emission", ["DirtyWB", "DataToTarget"])
     def test_rejects_an_i_cell_that_sends_data(self, emission):
         """The checker clears an I entry's is-latest bit, so no I cell

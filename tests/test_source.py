@@ -8,8 +8,9 @@ import re
 import sys
 
 import cohsim
-from cohsim import cli
+from cohsim import checker, cli
 from cohsim.fsm_cce import FsmCce
+from cohsim.lce import Lce
 from cohsim.messages import CceCommand
 from cohsim.system import SystemConfig
 from cohsim.ucode import asm
@@ -228,6 +229,35 @@ def test_one_access_path_in_the_cache_controller():
         _on_store_calls(methods["_perform"]))
     assert not {"_store_conditional", "_apply_write_op"} & set(methods)
     assert "size" not in {f.name for f in dataclasses.fields(CceCommand)}
+
+
+def _message_tags(tree):
+    """The tags of the message tuples a module builds: the leading string
+    of each tuple literal whose second element is not a string."""
+    return {node.elts[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple) and len(node.elts) > 1
+            and isinstance(node.elts[0], ast.Constant)
+            and isinstance(node.elts[0].value, str)
+            and not (isinstance(node.elts[1], ast.Constant)
+                     and isinstance(node.elts[1].value, str))}
+
+
+def test_one_command_path():
+    """Every directory command, grants included, goes through its table
+    cell: the cache controller has no fill or upgrade path beside
+    `handle_command`, and every message the checker sends a cache is a
+    "cmd" tuple, delivered by `_cmd_rule`."""
+    assert not {"apply_fill", "_complete_write_upgrade"} & set(vars(Lce))
+    tags = {"req", "invack", "wb", "cohack", "cmd"}
+    assert set(checker._KIND) == tags
+    assert _message_tags(ast.parse((SRC / "checker.py").read_text())) == tags
+
+
+def test_message_tags_are_found():
+    source = ('MUTATIONS = ("a", "b")\n'
+              'x in ("cmd", "wb")\n'
+              'adds = (("fill", i, 0), ("inv", t))\n')
+    assert _message_tags(ast.parse(source)) == {"fill", "inv"}
 
 
 def test_assembler_grammar_names_every_mnemonic():

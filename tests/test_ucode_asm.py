@@ -69,7 +69,7 @@ start:
   pushq lcecmd st_tr_wb owner, st=F, tr=S
   pushq lcecmd st_wb req, addr=victim, st=I
   popq resp r7
-  poph memresp
+  poph resp r2
   inv
   clp
   clr
@@ -109,6 +109,8 @@ class TestAssembler:
         ("popq req wp", "takes no rd or wp"),
         ("poph req", "cannot read the request queue"),
         ("poph req r1", "cannot read the request queue"),
+        ("poph memresp", "unknown queue 'memresp'"),
+        ("wfq req|memresp", "unknown queue 'memresp'"),
     ])
     def test_errors_carry_line_numbers(self, source, fragment):
         with pytest.raises(AsmError) as exc:
@@ -198,6 +200,19 @@ class TestUnlistableWords:
             "  poph resp r2\n"
         with pytest.raises(EncodingError, match="'poph resp r2' cannot show"):
             asm.disassemble([encode(make(Op.POPH, queue=1, rd=2, wp=1))])
+
+
+    @pytest.mark.parametrize("instr,error", [
+        (make(Op.POPQ, queue=2, rd=1), "queue code 2 names nothing"),
+        (make(Op.POPH, queue=2, rd=1), "queue code 2 names nothing"),
+        (make(Op.WFQ, qmask=0b101), "'wfq req' cannot show"),
+    ], ids=["popq", "poph", "wfq"])
+    def test_queue_code_2_is_unassigned(self, instr, error):
+        """Queue code 2 names no queue, since the engine core owns the
+        memory-response queue: a word that uses it is rejected, not read
+        as another queue."""
+        with pytest.raises(EncodingError, match=error):
+            asm.disassemble([encode(instr)])
 
 
 class TestBinaryContainer:
