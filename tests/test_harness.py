@@ -669,6 +669,40 @@ class TestBitIdentity:
             assert (_transactions_digest(system)
                     == self.TXN_GOLDEN[shape, engine])
 
+    # engine -> (cycles of each run, final-state digest, (busy, wait,
+    # stall, idle) cycles summed over the CCEs)
+    BACK_TO_BACK_GOLDEN = {
+        "fsm": ((5061, 4572), "232b4841770e2f6bc4b257701093920836e97d6379e3"
+                              "ca941c3315e3175029da",
+                (7397, 1709, 142, 10018)),
+        "ucode": ((6667, 6752), "232b4841770e2f6bc4b257701093920836e97d637"
+                                "9e3ca941c3315e3175029da",
+                  (16878, 1711, 16, 8233)),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(BACK_TO_BACK_GOLDEN))
+    def test_back_to_back_runs(self, engine):
+        """Two 300-op traces run one after the other on one system of 4
+        caches of 16 sets x 2 ways homed on 2 CCEs, under one set of
+        monitors: the second run starts from the idle state the first
+        left, so it resumes both sequencers between requests."""
+        system = System(SystemConfig(cores=4, sets=16, assoc=2, num_cces=2,
+                                     engine=engine))
+        monitors = default_monitors()
+        cycles = []
+        for seed in (6, 7):
+            ops = random_workload(seed, lces=4, ops=300,
+                                  footprint_blocks=256, write_ratio=0.5)
+            report = run_trace(system, ops, monitors=monitors)
+            assert report.clean
+            assert report.completed == len(ops)
+            cycles.append(report.cycles)
+        counters = tuple(sum(getattr(c.stats, k) for c in system.cces)
+                         for k in ("busy_cycles", "wait_cycles",
+                                   "stall_cycles", "idle_cycles"))
+        assert ((tuple(cycles), _final_state_digest(system), counters)
+                == self.BACK_TO_BACK_GOLDEN[engine])
+
 
 class TestHookContract:
     """The benchmark's layer tracing replaces instance methods of a built
