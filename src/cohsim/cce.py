@@ -12,8 +12,14 @@ invalidation sequencer `_invalidate`.  The two engines, `fsm_cce.FsmCce`
 and `ucode.engine.UcodeCce`, differ only in how they sequence a request:
 each supplies `_sequencer`, a generator that yields one BUSY or WAIT tag
 per cycle and runs the units with `yield from`, and `Fault`, what a CohAck
-or memory response that underflows its pending counter raises.  The core
-creates the sequencer once and `tick` advances it by one tag.
+or memory response that underflows its pending counter raises.  `tick`
+advances the sequencer by one tag.  The core starts it lazily: `_seq`
+begins as `PARKED`, an iterator that is already exhausted, and the first
+`tick` that finds it so starts the engine's generator.  `System.advance`
+parks every engine again (`park`) when the system goes idle, where each
+sequencer is between requests and a fresh generator resumes from the same
+state (the engine's fields, not the generator's frame, hold it).  So a CCE
+and its generator form no reference cycle except while a run is under way.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -47,6 +53,8 @@ WAIT = "wait"
 COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
 NULL_WB = Emission.NullWB
 INV_ACK = (Emission.InvAck,)
+# The sequencer of an engine at rest: exhausted, and holding no engine.
+PARKED = iter(())
 
 
 class EngineFault(Exception):
@@ -115,7 +123,7 @@ class CceCore:
         self._req: Optional[CohRequest] = None
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
-        self._seq = self._sequencer()
+        self._seq = PARKED
 
     # -- helpers -------------------------------------------------------------
 
@@ -171,9 +179,12 @@ class CceCore:
         try:
             tag = next(self._seq)
         except StopIteration:
-            # The sequencer ends only by raising.
-            raise self.Fault(f"{self.endpoint} stopped at an earlier "
-                             "fault") from None
+            # A started sequencer ends only by raising.
+            if self._seq is not PARKED:
+                raise self.Fault(f"{self.endpoint} stopped at an earlier "
+                                 "fault") from None
+            self._seq = self._sequencer()
+            tag = next(self._seq)
         txn = self._txn
         if tag is BUSY:
             self.stats.busy_cycles += 1
@@ -186,6 +197,12 @@ class CceCore:
             self.stats.stall_cycles += 1
         else:
             self.stats.idle_cycles += 1
+
+    def park(self):
+        """Drop the sequencer; the next `tick` starts a fresh one.  Call it
+        only when the engine has no pending input, where the sequencer is
+        between requests."""
+        self._seq = PARKED
 
     # -- sequencer hooks -------------------------------------------------------
 

@@ -76,8 +76,8 @@ class CheckConfig:
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise ValueError(f"mutation must be one of "
                              f"{', '.join(MUTATIONS)}, got {self.mutation!r}")
-        if not 0 <= self.caches < 1 << _N_BITS:
-            raise ValueError(f"caches must be from 0 to "
+        if not 1 <= self.caches < 1 << _N_BITS:
+            raise ValueError(f"caches must be from 1 to "
                              f"{(1 << _N_BITS) - 1}, got {self.caches}")
         if self.max_states is not None and self.max_states < 1:
             raise ValueError(f"max_states must be at least 1, "

@@ -323,9 +323,8 @@ def run_trace(system: System, ops, monitors=(),
     trace order, each waiting for the previous one to complete.  A set is
     the unit of interference — invalidations, LRU updates, and evictions
     never cross sets — so the final architectural state is independent of
-    engine timing, while operations on different sets still overlap."""
-    for m in monitors:
-        m.attach(system)
+    engine timing, while operations on different sets still overlap.
+    The monitors are attached for the run and detached when it ends."""
     block = system.cfg.block_bytes
 
     def domain(addr):
@@ -364,55 +363,65 @@ def run_trace(system: System, ops, monitors=(),
         report.completed += 1
         changed = True
 
-    while system.now < deadline:
-        # Retire the misses that ended, and the fences once all is idle.
-        for i in retired:
-            finish(outstanding.pop(i))
-        if fenced and system.idle():
-            for i in fenced:
-                del outstanding[i]
-            report.completed += len(fenced)
-            fenced.clear()
-            changed = True
-        # Issue new ones.
-        if changed:
-            changed = False
-            for i, q in enumerate(queues):
-                if not q or i in outstanding:
-                    continue
-                # Unpacked once: a `TraceOp` field read costs more than a
-                # local.
-                idx, (_, kind, addr, data) = q[-1]
-                if kind == "FENCE":
+    for m in monitors:
+        m.attach(system)
+    try:
+        while system.now < deadline:
+            # Retire the misses that ended, and the fences once all is idle.
+            for i in retired:
+                finish(outstanding.pop(i))
+            if fenced and system.idle():
+                for i in fenced:
+                    del outstanding[i]
+                report.completed += len(fenced)
+                fenced.clear()
+                changed = True
+            # Issue new ones.
+            if changed:
+                changed = False
+                for i, q in enumerate(queues):
+                    if not q or i in outstanding:
+                        continue
+                    # Unpacked once: a `TraceOp` field read costs more than
+                    # a local.
+                    idx, (_, kind, addr, data) = q[-1]
+                    if kind == "FENCE":
+                        q.pop()
+                        outstanding[i] = "fence"
+                        fenced.append(i)
+                        continue
+                    d = domains[idx]
+                    if domain_order[d][heads[d]] != idx:
+                        # An earlier trace op on this set must finish.
+                        continue
                     q.pop()
-                    outstanding[i] = "fence"
-                    fenced.append(i)
-                    continue
-                d = domains[idx]
-                if domain_order[d][heads[d]] != idx:
-                    continue   # an earlier trace op on this set must finish
-                q.pop()
-                if data is not None:
-                    data = data.to_bytes(8, "little")
-                result = system.submit(
-                    i, addr, write=kind in ("ST", "STU"),
-                    data=data, atomic=_ATOMIC_BY_OP.get(kind),
-                    uncached=kind in ("LDU", "STU"))
-                report.stores += kind in ("ST", "STU", "AMOADD", "AMOSWAP",
-                                          "SC")
-                report.loads += kind in ("LD", "LDU", "LR")
-                if isinstance(result, Hit) or system.lces[i].miss is None:
-                    finish(d)   # hit, SC, or posted uncached store
-                else:
-                    outstanding[i] = d
-        if report.completed == len(ops) and system.idle():
-            break
-        # An op that finished at issue may free the next one, so the issue
-        # pass runs again after one cycle; otherwise nothing changes until
-        # a miss ends or the system goes idle.
-        retired = system.advance(system.now + 1 if changed else deadline)
-    else:
-        raise TraceError(f"trace did not complete within {limit} cycles")
+                    if data is not None:
+                        data = data.to_bytes(8, "little")
+                    result = system.submit(
+                        i, addr, write=kind in ("ST", "STU"),
+                        data=data, atomic=_ATOMIC_BY_OP.get(kind),
+                        uncached=kind in ("LDU", "STU"))
+                    report.stores += kind in ("ST", "STU", "AMOADD", "AMOSWAP",
+                                              "SC")
+                    report.loads += kind in ("LD", "LDU", "LR")
+                    if isinstance(result, Hit) or system.lces[i].miss is None:
+                        finish(d)   # hit, SC, or posted uncached store
+                    else:
+                        outstanding[i] = d
+            if report.completed == len(ops) and system.idle():
+                break
+            # An op that finished at issue may free the next one, so the issue
+            # pass runs again after one cycle; otherwise nothing changes until
+            # a miss ends or the system goes idle.
+            retired = system.advance(system.now + 1 if changed else deadline)
+        else:
+            raise TraceError(f"trace did not complete within {limit} cycles")
+    finally:
+        # A hook holds its monitor, which holds the system: detach them all,
+        # so that nothing refers from the system back to itself.
+        if monitors:
+            for lce in system.lces:
+                lce.on_state = lce.on_load = lce.on_store = None
     for m in monitors:
         report.violations.extend(m.violations)
     report.cycles = system.now - start

@@ -3,7 +3,9 @@ advanced in lockstep, one cycle per step.  `advance` runs until the next
 event `harness.run_trace` acts on, ticking the CCEs alone through cycles in
 which nothing else can act; `run` drains by calling `advance` until the
 system is idle or its limit is reached.  No cycle is skipped: every CCE
-ticks every cycle."""
+ticks every cycle.  `advance` parks the CCEs' sequencers when the system
+goes idle (see `cce`), so a `System` that is dropped after a run holds no
+reference cycle and is freed at once."""
 
 from __future__ import annotations
 
@@ -191,8 +193,9 @@ class System:
 
     def advance(self, deadline: int) -> set:
         """Step at least once, then on until a cache's outstanding miss
-        ends, the system is idle, or `now` reaches `deadline`.  Returns
-        `retired`: the ids of the caches whose miss ended.
+        ends, the system is idle (its CCEs are then parked), or `now`
+        reaches `deadline`.  Returns `retired`: the ids of the caches whose
+        miss ended.
 
         In a cycle with no message due and no memory response ready only
         the CCEs can act, so such cycles tick the CCEs alone rather than
@@ -206,9 +209,10 @@ class System:
             self.step()
             now = self.now
             # Idle needs an empty network and memory: test those first.
-            if retired or now >= deadline or (net.earliest == INF
-                                              and not mem.inflight
-                                              and self.idle()):
+            if net.earliest == INF and not mem.inflight and self.idle():
+                self._park()
+                return retired
+            if retired or now >= deadline:
                 return retired
             ready = mem.inflight[0][0] if mem.inflight else INF
             while now < net.earliest and now < ready:
@@ -222,9 +226,17 @@ class System:
                 self.now = now
                 # Idle needs an empty network and memory: test those before
                 # the CCEs.
-                if now >= deadline or (net.earliest == INF
-                                       and not mem.inflight and self.idle()):
+                if net.earliest == INF and not mem.inflight and self.idle():
+                    self._park()
                     return retired
+                if now >= deadline:
+                    return retired
+
+    def _park(self):
+        """Park every CCE's sequencer on an idle system, so that no engine
+        holds a generator that holds the engine."""
+        for cce in self.cces:
+            cce.park()
 
     def idle(self) -> bool:
         if not self.net.idle() or self.mem.inflight:

@@ -174,7 +174,7 @@ class TestStateEncoding:
             model.successors(state)
 
     def test_cache_count_must_fit_its_field(self):
-        with pytest.raises(ValueError, match="caches must be from 0 to 255"):
+        with pytest.raises(ValueError, match="caches must be from 1 to 255"):
             check(CheckConfig(protocol="mesi", caches=256))
 
     def test_store_stales_data_in_flight(self):

@@ -306,9 +306,9 @@ class TestOverhead:
 
 @pytest.mark.parametrize("argv,message", [
     (["check", "--caches", "256"],
-     "cohsim: error: caches must be from 0 to 255, got 256"),
+     "cohsim: error: caches must be from 1 to 255, got 256"),
     (["check", "--caches", "-1"],
-     "cohsim: error: caches must be from 0 to 255, got -1"),
+     "cohsim: error: caches must be from 1 to 255, got -1"),
     (["check", "--mutation", "nonsense"],
      "argument --mutation: invalid choice: 'nonsense'"),
     (["overhead", "--scheme", "foo", "--caches", "4"],
@@ -338,6 +338,8 @@ class TestOverhead:
      "cohsim: error: sharing must be from 0 to 1, got nan"),
     (["tracegen", "--seed", "1", "--footprint", "0"],
      "cohsim: error: footprint must be at least 1, got 0"),
+    (["check", "--caches", "0"],
+     "cohsim: error: caches must be from 1 to 255, got 0"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, message):
     """Bad input is an error line and exit 2, not a traceback; argparse

@@ -1,9 +1,11 @@
 """Trace tooling, invariant monitors, engine comparison, overhead math."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
 from cohsim.protocol import DEFAULT_REGION_MAP, MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm
+from cohsim.ucode.engine import default_program
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
@@ -310,6 +313,15 @@ class TestLimits:
         assert system.now == 25
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_monitors_detached_when_the_trace_fails(self, engine):
+        ops = random_workload(5, lces=2, ops=40, footprint_blocks=16)
+        system = System(SystemConfig(cores=2, sets=16, engine=engine))
+        with pytest.raises(TraceError):
+            run_trace(system, ops, monitors=default_monitors(), limit=25)
+        for lce in system.lces:
+            assert (lce.on_state, lce.on_load, lce.on_store) == (None,) * 3
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_run_stops_at_its_limit(self, engine):
         """`run(limit=n)` on a busy system advances exactly n cycles, and
         runs cut short end where one whole run does, with the same cycle
@@ -335,6 +347,38 @@ class TestLimits:
             pieces.run(limit=3)
         assert pieces.now == whole.now == total
         assert counters(pieces) == counters(whole)
+
+
+class TestFreed:
+    """A System holds no reference cycle, so reference counting frees it
+    and its CCEs as soon as the last reference goes: the cyclic collector
+    is off while each case runs."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("how", ["never-run", "run_trace", "run"])
+    def test_freed_when_dropped(self, engine, how):
+        def build_and_drop():
+            system = System(SystemConfig(cores=2, sets=16, assoc=2,
+                                         num_cces=2, engine=engine))
+            if how == "run_trace":
+                ops = random_workload(5, lces=2, ops=100,
+                                      footprint_blocks=256, write_ratio=0.5)
+                assert run_trace(system, ops,
+                                 monitors=default_monitors()).clean
+            elif how == "run":
+                system.submit(0, BASE, write=True, data=b"\x11" * 8)
+                system.submit(1, BASE + 64, write=False)
+                assert system.run() > 0 and system.idle()
+            return [weakref.ref(obj) for obj in (system, *system.cces)]
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = build_and_drop()
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRun:
@@ -467,6 +511,31 @@ class TestCompareEngines:
         report = compare_engines([], SystemConfig(cores=2, sets=8))
         assert report.equivalent
         assert report.cycle_ratio == 1.0
+
+    def test_differences_listed_per_image(self, tmp_path):
+        """Firmware that grants S, not E, to an exclusive read of a block
+        cached nowhere that also evicts (the full path's grant) ends in
+        other directory and cache states than `fsm` on the eviction trace
+        above, with memory the same and the monitors clean.  Each image
+        lists at most 10 of its differences."""
+        grant = ("  # cached nowhere, exclusive read (one that also evicts):"
+                 " grant exclusive\n  wde E\n  specq unset\n")
+        source = default_program("moesif")
+        assert source.count(grant) == 1
+        firmware = tmp_path / "shared_grant.ucs"
+        firmware.write_text(source.replace(
+            grant, grant.replace("wde E\n  specq unset",
+                                 "wde S\n  specq fwd_mod S")))
+        ops = random_workload(1, lces=2, ops=400, footprint_blocks=256,
+                              write_ratio=0.5)
+        report = compare_engines(ops, SystemConfig(
+            cores=2, sets=16, assoc=2, ucode_program=str(firmware)))
+        assert not report.equivalent and not report.violations
+        labels = [d.split(" differs at ")[0] for d in report.differences]
+        counts = {label: labels.count(label) for label in labels}
+        assert set(counts) == {"directory", "cache 0", "cache 1"}
+        assert max(counts.values()) == 10
+        assert report.summary().startswith("equivalent: NO\n")
 
     @pytest.mark.parametrize("firmware,error", [
         ("frob.ucs", asm.AsmError), ("missing.ucs", FileNotFoundError)])
