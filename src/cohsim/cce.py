@@ -105,11 +105,9 @@ class CceCore:
         self.tables = tables
         self.directory = DirectorySegment(seg_cfg, cce_id, num_cces, tables)
         self._lce_endpoints = [f"lce{i}" for i in range(seg_cfg.num_caches)]
-        # Set index -> local way group, or None for a set homed elsewhere.
-        homes = [way_group_home(s, num_cces)
-                 for s in range(seg_cfg.sets_per_cache)]
-        self._local_wgs = [local if home == cce_id else None
-                           for home, local in homes]
+        # The directory's table: set index -> local way group, or None for
+        # a set homed elsewhere.
+        self._local_wgs = self.directory.local_wgs
         num_wgs = -(-seg_cfg.sets_per_cache // num_cces)
         self.pending = PendingBits(num_wgs)
         self.spec = SpecBits(num_wgs)

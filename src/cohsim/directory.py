@@ -101,45 +101,49 @@ class WayGroupRead:
 
 
 class DirectorySegment:
-    """Duplicate tags for every (cache, set, way) of one cache type.
+    """Duplicate tags for every (cache, set, way) of the sets homed at one
+    CCE.
 
     A set's way group holds every cache's tag set in cache order; caches
-    2k and 2k + 1 share a physical row (see TAG_SETS_PER_ROW).
+    2k and 2k + 1 share a physical row (see TAG_SETS_PER_ROW).  Way groups
+    are stored by local index, the one `PendingBits` and `SpecBits` use.
     """
 
     def __init__(self, cfg: SegmentConfig, cce_id: int = 0, num_cces: int = 1,
                  tables: protocol.ProtocolTables = protocol.MOESIF):
         self.cfg = cfg
-        self.cce_id = cce_id
         self.num_cces = num_cces
         # Victim states that take the writeback flow: those whose
         # Replacement cell is filled.  Other victims are dropped silently.
         self.replacement_states = tables.replacement_states
-        # Set index -> whether its way group is homed here.
-        self._homed = [way_group_home(s, num_cces)[0] == cce_id
-                       for s in range(cfg.sets_per_cache)]
-        # Per set, every cache's tag set in cache order.
+        # Set index -> local way group, or None for a set homed elsewhere.
+        homes = [way_group_home(s, num_cces)
+                 for s in range(cfg.sets_per_cache)]
+        self.local_wgs = [local if home == cce_id else None
+                          for home, local in homes]
+        # Per local way group, every cache's tag set in cache order.
         self.way_groups = [
             [[TagSetEntry() for _ in range(cfg.assoc)]
              for _ in range(cfg.num_caches)]
-            for _ in range(cfg.sets_per_cache)]
+            for local in self.local_wgs if local is not None]
 
-    def _set_of(self, addr: int) -> int:
-        """The addressed set, once its way group is checked to be homed
-        here."""
+    def _local_wg(self, addr: int) -> int:
+        """The addressed set's local way group, once the set is checked to
+        be homed here."""
         cfg = self.cfg
         set_idx = (addr // cfg.block_bytes) % cfg.sets_per_cache
-        if not self._homed[set_idx]:
+        local = self.local_wgs[set_idx]
+        if local is None:
             home, _ = way_group_home(set_idx, self.num_cces)
             raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
-        return set_idx
+        return local
 
     def _way_group(self, addr: int, lce: int) -> list:
         """The addressed set's tag sets, once `lce` and the set are
         checked."""
         if not (0 <= lce < self.cfg.num_caches):
             raise OutOfRange(f"cache id {lce}")
-        return self.way_groups[self._set_of(addr)]
+        return self.way_groups[self._local_wg(addr)]
 
     def read_way_group(self, addr: int, lce: int,
                        lru_way: int) -> WayGroupRead:
@@ -152,7 +156,7 @@ class DirectorySegment:
             raise OutOfRange(f"cache id {lce}")
         if not (0 <= lru_way < cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")
-        tag_sets = self.way_groups[self._set_of(addr)]
+        tag_sets = self.way_groups[self._local_wg(addr)]
         tag = cfg.tag_of(addr)
         copies = []
         owner = None
@@ -205,8 +209,10 @@ class DirectorySegment:
     def snapshot(self):
         """Quiescent view: {(lce, set, way): (tag, state)} of valid entries."""
         out = {}
-        for set_idx, tag_sets in enumerate(self.way_groups):
-            for c, tag_set in enumerate(tag_sets):
+        for set_idx, local in enumerate(self.local_wgs):
+            if local is None:
+                continue
+            for c, tag_set in enumerate(self.way_groups[local]):
                 for w, entry in enumerate(tag_set):
                     if entry.state is not I:
                         out[(c, set_idx, w)] = (entry.tag, entry.state)

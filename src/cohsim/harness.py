@@ -6,8 +6,11 @@ Trace file format (text, diff-friendly): one operation per line,
     <lce_id> <OP> <hex addr> [<hex data>]
 
 with ``#`` starting a comment.  OPs: LD, ST, LDU, STU, AMOADD, AMOSWAP,
-LR, SC, FENCE (FENCE takes no address).  Stores and atomics carry a 64-bit
-data word in hex.
+LR, SC, FENCE (FENCE takes no address).  Every access is one 8-byte word,
+so its address is a 64-bit address aligned to 8 bytes; only LDU and STU
+may name an address outside the cacheable region.  ST, STU, AMOADD,
+AMOSWAP and SC carry a data word of at most 64 bits in hex.  `parse_trace`
+rejects a line that breaks any of these rules with a `TraceError`.
 
 Equivalence caveat: the trace driver serializes operations that touch the
 same block in trace order, so any trace it accepts yields the same final
@@ -30,6 +33,7 @@ from .protocol import DEFAULT_REGION_MAP, STORE, CoherenceState, I
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
+_DATA_OPS = ("ST", "STU", "AMOADD", "AMOSWAP", "SC")   # carry a data word
 _ATOMIC_BY_OP = {"AMOADD": AtomicOp.Add, "AMOSWAP": AtomicOp.Swap,
                  "LR": AtomicOp.Lr, "SC": AtomicOp.Sc}
 
@@ -72,6 +76,18 @@ def parse_trace(text: str) -> list:
                 continue
             addr = int(parts[2], 16)
             data = int(parts[3], 16) if len(parts) > 3 else None
+            if not 0 <= addr < 1 << 64:
+                raise ValueError(f"address {addr:#x} is not a 64-bit address")
+            if addr % 8:
+                raise ValueError(f"address {addr:#x} is not 8-byte aligned")
+            if (op not in ("LDU", "STU")
+                    and not DEFAULT_REGION_MAP.is_cacheable(addr)):
+                raise ValueError(f"{op} needs a cacheable address, "
+                                 f"got {addr:#x}")
+            if data is None and op in _DATA_OPS:
+                raise ValueError(f"{op} needs a data word")
+            if data is not None and not 0 <= data < 1 << 64:
+                raise ValueError(f"data {data:#x} is not a 64-bit word")
             ops.append(TraceOp(lce, op, addr, data))
         except (IndexError, ValueError) as exc:
             raise TraceError(f"line {line_no}: {raw!r}: {exc}") from exc
@@ -257,10 +273,11 @@ class DataValueMonitor(Monitor):
     """Every load observes the most recent committed store to those bytes.
 
     A shadow copy of each stored-to block is updated from each cache's
-    store-commit hook; the protocol serializes conflicting accesses, so at
-    each load hook the shadow holds the latest value.  Accesses are
-    aligned, so none crosses a block.  Only the cacheable-coherent region
-    is tracked (posted uncached stores commit asynchronously)."""
+    store-commit hook, and from memory's for an uncached store; the
+    protocol serializes conflicting accesses, so at each load hook the
+    shadow holds the latest value.  Accesses are aligned, so none crosses a
+    block.  Only loads from the cacheable-coherent region are checked
+    (posted uncached stores commit asynchronously)."""
 
     def __init__(self):
         super().__init__()
@@ -272,6 +289,7 @@ class DataValueMonitor(Monitor):
         for lce in system.lces:
             lce.on_load = self._on_load
             lce.on_store = self._on_store
+        system.mem.on_store = self._on_store
 
     def _on_store(self, lce_id, addr, size, data):
         off = addr % self._block_bytes
@@ -401,8 +419,7 @@ def run_trace(system: System, ops, monitors=(),
                         i, addr, write=kind in ("ST", "STU"),
                         data=data, atomic=_ATOMIC_BY_OP.get(kind),
                         uncached=kind in ("LDU", "STU"))
-                    report.stores += kind in ("ST", "STU", "AMOADD", "AMOSWAP",
-                                              "SC")
+                    report.stores += kind in _DATA_OPS
                     report.loads += kind in ("LD", "LDU", "LR")
                     if isinstance(result, Hit) or system.lces[i].miss is None:
                         finish(d)   # hit, SC, or posted uncached store
@@ -422,6 +439,7 @@ def run_trace(system: System, ops, monitors=(),
         if monitors:
             for lce in system.lces:
                 lce.on_state = lce.on_load = lce.on_store = None
+            system.mem.on_store = None
     for m in monitors:
         report.violations.extend(m.violations)
     report.cycles = system.now - start

@@ -67,10 +67,15 @@ class MemoryModel:
         self.cfg = cfg
         self.store = store if store is not None else BackingStore(cfg.block_bytes)
         self.inflight = deque()  # (ready_time, resp_msg_dst, response)
+        # Called as (lce, addr, size, data) when an uncached store commits
+        # here, as `Lce.on_store` is when a cached store commits.
+        self.on_store = None
 
     def handle_mem_cmd(self, cmd: MemCmd) -> MemCmd:
         if cmd.write:
             self.store.write(cmd.addr, cmd.data)
+            if cmd.uncached and self.on_store:
+                self.on_store(cmd.lce, cmd.addr, cmd.size, cmd.data)
             # Header-only acknowledgment.  Fields in order: addr, write,
             # uncached, size, data, spec, wp, lce, way, state.
             return MemCmd(cmd.addr, True, cmd.uncached, cmd.size, None,

@@ -1,7 +1,8 @@
 """Full-system assembly: caches, coherence engines, network, and memory
-advanced in lockstep, one cycle per step.  `advance` runs until the next
-event `harness.run_trace` acts on, ticking the CCEs alone through cycles in
-which nothing else can act; `run` drains by calling `advance` until the
+advanced in lockstep, one cycle at a time.  `step` runs one cycle of every
+endpoint; `advance` runs cycles until the next event `harness.run_trace`
+acts on, choosing each cycle between a `step` and a tick of the CCEs alone
+when nothing else can act; `run` drains by calling `advance` until the
 system is idle or its limit is reached.  No cycle is skipped: every CCE
 ticks every cycle.  `advance` parks the CCEs' sequencers when the system
 goes idle (see `cce`), so a `System` that is dropped after a run holds no
@@ -192,51 +193,39 @@ class System:
         self.now = now + 1
 
     def advance(self, deadline: int) -> set:
-        """Step at least once, then on until a cache's outstanding miss
-        ends, the system is idle (its CCEs are then parked), or `now`
-        reaches `deadline`.  Returns `retired`: the ids of the caches whose
-        miss ended.
+        """Run cycles until a cache's outstanding miss ends, the system is
+        idle (its CCEs are then parked), or `now` reaches `deadline`; at
+        least one cycle runs.  Returns `retired`: the ids of the caches
+        whose miss ended.
 
-        In a cycle with no message due and no memory response ready only
-        the CCEs can act, so such cycles tick the CCEs alone rather than
-        step, until a message or response falls due.  A memory command a
-        CCE sends for delivery in that same cycle (zero latency) still gets
-        memory's turn after the CCEs, as in `step`."""
+        A cycle with a message due or a memory response ready is a `step`.
+        In any other cycle only the CCEs can act, so it ticks the CCEs
+        alone; a memory command one of them sends for delivery in that
+        same cycle (zero latency) still gets memory's turn after the CCEs,
+        as in `step`."""
         retired = self.retired
         retired.clear()
-        net, mem = self.net, self.mem
+        net, mem, cces = self.net, self.mem, self.cces
+        due, inflight = net.next_ready, mem.inflight
         while True:
-            self.step()
             now = self.now
-            # Idle needs an empty network and memory: test those first.
-            if net.earliest == INF and not mem.inflight and self.idle():
-                self._park()
-                return retired
-            if retired or now >= deadline:
-                return retired
-            ready = mem.inflight[0][0] if mem.inflight else INF
-            while now < net.earliest and now < ready:
-                for cce in self.cces:
+            if net.earliest <= now or (inflight and inflight[0][0] <= now):
+                self.step()
+            else:
+                for cce in cces:
                     cce.tick(now)
-                if (net.earliest <= now
-                        and net.next_ready.get(mem.endpoint, INF) <= now):
+                if net.earliest <= now and due.get(mem.endpoint, INF) <= now:
                     mem.tick(now, net)
-                    ready = mem.inflight[0][0] if mem.inflight else INF
-                now += 1
-                self.now = now
-                # Idle needs an empty network and memory: test those before
-                # the CCEs.
-                if net.earliest == INF and not mem.inflight and self.idle():
-                    self._park()
-                    return retired
-                if now >= deadline:
-                    return retired
-
-    def _park(self):
-        """Park every CCE's sequencer on an idle system, so that no engine
-        holds a generator that holds the engine."""
-        for cce in self.cces:
-            cce.park()
+                self.now = now + 1
+            # Idle needs an empty network and memory: test those first.
+            if net.earliest == INF and not inflight and self.idle():
+                # Park every sequencer, so that no engine holds a generator
+                # that holds the engine.
+                for cce in cces:
+                    cce.park()
+                return retired
+            if retired or self.now >= deadline:
+                return retired
 
     def idle(self) -> bool:
         if not self.net.idle() or self.mem.inflight:

@@ -176,6 +176,32 @@ OUTSIDE_INPUT = {
     "trace-names-missing-cache": (
         "compare --trace {d}/cache5.txt",
         "{d}/cache5.txt: op 1: no such cache 5"),
+    "trace-misaligned": (
+        "simulate --trace {d}/misaligned.txt",
+        "{d}/misaligned.txt: line 1: '0 LDU 0x1003': "
+        "address 0x1003 is not 8-byte aligned"),
+    "trace-crosses-a-block": (
+        "compare --trace {d}/crossing.txt",
+        "{d}/crossing.txt: line 1: '0 LD 0x80000039': "
+        "address 0x80000039 is not 8-byte aligned"),
+    "trace-negative-address": (
+        "simulate --trace {d}/negative.txt",
+        "{d}/negative.txt: line 1: '0 LD -0x10': "
+        "address -0x10 is not a 64-bit address"),
+    "trace-cached-op-uncacheable": (
+        "simulate --trace {d}/uncacheable.txt",
+        "{d}/uncacheable.txt: line 1: '0 LD 0x1000': "
+        "LD needs a cacheable address, got 0x1000"),
+    "trace-data-too-wide": (
+        "simulate --trace {d}/wide.txt",
+        "{d}/wide.txt: line 1: '0 ST 0x80000000 0x1ffffffffffffffff': "
+        "data 0x1ffffffffffffffff is not a 64-bit word"),
+    "trace-store-without-data": (
+        "compare --trace {d}/nodata.txt",
+        "{d}/nodata.txt: line 1: '0 ST 0x80000000': ST needs a data word"),
+    "trace-sc-without-data": (
+        "simulate --trace {d}/sc.txt",
+        "{d}/sc.txt: line 2: '0 SC 0x80000000': SC needs a data word"),
 }
 
 
@@ -186,7 +212,14 @@ def test_outside_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     files = {"frob.ucs": "frob\n",
              "frob.cfg": "ucode_program = {d}/frob.ucs\n",
              "t.txt": "0 LD 0x80000000\n", "frob.txt": "0 FROB 0x0\n",
-             "cache5.txt": "0 LD 0x80000000\n5 LD 0x80000000\n"}
+             "cache5.txt": "0 LD 0x80000000\n5 LD 0x80000000\n",
+             "misaligned.txt": "0 LDU 0x1003\n",
+             "crossing.txt": "0 LD 0x80000039\n",
+             "negative.txt": "0 LD -0x10\n",
+             "uncacheable.txt": "0 LD 0x1000\n",
+             "wide.txt": "0 ST 0x80000000 0x1ffffffffffffffff\n",
+             "nodata.txt": "0 ST 0x80000000\n",
+             "sc.txt": "0 LR 0x80000000\n0 SC 0x80000000\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text.format(d=tmp_path))
     argv, message = (s.format(d=tmp_path) for s in OUTSIDE_INPUT[case])

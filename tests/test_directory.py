@@ -72,6 +72,20 @@ class TestGeometryAndLatency:
         with pytest.raises(OutOfRange):
             seg0.write_state(addr_odd, 0, 0, S)
 
+    @pytest.mark.parametrize("num_cces", [1, 2, 8])
+    def test_each_cce_stores_only_the_way_groups_it_homes(self, num_cces):
+        """Over all CCEs the duplicate tags hold one entry per cache line,
+        and a snapshot still names each entry by its global set."""
+        system = System(SystemConfig(cores=8, sets=64, assoc=8,
+                                     num_cces=num_cces))
+        assert sum(len(tag_set) for cce in system.cces
+                   for tag_sets in cce.directory.way_groups
+                   for tag_set in tag_sets) == 8 * 64 * 8
+        addr = 0x8000_0000 + 63 * 64     # set 63
+        seg = system.home_cce(addr).directory
+        seg.write_entry(addr, 5, 7, state=S)
+        assert seg.snapshot() == {(5, 63, 7): (seg.cfg.tag_of(addr), S)}
+
     def test_out_of_range(self):
         seg = DirectorySegment(cfg_for(2))
         with pytest.raises(OutOfRange, match="cache id 2"):

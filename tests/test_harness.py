@@ -47,6 +47,14 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="line 1"):
             parse_trace(bad)
 
+    def test_random_workloads_parse(self):
+        """Every op kind `random_workload` draws, uncached and atomic ones
+        included, passes `parse_trace`'s checks."""
+        ops = random_workload(3, lces=4, ops=2000, uncached_ratio=0.2,
+                              atomic_ratio=0.2, fence_ratio=0.05)
+        assert {op.op for op in ops} == set(harness.OPS)
+        assert parse_trace(format_trace(ops)) == ops
+
 
 class TestWorkloadGenerator:
     def test_reproducible(self):
@@ -219,6 +227,19 @@ class TestMonitors:
         system.run()
         assert [v.monitor for v in mon.violations] == ["data-value"]
 
+    @pytest.mark.parametrize("engine", ["fsm", "ucode"])
+    def test_uncached_store_to_cacheable_memory(self, engine):
+        """An uncached store commits in memory, whose store hook updates the
+        shadow, so a later load of its bytes is not flagged; the hook is
+        detached with the caches' when the run ends."""
+        ops = parse_trace("0 STU 0x80000000 0x5\n0 FENCE\n"
+                          "0 LD 0x80000000\n1 LDU 0x80000008\n")
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        report = run_trace(system, ops, monitors=default_monitors())
+        assert report.clean, report.violations
+        assert system.store.read(BASE, 8) == (5).to_bytes(8, "little")
+        assert system.mem.on_store is None
+
     def test_holders_match_a_lookup_in_every_cache(self):
         """At every line-state write of an 8-cache run whose 256-block
         footprint overflows 16 sets x 2 ways, the holders the monitor
@@ -387,7 +408,8 @@ class TestRun:
         dict(cores=4, sets=8, assoc=2),
         dict(cores=4, sets=8, assoc=2, num_cces=2, net_latency=0),
         dict(cores=2, sets=4, assoc=1, mem_latency=3),
-    ], ids=["1cce", "2cce-lat0", "2c-evict"])
+        dict(cores=2, sets=4, assoc=1, net_latency=0, mem_latency=0),
+    ], ids=["1cce", "2cce-lat0", "2c-evict", "2c-lat0-mem0"])
     def test_run_matches_stepping(self, engine, shape):
         """`run` drains through `advance`, which ticks the CCEs alone
         through cycles in which nothing else can act: the same batched
