@@ -39,8 +39,8 @@ from itertools import repeat
 from typing import Optional
 
 from . import protocol
-from .directory import (DirectorySegment, PendingBits, SegmentConfig,
-                        SpecBits, Underflow, way_group_home)
+from .directory import (DirectorySegment, PendingBits, SpecBits, Underflow,
+                        way_group_home)
 from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        CceCommand, CohRequest, Emission, MemCmd, NetKind,
                        NetMessage)
@@ -94,24 +94,22 @@ class CceCore:
 
     Fault = EngineFault
 
-    def __init__(self, cce_id: int, seg_cfg: SegmentConfig, net: Network,
-                 num_cces: int = 1,
-                 tables: protocol.ProtocolTables = protocol.MOESIF):
+    def __init__(self, cce_id: int, cfg, net: Network,
+                 tables: protocol.ProtocolTables):
         self.cce_id = cce_id
         self.endpoint = f"cce{cce_id}"
-        self.cfg = seg_cfg
+        self.cfg = cfg     # the system's `SystemConfig`
         self.net = net
-        self.num_cces = num_cces
         self.tables = tables
-        self.directory = DirectorySegment(seg_cfg, cce_id, num_cces, tables)
-        self._lce_endpoints = [f"lce{i}" for i in range(seg_cfg.num_caches)]
+        self.directory = DirectorySegment(cfg, cce_id, tables)
+        self._lce_endpoints = [f"lce{i}" for i in range(cfg.cores)]
         # The directory's table: set index -> local way group, or None for
         # a set homed elsewhere.
         self._local_wgs = self.directory.local_wgs
-        num_wgs = -(-seg_cfg.sets_per_cache // num_cces)
+        num_wgs = -(-cfg.sets // cfg.num_cces)
         self.pending = PendingBits(num_wgs)
         self.spec = SpecBits(num_wgs)
-        self.req_qs = [deque() for _ in range(seg_cfg.num_caches)]
+        self.req_qs = [deque() for _ in range(cfg.cores)]
         self._rr = 0
         self._stalled = False   # last arbitration scan found only blocked heads
         self._none_admissible = False   # last scan found no admissible head
@@ -127,23 +125,23 @@ class CceCore:
 
     def local_wg(self, addr: int) -> int:
         cfg = self.cfg
-        set_idx = (addr // cfg.block_bytes) % cfg.sets_per_cache
+        set_idx = (addr // cfg.block_bytes) % cfg.sets
         local = self._local_wgs[set_idx]
         if local is None:
-            home, _ = way_group_home(set_idx, self.num_cces)
+            home, _ = way_group_home(set_idx, cfg.num_cces)
             raise EngineFault(f"address {addr:#x} routed to CCE "
                               f"{self.cce_id}; its home is CCE {home}")
         return local
 
-    def _send(self, net_kind: NetKind, dst: str, payload, data=None):
-        beats = self.net.beats_of(data) if data else 0
-        self.net.send(NetMessage(net_kind, self.endpoint, dst, payload,
-                                 beats), self.now)
+    def _send(self, net_kind: NetKind, dst: str, payload) -> NetMessage:
+        msg = NetMessage(net_kind, self.endpoint, dst, payload)
+        self.net.send(msg, self.now)
+        return msg
 
     def _send_cmd(self, lce: int, cmd: CceCommand):
         if cmd.kind is INV and self._txn is not None:
             self._txn.invalidations += 1
-        self._send(COMMAND, self._lce_endpoints[lce], cmd, data=cmd.data)
+        self._send(COMMAND, self._lce_endpoints[lce], cmd)
 
     # -- external interface --------------------------------------------------
 
@@ -245,8 +243,8 @@ class CceCore:
             self.spec.set(self.local_wg(cmd.addr))
         if wg is not None:
             self.pending.adjust(wg, +1)
-        self._send(MEM_CMD, "mem", cmd, data=cmd.data)
-        yield from repeat(BUSY, max(1, net.beats_of(cmd.data)))
+        msg = self._send(MEM_CMD, "mem", cmd)
+        yield from repeat(BUSY, max(1, msg.beats))
 
     def _write_back(self, resp, wg: Optional[int]):
         """Write a writeback's block to memory.  An uncached request's
@@ -277,7 +275,7 @@ class CceCore:
     def _victim_addr(self, addr: int, lru_tag: int) -> int:
         """The address of the block with tag `lru_tag` in `addr`'s set."""
         cfg = self.cfg
-        return ((lru_tag * cfg.sets_per_cache + cfg.set_index(addr))
+        return ((lru_tag * cfg.sets + cfg.set_index(addr))
                 * cfg.block_bytes)
 
     # -- transactions ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Storage is functional: operations apply immediately, and the owning
 engine accounts for their cycles (a way-group read's are
-`SegmentConfig.way_group_read_latency`, a single entry read's
+`SystemConfig.way_group_read_latency`, a single entry read's
 `ENTRY_READ_LATENCY`), which keeps the structures independently testable
 while the engines do the scheduling.  A way-group read returns one
 `WayGroupRead`, the engines' only view of the tag sets.
@@ -10,7 +10,6 @@ while the engines do the scheduling.  A way-group read returns one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,28 +44,6 @@ class DoubleSpeculation(Exception):
 
 class MultipleOwners(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SegmentConfig:
-    num_caches: int
-    assoc: int = 8
-    sets_per_cache: int = 64
-    block_bytes: int = 64
-
-    @property
-    def rows_per_set(self) -> int:
-        return math.ceil(self.num_caches / TAG_SETS_PER_ROW)
-
-    @property
-    def way_group_read_latency(self) -> int:
-        return 1 + self.rows_per_set
-
-    def set_index(self, addr: int) -> int:
-        return (addr // self.block_bytes) % self.sets_per_cache
-
-    def tag_of(self, addr: int) -> int:
-        return (addr // self.block_bytes) // self.sets_per_cache
 
 
 def way_group_home(set_idx: int, num_cces: int) -> tuple:
@@ -109,39 +86,36 @@ class DirectorySegment:
     are stored by local index, the one `PendingBits` and `SpecBits` use.
     """
 
-    def __init__(self, cfg: SegmentConfig, cce_id: int = 0, num_cces: int = 1,
-                 tables: protocol.ProtocolTables = protocol.MOESIF):
-        self.cfg = cfg
-        self.num_cces = num_cces
+    def __init__(self, cfg, cce_id: int, tables: protocol.ProtocolTables):
+        self.cfg = cfg     # the system's `SystemConfig`
         # Victim states that take the writeback flow: those whose
         # Replacement cell is filled.  Other victims are dropped silently.
         self.replacement_states = tables.replacement_states
         # Set index -> local way group, or None for a set homed elsewhere.
-        homes = [way_group_home(s, num_cces)
-                 for s in range(cfg.sets_per_cache)]
+        homes = [way_group_home(s, cfg.num_cces) for s in range(cfg.sets)]
         self.local_wgs = [local if home == cce_id else None
                           for home, local in homes]
         # Per local way group, every cache's tag set in cache order.
         self.way_groups = [
             [[TagSetEntry() for _ in range(cfg.assoc)]
-             for _ in range(cfg.num_caches)]
+             for _ in range(cfg.cores)]
             for local in self.local_wgs if local is not None]
 
     def _local_wg(self, addr: int) -> int:
         """The addressed set's local way group, once the set is checked to
         be homed here."""
         cfg = self.cfg
-        set_idx = (addr // cfg.block_bytes) % cfg.sets_per_cache
+        set_idx = (addr // cfg.block_bytes) % cfg.sets
         local = self.local_wgs[set_idx]
         if local is None:
-            home, _ = way_group_home(set_idx, self.num_cces)
+            home, _ = way_group_home(set_idx, cfg.num_cces)
             raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
         return local
 
     def _way_group(self, addr: int, lce: int) -> list:
         """The addressed set's tag sets, once `lce` and the set are
         checked."""
-        if not (0 <= lce < self.cfg.num_caches):
+        if not (0 <= lce < self.cfg.cores):
             raise OutOfRange(f"cache id {lce}")
         return self.way_groups[self._local_wg(addr)]
 
@@ -149,10 +123,10 @@ class DirectorySegment:
                        lru_way: int) -> WayGroupRead:
         """Read every cache's tag set for the addressed set, in one pass,
         for requesting cache `lce`, whose request names `lru_way` as its
-        LRU way.  It takes `SegmentConfig.way_group_read_latency` cycles.
+        LRU way.  It takes `SystemConfig.way_group_read_latency` cycles.
         Raises MultipleOwners if two copies are in owner states."""
         cfg = self.cfg
-        if not (0 <= lce < cfg.num_caches):
+        if not (0 <= lce < cfg.cores):
             raise OutOfRange(f"cache id {lce}")
         if not (0 <= lru_way < cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")

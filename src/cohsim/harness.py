@@ -9,8 +9,9 @@ with ``#`` starting a comment.  OPs: LD, ST, LDU, STU, AMOADD, AMOSWAP,
 LR, SC, FENCE (FENCE takes no address).  Every access is one 8-byte word,
 so its address is a 64-bit address aligned to 8 bytes; only LDU and STU
 may name an address outside the cacheable region.  ST, STU, AMOADD,
-AMOSWAP and SC carry a data word of at most 64 bits in hex.  `parse_trace`
-rejects a line that breaks any of these rules with a `TraceError`.
+AMOSWAP and SC carry a data word of at most 64 bits in hex, and no other
+op takes one.  `parse_trace` rejects a line that breaks any of these rules,
+or has more than 4 fields, with a `TraceError`.
 
 Equivalence caveat: the trace driver serializes operations that touch the
 same block in trace order, so any trace it accepts yields the same final
@@ -67,14 +68,20 @@ def parse_trace(text: str) -> list:
             continue
         parts = line.split()
         try:
+            if len(parts) > 4:
+                raise ValueError(f"{len(parts)} fields; a line has at most 4")
             lce = int(parts[0])
             op = parts[1].upper()
             if op not in OPS:
                 raise ValueError(f"unknown op {op!r}")
             if op == "FENCE":
+                if len(parts) > 2:
+                    raise ValueError("FENCE takes no address")
                 ops.append(TraceOp(lce, op))
                 continue
             addr = int(parts[2], 16)
+            if len(parts) > 3 and op not in _DATA_OPS:
+                raise ValueError(f"{op} takes no data word")
             data = int(parts[3], 16) if len(parts) > 3 else None
             if not 0 <= addr < 1 << 64:
                 raise ValueError(f"address {addr:#x} is not a 64-bit address")
@@ -534,40 +541,35 @@ def compare_engines(ops, cfg: SystemConfig = SystemConfig()
 # ---------------------------------------------------------------------------
 
 def overhead_calc(scheme: str, caches: int, tag_bits: int = 28,
-                  state_bits: int = 3, block_bits: int = 512,
-                  pad: Optional[int] = None) -> float:
+                  state_bits: int = 3, block_bits: int = 512) -> float:
     """Directory storage overhead as a percentage of tracked cache data.
 
-    Schemes: "dup" (duplicate-tag: one padded tag+state entry per tracked
-    line, so overhead is independent of cache count), "complete" (full
-    sharer bit-vector), "coarse:<b>" (b-bit coarse sharer vector).  `pad`
-    rounds the entry up to a multiple of that many bits; the duplicate-tag
-    scheme defaults to 32-bit entries, the vector schemes to no padding.
+    Schemes: "dup" (duplicate-tag: one tag+state entry per tracked line,
+    padded to 32 bits, so overhead is independent of cache count),
+    "complete" (full sharer bit-vector), "coarse:<b>" (b-bit coarse sharer
+    vector); the vector schemes are not padded.
     """
     if caches < 2:
         raise ValueError("need at least 2 caches")
     for name, value in (("tag_bits", tag_bits), ("state_bits", state_bits)):
         if value < 0:
             raise ValueError(f"{name} must not be negative, got {value}")
-    for name, value in (("block_bits", block_bits), ("pad", pad)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
+    if block_bits < 1:
+        raise ValueError(f"block_bits must be positive, got {block_bits}")
     scheme = scheme.lower()
     if scheme in ("dup", "duplicatetag", "duplicate-tag"):
-        bits, default_pad = tag_bits + state_bits, 32
+        bits = -(-(tag_bits + state_bits) // 32) * 32
     elif scheme == "complete":
-        bits, default_pad = tag_bits + state_bits + caches, 1
+        bits = tag_bits + state_bits + caches
     elif scheme == "coarse" or scheme.startswith("coarse:"):
         arg = scheme[len("coarse:"):] or "8"
         if not arg.isdecimal() or int(arg) < 1:
             raise ValueError(f"coarse vector width must be a positive "
                              f"integer, got {arg!r}")
-        bits, default_pad = tag_bits + state_bits + int(arg), 1
+        bits = tag_bits + state_bits + int(arg)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    pad = default_pad if pad is None else pad
-    padded = -(-bits // pad) * pad
-    return 100.0 * padded / block_bits
+    return 100.0 * bits / block_bits
 
 
 # ---------------------------------------------------------------------------

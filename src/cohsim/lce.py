@@ -35,33 +35,6 @@ class LceKind(Enum):
     Instruction = "instruction"
 
 
-def check_geometry(cfg):
-    """Raise ValueError unless `cfg`'s sets, assoc and block_bytes are
-    powers of two."""
-    for name in ("sets", "assoc", "block_bytes"):
-        v = getattr(cfg, name)
-        if v < 1 or v & (v - 1):
-            raise ValueError(f"{name} must be a power of two, got {v}")
-
-
-@dataclass(frozen=True)
-class LceConfig:
-    lce_id: int
-    sets: int = 64
-    assoc: int = 8
-    block_bytes: int = 64
-    kind: LceKind = LceKind.Data
-
-    def __post_init__(self):
-        check_geometry(self)
-
-    def set_index(self, addr: int) -> int:
-        return (addr // self.block_bytes) % self.sets
-
-    def tag_of(self, addr: int) -> int:
-        return (addr // self.block_bytes) // self.sets
-
-
 @dataclass(slots=True)
 class CacheLine:
     tag: int = 0
@@ -88,10 +61,12 @@ class Hit:
 class Lce:
     """One coherent cache and its controller."""
 
-    def __init__(self, cfg: LceConfig, tables: protocol.ProtocolTables = protocol.MOESIF):
-        self.cfg = cfg
+    def __init__(self, cfg, lce_id: int, tables: protocol.ProtocolTables):
+        self.cfg = cfg     # the system's `SystemConfig`
+        self.lce_id = lce_id
+        self.kind = LceKind.Data
         self.tables = tables
-        self.endpoint = f"lce{cfg.lce_id}"
+        self.endpoint = f"lce{lce_id}"
         self.sets = [[CacheLine(data=bytearray(cfg.block_bytes))
                       for _ in range(cfg.assoc)] for _ in range(cfg.sets)]
         self.miss: Optional[OutstandingMiss] = None
@@ -200,9 +175,9 @@ class Lce:
 
         # Miss (or write upgrade): issue the request.
         lru = self.lru_way(self.cfg.set_index(addr))
-        non_excl = (not wants_write) and self.cfg.kind is LceKind.Instruction
+        non_excl = (not wants_write) and self.kind is LceKind.Instruction
         self.miss = OutstandingMiss(addr, wants_write, size, data, atomic)
-        return CohRequest(lce=self.cfg.lce_id, addr=self._block_base(addr),
+        return CohRequest(lce=self.lce_id, addr=self._block_base(addr),
                           write=wants_write, lru_way=lru,
                           non_exclusive=non_excl, atomic=atomic, size=size)
 
@@ -211,7 +186,7 @@ class Lce:
         if not write:   # a posted uncached store completes at issue
             self.miss = OutstandingMiss(addr=addr, write=False, size=size,
                                         data=None, uncached=True)
-        return CohRequest(lce=self.cfg.lce_id, addr=addr, write=write,
+        return CohRequest(lce=self.lce_id, addr=addr, write=write,
                           uncached=True, size=size,
                           data=data if write else None)
 
@@ -223,7 +198,7 @@ class Lce:
         (which return None), LR (which sets the reservation) or an AMO
         (read, compute, write).  Returns the value read."""
         self._touch(line)
-        lce_id = self.cfg.lce_id
+        lce_id = self.lce_id
         if not write:
             value = self._read_bytes(line, addr, size)
             if self.on_load:
@@ -253,12 +228,11 @@ class Lce:
     # -- coherence port ----------------------------------------------------
 
     def _respond(self, kind: Emission, addr: int, cce: str,
-                 data: Optional[bytes] = None, beats: int = 0):
-        resp = LceResponse(kind, self.cfg.lce_id, addr, data)
-        self.outbox.append(NetMessage(RESPONSE, self.endpoint, cce, resp,
-                                      beats))
+                 data: Optional[bytes] = None):
+        resp = LceResponse(kind, self.lce_id, addr, data)
+        self.outbox.append(NetMessage(RESPONSE, self.endpoint, cce, resp))
 
-    def handle_command(self, cmd: CceCommand, cce: str, beats_of=len):
+    def handle_command(self, cmd: CceCommand, cce: str):
         """Apply a directory command through its table cell, and queue the
         responses and fills it sends on the outbox.  A DATA command
         installs its block in `cmd.target_way`; a DATA or STW grant then
@@ -271,7 +245,7 @@ class Lce:
                 raise UnexpectedFill(f"uncached data for {cmd.addr:#x}")
             self.completed = cmd.data[:miss.size]
             if self.on_load:
-                self.on_load(self.cfg.lce_id, cmd.addr, miss.size,
+                self.on_load(self.lce_id, cmd.addr, miss.size,
                              self.completed)
             self.miss = None
             return
@@ -290,16 +264,14 @@ class Lce:
                 self._respond(emission, cmd.addr, cce)
             elif emission is DIRTY_WB:
                 block = block or self._line_bytes(line)
-                self._respond(DIRTY_WB, cmd.addr, cce, data=block,
-                              beats=beats_of(block))
+                self._respond(DIRTY_WB, cmd.addr, cce, data=block)
             elif emission is DATA_TO_TARGET:
                 block = block or self._line_bytes(line)
                 fill = CceCommand(kind=DATA, addr=cmd.addr,
                                   target_way=cmd.target_way,
                                   state=cmd.transfer_state, data=block)
                 self.outbox.append(NetMessage(
-                    FILL, self.endpoint, f"lce{cmd.target_lce}",
-                    fill, beats_of(block)))
+                    FILL, self.endpoint, f"lce{cmd.target_lce}", fill))
             else:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
 

@@ -9,7 +9,6 @@ does not participate in coherence, so no hit/miss behavior is modeled.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .messages import MEM_CMD, MEM_RESP, MemCmd, NetMessage
 from .network import Network
@@ -50,22 +49,15 @@ class BackingStore:
         block[off:off + len(data)] = data
 
 
-@dataclass(slots=True)
-class MemoryConfig:
-    latency: int = 20
-    block_bytes: int = 64
-
-
 class MemoryModel:
     """Consumes memory commands and answers each, in FIFO order, with a
     `MemCmd` record on the MemResp network."""
 
     endpoint = "mem"
 
-    def __init__(self, cfg: MemoryConfig = MemoryConfig(),
-                 store: BackingStore = None):
-        self.cfg = cfg
-        self.store = store if store is not None else BackingStore(cfg.block_bytes)
+    def __init__(self, cfg, store: BackingStore):
+        self.cfg = cfg     # the system's `SystemConfig`
+        self.store = store
         self.inflight = deque()  # (ready_time, resp_msg_dst, response)
         # Called as (lce, addr, size, data) when an uncached store commits
         # here, as `Lce.on_store` is when a cached store commits.
@@ -94,9 +86,8 @@ class MemoryModel:
                     raise AssertionError(
                         f"unexpected {msg.net} at {self.endpoint}")
                 resp = self.handle_mem_cmd(msg.payload)
-                self.inflight.append((now + self.cfg.latency, msg.src, resp))
+                self.inflight.append((now + self.cfg.mem_latency, msg.src,
+                                      resp))
         while self.inflight and self.inflight[0][0] <= now:
             _, dst, resp = self.inflight.popleft()
-            beats = net.beats_of(resp.data)
-            net.send(NetMessage(MEM_RESP, self.endpoint, dst, resp,
-                                beats), now)
+            net.send(NetMessage(MEM_RESP, self.endpoint, dst, resp), now)

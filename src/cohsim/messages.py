@@ -105,6 +105,7 @@ class NetMessage:
     net: NetKind
     src: str
     dst: str
-    payload: object
-    beats: int = 0  # data beats beyond the header slot
+    payload: object   # a message record with a `data` field
+    # Data beats, set by `Network.send` from the payload's data.
+    beats: int = field(default=0, init=False)
     seq: int = field(default=0, compare=False)

@@ -13,7 +13,6 @@ its FIFO order.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -29,19 +28,13 @@ class CreditError(RuntimeError):
 
 
 INF = float("inf")
+MEM_CREDITS = 8   # memory commands in flight at once
 _priority_seq = attrgetter("net.priority", "seq")
 
 
-@dataclass(frozen=True)
-class NetConfig:
-    latency: int = 1
-    beat_bytes: int = 8
-    mem_credits: int = 8
-
-
 class Network:
-    def __init__(self, cfg: NetConfig = NetConfig()):
-        self.cfg = cfg
+    def __init__(self, cfg):
+        self.cfg = cfg     # the system's `SystemConfig`
         self._queues = defaultdict(list)   # dst -> heap of (ready, seq, msg)
         # (src, dst, net value) -> the next cycle that link is free; the key
         # holds the NetKind's value, so that a send hashes no enum member.
@@ -52,24 +45,21 @@ class Network:
         self.next_ready = {}
         # The least of `next_ready`, or infinity when nothing is queued.
         self.earliest = INF
-        self.mem_credits_avail = cfg.mem_credits
+        self.mem_credits_avail = MEM_CREDITS
         self._seq = 0
-
-    def beats_of(self, data) -> int:
-        if not data:
-            return 0
-        return max(1, len(data) // self.cfg.beat_bytes)
 
     def has_mem_credit(self) -> bool:
         return self.mem_credits_avail > 0
 
     def release_mem_credit(self):
-        if self.mem_credits_avail >= self.cfg.mem_credits:
+        if self.mem_credits_avail >= MEM_CREDITS:
             raise CreditError("memory credit released with none outstanding")
         self.mem_credits_avail += 1
 
     def send(self, msg: NetMessage, now: int):
-        """Enqueue; raises Backpressure when out of memory credits."""
+        """Size the message (`msg.beats`: 0 without data, else one per
+        `beat_bytes` of its payload's data, at least one) and enqueue it;
+        raises Backpressure when out of memory credits."""
         if msg.net is MEM_CMD:
             if not self.has_mem_credit():
                 raise Backpressure("memory command credits exhausted")
@@ -77,12 +67,15 @@ class Network:
         dst = msg.dst
         key = (msg.src, dst, msg.net._value_)
         # Header occupies one link cycle, plus one per additional beat.
-        beats = msg.beats
-        serialization = beats if beats > 1 else 1
+        data = msg.payload.data
+        if data:
+            serialization = msg.beats = len(data) // self.cfg.beat_bytes or 1
+        else:
+            serialization = 1
         free = self._free.get(key, 0)
         start = free if free > now else now
         self._free[key] = start + serialization
-        ready = start + self.cfg.latency + (serialization - 1)
+        ready = start + self.cfg.net_latency + (serialization - 1)
         seq = msg.seq = self._seq
         self._seq = seq + 1
         heappush(self._queues[dst], (ready, seq, msg))

@@ -10,7 +10,7 @@ Scenarios and models are MOESIF's: some preload O or F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .lce import LceKind
@@ -199,8 +199,7 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
 
     if sc.non_exclusive:
         # Non-exclusive reads come from instruction fetch.
-        lce = system.lces[0]
-        lce.cfg = replace(lce.cfg, kind=LceKind.Instruction)
+        system.lces[0].kind = LceKind.Instruction
     system.submit(0, addr, write=sc.write, size=8,
                   data=b"\xa5" * 8 if sc.write else None)
     system.run(limit=100_000)

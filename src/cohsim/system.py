@@ -13,19 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import protocol
-from .directory import SegmentConfig, way_group_home
+from .directory import TAG_SETS_PER_ROW, way_group_home
 from .cce import CceCore
 from .fsm_cce import FsmCce
-from .lce import Lce, LceConfig, check_geometry
-from .memory import BackingStore, MemoryConfig, MemoryModel
+from .lce import Lce
+from .memory import BackingStore, MemoryModel
 from .messages import COMMAND, FILL, REQUEST, CohRequest, NetMessage
-from .network import INF, NetConfig, Network
+from .network import INF, Network
 
 ENGINES = ("fsm", "ucode")
 
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """The one configuration: every component reads its values from it."""
+
     cores: int = 2
     sets: int = 64
     assoc: int = 8
@@ -39,7 +41,10 @@ class SystemConfig:
     net_latency: int = 1
 
     def __post_init__(self):
-        check_geometry(self)
+        for name in ("sets", "assoc", "block_bytes"):
+            v = getattr(self, name)
+            if v < 1 or v & (v - 1):
+                raise ValueError(f"{name} must be a power of two, got {v}")
         if self.block_bytes < 8:
             raise ValueError(f"block_bytes must hold an 8-byte word, "
                              f"got {self.block_bytes}")
@@ -63,39 +68,46 @@ class SystemConfig:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}"
                                  f", got {getattr(self, name)!r}")
 
+    # Geometry.  Plain methods and properties, not cached ones: a cached
+    # value would land in `__dict__`, which `compare_engines` copies into
+    # a new config.
+
+    def set_index(self, addr: int) -> int:
+        return (addr // self.block_bytes) % self.sets
+
+    def tag_of(self, addr: int) -> int:
+        return (addr // self.block_bytes) // self.sets
+
+    @property
+    def rows_per_set(self) -> int:
+        """Physical directory rows per way group (see TAG_SETS_PER_ROW)."""
+        return -(-self.cores // TAG_SETS_PER_ROW)
+
+    @property
+    def way_group_read_latency(self) -> int:
+        """Cycles of one way-group read: one per row, plus one."""
+        return 1 + self.rows_per_set
+
 
 class System:
     def __init__(self, cfg: SystemConfig = SystemConfig()):
         self.cfg = cfg
         self.tables = protocol.PROTOCOLS[cfg.protocol]
-        self.net = Network(NetConfig(latency=cfg.net_latency,
-                                     beat_bytes=cfg.beat_bytes))
-        self.lces = [Lce(LceConfig(lce_id=i, sets=cfg.sets, assoc=cfg.assoc,
-                                   block_bytes=cfg.block_bytes), self.tables)
-                     for i in range(cfg.cores)]
-        seg = SegmentConfig(num_caches=cfg.cores, assoc=cfg.assoc,
-                            sets_per_cache=cfg.sets,
-                            block_bytes=cfg.block_bytes)
-        self.cces = [self._make_cce(i, seg) for i in range(cfg.num_cces)]
+        self.net = Network(cfg)
+        self.lces = [Lce(cfg, i, self.tables) for i in range(cfg.cores)]
+        engine = FsmCce
+        if cfg.engine == "ucode":
+            from .ucode.engine import UcodeCce as engine
+        self.cces = [engine(i, cfg, self.net, self.tables)
+                     for i in range(cfg.num_cces)]
         # Set index -> home CCE: the one routing rule for requests and for
         # the acks of cache-to-cache fills.
         self._homes = [self.cces[way_group_home(s, cfg.num_cces)[0]]
                        for s in range(cfg.sets)]
-        store = BackingStore(cfg.block_bytes)
-        self.mem = MemoryModel(MemoryConfig(latency=cfg.mem_latency,
-                                            block_bytes=cfg.block_bytes),
-                               store)
-        self.store = store
+        self.store = BackingStore(cfg.block_bytes)
+        self.mem = MemoryModel(cfg, self.store)
         self.now = 0
         self.retired = set()   # see `step` and `advance`
-
-    def _make_cce(self, cce_id: int, seg: SegmentConfig):
-        if self.cfg.engine == "fsm":
-            return FsmCce(cce_id, seg, self.net, self.cfg.num_cces,
-                          self.tables)
-        from .ucode.engine import UcodeCce
-        return UcodeCce(cce_id, seg, self.net, self.cfg.num_cces,
-                        self.tables, program=self.cfg.ucode_program)
 
     # -- back-door state injection -------------------------------------------
 
@@ -106,10 +118,11 @@ class System:
         `dir_state` defaults to `cache_state`; passing a different value
         models a silent E-to-M upgrade the directory has not observed.
         """
+        cfg = self.cfg
         lce = self.lces[lce_id]
-        line = lce.sets[lce.cfg.set_index(addr)][way]
-        line.tag = lce.cfg.tag_of(addr)
-        payload = data if data is not None else bytes(self.cfg.block_bytes)
+        line = lce.sets[cfg.set_index(addr)][way]
+        line.tag = cfg.tag_of(addr)
+        payload = data if data is not None else bytes(cfg.block_bytes)
         line.data[:] = payload
         lce.set_state(line, cache_state, addr)
         lce._touch(line)
@@ -117,7 +130,7 @@ class System:
         cce.directory.write_entry(addr, lce_id, way,
                                   state=(dir_state if dir_state is not None
                                          else cache_state))
-        self.store.write(addr - addr % self.cfg.block_bytes, payload)
+        self.store.write(addr - addr % cfg.block_bytes, payload)
 
     # -- request routing -----------------------------------------------------
 
@@ -133,8 +146,7 @@ class System:
                             uncached=uncached)
         if isinstance(result, CohRequest):
             self.net.send(NetMessage(REQUEST, lce.endpoint,
-                                     self.home_cce(addr).endpoint, result,
-                                     self.net.beats_of(result.data)),
+                                     self.home_cce(addr).endpoint, result),
                           self.now)
         return result
 
@@ -163,8 +175,7 @@ class System:
                     # A command's acks go back to the CCE that sent it; a
                     # fill comes from a cache, so its ack goes home.
                     if msg.net is COMMAND:
-                        lce.handle_command(msg.payload, msg.src,
-                                           beats_of=net.beats_of)
+                        lce.handle_command(msg.payload, msg.src)
                     elif msg.net is FILL:
                         lce.handle_fill_net(
                             msg.payload,
@@ -178,7 +189,7 @@ class System:
                         net.send(out, now)
                     lce.outbox.clear()
                 if miss is not None and lce.miss is None:
-                    self.retired.add(lce.cfg.lce_id)
+                    self.retired.add(lce.lce_id)
         for cce in self.cces:
             if due.get(cce.endpoint, never) <= now:
                 for msg in net.deliver(now, cce.endpoint):

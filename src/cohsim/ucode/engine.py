@@ -133,8 +133,9 @@ class UcodeCce(CceCore):
 
     Fault = MicrocodeFault
 
-    def __init__(self, *args, program: Optional[str] = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        program = self.cfg.ucode_program
         if program is None:
             source = default_program(self.tables.name)
         else:

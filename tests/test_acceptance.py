@@ -17,7 +17,7 @@ from test_protocol import (ALL_DIR_CELLS, ALL_LCE_CELLS, DIR_BLANKS,
                            DIR_EXPECTED, LCE_BLANKS, LCE_EXPECTED)
 
 from cohsim.checker import CheckConfig, MUTATIONS, check
-from cohsim.directory import PendingBits, SegmentConfig
+from cohsim.directory import PendingBits
 from cohsim.harness import compare_engines, overhead_calc, random_workload
 from cohsim.occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                               sharer_range)
@@ -193,7 +193,7 @@ def test_criterion_8_micro_latencies(tmp_path):
         from cohsim.protocol import S
 
         for caches in CORES_SWEEP:
-            assert SegmentConfig(num_caches=caches).way_group_read_latency \
+            assert SystemConfig(cores=caches).way_group_read_latency \
                 == 1 + caches // 2
             eng = make_engine(tmp_path, "  rdw\n  wfq resp\n", caches=caches,
                               req=request())

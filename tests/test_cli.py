@@ -202,6 +202,21 @@ OUTSIDE_INPUT = {
     "trace-sc-without-data": (
         "simulate --trace {d}/sc.txt",
         "{d}/sc.txt: line 2: '0 SC 0x80000000': SC needs a data word"),
+    "trace-load-with-data": (
+        "simulate --trace {d}/lddata.txt",
+        "{d}/lddata.txt: line 1: '0 LD 0x80000000 0x5': "
+        "LD takes no data word"),
+    "trace-lr-with-data": (
+        "compare --trace {d}/lrdata.txt",
+        "{d}/lrdata.txt: line 1: '0 LR 0x80000000 0x3': "
+        "LR takes no data word"),
+    "trace-five-fields": (
+        "simulate --trace {d}/five.txt",
+        "{d}/five.txt: line 1: '0 ST 0x80000000 0x5 0x9': "
+        "5 fields; a line has at most 4"),
+    "trace-fence-with-address": (
+        "simulate --trace {d}/fence.txt",
+        "{d}/fence.txt: line 1: '0 FENCE 0x10': FENCE takes no address"),
 }
 
 
@@ -219,7 +234,11 @@ def test_outside_input_exits_2_with_one_error_line(tmp_path, capsys, case):
              "uncacheable.txt": "0 LD 0x1000\n",
              "wide.txt": "0 ST 0x80000000 0x1ffffffffffffffff\n",
              "nodata.txt": "0 ST 0x80000000\n",
-             "sc.txt": "0 LR 0x80000000\n0 SC 0x80000000\n"}
+             "sc.txt": "0 LR 0x80000000\n0 SC 0x80000000\n",
+             "lddata.txt": "0 LD 0x80000000 0x5\n",
+             "lrdata.txt": "0 LR 0x80000000 0x3\n",
+             "five.txt": "0 ST 0x80000000 0x5 0x9\n",
+             "fence.txt": "0 FENCE 0x10\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text.format(d=tmp_path))
     argv, message = (s.format(d=tmp_path) for s in OUTSIDE_INPUT[case])

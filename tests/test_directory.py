@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
                               DoubleSpeculation, MultipleOwners, OutOfRange,
-                              PendingBits, SegmentConfig, SpecBits, Underflow,
+                              PendingBits, SpecBits, Underflow,
                               way_group_home)
 from cohsim.protocol import MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
@@ -20,7 +20,11 @@ VALID = [S, E, M, O, F]
 
 
 def cfg_for(caches, **kw):
-    return SegmentConfig(num_caches=caches, **kw)
+    return SystemConfig(cores=caches, **kw)
+
+
+def segment(cfg, cce_id=0, tables=MOESIF):
+    return DirectorySegment(cfg, cce_id, tables)
 
 
 class TestGeometryAndLatency:
@@ -33,7 +37,7 @@ class TestGeometryAndLatency:
     def test_way_group_read_latency_is_one_plus_half_caches(self, caches):
         # One cycle to start plus one cycle per physical row of the set.
         assert cfg_for(caches).way_group_read_latency == 1 + caches // 2
-        found = DirectorySegment(cfg_for(caches)).read_way_group(
+        found = segment(cfg_for(caches)).read_way_group(
             0x8000_0000, 0, 0)
         assert (found.copies, found.dir_state, found.replacement) == (
             [], I, False)
@@ -62,8 +66,7 @@ class TestGeometryAndLatency:
         assert way_group_home(1, 2) == (1, 0)
         assert way_group_home(2, 2) == (0, 1)
         assert way_group_home(5, 4) == (1, 1)
-        cfg = cfg_for(2)
-        seg0 = DirectorySegment(cfg, cce_id=0, num_cces=2)
+        seg0 = segment(cfg_for(2, num_cces=2))
         addr_even = 0x8000_0000          # set 0 -> CCE 0
         addr_odd = 0x8000_0000 + 64      # set 1 -> CCE 1
         seg0.write_entry(addr_even, 0, 0, state=S)
@@ -87,7 +90,7 @@ class TestGeometryAndLatency:
         assert seg.snapshot() == {(5, 63, 7): (seg.cfg.tag_of(addr), S)}
 
     def test_out_of_range(self):
-        seg = DirectorySegment(cfg_for(2))
+        seg = segment(cfg_for(2))
         with pytest.raises(OutOfRange, match="cache id 2"):
             seg.read_way_group(0x8000_0000, 2, 0)
         with pytest.raises(OutOfRange, match="lru way 8"):
@@ -104,8 +107,8 @@ class TestStorage:
     def test_random_writes_then_reads(self, data):
         """The segment behaves as a map keyed by (cache, set, way)."""
         caches = data.draw(st.integers(2, 8))
-        cfg = cfg_for(caches, sets_per_cache=8, assoc=4)
-        seg = DirectorySegment(cfg)
+        cfg = cfg_for(caches, sets=8, assoc=4)
+        seg = segment(cfg)
         shadow = {}
         for _ in range(data.draw(st.integers(1, 40))):
             lce = data.draw(st.integers(0, caches - 1))
@@ -124,8 +127,8 @@ class TestStorage:
                                                          cleared, emptied):
         """Two caches' tag sets share a physical row: clearing one cache's
         row in a set empties both in that set, and nothing else."""
-        cfg = cfg_for(caches, sets_per_cache=4, assoc=2)
-        seg = DirectorySegment(cfg)
+        cfg = cfg_for(caches, sets=4, assoc=2)
+        seg = segment(cfg)
         base = 0x8000_0000
         for set_idx in range(4):
             for lce in range(caches):
@@ -143,8 +146,8 @@ def replaces_lru(tables, lru_state) -> bool:
     """Whether a miss by cache 0, whose LRU way 0 holds another block of
     the set in `lru_state`, reads as a replacement."""
     cfg = cfg_for(2)
-    seg = DirectorySegment(cfg, tables=tables)
-    seg.write_entry(0x8000_0000 + 64 * cfg.sets_per_cache, 0, 0,
+    seg = segment(cfg, tables=tables)
+    seg.write_entry(0x8000_0000 + 64 * cfg.sets, 0, 0,
                     state=lru_state)
     return seg.read_way_group(0x8000_0000, 0, 0).replacement
 
@@ -255,7 +258,7 @@ class TestGad:
     def test_matches_brute_force(self, example):
         """The way-group read record, re-derived from first principles."""
         caches, states, ways, lce, lru_way, victim = example
-        seg = DirectorySegment(cfg_for(caches, sets_per_cache=4, assoc=4))
+        seg = segment(cfg_for(caches, sets=4, assoc=4))
         fill(seg, states, ways, lce, lru_way, victim)
         found = seg.read_way_group(GAD_ADDR, lce, lru_way)
 
@@ -319,7 +322,7 @@ class TestGad:
         assert eng.regs[3:5] == [found.req_way, code[found.req_state]]
 
     def test_multiple_owners_detected(self):
-        seg = DirectorySegment(cfg_for(2))
+        seg = segment(cfg_for(2))
         addr = 0x8000_0000
         seg.write_entry(addr, 0, 0, state=M)
         seg.write_entry(addr, 1, 0, state=E)
@@ -328,6 +331,6 @@ class TestGad:
 
     def test_way_group_index_is_set_index(self):
         # The set index, which names the way group, ignores the tag bits.
-        cfg = cfg_for(2, sets_per_cache=64)
+        cfg = cfg_for(2, sets=64)
         assert cfg.set_index(0x8000_0000 + 64 * 5) == 5
         assert cfg.set_index(0x8000_0000 + 64 * 69) == 5

@@ -14,6 +14,7 @@ from cohsim import harness
 from cohsim.cce import EngineFault
 from cohsim.harness import TraceOp, random_workload, run_trace
 from cohsim.messages import Emission, LceResponse, NetKind, NetMessage
+from cohsim.network import MEM_CREDITS
 from cohsim.occupancy import (SCENARIOS, measure_occupancy, occupancy_model,
                               replacement_extra, sharer_range)
 from cohsim.protocol import CoherenceState
@@ -252,12 +253,12 @@ class TestMemoryCredits:
             wg = cce.local_wg(BASE)
             assert not cce.spec.read(wg).spec
             assert cce.pending.counters[wg] == 1
-        system.net.mem_credits_avail = system.net.cfg.mem_credits
+        system.net.mem_credits_avail = MEM_CREDITS
         system.run()
         assert len(sent) == 1 and system.lces[0].completed is not None
         want = self.REQUESTS[kind][2][engine]
         no_wait, _ = self._start(engine, kind,
-                                 credits=system.net.cfg.mem_credits)
+                                 credits=MEM_CREDITS)
         no_wait.run()
         assert ([r.busy_cycles for r in cce.stats.transactions]
                 == [r.busy_cycles for r in no_wait.cces[0].stats.transactions]
@@ -325,7 +326,6 @@ def test_checks_survive_optimized_python():
     script = """
 from cohsim.cce import EngineFault
 from cohsim.directory import Overflow, PendingBits
-from cohsim.lce import LceConfig
 from cohsim.memory import BackingStore
 from cohsim.messages import CohRequest, NetKind, NetMessage
 from cohsim.system import System, SystemConfig
@@ -355,7 +355,7 @@ try:
 except ValueError:
     pass
 try:
-    LceConfig(lce_id=0, sets=3)
+    SystemConfig(sets=3)
     raise SystemExit("non-power-of-two geometry went unnoticed")
 except ValueError:
     pass

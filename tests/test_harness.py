@@ -42,6 +42,11 @@ class TestTraceFormat:
         "x LD 0x10",
         "0 LD",
         "0 ST zz",
+        "0 LD 0x80000000 0x5",
+        "0 LR 0x80000000 0x3",
+        "0 LD 0x80000000 0x5 0x7",
+        "0 ST 0x80000000 0x5 0x9",
+        "0 FENCE 0x10",
     ])
     def test_errors_carry_line_numbers(self, bad):
         with pytest.raises(TraceError, match="line 1"):
@@ -294,10 +299,15 @@ ENGINES = ["fsm", "ucode"]
 
 
 class TestAdvance:
-    def test_steps_once_on_an_idle_system(self):
+    def test_ticks_the_cces_once_on_an_idle_system(self, monkeypatch):
+        """With nothing due, `advance` runs one CCE-only cycle and calls
+        `step` not at all."""
         system = System(SystemConfig(cores=2, sets=8))
+        steps = []
+        monkeypatch.setattr(system, "step", lambda: steps.append(1))
         assert system.advance(100) == set()
         assert system.now == 1
+        assert steps == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_stops_in_the_cycle_a_miss_ends(self, engine):
@@ -604,7 +614,7 @@ class TestOverhead:
         ("dup", dict(tag_bits=-100), "tag_bits must not be negative"),
         ("complete", dict(state_bits=-1), "state_bits must not be negative"),
         ("dup", dict(block_bits=0), "block_bits must be positive"),
-        ("dup", dict(pad=0), "pad must be positive"),
+        ("complete", dict(block_bits=-64), "block_bits must be positive"),
         ("coarse:x", {}, "coarse vector width must be a positive integer"),
         ("coarse:-4", {}, "coarse vector width must be a positive integer"),
         ("coarse:0", {}, "coarse vector width must be a positive integer"),

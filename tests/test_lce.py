@@ -5,17 +5,18 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohsim.lce import Busy, Hit, Lce, LceConfig, LceKind, UnexpectedFill
+from cohsim.lce import Busy, Hit, Lce, LceKind, UnexpectedFill
 from cohsim.messages import AtomicOp, CceCommand, CohRequest, Emission
 from cohsim.protocol import (MOESIF, CoherenceState, CommandKind,
                              ImpossibleTransition)
+from cohsim.system import SystemConfig
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
 
 
-def make_lce(**kw):
-    return Lce(LceConfig(lce_id=0, **kw))
+def make_lce(tables=MOESIF, **kw):
+    return Lce(SystemConfig(**kw), 0, tables)
 
 
 def fill(lce, addr, state, data=None, way=None):
@@ -72,7 +73,8 @@ class TestProcessorPort:
             assert isinstance(res, Hit) and res.value == b"\x09" * 8
 
     def test_instruction_cache_requests_non_exclusive(self):
-        lce = Lce(LceConfig(lce_id=0, kind=LceKind.Instruction))
+        lce = make_lce()
+        lce.kind = LceKind.Instruction
         res = lce.access(BASE, write=False)
         assert res.non_exclusive
 
@@ -198,8 +200,8 @@ class TestLru:
     def test_victim_matches_recency_list(self, refs):
         """The chosen victim is always the least-recently-used valid way,
         with invalid ways (in index order) taking precedence."""
-        cfg = LceConfig(lce_id=0, sets=1, assoc=4)
-        lce = Lce(cfg)
+        lce = make_lce(sets=1, assoc=4)
+        cfg = lce.cfg
         recency = []  # tag order, most recent last
         for tag in refs:
             addr = BASE + tag * 64 * cfg.sets
@@ -276,7 +278,7 @@ class TestCoherencePort:
     def test_load_cell_decides_hit_or_miss(self):
         """A load in O misses when the table's (O, Load) cell says ReqRd:
         hit or miss comes from the table alone."""
-        lce = Lce(LceConfig(lce_id=0), tables=dataclasses.replace(
+        lce = make_lce(tables=dataclasses.replace(
             MOESIF, lce={**MOESIF.lce, ("O", "Load"): ((Emission.ReqRd,),
                                                        None)}))
         way = fill(lce, BASE, O)

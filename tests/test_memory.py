@@ -2,10 +2,10 @@
 
 import pytest
 
-from cohsim.memory import (BackingStore, MemoryConfig, MemoryModel,
-                           SUPPORTED_SIZES)
+from cohsim.memory import BackingStore, MemoryModel, SUPPORTED_SIZES
 from cohsim.messages import MemCmd, NetKind, NetMessage
-from cohsim.network import NetConfig, Network
+from cohsim.network import Network
+from cohsim.system import SystemConfig
 
 
 class TestBackingStore:
@@ -29,13 +29,18 @@ class TestBackingStore:
 
 def _send_cmd(net, cmd, now=0):
     net.send(NetMessage(net=NetKind.MemCmd, src="cce0", dst="mem",
-                        payload=cmd, beats=net.beats_of(cmd.data)), now)
+                        payload=cmd), now)
+
+
+def _parts(mem_latency):
+    """A network with latency 1 and memory with `mem_latency`."""
+    cfg = SystemConfig(net_latency=1, mem_latency=mem_latency)
+    return Network(cfg), MemoryModel(cfg, BackingStore(cfg.block_bytes))
 
 
 class TestMemoryModel:
     def test_cached_read_latency_and_alignment(self):
-        net = Network(NetConfig(latency=1))
-        mem = MemoryModel(MemoryConfig(latency=20))
+        net, mem = _parts(20)
         mem.store.write(0x8000_0040, b"\x11" * 8)
         _send_cmd(net, MemCmd(addr=0x8000_0048, write=False))
         for t in range(1, 40):
@@ -48,8 +53,7 @@ class TestMemoryModel:
         assert resp.data[:8] == b"\x11" * 8      # block-aligned read
 
     def test_write_then_fifo_order(self):
-        net = Network(NetConfig(latency=1))
-        mem = MemoryModel(MemoryConfig(latency=5))
+        net, mem = _parts(5)
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=True,
                               data=b"\x22" * 64))
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=False))
@@ -60,8 +64,7 @@ class TestMemoryModel:
         assert out[1].payload.data == b"\x22" * 64
 
     def test_uncached_echo_and_size(self):
-        net = Network(NetConfig(latency=1))
-        mem = MemoryModel(MemoryConfig(latency=2))
+        net, mem = _parts(2)
         mem.store.write(0x1000, b"\xab\xcd\xef\x01")
         _send_cmd(net, MemCmd(addr=0x1000, write=False, uncached=True,
                               size=4, wp=3, lce=1, spec=True))
@@ -76,8 +79,7 @@ class TestMemoryModel:
     def test_next_event(self):
         """A response is ready `latency` cycles after its command is
         delivered: the head of `inflight` holds that time."""
-        net = Network(NetConfig(latency=1))
-        mem = MemoryModel(MemoryConfig(latency=7))
+        net, mem = _parts(7)
         assert not mem.inflight
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=False))
         mem.tick(1, net)
@@ -86,8 +88,7 @@ class TestMemoryModel:
     def test_deliver_only_when_a_command_is_due(self):
         """A tick for a ready response alone leaves the network's deliver
         alone; the responses are the same either way."""
-        net = Network(NetConfig(latency=1))
-        mem = MemoryModel(MemoryConfig(latency=3))
+        net, mem = _parts(3)
         _send_cmd(net, MemCmd(addr=0x8000_0000, write=True,
                               data=b"\x33" * 64))
         _send_cmd(net, MemCmd(addr=0x8000_0040, write=False))

@@ -2,28 +2,41 @@
 
 import itertools
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 
 from cohsim.messages import CohRequest, LceResponse, NetKind, NetMessage
-from cohsim.network import (INF, Backpressure, CreditError, NetConfig,
+from cohsim.network import (INF, MEM_CREDITS, Backpressure, CreditError,
                             Network)
+from cohsim.system import SystemConfig
 
 
-def msg(net, src="a", dst="b", beats=0, payload=None):
-    return NetMessage(net=net, src=src, dst=dst, payload=payload, beats=beats)
+class Payload(NamedTuple):
+    label: object
+    data: Optional[bytes]
+
+
+def msg(net, src="a", dst="b", beats=0, label=None):
+    """A message whose payload carries `beats` 8-byte beats of data."""
+    return NetMessage(net=net, src=src, dst=dst,
+                      payload=Payload(label, bytes(8 * beats)))
+
+
+def network(**kw):
+    return Network(SystemConfig(**kw))
 
 
 class TestTransport:
     def test_latency(self):
-        net = Network(NetConfig(latency=3))
+        net = network(net_latency=3)
         net.send(msg(NetKind.Request), now=0)
         assert net.deliver(2, "b") == []
         out = net.deliver(3, "b")
         assert len(out) == 1
 
     def test_channel_fifo(self):
-        net = Network(NetConfig())
+        net = network()
         a = msg(NetKind.Request)
         b = msg(NetKind.Request)
         net.send(a, now=0)
@@ -33,7 +46,7 @@ class TestTransport:
 
     def test_serialization_of_beats(self):
         # A 8-beat message occupies its channel for 8 cycles.
-        net = Network(NetConfig(latency=1))
+        net = network(net_latency=1)
         first = msg(NetKind.Fill, beats=8)
         second = msg(NetKind.Fill, beats=1)
         net.send(first, now=0)
@@ -45,29 +58,32 @@ class TestTransport:
     def test_multi_beat_link_fifo_at_zero_latency(self):
         """At latency 0, messages of mixed beats on one link arrive one by
         one in send order, each when its last beat is through."""
-        net = Network(NetConfig(latency=0))
-        sent = [msg(NetKind.Fill, beats=b, payload=i)
+        net = network(net_latency=0)
+        sent = [msg(NetKind.Fill, beats=b, label=i)
                 for i, b in enumerate((8, 0, 8, 1, 2))]
         for m in sent[:3]:
             net.send(m, now=0)
         for m in sent[3:]:
             net.send(m, now=5)
-        arrivals = [(now, m.payload) for now in range(25)
+        arrivals = [(now, m.payload.label) for now in range(25)
                     for m in net.deliver(now, "b")]
         # Starts 0, 8, 9, 17, 18; ready at start + max(beats, 1) - 1.
         assert arrivals == [(7, 0), (8, 1), (16, 2), (17, 3), (19, 4)]
         assert net.idle()
 
     def test_beats_of(self):
-        net = Network(NetConfig(beat_bytes=8))
-        assert net.beats_of(None) == 0
-        assert net.beats_of(b"") == 0
-        assert net.beats_of(b"x" * 8) == 1
-        assert net.beats_of(b"x" * 64) == 8
+        """`send` sizes each message from its payload's data: 0 beats
+        without data, else one per `beat_bytes`, at least one."""
+        for beat_bytes, data, beats in ((8, None, 0), (8, b"", 0),
+                                        (8, b"x" * 4, 1), (8, b"x" * 8, 1),
+                                        (8, b"x" * 64, 8), (16, b"x" * 64, 4)):
+            m = NetMessage(NetKind.Fill, "a", "b", Payload(None, data))
+            network(beat_bytes=beat_bytes).send(m, now=0)
+            assert m.beats == beats, (beat_bytes, data)
 
     def test_priority_order(self):
         # Responses outrank commands, which outrank requests.
-        net = Network(NetConfig())
+        net = network()
         req = msg(NetKind.Request)
         resp = msg(NetKind.Response)
         cmd = msg(NetKind.Command)
@@ -80,9 +96,9 @@ class TestTransport:
             NetKind.MemCmd, NetKind.MemResp]
 
     def test_mem_credits(self):
-        net = Network(NetConfig(mem_credits=2))
-        net.send(msg(NetKind.MemCmd), now=0)
-        net.send(msg(NetKind.MemCmd), now=0)
+        net = network()
+        for _ in range(MEM_CREDITS):
+            net.send(msg(NetKind.MemCmd), now=0)
         assert not net.has_mem_credit()
         with pytest.raises(Backpressure):
             net.send(msg(NetKind.MemCmd), now=0)
@@ -90,16 +106,16 @@ class TestTransport:
         net.send(msg(NetKind.MemCmd), now=1)
 
     def test_over_release_of_mem_credit_raises(self):
-        net = Network(NetConfig(mem_credits=2))
+        net = network()
         net.send(msg(NetKind.MemCmd), now=0)
         net.release_mem_credit()
         with pytest.raises(CreditError):
             net.release_mem_credit()
-        assert net.mem_credits_avail == 2
+        assert net.mem_credits_avail == MEM_CREDITS
 
 
 def labels(msgs):
-    return [m.payload for m in msgs]
+    return [m.payload.label for m in msgs]
 
 
 def fan_in(net):
@@ -114,13 +130,13 @@ def fan_in(net):
             ("f", "s1", "x", NetKind.Request, 0),    # ready 1, elsewhere
             ("g", "s2", "d", NetKind.Response, 0),   # ready 1
             ("h", "s0", "d", NetKind.Response, 0)):  # ready 9, behind c
-        net.send(msg(kind, src=src, dst=dst, beats=beats, payload=label),
+        net.send(msg(kind, src=src, dst=dst, beats=beats, label=label),
                  now=0)
 
 
 class TestDeliveryOrder:
     def test_fan_in_orders_by_priority_then_seq(self):
-        net = Network(NetConfig(latency=1))
+        net = network(net_latency=1)
         fan_in(net)
         assert net.deliver(0, "d") == []
         assert labels(net.deliver(1, "d")) == ["g", "d", "a", "b"]
@@ -132,7 +148,7 @@ class TestDeliveryOrder:
 
     def test_idle_and_next_event_after_partial_delivery(self):
         """`earliest`, the next delivery time, follows each delivery."""
-        net = Network(NetConfig(latency=1))
+        net = network(net_latency=1)
         assert net.idle() and net.earliest == INF
         fan_in(net)
         assert not net.idle()
@@ -165,7 +181,7 @@ class LinkOracle:
     def send(self, m, now):
         self.net.send(m, now)
         link = (m.src, m.dst, m.net)
-        serial = max(1, m.beats)
+        serial = max(1, len(m.payload.data) // 8)
         start = max(self.free.get(link, 0), now)
         self.free[link] = start + serial
         self.queued.append((start + self.latency + serial - 1,
@@ -196,7 +212,7 @@ class TestReadyIndex:
         send so far, and each delivery holds what that rule makes ready,
         in (priority, seq) order."""
         rng = random.Random(seed)
-        net = Network(NetConfig(latency=latency))
+        net = network(net_latency=latency)
         oracle = LinkOracle(net, latency)
         dsts = ["d0", "d1", "d2", "mem"]
         now = 0
@@ -224,7 +240,7 @@ class TestReadyIndex:
         (priority, seq) order, however often links empty and refill:
         checked against the link rule applied to every send."""
         rng = random.Random(seed)
-        net = Network(NetConfig(latency=1))
+        net = network(net_latency=1)
         oracle = LinkOracle(net, 1)
         dsts = ["d0", "d1", "mem"]
         now = 0

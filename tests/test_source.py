@@ -253,6 +253,50 @@ def test_one_command_path():
     assert _message_tags(ast.parse((SRC / "checker.py").read_text())) == tags
 
 
+# The modules `System` is built from; `system` imports each of them.
+COMPONENTS = ("lce.py", "directory.py", "network.py", "memory.py",
+              "messages.py", "protocol.py", "cce.py", "fsm_cce.py",
+              "ucode/engine.py")
+
+
+def _imports_system(tree):
+    """The lines of a module that import the `system` module."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom)
+                and ((node.module or "").split(".")[-1] == "system"
+                     or any(a.name == "system" for a in node.names)))
+            or (isinstance(node, ast.Import)
+                and any(a.name.split(".")[-1] == "system"
+                        for a in node.names))]
+
+
+def test_one_configuration():
+    """Every component reads the one `SystemConfig`: no other class named
+    `...Config` is defined but the checker's `CheckConfig`, and no
+    component imports `system`, which imports them."""
+    configs = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        configs += [f"{path.relative_to(SRC)}:{node.name}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")]
+    assert configs == ["checker.py:CheckConfig", "system.py:SystemConfig"]
+    found = [f"{name}:{line}" for name in COMPONENTS
+             for line in _imports_system(ast.parse((SRC / name).read_text()))]
+    assert not found, found
+
+
+def test_system_imports_are_found():
+    source = ("from .system import SystemConfig\n"
+              "from . import system\n"
+              "from ..system import System\n"
+              "import cohsim.system\n"
+              "from .systems import x\n"
+              "from . import protocol\n")
+    assert _imports_system(ast.parse(source)) == [1, 2, 3, 4]
+
+
 def test_message_tags_are_found():
     source = ('MUTATIONS = ("a", "b")\n'
               'x in ("cmd", "wb")\n'

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cohsim import harness
-from cohsim.directory import SegmentConfig
 from cohsim.messages import (REQUEST, CohRequest, Emission, LceResponse,
                              NetMessage)
-from cohsim.network import NetConfig, Network
+from cohsim.network import Network
 from cohsim.occupancy import measure_occupancy
-from cohsim.protocol import CoherenceState
+from cohsim.protocol import MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm, engine as ucode_engine
 from cohsim.ucode.engine import UcodeCce
@@ -27,9 +26,8 @@ def make_engine(tmp_path, source, caches=2, req=None):
     instructions read, as if a `popq req` had taken it."""
     path = tmp_path / "prog.ucs"
     path.write_text(source)
-    net = Network(NetConfig())
-    seg = SegmentConfig(num_caches=caches)
-    eng = UcodeCce(0, seg, net, program=str(path))
+    cfg = SystemConfig(cores=caches, engine="ucode", ucode_program=str(path))
+    eng = UcodeCce(0, cfg, Network(cfg), MOESIF)
     eng._req = req
     return eng
 
@@ -294,7 +292,7 @@ class TestSpecials:
         which holds another block of the set."""
         cfg = eng.cfg
         addr = BASE + 5 * cfg.block_bytes
-        other = addr + 3 * cfg.sets_per_cache * cfg.block_bytes
+        other = addr + 3 * cfg.sets * cfg.block_bytes
         d = eng.directory
         d.write_entry(addr, 0, 2, state=S)
         d.write_entry(other, 1, 1, state=M)
