@@ -29,6 +29,11 @@ otherwise.  The engine ticks every cycle, so each cycle is classified as it
 happens.
 Every request the engine takes, uncached ones included, opens one
 `TransactionRecord` and closes it when the sequencer is done with it.
+
+`local_wg` is the one map from an address to its local way group, the index
+of the segment and the bits, and its `EngineFault` the one error for a set
+homed at another CCE.  Opening a transaction looks the request up once
+(`_req_wg`); arbitration, CohAcks and memory responses look up their own.
 """
 
 from __future__ import annotations
@@ -106,9 +111,8 @@ class CceCore:
         # The directory's table: set index -> local way group, or None for
         # a set homed elsewhere.
         self._local_wgs = self.directory.local_wgs
-        num_wgs = -(-cfg.sets // cfg.num_cces)
-        self.pending = PendingBits(num_wgs)
-        self.spec = SpecBits(num_wgs)
+        self.pending = PendingBits(len(self.directory))
+        self.spec = SpecBits(len(self.directory))
         self.req_qs = [deque() for _ in range(cfg.cores)]
         self._rr = 0
         self._stalled = False   # last arbitration scan found only blocked heads
@@ -117,6 +121,7 @@ class CceCore:
         self.memresp_q = deque()
         self.stats = EngineStats()
         self._req: Optional[CohRequest] = None
+        self._req_wg: Optional[int] = None   # `_req`'s local way group
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
         self._seq = PARKED
@@ -154,7 +159,7 @@ class CceCore:
         elif net is RESPONSE:
             resp = msg.payload
             if resp.kind is COH_ACK:
-                self._unpend(resp.addr, "CohAck")
+                self._unpend(self.local_wg(resp.addr), resp.addr, "CohAck")
             else:
                 self.resp_q.append(resp)
         elif net is MEM_RESP:
@@ -239,8 +244,8 @@ class CceCore:
         net = self.net
         while not net.has_mem_credit():
             yield WAIT
-        if cmd.spec:
-            self.spec.set(self.local_wg(cmd.addr))
+        if cmd.spec:     # only ever a read of the open request's block
+            self.spec.set(self._req_wg)
         if wg is not None:
             self.pending.adjust(wg, +1)
         msg = self._send(MEM_CMD, "mem", cmd)
@@ -253,12 +258,13 @@ class CceCore:
         return self._to_memory(MemCmd(addr=addr, write=True, data=resp.data),
                                wg)
 
-    def _invalidate(self, addr: int, targets: list):
+    def _invalidate(self, targets: list):
         """Invalidation sequencer: for each (cache, way) in `targets`, clear
-        its directory entry and send Inv, one per cycle; then consume one
-        InvAck per cycle."""
+        its directory entry for the open request's block and send Inv, one
+        per cycle; then consume one InvAck per cycle."""
+        addr, wg = self._req.addr, self._req_wg
         for c, way in targets:
-            self.directory.write_state(addr, c, way, I)
+            self.directory.write_state(wg, c, way, I)
             self._send_cmd(c, CceCommand(kind=INV, addr=addr, way=way))
             yield BUSY
         for _ in targets:
@@ -283,6 +289,7 @@ class CceCore:
     def _open_txn(self, req: CohRequest) -> AddressClass:
         addr_class = classify_request(req.addr, req.uncached)
         self._req = req
+        self._req_wg = self.local_wg(req.addr)
         self._txn = TransactionRecord(req.addr, req.lce, addr_class._value_)
         return addr_class
 
@@ -352,10 +359,9 @@ class CceCore:
 
     # -- concurrent machines ---------------------------------------------------
 
-    def _unpend(self, addr: int, what: str = "memory response"):
-        """Decrement the pending counter of `addr`'s way group for `what`,
-        a CohAck or memory response.  Below zero it raises `Fault`."""
-        wg = self.local_wg(addr)
+    def _unpend(self, wg: int, addr: int, what: str = "memory response"):
+        """Decrement way group `wg`'s pending counter for `what`, a CohAck or
+        memory response for `addr`.  Below zero it raises `Fault`."""
         try:
             self.pending.adjust(wg, -1)
         except Underflow:
@@ -366,12 +372,13 @@ class CceCore:
         """Concurrent three-outcome machine for the head memory response:
         held while its speculative read is unresolved, then squashed,
         rewritten and forwarded, or forwarded unchanged; write acks are
-        sunk.  Every cached response, and an uncached one with `wp`,
-        decrements its way group's pending counter."""
+        sunk.  Every cached response (speculative ones included), and an
+        uncached one with `wp`, decrements its way group's pending counter."""
         resp: MemCmd = self.memresp_q[0]
         state, squash = resp.state, False
+        wg = (self.local_wg(resp.addr) if resp.wp or not resp.uncached
+              else None)
         if resp.spec:
-            wg = self.local_wg(resp.addr)
             rec = self.spec.read(wg)
             if rec.spec:
                 return                   # unresolved: hold the response
@@ -381,8 +388,8 @@ class CceCore:
             self.spec.unset(wg)
         self.memresp_q.popleft()
         self.net.release_mem_credit()
-        if resp.wp or not resp.uncached:
-            self._unpend(resp.addr)
+        if wg is not None:
+            self._unpend(wg, resp.addr)
         if squash:
             self.stats.mem_resp_squashed += 1
         elif not resp.write:

@@ -6,6 +6,10 @@ engine accounts for their cycles (a way-group read's are
 `ENTRY_READ_LATENCY`), which keeps the structures independently testable
 while the engines do the scheduling.  A way-group read returns one
 `WayGroupRead`, the engines' only view of the tag sets.
+
+Like the pending and speculation bits, the segment is indexed by local way
+group, which the owning engine looks up once per request
+(`CceCore.local_wg`): its methods take that and a block's tag, no address.
 """
 
 from __future__ import annotations
@@ -101,37 +105,25 @@ class DirectorySegment:
              for _ in range(cfg.cores)]
             for local in self.local_wgs if local is not None]
 
-    def _local_wg(self, addr: int) -> int:
-        """The addressed set's local way group, once the set is checked to
-        be homed here."""
-        cfg = self.cfg
-        set_idx = (addr // cfg.block_bytes) % cfg.sets
-        local = self.local_wgs[set_idx]
-        if local is None:
-            home, _ = way_group_home(set_idx, cfg.num_cces)
-            raise OutOfRange(f"addr {addr:#x} belongs to CCE {home}")
-        return local
+    def __len__(self) -> int:
+        """The number of way groups homed here."""
+        return len(self.way_groups)
 
-    def _way_group(self, addr: int, lce: int) -> list:
-        """The addressed set's tag sets, once `lce` and the set are
-        checked."""
+    def _way_group(self, wg: int, lce: int) -> list:
+        """Local way group `wg`'s tag sets, once `lce` is checked."""
         if not (0 <= lce < self.cfg.cores):
             raise OutOfRange(f"cache id {lce}")
-        return self.way_groups[self._local_wg(addr)]
+        return self.way_groups[wg]
 
-    def read_way_group(self, addr: int, lce: int,
+    def read_way_group(self, wg: int, tag: int, lce: int,
                        lru_way: int) -> WayGroupRead:
-        """Read every cache's tag set for the addressed set, in one pass,
-        for requesting cache `lce`, whose request names `lru_way` as its
-        LRU way.  It takes `SystemConfig.way_group_read_latency` cycles.
-        Raises MultipleOwners if two copies are in owner states."""
-        cfg = self.cfg
-        if not (0 <= lce < cfg.cores):
-            raise OutOfRange(f"cache id {lce}")
-        if not (0 <= lru_way < cfg.assoc):
+        """Read every cache's tag set in way group `wg` in one pass, for the
+        block tagged `tag` and requesting cache `lce`, whose request names
+        `lru_way` as its LRU way; raise MultipleOwners if two copies own it.
+        It takes `SystemConfig.way_group_read_latency` cycles."""
+        tag_sets = self._way_group(wg, lce)
+        if not (0 <= lru_way < self.cfg.assoc):
             raise OutOfRange(f"lru way {lru_way}")
-        tag_sets = self.way_groups[self._local_wg(addr)]
-        tag = cfg.tag_of(addr)
         copies = []
         owner = None
         sharers = 0
@@ -156,24 +148,24 @@ class DirectorySegment:
             owner[2] if owner else (S if copies else I), sharers,
             req_state is I and lru.state in self.replacement_states)
 
-    def write_entry(self, addr: int, lce: int, way: int,
-                    tag: Optional[int] = None, state: CoherenceState = I):
-        if not (0 <= way < self.cfg.assoc):
-            raise OutOfRange(f"way {way}")
-        entry = self._way_group(addr, lce)[lce][way]
-        entry.tag = self.cfg.tag_of(addr) if tag is None else tag
-        entry.state = state
-
-    def write_state(self, addr: int, lce: int, way: int,
+    def write_entry(self, wg: int, tag: int, lce: int, way: int,
                     state: CoherenceState):
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
-        self._way_group(addr, lce)[lce][way].state = state
+        entry = self._way_group(wg, lce)[lce][way]
+        entry.tag = tag
+        entry.state = state
 
-    def clear_row(self, addr: int, lce: int):
+    def write_state(self, wg: int, lce: int, way: int,
+                    state: CoherenceState):
+        if not (0 <= way < self.cfg.assoc):
+            raise OutOfRange(f"way {way}")
+        self._way_group(wg, lce)[lce][way].state = state
+
+    def clear_row(self, wg: int, lce: int):
         """Clear the physical row holding this cache's tag set (reset
-        state): the addressed set's tag sets of every cache in the row."""
-        tag_sets = self._way_group(addr, lce)
+        state): way group `wg`'s tag sets of every cache in the row."""
+        tag_sets = self._way_group(wg, lce)
         first = lce - lce % TAG_SETS_PER_ROW
         for tag_set in tag_sets[first:first + TAG_SETS_PER_ROW]:
             for entry in tag_set:

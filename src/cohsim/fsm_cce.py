@@ -68,7 +68,7 @@ class FsmCce(CceCore):
     # -- request processing flow ----------------------------------------------
 
     def _coherent_flow(self, req: CohRequest):
-        wg = self.local_wg(req.addr)
+        wg = self._req_wg
         yield BUSY                       # Ready: dequeue and classify
         if self.pending.read(wg):
             raise EngineFault("arbitration admitted a pending way group")
@@ -79,15 +79,16 @@ class FsmCce(CceCore):
             MemCmd(addr=req.addr, write=False, spec=True, lce=req.lce,
                    way=req.lru_way, state=E), wg)
 
-        found = self.directory.read_way_group(req.addr, req.lce, req.lru_way)
+        tag = self.cfg.tag_of(req.addr)
+        found = self.directory.read_way_group(wg, tag, req.lce, req.lru_way)
         yield from self._busy(           # directory way-group read
             self.cfg.way_group_read_latency)
         yield BUSY                       # GAD
 
         kind = self._note_lookup(found)
         plan = self.tables.dir_request_plan(found.dir_state, kind)
-        self.directory.write_entry(req.addr, req.lce, found.req_way,
-                                   state=plan.grant_state)
+        self.directory.write_entry(wg, tag, req.lce, found.req_way,
+                                   plan.grant_state)
         yield BUSY                       # write next state
 
         if found.replacement:
@@ -96,7 +97,7 @@ class FsmCce(CceCore):
         if plan.invalidate_set is not NO_INVALIDATION:
             owner_too = plan.invalidate_set is OTHERS_AND_OWNER
             yield from self._invalidate(
-                req.addr, self._inv_targets(found, req.lce, owner_too))
+                self._inv_targets(found, req.lce, owner_too))
 
         if plan.requester_grant is FROM_MEMORY:
             if plan.grant_state is E:
@@ -142,8 +143,7 @@ class FsmCce(CceCore):
         yield BUSY                       # squash speculation
         set_state = plan.owner_command.set_owner_state
         if set_state is not None:
-            self.directory.write_state(req.addr, owner_lce, owner_way,
-                                       set_state)
+            self.directory.write_state(wg, owner_lce, owner_way, set_state)
         self._send_cmd(owner_lce, CceCommand(
             kind=cmd_kind, addr=req.addr, way=owner_way, state=set_state,
             transfer_state=plan.owner_command.transfer_state,
@@ -165,19 +165,20 @@ class FsmCce(CceCore):
             return
 
         # Uncached access to cacheable memory: flush every valid copy first.
-        wg = self.local_wg(req.addr)
+        wg = self._req_wg
         yield BUSY                       # pending check (arbitration enforced)
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
-        found = self.directory.read_way_group(req.addr, req.lce, 0)
+        found = self.directory.read_way_group(
+            wg, self.cfg.tag_of(req.addr), req.lce, 0)
         yield from self._busy(self.cfg.way_group_read_latency)
         self._note_lookup(found)
         yield BUSY                       # GAD
         for c, way, state in found.copies:
             if state in (S, F):
-                yield from self._invalidate(req.addr, [(c, way)])
+                yield from self._invalidate([(c, way)])
                 continue
-            self.directory.write_state(req.addr, c, way, I)
+            self.directory.write_state(wg, c, way, I)
             self._send_cmd(c, CceCommand(kind=STWB, addr=req.addr, way=way,
                                          state=I))
             yield BUSY

@@ -30,7 +30,8 @@ from typing import NamedTuple, Optional
 
 from .lce import Hit
 from .messages import AtomicOp
-from .protocol import DEFAULT_REGION_MAP, STORE, CoherenceState, I
+from .protocol import (DEFAULT_REGION_MAP, STORE, WRITABLE_STATES,
+                       CoherenceState, I)
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
@@ -199,9 +200,8 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
 # Invariant monitors
 # ---------------------------------------------------------------------------
 
-# Tuples, so that a membership test compares identities and hashes no
+# A tuple, so that a membership test compares identities and hashes no
 # enum member.
-EXCLUSIVE = (CoherenceState.E, CoherenceState.M)
 OWNERLIKE = (CoherenceState.E, CoherenceState.M,
              CoherenceState.O, CoherenceState.F)
 
@@ -269,7 +269,7 @@ class CoherenceMonitor(Monitor):
         holders = self.holders(addr)
         if len(holders) < 2:
             return
-        if any(s in EXCLUSIVE for _, s in holders):
+        if any(s in WRITABLE_STATES for _, s in holders):
             self._flag("swmr", f"block {addr:#x} held as {holders}")
         owners = [(l, s) for l, s in holders if s in OWNERLIKE]
         if len(owners) > 1:

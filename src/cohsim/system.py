@@ -127,9 +127,9 @@ class System:
         lce.set_state(line, cache_state, addr)
         lce._touch(line)
         cce = self.home_cce(addr)
-        cce.directory.write_entry(addr, lce_id, way,
-                                  state=(dir_state if dir_state is not None
-                                         else cache_state))
+        cce.directory.write_entry(cce.local_wg(addr), line.tag, lce_id, way,
+                                  (dir_state if dir_state is not None
+                                   else cache_state))
         self.store.write(addr - addr % cfg.block_bytes, payload)
 
     # -- request routing -----------------------------------------------------

@@ -214,7 +214,9 @@ class UcodeCce(CceCore):
         return found.owner
 
     def _wg(self) -> int:
-        return self.local_wg(self._request().addr)
+        """The request's local way group, which `popq req` resolved."""
+        self._request()
+        return self._req_wg
 
     # -- instruction semantics ---------------------------------------------------
     # One handler per opcode (see `_HANDLERS`), called as
@@ -282,8 +284,8 @@ class UcodeCce(CceCore):
 
     def _rdw(self, u):
         req = self._request()
-        self._found = self.directory.read_way_group(req.addr, req.lce,
-                                                    req.lru_way)
+        self._found = self.directory.read_way_group(
+            self._req_wg, self.cfg.tag_of(req.addr), req.lce, req.lru_way)
         self.pc += 1
         return self._busy(self.cfg.way_group_read_latency)
 
@@ -304,27 +306,25 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _clr(self, u) -> str:
-        req = self._request()
-        self.directory.clear_row(req.addr, req.lce)
+        self.directory.clear_row(self._wg(), self._req.lce)
         self.pc += 1
         return BUSY
 
     def _wde(self, u) -> str:
         found = self._read()
         req = self._req
-        self.directory.write_entry(req.addr, req.lce, found.req_way,
-                                   state=u.state)
+        self.directory.write_entry(self._req_wg, self.cfg.tag_of(req.addr),
+                                   req.lce, found.req_way, u.state)
         self.pc += 1
         return BUSY
 
     def _wds(self, u) -> str:
         found = self._read()
-        req = self._req
         if u.cmd_target == "owner":
             lce, way, _ = self._owner(found)
         else:
-            lce, way = req.lce, found.req_way
-        self.directory.write_state(req.addr, lce, way, u.state)
+            lce, way = self._req.lce, found.req_way
+        self.directory.write_state(self._req_wg, lce, way, u.state)
         self.pc += 1
         return BUSY
 
@@ -450,9 +450,8 @@ class UcodeCce(CceCore):
 
     def _inv(self, u):
         found = self._read()
-        req = self._req
         self.pc += 1
-        return self._invalidate(req.addr, self._inv_targets(found, req.lce))
+        return self._invalidate(self._inv_targets(found, self._req.lce))
 
 
 @lru_cache(maxsize=16)

@@ -188,7 +188,8 @@ def test_criterion_8_micro_latencies(tmp_path):
                    "2 cycles per sharer, one-bubble mispredicts, same-cycle "
                    "pending-bit forwarding")
     def body():
-        from test_ucode_engine import busy_after, make_engine, request
+        from test_ucode_engine import (busy_after, make_engine, request,
+                                       write_entry)
         from cohsim.messages import Emission, LceResponse
         from cohsim.protocol import S
 
@@ -203,7 +204,7 @@ def test_criterion_8_micro_latencies(tmp_path):
             eng = make_engine(tmp_path, "  rdw\n  gad\n  inv\n  wfq resp\n",
                               caches=8, req=request(0x8000_0000))
             for c in range(1, sharers + 1):
-                eng.directory.write_entry(0x8000_0000, c, 0, state=S)
+                write_entry(eng, 0x8000_0000, c, 0, S)
                 eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=c,
                                               addr=0x8000_0000))
             assert busy_after(eng) == (1 + 8 // 2) + 1 + 2 * sharers

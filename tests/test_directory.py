@@ -6,14 +6,16 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohsim.cce import EngineFault
 from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
                               DoubleSpeculation, MultipleOwners, OutOfRange,
                               PendingBits, SpecBits, Underflow,
                               way_group_home)
+from cohsim.harness import default_monitors, random_workload, run_trace
 from cohsim.protocol import MOESIF, CoherenceState
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import engine as ucode_engine
-from test_ucode_engine import busy_after, make_engine, request
+from test_ucode_engine import busy_after, make_engine, request, write_entry
 
 I, S, E, M, O, F = CoherenceState
 VALID = [S, E, M, O, F]
@@ -27,6 +29,12 @@ def segment(cfg, cce_id=0, tables=MOESIF):
     return DirectorySegment(cfg, cce_id, tables)
 
 
+def block(cfg, addr):
+    """The (local way group, tag) of `addr`'s block in a one-CCE system,
+    where every set is homed at CCE 0 and its way group is its index."""
+    return cfg.set_index(addr), cfg.tag_of(addr)
+
+
 class TestGeometryAndLatency:
     @pytest.mark.parametrize("caches,rows", [(2, 1), (4, 2), (8, 4), (16, 8),
                                              (3, 2), (5, 3)])
@@ -36,9 +44,9 @@ class TestGeometryAndLatency:
     @pytest.mark.parametrize("caches", [2, 4, 8, 16])
     def test_way_group_read_latency_is_one_plus_half_caches(self, caches):
         # One cycle to start plus one cycle per physical row of the set.
-        assert cfg_for(caches).way_group_read_latency == 1 + caches // 2
-        found = segment(cfg_for(caches)).read_way_group(
-            0x8000_0000, 0, 0)
+        cfg = cfg_for(caches)
+        assert cfg.way_group_read_latency == 1 + caches // 2
+        found = segment(cfg).read_way_group(*block(cfg, 0x8000_0000), 0, 0)
         assert (found.copies, found.dir_state, found.replacement) == (
             [], I, False)
 
@@ -66,14 +74,16 @@ class TestGeometryAndLatency:
         assert way_group_home(1, 2) == (1, 0)
         assert way_group_home(2, 2) == (0, 1)
         assert way_group_home(5, 4) == (1, 1)
-        seg0 = segment(cfg_for(2, num_cces=2))
         addr_even = 0x8000_0000          # set 0 -> CCE 0
         addr_odd = 0x8000_0000 + 64      # set 1 -> CCE 1
-        seg0.write_entry(addr_even, 0, 0, state=S)
-        with pytest.raises(OutOfRange):
-            seg0.read_way_group(addr_odd, 0, 0)
-        with pytest.raises(OutOfRange):
-            seg0.write_state(addr_odd, 0, 0, S)
+        for engine in ("fsm", "ucode"):
+            cce0 = System(cfg_for(2, num_cces=2, engine=engine)).cces[0]
+            assert cce0.local_wg(addr_even) == 0
+            assert cce0.local_wg(addr_even + 2 * 64) == 1    # set 2
+            with pytest.raises(EngineFault, match=(
+                    "address 0x80000040 routed to CCE 0; its home is "
+                    "CCE 1")):
+                cce0.local_wg(addr_odd)
 
     @pytest.mark.parametrize("num_cces", [1, 2, 8])
     def test_each_cce_stores_only_the_way_groups_it_homes(self, num_cces):
@@ -85,20 +95,35 @@ class TestGeometryAndLatency:
                    for tag_sets in cce.directory.way_groups
                    for tag_set in tag_sets) == 8 * 64 * 8
         addr = 0x8000_0000 + 63 * 64     # set 63
-        seg = system.home_cce(addr).directory
-        seg.write_entry(addr, 5, 7, state=S)
-        assert seg.snapshot() == {(5, 63, 7): (seg.cfg.tag_of(addr), S)}
+        cce = system.home_cce(addr)
+        write_entry(cce, addr, 5, 7, S)
+        assert cce.directory.snapshot() == {
+            (5, 63, 7): (cce.cfg.tag_of(addr), S)}
+
+    def test_pending_and_speculation_bits_match_the_way_groups_homed(self):
+        """Each CCE keeps one pending counter and one speculation record
+        per way group it homes: 3, 3 and 2 for 8 sets over 3 CCEs, and a
+        trace that touches every set runs clean on both engines."""
+        for engine in ("fsm", "ucode"):
+            system = System(cfg_for(2, sets=8, num_cces=3, engine=engine))
+            assert [(len(cce.directory), len(cce.pending.counters),
+                     len(cce.spec.records)) for cce in system.cces] == [
+                (3, 3, 3), (3, 3, 3), (2, 2, 2)]
+            trace = random_workload(seed=1, ops=200, lces=2,
+                                    footprint_blocks=32)
+            assert run_trace(system, trace, monitors=default_monitors()).clean
 
     def test_out_of_range(self):
         seg = segment(cfg_for(2))
+        wg, tag = block(seg.cfg, 0x8000_0000)
         with pytest.raises(OutOfRange, match="cache id 2"):
-            seg.read_way_group(0x8000_0000, 2, 0)
+            seg.read_way_group(wg, tag, 2, 0)
         with pytest.raises(OutOfRange, match="lru way 8"):
-            seg.read_way_group(0x8000_0000, 0, 8)
+            seg.read_way_group(wg, tag, 0, 8)
         with pytest.raises(OutOfRange, match="cache id 2"):
-            seg.write_state(0x8000_0000, 2, 0, S)
+            seg.write_state(wg, 2, 0, S)
         with pytest.raises(OutOfRange, match="way 8"):
-            seg.write_entry(0x8000_0000, 0, 8, state=S)
+            seg.write_entry(wg, tag, 0, 8, S)
 
 
 class TestStorage:
@@ -116,7 +141,7 @@ class TestStorage:
             blk = data.draw(st.integers(0, 255))
             addr = 0x8000_0000 + blk * 64
             state = data.draw(st.sampled_from([I] + VALID))
-            seg.write_entry(addr, lce, way, state=state)
+            seg.write_entry(*block(cfg, addr), lce, way, state)
             shadow[(lce, cfg.set_index(addr), way)] = (cfg.tag_of(addr), state)
         expect = {k: v for k, v in shadow.items() if v[1] is not I}
         assert seg.snapshot() == expect
@@ -133,9 +158,10 @@ class TestStorage:
         for set_idx in range(4):
             for lce in range(caches):
                 for way in range(2):
-                    seg.write_entry(base + 64 * set_idx, lce, way, state=S)
+                    seg.write_entry(*block(cfg, base + 64 * set_idx), lce,
+                                    way, S)
         before = seg.snapshot()
-        seg.clear_row(base + 64 * 2, cleared)
+        seg.clear_row(2, cleared)        # set 2's way group
         assert seg.snapshot() == {
             (lce, set_idx, way): v
             for (lce, set_idx, way), v in before.items()
@@ -147,9 +173,9 @@ def replaces_lru(tables, lru_state) -> bool:
     the set in `lru_state`, reads as a replacement."""
     cfg = cfg_for(2)
     seg = segment(cfg, tables=tables)
-    seg.write_entry(0x8000_0000 + 64 * cfg.sets, 0, 0,
-                    state=lru_state)
-    return seg.read_way_group(0x8000_0000, 0, 0).replacement
+    wg, tag = block(cfg, 0x8000_0000)
+    seg.write_entry(wg, tag + 1, 0, 0, lru_state)
+    return seg.read_way_group(wg, tag, 0, 0).replacement
 
 
 class TestReplacementColumn:
@@ -245,11 +271,11 @@ GAD_ADDR = 0x8000_0000
 
 def fill(seg, states, ways, lce, lru_way, victim):
     """Write a `way_groups` example into `seg` at GAD_ADDR."""
+    wg, tag = block(seg.cfg, GAD_ADDR)
     for c, state in enumerate(states):
-        seg.write_entry(GAD_ADDR, c, ways[c], state=state)
+        seg.write_entry(wg, tag, c, ways[c], state)
     if states[lce] is I or ways[lce] != lru_way:
-        victim_tag = seg.cfg.tag_of(GAD_ADDR) + 1
-        seg.write_entry(GAD_ADDR, lce, lru_way, tag=victim_tag, state=victim)
+        seg.write_entry(wg, tag + 1, lce, lru_way, victim)
 
 
 class TestGad:
@@ -260,7 +286,7 @@ class TestGad:
         caches, states, ways, lce, lru_way, victim = example
         seg = segment(cfg_for(caches, sets=4, assoc=4))
         fill(seg, states, ways, lce, lru_way, victim)
-        found = seg.read_way_group(GAD_ADDR, lce, lru_way)
+        found = seg.read_way_group(*block(seg.cfg, GAD_ADDR), lce, lru_way)
 
         copies = [(c, ways[c], state) for c, state in enumerate(states)
                   if state is not I]
@@ -323,11 +349,11 @@ class TestGad:
 
     def test_multiple_owners_detected(self):
         seg = segment(cfg_for(2))
-        addr = 0x8000_0000
-        seg.write_entry(addr, 0, 0, state=M)
-        seg.write_entry(addr, 1, 0, state=E)
+        wg, tag = block(seg.cfg, 0x8000_0000)
+        seg.write_entry(wg, tag, 0, 0, M)
+        seg.write_entry(wg, tag, 1, 0, E)
         with pytest.raises(MultipleOwners, match="caches 0 and 1"):
-            seg.read_way_group(addr, 0, 0)
+            seg.read_way_group(wg, tag, 0, 0)
 
     def test_way_group_index_is_set_index(self):
         # The set index, which names the way group, ignores the tag bits.

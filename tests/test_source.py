@@ -192,6 +192,56 @@ def test_only_the_directory_reads_its_tag_sets():
     assert not found, found
 
 
+def _local_wgs_uses(tree):
+    """(line, enclosing class and function) of each use of a `local_wgs`
+    or `_local_wgs` attribute; `<module>` outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in ("local_wgs", "_local_wgs")):
+                found.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_one_way_group_lookup():
+    """`CceCore.local_wg` is the one function that maps an address to its
+    local way group: the set-to-way-group table is used only where the
+    directory segment builds it and names its sets in a snapshot, and
+    where the engine core keeps it and looks an address up."""
+    allowed = {("directory.py", "DirectorySegment.__init__"),
+               ("directory.py", "DirectorySegment.snapshot"),
+               ("cce.py", "CceCore.__init__"),
+               ("cce.py", "CceCore.local_wg")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{line}: {scope}"
+                  for line, scope in _local_wgs_uses(tree)
+                  if (name, scope) not in allowed]
+    assert not found, found
+
+
+def test_local_wgs_uses_are_found():
+    source = ("x = seg.local_wgs\n"
+              "class A:\n"
+              "    def f(self):\n"
+              "        return [w for w in self._local_wgs]\n"
+              "    def g(self):\n"
+              "        self.local_wg = 1\n"
+              "        return lambda: self.directory.local_wgs\n")
+    assert _local_wgs_uses(ast.parse(source)) == [
+        (1, "<module>"), (4, "A.f"), (7, "A.g")]
+
+
 def test_only_the_protocol_picks_a_write_column():
     """No module but `protocol` reads a write column of `DirRequestKind`:
     everything else takes a request's column from `request_kind`."""

@@ -23,13 +23,21 @@ MASK64 = (1 << 64) - 1
 
 def make_engine(tmp_path, source, caches=2, req=None):
     """An engine running `source`; `req`, when given, is the request its
-    instructions read, as if a `popq req` had taken it."""
+    instructions read, and its way group the one they index, as if a
+    `popq req` had taken it."""
     path = tmp_path / "prog.ucs"
     path.write_text(source)
     cfg = SystemConfig(cores=caches, engine="ucode", ucode_program=str(path))
     eng = UcodeCce(0, cfg, Network(cfg), MOESIF)
     eng._req = req
+    eng._req_wg = None if req is None else eng.local_wg(req.addr)
     return eng
+
+
+def write_entry(eng, addr, lce, way, state):
+    """Write cache `lce`'s directory entry at `way` for `addr`'s block."""
+    eng.directory.write_entry(eng.local_wg(addr), eng.cfg.tag_of(addr), lce,
+                              way, state)
 
 
 def request(addr=BASE, lce=0, **kw):
@@ -141,6 +149,11 @@ class TestReadFaults:
          r"pc 1 \(specq set\) speculates twice on way group 0"),
         ("  specq set\n  pushq memcmd specread\n", request(),
          r"pc 1 \(pushq memcmd specread\) speculates twice on way group 0"),
+        # Instructions that index the request's way group read the request.
+        *((f"  {instr}\n", None, rf"pc 0 \({instr}\) reads the request "
+           "before the first popq req")
+          for instr in ("rdp", "wdp inc", "clp", "specq set",
+                        "pushq memcmd specread")),
     ])
     def test_fault_names_the_instruction(self, tmp_path, source, req,
                                          message):
@@ -251,7 +264,7 @@ class TestMultiCycleUnits:
         eng = make_engine(tmp_path, "  rdw\n  gad\n  inv\n  wfq resp\n",
                           caches=4, req=request())
         for c in range(1, sharers + 1):
-            eng.directory.write_entry(BASE, c, 0, state=S)
+            write_entry(eng, BASE, c, 0, S)
             eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=c,
                                           addr=BASE))
         base = (1 + 4 // 2) + 1      # rdw + gad
@@ -293,14 +306,13 @@ class TestSpecials:
         cfg = eng.cfg
         addr = BASE + 5 * cfg.block_bytes
         other = addr + 3 * cfg.sets * cfg.block_bytes
-        d = eng.directory
-        d.write_entry(addr, 0, 2, state=S)
-        d.write_entry(other, 1, 1, state=M)
+        write_entry(eng, addr, 0, 2, S)
+        write_entry(eng, other, 1, 1, M)
         if with_owner:
-            d.write_entry(addr, 2, 3, state=O)
-            d.write_entry(addr, 3, 0, state=S)
+            write_entry(eng, addr, 2, 3, O)
+            write_entry(eng, addr, 3, 0, S)
         else:
-            d.write_entry(addr, 1, 2, state=S)
+            write_entry(eng, addr, 1, 2, S)
         return CohRequest(lce=1, addr=addr, write=True, lru_way=1)
 
     @pytest.mark.parametrize("with_owner", [True, False])
@@ -312,7 +324,9 @@ class TestSpecials:
         req = self.preload(eng, with_owner)
         eng.accept(NetMessage(REQUEST, "lce1", eng.endpoint, req))
         busy_after(eng, ticks=20)
-        found = eng.directory.read_way_group(req.addr, req.lce, req.lru_way)
+        found = eng.directory.read_way_group(
+            eng.local_wg(req.addr), eng.cfg.tag_of(req.addr), req.lce,
+            req.lru_way)
         assert (found.owner is not None) is with_owner
         owner_lce, _, owner_state = found.owner or (0, 0, I)
         code = self.STATE_CODE
