@@ -14,12 +14,13 @@ each supplies `_sequencer`, a generator that yields one BUSY or WAIT tag
 per cycle and runs the units with `yield from`, and `Fault`, what a CohAck
 or memory response that underflows its pending counter raises.  `tick`
 advances the sequencer by one tag.  The core starts it lazily: `_seq`
-begins as `PARKED`, an iterator that is already exhausted, and the first
-`tick` that finds it so starts the engine's generator.  `System.advance`
-parks every engine again (`park`) when the system goes idle, where each
-sequencer is between requests and a fresh generator resumes from the same
-state (the engine's fields, not the generator's frame, hold it).  So a CCE
-and its generator form no reference cycle except while a run is under way.
+begins as `PARKED`, an iterator that is already exhausted and that a deep
+copy keeps, and the first `tick` that finds it so starts the engine's
+generator.  `System.advance` parks every engine again (`park`) when the
+system goes idle, where each sequencer is between requests and a fresh
+generator resumes from the same state (the engine's fields, not the
+generator's frame, hold it).  So a CCE and its generator form no reference
+cycle except while a run is under way.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -33,7 +34,8 @@ Every request the engine takes, uncached ones included, opens one
 `local_wg` is the one map from an address to its local way group, the index
 of the segment and the bits, and its `EngineFault` the one error for a set
 homed at another CCE.  Opening a transaction looks the request up once
-(`_req_wg`); arbitration, CohAcks and memory responses look up their own.
+(`_req_wg`); arbitration and CohAcks look up their own, and a memory
+response is looked up once, when `accept` queues it.
 """
 
 from __future__ import annotations
@@ -58,8 +60,26 @@ WAIT = "wait"
 COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
 NULL_WB = Emission.NullWB
 INV_ACK = (Emission.InvAck,)
-# The sequencer of an engine at rest: exhausted, and holding no engine.
-PARKED = iter(())
+
+
+class _Parked:
+    """The sequencer of an engine at rest: exhausted, and holding no
+    engine.  `tick` tells it by identity, so a copy or a pickle of an
+    engine keeps this one object (`__reduce__` names it)."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise StopIteration
+
+    def __reduce__(self):
+        return "PARKED"
+
+
+PARKED = _Parked()
 
 
 class EngineFault(Exception):
@@ -118,7 +138,7 @@ class CceCore:
         self._stalled = False   # last arbitration scan found only blocked heads
         self._none_admissible = False   # last scan found no admissible head
         self.resp_q = deque()
-        self.memresp_q = deque()
+        self.memresp_q = deque()   # (memory response, its way group or None)
         self.stats = EngineStats()
         self._req: Optional[CohRequest] = None
         self._req_wg: Optional[int] = None   # `_req`'s local way group
@@ -163,7 +183,12 @@ class CceCore:
             else:
                 self.resp_q.append(resp)
         elif net is MEM_RESP:
-            self.memresp_q.append(msg.payload)
+            # Queued with its way group, which `_mem_resp_tick` reads in
+            # every cycle the response is held.
+            resp = msg.payload
+            self.memresp_q.append(
+                (resp, self.local_wg(resp.addr)
+                 if resp.wp or not resp.uncached else None))
         else:
             raise AssertionError(f"unexpected {msg.net} at {self.endpoint}")
 
@@ -373,11 +398,10 @@ class CceCore:
         held while its speculative read is unresolved, then squashed,
         rewritten and forwarded, or forwarded unchanged; write acks are
         sunk.  Every cached response (speculative ones included), and an
-        uncached one with `wp`, decrements its way group's pending counter."""
-        resp: MemCmd = self.memresp_q[0]
+        uncached one with `wp`, decrements its way group's pending counter,
+        whose index `accept` queued with the response."""
+        resp, wg = self.memresp_q[0]
         state, squash = resp.state, False
-        wg = (self.local_wg(resp.addr) if resp.wp or not resp.uncached
-              else None)
         if resp.spec:
             rec = self.spec.read(wg)
             if rec.spec:

@@ -10,6 +10,11 @@ while the engines do the scheduling.  A way-group read returns one
 Like the pending and speculation bits, the segment is indexed by local way
 group, which the owning engine looks up once per request
 (`CceCore.local_wg`): its methods take that and a block's tag, no address.
+
+Each tag set, here and in a cache (`lce.Lce`), keeps an index beside it,
+a map from tag to way, so that finding a block's copy reads one entry per
+tag set instead of every way.  `install_tag` writes a tag and its index
+together; `DirectorySegment.clear_row` is the only other tag writer.
 """
 
 from __future__ import annotations
@@ -50,12 +55,38 @@ class MultipleOwners(Exception):
     pass
 
 
+class DuplicateTag(Exception):
+    pass
+
+
 def way_group_home(set_idx: int, num_cces: int) -> tuple:
     """Stripe way groups round-robin across CCEs by low set-index bits.
 
     Returns (cce_id, the way group's index within that CCE).
     """
     return set_idx % num_cces, set_idx // num_cces
+
+
+def install_tag(tag_set: list, index: dict, way: int, tag: int):
+    """Write `tag` into way `way` of `tag_set` (a cache set, or one cache's
+    tag set in a way group) and keep `index`, its map from tag to way, in
+    step.  The index holds the way of every valid entry, since an entry
+    becomes valid only once its tag is installed, so a lookup reads the
+    one entry the index names and checks that entry's own tag and state.
+    A block installed into one way while another way of the set holds it
+    valid raises DuplicateTag: a lookup would find only one of the two
+    copies."""
+    other = index.get(tag)
+    if other is not None and other != way:
+        held = tag_set[other]
+        if held.state is not I and held.tag == tag:
+            raise DuplicateTag(f"tag {tag:#x} installed in way {way} is "
+                               f"valid in way {other}")
+    entry = tag_set[way]
+    if index.get(entry.tag) == way:
+        del index[entry.tag]
+    entry.tag = tag
+    index[tag] = way
 
 
 @dataclass(slots=True)
@@ -99,11 +130,14 @@ class DirectorySegment:
         homes = [way_group_home(s, cfg.num_cces) for s in range(cfg.sets)]
         self.local_wgs = [local if home == cce_id else None
                           for home, local in homes]
-        # Per local way group, every cache's tag set in cache order.
+        # Per local way group, every cache's tag set in cache order, and
+        # each tag set's index (see `install_tag`).
         self.way_groups = [
             [[TagSetEntry() for _ in range(cfg.assoc)]
              for _ in range(cfg.cores)]
             for local in self.local_wgs if local is not None]
+        self.tag_index = [[{} for _ in range(cfg.cores)]
+                          for _ in self.way_groups]
 
     def __len__(self) -> int:
         """The number of way groups homed here."""
@@ -128,20 +162,22 @@ class DirectorySegment:
         owner = None
         sharers = 0
         req_way, req_state = lru_way, I
-        for c, tag_set in enumerate(tag_sets):
-            for w, entry in enumerate(tag_set):
-                state = entry.state
-                if state is not I and entry.tag == tag:
-                    copies.append((c, w, state))
-                    if state is S:
-                        sharers += 1
-                    elif owner is None:   # every other valid state owns
-                        owner = (c, w, state)
-                    else:
-                        raise MultipleOwners(f"caches {owner[0]} and {c}")
-                    if c == lce:
-                        req_way, req_state = w, state
-                    break
+        for c, index in enumerate(self.tag_index[wg]):
+            w = index.get(tag)
+            if w is None:
+                continue
+            entry = tag_sets[c][w]
+            state = entry.state
+            if state is not I and entry.tag == tag:
+                copies.append((c, w, state))
+                if state is S:
+                    sharers += 1
+                elif owner is None:   # every other valid state owns
+                    owner = (c, w, state)
+                else:
+                    raise MultipleOwners(f"caches {owner[0]} and {c}")
+                if c == lce:
+                    req_way, req_state = w, state
         lru = tag_sets[lce][lru_way]
         return WayGroupRead(
             copies, owner, req_way, req_state, lru_way, lru.tag, lru.state,
@@ -152,9 +188,9 @@ class DirectorySegment:
                     state: CoherenceState):
         if not (0 <= way < self.cfg.assoc):
             raise OutOfRange(f"way {way}")
-        entry = self._way_group(wg, lce)[lce][way]
-        entry.tag = tag
-        entry.state = state
+        tag_set = self._way_group(wg, lce)[lce]
+        install_tag(tag_set, self.tag_index[wg][lce], way, tag)
+        tag_set[way].state = state
 
     def write_state(self, wg: int, lce: int, way: int,
                     state: CoherenceState):
@@ -171,6 +207,8 @@ class DirectorySegment:
             for entry in tag_set:
                 entry.tag = 0
                 entry.state = I
+        for index in self.tag_index[wg][first:first + TAG_SETS_PER_ROW]:
+            index.clear()
 
     def snapshot(self):
         """Quiescent view: {(lce, set, way): (tag, state)} of valid entries."""

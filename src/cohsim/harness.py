@@ -245,24 +245,27 @@ class CoherenceMonitor(Monitor):
 
     def attach(self, system: System):
         super().attach(system)
-        # Per set, each cache's lines of that set, in cache order.
-        self._sets = [[lce.sets[s] for lce in system.lces]
+        # Per set, (cache id, its lines of that set, their tag index) in
+        # cache order.
+        self._sets = [[(i, lce.sets[s], lce.tag_index[s])
+                       for i, lce in enumerate(system.lces)]
                       for s in range(system.cfg.sets)]
         for lce in system.lces:
             lce.on_state = self.check
 
     def holders(self, addr: int) -> list:
         """(cache id, state) of every cache holding the block, found by
-        looking only at the block's set in each cache."""
+        looking its tag up in the block's set's index in each cache."""
         cfg = self._system.cfg
         blk = addr // cfg.block_bytes
         set_idx, tag = blk % cfg.sets, blk // cfg.sets
         found = []
-        for i, lines in enumerate(self._sets[set_idx]):
-            for line in lines:
-                if line.tag == tag and line.state is not I:
+        for i, lines, index in self._sets[set_idx]:
+            way = index.get(tag)
+            if way is not None:
+                line = lines[way]
+                if line.state is not I and line.tag == tag:
                     found.append((i, line.state))
-                    break
         return found
 
     def check(self, addr: int):

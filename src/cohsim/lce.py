@@ -9,6 +9,7 @@ from enum import Enum
 from typing import Optional
 
 from . import protocol
+from .directory import install_tag
 from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
                        Emission, LceResponse, NetMessage)
 from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
@@ -69,6 +70,8 @@ class Lce:
         self.endpoint = f"lce{lce_id}"
         self.sets = [[CacheLine(data=bytearray(cfg.block_bytes))
                       for _ in range(cfg.assoc)] for _ in range(cfg.sets)]
+        # Per set, its index from tag to way (see `directory.install_tag`).
+        self.tag_index = [{} for _ in range(cfg.sets)]
         self.miss: Optional[OutstandingMiss] = None
         self._lru_clock = 1
         # LR/SC reservation: address of the line that must stay writable.
@@ -85,11 +88,22 @@ class Lce:
     def _lookup(self, addr: int):
         cfg = self.cfg
         blk = addr // cfg.block_bytes
-        tag = blk // cfg.sets
-        for way, line in enumerate(self.sets[blk % cfg.sets]):
+        set_idx, tag = blk % cfg.sets, blk // cfg.sets
+        way = self.tag_index[set_idx].get(tag)
+        if way is not None:
+            line = self.sets[set_idx][way]
             if line.state is not I and line.tag == tag:
                 return way, line
         return None, None
+
+    def install(self, addr: int, way: int) -> CacheLine:
+        """Write the tag of `addr`'s block into `way` of its set, and index
+        it; the line's state and data are the caller's to write."""
+        cfg = self.cfg
+        set_idx = cfg.set_index(addr)
+        lines = self.sets[set_idx]
+        install_tag(lines, self.tag_index[set_idx], way, cfg.tag_of(addr))
+        return lines[way]
 
     def _action(self, state: CoherenceState, column: str,
                 attached: Optional[CoherenceState] = None) -> LceAction:
@@ -276,8 +290,7 @@ class Lce:
                 raise ImpossibleTransition(f"unexpected emission {emission}")
 
         if kind is DATA:
-            line = self.sets[self.cfg.set_index(cmd.addr)][cmd.target_way]
-            line.tag = self.cfg.tag_of(cmd.addr)
+            line = self.install(cmd.addr, cmd.target_way)
             line.data[:] = cmd.data
         if action.next_state is not None and line is not None:
             self.set_state(line, action.next_state, cmd.addr)

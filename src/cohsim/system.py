@@ -120,8 +120,7 @@ class System:
         """
         cfg = self.cfg
         lce = self.lces[lce_id]
-        line = lce.sets[cfg.set_index(addr)][way]
-        line.tag = cfg.tag_of(addr)
+        line = lce.install(addr, way)
         payload = data if data is not None else bytes(cfg.block_bytes)
         line.data[:] = payload
         lce.set_state(line, cache_state, addr)

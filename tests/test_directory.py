@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cohsim.cce import EngineFault
 from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
-                              DoubleSpeculation, MultipleOwners, OutOfRange,
+                              DoubleSpeculation, DuplicateTag,
+                              MultipleOwners, OutOfRange,
                               PendingBits, SpecBits, Underflow,
                               way_group_home)
 from cohsim.harness import default_monitors, random_workload, run_trace
@@ -130,7 +131,9 @@ class TestStorage:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_random_writes_then_reads(self, data):
-        """The segment behaves as a map keyed by (cache, set, way)."""
+        """The segment behaves as a map keyed by (cache, set, way), except
+        that a write of a block that another way of the cache's tag set
+        holds valid raises DuplicateTag and changes nothing."""
         caches = data.draw(st.integers(2, 8))
         cfg = cfg_for(caches, sets=8, assoc=4)
         seg = segment(cfg)
@@ -141,8 +144,15 @@ class TestStorage:
             blk = data.draw(st.integers(0, 255))
             addr = 0x8000_0000 + blk * 64
             state = data.draw(st.sampled_from([I] + VALID))
+            set_idx, tag = cfg.set_index(addr), cfg.tag_of(addr)
+            others = [shadow.get((lce, set_idx, w), (None, I))
+                      for w in range(4) if w != way]
+            if any(t == tag and held is not I for t, held in others):
+                with pytest.raises(DuplicateTag):
+                    seg.write_entry(*block(cfg, addr), lce, way, state)
+                continue
             seg.write_entry(*block(cfg, addr), lce, way, state)
-            shadow[(lce, cfg.set_index(addr), way)] = (cfg.tag_of(addr), state)
+            shadow[(lce, set_idx, way)] = (tag, state)
         expect = {k: v for k, v in shadow.items() if v[1] is not I}
         assert seg.snapshot() == expect
 
@@ -157,15 +167,18 @@ class TestStorage:
         base = 0x8000_0000
         for set_idx in range(4):
             for lce in range(caches):
-                for way in range(2):
-                    seg.write_entry(*block(cfg, base + 64 * set_idx), lce,
-                                    way, S)
+                for way in range(2):   # a different block in each way
+                    addr = base + 64 * (set_idx + 4 * way)
+                    seg.write_entry(*block(cfg, addr), lce, way, S)
         before = seg.snapshot()
         seg.clear_row(2, cleared)        # set 2's way group
         assert seg.snapshot() == {
             (lce, set_idx, way): v
             for (lce, set_idx, way), v in before.items()
             if not (set_idx == 2 and lce in emptied)}
+        # The cleared tag sets' indexes are emptied with them.
+        assert [not index for index in seg.tag_index[2]] == [
+            lce in emptied for lce in range(caches)]
 
 
 def replaces_lru(tables, lru_state) -> bool:

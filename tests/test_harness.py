@@ -1,5 +1,6 @@
 """Trace tooling, invariant monitors, engine comparison, overhead math."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -10,6 +11,7 @@ import weakref
 import pytest
 
 from cohsim import harness
+from cohsim.directory import DuplicateTag
 from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             TraceOp, compare_engines, default_monitors,
                             format_trace, overhead_calc, parse_trace,
@@ -248,7 +250,8 @@ class TestMonitors:
     def test_holders_match_a_lookup_in_every_cache(self):
         """At every line-state write of an 8-cache run whose 256-block
         footprint overflows 16 sets x 2 ways, the holders the monitor
-        finds in the block's set equal an `Lce._lookup` in each cache."""
+        finds in the block's set equal an `Lce._lookup` in each cache, and
+        a scan of every way of the set."""
         system = System(SystemConfig(cores=8, sets=16, assoc=2))
         mon = CoherenceMonitor()
         check, checked = mon.check, []
@@ -257,6 +260,11 @@ class TestMonitors:
             want = [(i, line.state) for i, lce in enumerate(system.lces)
                     for _, line in [lce._lookup(addr)] if line is not None]
             assert mon.holders(addr) == want
+            tag, set_idx = system.cfg.tag_of(addr), system.cfg.set_index(addr)
+            assert want == [(i, line.state)
+                            for i, lce in enumerate(system.lces)
+                            for line in lce.sets[set_idx]
+                            if line.state is not I and line.tag == tag]
             checked.append(addr)
             check(addr)
 
@@ -378,6 +386,121 @@ class TestLimits:
             pieces.run(limit=3)
         assert pieces.now == whole.now == total
         assert counters(pieces) == counters(whole)
+
+
+class TestTagIndex:
+    """Caches and directory segments find a block's copy through a tag
+    index; every lookup must equal a scan of every way."""
+
+    # name -> (SystemConfig arguments, random_workload arguments)
+    SHAPES = {
+        **{f"criterion-5-{n}c": (dict(cores=n, sets=16),
+                                 dict(lces=n, footprint_blocks=64))
+           for n in (2, 4, 8)},
+        "evict-2c": (dict(cores=2, sets=16, assoc=2),
+                     dict(lces=2, footprint_blocks=256, write_ratio=0.5)),
+    }
+
+    @pytest.mark.parametrize("protocol", ["moesif", "mesi"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_lookups_match_a_scan_of_every_way(self, shape, engine,
+                                               protocol):
+        """After a run, for every block that the trace touches or a tag
+        names: `Lce._lookup`, the copies a way-group read finds and the
+        coherence monitor's holders equal a scan of every way."""
+        cfg_kw, gen_kw = self.SHAPES[shape]
+        cfg = SystemConfig(engine=engine, protocol=protocol, **cfg_kw)
+        system = System(cfg)
+        ops = random_workload(1, ops=600, **gen_kw)
+        assert run_trace(system, ops, monitors=default_monitors()).clean
+        mon = CoherenceMonitor()
+        mon.attach(system)
+        (cce,) = system.cces
+        segment = cce.directory
+        blocks = {op.addr - op.addr % cfg.block_bytes for op in ops
+                  if op.addr is not None
+                  and DEFAULT_REGION_MAP.is_cacheable(op.addr)}
+        # Every tag set with its set index (with one CCE, a set's way group
+        # is its index) and its tag index.
+        tag_sets = [(s, lines, lce.tag_index[s]) for lce in system.lces
+                    for s, lines in enumerate(lce.sets)]
+        tag_sets += [(s, tag_set, segment.tag_index[s][c])
+                     for s, way_group in enumerate(segment.way_groups)
+                     for c, tag_set in enumerate(way_group)]
+        # An index names no way that holds another tag, so it never
+        # outgrows its tag set.
+        for _, entries, index in tag_sets:
+            assert all(entries[w].tag == t for t, w in index.items())
+        # Stale tags of invalid entries included.
+        blocks |= {(e.tag * cfg.sets + s) * cfg.block_bytes
+                   for s, entries, _ in tag_sets for e in entries}
+        for addr in sorted(blocks):
+            set_idx, tag = cfg.set_index(addr), cfg.tag_of(addr)
+            in_caches = [[(w, line) for w, line in enumerate(lce.sets[set_idx])
+                          if line.state is not I and line.tag == tag]
+                         for lce in system.lces]
+            assert all(len(found) <= 1 for found in in_caches), hex(addr)
+            for lce, found in zip(system.lces, in_caches):
+                assert lce._lookup(addr) == (found[0] if found
+                                             else (None, None)), hex(addr)
+            assert mon.holders(addr) == [
+                (c, found[0][1].state)
+                for c, found in enumerate(in_caches) if found]
+            wg = cce.local_wg(addr)
+            assert segment.read_way_group(wg, tag, 0, 0).copies == [
+                (c, w, e.state)
+                for c, tag_set in enumerate(segment.way_groups[wg])
+                for w, e in enumerate(tag_set)
+                if e.state is not I and e.tag == tag], hex(addr)
+
+    @pytest.mark.parametrize("state", [S, M])
+    def test_second_valid_copy_in_a_set_is_refused(self, state):
+        """Installing a block into one way while another way of the same
+        set holds it valid raises DuplicateTag, in a cache and in the
+        directory's tag set; a lookup would see only one of the copies."""
+        system = System(SystemConfig(cores=2, sets=8, assoc=4))
+        system.preload_line(0, BASE, state, way=1)
+        with pytest.raises(DuplicateTag, match="valid in way 1"):
+            system.preload_line(0, BASE, state, way=2)
+        assert system.lces[0]._lookup(BASE)[0] == 1
+        cce = system.home_cce(BASE)
+        wg = cce.local_wg(BASE)
+        with pytest.raises(DuplicateTag, match="valid in way 1"):
+            cce.directory.write_entry(wg, system.cfg.tag_of(BASE), 0, 3,
+                                      state)
+        # Once the first copy is invalid, the block may move to another way.
+        system.lces[0].set_state(system.lces[0].sets[0][1], I, BASE)
+        cce.directory.write_state(wg, 0, 1, I)
+        system.preload_line(0, BASE, state, way=2)
+        assert system.lces[0]._lookup(BASE)[0] == 2
+        assert cce.directory.snapshot()[(0, 0, 2)][1] is state
+
+
+class TestDeepCopy:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_copy_of_an_idle_system_finishes_the_trace(self, engine):
+        """A deep copy of an idle System, taken between two parts of a
+        trace, finishes the trace with the original's cycles, CCE
+        accounting and final images: its parked sequencers stay parked."""
+        cfg = SystemConfig(cores=4, sets=16, num_cces=2, engine=engine)
+        ops = random_workload(3, lces=4, ops=600)
+        system = System(cfg)
+        assert run_trace(system, ops[:100], monitors=default_monitors()).clean
+        copied = copy.deepcopy(system)
+
+        def finish(system):
+            report = run_trace(system, ops[100:],
+                               monitors=[CoherenceMonitor()])
+            assert report.clean
+            return (report.cycles, system.now,
+                    [(c.stats.busy_cycles, c.stats.wait_cycles,
+                      c.stats.stall_cycles, c.stats.idle_cycles,
+                      len(c.stats.transactions)) for c in system.cces],
+                    harness._memory_image(system), harness._dir_image(system),
+                    [lce.snapshot() for lce in system.lces])
+
+        assert finish(copied) == finish(system)
 
 
 class TestFreed:

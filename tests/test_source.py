@@ -192,9 +192,9 @@ def test_only_the_directory_reads_its_tag_sets():
     assert not found, found
 
 
-def _local_wgs_uses(tree):
-    """(line, enclosing class and function) of each use of a `local_wgs`
-    or `_local_wgs` attribute; `<module>` outside any function."""
+def _scoped(tree, match):
+    """(line, enclosing class and function) of each node for which
+    `match` is true; `<module>` outside any function."""
     found = []
 
     def visit(node, scope):
@@ -202,13 +202,19 @@ def _local_wgs_uses(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute)
-                    and child.attr in ("local_wgs", "_local_wgs")):
+            if match(child):
                 found.append((child.lineno, ".".join(scope) or "<module>"))
             visit(child, scope)
 
     visit(tree, [])
     return found
+
+
+def _local_wgs_uses(tree):
+    """Each use of a `local_wgs` or `_local_wgs` attribute (see
+    `_scoped`)."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("local_wgs", "_local_wgs"))
 
 
 def test_one_way_group_lookup():
@@ -240,6 +246,51 @@ def test_local_wgs_uses_are_found():
               "        return lambda: self.directory.local_wgs\n")
     assert _local_wgs_uses(ast.parse(source)) == [
         (1, "<module>"), (4, "A.f"), (7, "A.g")]
+
+
+def _is_tag_write(node):
+    """An assignment to a `tag` attribute, a `setattr` of one, or a tag
+    passed to the constructor of a cache line or directory entry."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "tag" and isinstance(node.ctx, ast.Store)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    if node.func.id == "setattr":
+        return any(isinstance(arg, ast.Constant) and arg.value == "tag"
+                   for arg in node.args)
+    return (node.func.id in ("CacheLine", "TagSetEntry")
+            and any(kw.arg == "tag" for kw in node.keywords))
+
+
+def test_tags_are_written_only_with_their_index():
+    """A cache line's or directory entry's tag is written only by
+    `directory.install_tag`, which indexes it, and by
+    `DirectorySegment.clear_row`, which clears the row's indexes: a tag
+    written anywhere else would leave its set's index stale."""
+    allowed = {("directory.py", "install_tag"),
+               ("directory.py", "DirectorySegment.clear_row")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{line}: {scope}"
+                  for line, scope in _scoped(tree, _is_tag_write)
+                  if (name, scope) not in allowed]
+    assert not found, found
+
+
+def test_tag_writes_are_found():
+    source = ("line.tag = 1\n"
+              "class A:\n"
+              "    def f(self, e):\n"
+              "        e.tag += 1\n"
+              "        x = e.tag\n"
+              "        a, self.sets[0][1].tag = 1, 2\n"
+              "    def g(self, e):\n"
+              "        setattr(e, 'tag', 0)\n"
+              "        return CacheLine(tag=3), TagSetEntry(), f(tag=1)\n")
+    assert _scoped(ast.parse(source), _is_tag_write) == [
+        (1, "<module>"), (4, "A.f"), (6, "A.f"), (8, "A.g"), (9, "A.g")]
 
 
 def test_only_the_protocol_picks_a_write_column():

@@ -216,6 +216,28 @@ class TestIdle:
         assert idle == [False, False, True]
 
 
+class TestPopqArbitrates:
+    def test_popq_takes_a_request_that_arrived_after_wfq(self, tmp_path):
+        """`wfq req` only waits until some queued head is admissible, and
+        `popq req` arbitrates again: a request that arrives between the two
+        instructions, earlier in round-robin order than the head `wfq req`
+        saw, is the one `popq req` takes."""
+        eng = make_engine(tmp_path, "  wfq req\n  popq req\n  wfq resp\n",
+                          caches=4)
+
+        def deliver(lce):
+            eng.accept(NetMessage(REQUEST, f"lce{lce}", eng.endpoint,
+                                  request(BASE + 64 * lce, lce=lce)))
+
+        deliver(2)
+        eng.tick(0)                 # wfq req sees cache 2's head
+        assert (eng.pc, eng._req) == (1, None)
+        deliver(1)
+        eng.tick(1)                 # popq req
+        assert eng._req.lce == 1
+        assert [len(q) for q in eng.req_qs] == [0, 0, 1, 0]
+
+
 @st.composite
 def fuzz_programs(draw):
     """The source of 2 to 8 instructions the assembler can produce."""
