@@ -16,7 +16,8 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             TraceOp, compare_engines, default_monitors,
                             format_trace, overhead_calc, parse_trace,
                             random_workload, run_trace)
-from cohsim.protocol import DEFAULT_REGION_MAP, MOESIF, CoherenceState
+from cohsim.protocol import (DEFAULT_REGION_MAP, MOESIF, PROTOCOLS,
+                             CoherenceState)
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
@@ -926,6 +927,98 @@ class TestBitIdentity:
                                    "stall_cycles", "idle_cycles"))
         assert ((tuple(cycles), _final_state_digest(system), counters)
                 == self.BACK_TO_BACK_GOLDEN[engine])
+
+
+def _holder_mixes(tables):
+    """(requester's state, other owner's state or None, S sharers) of every
+    mix of copies the protocol allows: at most one owner, and no other
+    valid copy beside an E or M one."""
+    owners = [s for s in tables.states if s is not I and s is not S]
+    for mine in tables.states:
+        for owner in [None, *owners]:
+            for sharers in range(3):
+                copies = (mine is not I) + (owner is not None) + sharers
+                if ((mine in owners and owner is not None)
+                        or (E in (mine, owner) or M in (mine, owner))
+                        and copies > 1):
+                    continue
+                yield mine, owner, sharers
+
+
+class TestUncachedToCacheableGolden:
+    """An uncached load or store from cache 0 to a cacheable block, for
+    every holder mix: cache 0 in each of its states, an owner (cache 1) in
+    each owner state, and 0-2 S sharers (caches 2 and 3).  A dirty copy
+    (M or O) holds data memory does not.  Every run's cycles, per-CCE
+    cycle classes, transaction records, images and loaded value are pinned
+    to recorded values, as `TestBitIdentity` pins the coherent flows,
+    which random traces (their uncached ops all go to uncacheable memory)
+    never take here."""
+
+    # (protocol, engine, op) -> (cycles summed over the runs, sha256)
+    GOLDEN = {
+        ("mesi", "fsm", "LDU"): (
+            387, "9054761c3e77c907b9a1538f492b0e4f"
+                 "a68057b8dac40bbea5aafbcf30e3b924"),
+        ("mesi", "fsm", "STU"): (
+            377, "7d4b50d01751d0972ecd98493ecdcb51"
+                 "84e3839716b479492fd779528d109854"),
+        ("mesi", "ucode", "LDU"): (
+            485, "9cf930c7476c703b4b94c2b965900544"
+                 "cee3f4b1372c256ff5c933faf06672e7"),
+        ("mesi", "ucode", "STU"): (
+            475, "36ae41235901932a3ce178071469b99f"
+                 "58f26b5b93923ab1e901161f1e3faa99"),
+        ("moesif", "fsm", "LDU"): (
+            1215, "5dba82a763ffc64be6e848ddbaf76328"
+                  "986fe8c1980d8fa03de3bd730631b838"),
+        ("moesif", "fsm", "STU"): (
+            1187, "1e7632b261bab69f817e53f77ffef775"
+                  "0327bd288b8e5f03928f6b93788c25a2"),
+        ("moesif", "ucode", "LDU"): (
+            1553, "b57cbffb75488a354e4bc5b8f966f5cf"
+                  "710d9bdddfe5f3f495a468ccbb687dde"),
+        ("moesif", "ucode", "STU"): (
+            1525, "f646c481e827cf5fdf06769dd85e935c"
+                  "f24b6b44d98b88184ec0d17b3b888b4f"),
+    }
+
+    @staticmethod
+    def run(protocol, engine, op, mine, owner, sharers):
+        system = System(SystemConfig(cores=4, sets=8, protocol=protocol,
+                                     engine=engine))
+        data = bytes(range(64))
+        holders = [(0, mine), (1, owner)] + [(2 + i, S)
+                                             for i in range(sharers)]
+        for lce, state in holders:
+            if state is not None and state is not I:
+                system.preload_line(lce, BASE, state, data=data)
+        if M in (mine, owner) or O in (mine, owner):
+            system.store.write(BASE, b"\xee" * 64)
+        system.submit(0, BASE + 8, write=op == "STU", uncached=True,
+                      data=b"\x5a" * 8 if op == "STU" else None)
+        system.run()
+        assert system.idle() and system.lces[0].miss is None
+        return (system.now,
+                [(c.stats.busy_cycles, c.stats.wait_cycles,
+                  c.stats.stall_cycles, c.stats.idle_cycles)
+                 for c in system.cces],
+                [dataclasses.astuple(t) for c in system.cces
+                 for t in c.stats.transactions],
+                sorted(harness._memory_image(system).items()),
+                [sorted(lce.snapshot().items()) for lce in system.lces],
+                sorted(harness._dir_image(system).items()),
+                system.lces[0].completed)
+
+    @pytest.mark.parametrize("protocol,engine,op", sorted(GOLDEN))
+    def test_cycles_records_and_images(self, protocol, engine, op):
+        tables = PROTOCOLS[protocol]
+        runs = [self.run(protocol, engine, op, *mix)
+                for mix in _holder_mixes(tables)]
+        assert len(runs) == {"moesif": 28, "mesi": 10}[protocol]
+        assert ((sum(r[0] for r in runs),
+                 hashlib.sha256(repr(runs).encode()).hexdigest())
+                == self.GOLDEN[protocol, engine, op])
 
 
 class TestHookContract:
