@@ -5,19 +5,20 @@ bits, one request queue per LCE, the response and memory-response queues,
 and the memory-response machine.  `accept` consumes a CohAck on arrival: it
 only decrements its way group's pending counter, and `System.step` delivers
 to a CCE before it ticks it.  It also holds the datapath's multi-cycle
-units, each a generator of per-cycle BUSY or WAIT tags: `_busy` (a fixed
-count of busy cycles, such as a way-group read), `_await_resp`, the
-memory-command unit `_to_memory` and its `_write_back`, and the
-invalidation sequencer `_invalidate`.  The two engines, `fsm_cce.FsmCce`
-and `ucode.engine.UcodeCce`, differ only in how they sequence a request:
-each supplies `_sequencer`, a generator that yields one BUSY or WAIT tag
-per cycle and runs the units with `yield from`, and `Fault`, what a CohAck
-or memory response that underflows its pending counter raises.  `tick`
-advances the sequencer by one tag.  The core starts it lazily: `_seq`
-begins as `PARKED`, an iterator that is already exhausted and that a deep
-copy keeps, and the first `tick` that finds it so starts the engine's
-generator.  `System.advance` parks every engine again (`park`) when the
-system goes idle, where each sequencer is between requests and a fresh
+units, each a generator of per-cycle BUSY or WAIT tags: `_busy`, the
+way-group read `_read_way_group`, `_await_resp`, the memory-command unit
+`_to_memory` (with `_spec_read`, `_uncached_access` and `_write_back`) and
+the invalidation sequencer `_invalidate`; and it builds every message the
+engines send, a directory command by `_command`.  The two engines,
+`fsm_cce.FsmCce` and `ucode.engine.UcodeCce`, differ only in how they
+sequence a request: each supplies `_sequencer`, a generator that yields one
+BUSY or WAIT tag per cycle and runs the units with `yield from`, and
+`Fault`, what a CohAck or memory response that underflows its pending
+counter raises.  `tick` advances the sequencer by one tag.  The core starts
+it lazily: `_seq` begins as `PARKED`, an iterator that is already exhausted
+and that a deep copy keeps, and the first `tick` that finds it so starts the
+engine's generator.  `System.advance` parks every engine again (`park`) when
+the system goes idle, where each sequencer is between requests and a fresh
 generator resumes from the same state (the engine's fields, not the
 generator's frame, hold it).  So a CCE and its generator form no reference
 cycle except while a run is under way.
@@ -53,13 +54,16 @@ from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        NetMessage)
 from .network import Network
 from .protocol import (AddressClass, CoherenceState, CommandKind,
-                       DirRequestKind, I, S, classify_request, request_kind)
+                       DirRequestKind, I, S, E, classify_request,
+                       request_kind)
 
 BUSY = "busy"
 WAIT = "wait"
 COH_ACK, INV, DATA = Emission.CohAck, CommandKind.Inv, CommandKind.Data
 NULL_WB = Emission.NullWB
 INV_ACK = (Emission.InvAck,)
+# The commands that also transfer the block to the requester.
+TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 
 
 class _Parked:
@@ -142,6 +146,7 @@ class CceCore:
         self.stats = EngineStats()
         self._req: Optional[CohRequest] = None
         self._req_wg: Optional[int] = None   # `_req`'s local way group
+        self._found = None   # `_req`'s way-group read, once it is made
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
         self._seq = PARKED
@@ -163,8 +168,18 @@ class CceCore:
         self.net.send(msg, self.now)
         return msg
 
-    def _send_cmd(self, lce: int, cmd: CceCommand):
-        if cmd.kind is INV and self._txn is not None:
+    def _command(self, kind: CommandKind, lce: int, way: int,
+                 addr: Optional[int] = None, state=None, transfer_state=None):
+        """Send a `kind` command to way `way` of cache `lce` for the open
+        request's block, or for the victim at `addr`.  A transfer's target
+        is the requester's way that the way-group read found."""
+        req = self._req
+        cmd = CceCommand(kind, req.addr if addr is None else addr, way,
+                         state, transfer_state)
+        if kind in TRANSFERS:
+            cmd.target_lce = req.lce
+            cmd.target_way = self._found.req_way
+        elif kind is INV and self._txn is not None:
             self._txn.invalidations += 1
         self._send(COMMAND, self._lce_endpoints[lce], cmd)
 
@@ -250,6 +265,13 @@ class CceCore:
         """`n` busy cycles."""
         return repeat(BUSY, n)
 
+    def _read_way_group(self):
+        """Read the open request's way group into `_found`; its cycles."""
+        req = self._req
+        self._found = self.directory.read_way_group(
+            self._req_wg, self.cfg.tag_of(req.addr), req.lce, req.lru_way)
+        return self._busy(self.cfg.way_group_read_latency)
+
     def _await_resp(self, addr: int, kinds: tuple, lce: Optional[int] = None):
         """Wait for the oldest response for `addr` of one of `kinds` (from
         `lce`, when given); remove and return it."""
@@ -276,6 +298,19 @@ class CceCore:
         msg = self._send(MEM_CMD, "mem", cmd)
         yield from repeat(BUSY, max(1, msg.beats))
 
+    def _spec_read(self, wg: Optional[int]):
+        """The open request's speculative read of its block, in E."""
+        req = self._req
+        return self._to_memory(MemCmd(req.addr, False, spec=True, lce=req.lce,
+                                      way=req.lru_way, state=E), wg)
+
+    def _uncached_access(self, wg: Optional[int] = None):
+        """The open request's own uncached load or store (`wp` with `wg`)."""
+        req = self._req
+        return self._to_memory(MemCmd(
+            req.addr, req.write, uncached=True, size=req.size, data=req.data,
+            wp=wg is not None, lce=req.lce), wg)
+
     def _write_back(self, resp, wg: Optional[int]):
         """Write a writeback's block to memory.  An uncached request's
         writeback carries a sub-block address."""
@@ -287,26 +322,25 @@ class CceCore:
         """Invalidation sequencer: for each (cache, way) in `targets`, clear
         its directory entry for the open request's block and send Inv, one
         per cycle; then consume one InvAck per cycle."""
-        addr, wg = self._req.addr, self._req_wg
         for c, way in targets:
-            self.directory.write_state(wg, c, way, I)
-            self._send_cmd(c, CceCommand(kind=INV, addr=addr, way=way))
+            self.directory.write_state(self._req_wg, c, way, I)
+            self._command(INV, c, way)
             yield BUSY
         for _ in targets:
-            yield from self._await_resp(addr, INV_ACK)
+            yield from self._await_resp(self._req.addr, INV_ACK)
             yield BUSY
 
-    @staticmethod
-    def _inv_targets(found, lce: int, owner_too: bool = False) -> list:
-        """The (cache, way) of every S copy `found` other than requester
-        `lce`'s, in cache order; with `owner_too`, the owner's too."""
-        return [(c, way) for c, way, state in found.copies
+    def _inv_targets(self, owner_too: bool = False) -> list:
+        """The (cache, way) of every S copy the read found but the
+        requester's, in cache order; with `owner_too`, the owner's too."""
+        lce = self._req.lce
+        return [(c, way) for c, way, state in self._found.copies
                 if c != lce and (state is S or owner_too)]
 
-    def _victim_addr(self, addr: int, lru_tag: int) -> int:
-        """The address of the block with tag `lru_tag` in `addr`'s set."""
+    def _victim_addr(self, found) -> int:
+        """The address of the requester's LRU block, by the read `found`."""
         cfg = self.cfg
-        return ((lru_tag * cfg.sets + cfg.set_index(addr))
+        return ((found.lru_tag * cfg.sets + cfg.set_index(self._req.addr))
                 * cfg.block_bytes)
 
     # -- transactions ----------------------------------------------------------
@@ -315,6 +349,7 @@ class CceCore:
         addr_class = classify_request(req.addr, req.uncached)
         self._req = req
         self._req_wg = self.local_wg(req.addr)
+        self._found = None
         self._txn = TransactionRecord(req.addr, req.lce, addr_class._value_)
         return addr_class
 
@@ -323,11 +358,11 @@ class CceCore:
             self.stats.transactions.append(self._txn)
             self._txn = None
 
-    def _note_lookup(self, found) -> Optional[DirRequestKind]:
-        """Record what the way-group read `found` for the open request.
+    def _note_lookup(self) -> Optional[DirRequestKind]:
+        """Record what the way-group read found for the open request.
         Returns the directory-table column of a coherent request, None for
         an uncached one."""
-        req, txn = self._req, self._txn
+        req, txn, found = self._req, self._txn, self._found
         txn.lce_state = found.req_state
         txn.dir_state = found.dir_state
         txn.sharers = found.sharers
@@ -417,7 +452,7 @@ class CceCore:
         if squash:
             self.stats.mem_resp_squashed += 1
         elif not resp.write:
-            self._send_cmd(resp.lce, CceCommand(
+            self._send(COMMAND, self._lce_endpoints[resp.lce], CceCommand(
                 kind=DATA, addr=resp.addr, way=resp.way, target_way=resp.way,
                 state=state, data=resp.data, uncached=resp.uncached))
             self.stats.mem_resp_forwards += 1

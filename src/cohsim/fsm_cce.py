@@ -19,16 +19,18 @@ pinned so the closed-form occupancy of each request class holds exactly:
 
 The multi-cycle steps (the way-group read, the memory-command unit, the
 invalidation sequencer, response waits) are the core's datapath units, run
-with `yield from`.  The core's memory-response machine runs concurrently
-and its cycles never count toward request occupancy.
+with `yield from`, and the core builds every command the flows send: a
+flow reads its table cell and says what to send, to whom, in which cycle.
+The core's memory-response machine runs concurrently and its cycles never
+count toward request occupancy.
 """
 
 from __future__ import annotations
 
 from .cce import BUSY, NULL_WB, WAIT, CceCore, EngineFault
-from .messages import CceCommand, CohRequest, Emission, MemCmd
-from .protocol import (AddressClass, CommandKind, DirRequestKind, I, S,
-                       E, F, InvalidateSet, RequesterGrant)
+from .messages import CohRequest, Emission
+from .protocol import (AddressClass, CommandKind, DirRequestKind, E,
+                       InvalidateSet, RequesterGrant)
 
 # The enum members each transaction tests, as module constants (see the
 # note on `messages.REQUEST`).
@@ -38,7 +40,7 @@ NO_INVALIDATION = InvalidateSet.Nothing
 OTHERS_AND_OWNER = InvalidateSet.OtherSharersAndOwner
 FROM_MEMORY, UPGRADE_STW = (RequesterGrant.DataFromMemory,
                             RequesterGrant.UpgradeStW)
-STW, STWB, STTRWB = CommandKind.StW, CommandKind.StWb, CommandKind.StTrWb
+STW, STTRWB = CommandKind.StW, CommandKind.StTrWb
 DIRTY_WB = Emission.DirtyWB
 WRITEBACKS = (NULL_WB, DIRTY_WB)
 REPLACEMENT = DirRequestKind.Replacement
@@ -75,29 +77,23 @@ class FsmCce(CceCore):
         yield BUSY                       # pending check
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
-        yield from self._to_memory(      # speculative memory read issue
-            MemCmd(addr=req.addr, write=False, spec=True, lce=req.lce,
-                   way=req.lru_way, state=E), wg)
-
-        tag = self.cfg.tag_of(req.addr)
-        found = self.directory.read_way_group(wg, tag, req.lce, req.lru_way)
-        yield from self._busy(           # directory way-group read
-            self.cfg.way_group_read_latency)
+        yield from self._spec_read(wg)   # speculative memory read issue
+        yield from self._read_way_group()   # directory way-group read
         yield BUSY                       # GAD
 
-        kind = self._note_lookup(found)
+        kind = self._note_lookup()
+        found = self._found
         plan = self.tables.dir_request_plan(found.dir_state, kind)
-        self.directory.write_entry(wg, tag, req.lce, found.req_way,
-                                   plan.grant_state)
+        self.directory.write_entry(wg, self.cfg.tag_of(req.addr), req.lce,
+                                   found.req_way, plan.grant_state)
         yield BUSY                       # write next state
 
         if found.replacement:
-            yield from self._replacement_subflow(req, found, wg)
+            yield from self._replacement_subflow(req, found)
 
         if plan.invalidate_set is not NO_INVALIDATION:
-            owner_too = plan.invalidate_set is OTHERS_AND_OWNER
-            yield from self._invalidate(
-                self._inv_targets(found, req.lce, owner_too))
+            yield from self._invalidate(self._inv_targets(
+                plan.invalidate_set is OTHERS_AND_OWNER))
 
         if plan.requester_grant is FROM_MEMORY:
             if plan.grant_state is E:
@@ -108,48 +104,49 @@ class FsmCce(CceCore):
         elif plan.requester_grant is UPGRADE_STW:
             self.spec.squash(wg)
             yield BUSY                   # squash speculation
-            self._send_cmd(req.lce, CceCommand(
-                kind=STW, addr=req.addr, way=found.req_way,
-                state=plan.grant_state))
+            self._command(STW, req.lce, found.req_way,
+                          state=plan.grant_state)
             yield BUSY                   # upgrade command send
         else:
             if plan.owner_command is None:
                 raise EngineFault(f"{self.tables.name}: plan for {kind.value} "
                                   "grants nothing and commands no owner")
-            yield from self._transfer(req, plan, found, wg)
+            yield from self._transfer(req, plan.owner_command, found, wg)
 
-    def _replacement_subflow(self, req: CohRequest, found, wg: int):
+    def _replacement_subflow(self, req: CohRequest, found):
         """Evict the requester's LRU block: 2 cycles clean, 1+N dirty."""
-        victim = self._victim_addr(req.addr, found.lru_tag)
-        plan = self.tables.dir_request_plan(found.lru_state, REPLACEMENT)
-        self._send_cmd(req.lce, CceCommand(
-            kind=plan.owner_command.command, addr=victim, way=found.lru_way,
-            state=plan.owner_command.set_owner_state))
-        yield BUSY                       # ST-WB send
-        resp = yield from self._await_resp(victim, WRITEBACKS, req.lce)
+        victim = self._victim_addr(found)
+        cmd = self.tables.dir_request_plan(found.lru_state,
+                                           REPLACEMENT).owner_command
+        resp = yield from self._take_back(cmd, req.lce, found.lru_way, victim)
         self._note_victim_wb(resp)
+
+    def _take_back(self, cmd, lce: int, way: int, addr: int):
+        """Send Replacement command `cmd` to way `way` of cache `lce` for
+        the block at `addr`, and consume its writeback; return that."""
+        self._command(cmd.command, lce, way, addr, cmd.set_owner_state)
+        yield BUSY                       # ST-WB send
+        resp = yield from self._await_resp(addr, WRITEBACKS, lce)
         if resp.kind is NULL_WB:
             yield BUSY                   # consume clean writeback header
         else:
-            yield from self._write_back(resp, wg)
+            yield from self._write_back(resp, self._req_wg)
+        return resp
 
-    def _transfer(self, req: CohRequest, plan, found, wg: int):
-        """Source the block from its current owner instead of memory.
-        A clean writeback is absorbed for free; dirty data occupies one
-        cycle per beat while forwarded to memory."""
-        cmd_kind = plan.owner_command.command
+    def _transfer(self, req: CohRequest, cmd, found, wg: int):
+        """Source the block from its owner by owner command `cmd`, not from
+        memory.  A clean writeback is absorbed for free; dirty data
+        occupies one cycle per beat while forwarded to memory."""
         owner_lce, owner_way, _ = found.owner
         self.spec.squash(wg)
         yield BUSY                       # squash speculation
-        set_state = plan.owner_command.set_owner_state
+        set_state = cmd.set_owner_state
         if set_state is not None:
             self.directory.write_state(wg, owner_lce, owner_way, set_state)
-        self._send_cmd(owner_lce, CceCommand(
-            kind=cmd_kind, addr=req.addr, way=owner_way, state=set_state,
-            transfer_state=plan.owner_command.transfer_state,
-            target_lce=req.lce, target_way=found.req_way))
+        self._command(cmd.command, owner_lce, owner_way, state=set_state,
+                      transfer_state=cmd.transfer_state)
         yield BUSY                       # owner command send
-        if cmd_kind is STTRWB:
+        if cmd.command is STTRWB:
             resp = yield from self._await_resp(req.addr, WRITEBACKS, owner_lce)
             if resp.kind is DIRTY_WB:
                 yield from self._write_back(resp, wg)
@@ -159,36 +156,26 @@ class FsmCce(CceCore):
     def _uncached_flow(self, req: CohRequest, addr_class: AddressClass):
         yield BUSY                       # Ready: classify
         if addr_class is UNCACHEABLE:
-            yield from self._to_memory(MemCmd(   # header + data beats
-                addr=req.addr, write=req.write, uncached=True, size=req.size,
-                data=req.data, lce=req.lce))
+            yield from self._uncached_access()   # header + data beats
             return
 
-        # Uncached access to cacheable memory: flush every valid copy first.
+        # Uncached access to cacheable memory: flush every valid copy first,
+        # each by its Replacement cell when that is filled, else by Inv.
         wg = self._req_wg
         yield BUSY                       # pending check (arbitration enforced)
         self.pending.adjust(wg, +1)
         yield BUSY                       # open transaction
-        found = self.directory.read_way_group(
-            wg, self.cfg.tag_of(req.addr), req.lce, 0)
-        yield from self._busy(self.cfg.way_group_read_latency)
-        self._note_lookup(found)
+        yield from self._read_way_group()
+        self._note_lookup()
         yield BUSY                       # GAD
-        for c, way, state in found.copies:
-            if state in (S, F):
+        for c, way, state in self._found.copies:
+            if state not in self.directory.replacement_states:
                 yield from self._invalidate([(c, way)])
                 continue
-            self.directory.write_state(wg, c, way, I)
-            self._send_cmd(c, CceCommand(kind=STWB, addr=req.addr, way=way,
-                                         state=I))
-            yield BUSY
-            resp = yield from self._await_resp(req.addr, WRITEBACKS, c)
-            if resp.kind is DIRTY_WB:
-                yield from self._write_back(resp, wg)
-            else:
-                yield BUSY
-        yield from self._to_memory(MemCmd(
-            addr=req.addr, write=req.write, uncached=True, size=req.size,
-            data=req.data, lce=req.lce, wp=True), wg)
+            cmd = self.tables.dir_request_plan(state,
+                                               REPLACEMENT).owner_command
+            self.directory.write_state(wg, c, way, cmd.set_owner_state)
+            yield from self._take_back(cmd, c, way, req.addr)
+        yield from self._uncached_access(wg)
         self.pending.adjust(wg, -1)
         yield BUSY                       # close transaction

@@ -282,12 +282,14 @@ class CoherenceMonitor(Monitor):
 class DataValueMonitor(Monitor):
     """Every load observes the most recent committed store to those bytes.
 
-    A shadow copy of each stored-to block is updated from each cache's
-    store-commit hook, and from memory's for an uncached store; the
-    protocol serializes conflicting accesses, so at each load hook the
-    shadow holds the latest value.  Accesses are aligned, so none crosses a
-    block.  Only loads from the cacheable-coherent region are checked
-    (posted uncached stores commit asynchronously)."""
+    A shadow copy of each block is taken when the monitor is attached, from
+    a valid cached copy (the owner's, when there is one) or else memory,
+    and updated from each cache's store-commit hook, and from memory's for
+    an uncached store; the protocol serializes conflicting accesses, so at
+    each load hook the shadow holds the latest value.  Accesses are
+    aligned, so none crosses a block.  Only loads from the
+    cacheable-coherent region are checked (posted uncached stores commit
+    asynchronously)."""
 
     def __init__(self):
         super().__init__()
@@ -295,7 +297,17 @@ class DataValueMonitor(Monitor):
 
     def attach(self, system: System):
         super().attach(system)
-        self._block_bytes = system.cfg.block_bytes
+        cfg = system.cfg
+        self._block_bytes = block = cfg.block_bytes
+        self.shadow = {blk * block: bytearray(data)
+                       for blk, data in system.store.blocks.items()}
+        cached = set()   # blocks the shadow took from a cache
+        for lce in system.lces:
+            for (set_idx, _), (tag, state, data) in lce.snapshot().items():
+                addr = (tag * cfg.sets + set_idx) * block
+                if state in OWNERLIKE or addr not in cached:
+                    self.shadow[addr] = bytearray(data)
+                    cached.add(addr)
         for lce in system.lces:
             lce.on_load = self._on_load
             lce.on_store = self._on_store

@@ -13,7 +13,7 @@ from .directory import install_tag
 from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
                        Emission, LceResponse, NetMessage)
 from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
-                       ImpossibleTransition, LceAction, WRITABLE_STATES)
+                       ImpossibleTransition, WRITABLE_STATES)
 
 
 # Emissions that carry no data, and the members tested per access and per
@@ -105,20 +105,6 @@ class Lce:
         install_tag(lines, self.tag_index[set_idx], way, cfg.tag_of(addr))
         return lines[way]
 
-    def _action(self, state: CoherenceState, column: str,
-                attached: Optional[CoherenceState] = None) -> LceAction:
-        """The table's action in `state` for `column` (LOAD, STORE or a
-        command kind's value) with `attached` state.  Memoised in
-        `tables.lce_actions` on plain values, so that a lookup hashes no
-        enum member."""
-        tables = self.tables
-        key = (state._value_, column, attached and attached._value_)
-        action = tables.lce_actions.get(key)
-        if action is None:
-            action = tables.lce_actions[key] = tables.lce_event_action(
-                state, column, attached)
-        return action
-
     def set_state(self, line: CacheLine, state: CoherenceState, addr: int):
         """The one writer of a line's coherence state; reports the block
         to the `on_state` hook."""
@@ -171,8 +157,8 @@ class Lce:
         # The Load or Store cell decides hit or miss.  A hit has a line
         # (the tables make every access in I miss); its cell may name a
         # silent state change (a store in E makes it M).
-        action = self._action(I if line is None else line.state,
-                              STORE if wants_write else LOAD)
+        action = self.tables.lce_event_action(
+            I if line is None else line.state, STORE if wants_write else LOAD)
         if atomic is SC:
             # SC never misses: it fails at once unless the LR reservation
             # survived and its Store cell hits, and it consumes the
@@ -270,7 +256,7 @@ class Lce:
                                  "without matching miss")
         way, line = self._lookup(cmd.addr)
         state = line.state if line else I
-        action = self._action(state, kind._value_, cmd.state)
+        action = self.tables.lce_event_action(state, kind._value_, cmd.state)
         block = None   # the line's bytes, copied for the first data emission
 
         for emission in action.sends:

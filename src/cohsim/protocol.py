@@ -309,15 +309,21 @@ class ProtocolTables:
     states: tuple
     lce: dict
     directory: dict
-    # `Lce._action`'s memo, shared by every cache that uses these tables;
-    # `dataclasses.replace` gives the copy an empty one.
+    # `lce_event_action`'s memo; `dataclasses.replace` gives the copy an
+    # empty one.
     lce_actions: dict = field(default_factory=dict, init=False, repr=False)
 
     def lce_event_action(self, state: CoherenceState, event: str,
                          attached: Optional[CoherenceState] = None
                          ) -> LceAction:
         """The action in `state` for column `event`; `attached` is the
-        state its command carries (see ATTACHED_STATE_COLUMNS)."""
+        state its command carries (see ATTACHED_STATE_COLUMNS).  Memoised
+        on plain values, so that a repeated lookup hashes no enum member;
+        a cell that raises is looked up again each time."""
+        key = (state._value_, event, attached and attached._value_)
+        action = self.lce_actions.get(key)
+        if action is not None:
+            return action
         if event in ATTACHED_STATE_COLUMNS:
             if attached is None:
                 raise ValueError(f"{event} requires an attached state")
@@ -340,7 +346,8 @@ class ProtocolTables:
             raise ImpossibleTransition(
                 f"{self.name}: ({state.value}, {event}) attached "
                 f"state {attached.value} conflicts with table")
-        return LceAction(sends=sends, next_state=next_state)
+        action = self.lce_actions[key] = LceAction(sends, next_state)
+        return action
 
     def dir_request_plan(self, dir_state: CoherenceState,
                          req: DirRequestKind) -> DirectivePlan:

@@ -26,12 +26,16 @@ rule, the same for both engines: wait inside a transaction, stall or idle
 outside one.  A transaction opens at `popq req` and closes at the next
 `wfq req` or `popq req`.
 
-Instructions read the request `popq req` took and the way-group read
-`rdw` made for it in place.  Reading either before it exists, naming an
-owner the read did not find, writing back a response this request has
-not popped, or moving a pending counter or speculation bit past what the
-directory holds is a `MicrocodeFault` that names the instruction, also
-when a unit the instruction started does it in a later cycle.
+Instructions read the request `popq req` took and the way-group read `rdw`
+made for it (the core's `_found`) in place, and the core builds every
+message an instruction sends: `pushq lcecmd` names the command's kind, its
+cache and way and the states it carries, and `pushq memcmd` and `inv`
+start the core's memory-command and invalidation units.  Reading either
+before it exists, naming an owner the read did not find, writing back a
+response this request has not popped, or moving a pending counter or
+speculation bit past what the directory holds is a `MicrocodeFault` that
+names the instruction, also when a unit the instruction started does it in
+a later cycle.
 
 The core's message unit runs alongside the pipeline: it silently consumes
 coherence acks and auto-forwards memory responses under the
@@ -50,9 +54,8 @@ from typing import Optional
 from ..cce import BUSY, WAIT, CceCore
 from ..directory import (ENTRY_READ_LATENCY, DoubleSpeculation, Overflow,
                          Underflow, WayGroupRead)
-from ..messages import CceCommand, CohRequest, MemCmd
-from ..protocol import (DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState,
-                        CommandKind, I, E)
+from ..messages import CohRequest
+from ..protocol import DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState, I
 from . import asm, isa
 from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
@@ -69,8 +72,6 @@ GAD_KEEP = ~sum(1 << f for f in (CSF, CEF, CMF, COF, CFF, RF, UF))
 # A copy's state, by value -> the cached-state flag `gad` sets for it.
 CACHED_FLAG = {"S": 1 << CSF, "E": 1 << CEF, "M": 1 << CMF, "O": 1 << COF,
                "F": 1 << CFF}
-# The commands that also transfer the block to the requester.
-TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
 # What `%ownerlce` and `%ownerstate` read when no copy is an owner.
 NO_OWNER = (0, 0, I)
 # The directory's pending-counter and speculation-bit errors -> what the
@@ -146,7 +147,6 @@ class UcodeCce(CceCore):
         self.regs = [0] * isa.NUM_GPRS
         self.flags = 0
         self.last_resp = None   # this request's last popped response
-        self._found = None   # this request's way-group read, once `rdw` ran
         self._unit = None   # the running datapath unit, for `_active`
         self.mispredicts = 0
 
@@ -283,11 +283,9 @@ class UcodeCce(CceCore):
         return BUSY
 
     def _rdw(self, u):
-        req = self._request()
-        self._found = self.directory.read_way_group(
-            self._req_wg, self.cfg.tag_of(req.addr), req.lce, req.lru_way)
+        self._request()
         self.pc += 1
-        return self._busy(self.cfg.way_group_read_latency)
+        return self._read_way_group()
 
     def _rde(self, u):
         """An entry read: no instruction reads its result, so it only
@@ -373,7 +371,7 @@ class UcodeCce(CceCore):
                 flags |= CACHED_FLAG[state._value_]
         self.flags = flags
         if self._txn is not None:
-            self._note_lookup(found)
+            self._note_lookup()
         self.pc += 1
         return BUSY
 
@@ -384,7 +382,6 @@ class UcodeCce(CceCore):
             if req is None:
                 return WAIT
             self._open_txn(req)
-            self._found = None
             self.last_resp = None
             self.flags = (req.write << WNR | req.uncached << UCF
                           | req.non_exclusive << NEX
@@ -398,8 +395,7 @@ class UcodeCce(CceCore):
         self.last_resp = resp
         if (self._txn is not None
                 and self.flags >> RF & 1
-                and resp.addr == self._victim_addr(self._req.addr,
-                                                   self._read().lru_tag)):
+                and resp.addr == self._victim_addr(self._read())):
             self._note_victim_wb(resp)
         self.regs[u.rd] = RESP_KIND_CODE[resp.kind._value_]
         if u.wp:
@@ -417,41 +413,28 @@ class UcodeCce(CceCore):
                                       "request has popped none")
                 self.pc += 1
                 return self._write_back(self.last_resp, wg)
-            req = self._request()
-            if kind == "specread":
-                cmd = MemCmd(addr=req.addr, write=False, spec=True,
-                             lce=req.lce, way=req.lru_way, state=E)
-            else:   # uncached access for the current request
-                write = bool(self.flags >> WNR & 1)
-                cmd = MemCmd(addr=req.addr, write=write, uncached=True,
-                             size=req.size, data=req.data if write else None,
-                             lce=req.lce, wp=bool(u.wp))
+            self._request()
             self.pc += 1
-            return self._to_memory(cmd, wg)
+            if kind == "specread":
+                return self._spec_read(wg)
+            return self._uncached_access(wg)
 
-        kind = u.kind
         found = self._read()
-        req = self._req
         victim = u.addr_sel == "victim"
-        addr = (self._victim_addr(req.addr, found.lru_tag) if victim
-                else req.addr)
+        addr = self._victim_addr(found) if victim else None
         if u.cmd_target == "owner":
             lce, way, _ = self._owner(found)
         else:
-            lce, way = req.lce, (req.lru_way if victim else found.req_way)
-        cmd = CceCommand(kind=kind, addr=addr, way=way, state=u.state,
-                         transfer_state=u.tr_state)
-        if kind in TRANSFERS:
-            cmd.target_lce = req.lce
-            cmd.target_way = found.req_way
-        self._send_cmd(lce, cmd)
+            lce = self._req.lce
+            way = found.lru_way if victim else found.req_way
+        self._command(u.kind, lce, way, addr, u.state, u.tr_state)
         self.pc += 1
         return BUSY
 
     def _inv(self, u):
-        found = self._read()
+        self._read()
         self.pc += 1
-        return self._invalidate(self._inv_targets(found, self._req.lce))
+        return self._invalidate(self._inv_targets())
 
 
 @lru_cache(maxsize=16)

@@ -248,6 +248,31 @@ class TestMonitors:
         assert system.store.read(BASE, 8) == (5).to_bytes(8, "little")
         assert system.mem.on_store is None
 
+    @pytest.mark.parametrize("engine", ["fsm", "ucode"])
+    def test_data_value_monitor_attached_to_stored_data(self, engine):
+        """Monitors attached to a system that already holds stored data
+        take their shadow from it: a trace finished under fresh monitors
+        flags no load of a value stored before they were attached."""
+        system = System(SystemConfig(cores=4, sets=16, num_cces=2,
+                                     engine=engine))
+        ops = random_workload(3, lces=4, ops=600)
+        assert run_trace(system, ops[:100], monitors=default_monitors()).clean
+        report = run_trace(system, ops[100:], monitors=default_monitors())
+        assert report.loads and report.clean, report.violations[:3]
+
+    def test_data_value_shadow_takes_the_owners_copy(self):
+        """The shadow of a block takes a valid cached copy's bytes, the
+        owner's before a sharer's, and memory's when no cache holds it."""
+        system = System(SystemConfig(cores=3, sets=8))
+        for lce, state, byte in ((0, S, 0x22), (1, O, 0x11), (2, S, 0x22)):
+            system.preload_line(lce, BASE, state, data=bytes([byte]) * 64)
+        system.store.write(BASE, b"\xee" * 64)
+        system.store.write(BASE + 64, b"\x33" * 64)
+        mon = DataValueMonitor()
+        mon.attach(system)
+        assert mon.shadow[BASE] == b"\x11" * 64
+        assert mon.shadow[BASE + 64] == b"\x33" * 64
+
     def test_holders_match_a_lookup_in_every_cache(self):
         """At every line-state write of an 8-cache run whose 256-block
         footprint overflows 16 sets x 2 ways, the holders the monitor
@@ -492,7 +517,7 @@ class TestDeepCopy:
 
         def finish(system):
             report = run_trace(system, ops[100:],
-                               monitors=[CoherenceMonitor()])
+                               monitors=default_monitors())
             assert report.clean
             return (report.cycles, system.now,
                     [(c.stats.busy_cycles, c.stats.wait_cycles,

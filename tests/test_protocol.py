@@ -143,6 +143,19 @@ class TestLceTable:
         with pytest.raises(ImpossibleTransition):
             MESI.lce_event_action(O, "Load")
 
+    def test_filled_cells_are_memoised_and_raising_ones_are_not(self):
+        tables = dataclasses.replace(MOESIF)
+        act = tables.lce_event_action(E, "ST-TR-WB", M)
+        assert tables.lce_event_action(E, "ST-TR-WB", M) is act
+        for _ in range(2):
+            with pytest.raises(ImpossibleTransition):
+                tables.lce_event_action(I, "Inv")
+            with pytest.raises(ImpossibleTransition):
+                tables.lce_event_action(S, "STW", I)
+            with pytest.raises(ValueError):
+                tables.lce_event_action(I, "DATA")
+        assert tables.lce_actions == {("E", "ST-TR-WB", "M"): act}
+
 
 class TestDirTable:
     @pytest.mark.parametrize("state,kind", sorted(

@@ -293,6 +293,50 @@ def test_tag_writes_are_found():
         (1, "<module>"), (4, "A.f"), (6, "A.f"), (8, "A.g"), (9, "A.g")]
 
 
+def _engine_core_uses(tree):
+    """Each message a module builds (a `CceCommand` or `MemCmd` call)
+    and each use of `read_way_group` (see `_scoped`)."""
+    def match(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            return name in ("CceCommand", "MemCmd")
+        return (isinstance(node, ast.Attribute)
+                and node.attr == "read_way_group")
+    return _scoped(tree, match)
+
+
+def test_engines_only_sequence():
+    """The engine core reads the way group and builds every message:
+    neither engine builds a `CceCommand` or `MemCmd` or reads a way group
+    itself, and no module but the core names the transfer commands or
+    keeps a cache-table memo of its own."""
+    found = []
+    for name in ("fsm_cce.py", "ucode/engine.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        found += [f"{name}:{line}: {scope}"
+                  for line, scope in _engine_core_uses(tree)]
+    assert not found, found
+    transfers = [str(path.relative_to(SRC))
+                 for path in sorted(SRC.rglob("*.py"))
+                 if re.search(r"^TRANSFERS\b", path.read_text(), re.M)]
+    assert transfers == ["cce.py"]
+    assert not hasattr(Lce, "_action")
+
+
+def test_engine_core_uses_are_found():
+    source = ("cmd = CceCommand(kind, addr)\n"
+              "class A:\n"
+              "    def f(self):\n"
+              "        self._to_memory(messages.MemCmd(addr=1))\n"
+              "        return self.directory.read_way_group(wg, t, 0, 0)\n"
+              "    def g(self, read=seg.read_way_group):\n"
+              "        return CceCommandKind(), self._command(INV, 0, 0)\n")
+    assert _engine_core_uses(ast.parse(source)) == [
+        (1, "<module>"), (4, "A.f"), (5, "A.f"), (6, "A.g")]
+
+
 def test_only_the_protocol_picks_a_write_column():
     """No module but `protocol` reads a write column of `DirRequestKind`:
     everything else takes a request's column from `request_kind`."""
