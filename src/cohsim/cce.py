@@ -15,13 +15,12 @@ sequence a request: each supplies `_sequencer`, a generator that yields one
 BUSY or WAIT tag per cycle and runs the units with `yield from`, and
 `Fault`, what a CohAck or memory response that underflows its pending
 counter raises.  `tick` advances the sequencer by one tag.  The core starts
-it lazily: `_seq` begins as `PARKED`, an iterator that is already exhausted
-and that a deep copy keeps, and the first `tick` that finds it so starts the
-engine's generator.  `System.advance` parks every engine again (`park`) when
-the system goes idle, where each sequencer is between requests and a fresh
-generator resumes from the same state (the engine's fields, not the
-generator's frame, hold it).  So a CCE and its generator form no reference
-cycle except while a run is under way.
+it lazily: `_seq` is None at rest, and the first `tick` that finds it so
+starts the engine's generator.  `System.advance` parks every engine again
+(`park` sets `_seq` back to None) when the system goes idle, where each
+sequencer is between requests and a fresh generator resumes from the same
+state (the engine's fields, not the generator's frame, hold it).  So a CCE
+and its generator form no reference cycle except while a run is under way.
 
 Cycle accounting follows one rule for both engines, applied at the end of
 `tick`.  A cycle is busy when the sequencer did work.  Otherwise it is wait
@@ -47,8 +46,8 @@ from itertools import repeat
 from typing import Optional
 
 from . import protocol
-from .directory import (DirectorySegment, PendingBits, SpecBits, Underflow,
-                        way_group_home)
+from .directory import (SQUASHED, UNRESOLVED, DirectorySegment, PendingBits,
+                        SpecBits, Underflow, way_group_home)
 from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        CceCommand, CohRequest, Emission, MemCmd, NetKind,
                        NetMessage)
@@ -64,26 +63,6 @@ NULL_WB = Emission.NullWB
 INV_ACK = (Emission.InvAck,)
 # The commands that also transfer the block to the requester.
 TRANSFERS = (CommandKind.Tr, CommandKind.StTr, CommandKind.StTrWb)
-
-
-class _Parked:
-    """The sequencer of an engine at rest: exhausted, and holding no
-    engine.  `tick` tells it by identity, so a copy or a pickle of an
-    engine keeps this one object (`__reduce__` names it)."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        raise StopIteration
-
-    def __reduce__(self):
-        return "PARKED"
-
-
-PARKED = _Parked()
 
 
 class EngineFault(Exception):
@@ -149,7 +128,7 @@ class CceCore:
         self._found = None   # `_req`'s way-group read, once it is made
         self._txn: Optional[TransactionRecord] = None
         self.now = 0
-        self._seq = PARKED
+        self._seq = None   # the sequencer, or None at rest
 
     # -- helpers -------------------------------------------------------------
 
@@ -217,15 +196,15 @@ class CceCore:
             self._mem_resp_tick()
         # Classify the cycle (see the module docstring); the sequencer may
         # open or close the transaction it is charged to.
+        seq = self._seq
+        if seq is None:
+            seq = self._seq = self._sequencer()
         try:
-            tag = next(self._seq)
+            tag = next(seq)
         except StopIteration:
             # A started sequencer ends only by raising.
-            if self._seq is not PARKED:
-                raise self.Fault(f"{self.endpoint} stopped at an earlier "
-                                 "fault") from None
-            self._seq = self._sequencer()
-            tag = next(self._seq)
+            raise self.Fault(f"{self.endpoint} stopped at an earlier "
+                             "fault") from None
         txn = self._txn
         if tag is BUSY:
             self.stats.busy_cycles += 1
@@ -243,7 +222,7 @@ class CceCore:
         """Drop the sequencer; the next `tick` starts a fresh one.  Call it
         only when the engine has no pending input, where the sequencer is
         between requests."""
-        self._seq = PARKED
+        self._seq = None
 
     # -- sequencer hooks -------------------------------------------------------
 
@@ -438,12 +417,12 @@ class CceCore:
         resp, wg = self.memresp_q[0]
         state, squash = resp.state, False
         if resp.spec:
-            rec = self.spec.read(wg)
-            if rec.spec:
-                return                   # unresolved: hold the response
-            squash = rec.squash
-            if rec.fwd_mod:
-                state = rec.state
+            value = self.spec.read(wg)
+            if value == UNRESOLVED:
+                return                   # hold the response
+            squash = value == SQUASHED
+            if value is not None and not squash:
+                state = value
             self.spec.unset(wg)
         self.memresp_q.popleft()
         self.net.release_mem_credit()

@@ -252,45 +252,33 @@ class PendingBits:
         self.freed = True
 
 
-@dataclass(slots=True)
-class SpecRecord:
-    spec: bool = False
-    squash: bool = False
-    fwd_mod: bool = False
-    state: CoherenceState = I
+# A way group's speculation value while its speculative read is
+# outstanding, and once the read is squashed.
+UNRESOLVED = "unresolved"
+SQUASHED = "squashed"
 
 
 class SpecBits:
-    """Per-way-group speculative memory read resolution bits."""
+    """Per-way-group speculative memory read resolution: one value per way
+    group, UNRESOLVED, SQUASHED, the state to forward the response in, or
+    None, which lets the response stand."""
 
     def __init__(self, num_way_groups: int):
-        self.records = [SpecRecord() for _ in range(num_way_groups)]
+        self.values = [None] * num_way_groups
 
-    def read(self, wg: int) -> SpecRecord:
-        return self.records[wg]
+    def read(self, wg: int):
+        return self.values[wg]
 
     def set(self, wg: int):
-        rec = self.records[wg]
-        if rec.spec:
+        if self.values[wg] == UNRESOLVED:
             raise DoubleSpeculation(f"way group {wg}")
-        rec.spec = True
-        rec.squash = rec.fwd_mod = False
-        rec.state = I
+        self.values[wg] = UNRESOLVED
 
     def squash(self, wg: int):
-        rec = self.records[wg]
-        rec.spec = False
-        rec.squash = True
-        rec.fwd_mod = False
+        self.values[wg] = SQUASHED
 
     def fwd_mod(self, wg: int, state: CoherenceState):
-        rec = self.records[wg]
-        rec.spec = False
-        rec.squash = False
-        rec.fwd_mod = True
-        rec.state = state
+        self.values[wg] = state
 
     def unset(self, wg: int):
-        rec = self.records[wg]
-        rec.spec = rec.squash = rec.fwd_mod = False
-        rec.state = I
+        self.values[wg] = None

@@ -349,10 +349,6 @@ class RunReport:
     stores: int = 0
     violations: list = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 def run_trace(system: System, ops, monitors=(),
               limit: int = 50_000_000) -> RunReport:

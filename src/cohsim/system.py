@@ -1,10 +1,9 @@
 """Full-system assembly: caches, coherence engines, network, and memory
 advanced in lockstep, one cycle at a time.  `step` runs one cycle of every
-endpoint; `advance` runs cycles until the next event `harness.run_trace`
-acts on, choosing each cycle between a `step` and a tick of the CCEs alone
-when nothing else can act; `run` drains by calling `advance` until the
-system is idle or its limit is reached.  No cycle is skipped: every CCE
-ticks every cycle.  `advance` parks the CCEs' sequencers when the system
+endpoint; `advance` runs `step` until the next event `harness.run_trace`
+acts on; `run` drains by calling `advance` until the system is idle or its
+limit is reached.  No cycle is skipped: every CCE ticks every cycle, and
+only `step` ticks it.  `advance` parks the CCEs' sequencers when the system
 goes idle (see `cce`), so a `System` that is dropped after a run holds no
 reference cycle and is freed at once."""
 
@@ -206,32 +205,17 @@ class System:
         """Run cycles until a cache's outstanding miss ends, the system is
         idle (its CCEs are then parked), or `now` reaches `deadline`; at
         least one cycle runs.  Returns `retired`: the ids of the caches
-        whose miss ended.
-
-        A cycle with a message due or a memory response ready is a `step`.
-        In any other cycle only the CCEs can act, so it ticks the CCEs
-        alone; a memory command one of them sends for delivery in that
-        same cycle (zero latency) still gets memory's turn after the CCEs,
-        as in `step`."""
+        whose miss ended."""
         retired = self.retired
         retired.clear()
-        net, mem, cces = self.net, self.mem, self.cces
-        due, inflight = net.next_ready, mem.inflight
+        net, inflight = self.net, self.mem.inflight
         while True:
-            now = self.now
-            if net.earliest <= now or (inflight and inflight[0][0] <= now):
-                self.step()
-            else:
-                for cce in cces:
-                    cce.tick(now)
-                if net.earliest <= now and due.get(mem.endpoint, INF) <= now:
-                    mem.tick(now, net)
-                self.now = now + 1
+            self.step()
             # Idle needs an empty network and memory: test those first.
             if net.earliest == INF and not inflight and self.idle():
                 # Park every sequencer, so that no engine holds a generator
                 # that holds the engine.
-                for cce in cces:
+                for cce in self.cces:
                     cce.park()
                 return retired
             if retired or self.now >= deadline:

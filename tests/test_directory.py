@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohsim.cce import EngineFault
-from cohsim.directory import (ENTRY_READ_LATENCY, DirectorySegment,
-                              DoubleSpeculation, DuplicateTag,
-                              MultipleOwners, OutOfRange,
+from cohsim.directory import (ENTRY_READ_LATENCY, SQUASHED, UNRESOLVED,
+                              DirectorySegment, DoubleSpeculation,
+                              DuplicateTag, MultipleOwners, OutOfRange,
                               PendingBits, SpecBits, Underflow,
                               way_group_home)
 from cohsim.harness import default_monitors, random_workload, run_trace
@@ -102,17 +102,18 @@ class TestGeometryAndLatency:
             (5, 63, 7): (cce.cfg.tag_of(addr), S)}
 
     def test_pending_and_speculation_bits_match_the_way_groups_homed(self):
-        """Each CCE keeps one pending counter and one speculation record
+        """Each CCE keeps one pending counter and one speculation value
         per way group it homes: 3, 3 and 2 for 8 sets over 3 CCEs, and a
         trace that touches every set runs clean on both engines."""
         for engine in ("fsm", "ucode"):
             system = System(cfg_for(2, sets=8, num_cces=3, engine=engine))
             assert [(len(cce.directory), len(cce.pending.counters),
-                     len(cce.spec.records)) for cce in system.cces] == [
+                     len(cce.spec.values)) for cce in system.cces] == [
                 (3, 3, 3), (3, 3, 3), (2, 2, 2)]
             trace = random_workload(seed=1, ops=200, lces=2,
                                     footprint_blocks=32)
-            assert run_trace(system, trace, monitors=default_monitors()).clean
+            report = run_trace(system, trace, monitors=default_monitors())
+            assert not report.violations
 
     def test_out_of_range(self):
         seg = segment(cfg_for(2))
@@ -241,16 +242,18 @@ class TestPendingBits:
 class TestSpecBits:
     def test_lifecycle(self):
         spec = SpecBits(2)
+        assert spec.read(0) is None
         spec.set(0)
-        assert spec.read(0).spec
+        assert spec.read(0) == UNRESOLVED
         spec.squash(0)
-        rec = spec.read(0)
-        assert rec.squash and not rec.spec and not rec.fwd_mod
+        assert spec.read(0) == SQUASHED
         spec.unset(0)
+        assert spec.read(0) is None
         spec.set(0)
         spec.fwd_mod(0, S)
-        rec = spec.read(0)
-        assert rec.fwd_mod and rec.state is S and not rec.spec
+        assert spec.read(0) is S
+        spec.set(0)   # a resolved read may speculate again
+        assert spec.read(0) == UNRESOLVED and spec.read(1) is None
 
     def test_double_speculation_rejected(self):
         spec = SpecBits(1)

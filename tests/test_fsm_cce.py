@@ -251,7 +251,7 @@ class TestMemoryCredits:
         assert cce.stats.wait_cycles > 30
         if kind == "read-miss":
             wg = cce.local_wg(BASE)
-            assert not cce.spec.read(wg).spec
+            assert cce.spec.read(wg) is None
             assert cce.pending.counters[wg] == 1
         system.net.mem_credits_avail = MEM_CREDITS
         system.run()

@@ -248,6 +248,41 @@ def test_local_wgs_uses_are_found():
         (1, "<module>"), (4, "A.f"), (7, "A.g")]
 
 
+def _tick_uses(tree):
+    """Each use of a `tick` attribute, called or not (see `_scoped`)."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "tick")
+
+
+def test_one_cycle_path():
+    """Every simulated cycle is one `System.step`: it alone ticks a CCE
+    (or memory), so no caller, `advance` included, keeps a second
+    per-cycle path beside it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{line}: {scope}"
+                  for line, scope in _tick_uses(tree)
+                  if (name, scope) != ("system.py", "System.step")]
+    assert not found, found
+
+
+def test_tick_uses_are_found():
+    source = ("cce.tick(0)\n"
+              "class A:\n"
+              "    def step(self):\n"
+              "        for c in self.cces:\n"
+              "            c.tick(self.now)\n"
+              "    def f(self):\n"
+              "        tick = self.mem.tick\n"
+              "        return tick(1), self.ticks, lambda: c.tick(2)\n"
+              "    def tick(self, now):\n"
+              "        self.now = now\n")
+    assert _tick_uses(ast.parse(source)) == [
+        (1, "<module>"), (5, "A.step"), (7, "A.f"), (8, "A.f")]
+
+
 def _is_tag_write(node):
     """An assignment to a `tag` attribute, a `setattr` of one, or a tag
     passed to the constructor of a cache line or directory entry."""
