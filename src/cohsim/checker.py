@@ -21,27 +21,31 @@ request's directory column from `protocol.request_kind`, and every
 command's effect, the directory's DATA and STW grants included, from its
 cache-controller cell.  A transaction closes only on a CohAck that a cell
 sent, and a reachable state with no enabled transition is reported as a
-deadlock.  Seeded mutations deliberately bend one rule each to
-demonstrate the checker catches real bugs.
+deadlock.  The invariants read the tables too: a copy is writable in a
+state whose Store cell is a hit (`ProtocolTables.writable_states`), and
+an owner is a valid copy that is not in S.
+
+A seeded mutation, which shows that the checker catches a real bug, is a
+mutated copy of the tables (`mutated`): the rules read its cells as they
+read the shipped ones, and the engines can run it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from typing import Optional
 
 from .protocol import (LOAD, STORE, CommandKind, CoherenceState,
                        DirRequestKind, Emission, ImpossibleTransition,
-                       InvalidateSet, PROTOCOLS, RequesterGrant, request_kind)
+                       InvalidateSet, PROTOCOLS, ProtocolTables,
+                       RequesterGrant, request_kind)
 
 I, S, E, M, O, F = CoherenceState
 
 _NUM = {s: n for n, s in enumerate(CoherenceState)}
 _STATE = list(CoherenceState)
-OWNER_NUMS = frozenset(_NUM[s] for s in (E, M, O, F))
-VALID_NUMS = frozenset(_NUM[s] for s in (S, E, M, O, F))
-WRITABLE_NUMS = frozenset(_NUM[s] for s in (E, M))
+_I, _S = _NUM[I], _NUM[S]
 
 # Outstanding-operation codes per cache.
 IDLE, RD, RD_NE, WR, REPL = range(5)
@@ -59,6 +63,45 @@ MUTATIONS = ("drop-invalidations", "grant-e-with-sharers",
 
 class ModelError(Exception):
     """The model reached a configuration the tables declare impossible."""
+
+
+@cache
+def mutated(tables: ProtocolTables, mutation: str) -> ProtocolTables:
+    """A copy of `tables` with the seeded bug `mutation` edited into its
+    cells, built once per pair:
+
+    - drop-invalidations: every directory cell's invalidate set is None;
+    - grant-e-with-sharers: the (S, ReqRd) cell grants E;
+    - skip-writeback: every cache-controller cell sends NullWB for DirtyWB;
+    - wrong-transfer-state: a TR^S owner command transfers the block in M,
+      and the cell's grant state stays S."""
+    lce, directory = tables.lce, tables.directory
+
+    def edit_plans(edit):
+        return {key: plan if plan is None else edit(plan)
+                for key, plan in directory.items()}
+
+    def transfer_in_m(plan):
+        cmd = plan.owner_command
+        if cmd is None or cmd.transfer_state is not S:
+            return plan
+        return replace(plan, owner_command=replace(cmd, transfer_state=M))
+
+    if mutation == "drop-invalidations":
+        directory = edit_plans(lambda plan: replace(
+            plan, invalidate_set=InvalidateSet.Nothing))
+    elif mutation == "grant-e-with-sharers":
+        key = (S._value_, DirRequestKind.ReqRd._value_)
+        directory = {**directory, key: replace(directory[key], grant_state=E)}
+    elif mutation == "skip-writeback":
+        lce = {key: cell if cell is None else (tuple(
+            Emission.NullWB if e is Emission.DirtyWB else e
+            for e in cell[0]), cell[1]) for key, cell in lce.items()}
+    elif mutation == "wrong-transfer-state":
+        directory = edit_plans(transfer_in_m)
+    else:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    return replace(tables, lce=lce, directory=directory)
 
 
 @dataclass(frozen=True)
@@ -192,14 +235,17 @@ def initial_state(caches: int) -> int:
     return caches | 1 << (_caches_bits(caches) + _REC_BITS * caches)
 
 
-def check_invariants(state) -> Optional[str]:
+def check_invariants(state, writable) -> Optional[str]:
+    """The first invariant `state` breaks, or None: SWMR (a copy in a
+    state numbered in `writable` is the only valid one), a single owner
+    (a valid copy not in S) and data-value."""
     n = state & (1 << _N_BITS) - 1
     caches = state >> _N_BITS & (1 << _ENTRY_BITS * n) - 1
     entries = [caches >> _ENTRY_BITS * i & _ENTRY_MASK for i in range(n)]
     states = [e & 7 for e in entries]
-    valid = [i for i, st in enumerate(states) if st in VALID_NUMS]
-    writers = [i for i in valid if states[i] in WRITABLE_NUMS]
-    owners = [i for i in valid if states[i] in OWNER_NUMS]
+    valid = [i for i, st in enumerate(states) if st != _I]
+    writers = [i for i in valid if states[i] in writable]
+    owners = [i for i in valid if states[i] != _S]
     if writers and len(valid) > 1:
         return ("SWMR: cache %d writable (%s) while %s also valid"
                 % (writers[0], _LETTER[states[writers[0]]],
@@ -217,13 +263,26 @@ def check_invariants(state) -> Optional[str]:
 class Model:
     def __init__(self, cfg: CheckConfig):
         self.cfg = cfg
-        self.tables = PROTOCOLS[cfg.protocol]
         self.n = cfg.caches
 
-    # -- layout, message and transaction numbering ---------------------------
+    # -- tables, layout, message and transaction numbering -------------------
     #
     # Built the first time a search needs them, so that constructing a
     # Model costs no more than its configuration.
+
+    @cached_property
+    def tables(self) -> ProtocolTables:
+        """The tables checked: the protocol's, with the configured seeded
+        mutation edited in (see `mutated`)."""
+        tables = PROTOCOLS[self.cfg.protocol]
+        mutation = self.cfg.mutation
+        return tables if mutation is None else mutated(tables, mutation)
+
+    @cached_property
+    def writable(self) -> frozenset:
+        """The numbers of the states whose Store cell is a hit, for
+        `check_invariants`."""
+        return frozenset(_NUM[s] for s in self.tables.writable_states)
 
     @cached_property
     def _layout(self) -> tuple:
@@ -337,9 +396,9 @@ class Model:
         return tuple(ops)
 
     def _dir_view(self, dir_rec):
-        owner = next((j for j in range(self.n) if dir_rec[j] in OWNER_NUMS),
-                     None)
-        sharers = [j for j in range(self.n) if _STATE[dir_rec[j]] is S]
+        owner = next((j for j in range(self.n)
+                      if dir_rec[j] != _I and dir_rec[j] != _S), None)
+        sharers = [j for j in range(self.n) if dir_rec[j] == _S]
         dir_state = (_STATE[dir_rec[owner]] if owner is not None
                      else S if sharers else I)
         return owner, sharers, dir_state
@@ -348,7 +407,6 @@ class Model:
         """The directory's acceptance of request `msg`: (new dir_rec,
         messages sent, new txn, dir state letter)."""
         _, i, pend = msg
-        mut = self.cfg.mutation
         owner, sharers, dir_state = self._dir_view(dir_rec)
         try:
             kind = (DirRequestKind.Replacement if pend == REPL
@@ -358,13 +416,8 @@ class Model:
         except ImpossibleTransition as exc:
             raise ModelError(f"directory hit a blank cell: {exc}") from exc
 
-        grant_state = plan.grant_state
         invalidate = plan.invalidate_set
-        if mut == "grant-e-with-sharers" and kind is DirRequestKind.ReqRd \
-                and dir_state is S:
-            grant_state, invalidate = E, InvalidateSet.Nothing
-
-        if invalidate is InvalidateSet.Nothing or mut == "drop-invalidations":
+        if invalidate is InvalidateSet.Nothing:
             targets = []
         elif invalidate is InvalidateSet.OtherSharersAndOwner:
             targets = [t for t in sharers if t != i]
@@ -382,13 +435,11 @@ class Model:
         deferred = ()
         if plan.owner_command is not None:
             d = plan.owner_command
-            tr_st = d.transfer_state
-            if mut == "wrong-transfer-state" and tr_st is S:
-                tr_st = M
             deferred = ("cmd", owner, _CK_NUM[d.command],
                         -1 if d.set_owner_state is None
                         else _NUM[d.set_owner_state],
-                        -1 if tr_st is None else _NUM[tr_st], i, 0)
+                        -1 if d.transfer_state is None
+                        else _NUM[d.transfer_state], i, 0)
             if d.set_owner_state is not None:
                 new_rec[owner] = _NUM[d.set_owner_state]
             wb = int(d.command in (CommandKind.Wb, CommandKind.StWb,
@@ -396,10 +447,8 @@ class Model:
         grant = {RequesterGrant.DataFromMemory: 1,
                  RequesterGrant.UpgradeStW: 2,
                  RequesterGrant.Nothing: 0}[plan.requester_grant]
-        if mut == "grant-e-with-sharers" and grant_state is E \
-                and kind is DirRequestKind.ReqRd and dir_state is S:
-            grant = 1
         need_cohack = int(pend != REPL)
+        grant_state = plan.grant_state
         if pend == REPL:
             new_rec[i] = 0
         else:
@@ -426,7 +475,6 @@ class Model:
                 f"cache {i} in {_STATE[st].value} got {kind.value}: {exc}"
             ) from exc
         adds = []
-        mut = self.cfg.mutation
         for em in act.sends:
             if em is Emission.InvAck:
                 adds.append(("invack", i))
@@ -435,10 +483,7 @@ class Model:
             elif em is Emission.NullWB:
                 adds.append(("wb", i, 0, 0))
             elif em is Emission.DirtyWB:
-                if mut == "skip-writeback":
-                    adds.append(("wb", i, 0, 0))
-                else:
-                    adds.append(("wb", i, 1, latest))
+                adds.append(("wb", i, 1, latest))
             elif em is Emission.DataToTarget:
                 adds.append(("cmd", target, _DATA, tr_st, -1, -1, latest))
             else:
@@ -686,7 +731,8 @@ def check(cfg: CheckConfig) -> CheckResult:
 def _search(model: Model, cfg: CheckConfig) -> CheckResult:
     successors = model.successors
     init = initial_state(cfg.caches)
-    bad = check_invariants(init)
+    writable = model.writable
+    bad = check_invariants(init, writable)
     if bad:
         return CheckResult(False, False, 1, 0, bad, [])
     parents = {init: None}
@@ -719,7 +765,7 @@ def _search(model: Model, cfg: CheckConfig) -> CheckResult:
                     continue
                 caches = nxt & caches_mask
                 if caches != own and caches not in checked:
-                    bad = check_invariants(nxt)
+                    bad = check_invariants(nxt, writable)
                     if bad:
                         parents[nxt] = state
                         return CheckResult(False, False, len(parents),

@@ -30,8 +30,7 @@ from typing import NamedTuple, Optional
 
 from .lce import Hit
 from .messages import AtomicOp
-from .protocol import (DEFAULT_REGION_MAP, STORE, WRITABLE_STATES,
-                       CoherenceState, I)
+from .protocol import DEFAULT_REGION_MAP, STORE, I, S
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
@@ -200,12 +199,6 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
 # Invariant monitors
 # ---------------------------------------------------------------------------
 
-# A tuple, so that a membership test compares identities and hashes no
-# enum member.
-OWNERLIKE = (CoherenceState.E, CoherenceState.M,
-             CoherenceState.O, CoherenceState.F)
-
-
 @dataclass
 class Violation:
     monitor: str
@@ -239,12 +232,14 @@ class CoherenceMonitor(Monitor):
     that block's line state (install, downgrade, invalidation, silent E to
     M), so a breach is flagged in the cycle it appears.
 
-    Single-Writer/Multiple-Reader (`swmr`): a block writable in one cache is
-    not valid anywhere else.  Single owner (`single-owner`): at most one
-    cache holds the block in an owner-class state."""
+    Single-Writer/Multiple-Reader (`swmr`): a block writable in one cache,
+    in a state whose Store cell is a hit in the system's tables, is not
+    valid anywhere else.  Single owner (`single-owner`): at most one cache
+    holds the block in a valid state other than S."""
 
     def attach(self, system: System):
         super().attach(system)
+        self._writable = system.tables.writable_states
         # Per set, (cache id, its lines of that set, their tag index) in
         # cache order.
         self._sets = [[(i, lce.sets[s], lce.tag_index[s])
@@ -272,9 +267,9 @@ class CoherenceMonitor(Monitor):
         holders = self.holders(addr)
         if len(holders) < 2:
             return
-        if any(s in WRITABLE_STATES for _, s in holders):
+        if any(s in self._writable for _, s in holders):
             self._flag("swmr", f"block {addr:#x} held as {holders}")
-        owners = [(l, s) for l, s in holders if s in OWNERLIKE]
+        owners = [(l, s) for l, s in holders if s is not S]
         if len(owners) > 1:
             self._flag("single-owner", f"block {addr:#x} owned by {owners}")
 
@@ -305,7 +300,7 @@ class DataValueMonitor(Monitor):
         for lce in system.lces:
             for (set_idx, _), (tag, state, data) in lce.snapshot().items():
                 addr = (tag * cfg.sets + set_idx) * block
-                if state in OWNERLIKE or addr not in cached:
+                if state is not S or addr not in cached:
                     self.shadow[addr] = bytearray(data)
                     cached.add(addr)
         for lce in system.lces:

@@ -13,7 +13,7 @@ from .directory import install_tag
 from .messages import (FILL, RESPONSE, AtomicOp, CceCommand, CohRequest,
                        Emission, LceResponse, NetMessage)
 from .protocol import (LOAD, STORE, CoherenceState, CommandKind, I,
-                       ImpossibleTransition, WRITABLE_STATES)
+                       ImpossibleTransition)
 
 
 # Emissions that carry no data, and the members tested per access and per
@@ -204,7 +204,7 @@ class Lce:
             if self.on_load:
                 self.on_load(lce_id, addr, size, value)
             return value
-        if line.state not in WRITABLE_STATES:
+        if line.state not in self.tables.writable_states:
             raise ImpossibleTransition(f"write to a line in {line.state.value}")
         old = None
         if atomic is not None and atomic is not SC:
@@ -282,7 +282,8 @@ class Lce:
             self.set_state(line, action.next_state, cmd.addr)
         if (self.reservation is not None
                 and self._block_base(self.reservation) == self._block_base(cmd.addr)
-                and (line is None or line.state not in WRITABLE_STATES)):
+                and (line is None
+                     or line.state not in self.tables.writable_states)):
             self.reservation = None
         if grant:
             self.completed = self._perform(line, miss.addr, miss.size,

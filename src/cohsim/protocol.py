@@ -5,6 +5,11 @@ derive their transition behavior from the lookup tables in this module.
 The tables are built from an embedded golden text rendering and validated
 at import time, so any drift between the rendering and the structured data
 is caught immediately.
+
+The state classes come from the tables too.  A copy is writable in the
+states whose Store cell is a hit (`ProtocolTables.writable_states`), and
+an owner is a valid copy that is not in S; `_validate_tables` holds each
+table to both rules, so no other module keeps a list of either.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ class CoherenceState(Enum):
 
 
 I, S, E, M, O, F = CoherenceState  # noqa: E741 - protocol letters
-
-# A tuple, so that a membership test hashes no enum member (Python code);
-# the Store column hits in exactly these states (see `_validate_tables`).
-WRITABLE_STATES = (E, M)
 
 
 class Emission(Enum):
@@ -309,9 +310,26 @@ class ProtocolTables:
     states: tuple
     lce: dict
     directory: dict
+    # Derived from the cells by `__post_init__`, so that a copy made by
+    # `dataclasses.replace` derives them from its own cells.  Tuples, so
+    # that a membership test hashes no enum member.
+    # The states whose Store cell is a hit: a line in one is writable.
+    writable_states: tuple = field(init=False)
+    # The states whose Replacement cell is filled: evicting a block held
+    # in one takes the writeback flow; other victims are dropped.
+    replacement_states: tuple = field(init=False)
     # `lce_event_action`'s memo; `dataclasses.replace` gives the copy an
     # empty one.
     lce_actions: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        stores = [(s, self.lce.get((s._value_, STORE))) for s in self.states]
+        object.__setattr__(self, "writable_states", tuple(
+            s for s, cell in stores
+            if cell is not None and not LceAction(*cell).is_miss))
+        object.__setattr__(self, "replacement_states", tuple(
+            s for s in self.states if self.directory.get(
+                (s._value_, DirRequestKind.Replacement._value_)) is not None))
 
     def lce_event_action(self, state: CoherenceState, event: str,
                          attached: Optional[CoherenceState] = None
@@ -360,13 +378,6 @@ class ProtocolTables:
             raise ImpossibleTransition(
                 f"{self.name}: ({dir_state.value}, {req.value}) is a blank cell")
         return plan
-
-    @property
-    def replacement_states(self) -> tuple:
-        """The states whose Replacement cell is filled: evicting a block
-        held in one takes the writeback flow; other victims are dropped."""
-        return tuple(s for s in self.states if self.directory.get(
-            (s._value_, DirRequestKind.Replacement._value_)) is not None)
 
 
 def _build(name, lce_text, dir_text, states):
@@ -446,34 +457,46 @@ def _validate_tables(tables: ProtocolTables):
             require(Emission.DirtyWB not in sends
                     and Emission.DataToTarget not in sends,
                     f"({state}, {kind}) sends data with no line")
-    # Every access is a hit or a miss by its Load or Store cell; one with
-    # no line (I) must miss, and store hits are exactly the writable states.
-    store_hits = set()
+    # Every access is a hit or a miss by its Load or Store cell, and one
+    # with no line (I) must miss.
     for state in tables.states:
         for column in (LOAD, STORE):
             cell = tables.lce.get((state._value_, column))
             require(cell is not None, f"({state.value}, {column}) is blank")
-            hit = not LceAction(*cell).is_miss
-            require(not (hit and state is I),
+            require(state is not I or LceAction(*cell).is_miss,
                     f"({state.value}, {column}) is a hit with no line")
-        if hit:
-            store_hits.add(state)
-    require(store_hits == set(WRITABLE_STATES),
-            f"store hits in {sorted(s.value for s in store_hits)}, not in "
-            f"the writable states")
+    # A store misses, and sends a write request, exactly in the states
+    # that one of the directory's write columns serves.
+    dir_columns = {col for _, col in tables.directory}
+    served = {letter for letter, kind in _WRITE_COLUMNS.items()
+              if kind._value_ in dir_columns}
+    unserved = {s for s in tables.states if s._value_ not in served}
+    require(set(tables.writable_states) == unserved,
+            f"store hits in {sorted(s.value for s in tables.writable_states)}"
+            f", not in the states no write column serves "
+            f"{sorted(s.value for s in unserved)}")
     # An LR reservation lives only on a writable line.  Evicting one takes
     # the Replacement flow, whose command clears the reservation before
     # the fill that overwrites the line.
-    blank = store_hits - set(tables.replacement_states)
+    blank = set(tables.writable_states) - set(tables.replacement_states)
     require(not blank, f"store hits in {sorted(s.value for s in blank)}, "
             f"whose Replacement cell is blank")
+    # An owner is a valid copy that is not in S: a read of a block held in
+    # any other state is served by its owner, one in I or S by memory.
+    for state in tables.states:
+        plan = tables.directory.get(
+            (state._value_, DirRequestKind.ReqRd._value_))
+        owned = state is not I and state is not S
+        require(plan is not None and (plan.owner_command is not None) == owned,
+                f"({state.value}, ReqRd) "
+                f"{'does not command' if owned else 'commands'} an owner")
     for (state, req), plan in tables.directory.items():
         if plan is None:
             continue
         # No transient state is ever handed to a cache controller.
         for s in (plan.grant_state, plan.next_dir_state):
             require(s is None or s in tables.states, (state, req))
-        if plan.grant_state in (E, M):
+        if plan.grant_state in tables.writable_states:
             # SWMR: an exclusive grant must leave no other valid copy.
             if state != I.value and plan.requester_grant is not RequesterGrant.Nothing:
                 require(plan.invalidate_set is not InvalidateSet.Nothing

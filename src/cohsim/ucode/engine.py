@@ -463,21 +463,70 @@ def _flags_none(hit, mask):
 _STATE_CODE = {CoherenceState(name): code
                for code, name in enumerate(isa.STATES)}
 
-# Special name -> its reader, called as reader(engine, request).
+# The special-register readers, each called as reader(engine, request).
+# Module-level functions rather than lambdas, so that an engine's decoded
+# program pickles.
+
+def _reqaddr(engine, req):
+    return req.addr
+
+
+def _reqlce(engine, req):
+    return req.lce
+
+
+def _reqstate(engine, req):
+    return _STATE_CODE[engine._read().req_state]
+
+
+def _ownerlce(engine, req):
+    return (engine._read().owner or NO_OWNER)[0]
+
+
+def _ownerstate(engine, req):
+    return _STATE_CODE[(engine._read().owner or NO_OWNER)[2]]
+
+
+def _reqway(engine, req):
+    return engine._read().req_way
+
+
+def _lruway(engine, req):
+    return req.lru_way
+
+
+def _lrutag(engine, req):
+    return engine._read().lru_tag
+
+
+def _setindex(engine, req):
+    return engine.cfg.set_index(req.addr)
+
+
+def _sharers(engine, req):
+    return engine._read().sharers
+
+
+def _reqsize(engine, req):
+    return req.size
+
+
+# Special name -> its reader.
 _SPECIAL_READERS = {
-    "reqaddr": lambda engine, req: req.addr,
-    "reqlce": lambda engine, req: req.lce,
-    "reqstate": lambda engine, req: _STATE_CODE[engine._read().req_state],
-    "ownerlce": lambda engine, req: (engine._read().owner or NO_OWNER)[0],
-    "ownerstate": lambda engine, req: _STATE_CODE[
-        (engine._read().owner or NO_OWNER)[2]],
-    "reqway": lambda engine, req: engine._read().req_way,
-    "lruway": lambda engine, req: req.lru_way,
-    "lrutag": lambda engine, req: engine._read().lru_tag,
-    "setindex": lambda engine, req: engine.cfg.set_index(req.addr),
-    "sharers": lambda engine, req: engine._read().sharers,
-    "reqsize": lambda engine, req: req.size,
+    "reqaddr": _reqaddr, "reqlce": _reqlce, "reqstate": _reqstate,
+    "ownerlce": _ownerlce, "ownerstate": _ownerstate, "reqway": _reqway,
+    "lruway": _lruway, "lrutag": _lrutag, "setindex": _setindex,
+    "sharers": _sharers, "reqsize": _reqsize,
 }
+
+
+def _sll(a, b):
+    return a << (b & 63)
+
+
+def _srl(a, b):
+    return a >> (b & 63)
+
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
 # register branches to their two operands, flag ops and flag branches to
@@ -485,7 +534,7 @@ _SPECIAL_READERS = {
 _FNS = {
     Op.ADD: operator.add, Op.SUB: operator.sub, Op.AND: operator.and_,
     Op.OR: operator.or_, Op.XOR: operator.xor,
-    Op.SLL: lambda a, b: a << (b & 63), Op.SRL: lambda a, b: a >> (b & 63),
+    Op.SLL: _sll, Op.SRL: _srl,
     Op.BEQ: operator.eq, Op.BNE: operator.ne,
     Op.BEQI: operator.eq, Op.BNEI: operator.ne,
     Op.ANDF: _flags_all, Op.BF: _flags_all,

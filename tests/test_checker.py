@@ -8,12 +8,15 @@ import sys
 
 import pytest
 
-from cohsim import checker
+from cohsim import checker, protocol
 from cohsim.checker import (CheckConfig, CheckResult, MUTATIONS, Model,
                             ModelError, check, check_invariants,
-                            initial_state)
-from cohsim.harness import TraceError, parse_trace, run_trace
-from cohsim.protocol import MESI, MOESIF, CoherenceState, Emission
+                            initial_state, mutated)
+from cohsim.directory import MultipleOwners
+from cohsim.harness import (CoherenceMonitor, TraceError, default_monitors,
+                            parse_trace, random_workload, run_trace)
+from cohsim.protocol import (MESI, MOESIF, CoherenceState, DirRequestKind,
+                             Emission, ImpossibleTransition, InvalidateSet)
 from cohsim.system import System, SystemConfig
 
 # (states, depth) of exhaustive searches, and the depth at which each
@@ -123,10 +126,10 @@ class TestMutations:
                                   mutation=mutation))
         state = initial_state(3)
         for label in result.trace:
-            assert check_invariants(state) is None
+            assert check_invariants(state, model.writable) is None
             state = next(nxt for lab, nxt in model.labelled_successors(state)
                          if lab == label)
-        assert check_invariants(state) == result.violation
+        assert check_invariants(state, model.writable) == result.violation
 
     def test_labels_match_successors(self):
         model = Model(CheckConfig(protocol="moesif", caches=3))
@@ -146,7 +149,8 @@ class TestMutations:
         assert a.trace == b.trace
 
     def test_unknown_mutation_rejected(self):
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError, match="mutation must be one of "
+                           "drop-invalidations, .*, got 'nonsense'"):
             check(CheckConfig(protocol="mesi", caches=2, mutation="nonsense"))
 
     def test_unknown_protocol_rejected(self):
@@ -327,7 +331,7 @@ class TestCellMutants:
         assert result.depth == len(result.trace) == depth
         state = initial_state(3)
         for label in result.trace:
-            assert check_invariants(state) is None
+            assert check_invariants(state, model.writable) is None
             state = next(nxt for lab, nxt in model.labelled_successors(state)
                          if lab == label)
         if verdict.startswith("deadlock"):
@@ -349,6 +353,117 @@ class TestCellMutants:
         ops = parse_trace("0 LD 0x80000000\n1 LD 0x80000000\n")
         with pytest.raises(TraceError, match="within 5000 cycles"):
             run_trace(system, ops, limit=5_000)
+
+
+class TestMutatedTables:
+    """A seeded mutation is a copy of the tables with its cells edited;
+    the shipped tables are left as they are."""
+
+    def test_each_edit(self):
+        drop = mutated(MOESIF, "drop-invalidations")
+        assert {plan.invalidate_set for plan in drop.directory.values()
+                if plan} == {InvalidateSet.Nothing}
+        grant = mutated(MESI, "grant-e-with-sharers")
+        changed = [key for key, plan in MESI.directory.items()
+                   if grant.directory[key] is not plan]
+        assert changed == [("S", "ReqRd")]
+        assert grant.dir_request_plan(S, DirRequestKind.ReqRd).grant_state \
+            is E
+        skip = mutated(MOESIF, "skip-writeback")
+        assert skip.lce["M", "WB"] == ((Emission.NullWB,), M)
+        assert not any(Emission.DirtyWB in cell[0]
+                       for cell in skip.lce.values() if cell)
+        wrong = mutated(MOESIF, "wrong-transfer-state")
+        for state in (O, F):
+            plan = wrong.dir_request_plan(state, DirRequestKind.ReqRd)
+            assert plan.owner_command.transfer_state is M
+            assert plan.grant_state is S
+        assert MOESIF.dir_request_plan(
+            O, DirRequestKind.ReqRd).owner_command.transfer_state is S
+
+    def test_built_once_per_pair(self):
+        skip = mutated(MESI, "skip-writeback")
+        assert mutated(MESI, "skip-writeback") is skip
+        assert mutated(MOESIF, "skip-writeback") is not skip
+        assert Model(CheckConfig(mutation="skip-writeback")).tables is skip
+        assert Model(CheckConfig()).tables is MESI
+
+    def test_unknown_mutation_rejected(self):
+        with pytest.raises(ValueError, match="unknown mutation 'nonsense'"):
+            mutated(MESI, "nonsense")
+
+
+class TestTablesDecideWritability:
+    """A copy is writable in the states whose Store cell is a hit, in the
+    checker and in the `fsm` engine alike: a MESI table whose (S, Store)
+    cell is a hit is an SWMR violation in both."""
+
+    TABLES = dataclasses.replace(MESI, lce={**MESI.lce,
+                                            ("S", "Store"): ((), S)})
+
+    def test_checker_reports_swmr(self):
+        cfg = CheckConfig(protocol="mesi", caches=2)
+        model = Model(cfg)
+        model.tables = self.TABLES
+        result = checker._search(model, cfg)
+        assert result.violation == ("SWMR: cache 0 writable (S) while "
+                                    "[(0, 'S'), (1, 'S')] also valid")
+        assert result.depth == 7
+
+    def test_engine_monitor_flags_swmr(self, monkeypatch):
+        monkeypatch.setitem(protocol.PROTOCOLS, "mesi", self.TABLES)
+        system = System(SystemConfig(cores=2, sets=8, protocol="mesi"))
+        ops = parse_trace("0 LD 0x80000000\n1 LD 0x80000000\n"
+                          "0 ST 0x80000000 0x5\n")
+        report = run_trace(system, ops, monitors=[CoherenceMonitor()])
+        assert [v.monitor for v in report.violations] == ["swmr", "swmr"]
+        assert "held as [(0, S), (1, S)]" in report.violations[0].detail
+
+
+# The checker's seeded bugs on the `fsm` engine: a 600-op trace per shape
+# and seed (1, then 2), run under the default monitors.  Each outcome is
+# the monitors that flag the run ("clean" for none) or the error the
+# engine raises; every mutant is caught in at least one run per protocol.
+ENGINE_SHAPES = {
+    "criterion-5": (SystemConfig(cores=4, sets=16),
+                    dict(lces=4, footprint_blocks=64)),
+    "evict-2c": (SystemConfig(cores=2, sets=16, assoc=2),
+                 dict(lces=2, footprint_blocks=256, write_ratio=0.5)),
+}
+_IT, _MO = ImpossibleTransition.__name__, MultipleOwners.__name__
+ENGINE_OUTCOMES = {   # criterion-5 seeds 1, 2; evict-2c seeds 1, 2
+    ("mesi", "drop-invalidations"): (_IT, _IT, "clean", _IT),
+    ("mesi", "grant-e-with-sharers"): (_IT, _IT, "swmr", "clean"),
+    ("mesi", "skip-writeback"): ("data-value",) * 4,
+    ("mesi", "wrong-transfer-state"): (_IT, _IT, "swmr", _IT),
+    ("moesif", "drop-invalidations"): (_MO, _MO, "clean", _MO),
+    ("moesif", "grant-e-with-sharers"): ("clean", "clean", "swmr", "clean"),
+    ("moesif", "skip-writeback"): ("clean", "clean", "data-value",
+                                   "data-value"),
+    ("moesif", "wrong-transfer-state"): (_IT, _IT, "single-owner+swmr",
+                                         _IT),
+}
+
+
+@pytest.mark.parametrize("protocol_name, mutation", list(ENGINE_OUTCOMES))
+def test_seeded_bug_on_the_fsm_engine(monkeypatch, protocol_name, mutation):
+    monkeypatch.setitem(protocol.PROTOCOLS, protocol_name, mutated(
+        protocol.PROTOCOLS[protocol_name], mutation))
+    outcomes = []
+    for cfg, workload in ENGINE_SHAPES.values():
+        for seed in (1, 2):
+            system = System(dataclasses.replace(cfg, protocol=protocol_name))
+            ops = random_workload(seed, ops=600, **workload)
+            try:
+                report = run_trace(system, ops, monitors=default_monitors())
+            except (ImpossibleTransition, MultipleOwners) as exc:
+                outcomes.append(type(exc).__name__)
+                continue
+            outcomes.append("+".join(sorted({v.monitor for v in
+                                             report.violations}))
+                            or "clean")
+    assert tuple(outcomes) == ENGINE_OUTCOMES[protocol_name, mutation]
+    assert set(outcomes) != {"clean"}
 
 
 _RESULTS_SCRIPT = """

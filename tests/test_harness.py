@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import weakref
 
@@ -507,15 +508,17 @@ class TestTagIndex:
 class TestDeepCopy:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_copy_of_an_idle_system_finishes_the_trace(self, engine):
-        """A deep copy of an idle System, taken between two parts of a
-        trace, finishes the trace with the original's cycles, CCE
-        accounting and final images: its parked sequencers stay parked."""
+        """A copy of an idle System, deep or by a pickle round trip, taken
+        between two parts of a trace, finishes the trace with the
+        original's cycles, CCE accounting and final images: its parked
+        sequencers stay parked."""
         cfg = SystemConfig(cores=4, sets=16, num_cces=2, engine=engine)
         ops = random_workload(3, lces=4, ops=600)
         system = System(cfg)
         report = run_trace(system, ops[:100], monitors=default_monitors())
         assert not report.violations
-        copied = copy.deepcopy(system)
+        copies = [copy.deepcopy(system),
+                  pickle.loads(pickle.dumps(system))]
 
         def finish(system):
             report = run_trace(system, ops[100:],
@@ -528,7 +531,8 @@ class TestDeepCopy:
                     harness._memory_image(system), harness._dir_image(system),
                     [lce.snapshot() for lce in system.lces])
 
-        assert finish(copied) == finish(system)
+        expected = finish(system)
+        assert [finish(copied) for copied in copies] == [expected] * 2
 
 
 class TestFreed:

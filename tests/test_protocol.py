@@ -264,6 +264,41 @@ class TestPermissionsAndRegions:
         with pytest.raises(ValueError, match="store hits"):
             protocol._validate_tables(self._with_lce_cells(cells))
 
+    def test_store_hits_in_s_are_not_served_by_a_write_column(self):
+        tables = self._with_lce_cells({("S", "Store"): ((), S)})
+        with pytest.raises(ValueError, match=r"store hits in \['E', 'M', "
+                           r"'S'\], not in the states no write column "
+                           r"serves \['E', 'M'\]"):
+            protocol._validate_tables(tables)
+
+    def test_writable_and_replacement_states_come_from_the_cells(self):
+        """Both are derived from a table's cells, and a copy made by
+        `dataclasses.replace` derives them from its own."""
+        assert (MOESIF.writable_states, MOESIF.replacement_states) == (
+            (E, M), (E, M, O))
+        assert (MESI.writable_states, MESI.replacement_states) == (
+            (E, M), (E, M))
+        tables = dataclasses.replace(
+            self._with_lce_cells({("S", "Store"): ((), S)}),
+            directory={**MOESIF.directory, ("O", "Replacement"): None})
+        assert tables.writable_states == (S, E, M)
+        assert tables.replacement_states == (E, M)
+
+    @pytest.mark.parametrize("state, cell, what", [
+        ("O", "DATA to Req/O", "does not command"),
+        ("S", "TR^S to Owner/S", "commands"),
+    ])
+    def test_rejects_a_read_cell_against_the_owner_rule(self, state, cell,
+                                                        what):
+        """An owner is a valid copy that is not in S: the ReqRd cell of
+        every other valid row commands it, and the I and S rows' do not."""
+        tables = dataclasses.replace(MOESIF, directory={
+            **MOESIF.directory,
+            (state, "ReqRd"): protocol._parse_dir_cell(cell)})
+        with pytest.raises(ValueError,
+                           match=rf"\({state}, ReqRd\) {what} an owner"):
+            protocol._validate_tables(tables)
+
     def test_rejects_a_writable_state_with_a_blank_replacement_cell(self):
         """A reservation lives only on a writable line, and evicting one
         must take the Replacement flow, which clears it before the fill

@@ -372,6 +372,39 @@ def test_engine_core_uses_are_found():
         (1, "<module>"), (4, "A.f"), (5, "A.f"), (6, "A.g")]
 
 
+def _mutation_reads(tree):
+    """Each read of a `mutation` attribute (see `_scoped`)."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "mutation"
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_a_seeded_mutation_is_a_table():
+    """A seeded mutation is a mutated copy of the tables, so no rule of
+    the checker forks on one: only `CheckConfig`, which checks the name,
+    and `Model.tables`, which picks the tables, read a `mutation`
+    attribute."""
+    tree = ast.parse((SRC / "checker.py").read_text(), filename="checker.py")
+    found = [f"checker.py:{line}: {scope}"
+             for line, scope in _mutation_reads(tree)
+             if scope.split(".")[0] != "CheckConfig"
+             and scope != "Model.tables"]
+    assert not found, found
+
+
+def test_mutation_reads_are_found():
+    source = ("m = cfg.mutation\n"
+              "class Model:\n"
+              "    def _dir_rule(self, msg):\n"
+              "        if self.cfg.mutation == 'drop-invalidations':\n"
+              "            return []\n"
+              "    def f(self, mutation):\n"
+              "        self.mutation = mutation\n"
+              "        return [c.mutation for c in self.configs]\n")
+    assert _mutation_reads(ast.parse(source)) == [
+        (1, "<module>"), (4, "Model._dir_rule"), (8, "Model.f")]
+
+
 def test_only_the_protocol_picks_a_write_column():
     """No module but `protocol` reads a write column of `DirRequestKind`:
     everything else takes a request's column from `request_kind`."""
