@@ -13,11 +13,11 @@ AMOSWAP and SC carry a data word of at most 64 bits in hex, and no other
 op takes one.  `parse_trace` rejects a line that breaks any of these rules,
 or has more than 4 fields, with a `TraceError`.
 
-Equivalence caveat: the trace driver serializes operations that touch the
-same block in trace order, so any trace it accepts yields the same final
-state regardless of engine timing.  Posted uncached stores are the one
-exception — traces should not race uncached stores against another cache's
-accesses to the same block.
+Equivalence: the trace driver serializes, in trace order, operations of
+different caches that touch the same cache set (or, outside the cacheable
+region, the same block), and holds another cache's operation behind a
+posted uncached store until memory has performed it, so any trace it
+accepts yields the same final state regardless of engine timing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from .lce import Hit
@@ -126,8 +126,9 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
     `sharing_degree` is the probability an access targets the pool of
     blocks shared by every cache (the rest go to a per-cache private
     pool); raising it raises cross-cache conflict and invalidation rates.
-    Uncached accesses go to a per-cache slice of the uncacheable region so
-    posted uncached stores never race across caches.
+    Uncached accesses go to a per-cache slice of the uncacheable region,
+    and uncached stores only there, so no op of one cache waits behind
+    another cache's posted store (see `run_trace`).
 
     The trace depends only on the seeded generator's `getrandbits` and
     `random` draws.  Each index below `n` is drawn as `Random.randrange(n)`
@@ -282,9 +283,7 @@ class DataValueMonitor(Monitor):
     and updated from each cache's store-commit hook, and from memory's for
     an uncached store; the protocol serializes conflicting accesses, so at
     each load hook the shadow holds the latest value.  Accesses are
-    aligned, so none crosses a block.  Only loads from the
-    cacheable-coherent region are checked (posted uncached stores commit
-    asynchronously)."""
+    aligned, so none crosses a block."""
 
     def __init__(self):
         super().__init__()
@@ -316,8 +315,6 @@ class DataValueMonitor(Monitor):
         block[off:off + size] = data[:size]
 
     def _on_load(self, lce_id, addr, size, value):
-        if not DEFAULT_REGION_MAP.is_cacheable(addr):
-            return
         off = addr % self._block_bytes
         block = self.shadow.get(addr - off)
         expect = (bytes(size) if block is None
@@ -355,6 +352,12 @@ def run_trace(system: System, ops, monitors=(),
     the unit of interference — invalidations, LRU updates, and evictions
     never cross sets — so the final architectural state is independent of
     engine timing, while operations on different sets still overlap.
+    Outside the cacheable region the unit is the block.
+
+    A posted `STU` completes at issue, but memory performs it later.  So
+    once a cache posts one, the next op of any other cache on its set or
+    block waits until the system is idle; the posting cache's own later
+    ops need no wait, as its requests reach the directory in order.
     The monitors are attached for the run and detached when it ends."""
     block = system.cfg.block_bytes
 
@@ -380,6 +383,8 @@ def run_trace(system: System, ops, monitors=(),
     heads = {d: 0 for d in domain_order}   # index into each order list
     outstanding = {}   # cache -> domain of its outstanding op, or "fence"
     fenced = []        # caches whose outstanding op is a fence
+    posted = {}        # domain -> cache with a posted store to it in flight
+    held = False       # a posted store held an op: retry when idle
     report = RunReport()
     start = system.now
     deadline = start + limit
@@ -407,6 +412,9 @@ def run_trace(system: System, ops, monitors=(),
                 report.completed += len(fenced)
                 fenced.clear()
                 changed = True
+            if held and system.idle():
+                held = False
+                changed = True
             # Issue new ones.
             if changed:
                 changed = False
@@ -425,6 +433,13 @@ def run_trace(system: System, ops, monitors=(),
                     if domain_order[d][heads[d]] != idx:
                         # An earlier trace op on this set must finish.
                         continue
+                    if posted.get(d, i) != i:
+                        # Another cache's posted store may still be in
+                        # flight: it must be performed first.
+                        if not system.idle():
+                            held = True
+                            continue
+                        posted.clear()
                     q.pop()
                     if data is not None:
                         data = data.to_bytes(8, "little")
@@ -436,6 +451,8 @@ def run_trace(system: System, ops, monitors=(),
                     report.loads += kind in ("LD", "LDU", "LR")
                     if isinstance(result, Hit) or system.lces[i].miss is None:
                         finish(d)   # hit, SC, or posted uncached store
+                        if kind == "STU":
+                            posted[d] = i
                     else:
                         outstanding[i] = d
             if report.completed == len(ops) and system.idle():
@@ -518,7 +535,7 @@ def compare_engines(ops, cfg: SystemConfig = SystemConfig()
     compare final architectural state.  Both systems are built before
     either runs, so firmware that cannot be read or assembled fails at
     once."""
-    sys_f, sys_u = (System(SystemConfig(**{**cfg.__dict__, "engine": engine}))
+    sys_f, sys_u = (System(replace(cfg, engine=engine))
                     for engine in ("fsm", "ucode"))
     rep_f, rep_u = (run_trace(system, ops, monitors=default_monitors())
                     for system in (sys_f, sys_u))

@@ -67,9 +67,7 @@ class SystemConfig:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}"
                                  f", got {getattr(self, name)!r}")
 
-    # Geometry.  Plain methods and properties, not cached ones: a cached
-    # value would land in `__dict__`, which `compare_engines` copies into
-    # a new config.
+    # Geometry.
 
     def set_index(self, addr: int) -> int:
         return (addr // self.block_bytes) % self.sets

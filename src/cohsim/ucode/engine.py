@@ -4,7 +4,8 @@ A two-stage (fetch, execute) pipeline over a 256-entry instruction memory,
 running on the shared engine core (`cce.CceCore`).  Each instruction
 word is decoded once, when the first engine with that program is built,
 into a `Uop` that carries its handler, so executing an instruction is one
-call; engines built from the same words share the decoded program.
+call.  The decoded program is read-only and shared: engines built from
+the same words, and their copies and pickles, hold the one `Program`.
 Branches are statically predicted not-taken unless annotated `[pt]`;
 unconditional jumps redirect at predecode.  A mispredicted branch costs
 one bubble cycle.
@@ -47,7 +48,7 @@ a `MicrocodeFault` that names the way group and the message.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -84,7 +85,9 @@ class MicrocodeFault(Exception):
     """The program asked for something its engine cannot do."""
 
 
+@cache
 def default_program(protocol_name: str) -> str:
+    """The source text of the protocol's shipped firmware, read once."""
     ref = resources.files(__package__).joinpath(
         f"programs/{protocol_name.lower()}.ucs")
     return ref.read_text()
@@ -99,11 +102,9 @@ class Uop:
     `isa`'s tables, except that a state field holds its `CoherenceState`
     (None for no state) and a `pushq lcecmd` kind its `CommandKind`; a
     `wfq` queue mask holds its bits as `waits_req` and `waits_resp`.  So
-    executing an instruction decodes nothing.  The decoded `instr` is kept
-    for fault messages."""
+    executing an instruction decodes nothing."""
 
     def __init__(self, instr: Instr):
-        self.instr = instr
         dest = instr.get("dest")
         for field, code in instr.fields:
             if field in ("state", "tr_state"):
@@ -193,8 +194,7 @@ class UcodeCce(CceCore):
         one."""
         if pc is None:
             pc = self.pc
-        text = asm.disassemble([isa.encode(self.imem[pc].instr)],
-                               labels=False)
+        text = asm.disassemble([self.imem.words[pc]], labels=False)
         return MicrocodeFault(f"pc {pc} ({text.strip()}) {why}")
 
     def _request(self) -> CohRequest:
@@ -437,96 +437,43 @@ class UcodeCce(CceCore):
         return self._invalidate(self._inv_targets())
 
 
+class Program(tuple):
+    """An instruction memory: the decoded `Uop` of each of its `words`.
+    It is read-only, so copies and pickles of an engine share it: it
+    copies and pickles as its words, and comes back as the one program
+    `_decoded` holds for them."""
+
+    def __reduce__(self):
+        return _decoded, (self.words,)
+
+
 @lru_cache(maxsize=16)
-def _decoded(words: tuple) -> tuple:
+def _decoded(words: tuple) -> Program:
     """The instruction memory for `words`, shared by every engine built
     from them: nothing writes to a `Uop` once it is built."""
-    return tuple(Uop(isa.decode(w)) for w in words)
-
-
-def _flags_all(hit, mask):
-    return hit == mask
-
-
-def _flags_not_all(hit, mask):
-    return hit != mask
-
-
-def _flags_any(hit, mask):
-    return hit != 0
-
-
-def _flags_none(hit, mask):
-    return hit == 0
+    program = Program(Uop(isa.decode(w)) for w in words)
+    program.words = words
+    return program
 
 
 _STATE_CODE = {CoherenceState(name): code
                for code, name in enumerate(isa.STATES)}
 
-# The special-register readers, each called as reader(engine, request).
-# Module-level functions rather than lambdas, so that an engine's decoded
-# program pickles.
-
-def _reqaddr(engine, req):
-    return req.addr
-
-
-def _reqlce(engine, req):
-    return req.lce
-
-
-def _reqstate(engine, req):
-    return _STATE_CODE[engine._read().req_state]
-
-
-def _ownerlce(engine, req):
-    return (engine._read().owner or NO_OWNER)[0]
-
-
-def _ownerstate(engine, req):
-    return _STATE_CODE[(engine._read().owner or NO_OWNER)[2]]
-
-
-def _reqway(engine, req):
-    return engine._read().req_way
-
-
-def _lruway(engine, req):
-    return req.lru_way
-
-
-def _lrutag(engine, req):
-    return engine._read().lru_tag
-
-
-def _setindex(engine, req):
-    return engine.cfg.set_index(req.addr)
-
-
-def _sharers(engine, req):
-    return engine._read().sharers
-
-
-def _reqsize(engine, req):
-    return req.size
-
-
-# Special name -> its reader.
+# Special name -> its reader, called as reader(engine, request).
 _SPECIAL_READERS = {
-    "reqaddr": _reqaddr, "reqlce": _reqlce, "reqstate": _reqstate,
-    "ownerlce": _ownerlce, "ownerstate": _ownerstate, "reqway": _reqway,
-    "lruway": _lruway, "lrutag": _lrutag, "setindex": _setindex,
-    "sharers": _sharers, "reqsize": _reqsize,
+    "reqaddr": lambda engine, req: req.addr,
+    "reqlce": lambda engine, req: req.lce,
+    "reqstate": lambda engine, req: _STATE_CODE[engine._read().req_state],
+    "ownerlce": lambda engine, req: (engine._read().owner or NO_OWNER)[0],
+    "ownerstate": lambda engine, req: _STATE_CODE[
+        (engine._read().owner or NO_OWNER)[2]],
+    "reqway": lambda engine, req: engine._read().req_way,
+    "lruway": lambda engine, req: req.lru_way,
+    "lrutag": lambda engine, req: engine._read().lru_tag,
+    "setindex": lambda engine, req: engine.cfg.set_index(req.addr),
+    "sharers": lambda engine, req: engine._read().sharers,
+    "reqsize": lambda engine, req: req.size,
 }
-
-
-def _sll(a, b):
-    return a << (b & 63)
-
-
-def _srl(a, b):
-    return a >> (b & 63)
-
 
 # Opcode -> the function its handler applies: ALU ops to (rs1, rs2),
 # register branches to their two operands, flag ops and flag branches to
@@ -534,13 +481,13 @@ def _srl(a, b):
 _FNS = {
     Op.ADD: operator.add, Op.SUB: operator.sub, Op.AND: operator.and_,
     Op.OR: operator.or_, Op.XOR: operator.xor,
-    Op.SLL: _sll, Op.SRL: _srl,
+    Op.SLL: lambda a, b: a << (b & 63), Op.SRL: lambda a, b: a >> (b & 63),
     Op.BEQ: operator.eq, Op.BNE: operator.ne,
     Op.BEQI: operator.eq, Op.BNEI: operator.ne,
-    Op.ANDF: _flags_all, Op.BF: _flags_all,
-    Op.NANDF: _flags_not_all, Op.BFNOT: _flags_not_all,
-    Op.ORF: _flags_any, Op.BFNZ: _flags_any,
-    Op.NOTF: _flags_none, Op.BFZ: _flags_none,
+    **dict.fromkeys((Op.ANDF, Op.BF), operator.eq),
+    **dict.fromkeys((Op.NANDF, Op.BFNOT), operator.ne),
+    **dict.fromkeys((Op.ORF, Op.BFNZ), lambda hit, mask: hit != 0),
+    **dict.fromkeys((Op.NOTF, Op.BFZ), lambda hit, mask: hit == 0),
 }
 
 # Opcode -> handler, called as handler(engine, uop).

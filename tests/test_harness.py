@@ -25,6 +25,7 @@ from cohsim.ucode.engine import default_program
 
 I, S, E, M, O, F = CoherenceState
 BASE = 0x8000_0000
+UNCACHEABLE = 0x1000
 
 
 class TestTraceFormat:
@@ -261,6 +262,28 @@ class TestMonitors:
         assert not report.violations
         report = run_trace(system, ops[100:], monitors=default_monitors())
         assert report.loads and not report.violations, report.violations[:3]
+
+    @pytest.mark.parametrize("engine", ["fsm", "ucode"])
+    def test_data_value_monitor_checks_uncached_loads(self, engine):
+        """A load from the uncacheable region is checked like any other:
+        one that does not see the last uncached store to its bytes is
+        flagged."""
+        system = System(SystemConfig(cores=2, sets=8, engine=engine))
+        mon = DataValueMonitor()
+        mon.attach(system)
+        system.submit(0, UNCACHEABLE, write=True, data=b"\x11" * 8,
+                      uncached=True)
+        system.run()
+        system.submit(1, UNCACHEABLE, write=False, uncached=True)
+        system.run()
+        assert not mon.violations
+        # Change memory behind the monitor's back, then load again.
+        system.store.write(UNCACHEABLE, b"\x22" * 8)
+        system.submit(1, UNCACHEABLE, write=False, uncached=True)
+        system.run()
+        assert [v.monitor for v in mon.violations] == ["data-value"]
+        assert "saw 2222222222222222 want 1111111111111111" in str(
+            mon.violations[0])
 
     def test_data_value_shadow_takes_the_owners_copy(self):
         """The shadow of a block takes a valid cached copy's bytes, the
@@ -738,6 +761,58 @@ class TestCompareEngines:
             compare_engines(ops, SystemConfig(
                 cores=2, sets=8, ucode_program=str(tmp_path / firmware)))
         assert runs == []
+
+
+def short_traces():
+    """Every trace of 1 or 2 ops by 2 caches over two cacheable blocks of
+    one set, with LD, ST, LDU and STU, and an uncacheable block, with LDU
+    and STU.  Each store writes a value of its own."""
+    blocks = ((BASE, ("LD", "ST", "LDU", "STU")),
+              (BASE + 64, ("LD", "ST", "LDU", "STU")),
+              (UNCACHEABLE, ("LDU", "STU")))
+    alphabet = [(lce, kind, addr) for lce in (0, 1)
+                for addr, kinds in blocks for kind in kinds]
+    for n in (1, 2):
+        for ops in itertools.product(alphabet, repeat=n):
+            yield [TraceOp(lce, kind, addr,
+                           0x1111 * (pos + 1) if kind in ("ST", "STU")
+                           else None)
+                   for pos, (lce, kind, addr) in enumerate(ops)]
+
+
+class TestPostedStores:
+    """A posted `STU` completes at issue, but memory performs it later:
+    `run_trace` holds another cache's next op on its set or block until
+    the system is idle, so the engines cannot serve the two in different
+    orders."""
+
+    @pytest.mark.parametrize("protocol", ["mesi", "moesif"])
+    def test_every_short_trace_is_equivalent(self, protocol):
+        """Without the hold, 7 of these traces per protocol end in
+        different images on the two engines, such as `1 STU A; 0 LD A`
+        and two caches' `STU`s to one uncacheable block."""
+        cfg = SystemConfig(cores=2, sets=1, assoc=1, protocol=protocol)
+        traces = list(short_traces())
+        assert len(traces) == 420
+        failed = [format_trace(ops) for ops in traces
+                  for report in [compare_engines(ops, cfg)]
+                  if not report.equivalent or report.violations]
+        assert failed == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_only_other_caches_wait(self, engine):
+        """The posting cache's own next op on the block is not held (its
+        requests reach the directory in order); another cache's waits for
+        the store to be performed, and loads its value."""
+        def run(loader):
+            ops = [TraceOp(0, "STU", UNCACHEABLE, 0x5),
+                   TraceOp(loader, "LDU", UNCACHEABLE)]
+            system = System(SystemConfig(cores=2, sets=8, engine=engine))
+            report = run_trace(system, ops, monitors=default_monitors())
+            assert not report.violations
+            return report.cycles
+
+        assert run(0) < run(1)
 
 
 class TestOverhead:

@@ -1,5 +1,8 @@
 """Microcoded engine pipeline: branch cost, multi-cycle units, ALU model."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -493,3 +496,55 @@ class TestProgramCache:
         for _ in range(2):
             with pytest.raises(asm.AsmError, match="bogus"):
                 System(SystemConfig(engine="ucode", ucode_program=str(path)))
+
+
+class TestSharedProgram:
+    """The decoded program is read-only, so a copy or a pickle of a
+    `ucode` system shares it: the program copies and pickles as its
+    words, and comes back as the one `Program` decoded from them."""
+
+    COPIES = {"deepcopy": copy.deepcopy, "copy": copy.copy,
+              "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+    OPS = [harness.TraceOp(0, "ST", BASE, 0x11),
+           harness.TraceOp(1, "LD", BASE),
+           harness.TraceOp(1, "ST", BASE + 64, 0x22),
+           harness.TraceOp(0, "LD", BASE + 64)]
+
+    @staticmethod
+    def finish(system, ops):
+        report = harness.run_trace(system, ops,
+                                   monitors=harness.default_monitors())
+        assert not report.violations
+        return (report.cycles, harness._memory_image(system),
+                harness._dir_image(system),
+                [lce.snapshot() for lce in system.lces])
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_a_copy_shares_the_program(self, how):
+        system = System(SystemConfig(cores=2, sets=1, assoc=1,
+                                     engine="ucode"))
+        self.finish(system, self.OPS[:2])
+        imem = system.cces[0].imem
+        assert self.COPIES[how](system).cces[0].imem is imem
+        assert self.COPIES[how](imem) is imem
+
+    def test_a_pickle_holds_no_uop(self):
+        system = System(SystemConfig(cores=2, sets=1, assoc=1,
+                                     engine="ucode"))
+        assert b"Uop" not in pickle.dumps(system)
+
+    def test_copies_need_no_firmware_file(self, tmp_path):
+        """A system built from a `ucode_program` file copies, and the
+        copies finish the trace as the original does after the file is
+        gone: they keep the program, not its path."""
+        path = tmp_path / "prog.ucs"
+        path.write_text(ucode_engine.default_program("moesif"))
+        system = System(SystemConfig(cores=2, sets=1, assoc=1,
+                                     engine="ucode",
+                                     ucode_program=str(path)))
+        self.finish(system, self.OPS[:2])
+        copies = [copy.deepcopy(system), pickle.loads(pickle.dumps(system))]
+        path.unlink()
+        expected = self.finish(system, self.OPS[2:])
+        assert [self.finish(c, self.OPS[2:]) for c in copies] == [
+            expected] * 2
