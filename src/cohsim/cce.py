@@ -52,7 +52,7 @@ from .messages import (COMMAND, MEM_CMD, MEM_RESP, REQUEST, RESPONSE,
                        CceCommand, CohRequest, Emission, MemCmd, NetKind,
                        NetMessage)
 from .network import Network
-from .protocol import (AddressClass, CoherenceState, CommandKind,
+from .protocol import (CACHEABLE, AddressClass, CoherenceState, CommandKind,
                        DirRequestKind, I, S, E, classify_request,
                        request_kind)
 
@@ -376,8 +376,7 @@ class CceCore:
             if not q:
                 continue
             head = q[0]
-            if ((not head.uncached
-                 or protocol.DEFAULT_REGION_MAP.is_cacheable(head.addr))
+            if (head.addr in CACHEABLE
                     and pending.read(self.local_wg(head.addr))):
                 stalled = True
                 continue

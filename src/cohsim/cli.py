@@ -18,7 +18,8 @@ import sys
 from . import harness
 from .checker import MUTATIONS, CheckConfig, check
 from .occupancy import check_cores
-from .system import System, SystemConfig
+from .protocol import PROTOCOLS
+from .system import ENGINES, System, SystemConfig
 from .ucode import asm
 from .ucode.engine import MicrocodeFault
 
@@ -95,13 +96,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_assemble(args) -> int:
     with open(args.source) as fh:
-        program = asm.assemble(fh.read())
-    words = [asm.isa.encode(i) for i in program]
+        words = asm.assemble_words(fh.read())
     if args.listing:
         print(asm.disassemble(words))
     with open(args.output, "wb") as fh:
         fh.write(asm.to_binary(words))
-    print(f"{len(program)} instructions -> {args.output}")
+    print(f"{len(words)} instructions -> {args.output}")
     return 0
 
 
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run a trace with monitors")
     s.add_argument("--config", help="key = value config file")
     s.add_argument("--trace", required=True)
-    s.add_argument("--engine", choices=("fsm", "ucode"))
+    s.add_argument("--engine", choices=sorted(ENGINES))
     s.add_argument("--ucode", help="microcode source path override")
     s.add_argument("--report", help="write a CSV stats report")
     s.set_defaults(fn=_cmd_simulate)
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_disasm)
 
     s = sub.add_parser("check", help="model-check the protocol")
-    s.add_argument("--protocol", choices=("mesi", "moesif"), default="mesi")
+    s.add_argument("--protocol", choices=sorted(PROTOCOLS), default="mesi")
     s.add_argument("--caches", type=int, default=2)
     s.add_argument("--mutation", choices=MUTATIONS,
                    help="seeded bug to inject")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_check)
 
     s = sub.add_parser("occupancy", help="measured-vs-model occupancy CSV")
-    s.add_argument("--engine", choices=("fsm", "ucode"), required=True)
+    s.add_argument("--engine", choices=sorted(ENGINES), required=True)
     s.add_argument("--cores", type=int, default=8)
     s.add_argument("--sweep", action="store_true",
                    help="sweep cores over 2,4,8,16")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .cce import BUSY, NULL_WB, WAIT, CceCore, EngineFault
 from .messages import CohRequest, Emission
-from .protocol import (AddressClass, CommandKind, DirRequestKind, E,
+from .protocol import (AddressClass, CommandKind, DirRequestKind,
                        InvalidateSet, RequesterGrant)
 
 # The enum members each transaction tests, as module constants (see the
@@ -96,10 +96,7 @@ class FsmCce(CceCore):
                 plan.invalidate_set is OTHERS_AND_OWNER))
 
         if plan.requester_grant is FROM_MEMORY:
-            if plan.grant_state is E:
-                self.spec.unset(wg)
-            else:
-                self.spec.fwd_mod(wg, plan.grant_state)
+            self.spec.fwd_mod(wg, plan.grant_state)
             yield BUSY                   # resolve speculation
         elif plan.requester_grant is UPGRADE_STW:
             self.spec.squash(wg)

@@ -28,9 +28,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
-from .lce import Hit
 from .messages import AtomicOp
-from .protocol import DEFAULT_REGION_MAP, STORE, I, S
+from .protocol import CACHEABLE, STORE, I, S
 from .system import System, SystemConfig
 
 OPS = ("LD", "ST", "LDU", "STU", "AMOADD", "AMOSWAP", "LR", "SC", "FENCE")
@@ -87,8 +86,7 @@ def parse_trace(text: str) -> list:
                 raise ValueError(f"address {addr:#x} is not a 64-bit address")
             if addr % 8:
                 raise ValueError(f"address {addr:#x} is not 8-byte aligned")
-            if (op not in ("LDU", "STU")
-                    and not DEFAULT_REGION_MAP.is_cacheable(addr)):
+            if op not in ("LDU", "STU") and addr not in CACHEABLE:
                 raise ValueError(f"{op} needs a cacheable address, "
                                  f"got {addr:#x}")
             if data is None and op in _DATA_OPS:
@@ -147,7 +145,7 @@ def random_workload(seed: int, lces: int = 2, ops: int = 1000,
             r = bits(k)
         return r
 
-    base = DEFAULT_REGION_MAP.cacheable[0][0]
+    base = CACHEABLE.start
     shared_n = max(1, footprint_blocks // 2)
     private_n = max(1, footprint_blocks - shared_n)
     shared = [base + i * block_bytes for i in range(shared_n)]
@@ -364,7 +362,7 @@ def run_trace(system: System, ops, monitors=(),
     def domain(addr):
         """Serialization domain: cache set for cacheable addresses, the
         block itself for the uncacheable region."""
-        if DEFAULT_REGION_MAP.is_cacheable(addr):
+        if addr in CACHEABLE:
             return (addr // block) % system.cfg.sets
         return ("u", addr - addr % block)
 
@@ -443,13 +441,12 @@ def run_trace(system: System, ops, monitors=(),
                     q.pop()
                     if data is not None:
                         data = data.to_bytes(8, "little")
-                    result = system.submit(
-                        i, addr, write=kind in ("ST", "STU"),
-                        data=data, atomic=_ATOMIC_BY_OP.get(kind),
-                        uncached=kind in ("LDU", "STU"))
+                    system.submit(i, addr, write=kind in ("ST", "STU"),
+                                  data=data, atomic=_ATOMIC_BY_OP.get(kind),
+                                  uncached=kind in ("LDU", "STU"))
                     report.stores += kind in _DATA_OPS
                     report.loads += kind in ("LD", "LDU", "LR")
-                    if isinstance(result, Hit) or system.lces[i].miss is None:
+                    if system.lces[i].miss is None:
                         finish(d)   # hit, SC, or posted uncached store
                         if kind == "STU":
                             posted[d] = i

@@ -1,9 +1,9 @@
 """Backing store and memory-side responder.
 
 Stands in for the L2/main-memory side of the system: services cached and
-uncached memory commands after a fixed latency and echoes the speculative
-bit into every response.  The real system's L2 is a memory-side buffer that
-does not participate in coherence, so no hit/miss behavior is modeled.
+uncached memory commands after a fixed latency, each answered with its own
+record.  The real system's L2 is a memory-side buffer that does not
+participate in coherence, so no hit/miss behavior is modeled.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class BackingStore:
 
 
 class MemoryModel:
-    """Consumes memory commands and answers each, in FIFO order, with a
-    `MemCmd` record on the MemResp network."""
+    """Consumes memory commands and answers each, in FIFO order, with the
+    command's own `MemCmd` record on the MemResp network."""
 
     endpoint = "mem"
 
@@ -64,20 +64,21 @@ class MemoryModel:
         self.on_store = None
 
     def handle_mem_cmd(self, cmd: MemCmd) -> MemCmd:
+        """Perform `cmd` and return it as its own response: a read gets
+        its data (a cached read the whole block) and a write drops it.
+        No sender reads a command again once it is sent."""
         if cmd.write:
             self.store.write(cmd.addr, cmd.data)
             if cmd.uncached and self.on_store:
                 self.on_store(cmd.lce, cmd.addr, cmd.size, cmd.data)
-            # Header-only acknowledgment.  Fields in order: addr, write,
-            # uncached, size, data, spec, wp, lce, way, state.
-            return MemCmd(cmd.addr, True, cmd.uncached, cmd.size, None,
-                          cmd.spec, cmd.wp, cmd.lce, cmd.way, cmd.state)
-        size = cmd.size if cmd.uncached else self.cfg.block_bytes
-        addr = cmd.addr if cmd.uncached else (
-            cmd.addr - cmd.addr % self.cfg.block_bytes)
-        return MemCmd(cmd.addr, False, cmd.uncached, size,
-                      self.store.read(addr, size), cmd.spec, cmd.wp,
-                      cmd.lce, cmd.way, cmd.state)
+            cmd.data = None   # header-only acknowledgment
+            return cmd
+        if cmd.uncached:
+            cmd.data = self.store.read(cmd.addr, cmd.size)
+        else:
+            cmd.size = block = self.cfg.block_bytes
+            cmd.data = self.store.read(cmd.addr - cmd.addr % block, block)
+        return cmd
 
     def tick(self, now: int, net: Network):
         if net.next_ready.get(self.endpoint, now + 1) <= now:

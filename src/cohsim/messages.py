@@ -85,7 +85,8 @@ class LceResponse:
 @dataclass(slots=True)
 class MemCmd:
     """Directory -> memory, on the MemCmd network.  Memory answers with
-    one on the MemResp network that echoes the command's fields."""
+    the same record on the MemResp network, its data filled in for a
+    read and dropped for a write."""
 
     addr: int
     write: bool
@@ -94,7 +95,7 @@ class MemCmd:
     data: Optional[bytes] = None
     spec: bool = False
     wp: bool = False  # response consumption decrements the pending counter
-    # Routing metadata echoed back in the response.
+    # Routing metadata, read back from the response.
     lce: Optional[int] = None
     way: int = 0
     state: Optional[CoherenceState] = None

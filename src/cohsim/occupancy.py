@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lce import LceKind
-from .protocol import CoherenceState, I, S, E, M, O, F
+from .protocol import CACHEABLE, CoherenceState, I, S, E, M, O, F
 from .system import System, SystemConfig
 
 
@@ -169,8 +169,7 @@ def check_cores(cores: int):
 
 def measure_occupancy(name: str, cores: int, sharers: int = 0,
                       beats: int = 1, engine: str = "fsm",
-                      victim: Optional[str] = None,
-                      ucode_program: str = None) -> int:
+                      victim: Optional[str] = None) -> int:
     """Run one scenario and return the engine's busy-cycle count for it."""
     check_cores(cores)
     sc = SCENARIOS[name]
@@ -178,9 +177,9 @@ def measure_occupancy(name: str, cores: int, sharers: int = 0,
     cfg = SystemConfig(cores=cores, sets=8,
                        assoc=(1 if victim is not None else 2),
                        block_bytes=block, beat_bytes=block // beats,
-                       engine=engine, ucode_program=ucode_program)
+                       engine=engine)
     system = System(cfg)
-    addr = 0x8000_0000
+    addr = CACHEABLE.start
 
     others = iter(range(1, cores))
     if sc.owner_state is not None:

@@ -195,17 +195,6 @@ M     | ST^S-TR^S-WB to Owner/S   | ST^S-TR^S-WB to Owner/S   | ST^I-TR^M to Own
 """
 
 
-_EMISSION_BY_TEXT = {
-    "ReqRd": Emission.ReqRd,
-    "ReqWr": Emission.ReqWr,
-    "InvAck": Emission.InvAck,
-    "CohAck": Emission.CohAck,
-    "NullWB": Emission.NullWB,
-    "DirtyWB": Emission.DirtyWB,
-    "DATA": Emission.DataToTarget,
-}
-
-_STATE_BY_LETTER = {s.value: s for s in CoherenceState}
 X_STATE = "X"  # placeholder resolved from the command's attached state
 
 
@@ -215,13 +204,13 @@ def _parse_lce_cell(text: str):
         return None
     if "/" in text:
         action, nxt = text.rsplit("/", 1)
-        next_state = X_STATE if nxt == "X" else _STATE_BY_LETTER[nxt]
+        next_state = X_STATE if nxt == "X" else CoherenceState(nxt)
     else:
         action, next_state = text, None
     if action == "Hit":
         sends = ()
     else:
-        sends = tuple(_EMISSION_BY_TEXT[a] for a in action.split(","))
+        sends = tuple(Emission(a) for a in action.split(","))
     return sends, next_state
 
 
@@ -230,7 +219,7 @@ def _parse_dir_cell(text: str):
     if text == ".":
         return None
     body, nxt = text.rsplit("/", 1)
-    next_dir_state = _STATE_BY_LETTER[nxt]
+    next_dir_state = CoherenceState(nxt)
     invalidate = InvalidateSet.Nothing
     owner_cmd = None
     grant = RequesterGrant.Nothing
@@ -252,7 +241,7 @@ def _parse_dir_cell(text: str):
         for piece in pieces:
             if "^" in piece:
                 name, sup = piece.split("^")
-                sup_state = _STATE_BY_LETTER[sup]
+                sup_state = CoherenceState(sup)
                 if name == "ST":
                     set_state = sup_state
                 elif name == "TR":
@@ -271,9 +260,6 @@ def _parse_dir_cell(text: str):
         if kind is CommandKind.StW:
             grant = RequesterGrant.UpgradeStW
             grant_state = set_state
-        elif kind is CommandKind.StWb:
-            # Replacement column: ST-WB addressed to the requester's block.
-            owner_cmd = OwnerDirective(kind, set_owner_state=set_state)
         else:
             owner_cmd = OwnerDirective(kind, set_owner_state=set_state,
                                        transfer_state=transfer_state)
@@ -290,7 +276,7 @@ def _parse_table(text: str, cell_parser):
     table = {}
     for line in lines[1:]:
         cells = [c.strip() for c in line.split("|")]
-        letter = _STATE_BY_LETTER[cells[0]]._value_
+        letter = CoherenceState(cells[0])._value_
         for col, cell in zip(columns, cells[1:]):
             table[(letter, col)] = cell_parser(cell)
     return table
@@ -406,24 +392,13 @@ class AddressClass(Enum):
     UncachedToUncacheable = "uncached-to-uncacheable"
 
 
-@dataclass(frozen=True)
-class RegionMap:
-    """Cacheable regions of the physical address space as (base, size) pairs."""
-
-    cacheable: tuple
-
-    def is_cacheable(self, addr: int) -> bool:
-        for base, size in self.cacheable:
-            if base <= addr < base + size:
-                return True
-        return False
-
-
-DEFAULT_REGION_MAP = RegionMap(cacheable=((0x8000_0000, 0x8000_0000),))
+# The one cacheable region of the physical address space; every other
+# address is uncacheable.
+CACHEABLE = range(0x8000_0000, 0x1_0000_0000)
 
 
 def classify_request(addr: int, uncached_flag: bool) -> AddressClass:
-    if DEFAULT_REGION_MAP.is_cacheable(addr):
+    if addr in CACHEABLE:
         if uncached_flag:
             return AddressClass.UncachedToCacheable
         return AddressClass.CacheableCoherent

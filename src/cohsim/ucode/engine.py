@@ -56,7 +56,7 @@ from ..cce import BUSY, WAIT, CceCore
 from ..directory import (ENTRY_READ_LATENCY, DoubleSpeculation, Overflow,
                          Underflow, WayGroupRead)
 from ..messages import CohRequest
-from ..protocol import DEFAULT_REGION_MAP, UPGRADE_STATES, CoherenceState, I
+from ..protocol import CACHEABLE, UPGRADE_STATES, CoherenceState, I
 from . import asm, isa
 from .isa import Instr, NO_STATE, Op, RESP_KIND_CODE
 
@@ -386,7 +386,7 @@ class UcodeCce(CceCore):
             self.flags = (req.write << WNR | req.uncached << UCF
                           | req.non_exclusive << NEX
                           | (req.atomic is not None) << AF
-                          | DEFAULT_REGION_MAP.is_cacheable(req.addr) << CAF)
+                          | (req.addr in CACHEABLE) << CAF)
             self.pc += 1
             return BUSY
         if not self.resp_q:

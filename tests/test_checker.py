@@ -98,6 +98,17 @@ class TestVerification:
         assert result.verified and not result.exhaustive
         assert result.states == cap
 
+    @pytest.mark.parametrize("depth", [0, 1, 6, 20])
+    @pytest.mark.parametrize("protocol", ["mesi", "moesif"])
+    def test_depth_bound_stops_at_its_level(self, protocol, depth):
+        """A search bounded at depth k stores the levels through k, whose
+        sizes `test_three_caches_level_sizes` pins."""
+        result = check(CheckConfig(protocol=protocol, caches=3,
+                                   max_depth=depth))
+        assert result.summary() == (
+            f"No violation (bounded): {sum(LEVELS[protocol][:depth + 1])} "
+            f"states, depth {depth}")
+
     @pytest.mark.parametrize("field,value", [("max_states", 0),
                                              ("max_states", -1),
                                              ("max_depth", -1)])

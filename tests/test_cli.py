@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from cohsim import harness
+from cohsim import harness, protocol
+from cohsim.checker import mutated
 from cohsim.cli import load_config, main
 from cohsim.ucode import asm
 from cohsim.ucode.engine import default_program
@@ -92,6 +93,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--trace", trace_file]) == 0
         assert "engine: ucode" in capsys.readouterr().out
+
+    def test_violations_exit_1_and_are_listed(self, tmp_path, capsys,
+                                              monkeypatch):
+        """With seeded-bug tables installed, the monitors flag the run."""
+        monkeypatch.setitem(protocol.PROTOCOLS, "moesif", mutated(
+            protocol.MOESIF, "wrong-transfer-state"))
+        trace = tmp_path / "t.txt"
+        trace.write_text("1 LD 0x80000000\n0 LD 0x80000000\n")
+        assert main(["simulate", "--trace", str(trace),
+                     "--engine", "fsm"]) == 1
+        out = capsys.readouterr().out
+        assert "monitor violations: 2" in out
+        assert "  [swmr] cycle 61: block 0x80000000" in out
+        assert "  [single-owner] cycle 61: block 0x80000000" in out
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -260,6 +275,17 @@ class TestMicrocodeTools:
         listing = capsys.readouterr().out
         assert "wfq req" in listing and "pushq memcmd specread" in listing
 
+    def test_assemble_listing_assembles_back(self, tmp_path, capsys):
+        src = tmp_path / "p.ucs"
+        src.write_text(default_program("mesi"))
+        binary = tmp_path / "p.bin"
+        assert main(["assemble", str(src), "-o", str(binary),
+                     "--listing"]) == 0
+        *listing, summary = capsys.readouterr().out.splitlines()
+        words = asm.from_binary(binary.read_bytes())
+        assert summary == f"{len(words)} instructions -> {binary}"
+        assert asm.assemble_words("\n".join(listing)) == words
+
     @pytest.mark.parametrize("blob,message", [
         (b"XXXX" + asm.to_binary([0])[4:], "bad magic"),
         (asm.to_binary([0, 0])[:-3], "header gives 2 words"),
@@ -312,6 +338,13 @@ class TestCheck:
         assert re.search(r"cache \d: (read|read-ne|write) request", labels)
         assert re.search(r"directory: accept \S+ from cache \d "
                          r"\(dir state [IS]\)", labels)
+
+    def test_max_depth(self, capsys):
+        rc = main(["check", "--protocol", "moesif", "--caches", "3",
+                   "--max-depth", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "No violation (bounded): 292 states, depth 4\n")
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

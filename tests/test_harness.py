@@ -17,7 +17,7 @@ from cohsim.harness import (CoherenceMonitor, DataValueMonitor, TraceError,
                             TraceOp, compare_engines, default_monitors,
                             format_trace, overhead_calc, parse_trace,
                             random_workload, run_trace)
-from cohsim.protocol import (DEFAULT_REGION_MAP, MOESIF, PROTOCOLS,
+from cohsim.protocol import (CACHEABLE, MOESIF, PROTOCOLS,
                              CoherenceState)
 from cohsim.system import System, SystemConfig
 from cohsim.ucode import asm
@@ -106,7 +106,7 @@ def reference_workload(seed: int, lces: int = 2, ops: int = 1000,
     """`random_workload` as first written, on `randrange` and `choice`:
     the generator it must keep matching draw for draw."""
     rng = random.Random(seed)
-    base = DEFAULT_REGION_MAP.cacheable[0][0]
+    base = CACHEABLE.start
     shared_n = max(1, footprint_blocks // 2)
     private_n = max(1, footprint_blocks - shared_n)
     shared = [base + i * block_bytes for i in range(shared_n)]
@@ -471,7 +471,7 @@ class TestTagIndex:
         segment = cce.directory
         blocks = {op.addr - op.addr % cfg.block_bytes for op in ops
                   if op.addr is not None
-                  and DEFAULT_REGION_MAP.is_cacheable(op.addr)}
+                  and op.addr in CACHEABLE}
         # Every tag set with its set index (with one CCE, a set's way group
         # is its index) and its tag index.
         tag_sets = [(s, lines, lce.tag_index[s]) for lce in system.lces
@@ -1128,11 +1128,11 @@ class TestUncachedToCacheableGolden:
 
 class TestUncachedToCacheableRandom:
     """Random traces whose uncached ops go to cacheable memory: each LDU
-    moves onto a block of the shared pool, where other caches hold copies,
-    and each STU onto a block of its own cache's private pool, so that no
-    posted store races another cache (see `harness`).  Both engines end
-    equivalent with the monitors clean, and some uncached load finds a
-    copy in another cache, so the flush stays covered."""
+    and STU moves onto a block of the shared pool, where other caches
+    hold copies, so other caches' ops also wait behind posted stores
+    (see `run_trace`).  Both engines end equivalent with the monitors
+    clean, and some uncached load finds a copy in another cache, so the
+    flush stays covered."""
 
     SHAPES = {
         "fit-4c": (dict(cores=4, sets=16), dict(lces=4, footprint_blocks=64)),
@@ -1142,24 +1142,22 @@ class TestUncachedToCacheableRandom:
 
     @staticmethod
     def trace(seed, footprint_blocks, **gen_kw):
-        """`random_workload`'s trace with its uncached ops moved: the
-        workload puts cache c's i-th uncacheable block at index
-        c * private_n + i, and its private pool right after the shared
-        one."""
+        """`random_workload`'s trace with its uncached ops moved into the
+        shared pool, which starts at the cacheable base: the workload puts
+        cache c's i-th uncacheable block at index c * private_n + i."""
         ops = random_workload(seed, ops=600, uncached_ratio=0.1,
                               footprint_blocks=footprint_blocks, **gen_kw)
-        base = DEFAULT_REGION_MAP.cacheable[0][0]
+        base = CACHEABLE.start
         shared_n = footprint_blocks // 2
         out = []
         for op in ops:
             if op.op in ("LDU", "STU"):
                 j = (op.addr - 0x1000) // 64
-                block = j % shared_n if op.op == "LDU" else shared_n + j
-                op = op._replace(addr=base + block * 64)
+                op = op._replace(addr=base + j % shared_n * 64)
             out.append(op)
         return out
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("num_cces", [1, 2])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("protocol", ["moesif", "mesi"])

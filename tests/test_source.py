@@ -422,6 +422,35 @@ def test_only_the_protocol_picks_a_write_column():
     assert not found, found
 
 
+def _cacheable_base_literals(tree):
+    """The lines of a module that write the cacheable region's base
+    address, 0x8000_0000, as an integer literal."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is int and node.value == 0x8000_0000]
+
+
+def test_one_cacheable_region():
+    """`protocol.CACHEABLE` is the one statement of the cacheable region:
+    no other module writes its base address."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        if name == "protocol.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=name)
+        found += [f"{name}:{line}" for line in _cacheable_base_literals(tree)]
+    assert not found, found
+
+
+def test_cacheable_base_literals_are_found():
+    source = ("a = 0x8000_0000\n"
+              "b = range(0x80000000, 1 << 32)\n"
+              "c = 2147483648 + 64\n"
+              "d = '0x8000_0000', 0x8000_0040, CACHEABLE.start\n")
+    assert _cacheable_base_literals(ast.parse(source)) == [1, 2, 3]
+
+
 def _on_store_calls(node):
     return [call for call in ast.walk(node) if isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)

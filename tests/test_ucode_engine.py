@@ -202,6 +202,46 @@ class TestReadFaults:
             eng.tick(5)
 
 
+class TestResponseReads:
+    """The response-queue reads no shipped firmware uses: `poph resp`
+    and `popq resp` with `wp`."""
+
+    def test_poph_reads_the_head_kind_without_popping(self, tmp_path):
+        eng = make_engine(tmp_path, "  poph resp r3\n  wfq req\n")
+        busy_after(eng, ticks=5)
+        assert (eng.pc, eng.stats.busy_cycles) == (0, 0)
+        resp = LceResponse(kind=Emission.DirtyWB, lce=1, addr=BASE,
+                           data=bytes(64))
+        eng.resp_q.append(resp)
+        eng.tick(5)
+        assert (eng.pc, eng.stats.busy_cycles) == (1, 1)
+        assert eng.regs[3] == isa.RESP_KIND_CODE["DirtyWB"]
+        assert list(eng.resp_q) == [resp]
+
+    def test_popq_resp_wp_decrements_the_pending_counter(self, tmp_path):
+        eng = make_engine(tmp_path, "  wdp inc\n  popq resp r2 wp\n"
+                                    "  wfq req\n", req=request())
+        wg = eng.local_wg(BASE)
+        eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=1,
+                                      addr=BASE))
+        eng.tick(0)
+        assert eng.pending.counters[wg] == 1
+        eng.tick(1)
+        assert eng.pending.counters[wg] == 0
+        assert eng.regs[2] == isa.RESP_KIND_CODE["InvAck"]
+        assert not eng.resp_q
+
+    def test_popq_resp_wp_on_a_zero_counter_faults(self, tmp_path):
+        eng = make_engine(tmp_path, "  popq resp r2 wp\n  wfq req\n",
+                          req=request())
+        eng.resp_q.append(LceResponse(kind=Emission.InvAck, lce=1,
+                                      addr=BASE))
+        with pytest.raises(ucode_engine.MicrocodeFault, match=(
+                r"pc 0 \(popq resp r2 wp\) underflows the pending counter "
+                r"for way group 0")):
+            eng.tick(0)
+
+
 class TestIdle:
     def test_a_unit_outside_a_transaction_keeps_the_system_busy(
             self, tmp_path):
